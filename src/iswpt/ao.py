@@ -62,10 +62,10 @@ class AoConfig:
             raise ValueError("inner_mm_iters must be >= 1")
         if self.inner_sca_iters < 1:
             raise ValueError("inner_sca_iters must be >= 1")
-        if self.sca_rel_tol < 0.0:
-            raise ValueError("sca_rel_tol must be >= 0")
-        if self.rel_tol < 0.0:
-            raise ValueError("rel_tol must be >= 0")
+        for name in ("rel_tol", "mm_rel_tol", "sca_rel_tol"):
+            # Written to reject NaN too; rel_tol=inf stays valid.
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
         if not self.sdp_tol > 0.0:
             raise ValueError("sdp_tol must be > 0")
         if self.n_rand < 0:

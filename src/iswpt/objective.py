@@ -35,8 +35,8 @@ from .scenario import ChannelSet, SystemConfig, steering_matrix
 
 
 def hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """Symmetrise a nearly Hermitian matrix as (A + A^H) / 2."""
-    return 0.5 * (mat + mat.conj().T)
+    """Symmetrise a nearly Hermitian matrix, or a stack of them, as (A + A^H)/2."""
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)

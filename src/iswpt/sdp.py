@@ -16,8 +16,10 @@ is <X, S> = b^T z - Re tr(C X) whenever the primal diagonal is feasible.
 
 The search direction is the standard XZ (HKM) direction with a Mehrotra
 predictor-corrector.  For diagonal constraints the Schur complement has
-the closed form  M_ij = Re(X_ij * conj(Sinv_ij)), an elementwise product,
-which keeps each iteration at a handful of dense factorisations.
+the closed form  M_ij = Re(X_ij * conj(Sinv_ij)), an elementwise product.
+Each iteration factors X and S once: one Cholesky of each, whose inverted
+factors give Sinv and serve all four step-length tests (two stacked
+eigenvalue calls), plus one real n x n solve per direction.
 
 Inner products on the complex Hermitian cone are <A, B> = Re tr(A B); no
 real symmetric embedding is used, so there is no factor-2 bookkeeping to
@@ -52,6 +54,8 @@ class DiagSdpProblem:
         n = b.size
         if cost.shape != (n, n):
             raise ValueError(f"cost shape {cost.shape} does not match {n} diagonal values")
+        if not (np.all(np.isfinite(cost)) and np.all(np.isfinite(b))):
+            raise ValueError("cost and diagonal values must be finite")
         scale = float(np.max(np.abs(cost))) if n else 0.0
         herm_err = float(np.max(np.abs(cost - cost.conj().T))) if n else 0.0
         if herm_err > 1e-12 * max(1.0, scale):
@@ -88,15 +92,17 @@ class SdpNonConvergence(RuntimeError):
         self.rel_gap = rel_gap
 
 
-def _max_step(pos_def: np.ndarray, direction: np.ndarray) -> float:
-    """Largest t with pos_def + t*direction still PSD (may be inf)."""
-    chol = np.linalg.cholesky(pos_def)
-    half = np.linalg.solve(chol, direction)
-    w = np.linalg.solve(chol, half.conj().T).conj().T
-    lam_min = float(np.linalg.eigvalsh(hermitian_part(w))[0])
-    if lam_min >= 0.0:
-        return np.inf
-    return -1.0 / lam_min
+def _max_steps(inv_factors: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Largest t with P_k + t*D_k still PSD, for each stacked pair k.
+
+    `inv_factors` holds L_k^{-1} for the Cholesky factors P_k = L_k L_k^H;
+    an entry is inf when D_k is PSD.
+    """
+    w = inv_factors @ directions @ inv_factors.conj().swapaxes(-1, -2)
+    lam_min = np.linalg.eigvalsh(hermitian_part(w))[:, 0]
+    steps = np.full(lam_min.shape, np.inf)
+    np.divide(-1.0, lam_min, out=steps, where=lam_min < 0.0)
+    return steps
 
 
 def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
@@ -109,6 +115,8 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     b = problem.diag_values
     n = b.size
     c_scale = float(np.max(np.abs(problem.cost)))
@@ -125,16 +133,14 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
     z = np.sum(np.abs(cost), axis=1) + 0.1
     s = np.diag(z) - cost
 
-    best: SdpSolution | None = None
-    rel_gap = np.inf
-    iteration = 0
     for iteration in range(1, max_iters + 1):
         diag_x = np.real(np.diag(x))
         r_p = b - diag_x
         primal_res = float(np.max(np.abs(r_p))) / (1.0 + float(np.max(b)))
         primal_obj = float(np.real(np.trace(cost @ x)))
         dual_obj = float(b @ z)
-        gap = float(np.real(np.trace(x @ s)))
+        xs = x @ s
+        gap = float(np.real(np.trace(xs)))
         rel_gap = abs(gap) / (1.0 + abs(primal_obj) + abs(dual_obj))
         best = SdpSolution(x_opt=hermitian_part(x) * 1.0,
                            objective=primal_obj * c_scale,
@@ -145,35 +151,36 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
             return best
 
         try:
-            s_chol = np.linalg.cholesky(s)
-            s_inv = np.linalg.solve(s_chol.conj().T, np.linalg.solve(s_chol, eye))
-            s_inv = hermitian_part(s_inv)
+            # One Cholesky of X and of S per iteration; their inverted
+            # factors give Sinv = L_S^{-H} L_S^{-1} and every step length.
+            inv_factors = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
+            s_inv = hermitian_part(inv_factors[1].conj().T @ inv_factors[1])
             # Schur complement of the diagonal-constraint normal equations.
             m_mat = np.real(x * s_inv.conj())
             m_mat = 0.5 * (m_mat + m_mat.T) + (1e-14 * float(np.max(np.abs(m_mat))) + 1e-300) * np.eye(n)
 
             mu = gap / n
 
-            def direction(r_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-                rhs = np.real(np.diag(r_mat @ s_inv)) - r_p
+            def direction(r_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                """(dx, dz); dS = Diag(dz), so X dS is a column scaling."""
+                rhs = np.real(np.sum(r_mat * s_inv.T, axis=1)) - r_p
                 dz = np.linalg.solve(m_mat, rhs)
-                ds = np.diag(dz).astype(np.complex128)
-                dx = (r_mat - x @ ds) @ s_inv
-                return hermitian_part(dx), dz, ds
+                return hermitian_part((r_mat - x * dz) @ s_inv), dz
+
+            def step_lengths(dx: np.ndarray, dz: np.ndarray) -> np.ndarray:
+                return _max_steps(inv_factors, np.stack([dx, np.diag(dz)]))
 
             # Mehrotra predictor: pure Newton step toward the boundary.
-            dx_aff, dz_aff, ds_aff = direction(-(x @ s))
-            ap_aff = min(1.0, _max_step(x, dx_aff))
-            ad_aff = min(1.0, _max_step(s, ds_aff))
-            gap_aff = float(np.real(np.trace((x + ap_aff * dx_aff) @ (s + ad_aff * ds_aff))))
+            dx_aff, dz_aff = direction(-xs)
+            ap_aff, ad_aff = np.minimum(1.0, step_lengths(dx_aff, dz_aff))
+            gap_aff = float(np.real(np.trace((x + ap_aff * dx_aff) @ (s + ad_aff * np.diag(dz_aff)))))
             sigma = min(0.99, max((max(gap_aff, 0.0) / gap) ** 3, 1e-8))
 
             # Corrector with second-order term.
-            r_mat = sigma * mu * eye - x @ s - dx_aff @ ds_aff
-            dx, dz, ds = direction(r_mat)
+            r_mat = sigma * mu * eye - xs - dx_aff * dz_aff
+            dx, dz = direction(r_mat)
             frac = 0.98 if iteration > 2 else 0.9
-            ap = min(1.0, frac * _max_step(x, dx))
-            ad = min(1.0, frac * _max_step(s, ds))
+            ap, ad = np.minimum(1.0, frac * step_lengths(dx, dz))
             x = hermitian_part(x + ap * dx)
             z = z + ad * dz
             s = np.diag(z) - cost
@@ -186,29 +193,26 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
                 f"(rel_gap={rel_gap:.3e}, primal_res={best.primal_residual:.3e})",
                 solution=best, rel_gap=rel_gap) from None
 
-    assert best is not None
     raise SdpNonConvergence(
         f"no convergence in {max_iters} iterations "
         f"(rel_gap={rel_gap:.3e}, primal_res={best.primal_residual:.3e})",
         solution=best, rel_gap=rel_gap)
 
 
-def _psd_factor(x_opt: np.ndarray) -> np.ndarray:
-    """A with A A^H ~= x_opt, negative eigenvalues clipped to zero."""
-    lam, vec = np.linalg.eigh(hermitian_part(np.asarray(x_opt, dtype=np.complex128)))
-    lam = np.clip(lam, 0.0, None)
-    return vec * np.sqrt(lam)[None, :]
-
-
 def _candidates(x_opt: np.ndarray, n_rand: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """Principal eigenvector plus Gaussian randomisations, one per row."""
+    """Principal eigenvector plus Gaussian randomisations, one per row.
+
+    One eigendecomposition gives both: the draws use the PSD factor
+    A = V sqrt(max(Lambda, 0)), A A^H ~= x_opt, whose last column is the
+    scaled principal eigenvector.
+    """
     x_opt = np.asarray(x_opt, dtype=np.complex128)
     n = x_opt.shape[0]
     lam, vec = np.linalg.eigh(hermitian_part(x_opt))
-    principal = vec[:, -1] * np.sqrt(max(float(lam[-1]), 0.0))
+    factor = vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
+    principal = factor[:, -1]
     if n_rand > 0:
-        factor = _psd_factor(x_opt)
         xi = complex_normal(rng, (n_rand, n))
         draws = xi @ factor.conj().T
         return np.vstack([principal[None, :], draws])
@@ -231,7 +235,7 @@ def extract_beamformer(x_opt: np.ndarray, big_h: np.ndarray,
     w_rows = config.beam_amplitude * np.exp(1j * np.angle(cands))
     if incumbent is not None:
         w_rows = np.vstack([w_rows, incumbent.w[None, :]])
-    scores = np.real(np.einsum("bn,nm,bm->b", w_rows.conj(), np.asarray(big_h), w_rows))
+    scores = np.real(((w_rows.conj() @ np.asarray(big_h)) * w_rows).sum(1))
     return Beamformer.from_phases(np.angle(w_rows[int(np.argmax(scores))]), config)
 
 
@@ -250,40 +254,29 @@ def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
     candidate is rotated to make its last entry real positive, truncated,
     conjugated and projected onto unit modulus.  When the last entry is
     numerically zero the global phase is instead chosen to maximise the
-    linear term of the score directly.  Candidates are scored with
-    `lifted_phase_score`; an incumbent profile, when given, competes as an
-    extra candidate so the extraction never returns anything worse than it.
+    linear term of the score directly.  All candidates are scored at once
+    with the `lifted_phase_score` form; the first best wins, and an
+    incumbent profile, when given, replaces it only if strictly better, so
+    the extraction never returns anything worse than the incumbent.
     """
     x_opt = np.asarray(x_opt, dtype=np.complex128)
     big_f = np.asarray(big_f, dtype=np.complex128)
     l_dim = x_opt.shape[0] - 1
-    f12 = big_f[:l_dim, l_dim]
-
-    best_alpha: np.ndarray | None = None
-    best_score = -np.inf
-    for cand in _candidates(x_opt, n_rand, rng):
-        tail = cand[l_dim]
-        if np.abs(tail) >= 1e-9:
-            rotated = cand * np.exp(-1j * np.angle(tail))
-            alpha = -np.angle(rotated[:l_dim])
-        else:
-            # Global phase is unconstrained; pick the rotation maximising
-            # 2 Re(e^{j phi} v . f12) in closed form.
-            v0 = np.exp(-1j * np.angle(cand[:l_dim]))
-            lin = np.dot(v0, f12)
-            phi = -np.angle(lin) if np.abs(lin) > 0.0 else 0.0
-            alpha = np.angle(v0) + phi
-        score = lifted_phase_score(big_f, np.exp(1j * alpha))
-        if score > best_score:
-            best_score = score
-            best_alpha = alpha
+    cands = _candidates(x_opt, n_rand, rng)
+    head, tail = cands[:, :l_dim], cands[:, l_dim]
+    alpha = -np.angle(head * np.exp(-1j * np.angle(tail))[:, None])
+    flat = np.abs(tail) < 1e-9
+    if np.any(flat):
+        # Global phase is unconstrained; pick the rotation maximising
+        # 2 Re(e^{j phi} v . f12) in closed form (phi = 0 when the term
+        # vanishes, as angle(0) = 0).
+        v0 = np.exp(-1j * np.angle(head[flat]))
+        alpha[flat] = np.angle(v0) - np.angle(v0 @ big_f[:l_dim, l_dim])[:, None]
     if incumbent is not None:
-        score = lifted_phase_score(big_f, incumbent.v)
-        if score > best_score:
-            best_score = score
-            best_alpha = incumbent.alpha
-    assert best_alpha is not None
-    return PhaseProfile(alpha=best_alpha)
+        alpha = np.vstack([alpha, incumbent.alpha[None, :]])
+    aug = np.hstack([np.exp(1j * alpha), np.ones((alpha.shape[0], 1))])
+    scores = np.real(((aug @ big_f) * aug.conj()).sum(1))
+    return PhaseProfile(alpha=alpha[int(np.argmax(scores))])
 
 
 def sdp_update_w(ops: DerivedOperators, config: SystemConfig,

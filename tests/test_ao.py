@@ -29,6 +29,13 @@ def test_ao_config_validation():
     AoConfig(n_rand=0)  # eigenvector-only extraction is allowed
 
 
+@pytest.mark.parametrize("name", ["rel_tol", "mm_rel_tol", "sca_rel_tol"])
+@pytest.mark.parametrize("value", [float("nan"), -1e-6])
+def test_ao_config_rejects_bad_tolerances(name, value):
+    with pytest.raises(ValueError, match=name):
+        AoConfig(**{name: value})
+
+
 def test_lc_trace_monotone_and_feasible():
     config, channels = instance(seed=1, n=6, l=10)
     ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=10, rel_tol=0.0)

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iswpt.objective import (Beamformer, DerivedOperators, PhaseProfile,
                              build_operators)
 from iswpt.oracle import SearchBudget, quantized_phase_search
 from iswpt.scenario import (SystemConfig, complex_normal, sample_channels,
                             trial_stream)
-from iswpt.sdp import (DiagSdpProblem, SdpNonConvergence, extract_beamformer,
-                       extract_phases, lifted_phase_score, sdp_update_v,
-                       sdp_update_w, solve_diag_sdp)
+from iswpt.sdp import (DiagSdpProblem, SdpNonConvergence, _candidates,
+                       _max_steps, extract_beamformer, extract_phases,
+                       lifted_phase_score, sdp_update_v, sdp_update_w,
+                       solve_diag_sdp)
 
 
 def random_psd(rng, n):
@@ -121,6 +124,65 @@ def test_solver_rejects_bad_inputs():
     problem = DiagSdpProblem(cost=np.eye(2), diag_values=np.ones(2))
     with pytest.raises(ValueError):
         solve_diag_sdp(problem, tol=0.0)
+    with pytest.raises(ValueError, match="max_iters"):
+        solve_diag_sdp(problem, max_iters=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solver_rejects_non_finite_inputs(bad):
+    cost = np.eye(3, dtype=complex)
+    cost[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DiagSdpProblem(cost=cost, diag_values=np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        DiagSdpProblem(cost=np.eye(3), diag_values=np.array([1.0, bad, 1.0]))
+
+
+@pytest.mark.parametrize("n, iterations, objective", [
+    (12, 7, 40.906293061195),
+    (41, 9, 359.19933011557),
+])
+def test_solver_pinned_instances(n, iterations, objective):
+    # Pins the iterate sequence: a change to the direction, the step rule
+    # or the stopping rule moves the count or the optimum found.
+    rng = trial_stream(34, n)
+    cost = random_hermitian(rng, n)
+    b = rng.uniform(0.5, 2.0, n)
+    solution = solve_diag_sdp(DiagSdpProblem(cost=cost, diag_values=b))
+    assert solution.iterations == iterations
+    assert solution.objective == pytest.approx(objective, rel=1e-9)
+
+
+def bisect_max_step(pos_def, direction):
+    """Largest t keeping pos_def + t*direction Cholesky-factorable."""
+    def ok(t):
+        try:
+            np.linalg.cholesky(pos_def + t * direction)
+            return True
+        except np.linalg.LinAlgError:
+            return False
+    lo, hi = 0.0, 1.0
+    while ok(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+def test_max_steps_match_cholesky_bisection():
+    rng = trial_stream(35, 0)
+    for n in (3, 12, 41):
+        pos_defs = np.stack([random_psd(rng, n) + 0.1 * np.eye(n) for _ in range(2)])
+        directions = np.stack([random_hermitian(rng, n) for _ in range(2)])
+        inv_factors = np.linalg.inv(np.linalg.cholesky(pos_defs))
+        steps = _max_steps(inv_factors, directions)
+        for k in range(2):
+            assert steps[k] == pytest.approx(
+                bisect_max_step(pos_defs[k], directions[k]), rel=1e-6)
+        # A PSD direction never leaves the cone.
+        psd_dirs = np.stack([random_psd(rng, n), np.diag(rng.uniform(0.0, 1.0, n))])
+        assert np.all(_max_steps(inv_factors, psd_dirs) == np.inf)
 
 
 def test_solver_nonconvergence_carries_best_iterate():
@@ -236,6 +298,62 @@ def test_extract_phases_keeps_incumbent():
                          incumbent=strong)
     assert lifted_phase_score(big_f, out.v) >= \
         lifted_phase_score(big_f, strong.v) - 1e-12
+
+
+def loop_extract_phases(x_opt, big_f, n_rand, rng, incumbent=None):
+    """Reference: score each candidate in turn; first best wins and the
+    incumbent replaces it only if strictly better."""
+    l_dim = x_opt.shape[0] - 1
+    f12 = big_f[:l_dim, l_dim]
+    best_alpha, best_score = None, -np.inf
+    for cand in _candidates(x_opt, n_rand, rng):
+        tail = cand[l_dim]
+        if np.abs(tail) >= 1e-9:
+            alpha = -np.angle(cand[:l_dim] * np.exp(-1j * np.angle(tail)))
+        else:
+            v0 = np.exp(-1j * np.angle(cand[:l_dim]))
+            lin = np.dot(v0, f12)
+            alpha = np.angle(v0) + (-np.angle(lin) if np.abs(lin) > 0.0 else 0.0)
+        score = lifted_phase_score(big_f, np.exp(1j * alpha))
+        if score > best_score:
+            best_alpha, best_score = alpha, score
+    if incumbent is not None and lifted_phase_score(big_f, incumbent.v) > best_score:
+        best_alpha = incumbent.alpha
+    return PhaseProfile(alpha=best_alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), l_dim=st.integers(1, 8),
+       n_rand=st.integers(0, 40),
+       tail=st.sampled_from(["regular", "degenerate", "mixed"]),
+       incumbent_kind=st.sampled_from([None, "random", "winner"]),
+       flat_score=st.booleans())
+def test_extract_phases_matches_candidate_loop(seed, l_dim, n_rand, tail,
+                                               incumbent_kind, flat_score):
+    rng = trial_stream(36, seed)
+    x_opt = np.zeros((l_dim + 1, l_dim + 1), dtype=complex)
+    if tail == "regular":
+        x_opt = random_psd(rng, l_dim + 1)
+    else:
+        # A zero last row and column sends every candidate through the
+        # degenerate-tail fallback; a small last entry sends only the
+        # principal eigenvector there.
+        x_opt[:l_dim, :l_dim] = 10.0 * random_psd(rng, l_dim)
+        x_opt[l_dim, l_dim] = 1e-3 if tail == "mixed" else 0.0
+    # An all-zero score makes every candidate and the incumbent tie.
+    big_f = np.zeros_like(x_opt) if flat_score else random_hermitian(rng, l_dim + 1)
+    incumbent = None
+    if incumbent_kind == "random":
+        incumbent = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, l_dim))
+    elif incumbent_kind == "winner":
+        incumbent = loop_extract_phases(x_opt, big_f, n_rand, trial_stream(37, seed))
+
+    out = extract_phases(x_opt, big_f, n_rand, trial_stream(37, seed), incumbent)
+    ref = loop_extract_phases(x_opt, big_f, n_rand, trial_stream(37, seed), incumbent)
+    if flat_score:
+        assert np.array_equal(out.alpha, ref.alpha)
+    else:
+        np.testing.assert_allclose(out.v, ref.v, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
