@@ -46,7 +46,7 @@ from .ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, AoTrace, INIT_GIVEN,
                  run_ao, run_rps)
 from .objective import PhaseProfile, beampattern_profile
 from .scenario import ChannelSet, SystemConfig, config_from_mapping, \
-    parse_kv_file, sample_channels, trial_stream
+    parse_kv_file, sample_channels, slice_channels, trial_stream
 
 ALGORITHM_RPS = "rps"
 _ALGO_STREAM_ID = {ALGORITHM_SDP: 0, ALGORITHM_LC: 1, ALGORITHM_RPS: 2}
@@ -59,6 +59,9 @@ _EXPERIMENT_KEYS = (_EXPERIMENT_INT_KEYS | _EXPERIMENT_FLOAT_KEYS
                     | _EXPERIMENT_STR_KEYS | _EXPERIMENT_LIST_KEYS)
 
 _DEFAULT_RHO_GRID = tuple(round(0.1 * i, 10) for i in range(1, 10))
+
+# Finest beampattern grid: at most 18,001 angles over [-90, 90] degrees.
+MIN_ANGLE_STEP_DEG = 0.01
 
 
 @dataclass(frozen=True)
@@ -89,12 +92,13 @@ class ExperimentSpec:
             raise ValueError("sweep_l must be a nonempty list of positive ints")
         if not self.sweep_rho or any(not 0.0 <= r <= 1.0 for r in self.sweep_rho):
             raise ValueError("sweep_rho entries must lie in [0, 1]")
-        if not self.angle_step_deg > 0.0:
-            raise ValueError("angle_step_deg must be > 0")
+        if not MIN_ANGLE_STEP_DEG <= self.angle_step_deg < np.inf:
+            raise ValueError(f"angle_step_deg must be finite and >= "
+                             f"{MIN_ANGLE_STEP_DEG}, got {self.angle_step_deg!r}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if self.rel_tol < 0.0:
-            raise ValueError("rel_tol must be >= 0")
+        if not self.rel_tol >= 0.0:
+            raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol!r}")
 
 
 def _parse_algorithms(text: str) -> tuple[str, ...]:
@@ -203,17 +207,6 @@ def _trial_channels(exp: ExperimentSpec, trial: int, l_max: int) -> ChannelSet:
     return sample_channels(cfg, trial_stream(exp.config.seed, 0, trial))
 
 
-def _slice_channels(channels: ChannelSet, n_irs: int) -> ChannelSet:
-    """Restrict a draw to the first n_irs reflecting elements.
-
-    Entries are iid across elements, so the slice has the same law as a
-    direct draw at the smaller size while staying coupled across sizes.
-    """
-    return ChannelSet(h_br=channels.h_br[:n_irs, :].copy(),
-                      h_ru=channels.h_ru[:, :n_irs].copy(),
-                      h_d=channels.h_d.copy())
-
-
 def _algo_rng(exp: ExperimentSpec, algorithm: str, point_idx: int,
               trial: int) -> np.random.Generator:
     return trial_stream(exp.config.seed, 1, _ALGO_STREAM_ID[algorithm],
@@ -270,7 +263,7 @@ def cmd_convergence(exp: ExperimentSpec) -> str:
             config = _point_config(exp, n_irs)
             cost_ms = _nominal_iteration_cost_ms(algorithm, config.n_tx, n_irs)
             for trial in range(exp.n_trials):
-                channels = _slice_channels(_trial_channels(exp, trial, l_max), n_irs)
+                channels = slice_channels(_trial_channels(exp, trial, l_max), n_irs)
                 trace = _run_point(exp, algorithm, config, channels, point_idx, trial)
                 rows.append((algorithm, n_irs, trial, 0,
                              trace.steps[0].objective, 0.0))
@@ -290,7 +283,7 @@ def cmd_sweep_l(exp: ExperimentSpec) -> str:
             config = _point_config(exp, n_irs)
             harvested = np.empty(exp.n_trials)
             for trial in range(exp.n_trials):
-                channels = _slice_channels(_trial_channels(exp, trial, l_max), n_irs)
+                channels = slice_channels(_trial_channels(exp, trial, l_max), n_irs)
                 trace = _run_point(exp, algorithm, config, channels, point_idx, trial)
                 harvested[trial] = trace.steps[-1].harvested_sum
             std = float(np.std(harvested, ddof=1)) if exp.n_trials > 1 else 0.0
@@ -377,7 +370,7 @@ def cmd_beampattern(exp: ExperimentSpec) -> str:
     for algorithm in exp.algorithms:
         for point_idx, n_irs in enumerate(exp.sweep_l):
             config = _point_config(exp, n_irs)
-            channels = _slice_channels(_trial_channels(exp, 0, l_max), n_irs)
+            channels = slice_channels(_trial_channels(exp, 0, l_max), n_irs)
             trace = _run_point(exp, algorithm, config, channels, point_idx, 0)
             gains = beampattern_profile(channels, trace.phases, trace.beam,
                                         angles_rad, config.delta)

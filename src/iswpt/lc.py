@@ -1,6 +1,9 @@
 """Low-complexity updates: closed-form SCA beamformer step and MM phase step.
 
-Both subproblem solvers cost one matrix-vector product per step.
+Both subproblem solvers cost one matrix-vector product per step.  Their
+inputs are checked once per solve: `mm_solve` validates one `MmProblem`
+and then only re-anchors it at each new iterate, and `sca_solve` converts
+its matrix once before the loop.
 
 Beamformer side.  J(w) = w^H H w with H PSD is minorised at w_prev by its
 tangent 2 Re(w^H H w_prev) - w_prev^H H w_prev; over the per-antenna
@@ -35,16 +38,13 @@ from .objective import Beamformer, DerivedOperators, PhaseProfile, hermitian_par
 from .scenario import SystemConfig
 
 
-def lambda_max(mat: np.ndarray, tol: float = 1e-10, max_iters: int = 5000) -> float:
+def lambda_max(mat: np.ndarray) -> float:
     """Largest (most positive) eigenvalue of a Hermitian matrix.
 
-    Small matrices go straight to a dense eigendecomposition: the matrices
-    built here are negative semidefinite with a low-rank nonzero part, so
-    the dominant eigenvalue of the shifted iteration sits in a cluster that
-    power iteration separates extremely slowly.  Large matrices use power
-    iteration on the shifted PSD matrix mat + shift*I from a deterministic
-    all-ones start, stopping once the Rayleigh-quotient residual drops
-    below tol * scale, with a dense fallback if the iteration stagnates.
+    A dense eigendecomposition serves every size: the matrices built here
+    are negative semidefinite with a low-rank nonzero part, so the top
+    eigenvalue sits in a cluster that power iteration separates extremely
+    slowly, and the surfaces modelled are small.
     """
     mat = np.asarray(mat)
     n = mat.shape[0]
@@ -56,27 +56,15 @@ def lambda_max(mat: np.ndarray, tol: float = 1e-10, max_iters: int = 5000) -> fl
         raise ValueError(f"matrix is not Hermitian (deviation {herm_err:.3e})")
     if scale == 0.0:
         return 0.0
-    if n <= 256:
-        return float(np.linalg.eigvalsh(mat)[-1])
-
-    # Row-sum bound on the spectral radius makes the shifted matrix PSD
-    # with its top eigenvalue at shift + lambda_max(mat).
-    shift = float(np.max(np.sum(np.abs(mat), axis=1)))
-    shifted = mat + shift * np.eye(n)
-    x = np.ones(n, dtype=np.complex128) / np.sqrt(n)
-    for _ in range(max_iters):
-        y = shifted @ x
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            # all-ones start lies in the kernel; the shifted matrix is PSD
-            # so 0 may still not be its top eigenvalue.
-            break
-        x = y / norm_y
-        rayleigh = float(np.real(np.vdot(x, shifted @ x)))
-        residual = np.linalg.norm(shifted @ x - rayleigh * x)
-        if residual <= tol * max(1.0, abs(rayleigh)):
-            return rayleigh - shift
     return float(np.linalg.eigvalsh(mat)[-1])
+
+
+def _arg_or_keep(y: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """arg(y) entrywise, with arg(prev) wherever y is exactly zero."""
+    phase = np.arctan2(y.imag, y.real)
+    if not y.all():
+        phase = np.where(y != 0.0, phase, np.angle(prev))
+    return phase
 
 
 def sca_update_w(big_h: np.ndarray, w_prev: Beamformer,
@@ -88,9 +76,7 @@ def sca_update_w(big_h: np.ndarray, w_prev: Beamformer,
     deterministic.
     """
     y = np.asarray(big_h) @ w_prev.w
-    prev_phase = np.angle(w_prev.w)
-    phase = np.where(np.abs(y) > 0.0, np.angle(y), prev_phase)
-    return Beamformer.from_phases(phase, config)
+    return Beamformer.from_phases(_arg_or_keep(y, w_prev.w), config)
 
 
 def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
@@ -101,11 +87,12 @@ def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
     the beam subproblem to a (numerical) fixed point rather than taking a
     single tangent step.
     """
+    big_h = np.asarray(big_h)
     out = beam
-    q_prev = float(np.real(np.vdot(out.w, np.asarray(big_h) @ out.w)))
+    q_prev = float(np.real(np.vdot(out.w, big_h @ out.w)))
     for _ in range(max_iters):
         out = sca_update_w(big_h, out, config)
-        q = float(np.real(np.vdot(out.w, np.asarray(big_h) @ out.w)))
+        q = float(np.real(np.vdot(out.w, big_h @ out.w)))
         if abs(q - q_prev) < rel_tol * max(abs(q), 1e-300):
             break
         q_prev = q
@@ -139,6 +126,14 @@ class MmProblem:
                        phases: PhaseProfile) -> "MmProblem":
         return cls(d_mat=-ops.f11, c_vec=ops.f12.conj(), v_prev=phases.v)
 
+    def _anchored_at(self, v_prev: np.ndarray) -> "MmProblem":
+        """The same validated problem at a new iterate of the same shape,
+        without re-running the checks (d_mat is already exactly Hermitian,
+        so re-symmetrising it would return the same bits)."""
+        moved = object.__new__(MmProblem)
+        moved.__dict__.update(self.__dict__, v_prev=v_prev)
+        return moved
+
 
 def mm_objective(problem: MmProblem, v: np.ndarray) -> float:
     """g(v) = v D v^H - 2 Re(c^H v) in the row-vector convention.
@@ -146,7 +141,6 @@ def mm_objective(problem: MmProblem, v: np.ndarray) -> float:
     For problems built from operators this equals offset - J, so MM descent
     on g is ascent on the composite objective.
     """
-    v = np.asarray(v, dtype=np.complex128)
     quad = float(np.real(v @ (problem.d_mat @ v.conj())))
     lin = float(np.real(np.vdot(problem.c_vec, v)))
     return quad - 2.0 * lin
@@ -185,10 +179,7 @@ def mm_update_v(problem: MmProblem, lam: float | None = None) -> PhaseProfile:
         lam = lambda_max(problem.d_mat)
     u_prev = problem.v_prev.conj()
     gamma_u = lam * u_prev - problem.d_mat @ u_prev + problem.c_vec.conj()
-    gamma = gamma_u.conj()
-    prev_phase = np.angle(problem.v_prev)
-    phase = np.where(np.abs(gamma) > 0.0, np.angle(gamma), prev_phase)
-    return PhaseProfile(alpha=phase)
+    return PhaseProfile(alpha=_arg_or_keep(gamma_u.conj(), problem.v_prev))
 
 
 def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
@@ -199,8 +190,7 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
     out = phases
     g_prev = mm_objective(problem, out.v)
     for _ in range(max_iters):
-        problem = MmProblem(d_mat=problem.d_mat, c_vec=problem.c_vec,
-                            v_prev=out.v)
+        problem = problem._anchored_at(out.v)
         out = mm_update_v(problem, lam=lam)
         g_new = mm_objective(problem, out.v)
         if abs(g_new - g_prev) < rel_tol * max(abs(g_prev), 1e-300):

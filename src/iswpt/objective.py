@@ -28,6 +28,7 @@ built here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,14 +138,27 @@ class DerivedOperators:
     offset: float          # v-independent term rho*eta*p0*sum_k |a_k|^2
 
 
+@lru_cache(maxsize=64)
+def target_steering_matrix(target_angles: tuple[float, ...], n_irs: int,
+                           delta: float) -> np.ndarray:
+    """Read-only (M, L) steering matrix of the target directions.
+
+    Cached per geometry: every operator build and metric evaluation at one
+    configuration shares the same exponentials.
+    """
+    steer = steering_matrix(np.asarray(target_angles), n_irs, delta)
+    steer.flags.writeable = False
+    return steer
+
+
 def _cascade_terms(channels: ChannelSet, beam: Beamformer,
                    config: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """c_k, a_k, d_m for the current beamformer (v-side parameterisation)."""
     g = channels.h_br @ beam.w                          # (L,) illumination
     c_vecs = channels.h_ru * g[None, :]                 # rows: h_ru_k * g
     a_scalars = channels.h_d @ beam.w                   # (K,)
-    steer = steering_matrix(np.asarray(config.target_angles),
-                            config.n_irs, config.delta)
+    steer = target_steering_matrix(config.target_angles, config.n_irs,
+                                   config.delta)
     d_vecs = steer * g[None, :]                         # rows: a(theta_m) * g
     return c_vecs, a_scalars, d_vecs
 
@@ -154,8 +168,8 @@ def _effective_channels(channels: ChannelSet, phases: PhaseProfile,
     """h_tilde_k and h_hat_m for the current phase profile (w-side)."""
     v = phases.v
     h_tilde = (channels.h_ru * v[None, :]) @ channels.h_br + channels.h_d
-    steer = steering_matrix(np.asarray(config.target_angles),
-                            config.n_irs, config.delta)
+    steer = target_steering_matrix(config.target_angles, config.n_irs,
+                                   config.delta)
     h_hat = (steer * v[None, :]) @ channels.h_br
     return h_tilde, h_hat
 

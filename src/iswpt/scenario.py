@@ -42,6 +42,12 @@ def dbm_to_power(x_dbm: float) -> float:
     return 10.0 ** (x_dbm / 10.0)
 
 
+# Physical parameters that must be finite; rho, eta and the target angles
+# are range-checked, which already excludes infinities and NaN.
+_FINITE_FIELDS = ("p0", "delta", "dist_tx_irs", "dist_irs_ehd", "dist_tx_ehd",
+                  "ple_tx_irs", "ple_irs_ehd", "ple_tx_ehd", "pl_ref", "rician_k")
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static description of one deployment.
@@ -76,6 +82,9 @@ class SystemConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name in _FINITE_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.p0 > 0.0:
             raise ValueError(f"p0 must be positive, got {self.p0!r}")
         if not 0.0 < self.eta <= 1.0:
@@ -144,6 +153,17 @@ class ChannelSet:
             raise ValueError("h_ru column count must match h_br rows")
         if self.h_d.shape != (self.h_ru.shape[0], n_dim):
             raise ValueError("h_d shape inconsistent with h_ru / h_br")
+
+
+def slice_channels(channels: ChannelSet, n_irs: int) -> ChannelSet:
+    """Restrict a draw to the first n_irs reflecting elements.
+
+    Entries are iid across elements, so the slice has the same law as a
+    direct draw at the smaller size while staying coupled across sizes.
+    """
+    return ChannelSet(h_br=channels.h_br[:n_irs, :].copy(),
+                      h_ru=channels.h_ru[:, :n_irs].copy(),
+                      h_d=channels.h_d.copy())
 
 
 def steering_vector(theta: float, n_elements: int, delta: float = 0.5) -> np.ndarray:

@@ -21,8 +21,8 @@ from .objective import (Beamformer, PhaseProfile, beampattern_gain,
                         beampattern_profile, build_operators,
                         composite_objective)
 from .oracle import SearchBudget, quantized_phase_search
-from .scenario import (ChannelSet, SystemConfig, complex_normal,
-                       sample_channels, steering_vector, trial_stream)
+from .scenario import (SystemConfig, complex_normal, sample_channels,
+                       slice_channels, steering_vector, trial_stream)
 from .sdp import DiagSdpProblem, solve_diag_sdp
 
 
@@ -34,12 +34,6 @@ class CriterionResult:
 
     def __str__(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
-
-
-def _slice_channels(channels: ChannelSet, n_irs: int) -> ChannelSet:
-    return ChannelSet(h_br=channels.h_br[:n_irs, :].copy(),
-                      h_ru=channels.h_ru[:, :n_irs].copy(),
-                      h_d=channels.h_d.copy())
 
 
 def check_step_feasibility() -> CriterionResult:
@@ -249,7 +243,7 @@ def check_element_count_benefit() -> CriterionResult:
         drawn = sample_channels(cfg_big, trial_stream(base.seed, 0, trial))
         for idx, n_irs in enumerate(l_values):
             config = dataclasses.replace(base, n_irs=n_irs)
-            channels = _slice_channels(drawn, n_irs)
+            channels = slice_channels(drawn, n_irs)
             trace = run_ao(config, AoConfig(algorithm="lc"), channels,
                            trial_stream(base.seed, 1, 0, idx, trial))
             e_opt[idx, trial] = trace.steps[-1].harvested_sum

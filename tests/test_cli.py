@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,44 @@ def test_experiment_spec_validation():
         ExperimentSpec(config=config, sweep_rho=(1.5,))
     with pytest.raises(ValueError):
         ExperimentSpec(config=config, angle_step_deg=0.0)
+
+
+def test_experiment_spec_rejects_nan_rel_tol(tmp_path, capsys):
+    config = SystemConfig(n_tx=4, n_irs=4, n_ehd=2, n_targets=2,
+                          target_angles=(-0.5, 0.5))
+    with pytest.raises(ValueError, match="rel_tol"):
+        ExperimentSpec(config=config, rel_tol=float("nan"))
+    # rps never builds an AoConfig, so the spec is its only check.
+    spec = write_spec(tmp_path, BASE_SPEC.replace("algorithms = sdp, lc",
+                                                  "algorithms = rps")
+                      + "rel_tol = nan\n")
+    assert run_cli(["sweep-l", "--spec", spec,
+                    "--out", str(tmp_path / "x.csv")]) == 2
+    assert "rel_tol" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_experiment_spec_rejects_tiny_angle_step(tmp_path, capsys):
+    config = SystemConfig(n_tx=4, n_irs=4, n_ehd=2, n_targets=2,
+                          target_angles=(-0.5, 0.5))
+    assert ExperimentSpec(config=config, angle_step_deg=0.01).angle_step_deg == 0.01
+    for step in (0.0099, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="angle_step_deg"):
+            ExperimentSpec(config=config, angle_step_deg=step)
+    # A 1e-300 degree step would ask np.arange for ~1.8e302 angles; it must
+    # be refused while parsing, before any grid exists.
+    spec = write_spec(tmp_path, BASE_SPEC.replace("angle_step_deg = 15",
+                                                  "angle_step_deg = 1e-300"))
+    tracemalloc.start()
+    try:
+        code = run_cli(["beampattern", "--spec", spec,
+                        "--out", str(tmp_path / "x.csv")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "angle_step_deg" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_experiment_from_mapping_splits_layers():

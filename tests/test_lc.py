@@ -1,16 +1,19 @@
 """Closed-form updates: dominant eigenvalue, SCA beam step, MM phase step."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iswpt.lc import (MmProblem, lambda_max, mm_objective, mm_solve,
                       mm_surrogate, mm_update_v, sca_solve, sca_update_w)
 from iswpt.objective import (Beamformer, PhaseProfile, build_operators,
-                             composite_objective)
-from iswpt.scenario import (SystemConfig, complex_normal, sample_channels,
-                            trial_stream)
+                             composite_objective, target_steering_matrix)
+from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
+                            sample_channels, steering_matrix, trial_stream)
 
 
 def random_hermitian(rng, n, nsd=False):
@@ -58,8 +61,11 @@ def test_lambda_max_matches_dense_oracle():
 
 
 def test_lambda_max_large_matrix_uses_iterative_path():
-    # 300 x 300 goes through the power-iteration branch; a dominant
-    # rank-one bump keeps the spectral gap wide so the iteration converges.
+    """A 300 x 300 matrix takes the dense path, like every other size.
+
+    The name is kept from when sizes above 256 used power iteration; a
+    dominant rank-one bump keeps the top eigenvalue well separated.
+    """
     rng = trial_stream(2, 0)
     u = complex_normal(rng, (300,))
     u /= np.linalg.norm(u)
@@ -264,3 +270,144 @@ def test_mm_solve_improves_composite_objective():
     after = composite_objective(channels, solved, beam, config)
     assert after >= before - 1e-10 * max(1.0, abs(before))
     assert solved.modulus_error() < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# Solvers against the per-step reference loops
+#
+# The references below are the solvers as first written: every MM step
+# rebuilds and re-validates an MmProblem, and every step takes its phases
+# with np.angle and an np.abs mask.  The solvers must reproduce them bit for
+# bit.
+
+
+def reference_mm_objective(problem, v):
+    v = np.asarray(v, dtype=np.complex128)
+    quad = float(np.real(v @ (problem.d_mat @ v.conj())))
+    lin = float(np.real(np.vdot(problem.c_vec, v)))
+    return quad - 2.0 * lin
+
+
+def reference_mm_step(problem, lam):
+    u_prev = problem.v_prev.conj()
+    gamma = (lam * u_prev - problem.d_mat @ u_prev + problem.c_vec.conj()).conj()
+    phase = np.where(np.abs(gamma) > 0.0, np.angle(gamma),
+                     np.angle(problem.v_prev))
+    return PhaseProfile(alpha=phase)
+
+
+def reference_mm_solve(ops, phases, max_iters=50, rel_tol=1e-6):
+    problem = MmProblem.from_operators(ops, phases)
+    lam = lambda_max(problem.d_mat)
+    out = phases
+    g_prev = reference_mm_objective(problem, out.v)
+    for _ in range(max_iters):
+        problem = MmProblem(d_mat=problem.d_mat, c_vec=problem.c_vec,
+                            v_prev=out.v)
+        out = reference_mm_step(problem, lam)
+        g_new = reference_mm_objective(problem, out.v)
+        if abs(g_new - g_prev) < rel_tol * max(abs(g_prev), 1e-300):
+            break
+        g_prev = g_new
+    return out
+
+
+def reference_sca_solve(big_h, beam, config, max_iters=50, rel_tol=1e-9):
+    out = beam
+    q_prev = float(np.real(np.vdot(out.w, np.asarray(big_h) @ out.w)))
+    for _ in range(max_iters):
+        y = np.asarray(big_h) @ out.w
+        phase = np.where(np.abs(y) > 0.0, np.angle(y), np.angle(out.w))
+        out = Beamformer.from_phases(phase, config)
+        q = float(np.real(np.vdot(out.w, np.asarray(big_h) @ out.w)))
+        if abs(q - q_prev) < rel_tol * max(abs(q), 1e-300):
+            break
+        q_prev = q
+    return out
+
+
+@pytest.mark.parametrize("n_irs", [6, 40])
+@pytest.mark.parametrize("seed", [21, 22, 23])
+@pytest.mark.parametrize("rel_tol", [None, 0.0])
+def test_solvers_bit_identical_to_reference_loops(seed, n_irs, rel_tol):
+    # rel_tol=0 forces the full iteration cap, so every step is compared.
+    tol = {} if rel_tol is None else {"rel_tol": rel_tol}
+    config, channels, phases, beam = random_instance(
+        seed, n=12, l=n_irs, k=5, m=3)
+    ops = build_operators(channels, phases, beam, config)
+    mm_out = mm_solve(ops, phases, **tol)
+    mm_ref = reference_mm_solve(ops, phases, **tol)
+    assert np.array_equal(mm_out.alpha, mm_ref.alpha)
+    assert np.array_equal(mm_out.v, mm_ref.v)
+    sca_out = sca_solve(ops.big_h, beam, config, **tol)
+    sca_ref = reference_sca_solve(ops.big_h, beam, config, **tol)
+    assert np.array_equal(sca_out.w, sca_ref.w)
+
+
+def test_solvers_bit_identical_with_zero_gradient_entries():
+    # MM: zero curvature and a linear term with zero entries make gamma
+    # exactly zero there, so those elements must keep their phase.
+    rng = trial_stream(24, 0)
+    f12 = complex_normal(rng, (6,))
+    f12[[0, 3]] = 0.0
+    ops = SimpleNamespace(f11=np.zeros((6, 6), dtype=np.complex128), f12=f12)
+    phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, 6))
+    mm_out = mm_solve(ops, phases, rel_tol=0.0)
+    assert np.array_equal(mm_out.alpha, reference_mm_solve(ops, phases, rel_tol=0.0).alpha)
+    np.testing.assert_allclose(mm_out.alpha[[0, 3]], phases.alpha[[0, 3]],
+                               rtol=0.0, atol=1e-14)
+
+    # SCA: an antenna with no channel to anything gives a zero row and
+    # column in H, so (H w)_0 is exactly zero at every step.
+    config, channels, phases, beam = random_instance(24, n=5, l=6)
+    h_br = channels.h_br.copy()
+    h_d = channels.h_d.copy()
+    h_br[:, 0] = 0.0
+    h_d[:, 0] = 0.0
+    channels = ChannelSet(h_br=h_br, h_ru=channels.h_ru, h_d=h_d)
+    big_h = build_operators(channels, phases, beam, config).big_h
+    assert not (big_h @ beam.w).all()
+    sca_out = sca_solve(big_h, beam, config, rel_tol=0.0)
+    assert np.array_equal(sca_out.w,
+                          reference_sca_solve(big_h, beam, config, rel_tol=0.0).w)
+    assert sca_out.w[0] == pytest.approx(beam.w[0], rel=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tx=st.integers(1, 8),
+       n_irs=st.integers(1, 16), n_ehd=st.integers(1, 4),
+       n_targets=st.integers(1, 3), rho=st.floats(0.0, 1.0),
+       los_mode=st.sampled_from(["iid", "steering"]))
+def test_solvers_ascend_and_stay_feasible(seed, n_tx, n_irs, n_ehd, n_targets,
+                                         rho, los_mode):
+    config, channels, phases, beam = random_instance(
+        seed, n=n_tx, l=n_irs, k=n_ehd, m=n_targets, rho=rho,
+        los_mode=los_mode)
+    ops = build_operators(channels, phases, beam, config)
+    before = composite_objective(channels, phases, beam, config)
+
+    solved_v = mm_solve(ops, phases)
+    after_v = composite_objective(channels, solved_v, beam, config)
+    assert after_v >= before - 1e-9 * abs(before)
+    assert solved_v.modulus_error() <= 1e-12
+
+    solved_w = sca_solve(ops.big_h, beam, config)
+    after_w = composite_objective(channels, phases, solved_w, config)
+    assert after_w >= before - 1e-9 * abs(before)
+    assert solved_w.modulus_error(config) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Cached target steering matrix
+
+
+def test_target_steering_matrix_cached_and_read_only():
+    config = SystemConfig(n_irs=7, delta=0.4)
+    steer = target_steering_matrix(config.target_angles, config.n_irs,
+                                   config.delta)
+    expected = steering_matrix(np.asarray(config.target_angles), 7, 0.4)
+    assert np.array_equal(steer, expected)
+    assert not steer.flags.writeable
+    with pytest.raises(ValueError):
+        steer[0, 0] = 0.0
+    assert target_steering_matrix(config.target_angles, 7, 0.4) is steer

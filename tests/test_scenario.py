@@ -159,6 +159,15 @@ def test_system_config_validation():
         SystemConfig(target_angles=(2.0, 0.0, -2.0))  # outside +-pi/2
 
 
+@pytest.mark.parametrize("name", [
+    "p0", "delta", "dist_tx_irs", "dist_irs_ehd", "dist_tx_ehd", "ple_tx_irs",
+    "ple_irs_ehd", "ple_tx_ehd", "pl_ref", "rician_k"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_system_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        SystemConfig(**{name: value})
+
+
 def test_system_config_power_properties():
     config = SystemConfig(n_tx=4, p0=100.0)
     assert config.per_antenna_power == pytest.approx(25.0)
