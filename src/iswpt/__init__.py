@@ -15,8 +15,7 @@ from .scenario import (ChannelSet, SystemConfig, complex_normal, db_to_linear,
                        trial_stream)
 from .objective import (Beamformer, DerivedOperators, PhaseProfile,
                         beampattern_gain, beampattern_profile,
-                        build_operators, composite_objective,
-                        harvested_energy, solution_metrics)
+                        build_operators, composite_objective, solution_metrics)
 from .sdp import (DiagSdpProblem, SdpNonConvergence, SdpSolution,
                   extract_beamformer, extract_phases, solve_diag_sdp,
                   sdp_update_v, sdp_update_w)

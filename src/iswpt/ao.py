@@ -31,10 +31,6 @@ from .scenario import ChannelSet, SystemConfig
 ALGORITHM_SDP = "sdp"
 ALGORITHM_LC = "lc"
 
-INIT_RANDOM_PHASES = "random_phases"
-INIT_ZERO_PHASES = "zero_phases"
-INIT_GIVEN = "given"
-
 
 @dataclass(frozen=True)
 class AoConfig:
@@ -49,9 +45,8 @@ class AoConfig:
     sca_rel_tol: float = 1e-9        # inner SCA stop on |dq| < tol * |q|
     sdp_tol: float = 1e-7            # interior-point duality gap target
     n_rand: int = 200                # Gaussian randomisations per extraction
-    init_mode: str = INIT_RANDOM_PHASES
-    init_phases: PhaseProfile | None = None
-    init_beam: Beamformer | None = None
+    init_phases: PhaseProfile | None = None  # None: uniform random phases
+    init_beam: Beamformer | None = None      # None: one SCA step from flat
 
     def __post_init__(self) -> None:
         if self.algorithm not in (ALGORITHM_SDP, ALGORITHM_LC):
@@ -70,10 +65,6 @@ class AoConfig:
             raise ValueError("sdp_tol must be > 0")
         if self.n_rand < 0:
             raise ValueError("n_rand must be >= 0")
-        if self.init_mode not in (INIT_RANDOM_PHASES, INIT_ZERO_PHASES, INIT_GIVEN):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        if self.init_mode == INIT_GIVEN and self.init_phases is None:
-            raise ValueError("init_mode 'given' requires init_phases")
 
 
 @dataclass(frozen=True)
@@ -103,9 +94,6 @@ class AoTrace:
     n_outer: int = 0
     failure: str | None = None
 
-    def objectives(self) -> np.ndarray:
-        return np.asarray([s.objective for s in self.steps])
-
     def final_objective(self) -> float:
         return self.steps[-1].objective
 
@@ -115,15 +103,28 @@ class AoTrace:
         return np.asarray(out)
 
 
+def _record(trace: AoTrace, t0: float, channels: ChannelSet,
+            config: SystemConfig, phases: PhaseProfile, beam: Beamformer,
+            index: int, outer: int, stage: str,
+            relaxed: float | None = None) -> float:
+    """Append the step at iterate (phases, beam) to `trace`; returns its J."""
+    j_val, harvested, sensing = solution_metrics(channels, phases, beam, config)
+    trace.steps.append(AoStep(
+        index=index, outer_iter=outer, stage=stage, objective=j_val,
+        harvested_sum=harvested, beampattern_sum=sensing,
+        elapsed_s=time.perf_counter() - t0,
+        w_error=beam.modulus_error(config),
+        v_error=phases.modulus_error(),
+        relaxed_objective=relaxed))
+    return j_val
+
+
 def _initial_iterates(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
                       rng: np.random.Generator) -> tuple[PhaseProfile, Beamformer]:
-    """Starting point: phases per init_mode, beamformer via one SCA step
-    from the all-equal-phase feasible point (unless given explicitly)."""
-    if ao.init_mode == INIT_GIVEN:
-        phases = ao.init_phases
-    elif ao.init_mode == INIT_ZERO_PHASES:
-        phases = PhaseProfile(alpha=np.zeros(config.n_irs))
-    else:
+    """Starting point: the given phases, else uniform random ones; the given
+    beamformer, else one SCA step from the all-equal-phase feasible point."""
+    phases = ao.init_phases
+    if phases is None:
         phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, size=config.n_irs))
     if ao.init_beam is not None:
         return phases, ao.init_beam
@@ -144,20 +145,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     t0 = time.perf_counter()
     trace = AoTrace()
     phases, beam = _initial_iterates(config, ao, channels, rng)
-
-    def record(index: int, outer: int, stage: str,
-               relaxed: float | None = None) -> float:
-        j_val, harvested, sensing = solution_metrics(channels, phases, beam, config)
-        trace.steps.append(AoStep(
-            index=index, outer_iter=outer, stage=stage, objective=j_val,
-            harvested_sum=harvested, beampattern_sum=sensing,
-            elapsed_s=time.perf_counter() - t0,
-            w_error=beam.modulus_error(config),
-            v_error=phases.modulus_error(),
-            relaxed_objective=relaxed))
-        return j_val
-
-    j_prev = record(0, 0, "init")
+    j_prev = _record(trace, t0, channels, config, phases, beam, 0, 0, "init")
     if not np.isfinite(ao.rel_tol):
         # An infinite tolerance deems any change converged: report the
         # initialisation as the result without doing an outer iteration.
@@ -165,33 +153,30 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
         trace.beam, trace.phases = beam, phases
         return trace
 
-    index = 0
     for outer in range(1, ao.max_outer_iters + 1):
         try:
             ops = build_operators(channels, phases, beam, config)
-            relaxed_w: float | None = None
             if ao.algorithm == ALGORITHM_SDP:
                 beam, relaxed_w = sdp.sdp_update_w(ops, config, rng,
                                                    tol=ao.sdp_tol, n_rand=ao.n_rand,
                                                    incumbent=beam)
             else:
-                beam = lc.sca_solve(ops.big_h, beam, config,
-                                    max_iters=ao.inner_sca_iters,
-                                    rel_tol=ao.sca_rel_tol)
-            index += 1
-            record(index, outer, "w", relaxed_w)
+                beam, relaxed_w = lc.sca_solve(ops.big_h, beam, config,
+                                               max_iters=ao.inner_sca_iters,
+                                               rel_tol=ao.sca_rel_tol), None
+            _record(trace, t0, channels, config, phases, beam,
+                    2 * outer - 1, outer, "w", relaxed_w)
 
             ops = build_operators(channels, phases, beam, config)
-            relaxed_v: float | None = None
             if ao.algorithm == ALGORITHM_SDP:
                 phases, relaxed_v = sdp.sdp_update_v(ops, config, rng,
                                                      tol=ao.sdp_tol, n_rand=ao.n_rand,
                                                      incumbent=phases)
             else:
-                phases = lc.mm_solve(ops, phases, max_iters=ao.inner_mm_iters,
-                                     rel_tol=ao.mm_rel_tol)
-            index += 1
-            j_new = record(index, outer, "v", relaxed_v)
+                phases, relaxed_v = lc.mm_solve(ops, phases, max_iters=ao.inner_mm_iters,
+                                                rel_tol=ao.mm_rel_tol), None
+            j_new = _record(trace, t0, channels, config, phases, beam,
+                            2 * outer, outer, "v", relaxed_v)
         except sdp.SdpNonConvergence as exc:
             trace.failure = str(exc)
             break
@@ -199,7 +184,6 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
         trace.n_outer = outer
         if abs(j_new - j_prev) < ao.rel_tol * max(abs(j_prev), 1e-300):
             trace.converged = True
-            j_prev = j_new
             break
         j_prev = j_new
 
@@ -221,13 +205,7 @@ def run_rps(config: SystemConfig, channels: ChannelSet,
     j_prev = None
     for it in range(max_iters):
         beam = lc.sca_update_w(ops.big_h, beam, config)
-        j_val, harvested, sensing = solution_metrics(channels, phases, beam, config)
-        trace.steps.append(AoStep(
-            index=it, outer_iter=it, stage="w", objective=j_val,
-            harvested_sum=harvested, beampattern_sum=sensing,
-            elapsed_s=time.perf_counter() - t0,
-            w_error=beam.modulus_error(config),
-            v_error=phases.modulus_error()))
+        j_val = _record(trace, t0, channels, config, phases, beam, it, it, "w")
         trace.n_outer = it + 1
         if j_prev is not None and abs(j_val - j_prev) < rel_tol * max(abs(j_prev), 1e-300):
             trace.converged = True

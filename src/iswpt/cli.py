@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, AoTrace, INIT_GIVEN,
-                 run_ao, run_rps)
+from .ao import ALGORITHM_LC, ALGORITHM_SDP, AoConfig, AoTrace, run_ao, run_rps
 from .objective import PhaseProfile, beampattern_profile
 from .scenario import ChannelSet, SystemConfig, config_from_mapping, \
     parse_kv_file, sample_channels, slice_channels, trial_stream
@@ -110,7 +109,8 @@ def experiment_from_mapping(mapping: dict[str, str],
     """Build an ExperimentSpec from key=value text plus keyword overrides.
 
     Keys not recognised as experiment knobs are forwarded to the scenario
-    parser, so one flat file configures both layers.
+    parser, so one flat file configures both layers; a key that neither
+    layer knows raises ValueError.
     """
     fields: dict[str, object] = {}
     scenario_items: dict[str, str] = {}
@@ -221,13 +221,8 @@ def _run_point(exp: ExperimentSpec, algorithm: str, config: SystemConfig,
     if algorithm == ALGORITHM_RPS:
         return run_rps(config, channels, rng, max_iters=exp.max_outer_iters,
                        rel_tol=exp.rel_tol)
-    if init_phases is not None:
-        ao = AoConfig(algorithm=algorithm, max_outer_iters=exp.max_outer_iters,
-                      rel_tol=exp.rel_tol, init_mode=INIT_GIVEN,
-                      init_phases=init_phases, init_beam=init_beam)
-    else:
-        ao = AoConfig(algorithm=algorithm, max_outer_iters=exp.max_outer_iters,
-                      rel_tol=exp.rel_tol)
+    ao = AoConfig(algorithm=algorithm, max_outer_iters=exp.max_outer_iters,
+                  rel_tol=exp.rel_tol, init_phases=init_phases, init_beam=init_beam)
     return run_ao(config, ao, channels, rng)
 
 
@@ -365,6 +360,9 @@ def cmd_beampattern(exp: ExperimentSpec) -> str:
     rows: list[tuple] = []
     step = exp.angle_step_deg
     angles_deg = np.arange(-90.0, 90.0 + 0.5 * step, step)
+    # Drop the point past +90 left by a step that does not divide 180, and
+    # pin a rounding overshoot of the +90 endpoint to 90 exactly.
+    angles_deg = np.minimum(angles_deg[angles_deg <= 90.0 + 1e-6], 90.0)
     angles_rad = np.radians(angles_deg)
     l_max = max(exp.sweep_l)
     for algorithm in exp.algorithms:

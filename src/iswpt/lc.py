@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import Beamformer, DerivedOperators, PhaseProfile, hermitian_part
+from .objective import (Beamformer, DerivedOperators, PhaseProfile,
+                        check_hermitian, hermitian_part)
 from .scenario import SystemConfig
 
 
@@ -50,11 +51,7 @@ def lambda_max(mat: np.ndarray) -> float:
     n = mat.shape[0]
     if mat.shape != (n, n):
         raise ValueError("matrix must be square")
-    herm_err = np.max(np.abs(mat - mat.conj().T))
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    if herm_err > 1e-12 * max(1.0, scale):
-        raise ValueError(f"matrix is not Hermitian (deviation {herm_err:.3e})")
-    if scale == 0.0:
+    if check_hermitian(mat, "matrix") == 0.0:
         return 0.0
     return float(np.linalg.eigvalsh(mat)[-1])
 
@@ -114,9 +111,7 @@ class MmProblem:
         l_dim = c_vec.size
         if d_mat.shape != (l_dim, l_dim) or v_prev.shape != (l_dim,):
             raise ValueError("inconsistent MM problem dimensions")
-        herm_err = np.max(np.abs(d_mat - d_mat.conj().T))
-        if herm_err > 1e-12 * max(1.0, float(np.max(np.abs(d_mat)))):
-            raise ValueError(f"d_mat is not Hermitian (deviation {herm_err:.3e})")
+        check_hermitian(d_mat, "d_mat")
         object.__setattr__(self, "d_mat", hermitian_part(d_mat))
         object.__setattr__(self, "c_vec", c_vec)
         object.__setattr__(self, "v_prev", v_prev)

@@ -40,6 +40,18 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
+def check_hermitian(mat: np.ndarray, name: str) -> float:
+    """Reject a square matrix that deviates from Hermitian by more than
+    1e-12 * max(1, max|A|); returns max|A| (0 for an empty matrix)."""
+    if mat.size == 0:
+        return 0.0
+    scale = float(np.max(np.abs(mat)))
+    deviation = float(np.max(np.abs(mat - mat.conj().T)))
+    if deviation > 1e-12 * max(1.0, scale):
+        raise ValueError(f"{name} is not Hermitian (deviation {deviation:.3e})")
+    return scale
+
+
 @dataclass(frozen=True)
 class Beamformer:
     """Constant-modulus transmit beamformer, stored as a length-N vector."""
@@ -65,13 +77,6 @@ class Beamformer:
     def modulus_error(self, config: SystemConfig) -> float:
         """Worst-case deviation of |w_n| from sqrt(p0/N)."""
         return float(np.max(np.abs(np.abs(self.w) - config.beam_amplitude)))
-
-    def validate(self, config: SystemConfig, tol: float = 1e-12) -> None:
-        if self.w.shape != (config.n_tx,):
-            raise ValueError(f"beamformer length {self.w.size} != n_tx {config.n_tx}")
-        err = self.modulus_error(config)
-        if err > tol:
-            raise ValueError(f"per-antenna modulus off by {err:.3e} (> {tol:.1e})")
 
 
 def wrap_angle(alpha: np.ndarray) -> np.ndarray:
@@ -103,15 +108,6 @@ class PhaseProfile:
     @property
     def v(self) -> np.ndarray:
         return self._v
-
-    @classmethod
-    def from_v(cls, v: np.ndarray) -> "PhaseProfile":
-        """Project an arbitrary nonzero complex vector onto unit modulus."""
-        return cls(alpha=np.angle(np.asarray(v, dtype=np.complex128)))
-
-    def augmented(self) -> np.ndarray:
-        """The lifted vector [v, 1] used by the phase-side relaxation."""
-        return np.concatenate([self.v, [1.0 + 0.0j]])
 
     def modulus_error(self) -> float:
         return float(np.max(np.abs(np.abs(self.v) - 1.0)))
@@ -237,19 +233,6 @@ def composite_objective(channels: ChannelSet, phases: PhaseProfile,
     """Scalar J at one iterate (see module docstring for the formula)."""
     return float(objective_for_phase_batch(channels, beam, config,
                                            phases.v[None, :])[0])
-
-
-def harvested_energy(channels: ChannelSet, phases: PhaseProfile,
-                     beam: Beamformer, config: SystemConfig, k: int) -> float:
-    """Harvested power eta * |h_tilde_k w|^2 at device k (0-based).
-
-    This is the user-facing per-device metric; the transmit power budget
-    enters once, through the modulus of w.
-    """
-    if not 0 <= k < config.n_ehd:
-        raise IndexError(f"device index {k} out of range [0, {config.n_ehd})")
-    h_tilde, _ = _effective_channels(channels, phases, config)
-    return float(config.eta * np.abs(h_tilde[k] @ beam.w) ** 2)
 
 
 def beampattern_profile(channels: ChannelSet, phases: PhaseProfile,

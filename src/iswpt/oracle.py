@@ -1,26 +1,24 @@
 """Brute-force reference optimizers over quantized phase grids.
 
-These are deliberately simple exhaustive (or uniform random) searches used
-as ground truth for the iterative algorithms on small instances.  The
-phase grid has `phase_levels` points -pi + 2*pi*i/levels, i = 0..levels-1,
-and exhaustive mode enumerates all levels**dim combinations in
-lexicographic order over the digit vector (first element most
-significant).  Objective values come from the shared batch evaluators in
-`objective`, so the oracle measures exactly the J the algorithms optimise.
+These are deliberately simple exhaustive searches used as ground truth for
+the iterative algorithms on small instances.  The phase grid has
+`phase_levels` points -pi + 2*pi*i/levels, i = 0..levels-1, and a search
+enumerates all levels**dim combinations in lexicographic order over the
+digit vector (first element most significant).  Objective values come from
+the shared batch evaluators in `objective`, so the oracle measures exactly
+the J the algorithms optimise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .objective import (Beamformer, PhaseProfile, objective_for_beam_batch,
                         objective_for_phase_batch)
 from .scenario import ChannelSet, SystemConfig
-
-MODE_EXHAUSTIVE = "exhaustive"
-MODE_RANDOM = "random"
 
 _CHUNK = 1 << 15
 
@@ -31,15 +29,12 @@ class SearchBudget:
 
     phase_levels: int = 8
     max_evals: int = 1 << 20
-    mode: str = MODE_EXHAUSTIVE
 
     def __post_init__(self) -> None:
         if self.phase_levels < 2:
             raise ValueError("phase_levels must be >= 2")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
-        if self.mode not in (MODE_EXHAUSTIVE, MODE_RANDOM):
-            raise ValueError(f"unknown search mode {self.mode!r}")
 
     def grid(self) -> np.ndarray:
         """The quantized phase values in [-pi, pi)."""
@@ -47,9 +42,9 @@ class SearchBudget:
         return -np.pi + 2.0 * np.pi * i / self.phase_levels
 
     def check_dim(self, dim: int) -> int:
-        """Total evaluation count for exhaustive mode; rejects overflow."""
+        """Total evaluation count of a search over `dim` phases; rejects overflow."""
         total = self.phase_levels ** dim
-        if self.mode == MODE_EXHAUSTIVE and total > self.max_evals:
+        if total > self.max_evals:
             raise ValueError(
                 f"exhaustive search needs {total} evaluations for dim {dim}, "
                 f"budget allows {self.max_evals}")
@@ -66,97 +61,44 @@ def _digit_block(start: int, stop: int, levels: int, dim: int) -> np.ndarray:
     return digits
 
 
-def _best_of(scores: np.ndarray, base_index: int,
-             best: tuple[float, int]) -> tuple[float, int, bool]:
-    """Merge a chunk into the running (score, index) best; strict >
-    comparisons keep the smallest index on ties."""
-    local = int(np.argmax(scores))
-    if float(scores[local]) > best[0]:
-        return float(scores[local]), base_index + local, True
-    return best[0], best[1], False
+def _grid_search(dim: int, budget: SearchBudget,
+                 score: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, float]:
+    """Best phase vector of the full `dim`-dimensional grid under `score`.
+
+    `score` maps a (B, dim) block of grid phases to B objective values.  The
+    grid is scanned in chunks; strict > comparisons keep the smallest
+    lexicographic index on ties, so the result does not depend on chunking.
+    """
+    total = budget.check_dim(dim)
+    grid = budget.grid()
+    best_score, best_phases = -np.inf, None
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
+        phases = grid[_digit_block(start, stop, budget.phase_levels, dim)]
+        scores = score(phases)
+        local = int(np.argmax(scores))
+        if float(scores[local]) > best_score:
+            best_score, best_phases = float(scores[local]), phases[local]
+    assert best_phases is not None
+    return best_phases, best_score
 
 
 def quantized_phase_search(channels: ChannelSet, beam: Beamformer,
-                           config: SystemConfig, budget: SearchBudget,
-                           rng: np.random.Generator | None = None
+                           config: SystemConfig, budget: SearchBudget
                            ) -> tuple[PhaseProfile, float]:
-    """Best quantized phase profile at a fixed beamformer.
-
-    Exhaustive mode scans the full grid (chunked, order independent by the
-    smallest-lexicographic-index tie rule); random mode scores max_evals
-    uniform draws from the grid and requires `rng`.
-    """
-    dim = config.n_irs
-    grid = budget.grid()
-    best_score = -np.inf
-    best_alpha: np.ndarray | None = None
-    if budget.mode == MODE_EXHAUSTIVE:
-        total = budget.check_dim(dim)
-        best = (-np.inf, -1)
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            alphas = grid[_digit_block(start, stop, budget.phase_levels, dim)]
-            scores = objective_for_phase_batch(channels, beam, config,
-                                               np.exp(1j * alphas))
-            new_best = _best_of(scores, start, best)
-            if new_best[2]:
-                best = new_best[:2]
-                best_alpha = alphas[best[1] - start]
-        best_score = best[0]
-    else:
-        if rng is None:
-            raise ValueError("random mode requires an rng")
-        done = 0
-        while done < budget.max_evals:
-            count = min(_CHUNK, budget.max_evals - done)
-            alphas = grid[rng.integers(0, budget.phase_levels, size=(count, dim))]
-            scores = objective_for_phase_batch(channels, beam, config,
-                                               np.exp(1j * alphas))
-            local = int(np.argmax(scores))
-            if float(scores[local]) > best_score:
-                best_score = float(scores[local])
-                best_alpha = alphas[local]
-            done += count
-    assert best_alpha is not None
-    return PhaseProfile(alpha=best_alpha), best_score
+    """Best quantized phase profile at a fixed beamformer."""
+    alpha, score = _grid_search(config.n_irs, budget, lambda alphas:
+                                objective_for_phase_batch(channels, beam, config,
+                                                          np.exp(1j * alphas)))
+    return PhaseProfile(alpha=alpha), score
 
 
 def quantized_beam_search(channels: ChannelSet, phases: PhaseProfile,
-                          config: SystemConfig, budget: SearchBudget,
-                          rng: np.random.Generator | None = None
+                          config: SystemConfig, budget: SearchBudget
                           ) -> tuple[Beamformer, float]:
     """Best quantized constant-modulus beamformer at fixed phases."""
-    dim = config.n_tx
-    grid = budget.grid()
     amp = config.beam_amplitude
-    best_score = -np.inf
-    best_phase: np.ndarray | None = None
-    if budget.mode == MODE_EXHAUSTIVE:
-        total = budget.check_dim(dim)
-        best = (-np.inf, -1)
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            w_phase = grid[_digit_block(start, stop, budget.phase_levels, dim)]
-            scores = objective_for_beam_batch(channels, phases, config,
-                                              amp * np.exp(1j * w_phase))
-            new_best = _best_of(scores, start, best)
-            if new_best[2]:
-                best = new_best[:2]
-                best_phase = w_phase[best[1] - start]
-        best_score = best[0]
-    else:
-        if rng is None:
-            raise ValueError("random mode requires an rng")
-        done = 0
-        while done < budget.max_evals:
-            count = min(_CHUNK, budget.max_evals - done)
-            w_phase = grid[rng.integers(0, budget.phase_levels, size=(count, dim))]
-            scores = objective_for_beam_batch(channels, phases, config,
-                                              amp * np.exp(1j * w_phase))
-            local = int(np.argmax(scores))
-            if float(scores[local]) > best_score:
-                best_score = float(scores[local])
-                best_phase = w_phase[local]
-            done += count
-    assert best_phase is not None
-    return Beamformer.from_phases(best_phase, config), best_score
+    w_phase, score = _grid_search(config.n_tx, budget, lambda w_phases:
+                                  objective_for_beam_batch(channels, phases, config,
+                                                           amp * np.exp(1j * w_phases)))
+    return Beamformer.from_phases(w_phase, config), score

@@ -270,6 +270,9 @@ _FLOAT_KEYS = {
     "ple_tx_irs", "ple_irs_ehd", "ple_tx_ehd", "pl_ref", "rician_k",
 }
 _STR_KEYS = {"los_mode"}
+# Keys given in dB or dBm, with the linear key each one replaces.
+_DB_KEYS = {"p0_dbm": "p0", "pl_ref_db": "pl_ref", "rician_k_db": "rician_k"}
+_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _DB_KEYS.keys() | {"target_angles_deg"}
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -293,10 +296,17 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
 def config_from_mapping(mapping: dict[str, str]) -> SystemConfig:
     """Build a SystemConfig from string key/value pairs.
 
-    Unknown keys are ignored (the experiment layer shares the same file).
-    Degree and dB/dBm suffixed keys are converted here, at parse time;
-    everything downstream sees radians and linear milliwatt units.
+    Unknown keys, and a unit-suffixed key given together with its linear
+    twin (say `p0_dbm` and `p0`), raise ValueError naming the key.  Degree
+    and dB/dBm suffixed keys are converted here, at parse time; everything
+    downstream sees radians and linear milliwatt units.
     """
+    unknown = sorted(mapping.keys() - _KEYS)
+    if unknown:
+        raise ValueError(f"unknown spec key {unknown[0]!r}")
+    for key, linear in _DB_KEYS.items():
+        if key in mapping and linear in mapping:
+            raise ValueError(f"spec key {key!r} conflicts with {linear!r}")
     kwargs: dict[str, object] = {}
     for key in _INT_KEYS & mapping.keys():
         kwargs[key] = int(mapping[key])

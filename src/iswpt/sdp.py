@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import Beamformer, DerivedOperators, PhaseProfile, hermitian_part
+from .objective import (Beamformer, DerivedOperators, PhaseProfile,
+                        check_hermitian, hermitian_part)
 from .scenario import SystemConfig, complex_normal
 
 
@@ -56,10 +57,7 @@ class DiagSdpProblem:
             raise ValueError(f"cost shape {cost.shape} does not match {n} diagonal values")
         if not (np.all(np.isfinite(cost)) and np.all(np.isfinite(b))):
             raise ValueError("cost and diagonal values must be finite")
-        scale = float(np.max(np.abs(cost))) if n else 0.0
-        herm_err = float(np.max(np.abs(cost - cost.conj().T))) if n else 0.0
-        if herm_err > 1e-12 * max(1.0, scale):
-            raise ValueError(f"cost matrix is not Hermitian (deviation {herm_err:.3e})")
+        check_hermitian(cost, "cost matrix")
         if np.any(b <= 0.0):
             raise ValueError("diagonal values must be strictly positive")
         cost = hermitian_part(cost)
@@ -239,12 +237,6 @@ def extract_beamformer(x_opt: np.ndarray, big_h: np.ndarray,
     return Beamformer.from_phases(np.angle(w_rows[int(np.argmax(scores))]), config)
 
 
-def lifted_phase_score(big_f: np.ndarray, v: np.ndarray) -> float:
-    """Quadratic score [v, 1] big_f [v, 1]^H in the row-vector convention."""
-    aug = np.concatenate([np.asarray(v, dtype=np.complex128), [1.0 + 0.0j]])
-    return float(np.real(aug @ (np.asarray(big_f) @ aug.conj())))
-
-
 def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
                    rng: np.random.Generator,
                    incumbent: PhaseProfile | None = None) -> PhaseProfile:
@@ -255,7 +247,8 @@ def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
     conjugated and projected onto unit modulus.  When the last entry is
     numerically zero the global phase is instead chosen to maximise the
     linear term of the score directly.  All candidates are scored at once
-    with the `lifted_phase_score` form; the first best wins, and an
+    on the lifted form [v, 1] big_f [v, 1]^H (row-vector convention), which
+    equals J minus the v-independent offset; the first best wins, and an
     incumbent profile, when given, replaces it only if strictly better, so
     the extraction never returns anything worse than the incumbent.
     """

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from iswpt.ao import (ALGORITHM_LC, ALGORITHM_SDP, INIT_GIVEN,
-                      INIT_ZERO_PHASES, AoConfig, run_ao, run_rps)
+from iswpt.ao import ALGORITHM_LC, ALGORITHM_SDP, AoConfig, run_ao, run_rps
 from iswpt.objective import PhaseProfile, build_operators
 from iswpt.scenario import SystemConfig, sample_channels, trial_stream
 
@@ -23,8 +22,6 @@ def test_ao_config_validation():
     with pytest.raises(ValueError):
         AoConfig(max_outer_iters=0)
     with pytest.raises(ValueError):
-        AoConfig(init_mode=INIT_GIVEN)  # no phases supplied
-    with pytest.raises(ValueError):
         AoConfig(sdp_tol=0.0)
     AoConfig(n_rand=0)  # eigenvector-only extraction is allowed
 
@@ -41,7 +38,7 @@ def test_lc_trace_monotone_and_feasible():
     ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=10, rel_tol=0.0)
     trace = run_ao(config, ao, channels, trial_stream(1, 1))
 
-    objectives = trace.objectives()
+    objectives = np.array([s.objective for s in trace.steps])
     assert len(objectives) == 1 + 2 * 10  # init plus two half-steps per outer
     diffs = np.diff(objectives)
     floor = -1e-9 * np.maximum(1.0, np.abs(objectives[:-1]))
@@ -53,7 +50,8 @@ def test_lc_trace_monotone_and_feasible():
     for step in trace.steps:
         assert step.w_error <= 1e-12
         assert step.v_error <= 1e-12
-    trace.beam.validate(config)
+    assert trace.beam.w.shape == (config.n_tx,)
+    assert trace.beam.modulus_error(config) <= 1e-12
 
 
 def test_lc_converges_with_default_tolerance():
@@ -92,7 +90,7 @@ def test_sdp_trace_nondecreasing_and_bounded():
                   n_rand=50)
     trace = run_ao(config, ao, channels, trial_stream(5, 1))
     assert trace.failure is None
-    objectives = trace.objectives()
+    objectives = np.array([s.objective for s in trace.steps])
     diffs = np.diff(objectives)
     assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(objectives[:-1])))
     # Weak duality at every half-step: the feasible objective never beats
@@ -140,19 +138,21 @@ def test_cross_algorithm_agreement_small():
     assert float(np.median(gaps)) <= 0.05
 
 
-def test_zero_phase_initialization():
+def test_default_initialization_draws_uniform_phases():
+    # Without given phases the run starts from one uniform draw of the
+    # stream it is handed.
     config, channels = instance(seed=8)
-    ao = AoConfig(algorithm=ALGORITHM_LC, init_mode=INIT_ZERO_PHASES,
-                  rel_tol=float("inf"))
+    ao = AoConfig(algorithm=ALGORITHM_LC, rel_tol=float("inf"))
     trace = run_ao(config, ao, channels, trial_stream(8, 1))
-    np.testing.assert_allclose(trace.phases.alpha, 0.0, atol=1e-15)
+    expected = trial_stream(8, 1).uniform(-np.pi, np.pi, size=config.n_irs)
+    assert np.array_equal(trace.phases.alpha, PhaseProfile(alpha=expected).alpha)
 
 
 def test_given_initialization_passes_through():
     config, channels = instance(seed=9)
     start = PhaseProfile(alpha=np.linspace(-1.0, 1.0, config.n_irs))
-    ao = AoConfig(algorithm=ALGORITHM_LC, init_mode=INIT_GIVEN,
-                  init_phases=start, rel_tol=float("inf"))
+    ao = AoConfig(algorithm=ALGORITHM_LC, init_phases=start,
+                  rel_tol=float("inf"))
     trace = run_ao(config, ao, channels, trial_stream(9, 1))
     np.testing.assert_allclose(trace.phases.alpha, start.alpha, atol=1e-15)
 
@@ -172,10 +172,11 @@ def test_rps_baseline_freezes_phases_and_ascends():
     rng = trial_stream(11, 1)
     trace = run_rps(config, channels, rng, max_iters=20)
     assert all(step.stage == "w" for step in trace.steps)
-    objectives = trace.objectives()
+    objectives = np.array([s.objective for s in trace.steps])
     diffs = np.diff(objectives)
     assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(objectives[:-1])))
-    trace.beam.validate(config)
+    assert trace.beam.w.shape == (config.n_tx,)
+    assert trace.beam.modulus_error(config) <= 1e-12
     assert trace.phases.modulus_error() < 1e-15
     # Same stream state reproduces the same frozen profile.
     repeat = run_rps(config, channels, trial_stream(11, 1), max_iters=20)

@@ -247,6 +247,30 @@ def test_beampattern_grid_rows(tmp_path):
             assert gain_db == pytest.approx(10.0 * np.log10(gain), rel=1e-12)
 
 
+@pytest.mark.parametrize("step", [7.0, 50.0])
+def test_beampattern_grid_stays_in_range(tmp_path, step):
+    # Steps that do not divide 180 stop at the last grid point below +90.
+    spec = write_spec(tmp_path, BASE_SPEC.replace("angle_step_deg = 15",
+                                                  f"angle_step_deg = {step}")
+                      .replace("algorithms = sdp, lc", "algorithms = lc"))
+    out = tmp_path / "pattern.csv"
+    assert run_cli(["beampattern", "--spec", spec, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    expected = -90.0 + step * np.arange(int(180.0 // step) + 1)
+    assert expected[-1] < 90.0
+    for n_irs in ("4", "6"):
+        angles = [float(r["angle_deg"]) for r in rows if r["L"] == n_irs]
+        np.testing.assert_allclose(angles, expected)
+
+
+def test_unknown_spec_key_fails_cleanly(tmp_path, capsys):
+    spec = write_spec(tmp_path, BASE_SPEC.replace("n_trials = 1", "n_trails = 1"))
+    out = tmp_path / "x.csv"
+    assert run_cli(["sweep-l", "--spec", spec, "--out", str(out)]) == 2
+    assert "'n_trails'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_csv_determinism(tmp_path):
     spec = write_spec(tmp_path)
     out_a = tmp_path / "a.csv"

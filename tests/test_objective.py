@@ -8,8 +8,7 @@ import pytest
 
 from iswpt.objective import (Beamformer, PhaseProfile, beampattern_gain,
                              beampattern_profile, build_operators,
-                             composite_objective, harvested_energy,
-                             objective_for_beam_batch,
+                             composite_objective, objective_for_beam_batch,
                              objective_for_phase_batch, solution_metrics,
                              wrap_angle)
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
@@ -74,7 +73,7 @@ def test_beampattern_profile_batches_single_angles():
 
 def test_harvested_energy_direct_link_only():
     # No reflected path and a first-unit-row direct link leave exactly the
-    # first antenna's share eta * p0 / N.
+    # first antenna's share eta * p0 / N at the single device.
     config = SystemConfig(n_tx=4, n_irs=2, n_ehd=1, n_targets=1,
                           target_angles=(0.0,), p0=2.0, eta=0.5)
     h_d = np.zeros((1, 4), dtype=complex)
@@ -83,23 +82,17 @@ def test_harvested_energy_direct_link_only():
     phases = PhaseProfile(alpha=np.zeros(2))
     beam = Beamformer.from_phases(np.zeros(4), config)
     expected = config.eta * config.p0 / config.n_tx
-    assert harvested_energy(channels, phases, beam, config, 0) == pytest.approx(expected)
+    _, harvested, _ = solution_metrics(channels, phases, beam, config)
+    assert harvested == pytest.approx(expected)
 
 
 def test_harvested_energy_proportional_to_eta():
     config, channels, phases, beam = random_instance(seed=31, eta=0.4)
-    half = harvested_energy(channels, phases, beam, config, 0)
+    _, half, sensing = solution_metrics(channels, phases, beam, config)
     doubled = dataclasses.replace(config, eta=0.8)
-    assert harvested_energy(channels, phases, beam, doubled, 0) == pytest.approx(
-        2.0 * half, rel=1e-12)
-
-
-def test_harvested_energy_index_bounds():
-    config, channels, phases, beam = random_instance(seed=9)
-    with pytest.raises(IndexError):
-        harvested_energy(channels, phases, beam, config, -1)
-    with pytest.raises(IndexError):
-        harvested_energy(channels, phases, beam, config, config.n_ehd)
+    _, harvested, same_sensing = solution_metrics(channels, phases, beam, doubled)
+    assert harvested == pytest.approx(2.0 * half, rel=1e-12)
+    assert same_sensing == sensing
 
 
 def test_composite_objective_rho_boundaries():
@@ -129,7 +122,7 @@ def test_composite_objective_quadratic_form_agreement():
 def test_composite_objective_lifted_form_agreement():
     config, channels, phases, beam = random_instance(seed=18)
     ops = build_operators(channels, phases, beam, config)
-    aug = phases.augmented()
+    aug = np.append(phases.v, 1.0)
     j_lifted = float(np.real(aug @ (ops.big_f @ aug.conj()))) + ops.offset
     assert j_lifted == pytest.approx(
         composite_objective(channels, phases, beam, config), rel=1e-10)
@@ -200,7 +193,8 @@ def test_batch_evaluators_match_scalar_entry_point():
     v_rows = np.exp(1j * rng.uniform(-np.pi, np.pi, (5, config.n_irs)))
     batch = objective_for_phase_batch(channels, beam, config, v_rows)
     for row, value in zip(v_rows, batch):
-        direct = composite_objective(channels, PhaseProfile.from_v(row), beam, config)
+        direct = composite_objective(channels, PhaseProfile(alpha=np.angle(row)),
+                                     beam, config)
         assert value == pytest.approx(direct, rel=1e-10)
 
     w_rows = config.beam_amplitude * np.exp(
@@ -216,8 +210,11 @@ def test_batch_evaluators_match_scalar_entry_point():
 def test_solution_metrics_decomposition():
     config, channels, phases, beam = random_instance(seed=6)
     j_value, harvested, sensing = solution_metrics(channels, phases, beam, config)
-    per_device = sum(harvested_energy(channels, phases, beam, config, k)
-                     for k in range(config.n_ehd))
+    # eta * |h_tilde_k w|^2 per device, h_tilde_k = h_ru_k diag(v) H_br + h_d_k.
+    per_device = sum(
+        config.eta * abs((channels.h_ru[k] * phases.v) @ channels.h_br @ beam.w
+                         + channels.h_d[k] @ beam.w) ** 2
+        for k in range(config.n_ehd))
     per_target = sum(beampattern_gain(channels, phases, beam, theta, config.delta)
                      for theta in config.target_angles)
     assert harvested == pytest.approx(per_device, rel=1e-10)
@@ -234,25 +231,18 @@ def test_beamformer_constraints():
                           target_angles=(0.0,), p0=8.0)
     beam = Beamformer.from_phases(np.array([0.1, -0.2, 1.0, 2.0]), config)
     assert beam.modulus_error(config) < 1e-15
-    beam.validate(config)
     with pytest.raises(ValueError):
         Beamformer.from_phases(np.zeros(3), config)
     lopsided = Beamformer(w=np.array([1.0, 2.0, 1.0, 1.0], dtype=complex))
-    with pytest.raises(ValueError):
-        lopsided.validate(config)
+    assert lopsided.modulus_error(config) == pytest.approx(2.0 - config.beam_amplitude)
 
 
 def test_phase_profile_constraints():
     profile = PhaseProfile(alpha=np.array([0.0, 5.0, -4.0]))
     assert profile.modulus_error() < 1e-15
     assert np.all(profile.alpha >= -np.pi) and np.all(profile.alpha < np.pi)
-    aug = profile.augmented()
-    assert aug.shape == (4,)
-    assert aug[-1] == 1.0 + 0.0j
-
-    projected = PhaseProfile.from_v(np.array([3.0 + 4.0j, -1.0j]))
-    np.testing.assert_allclose(np.abs(projected.v), 1.0, atol=1e-15)
-    assert projected.v[0] == pytest.approx((3.0 + 4.0j) / 5.0)
+    np.testing.assert_allclose(profile.v, np.exp(1j * np.array([0.0, 5.0, -4.0])),
+                               atol=1e-15)
 
 
 def test_wrap_angle_range():

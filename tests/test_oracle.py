@@ -36,8 +36,6 @@ def test_budget_validation():
         SearchBudget(phase_levels=1)
     with pytest.raises(ValueError):
         SearchBudget(max_evals=0)
-    with pytest.raises(ValueError):
-        SearchBudget(mode="clever")
     budget = SearchBudget(phase_levels=4)
     np.testing.assert_allclose(budget.grid(),
                                [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
@@ -65,13 +63,14 @@ def test_budget_overflow_rejected():
 
 def test_exhaustive_tie_break_smallest_index():
     # All-zero channels score every profile identically; the first grid
-    # point (all phases at -pi) must win.
-    config = SystemConfig(n_tx=2, n_irs=3, n_ehd=1, n_targets=1,
+    # point (all phases at -pi) must win, also against the ties of the
+    # second evaluation chunk (4^8 = 65536 profiles span two).
+    config = SystemConfig(n_tx=2, n_irs=8, n_ehd=1, n_targets=1,
                           target_angles=(0.0,))
-    channels = ChannelSet(h_br=np.zeros((3, 2)), h_ru=np.zeros((1, 3)),
+    channels = ChannelSet(h_br=np.zeros((8, 2)), h_ru=np.zeros((1, 8)),
                           h_d=np.zeros((1, 2)))
     beam = Beamformer.from_phases(np.zeros(2), config)
-    budget = SearchBudget(phase_levels=4)
+    budget = SearchBudget(phase_levels=4, max_evals=1 << 17)
     profile, score = quantized_phase_search(channels, beam, config, budget)
     assert score == 0.0
     np.testing.assert_allclose(profile.alpha, -np.pi)
@@ -89,24 +88,6 @@ def test_exhaustive_matches_direct_enumeration_across_chunks():
     best = int(np.argmax(scores))
     assert score == pytest.approx(float(scores[best]), rel=1e-12)
     np.testing.assert_allclose(profile.alpha, alphas[best], atol=1e-12)
-
-
-def test_random_mode_requires_rng():
-    config, channels, beam, _ = instance(seed=4)
-    budget = SearchBudget(phase_levels=8, max_evals=100, mode="random")
-    with pytest.raises(ValueError, match="rng"):
-        quantized_phase_search(channels, beam, config, budget)
-
-
-def test_random_mode_bounded_by_exhaustive():
-    config, channels, beam, _ = instance(seed=5, l=5)
-    exhaustive = SearchBudget(phase_levels=4, max_evals=4 ** 5)
-    _, best = quantized_phase_search(channels, beam, config, exhaustive)
-    sampled = SearchBudget(phase_levels=4, max_evals=500, mode="random")
-    _, score = quantized_phase_search(channels, beam, config, sampled,
-                                      rng=trial_stream(5, 1))
-    assert score <= best * (1.0 + 1e-12)
-    assert score > 0.0
 
 
 def test_phase_search_alignment_bound_single_target():

@@ -206,7 +206,6 @@ def test_config_from_mapping_converts_units():
         "p0_dbm": "30",
         "rician_k_db": "6",
         "target_angles_deg": "-45, 0, 45",
-        "not_a_config_key": "ignored",
     })
     assert config.n_tx == 8
     assert config.p0 == pytest.approx(1000.0)
@@ -214,6 +213,15 @@ def test_config_from_mapping_converts_units():
     assert config.n_targets == 3
     np.testing.assert_allclose(config.target_angles,
                                [-math.pi / 4.0, 0.0, math.pi / 4.0])
+
+
+def test_config_from_mapping_rejects_unknown_and_conflicting_keys():
+    with pytest.raises(ValueError, match="'not_a_config_key'"):
+        config_from_mapping({"n_tx": "8", "not_a_config_key": "ignored"})
+    for db_key, linear in (("p0_dbm", "p0"), ("pl_ref_db", "pl_ref"),
+                           ("rician_k_db", "rician_k")):
+        with pytest.raises(ValueError, match=f"'{db_key}'.*'{linear}'"):
+            config_from_mapping({db_key: "30", linear: "10"})
 
 
 def test_config_from_mapping_linear_overrides_take_effect():

@@ -6,20 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iswpt.objective import (Beamformer, DerivedOperators, PhaseProfile,
-                             build_operators)
+                             build_operators, composite_objective)
 from iswpt.oracle import SearchBudget, quantized_phase_search
 from iswpt.scenario import (SystemConfig, complex_normal, sample_channels,
                             trial_stream)
 from iswpt.sdp import (DiagSdpProblem, SdpNonConvergence, _candidates,
                        _max_steps, extract_beamformer, extract_phases,
-                       lifted_phase_score, sdp_update_v, sdp_update_w,
-                       solve_diag_sdp)
+                       sdp_update_v, sdp_update_w, solve_diag_sdp)
 
 
 def random_psd(rng, n):
     a = complex_normal(rng, (n, n))
     mat = a.conj().T @ a
     return 0.5 * (mat + mat.conj().T)
+
+
+def lifted_phase_score(big_f, v):
+    """[v, 1] big_f [v, 1]^H in the row-vector convention: the score that
+    extract_phases maximises, J minus the offset for an operator big_f."""
+    aug = np.append(v, 1.0)
+    return float(np.real(aug @ (big_f @ aug.conj())))
 
 
 def random_hermitian(rng, n):
@@ -420,7 +426,9 @@ def test_sdp_update_v_beats_quantized_search():
     ops = build_operators(channels, phases, beam, config)
 
     profile, relaxed = sdp_update_v(ops, config, trial_stream(33, 1))
-    j_sdp = lifted_phase_score(ops.big_f, profile.v) + ops.offset
+    j_sdp = composite_objective(channels, profile, beam, config)
+    assert j_sdp == pytest.approx(lifted_phase_score(ops.big_f, profile.v) + ops.offset,
+                                  rel=1e-10)
     assert j_sdp <= relaxed * (1.0 + 1e-6)
 
     budget = SearchBudget(phase_levels=8, max_evals=8 ** 6)
