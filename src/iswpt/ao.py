@@ -5,8 +5,12 @@ phases at fixed beamformer.  Either half-step runs in one of two modes:
 
 * "sdp": relax the subproblem to a diagonally constrained SDP, solve it
   with the interior-point method, and extract a feasible iterate by
-  Gaussian randomisation.  Relaxed optima are upper bounds and are
-  recorded alongside the feasible objective.
+  Gaussian randomisation.  The dual value of each relaxation is an upper
+  bound on the half-step's achievable objective at any solver tolerance,
+  and is recorded alongside the feasible objective.  By default the
+  interior-point method stops at a relative duality gap of 1e-4, the
+  default outer `rel_tol`; extraction reads only the eigenstructure of
+  the relaxed solution, which a tighter solve barely moves.
 * "lc": closed-form SCA step for the beamformer and an inner MM loop for
   the phases.  Every half-step is monotone, so the recorded objective
   sequence is nondecreasing up to floating-point noise.
@@ -43,7 +47,7 @@ class AoConfig:
     rel_tol: float = 1e-4            # outer stop on |dJ| < rel_tol * |J|
     mm_rel_tol: float = 1e-6         # inner MM stop on |dg| < tol * |g|
     sca_rel_tol: float = 1e-9        # inner SCA stop on |dq| < tol * |q|
-    sdp_tol: float = 1e-7            # interior-point duality gap target
+    sdp_tol: float = 1e-4            # interior-point duality gap target
     n_rand: int = 200                # Gaussian randomisations per extraction
     init_phases: PhaseProfile | None = None  # None: uniform random phases
     init_beam: Beamformer | None = None      # None: one SCA step from flat
@@ -80,7 +84,7 @@ class AoStep:
     elapsed_s: float              # wall time since run start
     w_error: float                # max | |w_n| - sqrt(p0/N) |
     v_error: float                # max | |v_l| - 1 |
-    relaxed_objective: float | None = None  # SDP bound for this half-step
+    relaxed_objective: float | None = None  # SDP dual value: bounds J at any sdp_tol
 
 
 @dataclass

@@ -45,7 +45,7 @@ from . import __version__
 from .ao import ALGORITHM_LC, ALGORITHM_SDP, AoConfig, AoTrace, run_ao, run_rps
 from .objective import PhaseProfile, beampattern_profile
 from .scenario import ChannelSet, SystemConfig, config_from_mapping, \
-    parse_kv_file, sample_channels, slice_channels, trial_stream
+    parse_kv_file, parse_number, sample_channels, slice_channels, trial_stream
 
 ALGORITHM_RPS = "rps"
 _ALGO_STREAM_ID = {ALGORITHM_SDP: 0, ALGORITHM_LC: 1, ALGORITHM_RPS: 2}
@@ -110,23 +110,23 @@ def experiment_from_mapping(mapping: dict[str, str],
 
     Keys not recognised as experiment knobs are forwarded to the scenario
     parser, so one flat file configures both layers; a key that neither
-    layer knows raises ValueError.
+    layer knows, or a malformed number, raises ValueError naming the key.
     """
     fields: dict[str, object] = {}
     scenario_items: dict[str, str] = {}
     for key, value in mapping.items():
         if key in _EXPERIMENT_INT_KEYS:
-            fields[key] = int(value)
+            fields[key] = parse_number(key, value, int)
         elif key in _EXPERIMENT_FLOAT_KEYS:
-            fields[key] = float(value)
+            fields[key] = parse_number(key, value, float)
         elif key == "algorithms":
             fields[key] = _parse_algorithms(value)
         elif key == "out":
             fields[key] = value
         elif key == "sweep_l":
-            fields[key] = tuple(int(part) for part in value.split(","))
+            fields[key] = tuple(parse_number(key, part, int) for part in value.split(","))
         elif key == "sweep_rho":
-            fields[key] = tuple(float(part) for part in value.split(","))
+            fields[key] = tuple(parse_number(key, part, float) for part in value.split(","))
         else:
             scenario_items[key] = value
     config = config_from_mapping(scenario_items)

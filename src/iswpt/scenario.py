@@ -293,13 +293,22 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
     return mapping
 
 
+def parse_number(key: str, text: str, kind: type[int] | type[float]) -> int | float:
+    """Convert one spec value with `kind`, naming its key if malformed."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"spec key {key!r}: expected {kind.__name__}, "
+                         f"got {text.strip()!r}") from None
+
+
 def config_from_mapping(mapping: dict[str, str]) -> SystemConfig:
     """Build a SystemConfig from string key/value pairs.
 
-    Unknown keys, and a unit-suffixed key given together with its linear
-    twin (say `p0_dbm` and `p0`), raise ValueError naming the key.  Degree
-    and dB/dBm suffixed keys are converted here, at parse time; everything
-    downstream sees radians and linear milliwatt units.
+    Unknown keys, malformed numbers, and a unit-suffixed key given together
+    with its linear twin (say `p0_dbm` and `p0`), raise ValueError naming
+    the key.  Degree and dB/dBm suffixed keys are converted here, at parse
+    time; everything downstream sees radians and linear milliwatt units.
     """
     unknown = sorted(mapping.keys() - _KEYS)
     if unknown:
@@ -309,19 +318,20 @@ def config_from_mapping(mapping: dict[str, str]) -> SystemConfig:
             raise ValueError(f"spec key {key!r} conflicts with {linear!r}")
     kwargs: dict[str, object] = {}
     for key in _INT_KEYS & mapping.keys():
-        kwargs[key] = int(mapping[key])
+        kwargs[key] = parse_number(key, mapping[key], int)
     for key in _FLOAT_KEYS & mapping.keys():
-        kwargs[key] = float(mapping[key])
+        kwargs[key] = parse_number(key, mapping[key], float)
     for key in _STR_KEYS & mapping.keys():
         kwargs[key] = mapping[key]
     if "p0_dbm" in mapping:
-        kwargs["p0"] = dbm_to_power(float(mapping["p0_dbm"]))
+        kwargs["p0"] = dbm_to_power(parse_number("p0_dbm", mapping["p0_dbm"], float))
     if "pl_ref_db" in mapping:
-        kwargs["pl_ref"] = db_to_linear(float(mapping["pl_ref_db"]))
+        kwargs["pl_ref"] = db_to_linear(parse_number("pl_ref_db", mapping["pl_ref_db"], float))
     if "rician_k_db" in mapping:
-        kwargs["rician_k"] = db_to_linear(float(mapping["rician_k_db"]))
+        kwargs["rician_k"] = db_to_linear(parse_number("rician_k_db", mapping["rician_k_db"], float))
     if "target_angles_deg" in mapping:
-        degs = [float(tok) for tok in mapping["target_angles_deg"].split(",") if tok.strip()]
+        degs = [parse_number("target_angles_deg", tok, float)
+                for tok in mapping["target_angles_deg"].split(",") if tok.strip()]
         kwargs["target_angles"] = tuple(math.radians(d) for d in degs)
         kwargs.setdefault("n_targets", len(degs))
     return SystemConfig(**kwargs)

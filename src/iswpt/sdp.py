@@ -81,7 +81,8 @@ class SdpSolution:
 class SdpNonConvergence(RuntimeError):
     """Raised when the interior-point loop exhausts its iteration cap.
 
-    Carries the best iterate reached so callers can inspect residuals.
+    Carries the iterate the last pass started from (the last one whose gap
+    and residual were measured) so callers can inspect residuals.
     """
 
     def __init__(self, message: str, solution: SdpSolution, rel_gap: float):
@@ -101,6 +102,18 @@ def _max_steps(inv_factors: np.ndarray, directions: np.ndarray) -> np.ndarray:
     steps = np.full(lam_min.shape, np.inf)
     np.divide(-1.0, lam_min, out=steps, where=lam_min < 0.0)
     return steps
+
+
+def _snapshot(c_scale: float, x: np.ndarray, primal_obj: float, dual_obj: float,
+              iterations: int, primal_res: float) -> SdpSolution:
+    """Solution record of one iterate, in the unscaled units of the problem.
+
+    x is exactly Hermitian (every update goes through `hermitian_part`), so
+    a plain copy is the symmetrised iterate bit for bit.
+    """
+    return SdpSolution(x_opt=x.copy(), objective=primal_obj * c_scale,
+                       duality_gap=(dual_obj - primal_obj) * c_scale,
+                       iterations=iterations, primal_residual=primal_res)
 
 
 def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
@@ -140,13 +153,11 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
         xs = x @ s
         gap = float(np.real(np.trace(xs)))
         rel_gap = abs(gap) / (1.0 + abs(primal_obj) + abs(dual_obj))
-        best = SdpSolution(x_opt=hermitian_part(x) * 1.0,
-                           objective=primal_obj * c_scale,
-                           duality_gap=(dual_obj - primal_obj) * c_scale,
-                           iterations=iteration - 1,
-                           primal_residual=primal_res)
+        # The iterate this pass starts from: returned on success, and carried
+        # by SdpNonConvergence if the pass is the last or breaks down.
+        start = (x, primal_obj, dual_obj, iteration - 1, primal_res)
         if rel_gap <= tol and primal_res <= tol:
-            return best
+            return _snapshot(c_scale, *start)
 
         try:
             # One Cholesky of X and of S per iteration; their inverted
@@ -155,7 +166,7 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
             s_inv = hermitian_part(inv_factors[1].conj().T @ inv_factors[1])
             # Schur complement of the diagonal-constraint normal equations.
             m_mat = np.real(x * s_inv.conj())
-            m_mat = 0.5 * (m_mat + m_mat.T) + (1e-14 * float(np.max(np.abs(m_mat))) + 1e-300) * np.eye(n)
+            m_mat = 0.5 * (m_mat + m_mat.T) + (1e-14 * float(np.max(np.abs(m_mat))) + 1e-300) * eye
 
             mu = gap / n
 
@@ -188,13 +199,13 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
             # than leaking the factorization error.
             raise SdpNonConvergence(
                 f"numerical breakdown at iteration {iteration} "
-                f"(rel_gap={rel_gap:.3e}, primal_res={best.primal_residual:.3e})",
-                solution=best, rel_gap=rel_gap) from None
+                f"(rel_gap={rel_gap:.3e}, primal_res={primal_res:.3e})",
+                solution=_snapshot(c_scale, *start), rel_gap=rel_gap) from None
 
     raise SdpNonConvergence(
         f"no convergence in {max_iters} iterations "
-        f"(rel_gap={rel_gap:.3e}, primal_res={best.primal_residual:.3e})",
-        solution=best, rel_gap=rel_gap)
+        f"(rel_gap={rel_gap:.3e}, primal_res={primal_res:.3e})",
+        solution=_snapshot(c_scale, *start), rel_gap=rel_gap)
 
 
 def _candidates(x_opt: np.ndarray, n_rand: int,
@@ -278,15 +289,17 @@ def sdp_update_w(ops: DerivedOperators, config: SystemConfig,
                  incumbent: Beamformer | None = None) -> tuple[Beamformer, float]:
     """Beamformer half-step: relax, solve, extract.
 
-    Returns the feasible beamformer and the relaxed optimum of
-    Re tr(big_h X), an upper bound on the achievable J at these phases.
+    Returns the feasible beamformer and the dual value of the relaxation,
+    an upper bound on the achievable J at these phases.  Dual feasibility
+    holds at every interior-point iterate, so the bound is rigorous (up to
+    rounding) at any `tol`; the primal value Re tr(big_h X) is not.
     """
     problem = DiagSdpProblem(cost=ops.big_h,
                              diag_values=np.full(config.n_tx, config.per_antenna_power))
     solution = solve_diag_sdp(problem, tol=tol)
     beam = extract_beamformer(solution.x_opt, ops.big_h, config, n_rand, rng,
                               incumbent=incumbent)
-    return beam, solution.objective
+    return beam, solution.objective + solution.duality_gap
 
 
 def sdp_update_v(ops: DerivedOperators, config: SystemConfig,
@@ -295,12 +308,13 @@ def sdp_update_v(ops: DerivedOperators, config: SystemConfig,
                  incumbent: PhaseProfile | None = None) -> tuple[PhaseProfile, float]:
     """Phase half-step: relax the lifted unit-diagonal program, extract.
 
-    Returns the feasible profile and the relaxed bound expressed in
-    composite-objective units (tr(big_f X) plus the v-independent offset).
+    Returns the feasible profile and the dual value of the relaxation plus
+    the v-independent offset: an upper bound, in composite-objective units,
+    on the achievable J at this beamformer, rigorous at any `tol`.
     """
     problem = DiagSdpProblem(cost=ops.big_f,
                              diag_values=np.ones(config.n_irs + 1))
     solution = solve_diag_sdp(problem, tol=tol)
     phases = extract_phases(solution.x_opt, ops.big_f, n_rand, rng,
                             incumbent=incumbent)
-    return phases, solution.objective + ops.offset
+    return phases, solution.objective + solution.duality_gap + ops.offset

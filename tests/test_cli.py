@@ -271,6 +271,21 @@ def test_unknown_spec_key_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, key", [
+    ("n_trials = 1.5", "n_trials"),
+    ("n_tx = four", "n_tx"),
+    ("sweep_l = 10, x", "sweep_l"),
+    ("sweep_rho = 0.2, y", "sweep_rho"),
+    ("rel_tol = tiny", "rel_tol"),
+])
+def test_malformed_spec_value_names_its_key(tmp_path, capsys, line, key):
+    spec = write_spec(tmp_path, line + "\n")
+    out = tmp_path / "x.csv"
+    assert run_cli(["sweep-l", "--spec", spec, "--out", str(out)]) == 2
+    assert f"error: spec key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_csv_determinism(tmp_path):
     spec = write_spec(tmp_path)
     out_a = tmp_path / "a.csv"

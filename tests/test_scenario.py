@@ -224,6 +224,15 @@ def test_config_from_mapping_rejects_unknown_and_conflicting_keys():
             config_from_mapping({db_key: "30", linear: "10"})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", "1.5"), ("rho", "half"), ("p0_dbm", "30 dBm"), ("pl_ref_db", ""),
+    ("rician_k_db", "x"), ("target_angles_deg", "-45, north"),
+])
+def test_config_from_mapping_names_key_of_malformed_value(key, value):
+    with pytest.raises(ValueError, match=f"spec key '{key}'"):
+        config_from_mapping({key: value})
+
+
 def test_config_from_mapping_linear_overrides_take_effect():
     config = config_from_mapping({"p0": "250.0", "rho": "0.25", "seed": "11"})
     assert config.p0 == pytest.approx(250.0)

@@ -144,6 +144,13 @@ def test_solver_rejects_non_finite_inputs(bad):
         DiagSdpProblem(cost=np.eye(3), diag_values=np.array([1.0, bad, 1.0]))
 
 
+def pinned_problem(n):
+    rng = trial_stream(34, n)
+    cost = random_hermitian(rng, n)
+    b = rng.uniform(0.5, 2.0, n)
+    return DiagSdpProblem(cost=cost, diag_values=b)
+
+
 @pytest.mark.parametrize("n, iterations, objective", [
     (12, 7, 40.906293061195),
     (41, 9, 359.19933011557),
@@ -151,12 +158,33 @@ def test_solver_rejects_non_finite_inputs(bad):
 def test_solver_pinned_instances(n, iterations, objective):
     # Pins the iterate sequence: a change to the direction, the step rule
     # or the stopping rule moves the count or the optimum found.
-    rng = trial_stream(34, n)
-    cost = random_hermitian(rng, n)
-    b = rng.uniform(0.5, 2.0, n)
-    solution = solve_diag_sdp(DiagSdpProblem(cost=cost, diag_values=b))
+    solution = solve_diag_sdp(pinned_problem(n))
     assert solution.iterations == iterations
     assert solution.objective == pytest.approx(objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, iterations, objective", [
+    (12, 5, 40.905713197741),
+    (41, 6, 359.17471682008),
+])
+def test_solver_pinned_instances_at_ao_tol(n, iterations, objective):
+    # The same instances at the default AoConfig.sdp_tol of 1e-4.
+    solution = solve_diag_sdp(pinned_problem(n), tol=1e-4)
+    assert solution.iterations == iterations
+    assert solution.objective == pytest.approx(objective, rel=1e-9)
+
+
+def test_solver_pinned_failure_snapshot():
+    # The iteration cap reports the iterate its last pass started from,
+    # not the one that pass stepped to.
+    with pytest.raises(SdpNonConvergence) as info:
+        solve_diag_sdp(pinned_problem(12), tol=1e-300, max_iters=3)
+    best = info.value.solution
+    assert best.iterations == 2
+    assert best.objective == pytest.approx(35.146742461795, rel=1e-9)
+    assert best.duality_gap == pytest.approx(8.1591254365133, rel=1e-9)
+    assert best.primal_residual == pytest.approx(6.2444947692122e-15, rel=1e-6)
+    assert info.value.rel_gap == pytest.approx(0.10227559907525, rel=1e-9)
 
 
 def bisect_max_step(pos_def, direction):
@@ -434,3 +462,49 @@ def test_sdp_update_v_beats_quantized_search():
     budget = SearchBudget(phase_levels=8, max_evals=8 ** 6)
     _, j_oracle = quantized_phase_search(channels, beam, config, budget)
     assert j_sdp >= 0.98 * j_oracle
+
+
+# ---------------------------------------------------------------------------
+# Weak duality: the reported bounds dominate every feasible point
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 12),
+       tol=st.sampled_from([1e-7, 1e-4]))
+def test_dual_value_bounds_rank_one_feasible_points(seed, n, tol):
+    rng = trial_stream(38, seed)
+    cost = random_hermitian(rng, n)
+    b = rng.uniform(0.5, 2.0, n)
+    solution = solve_diag_sdp(DiagSdpProblem(cost=cost, diag_values=b), tol=tol)
+    bound = solution.objective + solution.duality_gap  # c_scale * b^T z
+    # Random feasible points, plus the projected principal eigenvector of
+    # the relaxed solution, which sits at the optimum when the relaxation
+    # is tight (n <= 2) and so beats the primal value of an early stop.
+    principal = np.linalg.eigh(solution.x_opt)[1][:, -1]
+    phases = np.vstack([rng.uniform(-np.pi, np.pi, (64, n)), np.angle(principal)])
+    x = np.sqrt(b) * np.exp(1j * phases)
+    values = np.real(((x.conj() @ cost) * x).sum(1))  # Re tr(C x x^H) per row
+    assert np.max(values) <= bound + 1e-12 * abs(bound)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 4), l=st.integers(1, 8),
+       rho=st.floats(0.0, 1.0), tol=st.sampled_from([1e-7, 1e-4]))
+def test_half_step_bounds_dominate_returned_iterates(seed, n, l, rho, tol):
+    config = SystemConfig(n_tx=n, n_irs=l, n_ehd=2, n_targets=2,
+                          target_angles=(-0.5, 0.5), rho=rho, seed=seed)
+    rng = trial_stream(39, seed)
+    channels = sample_channels(config, rng)
+    beam = Beamformer.from_phases(rng.uniform(-np.pi, np.pi, n), config)
+    phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, l))
+
+    ops = build_operators(channels, phases, beam, config)
+    beam, bound_w = sdp_update_w(ops, config, rng, tol=tol, n_rand=20, incumbent=beam)
+    j_w = composite_objective(channels, phases, beam, config)
+    assert j_w <= bound_w + 1e-12 * abs(bound_w)
+
+    ops = build_operators(channels, phases, beam, config)
+    phases, bound_v = sdp_update_v(ops, config, rng, tol=tol, n_rand=20,
+                                   incumbent=phases)
+    j_v = composite_objective(channels, phases, beam, config)
+    assert j_v <= bound_v + 1e-12 * abs(bound_v)
