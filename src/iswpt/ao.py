@@ -15,6 +15,10 @@ phases at fixed beamformer.  Either half-step runs in one of two modes:
   the phases.  Every half-step is monotone, so the recorded objective
   sequence is nondecreasing up to floating-point noise.
 
+Each half-step builds only the operators of its own side, and the inner
+solvers run at their own default iteration caps, tolerances and
+randomisation counts.
+
 The trace records the composite objective and the physical metrics after
 initialisation and after every half-step, which is what the convergence
 experiments and the acceptance checks consume.
@@ -38,17 +42,13 @@ ALGORITHM_LC = "lc"
 
 @dataclass(frozen=True)
 class AoConfig:
-    """Knobs of one alternating-optimization run."""
+    """Outer-loop knobs of one alternating-optimization run; the inner
+    solvers run at their defaults."""
 
     algorithm: str = ALGORITHM_LC
     max_outer_iters: int = 30
-    inner_mm_iters: int = 50         # MM steps per phase half-step (lc)
-    inner_sca_iters: int = 50        # SCA steps per beam half-step (lc)
     rel_tol: float = 1e-4            # outer stop on |dJ| < rel_tol * |J|
-    mm_rel_tol: float = 1e-6         # inner MM stop on |dg| < tol * |g|
-    sca_rel_tol: float = 1e-9        # inner SCA stop on |dq| < tol * |q|
     sdp_tol: float = 1e-4            # interior-point duality gap target
-    n_rand: int = 200                # Gaussian randomisations per extraction
     init_phases: PhaseProfile | None = None  # None: uniform random phases
     init_beam: Beamformer | None = None      # None: one SCA step from flat
 
@@ -57,18 +57,11 @@ class AoConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if self.inner_mm_iters < 1:
-            raise ValueError("inner_mm_iters must be >= 1")
-        if self.inner_sca_iters < 1:
-            raise ValueError("inner_sca_iters must be >= 1")
-        for name in ("rel_tol", "mm_rel_tol", "sca_rel_tol"):
-            # Written to reject NaN too; rel_tol=inf stays valid.
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0")
+        # Written to reject NaN too; rel_tol=inf stays valid.
+        if not self.rel_tol >= 0.0:
+            raise ValueError("rel_tol must be >= 0")
         if not self.sdp_tol > 0.0:
             raise ValueError("sdp_tol must be > 0")
-        if self.n_rand < 0:
-            raise ValueError("n_rand must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -133,8 +126,8 @@ def _initial_iterates(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     if ao.init_beam is not None:
         return phases, ao.init_beam
     flat = Beamformer.from_phases(np.zeros(config.n_tx), config)
-    ops = build_operators(channels, phases, flat, config)
-    beam = lc.sca_update_w(ops.big_h, flat, config)
+    big_h = build_operators(channels, phases, None, config).big_h
+    beam = lc.sca_update_w(big_h, flat, config)
     return phases, beam
 
 
@@ -159,26 +152,21 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
 
     for outer in range(1, ao.max_outer_iters + 1):
         try:
-            ops = build_operators(channels, phases, beam, config)
+            big_h = build_operators(channels, phases, None, config).big_h
             if ao.algorithm == ALGORITHM_SDP:
-                beam, relaxed_w = sdp.sdp_update_w(ops, config, rng,
-                                                   tol=ao.sdp_tol, n_rand=ao.n_rand,
-                                                   incumbent=beam)
+                beam, relaxed_w = sdp.sdp_update_w(big_h, config, rng,
+                                                   tol=ao.sdp_tol, incumbent=beam)
             else:
-                beam, relaxed_w = lc.sca_solve(ops.big_h, beam, config,
-                                               max_iters=ao.inner_sca_iters,
-                                               rel_tol=ao.sca_rel_tol), None
+                beam, relaxed_w = lc.sca_solve(big_h, beam, config), None
             _record(trace, t0, channels, config, phases, beam,
                     2 * outer - 1, outer, "w", relaxed_w)
 
-            ops = build_operators(channels, phases, beam, config)
+            ops = build_operators(channels, None, beam, config)
             if ao.algorithm == ALGORITHM_SDP:
                 phases, relaxed_v = sdp.sdp_update_v(ops, config, rng,
-                                                     tol=ao.sdp_tol, n_rand=ao.n_rand,
-                                                     incumbent=phases)
+                                                     tol=ao.sdp_tol, incumbent=phases)
             else:
-                phases, relaxed_v = lc.mm_solve(ops, phases, max_iters=ao.inner_mm_iters,
-                                                rel_tol=ao.mm_rel_tol), None
+                phases, relaxed_v = lc.mm_solve(ops, phases), None
             j_new = _record(trace, t0, channels, config, phases, beam,
                             2 * outer, outer, "v", relaxed_v)
         except sdp.SdpNonConvergence as exc:
@@ -204,11 +192,11 @@ def run_rps(config: SystemConfig, channels: ChannelSet,
     trace = AoTrace()
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, size=config.n_irs))
     beam = Beamformer.from_phases(np.zeros(config.n_tx), config)
-    ops = build_operators(channels, phases, beam, config)
+    big_h = build_operators(channels, phases, None, config).big_h
 
     j_prev = None
     for it in range(max_iters):
-        beam = lc.sca_update_w(ops.big_h, beam, config)
+        beam = lc.sca_update_w(big_h, beam, config)
         j_val = _record(trace, t0, channels, config, phases, beam, it, it, "w")
         trace.n_outer = it + 1
         if j_prev is not None and abs(j_val - j_prev) < rel_tol * max(abs(j_prev), 1e-300):

@@ -52,10 +52,6 @@ _ALGO_STREAM_ID = {ALGORITHM_SDP: 0, ALGORITHM_LC: 1, ALGORITHM_RPS: 2}
 
 _EXPERIMENT_INT_KEYS = {"n_trials", "max_outer_iters"}
 _EXPERIMENT_FLOAT_KEYS = {"angle_step_deg", "rel_tol"}
-_EXPERIMENT_STR_KEYS = {"algorithms", "out"}
-_EXPERIMENT_LIST_KEYS = {"sweep_l", "sweep_rho"}
-_EXPERIMENT_KEYS = (_EXPERIMENT_INT_KEYS | _EXPERIMENT_FLOAT_KEYS
-                    | _EXPERIMENT_STR_KEYS | _EXPERIMENT_LIST_KEYS)
 
 _DEFAULT_RHO_GRID = tuple(round(0.1 * i, 10) for i in range(1, 10))
 

@@ -9,20 +9,23 @@ two figures of merit are
   h_tilde_k = h_ru_k diag(v) H_br + h_d_k is the effective device channel;
 * sensing gain toward angle m:   |a(theta_m) diag(v) H_br w|^2.
 
-Both are quadratic forms in either variable once the other is frozen, and
-this module materialises the matrices of those forms:
+Writing h_hat_m = a(theta_m) diag(v) H_br for the effective sensing
+channel, the weighted objective is
 
-with c_k = h_ru_k * g, a_k = h_d_k w, d_m = a(theta_m) * g  (elementwise
-products against g), the scalar identities
+    J = rho*eta*p0 * sum_k |h_tilde_k w|^2 + (1-rho) * sum_m |h_hat_m w|^2.
 
-    v . c_k + a_k = h_tilde_k w        v . d_m = a(theta_m) diag(v) H_br w
+It is a quadratic form in either variable once the other is frozen, and
+`build_operators` materialises the matrices of those forms, one side per
+frozen variable it is given (None for a variable skips its side):
 
-hold with plain unconjugated dot products, and the weighted objective
+* beamformer side, from v alone:  J = w^H H w;
+* phase side, from w alone:       J = v F11 v^H + 2 Re(v . f12) + offset,
+  built from c_k = h_ru_k * g, a_k = h_d_k w and d_m = a(theta_m) * g
+  (elementwise products against g), which satisfy the scalar identities
 
-    J = rho*eta*p0 * sum_k |h_tilde_k w|^2 + (1-rho) * sum_m |...|^2
+      v . c_k + a_k = h_tilde_k w        v . d_m = h_hat_m w
 
-equals both v F11 v^H + 2 Re(v . f12) + const and w^H H w for the operators
-built here.
+  with plain unconjugated dot products.
 """
 
 from __future__ import annotations
@@ -41,11 +44,14 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(mat: np.ndarray, name: str) -> float:
-    """Reject a square matrix that deviates from Hermitian by more than
-    1e-12 * max(1, max|A|); returns max|A| (0 for an empty matrix)."""
+    """Reject a square matrix with a non-finite entry, or one that deviates
+    from Hermitian by more than 1e-12 * max(1, max|A|); returns max|A|
+    (0 for an empty matrix)."""
     if mat.size == 0:
         return 0.0
     scale = float(np.max(np.abs(mat)))
+    if not np.isfinite(scale):
+        raise ValueError(f"{name} must be finite")
     deviation = float(np.max(np.abs(mat - mat.conj().T)))
     if deviation > 1e-12 * max(1.0, scale):
         raise ValueError(f"{name} is not Hermitian (deviation {deviation:.3e})")
@@ -115,23 +121,18 @@ class PhaseProfile:
 
 @dataclass(frozen=True)
 class DerivedOperators:
-    """All matrices and vectors derived from (channels, v, w).
+    """The quadratic-form matrices of J with one variable frozen.
 
-    The v-side quantities (c_vecs, a_scalars, d_vecs, f11, f12, big_f)
-    depend on w only; the w-side quantities (h_tilde, h_hat, big_h) depend
-    on v only.  f11, big_f and big_h are exactly Hermitian (symmetrised).
+    big_h depends on the phases only; f11, f12 and offset on the
+    beamformer only.  A side whose frozen variable was not given to
+    `build_operators` is None.  f11 and big_h are exactly Hermitian
+    (symmetrised).
     """
 
-    h_tilde: np.ndarray    # (K, N) effective device channels
-    h_hat: np.ndarray      # (M, N) effective sensing channels
-    c_vecs: np.ndarray     # (K, L) cascade vectors, rows c_k
-    a_scalars: np.ndarray  # (K,) direct-link scalars a_k
-    d_vecs: np.ndarray     # (M, L) sensing cascade vectors, rows d_m
-    f11: np.ndarray        # (L, L) PSD quadratic part of the phase objective
-    f12: np.ndarray        # (L,) linear part of the phase objective
-    big_f: np.ndarray      # (L+1, L+1) lifted phase-side matrix
-    big_h: np.ndarray      # (N, N) PSD beamformer-side matrix
-    offset: float          # v-independent term rho*eta*p0*sum_k |a_k|^2
+    big_h: np.ndarray | None   # (N, N) PSD beamformer-side matrix
+    f11: np.ndarray | None     # (L, L) PSD quadratic part of the phase objective
+    f12: np.ndarray | None     # (L,) linear part of the phase objective
+    offset: float | None       # v-independent term rho*eta*p0*sum_k |a_k|^2
 
 
 @lru_cache(maxsize=64)
@@ -175,30 +176,26 @@ def energy_weight(config: SystemConfig) -> float:
     return config.rho * config.eta * config.p0
 
 
-def build_operators(channels: ChannelSet, phases: PhaseProfile,
-                    beam: Beamformer, config: SystemConfig) -> DerivedOperators:
-    """Materialise every derived operator at the current iterate."""
-    c_vecs, a_scalars, d_vecs = _cascade_terms(channels, beam, config)
-    h_tilde, h_hat = _effective_channels(channels, phases, config)
-
+def build_operators(channels: ChannelSet, phases: PhaseProfile | None,
+                    beam: Beamformer | None, config: SystemConfig) -> DerivedOperators:
+    """Materialise the operators of each side whose frozen variable is given:
+    `phases` yields big_h, `beam` yields f11, f12 and offset.  Pass None for
+    the variable being optimised to skip the side it does not need."""
     w_e = energy_weight(config)
     w_s = 1.0 - config.rho
-    # sum_k c_k c_k^H == C^T conj(C) for row-stacked C, likewise for d.
-    f11 = hermitian_part(w_e * (c_vecs.T @ c_vecs.conj())
-                         + w_s * (d_vecs.T @ d_vecs.conj()))
-    f12 = w_e * (c_vecs.T @ a_scalars.conj())
-    l_dim = config.n_irs
-    big_f = np.zeros((l_dim + 1, l_dim + 1), dtype=np.complex128)
-    big_f[:l_dim, :l_dim] = f11
-    big_f[:l_dim, l_dim] = f12
-    big_f[l_dim, :l_dim] = f12.conj()
-    big_f = hermitian_part(big_f)
-    big_h = hermitian_part(w_e * (h_tilde.conj().T @ h_tilde)
-                           + w_s * (h_hat.conj().T @ h_hat))
-    offset = float(w_e * np.sum(np.abs(a_scalars) ** 2))
-    return DerivedOperators(h_tilde=h_tilde, h_hat=h_hat, c_vecs=c_vecs,
-                            a_scalars=a_scalars, d_vecs=d_vecs, f11=f11,
-                            f12=f12, big_f=big_f, big_h=big_h, offset=offset)
+    big_h = f11 = f12 = offset = None
+    if phases is not None:
+        h_tilde, h_hat = _effective_channels(channels, phases, config)
+        big_h = hermitian_part(w_e * (h_tilde.conj().T @ h_tilde)
+                               + w_s * (h_hat.conj().T @ h_hat))
+    if beam is not None:
+        c_vecs, a_scalars, d_vecs = _cascade_terms(channels, beam, config)
+        # sum_k c_k c_k^H == C^T conj(C) for row-stacked C, likewise for d.
+        f11 = hermitian_part(w_e * (c_vecs.T @ c_vecs.conj())
+                             + w_s * (d_vecs.T @ d_vecs.conj()))
+        f12 = w_e * (c_vecs.T @ a_scalars.conj())
+        offset = float(w_e * np.sum(np.abs(a_scalars) ** 2))
+    return DerivedOperators(big_h=big_h, f11=f11, f12=f12, offset=offset)
 
 
 def objective_for_phase_batch(channels: ChannelSet, beam: Beamformer,

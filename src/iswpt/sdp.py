@@ -55,11 +55,9 @@ class DiagSdpProblem:
         n = b.size
         if cost.shape != (n, n):
             raise ValueError(f"cost shape {cost.shape} does not match {n} diagonal values")
-        if not (np.all(np.isfinite(cost)) and np.all(np.isfinite(b))):
-            raise ValueError("cost and diagonal values must be finite")
         check_hermitian(cost, "cost matrix")
-        if np.any(b <= 0.0):
-            raise ValueError("diagonal values must be strictly positive")
+        if not np.all(np.isfinite(b) & (b > 0.0)):
+            raise ValueError("diagonal values must be finite and strictly positive")
         cost = hermitian_part(cost)
         cost.flags.writeable = False
         b.flags.writeable = False
@@ -283,38 +281,54 @@ def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
     return PhaseProfile(alpha=alpha[int(np.argmax(scores))])
 
 
-def sdp_update_w(ops: DerivedOperators, config: SystemConfig,
+def sdp_update_w(big_h: np.ndarray, config: SystemConfig,
                  rng: np.random.Generator, tol: float = 1e-7,
                  n_rand: int = 200,
                  incumbent: Beamformer | None = None) -> tuple[Beamformer, float]:
-    """Beamformer half-step: relax, solve, extract.
+    """Beamformer half-step at fixed phases: relax max w^H big_h w, solve,
+    extract.
 
     Returns the feasible beamformer and the dual value of the relaxation,
     an upper bound on the achievable J at these phases.  Dual feasibility
     holds at every interior-point iterate, so the bound is rigorous (up to
     rounding) at any `tol`; the primal value Re tr(big_h X) is not.
     """
-    problem = DiagSdpProblem(cost=ops.big_h,
+    problem = DiagSdpProblem(cost=big_h,
                              diag_values=np.full(config.n_tx, config.per_antenna_power))
     solution = solve_diag_sdp(problem, tol=tol)
-    beam = extract_beamformer(solution.x_opt, ops.big_h, config, n_rand, rng,
+    beam = extract_beamformer(solution.x_opt, big_h, config, n_rand, rng,
                               incumbent=incumbent)
     return beam, solution.objective + solution.duality_gap
+
+
+def _lifted_matrix(ops: DerivedOperators) -> np.ndarray:
+    """The (L+1, L+1) phase-side matrix [[F11, f12], [f12^H, 0]].
+
+    [v, 1] F [v, 1]^H (row-vector convention) equals J minus the offset.
+    F11 is exactly Hermitian, so the block matrix is too, bit for bit.
+    """
+    l_dim = ops.f12.size
+    big_f = np.zeros((l_dim + 1, l_dim + 1), dtype=np.complex128)
+    big_f[:l_dim, :l_dim] = ops.f11
+    big_f[:l_dim, l_dim] = ops.f12
+    big_f[l_dim, :l_dim] = ops.f12.conj()
+    return big_f
 
 
 def sdp_update_v(ops: DerivedOperators, config: SystemConfig,
                  rng: np.random.Generator, tol: float = 1e-7,
                  n_rand: int = 200,
                  incumbent: PhaseProfile | None = None) -> tuple[PhaseProfile, float]:
-    """Phase half-step: relax the lifted unit-diagonal program, extract.
+    """Phase half-step at fixed beamformer: lift the phase side of `ops`
+    (f11, f12, offset) to a unit-diagonal program, solve, extract.
 
     Returns the feasible profile and the dual value of the relaxation plus
     the v-independent offset: an upper bound, in composite-objective units,
     on the achievable J at this beamformer, rigorous at any `tol`.
     """
-    problem = DiagSdpProblem(cost=ops.big_f,
-                             diag_values=np.ones(config.n_irs + 1))
+    big_f = _lifted_matrix(ops)
+    problem = DiagSdpProblem(cost=big_f, diag_values=np.ones(config.n_irs + 1))
     solution = solve_diag_sdp(problem, tol=tol)
-    phases = extract_phases(solution.x_opt, ops.big_f, n_rand, rng,
+    phases = extract_phases(solution.x_opt, big_f, n_rand, rng,
                             incumbent=incumbent)
     return phases, solution.objective + solution.duality_gap + ops.offset

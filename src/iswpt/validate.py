@@ -137,7 +137,7 @@ def check_mm_vs_exhaustive_oracle() -> CriterionResult:
         beam = Beamformer.from_phases(
             rng.uniform(-np.pi, np.pi, config.n_tx), config)
         phases = PhaseProfile(rng.uniform(-np.pi, np.pi, config.n_irs))
-        ops = build_operators(channels, phases, beam, config)
+        ops = build_operators(channels, None, beam, config)
         solved = mm_solve(ops, phases, max_iters=500, rel_tol=1e-12)
         j_mm = composite_objective(channels, solved, beam, config)
         _, j_oracle = quantized_phase_search(channels, beam, config, budget)

@@ -6,13 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from iswpt.objective import (Beamformer, PhaseProfile, beampattern_gain,
+from iswpt.objective import (Beamformer, PhaseProfile, _cascade_terms,
+                             _effective_channels, beampattern_gain,
                              beampattern_profile, build_operators,
-                             composite_objective, objective_for_beam_batch,
+                             composite_objective, hermitian_part,
+                             objective_for_beam_batch,
                              objective_for_phase_batch, solution_metrics,
                              wrap_angle)
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
                             sample_channels, steering_vector, trial_stream)
+from iswpt.lc import MmProblem, lambda_max
+from iswpt.sdp import DiagSdpProblem, _lifted_matrix
 
 
 def random_instance(seed, n=4, l=6, k=2, m=2, **overrides):
@@ -97,9 +101,9 @@ def test_harvested_energy_proportional_to_eta():
 
 def test_composite_objective_rho_boundaries():
     config, channels, phases, beam = random_instance(seed=44, rho=1.0)
-    ops = build_operators(channels, phases, beam, config)
+    h_tilde, _ = _effective_channels(channels, phases, config)
     energy_only = config.eta * config.p0 * np.sum(
-        np.abs(ops.h_tilde @ beam.w) ** 2)
+        np.abs(h_tilde @ beam.w) ** 2)
     assert composite_objective(channels, phases, beam, config) == pytest.approx(
         energy_only, rel=1e-10)
 
@@ -121,24 +125,25 @@ def test_composite_objective_quadratic_form_agreement():
 
 def test_composite_objective_lifted_form_agreement():
     config, channels, phases, beam = random_instance(seed=18)
-    ops = build_operators(channels, phases, beam, config)
+    ops = build_operators(channels, None, beam, config)
     aug = np.append(phases.v, 1.0)
-    j_lifted = float(np.real(aug @ (ops.big_f @ aug.conj()))) + ops.offset
+    j_lifted = float(np.real(aug @ (_lifted_matrix(ops) @ aug.conj()))) + ops.offset
     assert j_lifted == pytest.approx(
         composite_objective(channels, phases, beam, config), rel=1e-10)
 
 
 def test_build_operators_cascade_identities():
     config, channels, phases, beam = random_instance(seed=3)
-    ops = build_operators(channels, phases, beam, config)
+    c_vecs, a_scalars, d_vecs = _cascade_terms(channels, beam, config)
+    h_tilde, h_hat = _effective_channels(channels, phases, config)
     v = phases.v
     for k in range(config.n_ehd):
-        lhs = np.dot(v, ops.c_vecs[k]) + ops.a_scalars[k]
-        rhs = np.dot(ops.h_tilde[k], beam.w)
+        lhs = np.dot(v, c_vecs[k]) + a_scalars[k]
+        rhs = np.dot(h_tilde[k], beam.w)
         assert lhs == pytest.approx(rhs, rel=1e-10)
     for m in range(config.n_targets):
-        lhs = np.dot(v, ops.d_vecs[m])
-        rhs = np.dot(ops.h_hat[m], beam.w)
+        lhs = np.dot(v, d_vecs[m])
+        rhs = np.dot(h_hat[m], beam.w)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -148,9 +153,28 @@ def test_build_operators_direct_link_only():
                             h_ru=np.zeros_like(channels.h_ru),
                             h_d=channels.h_d)
     identity_phases = PhaseProfile(alpha=np.zeros(config.n_irs))
-    ops = build_operators(no_reflect, identity_phases, beam, config)
-    np.testing.assert_allclose(ops.c_vecs, 0.0, atol=1e-15)
-    np.testing.assert_allclose(ops.h_tilde @ beam.w, ops.a_scalars, atol=1e-12)
+    c_vecs, a_scalars, _ = _cascade_terms(no_reflect, beam, config)
+    h_tilde, _ = _effective_channels(no_reflect, identity_phases, config)
+    np.testing.assert_allclose(c_vecs, 0.0, atol=1e-15)
+    np.testing.assert_allclose(h_tilde @ beam.w, a_scalars, atol=1e-12)
+
+
+@pytest.mark.parametrize("l_dim", [4, 6, 40])
+def test_one_sided_builds_match_both_sides_bit_for_bit(l_dim):
+    for seed in range(4):
+        config, channels, phases, beam = random_instance(seed=80 + seed, l=l_dim)
+        both = build_operators(channels, phases, beam, config)
+        beam_side = build_operators(channels, phases, None, config)
+        phase_side = build_operators(channels, None, beam, config)
+        assert np.array_equal(beam_side.big_h, both.big_h)
+        assert beam_side.f11 is beam_side.f12 is beam_side.offset is None
+        assert phase_side.big_h is None
+        assert np.array_equal(phase_side.f11, both.f11)
+        assert np.array_equal(phase_side.f12, both.f12)
+        assert phase_side.offset == both.offset
+        # The lifted matrix is exactly Hermitian as assembled.
+        big_f = _lifted_matrix(phase_side)
+        assert np.array_equal(big_f, hermitian_part(big_f))
 
 
 def test_build_operators_scalar_hand_calc():
@@ -170,13 +194,27 @@ def test_build_operators_scalar_hand_calc():
 def test_operator_matrices_hermitian_psd():
     config, channels, phases, beam = random_instance(seed=29)
     ops = build_operators(channels, phases, beam, config)
-    for mat in (ops.f11, ops.big_h, ops.big_f):
+    big_f = _lifted_matrix(ops)
+    for mat in (ops.f11, ops.big_h, big_f):
         np.testing.assert_allclose(mat, mat.conj().T, atol=1e-14)
     f11_floor = -1e-10 * np.linalg.norm(ops.f11)
     h_floor = -1e-10 * np.linalg.norm(ops.big_h)
     assert np.linalg.eigvalsh(ops.f11)[0] >= f11_floor
     assert np.linalg.eigvalsh(ops.big_h)[0] >= h_floor
-    assert ops.big_f[-1, -1] == 0.0
+    assert big_f[-1, -1] == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hermitian_checks_reject_non_finite_by_name(bad):
+    # Unchecked, a non-finite entry makes lambda_max -0.0 and MM phases NaN.
+    mat = -np.eye(3, dtype=complex)
+    mat[1, 2] = mat[2, 1] = bad
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        lambda_max(mat)
+    with pytest.raises(ValueError, match="d_mat must be finite"):
+        MmProblem(d_mat=mat, c_vec=np.ones(3), v_prev=np.ones(3))
+    with pytest.raises(ValueError, match="cost matrix must be finite"):
+        DiagSdpProblem(cost=mat, diag_values=np.ones(3))
 
 
 def test_objective_invariant_to_global_beam_phase():

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iswpt.objective import (Beamformer, DerivedOperators, PhaseProfile,
-                             build_operators, composite_objective)
+from iswpt.objective import (Beamformer, PhaseProfile, build_operators,
+                             composite_objective)
 from iswpt.oracle import SearchBudget, quantized_phase_search
 from iswpt.scenario import (SystemConfig, complex_normal, sample_channels,
                             trial_stream)
 from iswpt.sdp import (DiagSdpProblem, SdpNonConvergence, _candidates,
-                       _max_steps, extract_beamformer, extract_phases,
-                       sdp_update_v, sdp_update_w, solve_diag_sdp)
+                       _lifted_matrix, _max_steps, extract_beamformer,
+                       extract_phases, sdp_update_v, sdp_update_w,
+                       solve_diag_sdp)
 
 
 def random_psd(rng, n):
@@ -394,20 +395,6 @@ def test_extract_phases_matches_candidate_loop(seed, l_dim, n_rand, tail,
 # Half-step wrappers
 
 
-def ops_with_big_h(big_h, n, l):
-    """Operators carrying only the beam-side matrix (rest zeroed)."""
-    return DerivedOperators(
-        h_tilde=np.zeros((1, n), dtype=complex),
-        h_hat=np.zeros((1, n), dtype=complex),
-        c_vecs=np.zeros((1, l), dtype=complex),
-        a_scalars=np.zeros(1, dtype=complex),
-        d_vecs=np.zeros((1, l), dtype=complex),
-        f11=np.zeros((l, l), dtype=complex),
-        f12=np.zeros(l, dtype=complex),
-        big_f=np.zeros((l + 1, l + 1), dtype=complex),
-        big_h=big_h, offset=0.0)
-
-
 def test_sdp_update_w_matched_filter():
     # Rank-one cost: the relaxation is tight and extraction recovers the
     # per-antenna matched filter, objective amp^2 (sum |h_n|)^2.
@@ -416,8 +403,7 @@ def test_sdp_update_w_matched_filter():
     h = complex_normal(rng, (4,))
     big_h = np.outer(h.conj(), h)
     big_h = 0.5 * (big_h + big_h.conj().T)
-    ops = ops_with_big_h(big_h, 4, config.n_irs)
-    beam, relaxed = sdp_update_w(ops, config, trial_stream(31, 1))
+    beam, relaxed = sdp_update_w(big_h, config, trial_stream(31, 1))
     optimum = float(config.beam_amplitude ** 2 * np.sum(np.abs(h)) ** 2)
     feasible = float(np.real(np.vdot(beam.w, big_h @ beam.w)))
     assert relaxed == pytest.approx(optimum, rel=1e-6)
@@ -433,8 +419,7 @@ def test_sdp_update_w_feasible_close_to_relaxed():
     ratios = []
     for trial in range(100):
         big_h = random_psd(rng, 4)
-        ops = ops_with_big_h(big_h, 4, config.n_irs)
-        beam, relaxed = sdp_update_w(ops, config, trial_stream(32, 1, trial))
+        beam, relaxed = sdp_update_w(big_h, config, trial_stream(32, 1, trial))
         feasible = float(np.real(np.vdot(beam.w, big_h @ beam.w)))
         assert feasible <= relaxed * (1.0 + 1e-6)
         ratios.append(feasible / relaxed)
@@ -451,12 +436,12 @@ def test_sdp_update_v_beats_quantized_search():
     channels = sample_channels(config, rng)
     beam = Beamformer.from_phases(rng.uniform(-np.pi, np.pi, 3), config)
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, 6))
-    ops = build_operators(channels, phases, beam, config)
+    ops = build_operators(channels, None, beam, config)
 
     profile, relaxed = sdp_update_v(ops, config, trial_stream(33, 1))
     j_sdp = composite_objective(channels, profile, beam, config)
-    assert j_sdp == pytest.approx(lifted_phase_score(ops.big_f, profile.v) + ops.offset,
-                                  rel=1e-10)
+    assert j_sdp == pytest.approx(
+        lifted_phase_score(_lifted_matrix(ops), profile.v) + ops.offset, rel=1e-10)
     assert j_sdp <= relaxed * (1.0 + 1e-6)
 
     budget = SearchBudget(phase_levels=8, max_evals=8 ** 6)
@@ -498,12 +483,12 @@ def test_half_step_bounds_dominate_returned_iterates(seed, n, l, rho, tol):
     beam = Beamformer.from_phases(rng.uniform(-np.pi, np.pi, n), config)
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, l))
 
-    ops = build_operators(channels, phases, beam, config)
-    beam, bound_w = sdp_update_w(ops, config, rng, tol=tol, n_rand=20, incumbent=beam)
+    big_h = build_operators(channels, phases, None, config).big_h
+    beam, bound_w = sdp_update_w(big_h, config, rng, tol=tol, n_rand=20, incumbent=beam)
     j_w = composite_objective(channels, phases, beam, config)
     assert j_w <= bound_w + 1e-12 * abs(bound_w)
 
-    ops = build_operators(channels, phases, beam, config)
+    ops = build_operators(channels, None, beam, config)
     phases, bound_v = sdp_update_v(ops, config, rng, tol=tol, n_rand=20,
                                    incumbent=phases)
     j_v = composite_objective(channels, phases, beam, config)

@@ -1,0 +1,58 @@
+"""Write the eight CSVs of tools/fixed.spec and print their SHA-256 digests.
+
+The four CSV commands run in-process through `iswpt.cli.main`, once with
+`--algo lc,rps` (only `lc` for `convergence`, which rejects rps) and once
+with `--algo sdp`.  Comparing the printed digests of two source trees makes
+the byte contract of a refactor one diff:
+
+    python tools/csv_digest.py > after.txt
+    PYTHONPATH=<other tree>/src python tools/csv_digest.py > before.txt
+    diff before.txt after.txt
+
+`iswpt` is imported from PYTHONPATH when it is set there, else from this
+repository's `src`.  Pass a directory to keep the CSVs; by default they
+are written to a temporary one.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "src"))
+
+from iswpt import cli  # noqa: E402
+
+SPEC = ROOT / "tools" / "fixed.spec"
+RUNS = [(command, algos)
+        for command in ("convergence", "sweep-l", "sweep-rho", "beampattern")
+        for algos in (("lc" if command == "convergence" else "lc,rps"), "sdp")]
+
+
+def write_csvs(out_dir: Path) -> list[Path]:
+    paths = []
+    for command, algos in RUNS:
+        path = out_dir / f"{command}_{algos.replace(',', '_')}.csv"
+        code = cli.main([command, "--spec", str(SPEC), "--algo", algos,
+                         "--out", str(path)])
+        if code != 0:
+            raise SystemExit(f"iswpt {command} --algo {algos} exited with {code}")
+        paths.append(path)
+    return paths
+
+
+def main(argv: list[str]) -> int:
+    print(f"# iswpt from {Path(cli.__file__).resolve().parent}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(argv[0]) if argv else Path(tmp)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path in write_csvs(out_dir):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
