@@ -3,7 +3,8 @@
 Both subproblem solvers cost one matrix-vector product per step.  Their
 inputs are checked once per solve: `mm_solve` validates one `MmProblem`
 and then only re-anchors it at each new iterate, and `sca_solve` converts
-its matrix once before the loop.
+and checks its matrix once before the loop.  The per-step kernels
+`mm_update_v` and `sca_update_w` check nothing.
 
 Beamformer side.  J(w) = w^H H w with H PSD is minorised at w_prev by its
 tangent 2 Re(w^H H w_prev) - w_prev^H H w_prev; over the per-antenna
@@ -68,6 +69,7 @@ def sca_update_w(big_h: np.ndarray, w_prev: Beamformer,
                  config: SystemConfig) -> Beamformer:
     """One closed-form SCA beamformer step (see module docstring).
 
+    The unchecked per-step kernel: `sca_solve` checks `big_h` once per solve.
     Entries where (H w_prev)_n = 0 keep their previous phase: any phase is
     optimal for the minorant there and reusing the old one keeps the step
     deterministic.
@@ -85,6 +87,8 @@ def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
     single tangent step.
     """
     big_h = np.asarray(big_h)
+    if not np.isfinite(big_h).all():
+        raise ValueError("big_h must be finite")
     out = beam
     q_prev = float(np.real(np.vdot(out.w, big_h @ out.w)))
     for _ in range(max_iters):
@@ -112,6 +116,9 @@ class MmProblem:
         if d_mat.shape != (l_dim, l_dim) or v_prev.shape != (l_dim,):
             raise ValueError("inconsistent MM problem dimensions")
         check_hermitian(d_mat, "d_mat")
+        for name, vec in (("c_vec", c_vec), ("v_prev", v_prev)):
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "d_mat", hermitian_part(d_mat))
         object.__setattr__(self, "c_vec", c_vec)
         object.__setattr__(self, "v_prev", v_prev)

@@ -60,7 +60,12 @@ def check_hermitian(mat: np.ndarray, name: str) -> float:
 
 @dataclass(frozen=True)
 class Beamformer:
-    """Constant-modulus transmit beamformer, stored as a length-N vector."""
+    """Constant-modulus transmit beamformer, stored as a length-N vector.
+
+    An unchecked per-step kernel: construction runs once per optimizer step
+    and checks only the shape, not finiteness; `lc.sca_solve` checks its
+    matrix once per solve instead.
+    """
 
     w: np.ndarray
 

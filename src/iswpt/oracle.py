@@ -7,12 +7,18 @@ enumerates all levels**dim combinations in lexicographic order over the
 digit vector (first element most significant).  Objective values come from
 the shared batch evaluators in `objective`, so the oracle measures exactly
 the J the algorithms optimise.
+
+Rows are assembled from a phasor table, the `levels` complex factors of
+the grid computed once per search, never from per-row exponentials or
+digit arithmetic (see `_grid_search`).
 """
 
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -31,6 +37,13 @@ class SearchBudget:
     max_evals: int = 1 << 20
 
     def __post_init__(self) -> None:
+        for name in ("phase_levels", "max_evals"):
+            value = getattr(self, name)
+            whole = (isinstance(value, numbers.Integral)
+                     or isinstance(value, numbers.Real) and float(value).is_integer())
+            if isinstance(value, bool) or not whole:
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.phase_levels < 2:
             raise ValueError("phase_levels must be >= 2")
         if self.max_evals < 1:
@@ -51,45 +64,59 @@ class SearchBudget:
         return total
 
 
-def _digit_block(start: int, stop: int, levels: int, dim: int) -> np.ndarray:
-    """Rows start..stop-1 of the lexicographic digit enumeration."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((idx.size, dim), dtype=np.int64)
-    for j in range(dim - 1, -1, -1):
-        digits[:, j] = idx % levels
-        idx = idx // levels
-    return digits
+def _row_chunks(dim: int, levels: int, table: np.ndarray
+                ) -> Iterator[tuple[int, np.ndarray]]:
+    """(first flat index, factor rows) of each chunk, valid until the next."""
+    total, low = levels ** dim, dim
+    while levels ** low > _CHUNK:
+        low -= 1
+    if low == 0:  # a single digit overflows a chunk: decode flat chunks
+        for start in range(0, total, _CHUNK):
+            idx = np.arange(start, min(start + _CHUNK, total))
+            yield start, table[np.stack(np.unravel_index(idx, (levels,) * dim), axis=1)]
+        return
+    rows = np.empty((levels,) * low + (dim,), dtype=table.dtype)
+    for j in range(low):
+        rows[..., dim - low + j] = table.reshape((levels,) + (1,) * (low - 1 - j))
+    rows = rows.reshape(levels ** low, dim)
+    for high, factors in enumerate(itertools.product(table, repeat=dim - low)):
+        rows[:, :dim - low] = factors
+        yield high * len(rows), rows
 
 
-def _grid_search(dim: int, budget: SearchBudget,
+def _grid_search(dim: int, budget: SearchBudget, table: np.ndarray,
                  score: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, float]:
-    """Best phase vector of the full `dim`-dimensional grid under `score`.
+    """Best grid phase vector over all levels**dim rows under `score`.
 
-    `score` maps a (B, dim) block of grid phases to B objective values.  The
-    grid is scanned in chunks; strict > comparisons keep the smallest
-    lexicographic index on ties, so the result does not depend on chunking.
+    `table` is the phasor table (the complex factor of each grid phase) and
+    `score` maps a (B, dim) block of factor rows to B objective values.  The
+    `low` least significant digits, as many as fit levels**low <= _CHUNK,
+    run through a block of all their combinations that is built once; a
+    chunk is one value of the high digits, so one reused (levels**low, dim)
+    buffer has only its high columns rewritten per chunk.  argmax within a
+    chunk and strict > across chunks keep the smallest lexicographic index
+    on ties.  The best is kept as a flat index, never as a row of the reused
+    buffer, and decoded to grid phases once at the end.
     """
-    total = budget.check_dim(dim)
-    grid = budget.grid()
-    best_score, best_phases = -np.inf, None
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        phases = grid[_digit_block(start, stop, budget.phase_levels, dim)]
-        scores = score(phases)
+    budget.check_dim(dim)
+    levels = budget.phase_levels
+    best_score, best_index = -np.inf, None
+    for start, rows in _row_chunks(dim, levels, table):
+        scores = score(rows)
         local = int(np.argmax(scores))
         if float(scores[local]) > best_score:
-            best_score, best_phases = float(scores[local]), phases[local]
-    assert best_phases is not None
-    return best_phases, best_score
+            best_score, best_index = float(scores[local]), start + local
+    assert best_index is not None
+    return budget.grid()[list(np.unravel_index(best_index, (levels,) * dim))], best_score
 
 
 def quantized_phase_search(channels: ChannelSet, beam: Beamformer,
                            config: SystemConfig, budget: SearchBudget
                            ) -> tuple[PhaseProfile, float]:
     """Best quantized phase profile at a fixed beamformer."""
-    alpha, score = _grid_search(config.n_irs, budget, lambda alphas:
-                                objective_for_phase_batch(channels, beam, config,
-                                                          np.exp(1j * alphas)))
+    alpha, score = _grid_search(config.n_irs, budget, np.exp(1j * budget.grid()),
+                                lambda v_rows: objective_for_phase_batch(
+                                    channels, beam, config, v_rows))
     return PhaseProfile(alpha=alpha), score
 
 
@@ -97,8 +124,8 @@ def quantized_beam_search(channels: ChannelSet, phases: PhaseProfile,
                           config: SystemConfig, budget: SearchBudget
                           ) -> tuple[Beamformer, float]:
     """Best quantized constant-modulus beamformer at fixed phases."""
-    amp = config.beam_amplitude
-    w_phase, score = _grid_search(config.n_tx, budget, lambda w_phases:
-                                  objective_for_beam_batch(channels, phases, config,
-                                                           amp * np.exp(1j * w_phases)))
+    table = config.beam_amplitude * np.exp(1j * budget.grid())
+    w_phase, score = _grid_search(config.n_tx, budget, table,
+                                  lambda w_rows: objective_for_beam_batch(
+                                      channels, phases, config, w_rows))
     return Beamformer.from_phases(w_phase, config), score

@@ -132,6 +132,16 @@ def test_sca_ascent_on_random_instances():
         assert after >= before - 1e-10 * max(1.0, abs(before))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sca_solve_rejects_non_finite_big_h(bad):
+    # Unchecked, one bad entry turns every beamformer phase into NaN.
+    config, channels, phases, beam = random_instance(seed=4, n=3, l=4)
+    big_h = build_operators(channels, phases, None, config).big_h.copy()
+    big_h[1, 2] = bad
+    with pytest.raises(ValueError, match="big_h must be finite"):
+        sca_solve(big_h, beam, config)
+
+
 def test_sca_solve_reaches_fixed_point():
     config, channels, phases, beam = random_instance(seed=5, n=6, l=8)
     ops = build_operators(channels, phases, beam, config)
@@ -157,6 +167,16 @@ def test_mm_problem_validation():
                   c_vec=np.zeros(2), v_prev=np.ones(2))
     with pytest.raises(ValueError):
         MmProblem(d_mat=np.zeros((2, 2)), c_vec=np.zeros(3), v_prev=np.ones(3))
+
+
+@pytest.mark.parametrize("field", ["c_vec", "v_prev"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_mm_problem_rejects_non_finite_vectors_by_name(field, bad):
+    # Unchecked, a NaN in c_vec gave the MM step the phases [nan, 0, 0].
+    data = dict(d_mat=-np.eye(3), c_vec=np.ones(3), v_prev=np.ones(3))
+    data[field] = np.array([bad, 1.0, 1.0])
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MmProblem(**data)
 
 
 def test_mm_step_with_flat_curvature():

@@ -1,14 +1,20 @@
 """Brute-force quantized searches used as ground truth elsewhere."""
 
+import dataclasses
 import itertools
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iswpt.objective import (Beamformer, PhaseProfile, _cascade_terms,
                              _effective_channels, objective_for_beam_batch,
                              objective_for_phase_batch)
-from iswpt.oracle import (SearchBudget, quantized_beam_search,
+from iswpt import oracle
+from iswpt.oracle import (SearchBudget, _grid_search, quantized_beam_search,
                           quantized_phase_search)
 from iswpt.scenario import (ChannelSet, SystemConfig, sample_channels,
                             trial_stream)
@@ -39,6 +45,23 @@ def test_budget_validation():
     budget = SearchBudget(phase_levels=4)
     np.testing.assert_allclose(budget.grid(),
                                [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
+
+
+@pytest.mark.parametrize("field", ["phase_levels", "max_evals"])
+@pytest.mark.parametrize("bad", [8.5, True, np.bool_(True), float("nan"),
+                                 float("inf"), "8", None])
+def test_budget_rejects_non_whole_values_by_name(field, bad):
+    # Unchecked, max_evals=nan lifted the cap (total > nan is False) and
+    # phase_levels=8.0 failed later inside range().
+    with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+        SearchBudget(**{field: bad})
+
+
+def test_budget_accepts_whole_floats_as_ints():
+    budget = SearchBudget(phase_levels=8.0, max_evals=np.float64(64.0))
+    assert (budget.phase_levels, budget.max_evals) == (8, 64)
+    assert type(budget.phase_levels) is int and type(budget.max_evals) is int
+    assert budget.check_dim(2) == 64
 
 
 def test_exhaustive_single_element_enumerates_grid():
@@ -134,3 +157,158 @@ def test_beam_search_feasible_output():
     budget = SearchBudget(phase_levels=4, max_evals=4 ** 3)
     beam, _ = quantized_beam_search(channels, phases, config, budget)
     np.testing.assert_allclose(np.abs(beam.w), config.beam_amplitude, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The phasor-table search against the per-row exp search it replaced
+
+
+def reference_grid_search(dim, budget, score, block):
+    """The per-row exp search `_grid_search` replaced: flat chunks of `block`
+    rows (oracle._CHUNK there), digits decoded per row, `score` given grid
+    phases (it applies exp itself), and the best kept as a row."""
+    levels, total, grid = budget.phase_levels, budget.check_dim(dim), budget.grid()
+    best_score, best_phases = -np.inf, None
+    for start in range(0, total, block):
+        idx = np.arange(start, min(start + block, total), dtype=np.int64)
+        digits = np.empty((idx.size, dim), dtype=np.int64)
+        for j in range(dim - 1, -1, -1):
+            digits[:, j] = idx % levels
+            idx = idx // levels
+        phases = grid[digits]
+        scores = score(phases)
+        local = int(np.argmax(scores))
+        if float(scores[local]) > best_score:
+            best_score, best_phases = float(scores[local]), phases[local]
+    return best_phases, best_score
+
+
+def search_rows(levels, dim, chunk):
+    """Rows per score call of `_grid_search` (pinned by the test below)."""
+    low = max(k for k in range(dim + 1) if levels ** k <= chunk)
+    return levels ** low if low else chunk
+
+
+def reference_searches(channels, beam, phases, config, budget, block=None):
+    """Both reference searches, in flat chunks of `block` rows; by default
+    the rows of each call of `_grid_search`, since BLAS may round a row
+    differently with the number of rows in a call (seen with 2 vs 3 rows)."""
+    def rows(dim):
+        if block is None:
+            return search_rows(budget.phase_levels, dim, oracle._CHUNK)
+        return block
+
+    alpha, j_v = reference_grid_search(
+        config.n_irs, budget, lambda a: objective_for_phase_batch(
+            channels, beam, config, np.exp(1j * a)), rows(config.n_irs))
+    amp = config.beam_amplitude
+    w_phase, j_w = reference_grid_search(
+        config.n_tx, budget, lambda a: objective_for_beam_batch(
+            channels, phases, config, amp * np.exp(1j * a)), rows(config.n_tx))
+    return ((PhaseProfile(alpha=alpha), j_v),
+            (Beamformer.from_phases(w_phase, config), j_w))
+
+
+def assert_bit_equal(got, want):
+    (got_v, got_jv), (got_w, got_jw) = got
+    (want_v, want_jv), (want_w, want_jw) = want
+    assert got_jv == want_jv and got_jw == want_jw
+    assert got_v.alpha.tobytes() == want_v.alpha.tobytes()
+    assert got_w.w.tobytes() == want_w.w.tobytes()
+
+
+@st.composite
+def search_cases(draw):
+    levels = draw(st.integers(2, 9))
+    max_dim = max(d for d in range(1, 7) if levels ** d <= 4096)
+    return (levels, draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim)),
+            draw(st.sampled_from([4, 5, 64, 1 << 15])),
+            draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_cases())
+def test_grid_search_bit_equal_to_per_row_exp_search(case):
+    # Small chunk sizes make even these small grids span several chunks,
+    # with the low/high digit split at every depth (or none: a chunk of 4
+    # or 5 rows is smaller than one digit for levels above it).
+    levels, n, l, chunk, seed, zero = case
+    config, channels, beam, phases = instance(seed, n=n, l=l)
+    if zero:  # every row ties: the smallest index must win
+        channels = ChannelSet(h_br=np.zeros((l, n)), h_ru=np.zeros((2, l)),
+                              h_d=np.zeros((2, n)))
+    budget = SearchBudget(phase_levels=levels, max_evals=4096)
+    with mock.patch.object(oracle, "_CHUNK", chunk):
+        got = (quantized_phase_search(channels, beam, config, budget),
+               quantized_beam_search(channels, phases, config, budget))
+        want = reference_searches(channels, beam, phases, config, budget)
+    assert_bit_equal(got, want)
+    if zero:
+        np.testing.assert_array_equal(got[0][0].alpha, -np.pi)
+
+
+def counted(score):
+    calls = []
+
+    def wrapped(rows):
+        calls.append(len(rows))
+        return score(rows)
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("levels, dim, low", [(8, 6, 5), (2, 16, 15), (3, 10, 9),
+                                              (5, 3, 3), (181, 2, 2), (182, 2, 1)])
+def test_chunks_are_one_low_digit_block(levels, dim, low):
+    # A chunk is all levels**low combinations of the low digits, low being
+    # the largest k <= dim with levels**k <= _CHUNK (181**2 <= 2**15 < 182**2).
+    assert levels ** low <= oracle._CHUNK
+    assert low == dim or levels ** (low + 1) > oracle._CHUNK
+    score, calls = counted(lambda rows: np.zeros(len(rows)))
+    budget = SearchBudget(phase_levels=levels, max_evals=levels ** dim)
+    _grid_search(dim, budget, np.exp(1j * budget.grid()), score)
+    assert calls == [levels ** low] * levels ** (dim - low)
+
+
+@pytest.mark.parametrize("levels, dim, chunk", [(oracle._CHUNK + 5000, 1, oracle._CHUNK),
+                                                (7, 3, 5)])
+def test_levels_above_chunk_scan_flat_chunks(levels, dim, chunk):
+    # No whole digit fits a chunk: flat chunks of `chunk` rows, as many
+    # score calls as ceil(total / chunk), and the flat argmax wins (the
+    # rounded score ties many rows).
+    budget = SearchBudget(phase_levels=levels)
+    table = np.exp(1j * budget.grid())
+    weights = np.arange(1.0, dim + 1.0)
+
+    def score(rows):
+        return np.round(4.0 * (rows.real @ weights))
+
+    all_rows = np.array(list(itertools.product(table, repeat=dim)))
+    best = int(np.argmax(score(all_rows)))
+    counting, calls = counted(score)
+    with mock.patch.object(oracle, "_CHUNK", chunk):
+        phases, value = _grid_search(dim, budget, table, counting)
+    assert len(calls) == math.ceil(levels ** dim / chunk) and max(calls) <= chunk
+    assert value == float(score(all_rows[best:best + 1])[0])
+    np.testing.assert_array_equal(phases, full_grid(levels, dim)[best])
+
+
+def test_oracle_small_seed1_trial0_pinned():
+    # The first oracle-small trial of the benchmark at seed 1: exact scores
+    # and grid indices, the same as the per-row exp search gave.
+    config = dataclasses.replace(SystemConfig(seed=1), n_tx=6, n_irs=6, rho=0.5)
+    channels = sample_channels(config, trial_stream(1, 0, 0))
+    rng = trial_stream(1, 1, 0)
+    beam = Beamformer.from_phases(rng.uniform(-np.pi, np.pi, 6), config)
+    phases = PhaseProfile(rng.uniform(-np.pi, np.pi, 6))
+    budget = SearchBudget()
+    grid = budget.grid()
+    best_v, j_v = quantized_phase_search(channels, beam, config, budget)
+    best_w, j_w = quantized_beam_search(channels, phases, config, budget)
+    assert j_v.hex() == "0x1.662f249e619d9p+1"
+    assert j_w.hex() == "0x1.63e337547fb8bp+2"
+    np.testing.assert_array_equal(best_v.alpha, grid[[3, 4, 1, 3, 1, 5]])
+    np.testing.assert_array_equal(best_w.w, config.beam_amplitude
+                                  * np.exp(1j * grid[[0, 1, 1, 6, 0, 1]]))
+    assert_bit_equal(((best_v, j_v), (best_w, j_w)),
+                     reference_searches(channels, beam, phases, config, budget,
+                                        block=oracle._CHUNK))
