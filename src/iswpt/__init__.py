@@ -10,9 +10,8 @@ experiment command line.
 """
 
 from .scenario import (ChannelSet, SystemConfig, complex_normal, db_to_linear,
-                       dbm_to_power, load_system_config, path_loss,
-                       sample_channels, steering_matrix, steering_vector,
-                       trial_stream)
+                       path_loss, sample_channels, steering_matrix,
+                       steering_vector, trial_stream)
 from .objective import (Beamformer, DerivedOperators, PhaseProfile,
                         beampattern_gain, beampattern_profile,
                         build_operators, composite_objective, solution_metrics)

@@ -68,7 +68,6 @@ class AoConfig:
 class AoStep:
     """State snapshot after one half-step (or after initialisation)."""
 
-    index: int                    # half-step counter, 0 = initialisation
     outer_iter: int               # outer iteration, 0 = initialisation
     stage: str                    # "init" | "w" | "v"
     objective: float              # composite J at this iterate
@@ -102,12 +101,11 @@ class AoTrace:
 
 def _record(trace: AoTrace, t0: float, channels: ChannelSet,
             config: SystemConfig, phases: PhaseProfile, beam: Beamformer,
-            index: int, outer: int, stage: str,
-            relaxed: float | None = None) -> float:
+            outer: int, stage: str, relaxed: float | None = None) -> float:
     """Append the step at iterate (phases, beam) to `trace`; returns its J."""
     j_val, harvested, sensing = solution_metrics(channels, phases, beam, config)
     trace.steps.append(AoStep(
-        index=index, outer_iter=outer, stage=stage, objective=j_val,
+        outer_iter=outer, stage=stage, objective=j_val,
         harvested_sum=harvested, beampattern_sum=sensing,
         elapsed_s=time.perf_counter() - t0,
         w_error=beam.modulus_error(config),
@@ -142,7 +140,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     t0 = time.perf_counter()
     trace = AoTrace()
     phases, beam = _initial_iterates(config, ao, channels, rng)
-    j_prev = _record(trace, t0, channels, config, phases, beam, 0, 0, "init")
+    j_prev = _record(trace, t0, channels, config, phases, beam, 0, "init")
     if not np.isfinite(ao.rel_tol):
         # An infinite tolerance deems any change converged: report the
         # initialisation as the result without doing an outer iteration.
@@ -158,8 +156,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
                                                    tol=ao.sdp_tol, incumbent=beam)
             else:
                 beam, relaxed_w = lc.sca_solve(big_h, beam, config), None
-            _record(trace, t0, channels, config, phases, beam,
-                    2 * outer - 1, outer, "w", relaxed_w)
+            _record(trace, t0, channels, config, phases, beam, outer, "w", relaxed_w)
 
             ops = build_operators(channels, None, beam, config)
             if ao.algorithm == ALGORITHM_SDP:
@@ -167,8 +164,8 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
                                                      tol=ao.sdp_tol, incumbent=phases)
             else:
                 phases, relaxed_v = lc.mm_solve(ops, phases), None
-            j_new = _record(trace, t0, channels, config, phases, beam,
-                            2 * outer, outer, "v", relaxed_v)
+            j_new = _record(trace, t0, channels, config, phases, beam, outer, "v",
+                            relaxed_v)
         except sdp.SdpNonConvergence as exc:
             trace.failure = str(exc)
             break
@@ -197,7 +194,7 @@ def run_rps(config: SystemConfig, channels: ChannelSet,
     j_prev = None
     for it in range(max_iters):
         beam = lc.sca_update_w(big_h, beam, config)
-        j_val = _record(trace, t0, channels, config, phases, beam, it, it, "w")
+        j_val = _record(trace, t0, channels, config, phases, beam, it, "w")
         trace.n_outer = it + 1
         if j_prev is not None and abs(j_val - j_prev) < rel_tol * max(abs(j_prev), 1e-300):
             trace.converged = True

@@ -17,13 +17,14 @@ spec file and seed:
   cost estimate (a fixed operation-count model charged at 1e6 operations
   per millisecond), not measured wall time, which would differ between
   otherwise identical runs;
-* channels are drawn once per trial at the largest swept element count and
-  sliced down for smaller L, so sweep points share randomness (common
-  random numbers) and trends are not washed out by draw-to-draw noise;
+* each trial's channels are drawn once, at the largest swept element count,
+  and shared by every algorithm and sweep point (sliced down for smaller
+  L), so points share randomness (common random numbers) and trends are
+  not washed out by draw-to-draw noise;
 * ``sweep-rho`` runs each trial as a continuation: the solution at one
   trade-off point warm-starts the next, and all of a trial's solutions
-  form a candidate pool from which each point reports the best-scoring
-  member at its own weights (see `sweep_rho_trial`).
+  form a candidate pool from which each point reports the member with the
+  highest objective J at its own weights (see `sweep_rho_trial`).
 
 Stream layout: channels from ``trial_stream(seed, 0, trial)``, algorithm
 randomness from ``trial_stream(seed, 1, algo_id, point_idx, trial)`` with
@@ -37,6 +38,7 @@ import argparse
 import dataclasses
 import hashlib
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,32 +196,45 @@ def _write_output(text: str, path: str) -> None:
 # Shared runners
 
 
-def _point_config(exp: ExperimentSpec, n_irs: int) -> SystemConfig:
-    return dataclasses.replace(exp.config, n_irs=n_irs)
-
-
-def _trial_channels(exp: ExperimentSpec, trial: int, l_max: int) -> ChannelSet:
-    cfg = _point_config(exp, l_max)
-    return sample_channels(cfg, trial_stream(exp.config.seed, 0, trial))
-
-
-def _algo_rng(exp: ExperimentSpec, algorithm: str, point_idx: int,
-              trial: int) -> np.random.Generator:
-    return trial_stream(exp.config.seed, 1, _ALGO_STREAM_ID[algorithm],
-                        point_idx, trial)
-
-
 def _run_point(exp: ExperimentSpec, algorithm: str, config: SystemConfig,
                channels: ChannelSet, point_idx: int, trial: int,
                init_phases: PhaseProfile | None = None,
                init_beam=None) -> AoTrace:
-    rng = _algo_rng(exp, algorithm, point_idx, trial)
+    """One run at one sweep point; the warm start is ignored by rps."""
+    rng = trial_stream(exp.config.seed, 1, _ALGO_STREAM_ID[algorithm],
+                       point_idx, trial)
     if algorithm == ALGORITHM_RPS:
         return run_rps(config, channels, rng, max_iters=exp.max_outer_iters,
                        rel_tol=exp.rel_tol)
     ao = AoConfig(algorithm=algorithm, max_outer_iters=exp.max_outer_iters,
                   rel_tol=exp.rel_tol, init_phases=init_phases, init_beam=init_beam)
     return run_ao(config, ao, channels, rng)
+
+
+def _draw_trials(exp: ExperimentSpec, n_irs: int, n_trials: int) -> list[ChannelSet]:
+    config = dataclasses.replace(exp.config, n_irs=n_irs)
+    return [sample_channels(config, trial_stream(exp.config.seed, 0, trial))
+            for trial in range(n_trials)]
+
+
+def _sweep_l(exp: ExperimentSpec, n_trials: int
+             ) -> Iterator[tuple[str, SystemConfig, list[tuple[ChannelSet, AoTrace]]]]:
+    """Run every (algorithm, L) point of the L sweep in CSV row order.
+
+    Yields (algorithm, config at that L, [(channels, trace) per trial]).
+    Each trial's channels are drawn once, at the largest L, and sliced
+    down to each point.
+    """
+    draws = _draw_trials(exp, max(exp.sweep_l), n_trials)
+    for algorithm in exp.algorithms:
+        for point_idx, n_irs in enumerate(exp.sweep_l):
+            config = dataclasses.replace(exp.config, n_irs=n_irs)
+            runs = []
+            for trial, full in enumerate(draws):
+                channels = slice_channels(full, n_irs)
+                runs.append((channels, _run_point(exp, algorithm, config, channels,
+                                                  point_idx, trial)))
+            yield algorithm, config, runs
 
 
 def _nominal_iteration_cost_ms(algorithm: str, n_tx: int, n_irs: int) -> float:
@@ -242,44 +257,30 @@ def _nominal_iteration_cost_ms(algorithm: str, n_tx: int, n_irs: int) -> float:
 
 
 def cmd_convergence(exp: ExperimentSpec) -> str:
-    for name in exp.algorithms:
-        if name == ALGORITHM_RPS:
-            raise ValueError("convergence traces outer iterations; "
-                             "the rps baseline has none")
+    if ALGORITHM_RPS in exp.algorithms:
+        raise ValueError("convergence traces outer iterations; "
+                         "the rps baseline has none")
     header = ["algorithm", "L", "trial", "iteration", "objective", "elapsed_ms"]
     rows: list[tuple] = []
-    l_max = max(exp.sweep_l)
-    for algorithm in exp.algorithms:
-        for point_idx, n_irs in enumerate(exp.sweep_l):
-            config = _point_config(exp, n_irs)
-            cost_ms = _nominal_iteration_cost_ms(algorithm, config.n_tx, n_irs)
-            for trial in range(exp.n_trials):
-                channels = slice_channels(_trial_channels(exp, trial, l_max), n_irs)
-                trace = _run_point(exp, algorithm, config, channels, point_idx, trial)
-                rows.append((algorithm, n_irs, trial, 0,
-                             trace.steps[0].objective, 0.0))
-                for step in trace.steps:
-                    if step.stage == "v":
-                        rows.append((algorithm, n_irs, trial, step.outer_iter,
-                                     step.objective, step.outer_iter * cost_ms))
+    for algorithm, config, runs in _sweep_l(exp, exp.n_trials):
+        cost_ms = _nominal_iteration_cost_ms(algorithm, config.n_tx, config.n_irs)
+        for trial, (_, trace) in enumerate(runs):
+            rows.append((algorithm, config.n_irs, trial, 0,
+                         trace.steps[0].objective, 0.0))
+            rows += [(algorithm, config.n_irs, trial, step.outer_iter,
+                      step.objective, step.outer_iter * cost_ms)
+                     for step in trace.steps if step.stage == "v"]
     return render_csv(exp, "convergence", header, rows)
 
 
 def cmd_sweep_l(exp: ExperimentSpec) -> str:
     header = ["algorithm", "L", "mean_harvested_energy", "std", "n_trials"]
     rows: list[tuple] = []
-    l_max = max(exp.sweep_l)
-    for algorithm in exp.algorithms:
-        for point_idx, n_irs in enumerate(exp.sweep_l):
-            config = _point_config(exp, n_irs)
-            harvested = np.empty(exp.n_trials)
-            for trial in range(exp.n_trials):
-                channels = slice_channels(_trial_channels(exp, trial, l_max), n_irs)
-                trace = _run_point(exp, algorithm, config, channels, point_idx, trial)
-                harvested[trial] = trace.steps[-1].harvested_sum
-            std = float(np.std(harvested, ddof=1)) if exp.n_trials > 1 else 0.0
-            rows.append((algorithm, n_irs, float(np.mean(harvested)), std,
-                         exp.n_trials))
+    for algorithm, config, runs in _sweep_l(exp, exp.n_trials):
+        harvested = np.array([trace.steps[-1].harvested_sum for _, trace in runs])
+        std = float(np.std(harvested, ddof=1)) if exp.n_trials > 1 else 0.0
+        rows.append((algorithm, config.n_irs, float(np.mean(harvested)), std,
+                     exp.n_trials))
     return render_csv(exp, "sweep-l", header, rows)
 
 
@@ -290,59 +291,44 @@ def sweep_rho_trial(exp: ExperimentSpec, algorithm: str, trial: int,
     Optimizing algorithms run the sweep as a continuation (each point
     warm-starts the next) and every converged solution joins a shared
     candidate pool; each point then reports the pool member with the best
-    objective at that point's weights (ties broken toward higher harvested
+    objective J at that point's weights (ties broken toward higher harvested
     energy).  Selecting from a common pool by objective value makes the
     reported per-trial curves obey the weighted-sum exchange argument:
     harvested energy cannot decrease, the beampattern sum cannot increase.
+    The rps baseline reports each point's own run.
     """
-    n_points = len(exp.sweep_rho)
-    if algorithm == ALGORITHM_RPS:
-        harvested = np.empty(n_points)
-        sensing = np.empty(n_points)
-        for point_idx, rho in enumerate(exp.sweep_rho):
-            config = dataclasses.replace(exp.config, rho=float(rho))
-            trace = _run_point(exp, algorithm, config, channels, point_idx, trial)
-            harvested[point_idx] = trace.steps[-1].harvested_sum
-            sensing[point_idx] = trace.steps[-1].beampattern_sum
-        return harvested, sensing
-
     alpha = trial_stream(exp.config.seed, 2, trial).uniform(
         -np.pi, np.pi, exp.config.n_irs)
-    init_phases = PhaseProfile(alpha=alpha)
-    init_beam = None
-    pool_e = np.empty(n_points)
-    pool_s = np.empty(n_points)
+    init_phases, init_beam = PhaseProfile(alpha=alpha), None
+    pool_e = np.empty(len(exp.sweep_rho))
+    pool_s = np.empty(len(exp.sweep_rho))
     for point_idx, rho in enumerate(exp.sweep_rho):
         config = dataclasses.replace(exp.config, rho=float(rho))
         trace = _run_point(exp, algorithm, config, channels, point_idx, trial,
-                           init_phases=init_phases, init_beam=init_beam)
+                           init_phases, init_beam)
         pool_e[point_idx] = trace.steps[-1].harvested_sum
         pool_s[point_idx] = trace.steps[-1].beampattern_sum
         init_phases, init_beam = trace.phases, trace.beam
+    if algorithm == ALGORITHM_RPS:
+        return pool_e, pool_s
 
-    energy_scale = exp.config.eta * exp.config.p0
-    harvested = np.empty(n_points)
-    sensing = np.empty(n_points)
-    for point_idx, rho in enumerate(exp.sweep_rho):
-        scores = rho * energy_scale * pool_e + (1.0 - rho) * pool_s
-        best = int(np.lexsort((pool_e, scores))[-1])
-        harvested[point_idx] = pool_e[best]
-        sensing[point_idx] = pool_s[best]
-    return harvested, sensing
+    # Row i scores every pool member at point i's weights.
+    rho = np.asarray(exp.sweep_rho)[:, None]
+    scores = rho * exp.config.p0 * pool_e + (1.0 - rho) * pool_s
+    best = np.lexsort((np.broadcast_to(pool_e, scores.shape), scores))[:, -1]
+    return pool_e[best], pool_s[best]
 
 
 def cmd_sweep_rho(exp: ExperimentSpec) -> str:
     header = ["algorithm", "rho", "mean_harvested_energy",
               "mean_beampattern_sum", "std", "n_trials"]
     rows: list[tuple] = []
-    n_points = len(exp.sweep_rho)
+    draws = _draw_trials(exp, exp.config.n_irs, exp.n_trials)
     for algorithm in exp.algorithms:
-        harvested = np.empty((n_points, exp.n_trials))
-        sensing = np.empty((n_points, exp.n_trials))
-        for trial in range(exp.n_trials):
-            channels = _trial_channels(exp, trial, exp.config.n_irs)
-            harvested[:, trial], sensing[:, trial] = sweep_rho_trial(
-                exp, algorithm, trial, channels)
+        curves = [sweep_rho_trial(exp, algorithm, trial, channels)
+                  for trial, channels in enumerate(draws)]
+        harvested = np.array([e for e, _ in curves]).T
+        sensing = np.array([s for _, s in curves]).T
         for point_idx, rho in enumerate(exp.sweep_rho):
             vals = harvested[point_idx]
             std = float(np.std(vals, ddof=1)) if exp.n_trials > 1 else 0.0
@@ -360,18 +346,13 @@ def cmd_beampattern(exp: ExperimentSpec) -> str:
     # pin a rounding overshoot of the +90 endpoint to 90 exactly.
     angles_deg = np.minimum(angles_deg[angles_deg <= 90.0 + 1e-6], 90.0)
     angles_rad = np.radians(angles_deg)
-    l_max = max(exp.sweep_l)
-    for algorithm in exp.algorithms:
-        for point_idx, n_irs in enumerate(exp.sweep_l):
-            config = _point_config(exp, n_irs)
-            channels = slice_channels(_trial_channels(exp, 0, l_max), n_irs)
-            trace = _run_point(exp, algorithm, config, channels, point_idx, 0)
-            gains = beampattern_profile(channels, trace.phases, trace.beam,
-                                        angles_rad, config.delta)
-            for angle, gain in zip(angles_deg, gains):
-                gain_db = 10.0 * np.log10(gain) if gain > 0.0 else -np.inf
-                rows.append((algorithm, n_irs, config.rho, float(angle),
-                             float(gain), float(gain_db)))
+    for algorithm, config, [(channels, trace)] in _sweep_l(exp, 1):
+        gains = beampattern_profile(channels, trace.phases, trace.beam,
+                                    angles_rad, config.delta)
+        for angle, gain in zip(angles_deg, gains):
+            gain_db = 10.0 * np.log10(gain) if gain > 0.0 else -np.inf
+            rows.append((algorithm, config.n_irs, config.rho, float(angle),
+                         float(gain), float(gain_db)))
     return render_csv(exp, "beampattern", header, rows)
 
 
@@ -388,14 +369,8 @@ def cmd_validate() -> tuple[str, bool]:
 # ---------------------------------------------------------------------------
 # Entry point
 
-_DEFAULT_OUT = {
-    "convergence": "convergence.csv",
-    "sweep-l": "sweep_l.csv",
-    "sweep-rho": "sweep_rho.csv",
-    "beampattern": "beampattern.csv",
-}
-
-_RUNNERS = {
+# CSV subcommands; each writes <name with "_" for "-">.csv unless given --out.
+_COMMANDS = {
     "convergence": cmd_convergence,
     "sweep-l": cmd_sweep_l,
     "sweep-rho": cmd_sweep_rho,
@@ -409,11 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Joint beamforming / reflecting-surface experiments "
                     "written as deterministic CSV.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("convergence", "sweep-l", "sweep-rho", "beampattern", "validate"):
+    for name in (*_COMMANDS, "validate"):
         cmd = sub.add_parser(name)
+        cmd.add_argument("--out", default=None, help="output path")
+        if name == "validate":
+            continue
         cmd.add_argument("--spec", default=None, help="key=value spec file")
         cmd.add_argument("--seed", type=int, default=None, help="override seed")
-        cmd.add_argument("--out", default=None, help="output path")
         cmd.add_argument("--trials", type=int, default=None,
                          help="override n_trials")
         cmd.add_argument("--algo", default=None,
@@ -432,9 +409,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if all_passed else 1
         exp = load_experiment(args.spec, seed=args.seed, n_trials=args.trials,
                               algorithms=args.algo, out=args.out)
-        text = _RUNNERS[args.command](exp)
-        out_path = exp.out if exp.out is not None else _DEFAULT_OUT[args.command]
-        _write_output(text, out_path)
+        text = _COMMANDS[args.command](exp)
+        default_out = args.command.replace("-", "_") + ".csv"
+        _write_output(text, exp.out if exp.out is not None else default_out)
         return 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

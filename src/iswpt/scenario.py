@@ -18,7 +18,7 @@ Unit conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +33,15 @@ LOS_MODE_STEERING = "steering"
 
 
 def db_to_linear(x_db: float) -> float:
-    """Convert a dB gain to a linear power ratio."""
+    """Convert dB to a linear ratio; dBm converts to milliwatts the same way
+    (30 dBm -> 1000 mW)."""
     return 10.0 ** (x_db / 10.0)
 
 
-def dbm_to_power(x_dbm: float) -> float:
-    """Convert dBm to linear power in milliwatts (30 dBm -> 1000 mW)."""
-    return 10.0 ** (x_dbm / 10.0)
-
-
-# Physical parameters that must be finite; rho, eta and the target angles
-# are range-checked, which already excludes infinities and NaN.
-_FINITE_FIELDS = ("p0", "delta", "dist_tx_irs", "dist_irs_ehd", "dist_tx_ehd",
-                  "ple_tx_irs", "ple_irs_ehd", "ple_tx_ehd", "pl_ref", "rician_k")
+# Physical parameters that must be finite and positive; rho, eta and the
+# target angles are range-checked, which already excludes infinities and NaN.
+_POSITIVE_FIELDS = ("p0", "delta", "dist_tx_irs", "dist_irs_ehd", "dist_tx_ehd",
+                    "ple_tx_irs", "ple_irs_ehd", "ple_tx_ehd", "pl_ref", "rician_k")
 
 
 @dataclass(frozen=True)
@@ -82,17 +78,14 @@ class SystemConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        for name in _FINITE_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.p0 > 0.0:
-            raise ValueError(f"p0 must be positive, got {self.p0!r}")
+        for name in _POSITIVE_FIELDS:
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)!r}")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
         angles = tuple(float(a) for a in self.target_angles)
         object.__setattr__(self, "target_angles", angles)
         if len(angles) != self.n_targets:
@@ -101,16 +94,6 @@ class SystemConfig:
         for a in angles:
             if not -math.pi / 2.0 <= a <= math.pi / 2.0:
                 raise ValueError(f"target angle {a!r} outside [-pi/2, pi/2]")
-        for name in ("dist_tx_irs", "dist_irs_ehd", "dist_tx_ehd"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("ple_tx_irs", "ple_irs_ehd", "ple_tx_ehd"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not self.pl_ref > 0.0:
-            raise ValueError(f"pl_ref must be positive, got {self.pl_ref!r}")
-        if not self.rician_k > 0.0:
-            raise ValueError(f"rician_k must be positive, got {self.rician_k!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
@@ -313,30 +296,21 @@ def config_from_mapping(mapping: dict[str, str]) -> SystemConfig:
     unknown = sorted(mapping.keys() - _KEYS)
     if unknown:
         raise ValueError(f"unknown spec key {unknown[0]!r}")
-    for key, linear in _DB_KEYS.items():
-        if key in mapping and linear in mapping:
-            raise ValueError(f"spec key {key!r} conflicts with {linear!r}")
     kwargs: dict[str, object] = {}
+    for key, linear in _DB_KEYS.items():
+        if key in mapping:
+            if linear in mapping:
+                raise ValueError(f"spec key {key!r} conflicts with {linear!r}")
+            kwargs[linear] = db_to_linear(parse_number(key, mapping[key], float))
     for key in _INT_KEYS & mapping.keys():
         kwargs[key] = parse_number(key, mapping[key], int)
     for key in _FLOAT_KEYS & mapping.keys():
         kwargs[key] = parse_number(key, mapping[key], float)
     for key in _STR_KEYS & mapping.keys():
         kwargs[key] = mapping[key]
-    if "p0_dbm" in mapping:
-        kwargs["p0"] = dbm_to_power(parse_number("p0_dbm", mapping["p0_dbm"], float))
-    if "pl_ref_db" in mapping:
-        kwargs["pl_ref"] = db_to_linear(parse_number("pl_ref_db", mapping["pl_ref_db"], float))
-    if "rician_k_db" in mapping:
-        kwargs["rician_k"] = db_to_linear(parse_number("rician_k_db", mapping["rician_k_db"], float))
     if "target_angles_deg" in mapping:
         degs = [parse_number("target_angles_deg", tok, float)
                 for tok in mapping["target_angles_deg"].split(",") if tok.strip()]
         kwargs["target_angles"] = tuple(math.radians(d) for d in degs)
         kwargs.setdefault("n_targets", len(degs))
     return SystemConfig(**kwargs)
-
-
-def load_system_config(path: str | Path) -> SystemConfig:
-    """Parse a scenario description file into a SystemConfig."""
-    return config_from_mapping(parse_kv_file(path))

@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from iswpt import cli
 from iswpt.cli import (ExperimentSpec, _format_cell, experiment_from_mapping,
                        main)
-from iswpt.scenario import SystemConfig
+from iswpt.objective import solution_metrics
+from iswpt.scenario import SystemConfig, sample_channels, trial_stream
 
 
 BASE_SPEC = """
@@ -331,3 +333,55 @@ def test_unknown_algorithm_fails_cleanly(tmp_path, capsys):
                     "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, algos, draws", [
+    ("convergence", "lc", 2),
+    ("sweep-l", "lc,rps", 2),
+    ("sweep-rho", "lc,rps", 2),
+    ("beampattern", "lc,rps", 1),
+])
+def test_each_trial_drawn_once(tmp_path, monkeypatch, command, algos, draws):
+    # Channels are drawn once per trial and shared by every algorithm and
+    # sweep point; beampattern uses trial 0 only.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sample_channels(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_channels", counting)
+    spec = write_spec(tmp_path, BASE_SPEC.replace("n_trials = 1", "n_trials = 2"))
+    assert run_cli([command, "--spec", spec, "--algo", algos,
+                    "--out", str(tmp_path / "x.csv")]) == 0
+    assert len(calls) == draws
+
+
+def test_sweep_rho_reports_best_pool_member_by_objective(monkeypatch):
+    exp = ExperimentSpec(config=SystemConfig(seed=1))
+    traces = []
+
+    def capture(*args, _run_ao=cli.run_ao, **kwargs):
+        trace = _run_ao(*args, **kwargs)
+        traces.append(trace)
+        return trace
+
+    monkeypatch.setattr(cli, "run_ao", capture)
+    channels = sample_channels(exp.config, trial_stream(1, 0, 0))
+    harvested, sensing = cli.sweep_rho_trial(exp, "lc", 0, channels)
+    assert len(traces) == len(exp.sweep_rho)
+    for idx, rho in enumerate(exp.sweep_rho):
+        config = SystemConfig(seed=1, rho=rho)
+        pool = [solution_metrics(channels, t.phases, t.beam, config) for t in traces]
+        _, best_e, best_s = max(pool)
+        assert (harvested[idx], sensing[idx]) == pytest.approx((best_e, best_s),
+                                                               rel=1e-12), rho
+
+
+def test_validate_takes_only_out(capsys):
+    for flag, value in (("--trials", "3"), ("--spec", "/nonexistent"),
+                        ("--algo", "bogus"), ("--seed", "1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

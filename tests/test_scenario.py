@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
-                            config_from_mapping, db_to_linear, dbm_to_power,
-                            load_system_config, parse_kv_file, path_loss,
-                            sample_channels, steering_matrix, steering_vector,
-                            trial_stream)
+                            config_from_mapping, db_to_linear, parse_kv_file,
+                            path_loss, sample_channels, steering_matrix,
+                            steering_vector, trial_stream)
 
 
 def test_steering_vector_broadside():
@@ -67,8 +66,7 @@ def test_path_loss_rejects_bad_inputs():
 
 def test_power_unit_conversions():
     # dBm converts to milliwatts: the 30 dBm reference budget is 1000 mW.
-    assert dbm_to_power(30.0) == pytest.approx(1000.0)
-    assert dbm_to_power(0.0) == pytest.approx(1.0)
+    assert db_to_linear(30.0) == pytest.approx(1000.0)
     assert db_to_linear(0.0) == pytest.approx(1.0)
     assert db_to_linear(6.0) == pytest.approx(3.9810717055, rel=1e-9)
 
@@ -240,11 +238,11 @@ def test_config_from_mapping_linear_overrides_take_effect():
     assert config.seed == 11
 
 
-def test_load_system_config_roundtrip(tmp_path):
+def test_parse_kv_file_config_roundtrip(tmp_path):
     path = tmp_path / "scenario.txt"
     path.write_text("n_tx = 6\nn_irs = 12\np0_dbm = 20\n"
                     "target_angles_deg = -30, 30\n")
-    config = load_system_config(path)
+    config = config_from_mapping(parse_kv_file(path))
     assert config.n_tx == 6
     assert config.n_irs == 12
     assert config.p0 == pytest.approx(100.0)
