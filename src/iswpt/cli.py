@@ -45,15 +45,12 @@ import numpy as np
 
 from . import __version__
 from .ao import ALGORITHM_LC, ALGORITHM_SDP, AoConfig, AoTrace, run_ao, run_rps
-from .objective import PhaseProfile, beampattern_profile
+from .objective import PhaseProfile, beampattern_profile, objective_from_parts
 from .scenario import ChannelSet, SystemConfig, config_from_mapping, \
-    parse_kv_file, parse_number, sample_channels, slice_channels, trial_stream
+    parse_fields, parse_kv_file, sample_channels, slice_channels, trial_stream
 
 ALGORITHM_RPS = "rps"
 _ALGO_STREAM_ID = {ALGORITHM_SDP: 0, ALGORITHM_LC: 1, ALGORITHM_RPS: 2}
-
-_EXPERIMENT_INT_KEYS = {"n_trials", "max_outer_iters"}
-_EXPERIMENT_FLOAT_KEYS = {"angle_step_deg", "rel_tol"}
 
 _DEFAULT_RHO_GRID = tuple(round(0.1 * i, 10) for i in range(1, 10))
 
@@ -98,51 +95,18 @@ class ExperimentSpec:
             raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol!r}")
 
 
-def _parse_algorithms(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def experiment_from_mapping(mapping: dict[str, str]) -> ExperimentSpec:
+    """Build an ExperimentSpec from key=value text (see `scenario.parse_fields`).
 
-
-def experiment_from_mapping(mapping: dict[str, str],
-                            **overrides: object) -> ExperimentSpec:
-    """Build an ExperimentSpec from key=value text plus keyword overrides.
-
-    Keys not recognised as experiment knobs are forwarded to the scenario
-    parser, so one flat file configures both layers; a key that neither
-    layer knows, or a malformed number, raises ValueError naming the key.
+    Keys that name an ExperimentSpec field configure the experiment; the
+    rest go to the scenario parser, so one flat mapping configures both
+    layers.  A key that neither layer knows, or a malformed value, raises
+    ValueError naming the key.
     """
-    fields: dict[str, object] = {}
-    scenario_items: dict[str, str] = {}
-    for key, value in mapping.items():
-        if key in _EXPERIMENT_INT_KEYS:
-            fields[key] = parse_number(key, value, int)
-        elif key in _EXPERIMENT_FLOAT_KEYS:
-            fields[key] = parse_number(key, value, float)
-        elif key == "algorithms":
-            fields[key] = _parse_algorithms(value)
-        elif key == "out":
-            fields[key] = value
-        elif key == "sweep_l":
-            fields[key] = tuple(parse_number(key, part, int) for part in value.split(","))
-        elif key == "sweep_rho":
-            fields[key] = tuple(parse_number(key, part, float) for part in value.split(","))
-        else:
-            scenario_items[key] = value
-    config = config_from_mapping(scenario_items)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key == "seed":
-            config = dataclasses.replace(config, seed=int(value))
-        elif key == "algorithms" and isinstance(value, str):
-            fields[key] = _parse_algorithms(value)
-        else:
-            fields[key] = value
-    return ExperimentSpec(config=config, **fields)
-
-
-def load_experiment(path: str | None, **overrides: object) -> ExperimentSpec:
-    mapping = parse_kv_file(path) if path is not None else {}
-    return experiment_from_mapping(mapping, **overrides)
+    names = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    return ExperimentSpec(
+        config=config_from_mapping({k: v for k, v in mapping.items() if k not in names}),
+        **parse_fields(ExperimentSpec, {k: v for k, v in mapping.items() if k in names}))
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +123,19 @@ def _format_cell(value: object) -> str:
     return str(value)
 
 
+def _digest_text(value: object) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_digest_text(item) for item in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def config_digest(exp: ExperimentSpec, command: str) -> str:
     """Short stable hash of the full configuration behind one CSV."""
     items = dataclasses.asdict(exp.config)
     payload = [f"command={command}"]
     payload += [f"{key}={items[key]!r}" for key in sorted(items) if key != "seed"]
-    payload += [
-        f"algorithms={','.join(exp.algorithms)}",
-        f"n_trials={exp.n_trials}",
-        f"sweep_l={','.join(str(l) for l in exp.sweep_l)}",
-        f"sweep_rho={','.join(repr(r) for r in exp.sweep_rho)}",
-        f"angle_step_deg={exp.angle_step_deg!r}",
-        f"max_outer_iters={exp.max_outer_iters}",
-        f"rel_tol={exp.rel_tol!r}",
-    ]
+    payload += [f"{f.name}={_digest_text(getattr(exp, f.name))}"
+                for f in dataclasses.fields(exp) if f.name not in ("config", "out")]
     return hashlib.sha256("\n".join(payload).encode()).hexdigest()[:12]
 
 
@@ -314,7 +277,7 @@ def sweep_rho_trial(exp: ExperimentSpec, algorithm: str, trial: int,
 
     # Row i scores every pool member at point i's weights.
     rho = np.asarray(exp.sweep_rho)[:, None]
-    scores = rho * exp.config.p0 * pool_e + (1.0 - rho) * pool_s
+    scores = objective_from_parts(rho, exp.config.p0, pool_e, pool_s)
     best = np.lexsort((np.broadcast_to(pool_e, scores.shape), scores))[:, -1]
     return pool_e[best], pool_s[best]
 
@@ -390,11 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "validate":
             continue
         cmd.add_argument("--spec", default=None, help="key=value spec file")
-        cmd.add_argument("--seed", type=int, default=None, help="override seed")
-        cmd.add_argument("--trials", type=int, default=None,
-                         help="override n_trials")
-        cmd.add_argument("--algo", default=None,
-                         help="comma-separated algorithm list")
+        # These flags set spec keys and override the spec file.
+        cmd.add_argument("--seed", default=None, help="spec key seed")
+        cmd.add_argument("--trials", default=None, help="spec key n_trials")
+        cmd.add_argument("--algo", default=None, help="spec key algorithms")
     return parser
 
 
@@ -407,8 +369,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.out is not None:
                 _write_output(report, args.out)
             return 0 if all_passed else 1
-        exp = load_experiment(args.spec, seed=args.seed, n_trials=args.trials,
-                              algorithms=args.algo, out=args.out)
+        mapping = parse_kv_file(args.spec) if args.spec is not None else {}
+        flags = {"seed": args.seed, "n_trials": args.trials,
+                 "algorithms": args.algo, "out": args.out}
+        mapping.update({k: v for k, v in flags.items() if v is not None})
+        exp = experiment_from_mapping(mapping)
         text = _COMMANDS[args.command](exp)
         default_out = args.command.replace("-", "_") + ".csv"
         _write_output(text, exp.out if exp.out is not None else default_out)

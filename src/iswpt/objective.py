@@ -254,16 +254,19 @@ def beampattern_gain(channels: ChannelSet, phases: PhaseProfile,
                                      np.asarray([theta]), delta)[0])
 
 
+def objective_from_parts(rho: float | np.ndarray, p0: float, harvested: float | np.ndarray,
+                         sensing: float | np.ndarray) -> float | np.ndarray:
+    """J from its parts: rho*p0*harvested + (1-rho)*sensing, where `harvested`
+    already carries eta.  Works elementwise on arrays (say a column of rho)."""
+    return rho * p0 * harvested + (1.0 - rho) * sensing
+
+
 def solution_metrics(channels: ChannelSet, phases: PhaseProfile,
                      beam: Beamformer, config: SystemConfig) -> tuple[float, float, float]:
-    """(J, summed harvested power, summed target beampattern) at an iterate.
-
-    J decomposes as rho*p0*harvested_sum + (1-rho)*beampattern_sum since
-    harvested_sum already carries eta.
-    """
+    """(J, summed harvested power, summed target beampattern) at an iterate."""
     h_tilde, h_hat = _effective_channels(channels, phases, config)
     harvested_sum = float(config.eta * np.sum(np.abs(h_tilde @ beam.w) ** 2))
     beampattern_sum = float(np.sum(np.abs(h_hat @ beam.w) ** 2))
-    j_value = config.rho * config.p0 * harvested_sum \
-        + (1.0 - config.rho) * beampattern_sum
+    j_value = objective_from_parts(config.rho, config.p0, harvested_sum,
+                                   beampattern_sum)
     return j_value, harvested_sum, beampattern_sum

@@ -17,6 +17,7 @@ Unit conventions
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -243,19 +244,18 @@ def sample_channels(config: SystemConfig, rng: np.random.Generator) -> ChannelSe
 
 
 # --------------------------------------------------------------------------
-# Config file parsing.  Files are flat "key = value" text: '#' starts a
-# comment, angles carry a _deg suffix (degrees), powers a _dbm suffix and
-# gains a _db suffix.  Lists are comma separated.
+# Spec parsing.  Files are flat "key = value" text; '#' starts a comment.
 
-_INT_KEYS = {"n_tx", "n_irs", "n_ehd", "n_targets", "seed"}
-_FLOAT_KEYS = {
-    "p0", "eta", "rho", "delta", "dist_tx_irs", "dist_irs_ehd", "dist_tx_ehd",
-    "ple_tx_irs", "ple_irs_ehd", "ple_tx_ehd", "pl_ref", "rician_k",
+# Keys read in other units: key -> (field, conversion to package units).  A
+# unit key conflicts with its field's key, and angles are read in degrees
+# only, so the radian field is not a key.
+_UNIT_KEYS = {
+    "p0_dbm": ("p0", db_to_linear),
+    "pl_ref_db": ("pl_ref", db_to_linear),
+    "rician_k_db": ("rician_k", db_to_linear),
+    "target_angles_deg": ("target_angles", math.radians),
 }
-_STR_KEYS = {"los_mode"}
-# Keys given in dB or dBm, with the linear key each one replaces.
-_DB_KEYS = {"p0_dbm": "p0", "pl_ref_db": "pl_ref", "rician_k_db": "rician_k"}
-_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _DB_KEYS.keys() | {"target_angles_deg"}
+_NOT_KEYS = {"target_angles"}
 
 
 def parse_kv_file(path: str | Path) -> dict[str, str]:
@@ -276,41 +276,51 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
     return mapping
 
 
-def parse_number(key: str, text: str, kind: type[int] | type[float]) -> int | float:
-    """Convert one spec value with `kind`, naming its key if malformed."""
-    try:
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"spec key {key!r}: expected {kind.__name__}, "
-                         f"got {text.strip()!r}") from None
+def parse_fields(cls: type, mapping: dict[str, str]) -> dict[str, object]:
+    """Convert spec text into keyword arguments for the dataclass `cls`.
+
+    Keys are read in sorted order.  A key must name a field of `cls` that
+    has a default, or be a unit key of one.  Its value is converted with the
+    type of that default; a tuple default reads a comma-separated list of its
+    first element's type, and a None default reads a str.  An unknown key,
+    an empty or malformed value or list element, and a unit key given with
+    its field's key raise ValueError naming the key.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+    kwargs: dict[str, object] = {}
+    for key in sorted(mapping):
+        name, convert = _UNIT_KEYS.get(key, (key, lambda value: value))
+        if name not in defaults or key in _NOT_KEYS:
+            raise ValueError(f"unknown spec key {key!r}")
+        if name != key and name in mapping:
+            raise ValueError(f"spec key {key!r} conflicts with {name!r}")
+        default = defaults[name]
+        listed = isinstance(default, tuple)
+        kind = type(default[0]) if listed else str if default is None else type(default)
+        values = []
+        for part in mapping[key].split(",") if listed else [mapping[key]]:
+            text = part.strip()
+            try:
+                if not text:
+                    raise ValueError
+                value = kind(text)
+            except ValueError:
+                raise ValueError(f"spec key {key!r}: expected {kind.__name__}, "
+                                 f"got {text!r}") from None
+            values.append(convert(value))
+        kwargs[name] = tuple(values) if listed else values[0]
+    return kwargs
 
 
 def config_from_mapping(mapping: dict[str, str]) -> SystemConfig:
-    """Build a SystemConfig from string key/value pairs.
+    """Build a SystemConfig from spec text (see `parse_fields`).
 
-    Unknown keys, malformed numbers, and a unit-suffixed key given together
-    with its linear twin (say `p0_dbm` and `p0`), raise ValueError naming
-    the key.  Degree and dB/dBm suffixed keys are converted here, at parse
-    time; everything downstream sees radians and linear milliwatt units.
+    Degree and dB/dBm keys are converted here, so everything downstream sees
+    radians and linear milliwatts.  Target angles also set `n_targets`
+    unless it is given.
     """
-    unknown = sorted(mapping.keys() - _KEYS)
-    if unknown:
-        raise ValueError(f"unknown spec key {unknown[0]!r}")
-    kwargs: dict[str, object] = {}
-    for key, linear in _DB_KEYS.items():
-        if key in mapping:
-            if linear in mapping:
-                raise ValueError(f"spec key {key!r} conflicts with {linear!r}")
-            kwargs[linear] = db_to_linear(parse_number(key, mapping[key], float))
-    for key in _INT_KEYS & mapping.keys():
-        kwargs[key] = parse_number(key, mapping[key], int)
-    for key in _FLOAT_KEYS & mapping.keys():
-        kwargs[key] = parse_number(key, mapping[key], float)
-    for key in _STR_KEYS & mapping.keys():
-        kwargs[key] = mapping[key]
-    if "target_angles_deg" in mapping:
-        degs = [parse_number("target_angles_deg", tok, float)
-                for tok in mapping["target_angles_deg"].split(",") if tok.strip()]
-        kwargs["target_angles"] = tuple(math.radians(d) for d in degs)
-        kwargs.setdefault("n_targets", len(degs))
+    kwargs = parse_fields(SystemConfig, mapping)
+    if "target_angles" in kwargs:
+        kwargs.setdefault("n_targets", len(kwargs["target_angles"]))
     return SystemConfig(**kwargs)

@@ -1,17 +1,24 @@
 """Experiment CLI: CSV contracts, determinism, error handling."""
 
 import csv
+import dataclasses
 import io
+import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iswpt import cli
 from iswpt.cli import (ExperimentSpec, _format_cell, experiment_from_mapping,
                        main)
 from iswpt.objective import solution_metrics
-from iswpt.scenario import SystemConfig, sample_channels, trial_stream
+from iswpt.scenario import (SystemConfig, db_to_linear, parse_kv_file,
+                            sample_channels, trial_stream)
 
 
 BASE_SPEC = """
@@ -111,7 +118,8 @@ def test_experiment_from_mapping_splits_layers():
         "sweep_l": "4, 8",
         "sweep_rho": "0.2, 0.8",
         "angle_step_deg": "2.5",
-    }, seed=5)
+        "seed": "5",
+    })
     assert exp.config.n_tx == 6
     assert exp.config.p0 == pytest.approx(1000.0)
     assert exp.config.seed == 5
@@ -120,6 +128,118 @@ def test_experiment_from_mapping_splits_layers():
     assert exp.sweep_l == (4, 8)
     assert exp.sweep_rho == (0.2, 0.8)
     assert exp.angle_step_deg == 2.5
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("config", "x", "unknown spec key 'config'"),
+    ("algorithms", "lc,", "spec key 'algorithms'"),
+    ("sweep_l", "10,,20", "spec key 'sweep_l'"),
+    ("out", "", "spec key 'out'"),
+])
+def test_experiment_from_mapping_rejects(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        experiment_from_mapping({key: value})
+
+
+def test_flags_go_through_the_spec_parser(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    for flag, value, key in (("--trials", "1.5", "n_trials"),
+                             ("--seed", "x", "seed"), ("--algo", "lc,", "algorithms")):
+        assert run_cli(["sweep-l", "--spec", spec, flag, value,
+                        "--out", str(tmp_path / "x.csv")]) == 2
+        assert f"spec key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+# One strategy per settable field; target angles and n_targets are drawn
+# together, in degrees.
+_CONFIG_VALUES = {
+    "n_tx": st.integers(1, 64), "n_irs": st.integers(1, 64),
+    "n_ehd": st.integers(1, 8), "p0": _POSITIVE, "eta": st.floats(1e-3, 1.0),
+    "rho": st.floats(0.0, 1.0), "delta": _POSITIVE, "dist_tx_irs": _POSITIVE,
+    "dist_irs_ehd": _POSITIVE, "dist_tx_ehd": _POSITIVE,
+    "ple_tx_irs": _POSITIVE, "ple_irs_ehd": _POSITIVE, "ple_tx_ehd": _POSITIVE,
+    "pl_ref": _POSITIVE, "rician_k": _POSITIVE, "seed": st.integers(0, 2 ** 63),
+    "los_mode": st.sampled_from(["iid", "steering"]),
+}
+_EXPERIMENT_VALUES = {
+    "algorithms": st.permutations(["sdp", "lc", "rps"]).flatmap(
+        lambda names: st.integers(1, 3).map(lambda n: tuple(names[:n]))),
+    "n_trials": st.integers(1, 1000),
+    "sweep_l": st.lists(st.integers(1, 100), min_size=1, max_size=5).map(tuple),
+    "sweep_rho": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).map(tuple),
+    "angle_step_deg": st.floats(0.01, 180.0),
+    "max_outer_iters": st.integers(1, 100),
+    "rel_tol": st.floats(0.0, 1.0),
+    "out": st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
+}
+_DB_KEYS = {"p0": "p0_dbm", "pl_ref": "pl_ref_db", "rician_k": "rician_k_db"}
+
+
+def _spec_text(value):
+    if isinstance(value, tuple):
+        return ", ".join(_spec_text(item) for item in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def spec_cases(draw):
+    """(spec text lines, the ExperimentSpec they describe)."""
+    config = {key: draw(values) for key, values in _CONFIG_VALUES.items()}
+    fields = {key: draw(values) for key, values in _EXPERIMENT_VALUES.items()}
+    lines = [f"{key} = {_spec_text(value)}" for key, value in fields.items()
+             if value is not None]
+    for key, value in list(config.items()):
+        if key in _DB_KEYS and draw(st.booleans()):
+            db_value = draw(st.floats(-30.0, 30.0))
+            config[key] = db_to_linear(db_value)
+            lines.append(f"{_DB_KEYS[key]} = {db_value!r}")
+        else:
+            lines.append(f"{key} = {_spec_text(value)}")
+    degrees = draw(st.lists(st.floats(-90.0, 90.0), min_size=1, max_size=4))
+    config["target_angles"] = tuple(math.radians(d) for d in degrees)
+    config["n_targets"] = len(degrees)
+    lines.append(f"target_angles_deg = {_spec_text(tuple(degrees))}")
+    if draw(st.booleans()):
+        lines.append(f"n_targets = {len(degrees)}")
+    exp = ExperimentSpec(config=SystemConfig(**config), **fields)
+    return draw(st.permutations(lines)), exp
+
+
+def test_spec_cases_cover_every_field():
+    settable = {f.name for f in dataclasses.fields(SystemConfig)}
+    assert settable - {"target_angles", "n_targets"} == _CONFIG_VALUES.keys()
+    assert ({f.name for f in dataclasses.fields(ExperimentSpec)} - {"config"}
+            == _EXPERIMENT_VALUES.keys())
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_cases())
+def test_spec_text_round_trip(case):
+    lines, expected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert experiment_from_mapping(parse_kv_file(path)) == expected
+
+
+# config_digest of a spec that sets every experiment key; the values were
+# computed before the digest payload was built from the dataclass fields.
+_DIGEST_SPEC = {
+    "algorithms": "lc, rps", "n_trials": "7", "sweep_l": "5, 9, 13",
+    "sweep_rho": "0.15, 0.6, 1.0", "angle_step_deg": "2.5",
+    "max_outer_iters": "11", "rel_tol": "3e-5", "out": "pinned.csv",
+    "n_tx": "6", "p0_dbm": "27", "target_angles_deg": "-30, 10", "seed": "4",
+}
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("convergence", "d5c542a90e33"), ("sweep-l", "88331a331cab"),
+    ("sweep-rho", "c65ca3f64f21"), ("beampattern", "9c50fbc16550"),
+])
+def test_config_digest_pinned(command, digest):
+    assert cli.config_digest(experiment_from_mapping(_DIGEST_SPEC), command) == digest
 
 
 def test_format_cell():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from iswpt.objective import (Beamformer, PhaseProfile, _cascade_terms,
                              _effective_channels, beampattern_gain,
@@ -115,21 +117,25 @@ def test_composite_objective_rho_boundaries():
         sensing_only, rel=1e-10)
 
 
-def test_composite_objective_quadratic_form_agreement():
-    config, channels, phases, beam = random_instance(seed=17)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 6), l=st.integers(1, 8),
+       k=st.integers(1, 4), m=st.integers(1, 4), rho=st.floats(0.0, 1.0))
+@example(seed=17, n=4, l=6, k=2, m=2, rho=0.9)
+@example(seed=18, n=4, l=6, k=2, m=2, rho=0.9)
+def test_composite_objective_operator_forms_agree(seed, n, l, k, m, rho):
+    # J = w^H big_h w = v F11 v^H + 2 Re(v f12) + offset = lifted form.
+    config, channels, phases, beam = random_instance(seed, n=n, l=l, k=k, m=m,
+                                                     rho=rho)
     ops = build_operators(channels, phases, beam, config)
     j_direct = composite_objective(channels, phases, beam, config)
-    j_quad = float(np.real(np.vdot(beam.w, ops.big_h @ beam.w)))
-    assert j_quad == pytest.approx(j_direct, rel=1e-10)
-
-
-def test_composite_objective_lifted_form_agreement():
-    config, channels, phases, beam = random_instance(seed=18)
-    ops = build_operators(channels, None, beam, config)
-    aug = np.append(phases.v, 1.0)
+    v = phases.v
+    j_beam = float(np.real(np.vdot(beam.w, ops.big_h @ beam.w)))
+    j_phase = float(np.real(v @ ops.f11 @ v.conj())
+                    + 2.0 * np.real(v @ ops.f12)) + ops.offset
+    aug = np.append(v, 1.0)
     j_lifted = float(np.real(aug @ (_lifted_matrix(ops) @ aug.conj()))) + ops.offset
-    assert j_lifted == pytest.approx(
-        composite_objective(channels, phases, beam, config), rel=1e-10)
+    for j_form in (j_beam, j_phase, j_lifted):
+        assert j_form == pytest.approx(j_direct, rel=1e-10)
 
 
 def test_build_operators_cascade_identities():

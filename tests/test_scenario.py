@@ -1,10 +1,15 @@
 """Scenario layer: array response, path loss, channel draws, config parsing."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iswpt
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
                             config_from_mapping, db_to_linear, parse_kv_file,
                             path_loss, sample_channels, steering_matrix,
@@ -216,6 +221,9 @@ def test_config_from_mapping_converts_units():
 def test_config_from_mapping_rejects_unknown_and_conflicting_keys():
     with pytest.raises(ValueError, match="'not_a_config_key'"):
         config_from_mapping({"n_tx": "8", "not_a_config_key": "ignored"})
+    # Angles are read in degrees only.
+    with pytest.raises(ValueError, match="unknown spec key 'target_angles'"):
+        config_from_mapping({"target_angles": "0.5"})
     for db_key, linear in (("p0_dbm", "p0"), ("pl_ref_db", "pl_ref"),
                            ("rician_k_db", "rician_k")):
         with pytest.raises(ValueError, match=f"'{db_key}'.*'{linear}'"):
@@ -225,10 +233,27 @@ def test_config_from_mapping_rejects_unknown_and_conflicting_keys():
 @pytest.mark.parametrize("key, value", [
     ("seed", "1.5"), ("rho", "half"), ("p0_dbm", "30 dBm"), ("pl_ref_db", ""),
     ("rician_k_db", "x"), ("target_angles_deg", "-45, north"),
+    ("target_angles_deg", "-45, 45,"),
 ])
 def test_config_from_mapping_names_key_of_malformed_value(key, value):
     with pytest.raises(ValueError, match=f"spec key '{key}'"):
         config_from_mapping({key: value})
+
+
+def test_config_from_mapping_error_does_not_depend_on_hash_seed():
+    # Keys are read in sorted order, so with two malformed values the error
+    # names the same key under every string-hash seed.
+    code = ("from iswpt.scenario import config_from_mapping\n"
+            "try:\n"
+            "    config_from_mapping({'n_tx': 'four', 'n_irs': 'x'})\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(iswpt.__file__).resolve().parents[1])
+    for hash_seed in ("1", "2", "6"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.startswith("spec key 'n_irs'"), (hash_seed, out)
 
 
 def test_config_from_mapping_linear_overrides_take_effect():

@@ -9,6 +9,15 @@ the byte contract of a refactor one diff:
     PYTHONPATH=<other tree>/src python tools/csv_digest.py > before.txt
     diff before.txt after.txt
 
+`tools/fixed.sha256` holds the committed digests, so a change that must keep
+the CSV bytes is checked with one line:
+
+    python3 tools/csv_digest.py | diff tools/fixed.sha256 -
+
+The digests assume the NumPy/BLAS build they were recorded with (NumPy
+2.4.6 with its bundled OpenBLAS 0.3.31 on x86-64); another build may
+round differently and change them.
+
 `iswpt` is imported from PYTHONPATH when it is set there, else from this
 repository's `src`.  Pass a directory to keep the CSVs; by default they
 are written to a temporary one.
