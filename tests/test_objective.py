@@ -117,6 +117,23 @@ def test_composite_objective_rho_boundaries():
         sensing_only, rel=1e-10)
 
 
+def test_composite_objective_quadratic_form_agreement():
+    config, channels, phases, beam = random_instance(seed=17)
+    ops = build_operators(channels, phases, beam, config)
+    j_direct = composite_objective(channels, phases, beam, config)
+    j_quad = float(np.real(np.vdot(beam.w, ops.big_h @ beam.w)))
+    assert j_quad == pytest.approx(j_direct, rel=1e-10)
+
+
+def test_composite_objective_lifted_form_agreement():
+    config, channels, phases, beam = random_instance(seed=18)
+    ops = build_operators(channels, None, beam, config)
+    aug = np.append(phases.v, 1.0)
+    j_lifted = float(np.real(aug @ (_lifted_matrix(ops) @ aug.conj()))) + ops.offset
+    assert j_lifted == pytest.approx(
+        composite_objective(channels, phases, beam, config), rel=1e-10)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 6), l=st.integers(1, 8),
        k=st.integers(1, 4), m=st.integers(1, 4), rho=st.floats(0.0, 1.0))
