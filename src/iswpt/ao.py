@@ -11,9 +11,10 @@ phases at fixed beamformer.  Either half-step runs in one of two modes:
   interior-point method stops at a relative duality gap of 1e-4, the
   default outer `rel_tol`; extraction reads only the eigenstructure of
   the relaxed solution, which a tighter solve barely moves.
-* "lc": closed-form SCA step for the beamformer and an inner MM loop for
-  the phases.  Every half-step is monotone, so the recorded objective
-  sequence is nondecreasing up to floating-point noise.
+* "lc": an inner SCA loop for the beamformer and an inner MM loop for the
+  phases, each iterating the closed-form step of `lc` to a fixed point.
+  Every half-step is monotone, so the recorded objective sequence is
+  nondecreasing up to floating-point noise.
 
 Each half-step builds only the operators of its own side, and the inner
 solvers run at their own default iteration caps, tolerances and
@@ -171,7 +172,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             break
 
         trace.n_outer = outer
-        if abs(j_new - j_prev) < ao.rel_tol * max(abs(j_prev), 1e-300):
+        if lc.stalled(j_new, j_prev, ao.rel_tol):
             trace.converged = True
             break
         j_prev = j_new
@@ -196,7 +197,7 @@ def run_rps(config: SystemConfig, channels: ChannelSet,
         beam = lc.sca_update_w(big_h, beam, config)
         j_val = _record(trace, t0, channels, config, phases, beam, it, "w")
         trace.n_outer = it + 1
-        if j_prev is not None and abs(j_val - j_prev) < rel_tol * max(abs(j_prev), 1e-300):
+        if j_prev is not None and lc.stalled(j_val, j_prev, rel_tol):
             trace.converged = True
             break
         j_prev = j_val

@@ -1,32 +1,23 @@
-"""Low-complexity updates: closed-form SCA beamformer step and MM phase step.
+"""Low-complexity updates: the SCA beamformer step and the MM phase step.
 
-Both subproblem solvers cost one matrix-vector product per step.  Their
-inputs are checked once per solve: `mm_solve` validates one `MmProblem`
-and then only re-anchors it at each new iterate, and `sca_solve` converts
-and checks its matrix once before the loop.  The per-step kernels
-`mm_update_v` and `sca_update_w` check nothing.
+Both half-steps maximise a PSD quadratic form plus a linear term over a
+constant-modulus vector x with one step, x <- amp * exp(j * arg(M x + b)),
+where an entry with M x + b = 0 keeps its phase (any phase is optimal
+there; keeping the old one makes the step deterministic).  The step
+maximises the tangent plane of the convex objective at the current x, a
+minorant, so each step can only raise the objective.
 
-Beamformer side.  J(w) = w^H H w with H PSD is minorised at w_prev by its
-tangent 2 Re(w^H H w_prev) - w_prev^H H w_prev; over the per-antenna
-constant-modulus set the minorant is maximised entrywise, giving
-w = sqrt(p0/N) * exp(j * arg(H w_prev)).  Each step can only raise J.
+* Beamformer side: J(w) = w^H H w, so M = H, b = 0, amp = sqrt(p0/N).
+* Phase side: in u = conj(v), J = u^H F11 u + 2 Re(u^H f12) + offset, so
+  M = F11, b = f12, amp = 1.  MM descends on g = offset - J, which is
+  concave in u, so its tangent plane at v_prev majorises it at any L
+  (Sun, Babu & Palomar, IEEE TSP 2017) and no eigenvalue shift is needed.
 
-Phase side.  Maximising the phase objective is written as minimising
-
-    g(v) = v D v^H - 2 Re(c^H v),   D = -F11 (negative semidefinite),
-                                    c = conj(f12),
-
-over unit-modulus v, where v is a row vector so that v D v^H means
-sum_{l,k} v_l D_lk conj(v_k).  The quadratic is majorised by the
-largest-eigenvalue surrogate with T = lambda_max(D) I, which collapses to
-a linear function whose unit-modulus minimiser is
-
-    v_l = exp(j * arg(gamma_l)),
-    gamma = conj((lambda_max(D) I - D) conj(v_prev) + conj(c)).
-
-(The conjugations implement the row-vector convention; for the Hermitian D
-this is the usual (lambda_max(D) I - D^T) v_prev + c.)  Each step can only
-lower g, i.e. raise the composite objective.
+Each step costs one matrix-vector product.  Inputs are checked once per
+solve (`mm_solve` validates one `MmProblem` and then only re-anchors it,
+`sca_solve` checks its matrix); the per-step kernels `mm_update_v` and
+`sca_update_w` check nothing.  Every solve loop, here and in `ao`, stops
+on the test `stalled`.
 """
 
 from __future__ import annotations
@@ -40,52 +31,33 @@ from .objective import (Beamformer, DerivedOperators, PhaseProfile,
 from .scenario import SystemConfig
 
 
-def lambda_max(mat: np.ndarray) -> float:
-    """Largest (most positive) eigenvalue of a Hermitian matrix.
-
-    A dense eigendecomposition serves every size: the matrices built here
-    are negative semidefinite with a low-rank nonzero part, so the top
-    eigenvalue sits in a cluster that power iteration separates extremely
-    slowly, and the surfaces modelled are small.
-    """
-    mat = np.asarray(mat)
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if check_hermitian(mat, "matrix") == 0.0:
-        return 0.0
-    return float(np.linalg.eigvalsh(mat)[-1])
+def stalled(new: float, prev: float, rel_tol: float) -> bool:
+    """The stop test of every solve loop: |new - prev| < rel_tol * |prev|."""
+    return abs(new - prev) < rel_tol * max(abs(prev), 1e-300)
 
 
-def _arg_or_keep(y: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """arg(y) entrywise, with arg(prev) wherever y is exactly zero."""
+def _ascent_phases(m_mat: np.ndarray, x: np.ndarray,
+                   b: np.ndarray | None = None) -> np.ndarray:
+    """Phases of the ascent step: arg(M x + b) entrywise, with arg(x)
+    wherever M x + b is exactly zero."""
+    y = m_mat @ x if b is None else m_mat @ x + b
     phase = np.arctan2(y.imag, y.real)
     if not y.all():
-        phase = np.where(y != 0.0, phase, np.angle(prev))
+        phase = np.where(y != 0.0, phase, np.angle(x))
     return phase
 
 
 def sca_update_w(big_h: np.ndarray, w_prev: Beamformer,
                  config: SystemConfig) -> Beamformer:
-    """One closed-form SCA beamformer step (see module docstring).
-
-    The unchecked per-step kernel: `sca_solve` checks `big_h` once per solve.
-    Entries where (H w_prev)_n = 0 keep their previous phase: any phase is
-    optimal for the minorant there and reusing the old one keeps the step
-    deterministic.
-    """
-    y = np.asarray(big_h) @ w_prev.w
-    return Beamformer.from_phases(_arg_or_keep(y, w_prev.w), config)
+    """One SCA beamformer step, w = sqrt(p0/N) exp(j arg(H w_prev)); the
+    unchecked per-step kernel (`sca_solve` checks `big_h` once per solve)."""
+    return Beamformer.from_phases(_ascent_phases(np.asarray(big_h), w_prev.w),
+                                  config)
 
 
 def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
               max_iters: int = 50, rel_tol: float = 1e-9) -> Beamformer:
-    """Iterate SCA steps at fixed phases until w^H H w stagnates.
-
-    Every step is nondecreasing in the quadratic form, so the loop solves
-    the beam subproblem to a (numerical) fixed point rather than taking a
-    single tangent step.
-    """
+    """Iterate SCA steps at fixed phases until w^H H w stalls."""
     big_h = np.asarray(big_h)
     if not np.isfinite(big_h).all():
         raise ValueError("big_h must be finite")
@@ -94,7 +66,7 @@ def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
     for _ in range(max_iters):
         out = sca_update_w(big_h, out, config)
         q = float(np.real(np.vdot(out.w, big_h @ out.w)))
-        if abs(q - q_prev) < rel_tol * max(abs(q), 1e-300):
+        if stalled(q, q_prev, rel_tol):
             break
         q_prev = q
     return out
@@ -102,35 +74,35 @@ def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
 
 @dataclass(frozen=True)
 class MmProblem:
-    """Unit-modulus quadratic minimisation data (see module docstring)."""
+    """The phase objective's operators and the current iterate."""
 
-    d_mat: np.ndarray   # (L, L) Hermitian, NSD for problems built from F11
-    c_vec: np.ndarray   # (L,) linear term, conj(f12) for built problems
+    f11: np.ndarray     # (L, L) PSD quadratic part
+    f12: np.ndarray     # (L,) linear part
     v_prev: np.ndarray  # (L,) current unit-modulus iterate
 
     def __post_init__(self) -> None:
-        d_mat = np.asarray(self.d_mat, dtype=np.complex128)
-        c_vec = np.asarray(self.c_vec, dtype=np.complex128)
+        f11 = np.asarray(self.f11, dtype=np.complex128)
+        f12 = np.asarray(self.f12, dtype=np.complex128)
         v_prev = np.asarray(self.v_prev, dtype=np.complex128)
-        l_dim = c_vec.size
-        if d_mat.shape != (l_dim, l_dim) or v_prev.shape != (l_dim,):
+        l_dim = f12.size
+        if f11.shape != (l_dim, l_dim) or v_prev.shape != (l_dim,):
             raise ValueError("inconsistent MM problem dimensions")
-        check_hermitian(d_mat, "d_mat")
-        for name, vec in (("c_vec", c_vec), ("v_prev", v_prev)):
+        check_hermitian(f11, "f11")
+        for name, vec in (("f12", f12), ("v_prev", v_prev)):
             if not np.isfinite(vec).all():
                 raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "d_mat", hermitian_part(d_mat))
-        object.__setattr__(self, "c_vec", c_vec)
+        object.__setattr__(self, "f11", hermitian_part(f11))
+        object.__setattr__(self, "f12", f12)
         object.__setattr__(self, "v_prev", v_prev)
 
     @classmethod
     def from_operators(cls, ops: DerivedOperators,
                        phases: PhaseProfile) -> "MmProblem":
-        return cls(d_mat=-ops.f11, c_vec=ops.f12.conj(), v_prev=phases.v)
+        return cls(f11=ops.f11, f12=ops.f12, v_prev=phases.v)
 
     def _anchored_at(self, v_prev: np.ndarray) -> "MmProblem":
         """The same validated problem at a new iterate of the same shape,
-        without re-running the checks (d_mat is already exactly Hermitian,
+        without re-running the checks (f11 is already exactly Hermitian,
         so re-symmetrising it would return the same bits)."""
         moved = object.__new__(MmProblem)
         moved.__dict__.update(self.__dict__, v_prev=v_prev)
@@ -138,64 +110,44 @@ class MmProblem:
 
 
 def mm_objective(problem: MmProblem, v: np.ndarray) -> float:
-    """g(v) = v D v^H - 2 Re(c^H v) in the row-vector convention.
-
-    For problems built from operators this equals offset - J, so MM descent
-    on g is ascent on the composite objective.
-    """
-    quad = float(np.real(v @ (problem.d_mat @ v.conj())))
-    lin = float(np.real(np.vdot(problem.c_vec, v)))
-    return quad - 2.0 * lin
+    """g(v) = -(u^H F11 u + 2 Re(u^H f12)) with u = conj(v), which equals
+    offset - J, so MM descent on g is ascent on the composite objective."""
+    u = np.asarray(v, dtype=np.complex128).conj()
+    quad = float(np.real(np.vdot(u, problem.f11 @ u)))
+    lin = float(np.real(np.vdot(u, problem.f12)))
+    return -(quad + 2.0 * lin)
 
 
-def mm_surrogate(problem: MmProblem, v: np.ndarray,
-                 lam: float | None = None) -> float:
-    """Majorising surrogate of g anchored at v_prev, evaluated at v.
+def mm_surrogate(problem: MmProblem, v: np.ndarray) -> float:
+    """Tangent plane of g at v_prev, evaluated at v.
 
     Equals g at v = v_prev and dominates g everywhere, the gap being the
-    PSD form (v - v_prev)(lam*I - D)(v - v_prev)^H.  For unit-modulus v
-    its quadratic part is the constant lam * L.
+    PSD form (u - u_prev)^H F11 (u - u_prev) in u = conj(v).
     """
-    v = np.asarray(v, dtype=np.complex128)
-    if lam is None:
-        lam = lambda_max(problem.d_mat)
-    # Work on conjugated vectors so every form is a standard column form.
-    u = v.conj()
     u_prev = problem.v_prev.conj()
-    t_minus_d = lam * np.eye(problem.c_vec.size) - problem.d_mat
-    quad = lam * float(np.real(np.vdot(u, u)))
-    cross = float(np.real(np.vdot(u, t_minus_d @ u_prev)))
-    const = float(np.real(np.vdot(u_prev, t_minus_d @ u_prev)))
-    lin = float(np.real(np.vdot(problem.c_vec, v)))
-    return quad - 2.0 * cross + const - 2.0 * lin
+    grad = problem.f11 @ u_prev + problem.f12
+    step = np.asarray(v, dtype=np.complex128).conj() - u_prev
+    return (mm_objective(problem, problem.v_prev)
+            - 2.0 * float(np.real(np.vdot(step, grad))))
 
 
-def mm_update_v(problem: MmProblem, lam: float | None = None) -> PhaseProfile:
-    """One MM phase step (see module docstring).
-
-    Entries with gamma_l = 0 keep the previous phase factor (the surrogate
-    is flat there).  `lam` lets a caller reuse a precomputed lambda_max(D)
-    across inner steps.
-    """
-    if lam is None:
-        lam = lambda_max(problem.d_mat)
-    u_prev = problem.v_prev.conj()
-    gamma_u = lam * u_prev - problem.d_mat @ u_prev + problem.c_vec.conj()
-    return PhaseProfile(alpha=_arg_or_keep(gamma_u.conj(), problem.v_prev))
+def mm_update_v(problem: MmProblem) -> PhaseProfile:
+    """One MM phase step, u = exp(j arg(F11 u_prev + f12)) in u = conj(v)."""
+    u_phase = _ascent_phases(problem.f11, problem.v_prev.conj(), problem.f12)
+    return PhaseProfile(alpha=-u_phase)
 
 
 def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
              max_iters: int = 50, rel_tol: float = 1e-6) -> PhaseProfile:
-    """Run MM steps at fixed beamformer until |delta g| < rel_tol * |g|."""
+    """Run MM steps at fixed beamformer until g stalls."""
     problem = MmProblem.from_operators(ops, phases)
-    lam = lambda_max(problem.d_mat)
     out = phases
     g_prev = mm_objective(problem, out.v)
     for _ in range(max_iters):
         problem = problem._anchored_at(out.v)
-        out = mm_update_v(problem, lam=lam)
+        out = mm_update_v(problem)
         g_new = mm_objective(problem, out.v)
-        if abs(g_new - g_prev) < rel_tol * max(abs(g_prev), 1e-300):
+        if stalled(g_new, g_prev, rel_tol):
             break
         g_prev = g_new
     return out

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iswpt import cli
@@ -420,6 +420,31 @@ def test_csv_determinism(tmp_path):
     assert run_cli(["sweep-l", "--spec", spec, "--seed", "10",
                     "--out", str(out_c)]) == 0
     assert out_a.read_bytes() != out_c.read_bytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_tx=st.integers(1, 4),
+       n_irs=st.integers(1, 8), algorithms=_EXPERIMENT_VALUES["algorithms"],
+       command=st.sampled_from(sorted(cli._COMMANDS)),
+       max_outer_iters=st.integers(1, 2))
+def test_cli_output_deterministic(seed, n_tx, n_irs, algorithms, command,
+                                  max_outer_iters):
+    if command == "convergence":  # convergence rejects rps
+        algorithms = tuple(a for a in algorithms if a != "rps")
+    assume(algorithms)
+    spec_text = (f"seed = {seed}\nn_tx = {n_tx}\nn_irs = {n_irs}\n"
+                 f"n_trials = 1\nsweep_l = {n_irs}\nsweep_rho = 0.3, 0.7\n"
+                 f"angle_step_deg = 30\nmax_outer_iters = {max_outer_iters}\n"
+                 f"algorithms = {', '.join(algorithms)}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "exp.txt"
+        spec.write_text(spec_text)
+        outputs = []
+        for run in (0, 1):
+            out = Path(tmp) / f"{run}.csv"
+            assert run_cli([command, "--spec", str(spec), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_overrides(tmp_path):

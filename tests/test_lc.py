@@ -1,28 +1,25 @@
-"""Closed-form updates: dominant eigenvalue, SCA beam step, MM phase step."""
+"""Closed-form updates: the SCA beam step and the MM phase step."""
 
 import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iswpt.lc import (MmProblem, lambda_max, mm_objective, mm_solve,
-                      mm_surrogate, mm_update_v, sca_solve, sca_update_w)
+from iswpt.lc import (MmProblem, mm_objective, mm_solve, mm_surrogate,
+                      mm_update_v, sca_solve, sca_update_w)
 from iswpt.objective import (Beamformer, PhaseProfile, build_operators,
                              composite_objective, target_steering_matrix)
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
                             sample_channels, steering_matrix, trial_stream)
 
 
-def random_hermitian(rng, n, nsd=False):
+def random_psd(rng, n):
     a = complex_normal(rng, (n, n))
-    mat = 0.5 * (a + a.conj().T)
-    if nsd:
-        mat = -(a.conj().T @ a)
-        mat = 0.5 * (mat + mat.conj().T)
-    return mat
+    mat = a.conj().T @ a
+    return 0.5 * (mat + mat.conj().T)
 
 
 def random_instance(seed, n=4, l=6, k=2, m=2, **overrides):
@@ -38,48 +35,6 @@ def random_instance(seed, n=4, l=6, k=2, m=2, **overrides):
 
 def quad_form(big_h, w):
     return float(np.real(np.vdot(w, big_h @ w)))
-
-
-# ---------------------------------------------------------------------------
-# lambda_max
-
-
-def test_lambda_max_diagonal():
-    assert lambda_max(np.diag([1.0, 2.0, 3.0])) == pytest.approx(3.0)
-
-
-def test_lambda_max_zero_matrix():
-    assert lambda_max(np.zeros((4, 4))) == 0.0
-
-
-def test_lambda_max_matches_dense_oracle():
-    rng = trial_stream(1, 0)
-    for _ in range(10):
-        mat = random_hermitian(rng, 8)
-        reference = float(np.linalg.eigvalsh(mat)[-1])
-        assert lambda_max(mat) == pytest.approx(reference, rel=1e-10, abs=1e-12)
-
-
-def test_lambda_max_large_matrix_uses_iterative_path():
-    """A 300 x 300 matrix takes the dense path, like every other size.
-
-    The name is kept from when sizes above 256 used power iteration; a
-    dominant rank-one bump keeps the top eigenvalue well separated.
-    """
-    rng = trial_stream(2, 0)
-    u = complex_normal(rng, (300,))
-    u /= np.linalg.norm(u)
-    mat = np.diag(np.linspace(0.0, 1.0, 300)) + 10.0 * np.outer(u, u.conj())
-    mat = 0.5 * (mat + mat.conj().T)
-    reference = float(np.linalg.eigvalsh(mat)[-1])
-    assert lambda_max(mat) == pytest.approx(reference, rel=1e-8)
-
-
-def test_lambda_max_rejects_bad_input():
-    with pytest.raises(ValueError):
-        lambda_max(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        lambda_max(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,36 +118,35 @@ def test_sca_solve_reaches_fixed_point():
 
 def test_mm_problem_validation():
     with pytest.raises(ValueError):
-        MmProblem(d_mat=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                  c_vec=np.zeros(2), v_prev=np.ones(2))
+        MmProblem(f11=np.array([[0.0, 1.0], [0.0, 0.0]]),
+                  f12=np.zeros(2), v_prev=np.ones(2))
     with pytest.raises(ValueError):
-        MmProblem(d_mat=np.zeros((2, 2)), c_vec=np.zeros(3), v_prev=np.ones(3))
+        MmProblem(f11=np.zeros((2, 2)), f12=np.zeros(3), v_prev=np.ones(3))
 
 
-@pytest.mark.parametrize("field", ["c_vec", "v_prev"])
+@pytest.mark.parametrize("field", ["f12", "v_prev"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_mm_problem_rejects_non_finite_vectors_by_name(field, bad):
-    # Unchecked, a NaN in c_vec gave the MM step the phases [nan, 0, 0].
-    data = dict(d_mat=-np.eye(3), c_vec=np.ones(3), v_prev=np.ones(3))
+    # Unchecked, a NaN in the linear term gave the MM step the phases [nan, 0, 0].
+    data = dict(f11=np.eye(3), f12=np.ones(3), v_prev=np.ones(3))
     data[field] = np.array([bad, 1.0, 1.0])
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         MmProblem(**data)
 
 
 def test_mm_step_with_flat_curvature():
-    # D = -I makes the surrogate's quadratic part vanish, so the update is
-    # a pure phase alignment with c.
-    problem = MmProblem(d_mat=-np.eye(2), c_vec=np.array([1.0, 1.0j]),
+    # F11 = 0 leaves only the linear term, so the update aligns u = conj(v)
+    # with f12.
+    problem = MmProblem(f11=np.zeros((2, 2)), f12=np.array([1.0, 1.0j]),
                         v_prev=np.array([1.0 + 0.0j, 1.0 + 0.0j]))
-    assert lambda_max(problem.d_mat) == pytest.approx(-1.0)
     out = mm_update_v(problem)
-    np.testing.assert_allclose(out.v, [1.0, 1.0j], atol=1e-12)
+    np.testing.assert_allclose(out.v, [1.0, -1.0j], atol=1e-12)
 
 
 def test_mm_zero_gamma_keeps_previous_iterate():
     rng = trial_stream(6, 0)
     v_prev = np.exp(1j * rng.uniform(-3.0, 3.0, 5))
-    problem = MmProblem(d_mat=np.zeros((5, 5)), c_vec=np.zeros(5), v_prev=v_prev)
+    problem = MmProblem(f11=np.zeros((5, 5)), f12=np.zeros(5), v_prev=v_prev)
     out = mm_update_v(problem)
     np.testing.assert_allclose(out.v, v_prev, atol=1e-14)
 
@@ -200,14 +154,14 @@ def test_mm_zero_gamma_keeps_previous_iterate():
 def test_mm_descent_on_random_problems():
     rng = trial_stream(7, 0)
     for _ in range(20):
-        d_mat = random_hermitian(rng, 6, nsd=True)
-        c_vec = complex_normal(rng, (6,))
+        f11 = random_psd(rng, 6)
+        f12 = complex_normal(rng, (6,))
         v = np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
-        problem = MmProblem(d_mat=d_mat, c_vec=c_vec, v_prev=v)
+        problem = MmProblem(f11=f11, f12=f12, v_prev=v)
         g_prev = mm_objective(problem, v)
         for _ in range(30):
             v = mm_update_v(problem).v
-            problem = MmProblem(d_mat=d_mat, c_vec=c_vec, v_prev=v)
+            problem = MmProblem(f11=f11, f12=f12, v_prev=v)
             g_new = mm_objective(problem, v)
             assert g_new <= g_prev + 1e-10 * max(1.0, abs(g_prev))
             g_prev = g_new
@@ -227,22 +181,27 @@ def test_mm_objective_ties_to_composite():
         assert g == pytest.approx(ops.offset - j, rel=1e-9, abs=1e-12)
 
 
-def test_mm_surrogate_tangent_and_dominating():
-    rng = trial_stream(9, 0)
-    d_mat = random_hermitian(rng, 8, nsd=True)
-    c_vec = complex_normal(rng, (8,))
-    v_prev = np.exp(1j * rng.uniform(-np.pi, np.pi, 8))
-    problem = MmProblem(d_mat=d_mat, c_vec=c_vec, v_prev=v_prev)
-    lam = lambda_max(d_mat)
-
-    g0 = mm_objective(problem, v_prev)
-    s0 = mm_surrogate(problem, v_prev, lam=lam)
-    assert s0 == pytest.approx(g0, rel=1e-10, abs=1e-12)
-
-    for _ in range(200):
-        v = np.exp(1j * rng.uniform(-np.pi, np.pi, 8))
-        slack = mm_surrogate(problem, v, lam=lam) - mm_objective(problem, v)
-        assert slack >= -1e-10 * max(1.0, abs(g0))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_tx=st.integers(1, 8),
+       n_irs=st.integers(1, 16), n_ehd=st.integers(1, 4),
+       n_targets=st.integers(1, 3), rho=st.floats(0.0, 1.0))
+@example(seed=5, n_tx=4, n_irs=3, n_ehd=4, n_targets=3, rho=0.5)
+def test_mm_surrogate_tangent_and_dominating(seed, n_tx, n_irs, n_ehd,
+                                             n_targets, rho):
+    # The tangent plane (T = 0) majorises g at any L, also for L < K+M,
+    # where F11 can be full rank and the eigenvalue shift was tighter.
+    config, channels, phases, beam = random_instance(
+        seed, n=n_tx, l=n_irs, k=n_ehd, m=n_targets, rho=rho)
+    ops = build_operators(channels, None, beam, config)
+    problem = MmProblem.from_operators(ops, phases)
+    g0 = mm_objective(problem, phases.v)
+    assert mm_surrogate(problem, phases.v) == pytest.approx(g0, rel=1e-12,
+                                                            abs=1e-300)
+    scale = max(1.0, abs(g0), float(np.abs(ops.f11).sum()))
+    rng = trial_stream(seed, 1)
+    for v in np.exp(1j * rng.uniform(-np.pi, np.pi, (100, n_irs))):
+        slack = mm_surrogate(problem, v) - mm_objective(problem, v)
+        assert slack >= -1e-12 * scale
 
 
 def test_mm_matches_exhaustive_grid_minimum():
@@ -251,35 +210,22 @@ def test_mm_matches_exhaustive_grid_minimum():
     levels, dim = 8, 6
     grid = -np.pi + 2.0 * np.pi * np.arange(levels) / levels
     combos = np.array(list(itertools.product(range(levels), repeat=dim)))
-    v_all = np.exp(1j * grid[combos])
+    u_all = np.exp(-1j * grid[combos])   # u = conj(v)
 
     for trial in range(3):
-        d_mat = random_hermitian(rng, dim, nsd=True)
-        c_vec = complex_normal(rng, (dim,))
-        quad = np.einsum("bl,lk,bk->b", v_all, d_mat, v_all.conj()).real
-        lin = (v_all @ c_vec.conj()).real
-        g_grid_min = float(np.min(quad - 2.0 * lin))
+        f11 = random_psd(rng, dim)
+        f12 = complex_normal(rng, (dim,)).conj()
+        quad = np.einsum("bl,lk,bk->b", u_all.conj(), f11, u_all).real
+        lin = (u_all.conj() @ f12).real
+        g_grid_min = float(np.min(-(quad + 2.0 * lin)))
 
         v = np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
-        problem = MmProblem(d_mat=d_mat, c_vec=c_vec, v_prev=v)
+        problem = MmProblem(f11=f11, f12=f12, v_prev=v)
         for _ in range(500):
             v = mm_update_v(problem).v
-            problem = MmProblem(d_mat=d_mat, c_vec=c_vec, v_prev=v)
+            problem = MmProblem(f11=f11, f12=f12, v_prev=v)
         g_mm = mm_objective(problem, v)
         assert g_mm <= g_grid_min + 0.02 * abs(g_grid_min)
-
-
-def test_mm_rank_deficient_curvature_is_flat():
-    # f11 built from K+M < L outer products is rank deficient, so the
-    # negated matrix has top eigenvalue exactly zero and the update matches
-    # the curvature-free formula.
-    config, channels, phases, beam = random_instance(seed=11, l=8, k=2, m=2)
-    ops = build_operators(channels, phases, beam, config)
-    d_mat = -ops.f11
-    assert lambda_max(d_mat) <= 1e-10 * np.linalg.norm(ops.f11)
-    problem = MmProblem.from_operators(ops, phases)
-    np.testing.assert_allclose(mm_update_v(problem).v,
-                               mm_update_v(problem, lam=0.0).v, atol=1e-12)
 
 
 def test_mm_solve_improves_composite_objective():
@@ -295,22 +241,21 @@ def test_mm_solve_improves_composite_objective():
 # ---------------------------------------------------------------------------
 # Solvers against the per-step reference loops
 #
-# The references below are the solvers as first written: every MM step
-# rebuilds and re-validates an MmProblem, and every step takes its phases
-# with np.angle and an np.abs mask.  The solvers must reproduce them bit for
-# bit.
+# The references below are the solvers as first written, with the MM step
+# at the T = 0 majorizer: every MM step rebuilds and re-validates an
+# MmProblem, and every step takes its phases with np.angle and an np.abs
+# mask.  The solvers must reproduce them bit for bit.
 
 
 def reference_mm_objective(problem, v):
-    v = np.asarray(v, dtype=np.complex128)
-    quad = float(np.real(v @ (problem.d_mat @ v.conj())))
-    lin = float(np.real(np.vdot(problem.c_vec, v)))
-    return quad - 2.0 * lin
+    u = np.asarray(v, dtype=np.complex128).conj()
+    quad = float(np.real(np.vdot(u, problem.f11 @ u)))
+    lin = float(np.real(np.vdot(u, problem.f12)))
+    return -(quad + 2.0 * lin)
 
 
-def reference_mm_step(problem, lam):
-    u_prev = problem.v_prev.conj()
-    gamma = (lam * u_prev - problem.d_mat @ u_prev + problem.c_vec.conj()).conj()
+def reference_mm_step(problem):
+    gamma = (problem.f11 @ problem.v_prev.conj() + problem.f12).conj()
     phase = np.where(np.abs(gamma) > 0.0, np.angle(gamma),
                      np.angle(problem.v_prev))
     return PhaseProfile(alpha=phase)
@@ -318,13 +263,11 @@ def reference_mm_step(problem, lam):
 
 def reference_mm_solve(ops, phases, max_iters=50, rel_tol=1e-6):
     problem = MmProblem.from_operators(ops, phases)
-    lam = lambda_max(problem.d_mat)
     out = phases
     g_prev = reference_mm_objective(problem, out.v)
     for _ in range(max_iters):
-        problem = MmProblem(d_mat=problem.d_mat, c_vec=problem.c_vec,
-                            v_prev=out.v)
-        out = reference_mm_step(problem, lam)
+        problem = MmProblem(f11=problem.f11, f12=problem.f12, v_prev=out.v)
+        out = reference_mm_step(problem)
         g_new = reference_mm_objective(problem, out.v)
         if abs(g_new - g_prev) < rel_tol * max(abs(g_prev), 1e-300):
             break
@@ -340,7 +283,7 @@ def reference_sca_solve(big_h, beam, config, max_iters=50, rel_tol=1e-9):
         phase = np.where(np.abs(y) > 0.0, np.angle(y), np.angle(out.w))
         out = Beamformer.from_phases(phase, config)
         q = float(np.real(np.vdot(out.w, np.asarray(big_h) @ out.w)))
-        if abs(q - q_prev) < rel_tol * max(abs(q), 1e-300):
+        if abs(q - q_prev) < rel_tol * max(abs(q_prev), 1e-300):
             break
         q_prev = q
     return out
@@ -365,8 +308,8 @@ def test_solvers_bit_identical_to_reference_loops(seed, n_irs, rel_tol):
 
 
 def test_solvers_bit_identical_with_zero_gradient_entries():
-    # MM: zero curvature and a linear term with zero entries make gamma
-    # exactly zero there, so those elements must keep their phase.
+    # MM: zero curvature and a linear term with zero entries make the
+    # gradient exactly zero there, so those elements must keep their phase.
     rng = trial_stream(24, 0)
     f12 = complex_normal(rng, (6,))
     f12[[0, 3]] = 0.0

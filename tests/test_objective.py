@@ -17,7 +17,7 @@ from iswpt.objective import (Beamformer, PhaseProfile, _cascade_terms,
                              wrap_angle)
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
                             sample_channels, steering_vector, trial_stream)
-from iswpt.lc import MmProblem, lambda_max
+from iswpt.lc import MmProblem
 from iswpt.sdp import DiagSdpProblem, _lifted_matrix
 
 
@@ -229,13 +229,11 @@ def test_operator_matrices_hermitian_psd():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_hermitian_checks_reject_non_finite_by_name(bad):
-    # Unchecked, a non-finite entry makes lambda_max -0.0 and MM phases NaN.
-    mat = -np.eye(3, dtype=complex)
+    # Unchecked, a non-finite entry makes the MM phases NaN.
+    mat = np.eye(3, dtype=complex)
     mat[1, 2] = mat[2, 1] = bad
-    with pytest.raises(ValueError, match="matrix must be finite"):
-        lambda_max(mat)
-    with pytest.raises(ValueError, match="d_mat must be finite"):
-        MmProblem(d_mat=mat, c_vec=np.ones(3), v_prev=np.ones(3))
+    with pytest.raises(ValueError, match="f11 must be finite"):
+        MmProblem(f11=mat, f12=np.ones(3), v_prev=np.ones(3))
     with pytest.raises(ValueError, match="cost matrix must be finite"):
         DiagSdpProblem(cost=mat, diag_values=np.ones(3))
 

@@ -1,0 +1,78 @@
+"""Compare two directories of CSVs written by `tools/csv_digest.py DIR`.
+
+    python3 tools/csv_digest.py before/     # in one source tree
+    python3 tools/csv_digest.py after/      # in the other
+    python3 tools/csv_reldiff.py before/ after/
+
+For each CSV file in either directory it prints the row count, the number
+of numeric cells that differ, and the worst relative change
+|a - b| / max(|a|, |b|) over those cells.  A cell is numeric when it parses
+as a float in both files; every other cell, the comment line included, must
+match exactly.  The exit status is 1 when a file is missing from one side,
+when row counts differ, or when a non-numeric cell differs, and 0 otherwise,
+so a rounding-level refactor is checked by the printed worst change.
+"""
+
+from __future__ import annotations
+
+import csv
+import sys
+from pathlib import Path
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def compare(path_a: Path, path_b: Path) -> tuple[str, bool]:
+    """(report line, whether the structure matches) for one pair of files."""
+    rows_a = list(csv.reader(path_a.read_text().splitlines()))
+    rows_b = list(csv.reader(path_b.read_text().splitlines()))
+    if len(rows_a) != len(rows_b):
+        return f"rows {len(rows_a)} != {len(rows_b)}", False
+    numeric = differ = mismatched = 0
+    worst = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        if len(row_a) != len(row_b):
+            mismatched += 1
+            continue
+        for cell_a, cell_b in zip(row_a, row_b):
+            a, b = _number(cell_a), _number(cell_b)
+            if a is None or b is None:
+                mismatched += cell_a != cell_b
+                continue
+            numeric += 1
+            if cell_a != cell_b:
+                differ += 1
+                scale = max(abs(a), abs(b))
+                worst = max(worst, abs(a - b) / scale if scale else 0.0)
+    line = (f"rows {len(rows_a)}, numeric cells differing {differ} of "
+            f"{numeric}, worst relative change {worst:.2e}")
+    if mismatched:
+        line += f", non-numeric cells differing {mismatched}"
+    return line, mismatched == 0
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    dir_a, dir_b = (Path(arg) for arg in argv)
+    names = sorted({p.name for d in (dir_a, dir_b) for p in d.glob("*.csv")})
+    ok = True
+    for name in names:
+        path_a, path_b = dir_a / name, dir_b / name
+        if not (path_a.is_file() and path_b.is_file()):
+            line, same = "missing on one side", False
+        else:
+            line, same = compare(path_a, path_b)
+        ok &= same
+        print(f"{name}: {line}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
