@@ -13,8 +13,8 @@ from .scenario import (ChannelSet, SystemConfig, complex_normal, db_to_linear,
                        path_loss, sample_channels, steering_matrix,
                        steering_vector, trial_stream)
 from .objective import (Beamformer, DerivedOperators, PhaseProfile,
-                        beampattern_gain, beampattern_profile,
-                        build_operators, composite_objective, solution_metrics)
+                        beampattern_profile, build_operators,
+                        composite_objective, solution_metrics)
 from .sdp import (DiagSdpProblem, SdpNonConvergence, SdpSolution,
                   extract_beamformer, extract_phases, solve_diag_sdp,
                   sdp_update_v, sdp_update_w)

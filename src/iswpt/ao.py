@@ -161,7 +161,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
 
             ops = build_operators(channels, None, beam, config)
             if ao.algorithm == ALGORITHM_SDP:
-                phases, relaxed_v = sdp.sdp_update_v(ops, config, rng,
+                phases, relaxed_v = sdp.sdp_update_v(ops.big_f, config, rng,
                                                      tol=ao.sdp_tol, incumbent=phases)
             else:
                 phases, relaxed_v = lc.mm_solve(ops, phases), None

@@ -8,10 +8,11 @@ maximises the tangent plane of the convex objective at the current x, a
 minorant, so each step can only raise the objective.
 
 * Beamformer side: J(w) = w^H H w, so M = H, b = 0, amp = sqrt(p0/N).
-* Phase side: in u = conj(v), J = u^H F11 u + 2 Re(u^H f12) + offset, so
-  M = F11, b = f12, amp = 1.  MM descends on g = offset - J, which is
-  concave in u, so its tangent plane at v_prev majorises it at any L
-  (Sun, Babu & Palomar, IEEE TSP 2017) and no eigenvalue shift is needed.
+* Phase side: in u = conj(v), J = u^H F11 u + 2 Re(u^H f12) + offset with
+  F11, f12 and offset the blocks of `big_f`, so M = F11, b = f12, amp = 1.
+  MM descends on g = offset - J, which is concave in u, so its tangent
+  plane at v_prev majorises it at any L (Sun, Babu & Palomar, IEEE TSP
+  2017) and no eigenvalue shift is needed.
 
 Each step costs one matrix-vector product.  Inputs are checked once per
 solve (`mm_solve` validates one `MmProblem` and then only re-anchors it,
@@ -98,7 +99,8 @@ class MmProblem:
     @classmethod
     def from_operators(cls, ops: DerivedOperators,
                        phases: PhaseProfile) -> "MmProblem":
-        return cls(f11=ops.f11, f12=ops.f12, v_prev=phases.v)
+        l_dim = phases.v.size   # F11 and f12 are blocks of big_f
+        return cls(ops.big_f[:l_dim, :l_dim], ops.big_f[:l_dim, l_dim], phases.v)
 
     def _anchored_at(self, v_prev: np.ndarray) -> "MmProblem":
         """The same validated problem at a new iterate of the same shape,

@@ -14,18 +14,18 @@ channel, the weighted objective is
 
     J = rho*eta*p0 * sum_k |h_tilde_k w|^2 + (1-rho) * sum_m |h_hat_m w|^2.
 
-It is a quadratic form in either variable once the other is frozen, and
-`build_operators` materialises the matrices of those forms, one side per
-frozen variable it is given (None for a variable skips its side):
+With one variable frozen, J sums |x . r|^2 over K device rows r (weight
+rho*eta*p0), then M target rows (weight 1-rho): a Gram form of the rows.
+`build_operators` builds the matrix of each side whose frozen variable it
+is given (None for a variable skips its side):
 
-* beamformer side, from v alone:  J = w^H H w;
-* phase side, from w alone:       J = v F11 v^H + 2 Re(v . f12) + offset,
-  built from c_k = h_ru_k * g, a_k = h_d_k w and d_m = a(theta_m) * g
-  (elementwise products against g), which satisfy the scalar identities
-
-      v . c_k + a_k = h_tilde_k w        v . d_m = h_hat_m w
-
-  with plain unconjugated dot products.
+* beamformer side, rows h_tilde_k, h_hat_m from v:   J = w^H big_h w;
+* phase side, lifted rows [c_k, a_k], [d_m, 0] from w, where c_k = h_ru_k * g,
+  a_k = h_d_k w and d_m = a(theta_m) * g (elementwise against g), so that
+  [v, 1] . [c_k, a_k] = h_tilde_k w and [v, 1] . [d_m, 0] = h_hat_m w with
+  plain unconjugated dot products:                    J = [v, 1] big_f [v, 1]^H.
+  The blocks of big_f are F11 (L x L), the column f12 and the corner
+  offset = rho*eta*p0 * sum_k |a_k|^2: J = v F11 v^H + 2 Re(v . f12) + offset.
 """
 
 from __future__ import annotations
@@ -126,18 +126,13 @@ class PhaseProfile:
 
 @dataclass(frozen=True)
 class DerivedOperators:
-    """The quadratic-form matrices of J with one variable frozen.
-
-    big_h depends on the phases only; f11, f12 and offset on the
-    beamformer only.  A side whose frozen variable was not given to
-    `build_operators` is None.  f11 and big_h are exactly Hermitian
-    (symmetrised).
-    """
+    """The Gram matrices of J with one variable frozen, J = w^H big_h w and
+    J = [v, 1] big_f [v, 1]^H.  big_h depends on the phases only, big_f on
+    the beamformer only; a side whose frozen variable was not given to
+    `build_operators` is None.  Both are exactly Hermitian (symmetrised)."""
 
     big_h: np.ndarray | None   # (N, N) PSD beamformer-side matrix
-    f11: np.ndarray | None     # (L, L) PSD quadratic part of the phase objective
-    f12: np.ndarray | None     # (L,) linear part of the phase objective
-    offset: float | None       # v-independent term rho*eta*p0*sum_k |a_k|^2
+    big_f: np.ndarray | None   # (L+1, L+1) PSD lifted phase-side matrix
 
 
 @lru_cache(maxsize=64)
@@ -153,27 +148,25 @@ def target_steering_matrix(target_angles: tuple[float, ...], n_irs: int,
     return steer
 
 
-def _cascade_terms(channels: ChannelSet, beam: Beamformer,
-                   config: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c_k, a_k, d_m for the current beamformer (v-side parameterisation)."""
-    g = channels.h_br @ beam.w                          # (L,) illumination
-    c_vecs = channels.h_ru * g[None, :]                 # rows: h_ru_k * g
-    a_scalars = channels.h_d @ beam.w                   # (K,)
+def _beam_rows(channels: ChannelSet, phases: PhaseProfile,
+               config: SystemConfig) -> np.ndarray:
+    """(K+M, N) rows h_tilde_k, then h_hat_m, at the phase profile."""
     steer = target_steering_matrix(config.target_angles, config.n_irs,
                                    config.delta)
-    d_vecs = steer * g[None, :]                         # rows: a(theta_m) * g
-    return c_vecs, a_scalars, d_vecs
+    rows = (np.vstack([channels.h_ru, steer]) * phases.v[None, :]) @ channels.h_br
+    rows[:config.n_ehd] += channels.h_d
+    return rows
 
 
-def _effective_channels(channels: ChannelSet, phases: PhaseProfile,
-                        config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """h_tilde_k and h_hat_m for the current phase profile (w-side)."""
-    v = phases.v
-    h_tilde = (channels.h_ru * v[None, :]) @ channels.h_br + channels.h_d
+def _phase_rows(channels: ChannelSet, beam: Beamformer,
+                config: SystemConfig) -> np.ndarray:
+    """(K+M, L+1) lifted rows [c_k, a_k], then [d_m, 0], at the beamformer."""
     steer = target_steering_matrix(config.target_angles, config.n_irs,
                                    config.delta)
-    h_hat = (steer * v[None, :]) @ channels.h_br
-    return h_tilde, h_hat
+    rows = np.zeros((config.n_ehd + steer.shape[0], config.n_irs + 1), complex)
+    rows[:, :-1] = np.vstack([channels.h_ru, steer]) * (channels.h_br @ beam.w)
+    rows[:config.n_ehd, -1] = channels.h_d @ beam.w
+    return rows
 
 
 def energy_weight(config: SystemConfig) -> float:
@@ -181,26 +174,41 @@ def energy_weight(config: SystemConfig) -> float:
     return config.rho * config.eta * config.p0
 
 
+def _gram(rows: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """hermitian_part(rho*eta*p0 * E^H E + (1-rho) * S^H S) for the device
+    rows E (the first K) and the target rows S (the rest)."""
+    energy, sensing = rows[:config.n_ehd], rows[config.n_ehd:]
+    return hermitian_part(energy_weight(config) * (energy.conj().T @ energy)
+                          + (1.0 - config.rho) * (sensing.conj().T @ sensing))
+
+
+def _score(rows: np.ndarray, config: SystemConfig, x_rows: np.ndarray,
+           offsets: np.ndarray | None = None) -> np.ndarray:
+    """J for each of the B rows of `x_rows`: the weighted sum over `rows` of
+    |x . row + offset|^2 (unconjugated products).  `offsets` holds the
+    constant terms of the K device rows; the target rows have none.  The
+    two groups take one product each, since BLAS may round a column of one
+    (B, K+M) product differently."""
+    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.complex128))
+    energy = x_rows @ rows[:config.n_ehd].T
+    if offsets is not None:
+        energy += offsets
+    sensing = x_rows @ rows[config.n_ehd:].T
+    return (energy_weight(config) * (np.abs(energy) ** 2).sum(axis=1)
+            + (1.0 - config.rho) * (np.abs(sensing) ** 2).sum(axis=1))
+
+
 def build_operators(channels: ChannelSet, phases: PhaseProfile | None,
                     beam: Beamformer | None, config: SystemConfig) -> DerivedOperators:
-    """Materialise the operators of each side whose frozen variable is given:
-    `phases` yields big_h, `beam` yields f11, f12 and offset.  Pass None for
-    the variable being optimised to skip the side it does not need."""
-    w_e = energy_weight(config)
-    w_s = 1.0 - config.rho
-    big_h = f11 = f12 = offset = None
+    """Materialise the Gram matrix of each side whose frozen variable is
+    given: `phases` yields big_h, `beam` yields big_f.  Pass None for the
+    variable being optimised to skip the side it does not need."""
+    big_h = big_f = None
     if phases is not None:
-        h_tilde, h_hat = _effective_channels(channels, phases, config)
-        big_h = hermitian_part(w_e * (h_tilde.conj().T @ h_tilde)
-                               + w_s * (h_hat.conj().T @ h_hat))
-    if beam is not None:
-        c_vecs, a_scalars, d_vecs = _cascade_terms(channels, beam, config)
-        # sum_k c_k c_k^H == C^T conj(C) for row-stacked C, likewise for d.
-        f11 = hermitian_part(w_e * (c_vecs.T @ c_vecs.conj())
-                             + w_s * (d_vecs.T @ d_vecs.conj()))
-        f12 = w_e * (c_vecs.T @ a_scalars.conj())
-        offset = float(w_e * np.sum(np.abs(a_scalars) ** 2))
-    return DerivedOperators(big_h=big_h, f11=f11, f12=f12, offset=offset)
+        big_h = _gram(_beam_rows(channels, phases, config), config)
+    if beam is not None:   # sum |[v, 1] . r|^2 is the Gram form of conj(r)
+        big_f = _gram(_phase_rows(channels, beam, config).conj(), config)
+    return DerivedOperators(big_h=big_h, big_f=big_f)
 
 
 def objective_for_phase_batch(channels: ChannelSet, beam: Beamformer,
@@ -211,23 +219,14 @@ def objective_for_phase_batch(channels: ChannelSet, beam: Beamformer,
     evaluation path for J: the scalar entry point and the exhaustive
     searches all route through here.
     """
-    v_rows = np.atleast_2d(np.asarray(v_rows, dtype=np.complex128))
-    c_vecs, a_scalars, d_vecs = _cascade_terms(channels, beam, config)
-    energy = np.abs(v_rows @ c_vecs.T + a_scalars[None, :]) ** 2
-    sensing = np.abs(v_rows @ d_vecs.T) ** 2
-    return (energy_weight(config) * energy.sum(axis=1)
-            + (1.0 - config.rho) * sensing.sum(axis=1))
+    rows = _phase_rows(channels, beam, config)
+    return _score(rows[:, :-1], config, v_rows, rows[:config.n_ehd, -1])
 
 
 def objective_for_beam_batch(channels: ChannelSet, phases: PhaseProfile,
                              config: SystemConfig, w_rows: np.ndarray) -> np.ndarray:
     """Composite objective J for a batch of beamformers at fixed phases."""
-    w_rows = np.atleast_2d(np.asarray(w_rows, dtype=np.complex128))
-    h_tilde, h_hat = _effective_channels(channels, phases, config)
-    energy = np.abs(w_rows @ h_tilde.T) ** 2
-    sensing = np.abs(w_rows @ h_hat.T) ** 2
-    return (energy_weight(config) * energy.sum(axis=1)
-            + (1.0 - config.rho) * sensing.sum(axis=1))
+    return _score(_beam_rows(channels, phases, config), config, w_rows)
 
 
 def composite_objective(channels: ChannelSet, phases: PhaseProfile,
@@ -247,13 +246,6 @@ def beampattern_profile(channels: ChannelSet, phases: PhaseProfile,
     return np.abs(steer @ u) ** 2
 
 
-def beampattern_gain(channels: ChannelSet, phases: PhaseProfile,
-                     beam: Beamformer, theta: float, delta: float = 0.5) -> float:
-    """Beampattern at a single angle."""
-    return float(beampattern_profile(channels, phases, beam,
-                                     np.asarray([theta]), delta)[0])
-
-
 def objective_from_parts(rho: float | np.ndarray, p0: float, harvested: float | np.ndarray,
                          sensing: float | np.ndarray) -> float | np.ndarray:
     """J from its parts: rho*p0*harvested + (1-rho)*sensing, where `harvested`
@@ -264,9 +256,9 @@ def objective_from_parts(rho: float | np.ndarray, p0: float, harvested: float | 
 def solution_metrics(channels: ChannelSet, phases: PhaseProfile,
                      beam: Beamformer, config: SystemConfig) -> tuple[float, float, float]:
     """(J, summed harvested power, summed target beampattern) at an iterate."""
-    h_tilde, h_hat = _effective_channels(channels, phases, config)
-    harvested_sum = float(config.eta * np.sum(np.abs(h_tilde @ beam.w) ** 2))
-    beampattern_sum = float(np.sum(np.abs(h_hat @ beam.w) ** 2))
+    power = np.abs(_beam_rows(channels, phases, config) @ beam.w) ** 2
+    harvested_sum = float(config.eta * np.sum(power[:config.n_ehd]))
+    beampattern_sum = float(np.sum(power[config.n_ehd:]))
     j_value = objective_from_parts(config.rho, config.p0, harvested_sum,
                                    beampattern_sum)
     return j_value, harvested_sum, beampattern_sum

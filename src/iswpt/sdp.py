@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import (Beamformer, DerivedOperators, PhaseProfile,
-                        check_hermitian, hermitian_part)
+from .objective import (Beamformer, PhaseProfile, check_hermitian,
+                        hermitian_part)
 from .scenario import SystemConfig, complex_normal
 
 
@@ -301,34 +301,22 @@ def sdp_update_w(big_h: np.ndarray, config: SystemConfig,
     return beam, solution.objective + solution.duality_gap
 
 
-def _lifted_matrix(ops: DerivedOperators) -> np.ndarray:
-    """The (L+1, L+1) phase-side matrix [[F11, f12], [f12^H, 0]].
-
-    [v, 1] F [v, 1]^H (row-vector convention) equals J minus the offset.
-    F11 is exactly Hermitian, so the block matrix is too, bit for bit.
-    """
-    l_dim = ops.f12.size
-    big_f = np.zeros((l_dim + 1, l_dim + 1), dtype=np.complex128)
-    big_f[:l_dim, :l_dim] = ops.f11
-    big_f[:l_dim, l_dim] = ops.f12
-    big_f[l_dim, :l_dim] = ops.f12.conj()
-    return big_f
-
-
-def sdp_update_v(ops: DerivedOperators, config: SystemConfig,
+def sdp_update_v(big_f: np.ndarray, config: SystemConfig,
                  rng: np.random.Generator, tol: float = 1e-7,
                  n_rand: int = 200,
                  incumbent: PhaseProfile | None = None) -> tuple[PhaseProfile, float]:
-    """Phase half-step at fixed beamformer: lift the phase side of `ops`
-    (f11, f12, offset) to a unit-diagonal program, solve, extract.
-
-    Returns the feasible profile and the dual value of the relaxation plus
-    the v-independent offset: an upper bound, in composite-objective units,
-    on the achievable J at this beamformer, rigorous at any `tol`.
+    """Phase half-step at fixed beamformer: relax max [v, 1] big_f [v, 1]^H,
+    solve, extract.  The corner of big_f, the v-independent offset, is
+    zeroed in a copy for the relaxation and extraction (kept, it would
+    outweigh every other entry and rescale the interior-point method) and
+    added back to the dual value: an upper bound on the achievable J at
+    this beamformer, rigorous at any `tol`, returned with the profile.
     """
-    big_f = _lifted_matrix(ops)
-    problem = DiagSdpProblem(cost=big_f, diag_values=np.ones(config.n_irs + 1))
+    cost = np.array(big_f, dtype=np.complex128)
+    offset = float(cost[-1, -1].real)
+    cost[-1, -1] = 0.0
+    problem = DiagSdpProblem(cost=cost, diag_values=np.ones(config.n_irs + 1))
     solution = solve_diag_sdp(problem, tol=tol)
-    phases = extract_phases(solution.x_opt, big_f, n_rand, rng,
+    phases = extract_phases(solution.x_opt, cost, n_rand, rng,
                             incumbent=incumbent)
-    return phases, solution.objective + solution.duality_gap + ops.offset
+    return phases, solution.objective + solution.duality_gap + offset

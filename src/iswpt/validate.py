@@ -17,9 +17,8 @@ import numpy as np
 
 from .ao import AoConfig, run_ao, run_rps
 from .lc import MmProblem, mm_objective, mm_solve, mm_surrogate
-from .objective import (Beamformer, PhaseProfile, beampattern_gain,
-                        beampattern_profile, build_operators,
-                        composite_objective)
+from .objective import (Beamformer, PhaseProfile, beampattern_profile,
+                        build_operators, composite_objective)
 from .oracle import SearchBudget, quantized_phase_search
 from .scenario import (SystemConfig, complex_normal, sample_channels,
                        slice_channels, steering_vector, trial_stream)
@@ -168,7 +167,8 @@ def check_sdp_unit_exactness() -> CriterionResult:
 
 def check_surrogate_tangency_domination() -> CriterionResult:
     """Both tangent planes touch at the expansion point; the MM one
-    dominates g and the SCA one is dominated by w^H H w."""
+    dominates g and the SCA one is dominated by w^H H w, at random points
+    and at points near the expansion point, where a wrong slope shows."""
     config = dataclasses.replace(SystemConfig(seed=77), n_irs=16, rho=0.5)
     worst_tangent = 0.0
     phase_slack = beam_slack = np.inf
@@ -181,22 +181,24 @@ def check_surrogate_tangency_domination() -> CriterionResult:
         ops = build_operators(channels, phases, beam, config)
 
         problem = MmProblem.from_operators(ops, phases)
+        v_far = np.exp(1j * rng.uniform(-np.pi, np.pi, (1000, config.n_irs)))
+        w_far = config.beam_amplitude * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, (1000, config.n_tx)))
+        w_near, v_near = (x * np.exp(1j * rng.uniform(-0.01, 0.01, (1000, x.size)))
+                          for x in (beam.w, phases.v))
         g0 = mm_objective(problem, phases.v)
         s0 = mm_surrogate(problem, phases.v)
         worst_tangent = max(worst_tangent, abs(s0 - g0) / max(1.0, abs(g0)))
-        for v_rand in np.exp(1j * rng.uniform(-np.pi, np.pi,
-                                              (1000, config.n_irs))):
+        for v_rand in np.vstack([v_far, v_near]):
             slack = (mm_surrogate(problem, v_rand)
                      - mm_objective(problem, v_rand))
             phase_slack = min(phase_slack, slack)
 
         # Beam minorant 2 Re(w^H H w0) - q(w0) against q(w) = w^H H w, on
-        # row 0 = w0 and 1000 random constant-modulus beams.
-        w0 = beam.w
-        rows = np.vstack([w0, config.beam_amplitude * np.exp(
-            1j * rng.uniform(-np.pi, np.pi, (1000, config.n_tx)))])
+        # row 0 = w0 and the random and nearby constant-modulus beams.
+        rows = np.vstack([beam.w, w_far, w_near])
         q_rows = np.real(np.sum(rows.conj() * (rows @ ops.big_h.T), axis=1))
-        minorant = 2.0 * np.real(rows.conj() @ (ops.big_h @ w0)) - q_rows[0]
+        minorant = 2.0 * np.real(rows.conj() @ (ops.big_h @ beam.w)) - q_rows[0]
         worst_tangent = max(worst_tangent, abs(minorant[0] - q_rows[0])
                             / max(1.0, abs(q_rows[0])))
         beam_slack = min(beam_slack, float(np.min(q_rows[1:] - minorant[1:])))
@@ -315,10 +317,9 @@ def check_beampattern_target_peaks() -> CriterionResult:
         peak_angles = grid_deg[interior]
         hits += all(np.min(np.abs(peak_angles - target)) <= 3.0
                     for target in targets_deg)
-        target_gains.extend(
-            beampattern_gain(channels, trace.phases, trace.beam,
-                             np.radians(target), config.delta)
-            for target in targets_deg)
+        target_gains.extend(beampattern_profile(
+            channels, trace.phases, trace.beam, np.radians(targets_deg),
+            config.delta))
         off_gains.append(float(np.mean(gains[off_mask])))
     mean_target = float(np.mean(target_gains))
     mean_off = float(np.mean(off_gains))

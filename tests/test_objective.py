@@ -8,9 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iswpt.objective import (Beamformer, PhaseProfile, _cascade_terms,
-                             _effective_channels, beampattern_gain,
-                             beampattern_profile, build_operators,
+from iswpt.objective import (Beamformer, PhaseProfile, _beam_rows,
+                             _phase_rows, beampattern_profile, build_operators,
                              composite_objective, hermitian_part,
                              objective_for_beam_batch,
                              objective_for_phase_batch, solution_metrics,
@@ -18,7 +17,7 @@ from iswpt.objective import (Beamformer, PhaseProfile, _cascade_terms,
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
                             sample_channels, steering_vector, trial_stream)
 from iswpt.lc import MmProblem
-from iswpt.sdp import DiagSdpProblem, _lifted_matrix
+from iswpt.sdp import DiagSdpProblem
 
 
 def random_instance(seed, n=4, l=6, k=2, m=2, **overrides):
@@ -46,21 +45,22 @@ def two_element_surface():
 def test_beampattern_constructive_sum():
     config, channels, beam = two_element_surface()
     phases = PhaseProfile(alpha=np.zeros(2))
-    assert beampattern_gain(channels, phases, beam, 0.0) == pytest.approx(4.0)
+    assert beampattern_profile(channels, phases, beam, 0.0)[0] == pytest.approx(4.0)
 
 
 def test_beampattern_destructive_cancellation():
     config, channels, beam = two_element_surface()
     phases = PhaseProfile(alpha=np.array([0.0, np.pi]))
-    assert beampattern_gain(channels, phases, beam, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert beampattern_profile(channels, phases, beam, 0.0)[0] == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_beampattern_matches_symbol_average():
     # Transmitting x = w * s with unit-power symbols leaves the expected
     # beampattern equal to the closed form; check the sample mean.
     config, channels, phases, beam = random_instance(seed=88)
-    closed = beampattern_gain(channels, phases, beam, config.target_angles[0],
-                              config.delta)
+    closed = beampattern_profile(channels, phases, beam,
+                                 config.target_angles[0], config.delta)[0]
     symbols = complex_normal(trial_stream(88, 1), (100_000,))
     steer = steering_vector(config.target_angles[0], config.n_irs, config.delta)
     amplitude = (steer * phases.v) @ channels.h_br @ beam.w
@@ -74,7 +74,7 @@ def test_beampattern_profile_batches_single_angles():
     profile = beampattern_profile(channels, phases, beam, grid, config.delta)
     for theta, gain in zip(grid, profile):
         assert gain == pytest.approx(
-            beampattern_gain(channels, phases, beam, theta, config.delta))
+            beampattern_profile(channels, phases, beam, theta, config.delta)[0])
 
 
 def test_harvested_energy_direct_link_only():
@@ -103,16 +103,15 @@ def test_harvested_energy_proportional_to_eta():
 
 def test_composite_objective_rho_boundaries():
     config, channels, phases, beam = random_instance(seed=44, rho=1.0)
-    h_tilde, _ = _effective_channels(channels, phases, config)
+    h_tilde = _beam_rows(channels, phases, config)[:config.n_ehd]
     energy_only = config.eta * config.p0 * np.sum(
         np.abs(h_tilde @ beam.w) ** 2)
     assert composite_objective(channels, phases, beam, config) == pytest.approx(
         energy_only, rel=1e-10)
 
     config0 = dataclasses.replace(config, rho=0.0)
-    sensing_only = sum(
-        beampattern_gain(channels, phases, beam, theta, config.delta)
-        for theta in config.target_angles)
+    sensing_only = np.sum(beampattern_profile(
+        channels, phases, beam, config.target_angles, config.delta))
     assert composite_objective(channels, phases, beam, config0) == pytest.approx(
         sensing_only, rel=1e-10)
 
@@ -129,7 +128,7 @@ def test_composite_objective_lifted_form_agreement():
     config, channels, phases, beam = random_instance(seed=18)
     ops = build_operators(channels, None, beam, config)
     aug = np.append(phases.v, 1.0)
-    j_lifted = float(np.real(aug @ (_lifted_matrix(ops) @ aug.conj()))) + ops.offset
+    j_lifted = float(np.real(aug @ (ops.big_f @ aug.conj())))
     assert j_lifted == pytest.approx(
         composite_objective(channels, phases, beam, config), rel=1e-10)
 
@@ -140,34 +139,39 @@ def test_composite_objective_lifted_form_agreement():
 @example(seed=17, n=4, l=6, k=2, m=2, rho=0.9)
 @example(seed=18, n=4, l=6, k=2, m=2, rho=0.9)
 def test_composite_objective_operator_forms_agree(seed, n, l, k, m, rho):
-    # J = w^H big_h w = v F11 v^H + 2 Re(v f12) + offset = lifted form.
+    # J = w^H big_h w = [v, 1] big_f [v, 1]^H = both batch scores =
+    # solution_metrics, and the corner of big_f is rho*eta*p0 sum |h_d,k w|^2.
     config, channels, phases, beam = random_instance(seed, n=n, l=l, k=k, m=m,
                                                      rho=rho)
     ops = build_operators(channels, phases, beam, config)
-    j_direct = composite_objective(channels, phases, beam, config)
-    v = phases.v
-    j_beam = float(np.real(np.vdot(beam.w, ops.big_h @ beam.w)))
-    j_phase = float(np.real(v @ ops.f11 @ v.conj())
-                    + 2.0 * np.real(v @ ops.f12)) + ops.offset
-    aug = np.append(v, 1.0)
-    j_lifted = float(np.real(aug @ (_lifted_matrix(ops) @ aug.conj()))) + ops.offset
-    for j_form in (j_beam, j_phase, j_lifted):
-        assert j_form == pytest.approx(j_direct, rel=1e-10)
+    j_direct = solution_metrics(channels, phases, beam, config)[0]
+    aug = np.append(phases.v, 1.0)
+    forms = (
+        float(np.real(np.vdot(beam.w, ops.big_h @ beam.w))),
+        float(np.real(aug @ (ops.big_f @ aug.conj()))),
+        float(objective_for_phase_batch(channels, beam, config, phases.v)[0]),
+        float(objective_for_beam_batch(channels, phases, config, beam.w)[0]),
+    )
+    for j_form in forms:
+        assert j_form == pytest.approx(j_direct, rel=1e-10, abs=1e-300)
+    offset = (config.rho * config.eta * config.p0
+              * np.sum(np.abs(channels.h_d @ beam.w) ** 2))
+    assert ops.big_f[-1, -1] == pytest.approx(offset, rel=1e-12, abs=1e-300)
 
 
 def test_build_operators_cascade_identities():
+    # [v, 1] . (lifted phase row) = (beam row) . w, row by row, with plain
+    # unconjugated products: h_tilde_k w for the K devices, then h_hat_m w.
     config, channels, phases, beam = random_instance(seed=3)
-    c_vecs, a_scalars, d_vecs = _cascade_terms(channels, beam, config)
-    h_tilde, h_hat = _effective_channels(channels, phases, config)
-    v = phases.v
-    for k in range(config.n_ehd):
-        lhs = np.dot(v, c_vecs[k]) + a_scalars[k]
-        rhs = np.dot(h_tilde[k], beam.w)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-    for m in range(config.n_targets):
-        lhs = np.dot(v, d_vecs[m])
-        rhs = np.dot(h_hat[m], beam.w)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+    lifted = _phase_rows(channels, beam, config)
+    rows = _beam_rows(channels, phases, config)
+    assert lifted.shape == (config.n_ehd + config.n_targets, config.n_irs + 1)
+    assert rows.shape == (config.n_ehd + config.n_targets, config.n_tx)
+    assert np.all(lifted[config.n_ehd:, -1] == 0.0)
+    np.testing.assert_allclose(lifted @ np.append(phases.v, 1.0), rows @ beam.w,
+                               rtol=1e-10)
+    h_tilde = ((channels.h_ru * phases.v) @ channels.h_br + channels.h_d)
+    np.testing.assert_allclose(rows[:config.n_ehd], h_tilde, rtol=1e-12)
 
 
 def test_build_operators_direct_link_only():
@@ -176,10 +180,10 @@ def test_build_operators_direct_link_only():
                             h_ru=np.zeros_like(channels.h_ru),
                             h_d=channels.h_d)
     identity_phases = PhaseProfile(alpha=np.zeros(config.n_irs))
-    c_vecs, a_scalars, _ = _cascade_terms(no_reflect, beam, config)
-    h_tilde, _ = _effective_channels(no_reflect, identity_phases, config)
-    np.testing.assert_allclose(c_vecs, 0.0, atol=1e-15)
-    np.testing.assert_allclose(h_tilde @ beam.w, a_scalars, atol=1e-12)
+    lifted = _phase_rows(no_reflect, beam, config)[:config.n_ehd]
+    h_tilde = _beam_rows(no_reflect, identity_phases, config)[:config.n_ehd]
+    np.testing.assert_allclose(lifted[:, :-1], 0.0, atol=1e-15)
+    np.testing.assert_allclose(h_tilde @ beam.w, lifted[:, -1], atol=1e-12)
 
 
 @pytest.mark.parametrize("l_dim", [4, 6, 40])
@@ -190,18 +194,15 @@ def test_one_sided_builds_match_both_sides_bit_for_bit(l_dim):
         beam_side = build_operators(channels, phases, None, config)
         phase_side = build_operators(channels, None, beam, config)
         assert np.array_equal(beam_side.big_h, both.big_h)
-        assert beam_side.f11 is beam_side.f12 is beam_side.offset is None
-        assert phase_side.big_h is None
-        assert np.array_equal(phase_side.f11, both.f11)
-        assert np.array_equal(phase_side.f12, both.f12)
-        assert phase_side.offset == both.offset
-        # The lifted matrix is exactly Hermitian as assembled.
-        big_f = _lifted_matrix(phase_side)
-        assert np.array_equal(big_f, hermitian_part(big_f))
+        assert beam_side.big_f is None and phase_side.big_h is None
+        assert np.array_equal(phase_side.big_f, both.big_f)
+        for mat in (phase_side.big_f, beam_side.big_h):
+            assert np.array_equal(mat, hermitian_part(mat))
 
 
 def test_build_operators_scalar_hand_calc():
-    # L=1 collapses f11 to a single weighted magnitude sum.
+    # L=1 collapses F11, the leading block of big_f, to a single weighted
+    # magnitude sum.
     config, channels, phases, beam = random_instance(seed=7, n=3, l=1, k=1, m=1,
                                                      rho=0.3)
     ops = build_operators(channels, phases, beam, config)
@@ -210,21 +211,18 @@ def test_build_operators_scalar_hand_calc():
     d1 = g[0]  # broadside single-element steering factor is 1
     expected = (config.rho * config.eta * config.p0 * abs(c1) ** 2
                 + (1.0 - config.rho) * abs(d1) ** 2)
-    assert ops.f11[0, 0].real == pytest.approx(expected, rel=1e-10)
-    assert abs(ops.f11[0, 0].imag) < 1e-12
+    assert ops.big_f[0, 0].real == pytest.approx(expected, rel=1e-10)
+    assert abs(ops.big_f[0, 0].imag) < 1e-12
 
 
 def test_operator_matrices_hermitian_psd():
+    # Both are Gram matrices, the lifted big_f too: its corner is the offset.
     config, channels, phases, beam = random_instance(seed=29)
     ops = build_operators(channels, phases, beam, config)
-    big_f = _lifted_matrix(ops)
-    for mat in (ops.f11, ops.big_h, big_f):
+    for mat in (ops.big_f, ops.big_f[:-1, :-1], ops.big_h):
         np.testing.assert_allclose(mat, mat.conj().T, atol=1e-14)
-    f11_floor = -1e-10 * np.linalg.norm(ops.f11)
-    h_floor = -1e-10 * np.linalg.norm(ops.big_h)
-    assert np.linalg.eigvalsh(ops.f11)[0] >= f11_floor
-    assert np.linalg.eigvalsh(ops.big_h)[0] >= h_floor
-    assert big_f[-1, -1] == 0.0
+        assert np.linalg.eigvalsh(mat)[0] >= -1e-10 * np.linalg.norm(mat)
+    assert ops.big_f[-1, -1].imag == 0.0 and ops.big_f[-1, -1].real > 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -274,8 +272,8 @@ def test_solution_metrics_decomposition():
         config.eta * abs((channels.h_ru[k] * phases.v) @ channels.h_br @ beam.w
                          + channels.h_d[k] @ beam.w) ** 2
         for k in range(config.n_ehd))
-    per_target = sum(beampattern_gain(channels, phases, beam, theta, config.delta)
-                     for theta in config.target_angles)
+    per_target = np.sum(beampattern_profile(channels, phases, beam,
+                                            config.target_angles, config.delta))
     assert harvested == pytest.approx(per_device, rel=1e-10)
     assert sensing == pytest.approx(per_target, rel=1e-10)
     assert j_value == pytest.approx(

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iswpt.objective import (Beamformer, PhaseProfile, _cascade_terms,
-                             _effective_channels, objective_for_beam_batch,
+from iswpt.objective import (Beamformer, PhaseProfile, _beam_rows,
+                             _phase_rows, objective_for_beam_batch,
                              objective_for_phase_batch)
 from iswpt import oracle
 from iswpt.oracle import (SearchBudget, _grid_search, quantized_beam_search,
@@ -117,8 +117,8 @@ def test_phase_search_alignment_bound_single_target():
     # With rho = 0 and one target the continuous optimum is full phase
     # alignment, (sum |d_l|)^2; an 8-level grid loses at most cos(pi/8)^2.
     config, channels, beam, phases = instance(seed=6, l=5, m=1, rho=0.0)
-    _, _, d_vecs = _cascade_terms(channels, beam, config)
-    continuum = float(np.sum(np.abs(d_vecs[0])) ** 2)
+    d_row = _phase_rows(channels, beam, config)[config.n_ehd, :-1]
+    continuum = float(np.sum(np.abs(d_row)) ** 2)
     budget = SearchBudget(phase_levels=8, max_evals=8 ** 5)
     _, score = quantized_phase_search(channels, beam, config, budget)
     assert score <= continuum * (1.0 + 1e-9)
@@ -142,7 +142,7 @@ def test_beam_search_alignment_bound_energy_only():
     # rho = 1 with a single device reduces to maximizing |h_tilde w|^2; the
     # per-antenna optimum is amp^2 (sum_n |h_n|)^2 up to quantization.
     config, channels, _, phases = instance(seed=8, n=5, k=1, rho=1.0)
-    h_tilde, _ = _effective_channels(channels, phases, config)
+    h_tilde = _beam_rows(channels, phases, config)[:config.n_ehd]
     weight = config.eta * config.p0  # rho = 1
     continuum = weight * (config.beam_amplitude
                           * float(np.sum(np.abs(h_tilde[0])))) ** 2

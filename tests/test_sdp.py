@@ -11,9 +11,8 @@ from iswpt.oracle import SearchBudget, quantized_phase_search
 from iswpt.scenario import (SystemConfig, complex_normal, sample_channels,
                             trial_stream)
 from iswpt.sdp import (DiagSdpProblem, SdpNonConvergence, _candidates,
-                       _lifted_matrix, _max_steps, extract_beamformer,
-                       extract_phases, sdp_update_v, sdp_update_w,
-                       solve_diag_sdp)
+                       _max_steps, extract_beamformer, extract_phases,
+                       sdp_update_v, sdp_update_w, solve_diag_sdp)
 
 
 def random_psd(rng, n):
@@ -24,7 +23,7 @@ def random_psd(rng, n):
 
 def lifted_phase_score(big_f, v):
     """[v, 1] big_f [v, 1]^H in the row-vector convention: the score that
-    extract_phases maximises, J minus the offset for an operator big_f."""
+    extract_phases maximises, and J for the big_f of `build_operators`."""
     aug = np.append(v, 1.0)
     return float(np.real(aug @ (big_f @ aug.conj())))
 
@@ -438,15 +437,35 @@ def test_sdp_update_v_beats_quantized_search():
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, 6))
     ops = build_operators(channels, None, beam, config)
 
-    profile, relaxed = sdp_update_v(ops, config, trial_stream(33, 1))
+    profile, relaxed = sdp_update_v(ops.big_f, config, trial_stream(33, 1))
     j_sdp = composite_objective(channels, profile, beam, config)
-    assert j_sdp == pytest.approx(
-        lifted_phase_score(_lifted_matrix(ops), profile.v) + ops.offset, rel=1e-10)
+    assert j_sdp == pytest.approx(lifted_phase_score(ops.big_f, profile.v),
+                                  rel=1e-10)
     assert j_sdp <= relaxed * (1.0 + 1e-6)
 
     budget = SearchBudget(phase_levels=8, max_evals=8 ** 6)
     _, j_oracle = quantized_phase_search(channels, beam, config, budget)
     assert j_sdp >= 0.98 * j_oracle
+
+
+def test_sdp_update_v_leaves_big_f_alone():
+    # The corner (the v-independent offset) is zeroed in a copy only, and
+    # the bound is the same as for the corner-free matrix plus the offset.
+    config = small_config(rho=0.5)
+    rng = trial_stream(34, 0)
+    channels = sample_channels(config, rng)
+    beam = Beamformer.from_phases(rng.uniform(-np.pi, np.pi, 4), config)
+    big_f = build_operators(channels, None, beam, config).big_f
+    before = big_f.copy()
+    assert big_f[-1, -1].real > 0.0
+    profile, bound = sdp_update_v(big_f, config, trial_stream(34, 1))
+    assert np.array_equal(big_f, before)
+
+    corner_free = big_f.copy()
+    corner_free[-1, -1] = 0.0
+    profile0, bound0 = sdp_update_v(corner_free, config, trial_stream(34, 1))
+    assert np.array_equal(profile.alpha, profile0.alpha)
+    assert bound == bound0 + big_f[-1, -1].real
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +508,7 @@ def test_half_step_bounds_dominate_returned_iterates(seed, n, l, rho, tol):
     assert j_w <= bound_w + 1e-12 * abs(bound_w)
 
     ops = build_operators(channels, None, beam, config)
-    phases, bound_v = sdp_update_v(ops, config, rng, tol=tol, n_rand=20,
+    phases, bound_v = sdp_update_v(ops.big_f, config, rng, tol=tol, n_rand=20,
                                    incumbent=phases)
     j_v = composite_objective(channels, phases, beam, config)
     assert j_v <= bound_v + 1e-12 * abs(bound_v)

@@ -8,14 +8,17 @@ For each CSV file in either directory it prints the row count, the number
 of numeric cells that differ, and the worst relative change
 |a - b| / max(|a|, |b|) over those cells.  A cell is numeric when it parses
 as a float in both files; every other cell, the comment line included, must
-match exactly.  The exit status is 1 when a file is missing from one side,
-when row counts differ, or when a non-numeric cell differs, and 0 otherwise,
-so a rounding-level refactor is checked by the printed worst change.
+match exactly, and so must a cell that is non-finite (nan, inf, -inf) in
+either file, since no relative change measures it.  The exit status is 1
+when a file is missing from one side, when row counts differ, or when a
+non-numeric or non-finite cell differs, and 0 otherwise, so a
+rounding-level refactor is checked by the printed worst change.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -41,7 +44,8 @@ def compare(path_a: Path, path_b: Path) -> tuple[str, bool]:
             continue
         for cell_a, cell_b in zip(row_a, row_b):
             a, b = _number(cell_a), _number(cell_b)
-            if a is None or b is None:
+            if (a is None or b is None
+                    or not (math.isfinite(a) and math.isfinite(b))):
                 mismatched += cell_a != cell_b
                 continue
             numeric += 1
@@ -52,7 +56,7 @@ def compare(path_a: Path, path_b: Path) -> tuple[str, bool]:
     line = (f"rows {len(rows_a)}, numeric cells differing {differ} of "
             f"{numeric}, worst relative change {worst:.2e}")
     if mismatched:
-        line += f", non-numeric cells differing {mismatched}"
+        line += f", non-numeric or non-finite cells differing {mismatched}"
     return line, mismatched == 0
 
 
