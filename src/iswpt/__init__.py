@@ -11,7 +11,7 @@ experiment command line.
 
 from .scenario import (ChannelSet, SystemConfig, complex_normal, db_to_linear,
                        path_loss, sample_channels, steering_matrix,
-                       steering_vector, trial_stream)
+                       trial_stream)
 from .objective import (Beamformer, DerivedOperators, PhaseProfile,
                         beampattern_profile, build_operators,
                         composite_objective, solution_metrics)

@@ -44,7 +44,7 @@ ALGORITHM_LC = "lc"
 @dataclass(frozen=True)
 class AoConfig:
     """Outer-loop knobs of one alternating-optimization run; the inner
-    solvers run at their defaults."""
+    solvers run at their defaults.  Both tolerances must be finite."""
 
     algorithm: str = ALGORITHM_LC
     max_outer_iters: int = 30
@@ -58,11 +58,11 @@ class AoConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        # Written to reject NaN too; rel_tol=inf stays valid.
-        if not self.rel_tol >= 0.0:
-            raise ValueError("rel_tol must be >= 0")
-        if not self.sdp_tol > 0.0:
-            raise ValueError("sdp_tol must be > 0")
+        # NaN fails these comparisons; NaN or inf would deem any change converged.
+        if not 0.0 <= self.rel_tol < np.inf:
+            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
+        if not 0.0 < self.sdp_tol < np.inf:
+            raise ValueError(f"sdp_tol must be finite and > 0, got {self.sdp_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -142,12 +142,6 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     trace = AoTrace()
     phases, beam = _initial_iterates(config, ao, channels, rng)
     j_prev = _record(trace, t0, channels, config, phases, beam, 0, "init")
-    if not np.isfinite(ao.rel_tol):
-        # An infinite tolerance deems any change converged: report the
-        # initialisation as the result without doing an outer iteration.
-        trace.converged = True
-        trace.beam, trace.phases = beam, phases
-        return trace
 
     for outer in range(1, ao.max_outer_iters + 1):
         try:

@@ -8,6 +8,9 @@ sweep-rho     harvested energy and beampattern sum versus trade-off factor
 beampattern   angular gain profile of one converged solution per algorithm/L
 validate      run the built-in acceptance checks and print one line per check
 
+Exit codes: 0 success, 1 a failed acceptance check (``validate``), 2 bad
+input, 3 a run stopped by a solver failure (no CSV is written).
+
 Every CSV starts with a comment line ``# iswpt <version> seed=<seed>
 config=<hash>`` followed by a header row; floats are written with 17
 significant digits and LF line endings.  Output is a pure function of the
@@ -91,8 +94,8 @@ class ExperimentSpec:
                              f"{MIN_ANGLE_STEP_DEG}, got {self.angle_step_deg!r}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if not self.rel_tol >= 0.0:
-            raise ValueError(f"rel_tol must be >= 0, got {self.rel_tol!r}")
+        if not 0.0 <= self.rel_tol < np.inf:
+            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
 
 
 def experiment_from_mapping(mapping: dict[str, str]) -> ExperimentSpec:
@@ -159,11 +162,16 @@ def _write_output(text: str, path: str) -> None:
 # Shared runners
 
 
+class RunFailed(RuntimeError):
+    """A run stopped on a solver failure; its truncated trace is no result."""
+
+
 def _run_point(exp: ExperimentSpec, algorithm: str, config: SystemConfig,
                channels: ChannelSet, point_idx: int, trial: int,
                init_phases: PhaseProfile | None = None,
                init_beam=None) -> AoTrace:
-    """One run at one sweep point; the warm start is ignored by rps."""
+    """One run at one sweep point; the warm start is ignored by rps.  Raises
+    RunFailed instead of returning a failed run."""
     rng = trial_stream(exp.config.seed, 1, _ALGO_STREAM_ID[algorithm],
                        point_idx, trial)
     if algorithm == ALGORITHM_RPS:
@@ -171,7 +179,11 @@ def _run_point(exp: ExperimentSpec, algorithm: str, config: SystemConfig,
                        rel_tol=exp.rel_tol)
     ao = AoConfig(algorithm=algorithm, max_outer_iters=exp.max_outer_iters,
                   rel_tol=exp.rel_tol, init_phases=init_phases, init_beam=init_beam)
-    return run_ao(config, ao, channels, rng)
+    trace = run_ao(config, ao, channels, rng)
+    if trace.failure is not None:
+        raise RunFailed(f"{algorithm} run failed at L={config.n_irs}, "
+                        f"rho={config.rho:g}, trial {trial}: {trace.failure}")
+    return trace
 
 
 def _draw_trials(exp: ExperimentSpec, n_irs: int, n_trials: int) -> list[ChannelSet]:
@@ -380,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, RunFailed) else 2
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ minorant, so each step can only raise the objective.
 * Phase side: in u = conj(v), J = u^H F11 u + 2 Re(u^H f12) + offset with
   F11, f12 and offset the blocks of `big_f`, so M = F11, b = f12, amp = 1.
   MM descends on g = offset - J, which is concave in u, so its tangent
-  plane at v_prev majorises it at any L (Sun, Babu & Palomar, IEEE TSP
-  2017) and no eigenvalue shift is needed.
+  plane at u0 = conj(v_prev), g(v_prev) - 2 Re((u - u0)^H (F11 u0 + f12)),
+  majorises it at any L (Sun, Babu & Palomar, IEEE TSP 2017) and no
+  eigenvalue shift is needed.
 
 Each step costs one matrix-vector product.  Inputs are checked once per
 solve (`mm_solve` validates one `MmProblem` and then only re-anchors it,
@@ -118,19 +119,6 @@ def mm_objective(problem: MmProblem, v: np.ndarray) -> float:
     quad = float(np.real(np.vdot(u, problem.f11 @ u)))
     lin = float(np.real(np.vdot(u, problem.f12)))
     return -(quad + 2.0 * lin)
-
-
-def mm_surrogate(problem: MmProblem, v: np.ndarray) -> float:
-    """Tangent plane of g at v_prev, evaluated at v.
-
-    Equals g at v = v_prev and dominates g everywhere, the gap being the
-    PSD form (u - u_prev)^H F11 (u - u_prev) in u = conj(v).
-    """
-    u_prev = problem.v_prev.conj()
-    grad = problem.f11 @ u_prev + problem.f12
-    step = np.asarray(v, dtype=np.complex128).conj() - u_prev
-    return (mm_objective(problem, problem.v_prev)
-            - 2.0 * float(np.real(np.vdot(step, grad))))
 
 
 def mm_update_v(problem: MmProblem) -> PhaseProfile:

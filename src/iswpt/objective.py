@@ -215,9 +215,11 @@ def objective_for_phase_batch(channels: ChannelSet, beam: Beamformer,
                               config: SystemConfig, v_rows: np.ndarray) -> np.ndarray:
     """Composite objective J evaluated for a batch of phase vectors.
 
-    `v_rows` is (B, L); returns a length-B real array.  This is the single
-    evaluation path for J: the scalar entry point and the exhaustive
-    searches all route through here.
+    `v_rows` is (B, L); returns a length-B real array.  J has two
+    evaluation paths that agree to rounding: `_score`, behind both batch
+    evaluators, `composite_objective` and the oracle searches; and
+    `solution_metrics`, which reads `_beam_rows` and gives every trace step
+    and CSV value.
     """
     rows = _phase_rows(channels, beam, config)
     return _score(rows[:, :-1], config, v_rows, rows[:config.n_ehd, -1])

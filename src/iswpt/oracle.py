@@ -27,27 +27,22 @@ from .objective import (Beamformer, PhaseProfile, objective_for_beam_batch,
 from .scenario import ChannelSet, SystemConfig
 
 _CHUNK = 1 << 15
+MAX_EVALS = 1 << 20   # evaluation cap of one search
 
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Grid resolution and evaluation cap of one brute-force search."""
+    """Grid resolution of one brute-force search."""
 
     phase_levels: int = 8
-    max_evals: int = 1 << 20
 
     def __post_init__(self) -> None:
-        for name in ("phase_levels", "max_evals"):
-            value = getattr(self, name)
-            whole = (isinstance(value, numbers.Integral)
-                     or isinstance(value, numbers.Real) and float(value).is_integer())
-            if isinstance(value, bool) or not whole:
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.phase_levels < 2:
-            raise ValueError("phase_levels must be >= 2")
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
+        value = self.phase_levels
+        whole = (isinstance(value, numbers.Integral)
+                 or isinstance(value, numbers.Real) and float(value).is_integer())
+        if isinstance(value, bool) or not whole or value < 2:
+            raise ValueError(f"phase_levels must be a whole number >= 2, got {value!r}")
+        object.__setattr__(self, "phase_levels", int(value))
 
     def grid(self) -> np.ndarray:
         """The quantized phase values in [-pi, pi)."""
@@ -57,10 +52,10 @@ class SearchBudget:
     def check_dim(self, dim: int) -> int:
         """Total evaluation count of a search over `dim` phases; rejects overflow."""
         total = self.phase_levels ** dim
-        if total > self.max_evals:
+        if total > MAX_EVALS:
             raise ValueError(
                 f"exhaustive search needs {total} evaluations for dim {dim}, "
-                f"budget allows {self.max_evals}")
+                f"the cap is {MAX_EVALS}")
         return total
 
 

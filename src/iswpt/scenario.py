@@ -3,7 +3,7 @@
 Geometry is a narrowband downlink in which an N-antenna transmitter
 illuminates an L-element reflective surface; the surface redirects energy
 toward K single-antenna harvesting devices and M radar target directions.
-All channels are flat-fading Rician draws scaled by distance path loss.
+All channels are Rician draws with an i.i.d. LoS part, scaled by path loss.
 
 Unit conventions
 ----------------
@@ -25,12 +25,6 @@ from pathlib import Path
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# LoS sampling modes for sample_channels.  The default draws the LoS part
-# i.i.d. Gaussian like the scattered part; "steering" swaps in a
-# deterministic broadside rank-one LoS for sensitivity studies.
-LOS_MODE_IID = "iid"
-LOS_MODE_STEERING = "steering"
 
 
 def db_to_linear(x_db: float) -> float:
@@ -72,7 +66,6 @@ class SystemConfig:
     pl_ref: float = 0.1          # reference path loss at 1 m, linear
     rician_k: float = db_to_linear(6.0)  # Rician factor, linear
     seed: int = 0                # master RNG seed
-    los_mode: str = LOS_MODE_IID
 
     def __post_init__(self) -> None:
         for name in ("n_tx", "n_irs", "n_ehd", "n_targets"):
@@ -98,8 +91,6 @@ class SystemConfig:
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
-        if self.los_mode not in (LOS_MODE_IID, LOS_MODE_STEERING):
-            raise ValueError(f"unknown los_mode {self.los_mode!r}")
 
     @property
     def per_antenna_power(self) -> float:
@@ -150,19 +141,10 @@ def slice_channels(channels: ChannelSet, n_irs: int) -> ChannelSet:
                       h_d=channels.h_d.copy())
 
 
-def steering_vector(theta: float, n_elements: int, delta: float = 0.5) -> np.ndarray:
-    """Uniform linear array response, element l = exp(j*2*pi*l*delta*sin(theta)).
-
-    Element 0 is exactly 1.  `delta` is the element spacing in wavelengths.
-    """
-    if n_elements < 1:
-        raise ValueError(f"n_elements must be positive, got {n_elements}")
-    idx = np.arange(n_elements)
-    return np.exp(1j * TWO_PI * delta * math.sin(theta) * idx)
-
-
 def steering_matrix(thetas: np.ndarray, n_elements: int, delta: float = 0.5) -> np.ndarray:
-    """Stack of steering vectors, one row per angle."""
+    """Uniform linear array responses, one row per angle theta, with element
+    l = exp(j*2*pi*l*delta*sin(theta)); element 0 is exactly 1.  `delta` is
+    the element spacing in wavelengths."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     idx = np.arange(n_elements)
     return np.exp(1j * TWO_PI * delta * np.sin(thetas)[:, None] * idx[None, :])
@@ -202,11 +184,9 @@ def trial_stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _rician_draw(rng: np.random.Generator, shape: tuple[int, ...],
-                 pl: float, k_factor: float,
-                 los: np.ndarray | None = None) -> np.ndarray:
+                 pl: float, k_factor: float) -> np.ndarray:
     """One Rician fading matrix with per-entry second moment `pl`."""
-    if los is None:
-        los = complex_normal(rng, shape)
+    los = complex_normal(rng, shape)
     nlos = complex_normal(rng, shape)
     w_los = math.sqrt(k_factor / (k_factor + 1.0))
     w_nlos = math.sqrt(1.0 / (k_factor + 1.0))
@@ -218,28 +198,17 @@ def sample_channels(config: SystemConfig, rng: np.random.Generator) -> ChannelSe
 
     Draw order is fixed (h_br, then h_ru, then h_d; LoS before scattered
     within each link) so a given generator state always yields the same
-    channels.  In the default "iid" mode the LoS component is itself an
-    i.i.d. complex Gaussian draw, so the Rician factor only partitions
-    variance between two statistically identical parts; the "steering"
-    mode replaces the LoS part with deterministic broadside unit-modulus
-    matrices for sensitivity studies.
+    channels.  The LoS component is itself an i.i.d. complex Gaussian draw,
+    so the Rician factor only partitions variance between two statistically
+    identical parts.
     """
     n, l, k = config.n_tx, config.n_irs, config.n_ehd
     pl_br = path_loss(config.pl_ref, config.dist_tx_irs, config.ple_tx_irs)
     pl_ru = path_loss(config.pl_ref, config.dist_irs_ehd, config.ple_irs_ehd)
     pl_d = path_loss(config.pl_ref, config.dist_tx_ehd, config.ple_tx_ehd)
-
-    if config.los_mode == LOS_MODE_STEERING:
-        los_br = np.outer(steering_vector(0.0, l, config.delta),
-                          steering_vector(0.0, n, config.delta))
-        los_ru = np.ones((k, l), dtype=np.complex128)
-        los_d = np.ones((k, n), dtype=np.complex128)
-    else:
-        los_br = los_ru = los_d = None
-
-    h_br = _rician_draw(rng, (l, n), pl_br, config.rician_k, los_br)
-    h_ru = _rician_draw(rng, (k, l), pl_ru, config.rician_k, los_ru)
-    h_d = _rician_draw(rng, (k, n), pl_d, config.rician_k, los_d)
+    h_br = _rician_draw(rng, (l, n), pl_br, config.rician_k)
+    h_ru = _rician_draw(rng, (k, l), pl_ru, config.rician_k)
+    h_d = _rician_draw(rng, (k, n), pl_d, config.rician_k)
     return ChannelSet(h_br=h_br, h_ru=h_ru, h_d=h_d)
 
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ao import AoConfig, run_ao, run_rps
-from .lc import MmProblem, mm_objective, mm_solve, mm_surrogate
+from .lc import mm_solve
 from .objective import (Beamformer, PhaseProfile, beampattern_profile,
                         build_operators, composite_objective)
 from .oracle import SearchBudget, quantized_phase_search
 from .scenario import (SystemConfig, complex_normal, sample_channels,
-                       slice_channels, steering_vector, trial_stream)
+                       slice_channels, steering_matrix, trial_stream)
 from .sdp import DiagSdpProblem, solve_diag_sdp
 
 
@@ -180,19 +180,23 @@ def check_surrogate_tangency_domination() -> CriterionResult:
         phases = PhaseProfile(rng.uniform(-np.pi, np.pi, config.n_irs))
         ops = build_operators(channels, phases, beam, config)
 
-        problem = MmProblem.from_operators(ops, phases)
         v_far = np.exp(1j * rng.uniform(-np.pi, np.pi, (1000, config.n_irs)))
         w_far = config.beam_amplitude * np.exp(
             1j * rng.uniform(-np.pi, np.pi, (1000, config.n_tx)))
         w_near, v_near = (x * np.exp(1j * rng.uniform(-0.01, 0.01, (1000, x.size)))
                           for x in (beam.w, phases.v))
-        g0 = mm_objective(problem, phases.v)
-        s0 = mm_surrogate(problem, phases.v)
-        worst_tangent = max(worst_tangent, abs(s0 - g0) / max(1.0, abs(g0)))
-        for v_rand in np.vstack([v_far, v_near]):
-            slack = (mm_surrogate(problem, v_rand)
-                     - mm_objective(problem, v_rand))
-            phase_slack = min(phase_slack, slack)
+
+        # Phase majorizer g(v0) - 2 Re((u - u0)^H (F11 u0 + f12)), equal to g
+        # at row 0 = v0 by construction, against g(v) = -(u^H F11 u + 2 Re(u^H
+        # f12)), u = conj(v), on the random and nearby profiles; F11, f12 from big_f.
+        l_dim = config.n_irs
+        f11, f12 = ops.big_f[:l_dim, :l_dim], ops.big_f[:l_dim, l_dim]
+        u_rows = np.vstack([phases.v, v_far, v_near]).conj()
+        g_rows = -(np.real(np.sum(u_rows.conj() * (u_rows @ f11.T), axis=1))
+                   + 2.0 * np.real(u_rows.conj() @ f12))
+        grad = f11 @ u_rows[0] + f12
+        plane = g_rows[0] - 2.0 * np.real((u_rows - u_rows[0]).conj() @ grad)
+        phase_slack = min(phase_slack, float(np.min(plane[1:] - g_rows[1:])))
 
         # Beam minorant 2 Re(w^H H w0) - q(w0) against q(w) = w^H H w, on
         # row 0 = w0 and the random and nearby constant-modulus beams.
@@ -220,7 +224,7 @@ def check_monte_carlo_beampattern_model() -> CriterionResult:
         rng = trial_stream(88, 1, trial)
         v = np.exp(1j * rng.uniform(-np.pi, np.pi, config.n_irs))
         theta = rng.uniform(-np.pi / 2, np.pi / 2)
-        steer = steering_vector(theta, config.n_irs, config.delta)
+        steer = steering_matrix(theta, config.n_irs, config.delta)[0]
         h_hat = (steer * v) @ channels.h_br
         symbols = complex_normal(trial_stream(88, 2, trial),
                                  (n_draws, config.n_tx))

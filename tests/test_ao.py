@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from iswpt.ao import ALGORITHM_LC, ALGORITHM_SDP, AoConfig, run_ao, run_rps
+from iswpt.ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, _initial_iterates,
+                      run_ao, run_rps)
 from iswpt.objective import PhaseProfile, _phase_rows
 from iswpt.scenario import SystemConfig, sample_channels, trial_stream
 
@@ -26,8 +27,9 @@ def test_ao_config_validation():
 
 
 @pytest.mark.parametrize("name", ["rel_tol", "sdp_tol"])
-@pytest.mark.parametrize("value", [float("nan"), -1e-6])
+@pytest.mark.parametrize("value", [float("nan"), -1e-6, float("inf")])
 def test_ao_config_rejects_bad_tolerances(name, value):
+    # A NaN or infinite tolerance would deem any change converged.
     with pytest.raises(ValueError, match=name):
         AoConfig(**{name: value})
 
@@ -60,17 +62,6 @@ def test_lc_converges_with_default_tolerance():
     assert trace.converged
     assert trace.failure is None
     assert trace.n_outer <= ao.max_outer_iters
-
-
-def test_infinite_rel_tol_returns_initialization():
-    config, channels = instance(seed=3)
-    ao = AoConfig(algorithm=ALGORITHM_LC, rel_tol=float("inf"))
-    trace = run_ao(config, ao, channels, trial_stream(3, 1))
-    assert trace.converged
-    assert trace.n_outer == 0
-    assert len(trace.steps) == 1
-    assert trace.steps[0].stage == "init"
-    assert trace.beam is not None and trace.phases is not None
 
 
 def test_run_ao_deterministic():
@@ -141,19 +132,18 @@ def test_default_initialization_draws_uniform_phases():
     # Without given phases the run starts from one uniform draw of the
     # stream it is handed.
     config, channels = instance(seed=8)
-    ao = AoConfig(algorithm=ALGORITHM_LC, rel_tol=float("inf"))
-    trace = run_ao(config, ao, channels, trial_stream(8, 1))
+    phases, _ = _initial_iterates(config, AoConfig(algorithm=ALGORITHM_LC),
+                                  channels, trial_stream(8, 1))
     expected = trial_stream(8, 1).uniform(-np.pi, np.pi, size=config.n_irs)
-    assert np.array_equal(trace.phases.alpha, PhaseProfile(alpha=expected).alpha)
+    assert np.array_equal(phases.alpha, PhaseProfile(alpha=expected).alpha)
 
 
 def test_given_initialization_passes_through():
     config, channels = instance(seed=9)
     start = PhaseProfile(alpha=np.linspace(-1.0, 1.0, config.n_irs))
-    ao = AoConfig(algorithm=ALGORITHM_LC, init_phases=start,
-                  rel_tol=float("inf"))
-    trace = run_ao(config, ao, channels, trial_stream(9, 1))
-    np.testing.assert_allclose(trace.phases.alpha, start.alpha, atol=1e-15)
+    ao = AoConfig(algorithm=ALGORITHM_LC, init_phases=start)
+    phases, _ = _initial_iterates(config, ao, channels, trial_stream(9, 1))
+    np.testing.assert_allclose(phases.alpha, start.alpha, atol=1e-15)
 
 
 def test_iteration_objectives_view():

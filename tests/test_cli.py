@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iswpt import cli
+from iswpt import cli, sdp
 from iswpt.cli import (ExperimentSpec, _format_cell, experiment_from_mapping,
                        main)
 from iswpt.objective import solution_metrics
@@ -72,18 +72,20 @@ def test_experiment_spec_validation():
 
 
 def test_experiment_spec_rejects_nan_rel_tol(tmp_path, capsys):
+    # Also inf: either would deem any change converged.
     config = SystemConfig(n_tx=4, n_irs=4, n_ehd=2, n_targets=2,
                           target_angles=(-0.5, 0.5))
-    with pytest.raises(ValueError, match="rel_tol"):
-        ExperimentSpec(config=config, rel_tol=float("nan"))
-    # rps never builds an AoConfig, so the spec is its only check.
-    spec = write_spec(tmp_path, BASE_SPEC.replace("algorithms = sdp, lc",
-                                                  "algorithms = rps")
-                      + "rel_tol = nan\n")
-    assert run_cli(["sweep-l", "--spec", spec,
-                    "--out", str(tmp_path / "x.csv")]) == 2
-    assert "rel_tol" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+    for bad in ("nan", "inf"):
+        with pytest.raises(ValueError, match="rel_tol"):
+            ExperimentSpec(config=config, rel_tol=float(bad))
+        # rps never builds an AoConfig, so the spec is its only check.
+        spec = write_spec(tmp_path, BASE_SPEC.replace("algorithms = sdp, lc",
+                                                      "algorithms = rps")
+                          + f"rel_tol = {bad}\n")
+        assert run_cli(["sweep-l", "--spec", spec,
+                        "--out", str(tmp_path / "x.csv")]) == 2
+        assert "rel_tol" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_experiment_spec_rejects_tiny_angle_step(tmp_path, capsys):
@@ -135,6 +137,7 @@ def test_experiment_from_mapping_splits_layers():
     ("algorithms", "lc,", "spec key 'algorithms'"),
     ("sweep_l", "10,,20", "spec key 'sweep_l'"),
     ("out", "", "spec key 'out'"),
+    ("los_mode", "iid", "unknown spec key 'los_mode'"),
 ])
 def test_experiment_from_mapping_rejects(key, value, message):
     with pytest.raises(ValueError, match=message):
@@ -161,7 +164,6 @@ _CONFIG_VALUES = {
     "dist_irs_ehd": _POSITIVE, "dist_tx_ehd": _POSITIVE,
     "ple_tx_irs": _POSITIVE, "ple_irs_ehd": _POSITIVE, "ple_tx_ehd": _POSITIVE,
     "pl_ref": _POSITIVE, "rician_k": _POSITIVE, "seed": st.integers(0, 2 ** 63),
-    "los_mode": st.sampled_from(["iid", "steering"]),
 }
 _EXPERIMENT_VALUES = {
     "algorithms": st.permutations(["sdp", "lc", "rps"]).flatmap(
@@ -224,8 +226,9 @@ def test_spec_text_round_trip(case):
         assert experiment_from_mapping(parse_kv_file(path)) == expected
 
 
-# config_digest of a spec that sets every experiment key; the values were
-# computed before the digest payload was built from the dataclass fields.
+# config_digest of a spec that sets every experiment key.  The payload holds
+# every SystemConfig field but the seed, so adding or removing a scenario
+# field changes all four values.
 _DIGEST_SPEC = {
     "algorithms": "lc, rps", "n_trials": "7", "sweep_l": "5, 9, 13",
     "sweep_rho": "0.15, 0.6, 1.0", "angle_step_deg": "2.5",
@@ -235,8 +238,8 @@ _DIGEST_SPEC = {
 
 
 @pytest.mark.parametrize("command, digest", [
-    ("convergence", "d5c542a90e33"), ("sweep-l", "88331a331cab"),
-    ("sweep-rho", "c65ca3f64f21"), ("beampattern", "9c50fbc16550"),
+    ("convergence", "133a2b55359f"), ("sweep-l", "2098d185928d"),
+    ("sweep-rho", "d34bf6efa601"), ("beampattern", "5d427df5bea1"),
 ])
 def test_config_digest_pinned(command, digest):
     assert cli.config_digest(experiment_from_mapping(_DIGEST_SPEC), command) == digest
@@ -383,6 +386,30 @@ def test_beampattern_grid_stays_in_range(tmp_path, step):
     for n_irs in ("4", "6"):
         angles = [float(r["angle_deg"]) for r in rows if r["L"] == n_irs]
         np.testing.assert_allclose(angles, expected)
+
+
+@pytest.mark.parametrize("command, where", [
+    ("sweep-l", "L=4, rho=0.9, trial 1"), ("sweep-rho", "L=40, rho=0.7, trial 0")])
+def test_failed_run_exits_three_without_csv(tmp_path, capsys, monkeypatch,
+                                            command, where):
+    # The third interior-point solve stalls: one outer iteration takes two
+    # solves, so the second run fails on its first half-step.  Its truncated
+    # trace must not be averaged into a CSV.
+    solve, calls = sdp.solve_diag_sdp, []
+
+    def stall_third(problem, **kwargs):
+        solution = solve(problem, **kwargs)
+        calls.append(problem)
+        if len(calls) == 3:
+            raise sdp.SdpNonConvergence("forced stall", solution, 1.0)
+        return solution
+    monkeypatch.setattr(sdp, "solve_diag_sdp", stall_third)
+    spec = write_spec(tmp_path, BASE_SPEC.replace("n_trials = 1", "n_trials = 2"))
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--spec", spec, "--algo", "sdp",
+                    "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: sdp run failed at {where}: forced stall\n"
+    assert not out.exists()
 
 
 def test_unknown_spec_key_fails_cleanly(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Closed-form updates: the SCA beam step and the MM phase step."""
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iswpt.lc import (MmProblem, mm_objective, mm_solve, mm_surrogate,
-                      mm_update_v, sca_solve, sca_update_w)
+from iswpt.lc import (MmProblem, mm_objective, mm_solve, mm_update_v,
+                      sca_solve, sca_update_w)
 from iswpt.objective import (Beamformer, PhaseProfile, build_operators,
                              composite_objective, target_steering_matrix)
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
-                            sample_channels, steering_matrix, trial_stream)
+                            path_loss, sample_channels, steering_matrix,
+                            trial_stream)
 
 
 def random_psd(rng, n):
@@ -22,12 +24,28 @@ def random_psd(rng, n):
     return 0.5 * (mat + mat.conj().T)
 
 
-def random_instance(seed, n=4, l=6, k=2, m=2, **overrides):
+def broadside_channels(config, rng):
+    """Rician channels whose LoS part is the all-ones broadside response on
+    every link, so h_br is rank one up to its scattered part and every
+    device's LoS points at 0 degrees."""
+    k_factor = config.rician_k
+    w_los, w_nlos = (math.sqrt(x / (k_factor + 1.0)) for x in (k_factor, 1.0))
+
+    def draw(shape, dist, ple):
+        pl = path_loss(config.pl_ref, dist, ple)
+        return math.sqrt(pl) * (w_los + w_nlos * complex_normal(rng, shape))
+    n, l, k = config.n_tx, config.n_irs, config.n_ehd
+    return ChannelSet(h_br=draw((l, n), config.dist_tx_irs, config.ple_tx_irs),
+                      h_ru=draw((k, l), config.dist_irs_ehd, config.ple_irs_ehd),
+                      h_d=draw((k, n), config.dist_tx_ehd, config.ple_tx_ehd))
+
+
+def random_instance(seed, n=4, l=6, k=2, m=2, broadside=False, **overrides):
     angles = tuple(np.linspace(-1.0, 1.0, m))
     config = SystemConfig(n_tx=n, n_irs=l, n_ehd=k, n_targets=m,
                           target_angles=angles, seed=seed, **overrides)
     rng = trial_stream(seed, 0)
-    channels = sample_channels(config, rng)
+    channels = (broadside_channels if broadside else sample_channels)(config, rng)
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, l))
     beam = Beamformer.from_phases(rng.uniform(-np.pi, np.pi, n), config)
     return config, channels, phases, beam
@@ -188,20 +206,26 @@ def test_mm_objective_ties_to_composite():
 @example(seed=5, n_tx=4, n_irs=3, n_ehd=4, n_targets=3, rho=0.5)
 def test_mm_surrogate_tangent_and_dominating(seed, n_tx, n_irs, n_ehd,
                                              n_targets, rho):
-    # The tangent plane (T = 0) majorises g at any L, also for L < K+M,
-    # where F11 can be full rank and the eigenvalue shift was tighter.
+    # The tangent plane (T = 0) of g at u0 = conj(v0) majorises g at any L,
+    # also for L < K+M, where F11 can be full rank and the eigenvalue shift
+    # was tighter: the plane minus g is the PSD form of the step u - u0,
+    # which is nonnegative and vanishes to second order at v0.
     config, channels, phases, beam = random_instance(
         seed, n=n_tx, l=n_irs, k=n_ehd, m=n_targets, rho=rho)
     ops = build_operators(channels, None, beam, config)
     problem = MmProblem.from_operators(ops, phases)
+    u0 = phases.v.conj()
+    grad = problem.f11 @ u0 + problem.f12
     g0 = mm_objective(problem, phases.v)
-    assert mm_surrogate(problem, phases.v) == pytest.approx(g0, rel=1e-12,
-                                                            abs=1e-300)
     scale = max(1.0, abs(g0), float(np.abs(problem.f11).sum()))
     rng = trial_stream(seed, 1)
     for v in np.exp(1j * rng.uniform(-np.pi, np.pi, (100, n_irs))):
-        slack = mm_surrogate(problem, v) - mm_objective(problem, v)
+        step = v.conj() - u0
+        slack = (g0 - 2.0 * float(np.real(np.vdot(step, grad)))
+                 - mm_objective(problem, v))
         assert slack >= -1e-12 * scale
+        assert slack == pytest.approx(np.real(np.vdot(step, problem.f11 @ step)),
+                                      abs=1e-12 * scale)
 
 
 def test_mm_matches_exhaustive_grid_minimum():
@@ -342,12 +366,12 @@ def test_solvers_bit_identical_with_zero_gradient_entries():
 @given(seed=st.integers(0, 2**32 - 1), n_tx=st.integers(1, 8),
        n_irs=st.integers(1, 16), n_ehd=st.integers(1, 4),
        n_targets=st.integers(1, 3), rho=st.floats(0.0, 1.0),
-       los_mode=st.sampled_from(["iid", "steering"]))
+       broadside=st.booleans())
 def test_solvers_ascend_and_stay_feasible(seed, n_tx, n_irs, n_ehd, n_targets,
-                                         rho, los_mode):
+                                         rho, broadside):
     config, channels, phases, beam = random_instance(
         seed, n=n_tx, l=n_irs, k=n_ehd, m=n_targets, rho=rho,
-        los_mode=los_mode)
+        broadside=broadside)
     ops = build_operators(channels, phases, beam, config)
     before = composite_objective(channels, phases, beam, config)
 

@@ -15,7 +15,7 @@ from iswpt.objective import (Beamformer, PhaseProfile, _beam_rows,
                              objective_for_phase_batch, solution_metrics,
                              wrap_angle)
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
-                            sample_channels, steering_vector, trial_stream)
+                            sample_channels, steering_matrix, trial_stream)
 from iswpt.lc import MmProblem
 from iswpt.sdp import DiagSdpProblem
 
@@ -62,7 +62,7 @@ def test_beampattern_matches_symbol_average():
     closed = beampattern_profile(channels, phases, beam,
                                  config.target_angles[0], config.delta)[0]
     symbols = complex_normal(trial_stream(88, 1), (100_000,))
-    steer = steering_vector(config.target_angles[0], config.n_irs, config.delta)
+    steer = steering_matrix(config.target_angles[0], config.n_irs, config.delta)[0]
     amplitude = (steer * phases.v) @ channels.h_br @ beam.w
     empirical = np.mean(np.abs(amplitude * symbols) ** 2)
     assert empirical == pytest.approx(closed, rel=0.01)

@@ -40,28 +40,25 @@ def full_grid(levels, dim):
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(phase_levels=1)
-    with pytest.raises(ValueError):
-        SearchBudget(max_evals=0)
     budget = SearchBudget(phase_levels=4)
     np.testing.assert_allclose(budget.grid(),
                                [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
 
 
-@pytest.mark.parametrize("field", ["phase_levels", "max_evals"])
+@pytest.mark.parametrize("field", ["phase_levels"])
 @pytest.mark.parametrize("bad", [8.5, True, np.bool_(True), float("nan"),
                                  float("inf"), "8", None])
 def test_budget_rejects_non_whole_values_by_name(field, bad):
-    # Unchecked, max_evals=nan lifted the cap (total > nan is False) and
-    # phase_levels=8.0 failed later inside range().
+    # Unchecked, phase_levels=8.5 failed later inside range().
     with pytest.raises(ValueError, match=f"{field} must be a whole number"):
         SearchBudget(**{field: bad})
 
 
 def test_budget_accepts_whole_floats_as_ints():
-    budget = SearchBudget(phase_levels=8.0, max_evals=np.float64(64.0))
-    assert (budget.phase_levels, budget.max_evals) == (8, 64)
-    assert type(budget.phase_levels) is int and type(budget.max_evals) is int
-    assert budget.check_dim(2) == 64
+    for levels in (8.0, np.float64(8.0)):
+        budget = SearchBudget(phase_levels=levels)
+        assert budget.phase_levels == 8 and type(budget.phase_levels) is int
+        assert budget.check_dim(2) == 64
 
 
 def test_exhaustive_single_element_enumerates_grid():
@@ -76,11 +73,13 @@ def test_exhaustive_single_element_enumerates_grid():
 
 
 def test_budget_overflow_rejected():
-    config, channels, beam, phases = instance(seed=2, l=3)
-    budget = SearchBudget(phase_levels=8, max_evals=100)
-    with pytest.raises(ValueError, match="budget"):
+    # 8**7 = 2**21 evaluations exceed the cap of 2**20 on either side.
+    config, channels, beam, phases = instance(seed=2, n=7, l=7)
+    budget = SearchBudget(phase_levels=8)
+    assert budget.check_dim(6) == 8 ** 6 <= oracle.MAX_EVALS
+    with pytest.raises(ValueError, match="cap is"):
         quantized_phase_search(channels, beam, config, budget)
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(ValueError, match="cap is"):
         quantized_beam_search(channels, phases, config, budget)
 
 
@@ -93,7 +92,7 @@ def test_exhaustive_tie_break_smallest_index():
     channels = ChannelSet(h_br=np.zeros((8, 2)), h_ru=np.zeros((1, 8)),
                           h_d=np.zeros((1, 2)))
     beam = Beamformer.from_phases(np.zeros(2), config)
-    budget = SearchBudget(phase_levels=4, max_evals=1 << 17)
+    budget = SearchBudget(phase_levels=4)
     profile, score = quantized_phase_search(channels, beam, config, budget)
     assert score == 0.0
     np.testing.assert_allclose(profile.alpha, -np.pi)
@@ -103,7 +102,7 @@ def test_exhaustive_matches_direct_enumeration_across_chunks():
     # 4^8 = 65536 profiles spans more than one evaluation chunk, so this
     # also checks the chunked reduction agrees with a flat argmax.
     config, channels, beam, _ = instance(seed=3, n=2, l=8, k=1, m=1)
-    budget = SearchBudget(phase_levels=4, max_evals=1 << 17)
+    budget = SearchBudget(phase_levels=4)
     profile, score = quantized_phase_search(channels, beam, config, budget)
 
     alphas = full_grid(4, 8)
@@ -119,7 +118,7 @@ def test_phase_search_alignment_bound_single_target():
     config, channels, beam, phases = instance(seed=6, l=5, m=1, rho=0.0)
     d_row = _phase_rows(channels, beam, config)[config.n_ehd, :-1]
     continuum = float(np.sum(np.abs(d_row)) ** 2)
-    budget = SearchBudget(phase_levels=8, max_evals=8 ** 5)
+    budget = SearchBudget(phase_levels=8)
     _, score = quantized_phase_search(channels, beam, config, budget)
     assert score <= continuum * (1.0 + 1e-9)
     assert score >= np.cos(np.pi / 8) ** 2 * continuum
@@ -127,7 +126,7 @@ def test_phase_search_alignment_bound_single_target():
 
 def test_beam_search_matches_direct_enumeration():
     config, channels, _, phases = instance(seed=7, n=4, l=3)
-    budget = SearchBudget(phase_levels=4, max_evals=4 ** 4)
+    budget = SearchBudget(phase_levels=4)
     beam, score = quantized_beam_search(channels, phases, config, budget)
 
     w_phases = full_grid(4, 4)
@@ -146,7 +145,7 @@ def test_beam_search_alignment_bound_energy_only():
     weight = config.eta * config.p0  # rho = 1
     continuum = weight * (config.beam_amplitude
                           * float(np.sum(np.abs(h_tilde[0])))) ** 2
-    budget = SearchBudget(phase_levels=8, max_evals=8 ** 5)
+    budget = SearchBudget(phase_levels=8)
     _, score = quantized_beam_search(channels, phases, config, budget)
     assert score <= continuum * (1.0 + 1e-9)
     assert score >= np.cos(np.pi / 8) ** 2 * continuum
@@ -154,7 +153,7 @@ def test_beam_search_alignment_bound_energy_only():
 
 def test_beam_search_feasible_output():
     config, channels, _, phases = instance(seed=9, n=3)
-    budget = SearchBudget(phase_levels=4, max_evals=4 ** 3)
+    budget = SearchBudget(phase_levels=4)
     beam, _ = quantized_beam_search(channels, phases, config, budget)
     np.testing.assert_allclose(np.abs(beam.w), config.beam_amplitude, atol=1e-12)
 
@@ -237,7 +236,7 @@ def test_grid_search_bit_equal_to_per_row_exp_search(case):
     if zero:  # every row ties: the smallest index must win
         channels = ChannelSet(h_br=np.zeros((l, n)), h_ru=np.zeros((2, l)),
                               h_d=np.zeros((2, n)))
-    budget = SearchBudget(phase_levels=levels, max_evals=4096)
+    budget = SearchBudget(phase_levels=levels)
     with mock.patch.object(oracle, "_CHUNK", chunk):
         got = (quantized_phase_search(channels, beam, config, budget),
                quantized_beam_search(channels, phases, config, budget))
@@ -264,7 +263,7 @@ def test_chunks_are_one_low_digit_block(levels, dim, low):
     assert levels ** low <= oracle._CHUNK
     assert low == dim or levels ** (low + 1) > oracle._CHUNK
     score, calls = counted(lambda rows: np.zeros(len(rows)))
-    budget = SearchBudget(phase_levels=levels, max_evals=levels ** dim)
+    budget = SearchBudget(phase_levels=levels)
     _grid_search(dim, budget, np.exp(1j * budget.grid()), score)
     assert calls == [levels ** low] * levels ** (dim - low)
 

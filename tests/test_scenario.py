@@ -13,7 +13,14 @@ import iswpt
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
                             config_from_mapping, db_to_linear, parse_kv_file,
                             path_loss, sample_channels, steering_matrix,
-                            steering_vector, trial_stream)
+                            trial_stream)
+
+
+def steering_vector(theta, n_elements, delta=0.5):
+    """The array response at one angle: the single row of steering_matrix."""
+    mat = steering_matrix(theta, n_elements, delta)
+    assert mat.shape == (1, n_elements)
+    return mat[0]
 
 
 def test_steering_vector_broadside():
@@ -38,17 +45,16 @@ def test_steering_vector_unit_modulus_and_first_element():
     assert vec[0] == 1.0 + 0.0j
 
 
-def test_steering_vector_rejects_empty():
-    with pytest.raises(ValueError):
-        steering_vector(0.0, 0)
-
-
 def test_steering_matrix_rows_match_vectors():
+    # Each row of a stacked call is the closed form at its own angle, and
+    # equals a one-angle call bit for bit.
     thetas = np.array([-0.3, 0.0, 1.1])
     mat = steering_matrix(thetas, 6, delta=0.5)
     assert mat.shape == (3, 6)
     for row, theta in zip(mat, thetas):
-        np.testing.assert_allclose(row, steering_vector(theta, 6), atol=1e-14)
+        np.testing.assert_allclose(
+            row, np.exp(1j * math.pi * math.sin(theta) * np.arange(6)), atol=1e-14)
+        assert np.array_equal(row, steering_vector(theta, 6))
 
 
 def test_path_loss_reference_distance():
@@ -119,20 +125,6 @@ def test_sample_channels_second_moment():
     assert second_moment == pytest.approx(pl, rel=0.02)
 
 
-def test_sample_channels_los_limit():
-    # At an enormous Rician factor the scattered part carries ~1e-6 of the
-    # amplitude, so the steering-mode draw collapses onto its fixed
-    # broadside line-of-sight component.
-    config = SystemConfig(n_tx=6, n_irs=8, n_ehd=2, n_targets=1,
-                          target_angles=(0.0,), rician_k=1e12,
-                          los_mode="steering", seed=3)
-    chans = sample_channels(config, trial_stream(config.seed, 0))
-    pl = path_loss(config.pl_ref, config.dist_tx_irs, config.ple_tx_irs)
-    los = math.sqrt(pl) * np.ones((8, 6))
-    err = np.max(np.abs(chans.h_br - los)) / math.sqrt(pl)
-    assert err < 1e-5
-
-
 def test_channel_set_validates_shapes():
     good = ChannelSet(h_br=np.zeros((4, 3)), h_ru=np.zeros((2, 4)),
                       h_d=np.zeros((2, 3)))
@@ -154,8 +146,6 @@ def test_system_config_validation():
         SystemConfig(eta=0.0)
     with pytest.raises(ValueError):
         SystemConfig(n_targets=2)  # default has three target angles
-    with pytest.raises(ValueError):
-        SystemConfig(los_mode="mystery")
     with pytest.raises(ValueError):
         SystemConfig(seed=-1)
     with pytest.raises(ValueError):

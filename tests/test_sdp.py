@@ -443,7 +443,7 @@ def test_sdp_update_v_beats_quantized_search():
                                   rel=1e-10)
     assert j_sdp <= relaxed * (1.0 + 1e-6)
 
-    budget = SearchBudget(phase_levels=8, max_evals=8 ** 6)
+    budget = SearchBudget(phase_levels=8)
     _, j_oracle = quantized_phase_search(channels, beam, config, budget)
     assert j_sdp >= 0.98 * j_oracle
 

@@ -49,6 +49,14 @@ def test_change_to_or_from_non_finite_exits_one(tmp_path, capsys, before, after)
     assert "non-numeric or non-finite cells differing 1" in capsys.readouterr().out
 
 
+def test_first_differing_non_numeric_cell_is_shown(tmp_path, capsys):
+    # Rows count from the comment line; later differences are only counted.
+    dirs = write_dirs(tmp_path, "x,1.0,2.0\ny,nan,3.0\n", "z,1.0,2.0\ny,inf,3.0\n")
+    assert csv_reldiff.main(dirs) == 1
+    assert ("non-numeric or non-finite cells differing 2, first at row 3 "
+            "column 1: 'x' != 'z'" in capsys.readouterr().out)
+
+
 def test_missing_file_exits_one(tmp_path, capsys):
     assert csv_reldiff.main(write_dirs(tmp_path, "x,1.0,2.0\n", None)) == 1
     assert "out.csv: missing on one side" in capsys.readouterr().out

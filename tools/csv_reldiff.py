@@ -9,7 +9,9 @@ of numeric cells that differ, and the worst relative change
 |a - b| / max(|a|, |b|) over those cells.  A cell is numeric when it parses
 as a float in both files; every other cell, the comment line included, must
 match exactly, and so must a cell that is non-finite (nan, inf, -inf) in
-either file, since no relative change measures it.  The exit status is 1
+either file, since no relative change measures it; the first such cell
+that differs is printed with its row and column (both counted from 1, the
+comment line being row 1) and both values.  The exit status is 1
 when a file is missing from one side, when row counts differ, or when a
 non-numeric or non-finite cell differs, and 0 otherwise, so a
 rounding-level refactor is checked by the printed worst change.
@@ -38,15 +40,20 @@ def compare(path_a: Path, path_b: Path) -> tuple[str, bool]:
         return f"rows {len(rows_a)} != {len(rows_b)}", False
     numeric = differ = mismatched = 0
     worst = 0.0
-    for row_a, row_b in zip(rows_a, rows_b):
+    first = ""
+    for row_no, (row_a, row_b) in enumerate(zip(rows_a, rows_b), start=1):
         if len(row_a) != len(row_b):
             mismatched += 1
+            first = first or f"row {row_no}: {len(row_a)} != {len(row_b)} cells"
             continue
-        for cell_a, cell_b in zip(row_a, row_b):
+        for col_no, (cell_a, cell_b) in enumerate(zip(row_a, row_b), start=1):
             a, b = _number(cell_a), _number(cell_b)
             if (a is None or b is None
                     or not (math.isfinite(a) and math.isfinite(b))):
-                mismatched += cell_a != cell_b
+                if cell_a != cell_b:
+                    mismatched += 1
+                    first = first or (f"row {row_no} column {col_no}: "
+                                      f"{cell_a!r} != {cell_b!r}")
                 continue
             numeric += 1
             if cell_a != cell_b:
@@ -56,7 +63,8 @@ def compare(path_a: Path, path_b: Path) -> tuple[str, bool]:
     line = (f"rows {len(rows_a)}, numeric cells differing {differ} of "
             f"{numeric}, worst relative change {worst:.2e}")
     if mismatched:
-        line += f", non-numeric or non-finite cells differing {mismatched}"
+        line += (f", non-numeric or non-finite cells differing {mismatched}, "
+                 f"first at {first}")
     return line, mismatched == 0
 
 
