@@ -9,7 +9,10 @@ beampattern   angular gain profile of one converged solution per algorithm/L
 validate      run the built-in acceptance checks and print one line per check
 
 Exit codes: 0 success, 1 a failed acceptance check (``validate``), 2 bad
-input, 3 a run stopped by a solver failure (no CSV is written).
+input, 3 a run stopped by a solver failure (no CSV is written).  After a
+CSV is written, each algorithm with runs that stopped at
+``max_outer_iters`` without converging gets one ``note:`` line on stderr;
+those runs are still averaged into the CSV.
 
 Every CSV starts with a comment line ``# iswpt <version> seed=<seed>
 config=<hash>`` followed by a header row; floats are written with 17
@@ -166,6 +169,11 @@ class RunFailed(RuntimeError):
     """A run stopped on a solver failure; its truncated trace is no result."""
 
 
+# Per algorithm, [runs, runs that stopped at max_outer_iters without
+# converging] since `main` started its command, which reports them.
+_RUN_COUNTS: dict[str, list[int]] = {}
+
+
 def _run_point(exp: ExperimentSpec, algorithm: str, config: SystemConfig,
                channels: ChannelSet, point_idx: int, trial: int,
                init_phases: PhaseProfile | None = None,
@@ -175,14 +183,19 @@ def _run_point(exp: ExperimentSpec, algorithm: str, config: SystemConfig,
     rng = trial_stream(exp.config.seed, 1, _ALGO_STREAM_ID[algorithm],
                        point_idx, trial)
     if algorithm == ALGORITHM_RPS:
-        return run_rps(config, channels, rng, max_iters=exp.max_outer_iters,
-                       rel_tol=exp.rel_tol)
-    ao = AoConfig(algorithm=algorithm, max_outer_iters=exp.max_outer_iters,
-                  rel_tol=exp.rel_tol, init_phases=init_phases, init_beam=init_beam)
-    trace = run_ao(config, ao, channels, rng)
+        trace = run_rps(config, channels, rng, max_iters=exp.max_outer_iters,
+                        rel_tol=exp.rel_tol)
+    else:
+        ao = AoConfig(algorithm=algorithm, max_outer_iters=exp.max_outer_iters,
+                      rel_tol=exp.rel_tol, init_phases=init_phases,
+                      init_beam=init_beam)
+        trace = run_ao(config, ao, channels, rng)
     if trace.failure is not None:
         raise RunFailed(f"{algorithm} run failed at L={config.n_irs}, "
                         f"rho={config.rho:g}, trial {trial}: {trace.failure}")
+    counts = _RUN_COUNTS.setdefault(algorithm, [0, 0])
+    counts[0] += 1
+    counts[1] += not trace.converged
     return trace
 
 
@@ -386,9 +399,15 @@ def main(argv: list[str] | None = None) -> int:
                  "algorithms": args.algo, "out": args.out}
         mapping.update({k: v for k, v in flags.items() if v is not None})
         exp = experiment_from_mapping(mapping)
+        _RUN_COUNTS.clear()
         text = _COMMANDS[args.command](exp)
         default_out = args.command.replace("-", "_") + ".csv"
         _write_output(text, exp.out if exp.out is not None else default_out)
+        for algorithm, (runs, capped) in _RUN_COUNTS.items():
+            if capped:
+                print(f"note: {capped} of {runs} {algorithm} runs stopped at "
+                      f"max_outer_iters={exp.max_outer_iters} without converging",
+                      file=sys.stderr)
         return 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

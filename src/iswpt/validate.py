@@ -8,7 +8,9 @@ test suite and the ``iswpt validate`` subcommand both run this list.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import os
 import tempfile
 from dataclasses import dataclass
@@ -362,12 +364,17 @@ def check_cli_determinism() -> CriterionResult:
             outputs = []
             for run in (0, 1):
                 out_path = os.path.join(tmp, f"{command}-{run}.csv")
-                code = cli_main([command, "--spec", spec_path,
-                                 "--out", out_path])
+                # max_outer_iters = 3 stops some runs unconverged; keep the
+                # command's stderr notes out of the report.
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = cli_main([command, "--spec", spec_path,
+                                     "--out", out_path])
                 if code != 0:
                     return CriterionResult(
                         "12-cli-determinism", False,
-                        f"{command} exited with code {code}")
+                        f"{command} exited with code {code}: "
+                        f"{err.getvalue().strip()}")
                 with open(out_path, "rb") as handle:
                     outputs.append(handle.read())
             if outputs[0] != outputs[1]:

@@ -412,6 +412,28 @@ def test_failed_run_exits_three_without_csv(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_unconverged_runs_noted_on_stderr(tmp_path, capsys):
+    # max_outer_iters = 1 stops every run before its stop test can pass:
+    # two runs (L = 4, 6) per algorithm, all still written to the CSV.
+    spec = write_spec(tmp_path, BASE_SPEC.replace("algorithms = sdp, lc",
+                                                  "algorithms = sdp, lc, rps"))
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep-l", "--spec", spec, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "".join(
+        f"note: 2 of 2 {algo} runs stopped at max_outer_iters=1 without converging\n"
+        for algo in ("sdp", "lc", "rps"))
+    exp = experiment_from_mapping(parse_kv_file(spec))
+    assert out.read_text() == cli.cmd_sweep_l(exp)
+
+
+def test_no_note_when_every_run_converges(tmp_path, capsys):
+    spec = write_spec(tmp_path, BASE_SPEC.replace("max_outer_iters = 1",
+                                                  "max_outer_iters = 100"))
+    assert run_cli(["sweep-rho", "--spec", spec,
+                    "--out", str(tmp_path / "rho.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_unknown_spec_key_fails_cleanly(tmp_path, capsys):
     spec = write_spec(tmp_path, BASE_SPEC.replace("n_trials = 1", "n_trails = 1"))
     out = tmp_path / "x.csv"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from iswpt import lc
 from iswpt.lc import (MmProblem, mm_objective, mm_solve, mm_update_v,
                       sca_solve, sca_update_w)
 from iswpt.objective import (Beamformer, PhaseProfile, build_operators,
@@ -265,10 +266,17 @@ def test_mm_solve_improves_composite_objective():
 # ---------------------------------------------------------------------------
 # Solvers against the per-step reference loops
 #
-# The references below are the solvers as first written, with the MM step
-# at the T = 0 majorizer: every MM step rebuilds and re-validates an
-# MmProblem, and every step takes its phases with np.angle and an np.abs
-# mask.  The solvers must reproduce them bit for bit.
+# The references below are written from the algorithms' formulas, not from
+# `lc`: every MM step rebuilds and re-validates an MmProblem at the T = 0
+# majorizer, and every step takes its phases with np.angle and an np.abs
+# mask.  The MM solve is SQUAREM (SqS3, Varadhan & Roland 2008) over that
+# step: two plain maps v1 = F(v0), v2 = F(v1); r = v1 - v0,
+# d = v2 - 2 v1 + v0, a = -max(|r| / |d|, 1); one map from the unit-modulus
+# projection of v0 - 2 a r + a^2 d, kept only if its g is no higher than
+# g(v2).  Every map counts against max_iters; a cycle the cap would cut
+# short, or one with d = 0, skips the extrapolation.  It stops when g
+# stalls after a cycle's first map or across the cycle.  The solvers must
+# reproduce the references bit for bit.
 
 
 def reference_mm_objective(problem, v):
@@ -286,17 +294,38 @@ def reference_mm_step(problem):
 
 
 def reference_mm_solve(ops, phases, max_iters=50, rel_tol=1e-6):
-    problem = MmProblem.from_operators(ops, phases)
-    out = phases
-    g_prev = reference_mm_objective(problem, out.v)
-    for _ in range(max_iters):
-        problem = MmProblem(f11=problem.f11, f12=problem.f12, v_prev=out.v)
+    base = MmProblem.from_operators(ops, phases)
+    budget = [max_iters]
+
+    def plain(profile):
+        budget[0] -= 1
+        problem = MmProblem(f11=base.f11, f12=base.f12, v_prev=profile.v)
         out = reference_mm_step(problem)
-        g_new = reference_mm_objective(problem, out.v)
-        if abs(g_new - g_prev) < rel_tol * max(abs(g_prev), 1e-300):
-            break
-        g_prev = g_new
-    return out
+        return out, reference_mm_objective(problem, out.v)
+
+    def stalled(g_new, g_old):
+        return abs(g_new - g_old) < rel_tol * max(abs(g_old), 1e-300)
+
+    current, g_current = phases, reference_mm_objective(base, phases.v)
+    while budget[0] > 0:
+        first, g_first = plain(current)
+        if budget[0] == 0 or stalled(g_first, g_current):
+            return first
+        second, g_second = plain(first)
+        v0, v1, v2 = current.v, first.v, second.v
+        r = v1 - v0
+        d = v2 - 2.0 * v1 + v0
+        best, g_best = second, g_second
+        if budget[0] > 0 and np.linalg.norm(d) != 0.0:
+            a = -max(np.linalg.norm(r) / np.linalg.norm(d), 1.0)
+            projected = PhaseProfile(alpha=np.angle(v0 - 2.0 * a * r + a * a * d))
+            third, g_third = plain(projected)
+            if g_third <= g_second:
+                best, g_best = third, g_third
+        if stalled(g_best, g_current):
+            return best
+        current, g_current = best, g_best
+    return current
 
 
 def reference_sca_solve(big_h, beam, config, max_iters=50, rel_tol=1e-9):
@@ -362,6 +391,47 @@ def test_solvers_bit_identical_with_zero_gradient_entries():
     assert sca_out.w[0] == pytest.approx(beam.w[0], rel=1e-14)
 
 
+@pytest.mark.parametrize("max_iters", [1, 2])
+@pytest.mark.parametrize("rel_tol", [None, 0.0])
+def test_mm_solve_small_caps_are_plain_steps(max_iters, rel_tol):
+    # A cap of 1 or 2 leaves no room for the extrapolated map.
+    tol = {} if rel_tol is None else {"rel_tol": rel_tol}
+    config, channels, phases, beam = random_instance(25, n=12, l=40, k=5, m=3)
+    ops = build_operators(channels, None, beam, config)
+    plain = phases
+    for _ in range(max_iters):
+        plain = mm_update_v(MmProblem.from_operators(ops, plain))
+    solved = mm_solve(ops, phases, max_iters=max_iters, **tol)
+    assert np.array_equal(solved.alpha, plain.alpha)
+    assert np.array_equal(solved.v, plain.v)
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 5, 6, 7, None])
+def test_mm_solve_caps_map_evaluations(monkeypatch, max_iters):
+    # Every map, plain or from the extrapolated point, is one mm_update_v
+    # call and counts against max_iters.  With rel_tol=0 no stop test
+    # fires, so small caps are used to the last map.
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return mm_update_v(problem)
+
+    monkeypatch.setattr(lc, "mm_update_v", counted)
+    config, channels, phases, beam = random_instance(26, n=12, l=40, k=5, m=3)
+    ops = build_operators(channels, None, beam, config)
+    cap = {} if max_iters is None else {"max_iters": max_iters}
+    limit = 50 if max_iters is None else max_iters
+    mm_solve(ops, phases, **cap)
+    assert 0 < len(calls) <= limit
+    calls.clear()
+    mm_solve(ops, phases, rel_tol=0.0, **cap)
+    if max_iters is None:
+        assert len(calls) <= limit
+    else:
+        assert len(calls) == limit
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_tx=st.integers(1, 8),
        n_irs=st.integers(1, 16), n_ehd=st.integers(1, 4),
@@ -379,6 +449,11 @@ def test_solvers_ascend_and_stay_feasible(seed, n_tx, n_irs, n_ehd, n_targets,
     after_v = composite_objective(channels, solved_v, beam, config)
     assert after_v >= before - 1e-9 * abs(before)
     assert solved_v.modulus_error() <= 1e-12
+    # The extrapolation is kept only when it beats the plain double step,
+    # so the solve never ends below one plain step.
+    one_step = mm_update_v(MmProblem.from_operators(ops, phases))
+    after_one = composite_objective(channels, one_step, beam, config)
+    assert after_v >= after_one - 1e-9 * abs(after_one)
 
     solved_w = sca_solve(ops.big_h, beam, config)
     after_w = composite_objective(channels, phases, solved_w, config)
