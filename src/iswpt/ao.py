@@ -17,8 +17,8 @@ phases at fixed beamformer.  Either half-step runs in one of two modes:
   nondecreasing up to floating-point noise.
 
 Each half-step builds only the operators of its own side, and the inner
-solvers run at their own default iteration caps, tolerances and
-randomisation counts.
+solvers run at their own default iteration caps and tolerances; the sdp
+half-steps draw `sdp.N_RAND` Gaussian randomisations each.
 
 The trace records the composite objective and the physical metrics after
 initialisation and after every half-step, which is what the convergence
@@ -41,6 +41,15 @@ ALGORITHM_SDP = "sdp"
 ALGORITHM_LC = "lc"
 
 
+def check_loop(max_iters: int, rel_tol: float, name: str) -> None:
+    """Reject an outer-loop cap `name` below 1 or a stop tolerance that is
+    negative or not finite (NaN or inf would deem any change converged)."""
+    if max_iters < 1:
+        raise ValueError(f"{name} must be >= 1")
+    if not 0.0 <= rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
+
+
 @dataclass(frozen=True)
 class AoConfig:
     """Outer-loop knobs of one alternating-optimization run; the inner
@@ -56,11 +65,7 @@ class AoConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in (ALGORITHM_SDP, ALGORITHM_LC):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
-        # NaN fails these comparisons; NaN or inf would deem any change converged.
-        if not 0.0 <= self.rel_tol < np.inf:
-            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
+        check_loop(self.max_outer_iters, self.rel_tol, "max_outer_iters")
         if not 0.0 < self.sdp_tol < np.inf:
             raise ValueError(f"sdp_tol must be finite and > 0, got {self.sdp_tol!r}")
 
@@ -180,6 +185,7 @@ def run_rps(config: SystemConfig, channels: ChannelSet,
             rel_tol: float = 1e-6) -> AoTrace:
     """Random-phase baseline: phases drawn uniformly once and frozen,
     beamformer still optimized by iterating SCA steps to convergence."""
+    check_loop(max_iters, rel_tol, "max_iters")
     t0 = time.perf_counter()
     trace = AoTrace()
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, size=config.n_irs))

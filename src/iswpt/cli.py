@@ -50,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .ao import ALGORITHM_LC, ALGORITHM_SDP, AoConfig, AoTrace, run_ao, run_rps
+from .ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, AoTrace, check_loop,
+                 run_ao, run_rps)
 from .objective import PhaseProfile, beampattern_profile, objective_from_parts
 from .scenario import ChannelSet, SystemConfig, config_from_mapping, \
     parse_fields, parse_kv_file, sample_channels, slice_channels, trial_stream
@@ -95,10 +96,7 @@ class ExperimentSpec:
         if not MIN_ANGLE_STEP_DEG <= self.angle_step_deg < np.inf:
             raise ValueError(f"angle_step_deg must be finite and >= "
                              f"{MIN_ANGLE_STEP_DEG}, got {self.angle_step_deg!r}")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
-        if not 0.0 <= self.rel_tol < np.inf:
-            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol!r}")
+        check_loop(self.max_outer_iters, self.rel_tol, "max_outer_iters")
 
 
 def experiment_from_mapping(mapping: dict[str, str]) -> ExperimentSpec:

@@ -25,20 +25,22 @@ descent monotone; warm-started solves at L=40 reach the stop test in about
 a third of the maps of plain iteration.  `max_iters` caps the number of
 maps, extrapolated ones included.
 
-Inputs are checked once per solve (`mm_solve` validates one `MmProblem`
-and then only re-anchors it, `sca_solve` checks its matrix); the per-step
-kernels `mm_update_v` and `sca_update_w` check nothing.  Every solve loop,
-here and in `ao`, stops on the test `stalled`.
+Inputs are checked once, at the entry of each solve: `sca_solve` checks
+that `big_h` is finite and Hermitian, `mm_solve` that `big_f` is finite,
+Hermitian and (L+1) x (L+1) for L phases, and that the phases are finite.
+`MmProblem` is a plain record, and the per-step kernels `mm_update_v` and
+`sca_update_w` check nothing.  Every solve loop, here and in `ao`, stops on
+the test `stalled`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .objective import (Beamformer, DerivedOperators, PhaseProfile,
-                        check_hermitian, hermitian_part)
+                        check_hermitian)
 from .scenario import SystemConfig
 
 
@@ -70,8 +72,7 @@ def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
               max_iters: int = 50, rel_tol: float = 1e-9) -> Beamformer:
     """Iterate SCA steps at fixed phases until w^H H w stalls."""
     big_h = np.asarray(big_h)
-    if not np.isfinite(big_h).all():
-        raise ValueError("big_h must be finite")
+    check_hermitian(big_h, "big_h")
     out = beam
     q_prev = float(np.real(np.vdot(out.w, big_h @ out.w)))
     for _ in range(max_iters):
@@ -83,42 +84,19 @@ def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
     return out
 
 
-@dataclass(frozen=True)
-class MmProblem:
-    """The phase objective's operators and the current iterate."""
+class MmProblem(NamedTuple):
+    """The phase objective's operators and the current iterate; unchecked
+    (`mm_solve` checks its inputs once)."""
 
     f11: np.ndarray     # (L, L) PSD quadratic part
     f12: np.ndarray     # (L,) linear part
     v_prev: np.ndarray  # (L,) current unit-modulus iterate
-
-    def __post_init__(self) -> None:
-        f11 = np.asarray(self.f11, dtype=np.complex128)
-        f12 = np.asarray(self.f12, dtype=np.complex128)
-        v_prev = np.asarray(self.v_prev, dtype=np.complex128)
-        l_dim = f12.size
-        if f11.shape != (l_dim, l_dim) or v_prev.shape != (l_dim,):
-            raise ValueError("inconsistent MM problem dimensions")
-        check_hermitian(f11, "f11")
-        for name, vec in (("f12", f12), ("v_prev", v_prev)):
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "f11", hermitian_part(f11))
-        object.__setattr__(self, "f12", f12)
-        object.__setattr__(self, "v_prev", v_prev)
 
     @classmethod
     def from_operators(cls, ops: DerivedOperators,
                        phases: PhaseProfile) -> "MmProblem":
         l_dim = phases.v.size   # F11 and f12 are blocks of big_f
         return cls(ops.big_f[:l_dim, :l_dim], ops.big_f[:l_dim, l_dim], phases.v)
-
-    def _anchored_at(self, v_prev: np.ndarray) -> "MmProblem":
-        """The same validated problem at a new iterate of the same shape,
-        without re-running the checks (f11 is already exactly Hermitian,
-        so re-symmetrising it would return the same bits)."""
-        moved = object.__new__(MmProblem)
-        moved.__dict__.update(self.__dict__, v_prev=v_prev)
-        return moved
 
 
 def mm_objective(problem: MmProblem, v: np.ndarray) -> float:
@@ -152,10 +130,17 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
     that the cap would cut short skips the extrapolation, so a cap of 1 or
     2 gives exactly 1 or 2 plain steps.
     """
+    l_dim = phases.v.size
+    if np.shape(ops.big_f) != (l_dim + 1, l_dim + 1):
+        raise ValueError(f"big_f shape {np.shape(ops.big_f)} does not match "
+                         f"{l_dim} phases")
+    check_hermitian(ops.big_f, "big_f")
+    if not np.isfinite(phases.v).all():
+        raise ValueError("phases must be finite")
     problem = MmProblem.from_operators(ops, phases)
 
     def step(v: np.ndarray) -> tuple[PhaseProfile, float]:
-        anchored = problem._anchored_at(v)
+        anchored = problem._replace(v_prev=v)
         out = mm_update_v(anchored)
         return out, mm_objective(anchored, out.v)
 

@@ -43,19 +43,17 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
-def check_hermitian(mat: np.ndarray, name: str) -> float:
+def check_hermitian(mat: np.ndarray, name: str) -> None:
     """Reject a square matrix with a non-finite entry, or one that deviates
-    from Hermitian by more than 1e-12 * max(1, max|A|); returns max|A|
-    (0 for an empty matrix)."""
+    from Hermitian by more than 1e-12 * max(1, max|A|)."""
     if mat.size == 0:
-        return 0.0
+        return
     scale = float(np.max(np.abs(mat)))
     if not np.isfinite(scale):
         raise ValueError(f"{name} must be finite")
     deviation = float(np.max(np.abs(mat - mat.conj().T)))
     if deviation > 1e-12 * max(1.0, scale):
         raise ValueError(f"{name} is not Hermitian (deviation {deviation:.3e})")
-    return scale
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,8 @@ from .objective import (Beamformer, PhaseProfile, check_hermitian,
                         hermitian_part)
 from .scenario import SystemConfig, complex_normal
 
+N_RAND = 200   # Gaussian randomisations per sdp half-step extraction
+
 
 @dataclass(frozen=True)
 class DiagSdpProblem:
@@ -122,8 +124,8 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
     feasibility error to both drop below `tol`.  Determinism: no random
     state is consumed, so repeated calls return identical iterates.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be finite and > 0")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     b = problem.diag_values
@@ -218,12 +220,8 @@ def _candidates(x_opt: np.ndarray, n_rand: int,
     n = x_opt.shape[0]
     lam, vec = np.linalg.eigh(hermitian_part(x_opt))
     factor = vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
-    principal = factor[:, -1]
-    if n_rand > 0:
-        xi = complex_normal(rng, (n_rand, n))
-        draws = xi @ factor.conj().T
-        return np.vstack([principal[None, :], draws])
-    return principal[None, :]
+    draws = complex_normal(rng, (n_rand, n)) @ factor.conj().T
+    return np.vstack([factor[None, :, -1], draws])
 
 
 def extract_beamformer(x_opt: np.ndarray, big_h: np.ndarray,
@@ -283,7 +281,6 @@ def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
 
 def sdp_update_w(big_h: np.ndarray, config: SystemConfig,
                  rng: np.random.Generator, tol: float = 1e-7,
-                 n_rand: int = 200,
                  incumbent: Beamformer | None = None) -> tuple[Beamformer, float]:
     """Beamformer half-step at fixed phases: relax max w^H big_h w, solve,
     extract.
@@ -296,14 +293,13 @@ def sdp_update_w(big_h: np.ndarray, config: SystemConfig,
     problem = DiagSdpProblem(cost=big_h,
                              diag_values=np.full(config.n_tx, config.per_antenna_power))
     solution = solve_diag_sdp(problem, tol=tol)
-    beam = extract_beamformer(solution.x_opt, big_h, config, n_rand, rng,
+    beam = extract_beamformer(solution.x_opt, big_h, config, N_RAND, rng,
                               incumbent=incumbent)
     return beam, solution.objective + solution.duality_gap
 
 
 def sdp_update_v(big_f: np.ndarray, config: SystemConfig,
                  rng: np.random.Generator, tol: float = 1e-7,
-                 n_rand: int = 200,
                  incumbent: PhaseProfile | None = None) -> tuple[PhaseProfile, float]:
     """Phase half-step at fixed beamformer: relax max [v, 1] big_f [v, 1]^H,
     solve, extract.  The corner of big_f, the v-independent offset, is
@@ -317,6 +313,6 @@ def sdp_update_v(big_f: np.ndarray, config: SystemConfig,
     cost[-1, -1] = 0.0
     problem = DiagSdpProblem(cost=cost, diag_values=np.ones(config.n_irs + 1))
     solution = solve_diag_sdp(problem, tol=tol)
-    phases = extract_phases(solution.x_opt, cost, n_rand, rng,
+    phases = extract_phases(solution.x_opt, cost, N_RAND, rng,
                             incumbent=incumbent)
     return phases, solution.objective + solution.duality_gap + offset

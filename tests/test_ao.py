@@ -34,6 +34,20 @@ def test_ao_config_rejects_bad_tolerances(name, value):
         AoConfig(**{name: value})
 
 
+@pytest.mark.parametrize("loop, match", [
+    (dict(max_iters=0), "max_iters must be >= 1"),
+    (dict(rel_tol=float("inf")), "rel_tol"),
+    (dict(rel_tol=float("nan")), "rel_tol"),
+    (dict(rel_tol=-1.0), "rel_tol"),
+])
+def test_rps_rejects_bad_loop_parameters(loop, match):
+    # Unchecked, rel_tol=inf reported convergence after 2 steps and
+    # max_iters=0 returned a trace with no steps to read a result from.
+    config, channels = instance(seed=12)
+    with pytest.raises(ValueError, match=match):
+        run_rps(config, channels, trial_stream(12, 1), **loop)
+
+
 def test_lc_trace_monotone_and_feasible():
     config, channels = instance(seed=1, n=6, l=10)
     ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=10, rel_tol=0.0)

@@ -116,6 +116,16 @@ def test_sca_solve_rejects_non_finite_big_h(bad):
         sca_solve(big_h, beam, config)
 
 
+def test_sca_solve_rejects_non_hermitian_big_h():
+    # Unchecked, the step no longer maximises a tangent plane of w^H H w,
+    # so the ascent guarantee silently lapses.
+    config, channels, phases, beam = random_instance(seed=4, n=3, l=4)
+    big_h = build_operators(channels, phases, None, config).big_h.copy()
+    big_h[0, 1] += 5.0
+    with pytest.raises(ValueError, match="big_h is not Hermitian"):
+        sca_solve(big_h, beam, config)
+
+
 def test_sca_solve_reaches_fixed_point():
     config, channels, phases, beam = random_instance(seed=5, n=6, l=8)
     ops = build_operators(channels, phases, beam, config)
@@ -136,21 +146,37 @@ def test_sca_solve_reaches_fixed_point():
 
 
 def test_mm_problem_validation():
-    with pytest.raises(ValueError):
-        MmProblem(f11=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                  f12=np.zeros(2), v_prev=np.ones(2))
-    with pytest.raises(ValueError):
-        MmProblem(f11=np.zeros((2, 2)), f12=np.zeros(3), v_prev=np.ones(3))
+    # mm_solve checks its inputs once, at entry.
+    flat = PhaseProfile(alpha=np.zeros(2))
+    with pytest.raises(ValueError, match="big_f is not Hermitian"):
+        mm_solve(SimpleNamespace(big_f=np.triu(np.ones((3, 3)))), flat)
+    with pytest.raises(ValueError, match="big_f shape"):
+        mm_solve(SimpleNamespace(big_f=np.zeros((2, 2))), flat)
+
+
+def test_mm_solve_rejects_big_f_of_the_wrong_size():
+    # Unchecked, a 9 x 9 big_f with 6 phases solved a truncated problem.
+    config, channels, phases, beam = random_instance(seed=9, l=8)
+    ops = build_operators(channels, None, beam, config)
+    with pytest.raises(ValueError, match=r"big_f shape \(9, 9\) does not match 6"):
+        mm_solve(ops, PhaseProfile(alpha=phases.alpha[:6]))
 
 
 @pytest.mark.parametrize("field", ["f12", "v_prev"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_mm_problem_rejects_non_finite_vectors_by_name(field, bad):
     # Unchecked, a NaN in the linear term gave the MM step the phases [nan, 0, 0].
-    data = dict(f11=np.eye(3), f12=np.ones(3), v_prev=np.ones(3))
-    data[field] = np.array([bad, 1.0, 1.0])
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
-        MmProblem(**data)
+    # f12 is a column of big_f; v_prev is the starting point, the phases.
+    big_f = np.eye(4, dtype=complex)
+    big_f[:3, 3] = big_f[3, :3] = 1.0
+    start = np.ones(3, dtype=complex)
+    if field == "f12":
+        big_f[0, 3] = bad
+    else:
+        start[0] = bad
+    with pytest.raises(ValueError, match=("big_f" if field == "f12" else "phases")
+                       + " must be finite"):
+        mm_solve(SimpleNamespace(big_f=big_f), SimpleNamespace(v=start))
 
 
 def test_mm_step_with_flat_curvature():

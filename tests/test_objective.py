@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from iswpt.objective import (Beamformer, PhaseProfile, _beam_rows,
                              wrap_angle)
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
                             sample_channels, steering_matrix, trial_stream)
-from iswpt.lc import MmProblem
+from iswpt.lc import mm_solve
 from iswpt.sdp import DiagSdpProblem
 
 
@@ -230,8 +231,8 @@ def test_hermitian_checks_reject_non_finite_by_name(bad):
     # Unchecked, a non-finite entry makes the MM phases NaN.
     mat = np.eye(3, dtype=complex)
     mat[1, 2] = mat[2, 1] = bad
-    with pytest.raises(ValueError, match="f11 must be finite"):
-        MmProblem(f11=mat, f12=np.ones(3), v_prev=np.ones(3))
+    with pytest.raises(ValueError, match="big_f must be finite"):
+        mm_solve(SimpleNamespace(big_f=mat), PhaseProfile(alpha=np.zeros(2)))
     with pytest.raises(ValueError, match="cost matrix must be finite"):
         DiagSdpProblem(cost=mat, diag_values=np.ones(3))
 

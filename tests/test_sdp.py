@@ -127,9 +127,12 @@ def test_solver_rejects_bad_inputs():
         DiagSdpProblem(cost=np.zeros((2, 2)), diag_values=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         DiagSdpProblem(cost=np.zeros((3, 3)), diag_values=np.ones(2))
-    problem = DiagSdpProblem(cost=np.eye(2), diag_values=np.ones(2))
-    with pytest.raises(ValueError):
-        solve_diag_sdp(problem, tol=0.0)
+    problem = DiagSdpProblem(cost=np.ones((3, 3)), diag_values=np.ones(3))
+    # tol=inf once returned the starting point as a solution: objective 3.0
+    # on this all-ones cost, whose optimum is 9.
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            solve_diag_sdp(problem, tol=tol)
     with pytest.raises(ValueError, match="max_iters"):
         solve_diag_sdp(problem, max_iters=0)
 
@@ -503,12 +506,12 @@ def test_half_step_bounds_dominate_returned_iterates(seed, n, l, rho, tol):
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, l))
 
     big_h = build_operators(channels, phases, None, config).big_h
-    beam, bound_w = sdp_update_w(big_h, config, rng, tol=tol, n_rand=20, incumbent=beam)
+    beam, bound_w = sdp_update_w(big_h, config, rng, tol=tol, incumbent=beam)
     j_w = composite_objective(channels, phases, beam, config)
     assert j_w <= bound_w + 1e-12 * abs(bound_w)
 
     ops = build_operators(channels, None, beam, config)
-    phases, bound_v = sdp_update_v(ops.big_f, config, rng, tol=tol, n_rand=20,
+    phases, bound_v = sdp_update_v(ops.big_f, config, rng, tol=tol,
                                    incumbent=phases)
     j_v = composite_objective(channels, phases, beam, config)
     assert j_v <= bound_v + 1e-12 * abs(bound_v)

@@ -1,14 +1,23 @@
-"""Command-line tools under tools/: the CSV comparison."""
+"""Command-line tools under tools/: the CSV comparison and the finder of
+statements that a traffic never runs."""
 
 import importlib.util
+import textwrap
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "csv_reldiff.py"
-_SPEC = importlib.util.spec_from_file_location("csv_reldiff", _PATH)
-csv_reldiff = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(csv_reldiff)
+
+def load_tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+csv_reldiff = load_tool("csv_reldiff")
+traffic_lines = load_tool("traffic_lines")
 
 HEADER = "# comment line\nname,gain_db,value\n"
 
@@ -60,3 +69,43 @@ def test_first_differing_non_numeric_cell_is_shown(tmp_path, capsys):
 def test_missing_file_exits_one(tmp_path, capsys):
     assert csv_reldiff.main(write_dirs(tmp_path, "x,1.0,2.0\n", None)) == 1
     assert "out.csv: missing on one side" in capsys.readouterr().out
+
+
+SOURCE = textwrap.dedent('''\
+    """Module docstring."""
+
+
+    @staticmethod
+    def f(x, y=(1,
+                2)):
+        """Function docstring."""
+        global G
+        try:
+            if x > 0:
+                pass
+            else:
+                raise ValueError(
+                    "negative")
+        except ValueError:
+            return None
+        return [i
+                for i in range(x)]
+    ''')
+
+
+def test_statement_finder_keeps_statements_that_compile_to_code():
+    # The docstring of f and `global` compile to nothing; `else:` and
+    # `except ...:` are parts of statements, not statements.
+    found = dict(traffic_lines.statements(SOURCE))
+    assert sorted(found) == [1, 4, 9, 10, 11, 13, 16, 17]
+    assert found[4] == {4, 5}             # decorator and def header
+    assert found[13] == {13, 14}          # both lines of the raise
+    assert found[17] == {17, 18}
+
+
+def test_statement_finder_reports_statements_with_no_line_run():
+    # The lines a call f(1) at import runs, minus line 18 of the return:
+    # one line of a statement is enough to count it as run.
+    ran = {1, 4, 5, 9, 10, 11, 17}
+    assert traffic_lines.missed(SOURCE, ran) == [13, 16]
+    assert traffic_lines.missed(SOURCE, ran | {14, 16}) == []
