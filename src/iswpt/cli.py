@@ -151,12 +151,16 @@ def render_csv(exp: ExperimentSpec, command: str, header: list[str],
     return "\n".join(lines) + "\n"
 
 
+class WriteFailed(RuntimeError):
+    """The output file could not be written; the input was not at fault."""
+
+
 def _write_output(text: str, path: str) -> None:
     try:
         with open(path, "w", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+        raise WriteFailed(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +413,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, RunFailed) else 2
+        if isinstance(exc, RunFailed):
+            return 3
+        return 4 if isinstance(exc, WriteFailed) else 2
 
 
 if __name__ == "__main__":

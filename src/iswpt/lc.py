@@ -26,11 +26,11 @@ a third of the maps of plain iteration.  `max_iters` caps the number of
 maps, extrapolated ones included.
 
 Inputs are checked once, at the entry of each solve: `sca_solve` checks
-that `big_h` is finite and Hermitian, `mm_solve` that `big_f` is finite,
-Hermitian and (L+1) x (L+1) for L phases, and that the phases are finite.
-`MmProblem` is a plain record, and the per-step kernels `mm_update_v` and
-`sca_update_w` check nothing.  Every solve loop, here and in `ao`, stops on
-the test `stalled`.
+that `big_h` is finite, Hermitian and N x N for N antennas, `mm_solve`
+that `big_f` is finite, Hermitian and (L+1) x (L+1) for L phases, and that
+the phases are finite.  `MmProblem` is a plain record, and the per-step
+kernels `mm_update_v` and `sca_update_w` check nothing.  Every solve loop,
+here and in `ao`, stops on the test `stalled`.
 """
 
 from __future__ import annotations
@@ -72,6 +72,9 @@ def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
               max_iters: int = 50, rel_tol: float = 1e-9) -> Beamformer:
     """Iterate SCA steps at fixed phases until w^H H w stalls."""
     big_h = np.asarray(big_h)
+    if big_h.shape != (beam.w.size,) * 2:
+        raise ValueError(f"big_h shape {big_h.shape} does not match "
+                         f"{beam.w.size} antennas")
     check_hermitian(big_h, "big_h")
     out = beam
     q_prev = float(np.real(np.vdot(out.w, big_h @ out.w)))

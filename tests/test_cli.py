@@ -412,6 +412,15 @@ def test_failed_run_exits_three_without_csv(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_unwritable_out_exits_four_without_csv(tmp_path, capsys):
+    # A write failure is not bad input: it has its own code, not 2.
+    spec = write_spec(tmp_path)
+    out = tmp_path / "missing_dir" / "x.csv"
+    assert run_cli(["sweep-l", "--spec", spec, "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not out.exists() and not out.parent.exists()
+
+
 def test_unconverged_runs_noted_on_stderr(tmp_path, capsys):
     # max_outer_iters = 1 stops every run before its stop test can pass:
     # two runs (L = 4, 6) per algorithm, all still written to the CSV.

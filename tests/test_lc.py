@@ -126,6 +126,15 @@ def test_sca_solve_rejects_non_hermitian_big_h():
         sca_solve(big_h, beam, config)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (4, 5)])
+def test_sca_solve_rejects_big_h_of_the_wrong_size(shape):
+    # Unchecked, NumPy raised its own matmul or broadcast error, naming no input.
+    config, channels, phases, beam = random_instance(seed=4, n=4, l=4)
+    with pytest.raises(ValueError,
+                       match=rf"big_h shape \({shape[0]}, {shape[1]}\) does not match 4"):
+        sca_solve(np.eye(*shape), beam, config)
+
+
 def test_sca_solve_reaches_fixed_point():
     config, channels, phases, beam = random_instance(seed=5, n=6, l=8)
     ops = build_operators(channels, phases, beam, config)
