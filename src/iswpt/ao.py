@@ -4,21 +4,22 @@ One outer iteration updates the beamformer at fixed phases, then the
 phases at fixed beamformer.  Either half-step runs in one of two modes:
 
 * "sdp": relax the subproblem to a diagonally constrained SDP, solve it
-  with the interior-point method, and extract a feasible iterate by
-  Gaussian randomisation.  The dual value of each relaxation is an upper
-  bound on the half-step's achievable objective at any solver tolerance,
-  and is recorded alongside the feasible objective.  By default the
-  interior-point method stops at a relative duality gap of 1e-4, the
-  default outer `rel_tol`; extraction reads only the eigenstructure of
-  the relaxed solution, which a tighter solve barely moves.
+  with the interior-point method, and keep the projected principal
+  eigenvector unless the incumbent scores higher.  The dual value of each
+  relaxation is an upper bound on the half-step's achievable objective at
+  any solver tolerance, and is recorded alongside the feasible objective.
+  By default the interior-point method stops at a relative duality gap of
+  1e-4, the default outer `rel_tol`; extraction reads only the
+  eigenstructure of the relaxed solution, which a tighter solve barely
+  moves.
 * "lc": an inner SCA loop for the beamformer and an inner MM loop for the
   phases, each iterating the closed-form step of `lc` to a fixed point.
   Every half-step is monotone, so the recorded objective sequence is
   nondecreasing up to floating-point noise.
 
 Each half-step builds only the operators of its own side, and the inner
-solvers run at their own default iteration caps and tolerances; the sdp
-half-steps draw `sdp.N_RAND` Gaussian randomisations each.
+solvers run at their own default iteration caps and tolerances.  No
+half-step draws: a run's stream feeds only its initial phases, if any.
 
 The trace records the composite objective and the physical metrics after
 initialisation and after every half-step, which is what the convergence
@@ -152,16 +153,16 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
         try:
             big_h = build_operators(channels, phases, None, config).big_h
             if ao.algorithm == ALGORITHM_SDP:
-                beam, relaxed_w = sdp.sdp_update_w(big_h, config, rng,
-                                                   tol=ao.sdp_tol, incumbent=beam)
+                beam, relaxed_w = sdp.sdp_update_w(big_h, config, tol=ao.sdp_tol,
+                                                   incumbent=beam)
             else:
                 beam, relaxed_w = lc.sca_solve(big_h, beam, config), None
             _record(trace, t0, channels, config, phases, beam, outer, "w", relaxed_w)
 
             ops = build_operators(channels, None, beam, config)
             if ao.algorithm == ALGORITHM_SDP:
-                phases, relaxed_v = sdp.sdp_update_v(ops.big_f, config, rng,
-                                                     tol=ao.sdp_tol, incumbent=phases)
+                phases, relaxed_v = sdp.sdp_update_v(ops.big_f, config, tol=ao.sdp_tol,
+                                                     incumbent=phases)
             else:
                 phases, relaxed_v = lc.mm_solve(ops, phases), None
             j_new = _record(trace, t0, channels, config, phases, beam, outer, "v",

@@ -9,10 +9,12 @@ beampattern   angular gain profile of one converged solution per algorithm/L
 validate      run the built-in acceptance checks and print one line per check
 
 Exit codes: 0 success, 1 a failed acceptance check (``validate``), 2 bad
-input, 3 a run stopped by a solver failure (no CSV is written).  After a
-CSV is written, each algorithm with runs that stopped at
-``max_outer_iters`` without converging gets one ``note:`` line on stderr;
-those runs are still averaged into the CSV.
+input, 3 a run stopped by a solver failure, 4 an unwritable output path
+(found before the first run), 5 an internal error.  A command that fails
+leaves its output path as it found it.  After a CSV is written, each
+algorithm with runs that stopped at ``max_outer_iters`` without converging
+gets one ``note:`` line on stderr; those runs are still averaged into the
+CSV.
 
 Every CSV starts with a comment line ``# iswpt <version> seed=<seed>
 config=<hash>`` followed by a header row; floats are written with 17
@@ -43,7 +45,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import os
 import sys
+import traceback
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -155,9 +159,9 @@ class WriteFailed(RuntimeError):
     """The output file could not be written; the input was not at fault."""
 
 
-def _write_output(text: str, path: str) -> None:
+def _write_output(text: str, path: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", newline="") as handle:
+        with open(path, mode, newline="") as handle:
             handle.write(text)
     except OSError as exc:
         raise WriteFailed(f"cannot write {path}: {exc}") from exc
@@ -247,9 +251,6 @@ def _nominal_iteration_cost_ms(algorithm: str, n_tx: int, n_irs: int) -> float:
 
 
 def cmd_convergence(exp: ExperimentSpec) -> str:
-    if ALGORITHM_RPS in exp.algorithms:
-        raise ValueError("convergence traces outer iterations; "
-                         "the rps baseline has none")
     header = ["algorithm", "L", "trial", "iteration", "objective", "elapsed_ms"]
     rows: list[tuple] = []
     for algorithm, config, runs in _sweep_l(exp, exp.n_trials):
@@ -387,35 +388,72 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _experiment(args: argparse.Namespace) -> ExperimentSpec:
+    """The spec of a CSV command: its spec file, overridden by its flags, and
+    its default output path.  Bad input raises ValueError, or OSError for an
+    unreadable spec file."""
+    mapping = parse_kv_file(args.spec) if args.spec is not None else {}
+    flags = {"seed": args.seed, "n_trials": args.trials,
+             "algorithms": args.algo, "out": args.out}
+    mapping.update({k: v for k, v in flags.items() if v is not None})
+    exp = experiment_from_mapping(mapping)
+    if args.command == "convergence" and ALGORITHM_RPS in exp.algorithms:
+        raise ValueError("convergence traces outer iterations; "
+                         "the rps baseline has none")
+    if exp.out is None:
+        exp = dataclasses.replace(exp, out=args.command.replace("-", "_") + ".csv")
+    return exp
+
+
+def _run_command(command: str, exp: ExperimentSpec | None,
+                 out: str | None) -> int:
+    """Run one command, write its output and return its exit code."""
+    if exp is None:
+        report, all_passed = cmd_validate()
+        sys.stdout.write(report)
+        if out is not None:
+            _write_output(report, out)
+        return 0 if all_passed else 1
+    _RUN_COUNTS.clear()
+    _write_output(_COMMANDS[command](exp), out)
+    for algorithm, (runs, capped) in _RUN_COUNTS.items():
+        if capped:
+            print(f"note: {capped} of {runs} {algorithm} runs stopped at "
+                  f"max_outer_iters={exp.max_outer_iters} without converging",
+                  file=sys.stderr)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            report, all_passed = cmd_validate()
-            sys.stdout.write(report)
-            if args.out is not None:
-                _write_output(report, args.out)
-            return 0 if all_passed else 1
-        mapping = parse_kv_file(args.spec) if args.spec is not None else {}
-        flags = {"seed": args.seed, "n_trials": args.trials,
-                 "algorithms": args.algo, "out": args.out}
-        mapping.update({k: v for k, v in flags.items() if v is not None})
-        exp = experiment_from_mapping(mapping)
-        _RUN_COUNTS.clear()
-        text = _COMMANDS[args.command](exp)
-        default_out = args.command.replace("-", "_") + ".csv"
-        _write_output(text, exp.out if exp.out is not None else default_out)
-        for algorithm, (runs, capped) in _RUN_COUNTS.items():
-            if capped:
-                print(f"note: {capped} of {runs} {algorithm} runs stopped at "
-                      f"max_outer_iters={exp.max_outer_iters} without converging",
-                      file=sys.stderr)
-        return 0
-    except Exception as exc:
+        exp = None if args.command == "validate" else _experiment(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, RunFailed):
-            return 3
-        return 4 if isinstance(exc, WriteFailed) else 2
+        return 2
+    out = args.out if exp is None else exp.out
+    created = False
+    try:
+        if out is not None:
+            # Appending nothing leaves an existing file as it is, and fails
+            # on an unwritable path before any run.
+            existed = os.path.exists(out)
+            _write_output("", out, mode="a")
+            created = not existed
+        code = _run_command(args.command, exp, out)
+        created = False  # the output is written: keep it
+        return code
+    except (RunFailed, WriteFailed) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, RunFailed) else 4
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 5
+    finally:
+        if created:
+            os.remove(out)
 
 
 if __name__ == "__main__":

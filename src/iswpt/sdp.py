@@ -25,10 +25,10 @@ Inner products on the complex Hermitian cone are <A, B> = Re tr(A B); no
 real symmetric embedding is used, so there is no factor-2 bookkeeping to
 track and Tr(C X) is preserved trivially.
 
-`extract_beamformer` / `extract_phases` turn a relaxed PSD solution into a
-feasible constant-modulus iterate via the principal eigenvector plus
-Gaussian randomisation, keeping whichever candidate scores best on the
-true objective.
+`extract_beamformer` / `extract_phases` project the principal eigenvector
+of a relaxed PSD solution, and `n_rand` Gaussian randomisations of it, onto
+the feasible set and keep the best on the true objective, or an incumbent.
+The half-steps draw none: a randomised candidate never won (see README).
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ import numpy as np
 from .objective import (Beamformer, PhaseProfile, check_hermitian,
                         hermitian_part)
 from .scenario import SystemConfig, complex_normal
-
-N_RAND = 200   # Gaussian randomisations per sdp half-step extraction
 
 
 @dataclass(frozen=True)
@@ -209,24 +207,26 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
 
 
 def _candidates(x_opt: np.ndarray, n_rand: int,
-                rng: np.random.Generator) -> np.ndarray:
-    """Principal eigenvector plus Gaussian randomisations, one per row.
+                rng: np.random.Generator | None) -> np.ndarray:
+    """Principal eigenvector plus `n_rand` Gaussian randomisations, one per row.
 
     One eigendecomposition gives both: the draws use the PSD factor
     A = V sqrt(max(Lambda, 0)), A A^H ~= x_opt, whose last column is the
     scaled principal eigenvector.
     """
     x_opt = np.asarray(x_opt, dtype=np.complex128)
-    n = x_opt.shape[0]
     lam, vec = np.linalg.eigh(hermitian_part(x_opt))
     factor = vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
-    draws = complex_normal(rng, (n_rand, n)) @ factor.conj().T
-    return np.vstack([factor[None, :, -1], draws])
+    principal = factor[None, :, -1]
+    if n_rand == 0:
+        return principal
+    draws = complex_normal(rng, (n_rand, x_opt.shape[0])) @ factor.conj().T
+    return np.vstack([principal, draws])
 
 
 def extract_beamformer(x_opt: np.ndarray, big_h: np.ndarray,
                        config: SystemConfig, n_rand: int,
-                       rng: np.random.Generator,
+                       rng: np.random.Generator | None = None,
                        incumbent: Beamformer | None = None) -> Beamformer:
     """Feasible constant-modulus beamformer from a relaxed lifted solution.
 
@@ -245,7 +245,7 @@ def extract_beamformer(x_opt: np.ndarray, big_h: np.ndarray,
 
 
 def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
-                   rng: np.random.Generator,
+                   rng: np.random.Generator | None = None,
                    incumbent: PhaseProfile | None = None) -> PhaseProfile:
     """Feasible unit-modulus phase profile from a relaxed lifted solution.
 
@@ -279,8 +279,7 @@ def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
     return PhaseProfile(alpha=alpha[int(np.argmax(scores))])
 
 
-def sdp_update_w(big_h: np.ndarray, config: SystemConfig,
-                 rng: np.random.Generator, tol: float = 1e-7,
+def sdp_update_w(big_h: np.ndarray, config: SystemConfig, tol: float = 1e-7,
                  incumbent: Beamformer | None = None) -> tuple[Beamformer, float]:
     """Beamformer half-step at fixed phases: relax max w^H big_h w, solve,
     extract.
@@ -293,13 +292,12 @@ def sdp_update_w(big_h: np.ndarray, config: SystemConfig,
     problem = DiagSdpProblem(cost=big_h,
                              diag_values=np.full(config.n_tx, config.per_antenna_power))
     solution = solve_diag_sdp(problem, tol=tol)
-    beam = extract_beamformer(solution.x_opt, big_h, config, N_RAND, rng,
+    beam = extract_beamformer(solution.x_opt, big_h, config, n_rand=0,
                               incumbent=incumbent)
     return beam, solution.objective + solution.duality_gap
 
 
-def sdp_update_v(big_f: np.ndarray, config: SystemConfig,
-                 rng: np.random.Generator, tol: float = 1e-7,
+def sdp_update_v(big_f: np.ndarray, config: SystemConfig, tol: float = 1e-7,
                  incumbent: PhaseProfile | None = None) -> tuple[PhaseProfile, float]:
     """Phase half-step at fixed beamformer: relax max [v, 1] big_f [v, 1]^H,
     solve, extract.  The corner of big_f, the v-independent offset, is
@@ -313,6 +311,6 @@ def sdp_update_v(big_f: np.ndarray, config: SystemConfig,
     cost[-1, -1] = 0.0
     problem = DiagSdpProblem(cost=cost, diag_values=np.ones(config.n_irs + 1))
     solution = solve_diag_sdp(problem, tol=tol)
-    phases = extract_phases(solution.x_opt, cost, N_RAND, rng,
+    phases = extract_phases(solution.x_opt, cost, n_rand=0,
                             incumbent=incumbent)
     return phases, solution.objective + solution.duality_gap + offset

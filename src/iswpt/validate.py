@@ -17,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ao import AoConfig, run_ao, run_rps
+from .ao import AoConfig, AoTrace, run_ao, run_rps
 from .lc import mm_solve
 from .objective import (Beamformer, PhaseProfile, beampattern_profile,
                         build_operators, composite_objective)
 from .oracle import SearchBudget, quantized_phase_search
-from .scenario import (SystemConfig, complex_normal, sample_channels,
-                       slice_channels, steering_matrix, trial_stream)
+from .scenario import (ChannelSet, SystemConfig, complex_normal,
+                       sample_channels, slice_channels, steering_matrix,
+                       trial_stream)
 from .sdp import DiagSdpProblem, solve_diag_sdp
 
 
@@ -37,25 +38,45 @@ class CriterionResult:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
+def _scored(name: str, passed: bool, detail: str,
+            failures: list[str]) -> CriterionResult:
+    """A criterion's result that also fails on any run stopped by a solver
+    failure (its truncated trace is no result), naming the first."""
+    if failures:
+        detail += f"; {len(failures)} failed run(s), first: {failures[0]}"
+    return CriterionResult(name, passed and not failures, detail)
+
+
+def _run(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
+         rng: np.random.Generator, label: str, failures: list[str]) -> AoTrace:
+    """`run_ao`, adding the run's solver failure, if any, to `failures`."""
+    trace = run_ao(config, ao, channels, rng)
+    if trace.failure is not None:
+        failures.append(f"{label}: {trace.failure}")
+    return trace
+
+
 def check_step_feasibility() -> CriterionResult:
     """Every recorded step keeps |w(n)| and |v(l)| on the constraint set."""
     config = dataclasses.replace(SystemConfig(seed=11), rho=0.5)
     worst = 0.0
+    failures: list[str] = []
     for algo_idx, algorithm in enumerate(("sdp", "lc")):
         for trial in range(2):
             channels = sample_channels(config, trial_stream(11, 0, trial))
-            trace = run_ao(config,
-                           AoConfig(algorithm=algorithm, max_outer_iters=6,
-                                    rel_tol=0.0),
-                           channels, trial_stream(11, 1, algo_idx, trial))
+            trace = _run(config,
+                         AoConfig(algorithm=algorithm, max_outer_iters=6,
+                                  rel_tol=0.0),
+                         channels, trial_stream(11, 1, algo_idx, trial),
+                         f"{algorithm} trial {trial}", failures)
             for step in trace.steps:
                 worst = max(worst, step.w_error, step.v_error)
     channels = sample_channels(config, trial_stream(11, 0, 0))
     for step in run_rps(config, channels, trial_stream(11, 2, 0)).steps:
         worst = max(worst, step.w_error, step.v_error)
-    return CriterionResult(
+    return _scored(
         "01-step-feasibility", worst <= 1e-12,
-        f"max modulus deviation {worst:.3e} (tol 1e-12)")
+        f"max modulus deviation {worst:.3e} (tol 1e-12)", failures)
 
 
 def check_lc_monotone_ascent() -> CriterionResult:
@@ -85,17 +106,19 @@ def check_lc_monotone_ascent() -> CriterionResult:
 def check_convergence_speed() -> CriterionResult:
     """Median run is within 1% of its 30-iteration value by outer iteration 5."""
     medians = {}
+    failures: list[str] = []
     for algo_idx, algorithm in enumerate(("lc", "sdp")):
         for n_irs in (20, 40):
             config = dataclasses.replace(SystemConfig(seed=33), n_irs=n_irs)
             reaches = []
             for trial in range(9):
                 channels = sample_channels(config, trial_stream(33, 0, n_irs, trial))
-                trace = run_ao(config,
-                               AoConfig(algorithm=algorithm,
-                                        max_outer_iters=30, rel_tol=0.0),
-                               channels,
-                               trial_stream(33, 1, algo_idx, n_irs, trial))
+                trace = _run(config,
+                             AoConfig(algorithm=algorithm,
+                                      max_outer_iters=30, rel_tol=0.0),
+                             channels,
+                             trial_stream(33, 1, algo_idx, n_irs, trial),
+                             f"{algorithm}/L={n_irs} trial {trial}", failures)
                 objectives = trace.iteration_objectives()
                 final = objectives[-1]
                 reaches.append(next(i for i, val in enumerate(objectives)
@@ -104,7 +127,8 @@ def check_convergence_speed() -> CriterionResult:
     passed = all(med <= 5 for med in medians.values())
     detail = ", ".join(f"{algo}/L={l}: median iter {med:g}"
                        for (algo, l), med in medians.items())
-    return CriterionResult("03-convergence-speed", passed, detail + " (need <= 5)")
+    return _scored("03-convergence-speed", passed, detail + " (need <= 5)",
+                   failures)
 
 
 def check_cross_algorithm_agreement() -> CriterionResult:
@@ -113,17 +137,21 @@ def check_cross_algorithm_agreement() -> CriterionResult:
                           target_angles=(-np.pi / 4, np.pi / 4),
                           rho=0.5, seed=44)
     gaps = []
+    failures: list[str] = []
     for trial in range(20):
         channels = sample_channels(config, trial_stream(44, 0, trial))
-        j_lc = run_ao(config, AoConfig(algorithm="lc"), channels,
-                      trial_stream(44, 1, 0, trial)).final_objective()
-        j_sdp = run_ao(config, AoConfig(algorithm="sdp"), channels,
-                       trial_stream(44, 1, 1, trial)).final_objective()
+        j_lc = _run(config, AoConfig(algorithm="lc"), channels,
+                    trial_stream(44, 1, 0, trial), f"lc trial {trial}",
+                    failures).final_objective()
+        j_sdp = _run(config, AoConfig(algorithm="sdp"), channels,
+                     trial_stream(44, 1, 1, trial), f"sdp trial {trial}",
+                     failures).final_objective()
         gaps.append(abs(j_lc - j_sdp) / max(abs(j_lc), abs(j_sdp)))
     median_gap = float(np.median(gaps))
-    return CriterionResult(
+    return _scored(
         "04-cross-algorithm-agreement", median_gap <= 0.05,
-        f"median relative gap {median_gap:.4f} over 20 seeds (need <= 0.05)")
+        f"median relative gap {median_gap:.4f} over 20 seeds (need <= 0.05)",
+        failures)
 
 
 def check_mm_vs_exhaustive_oracle() -> CriterionResult:

@@ -9,6 +9,7 @@ the command line.
 
 import pytest
 
+from iswpt import sdp, validate
 from iswpt.validate import ALL_CRITERIA
 
 
@@ -18,3 +19,18 @@ def test_acceptance(criterion, capsys):
     with capsys.disabled():
         print(result)
     assert result.passed, str(result)
+
+
+@pytest.mark.parametrize("criterion", [
+    validate.check_step_feasibility, validate.check_convergence_speed,
+    validate.check_cross_algorithm_agreement], ids=lambda fn: fn.__name__)
+def test_failed_sdp_run_fails_its_criterion(criterion, monkeypatch):
+    # A run stopped by a solver failure leaves a truncated trace, which must
+    # not be scored as a result.
+    def stall(problem, **kwargs):
+        raise sdp.SdpNonConvergence("forced stall", None, 1.0)
+    monkeypatch.setattr(sdp, "solve_diag_sdp", stall)
+    result = criterion()
+    assert not result.passed
+    assert "failed run(s), first: sdp" in result.detail
+    assert result.detail.endswith(": forced stall")

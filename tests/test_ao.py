@@ -160,6 +160,20 @@ def test_given_initialization_passes_through():
     np.testing.assert_allclose(phases.alpha, start.alpha, atol=1e-15)
 
 
+def test_sdp_run_with_given_phases_draws_nothing():
+    # The sdp half-steps draw no randomisations, so with the initial phases
+    # given the run never reads its stream.
+    config, channels = instance(seed=12, n=3, l=6)
+    start = PhaseProfile(alpha=np.linspace(-1.0, 1.0, config.n_irs))
+    ao = AoConfig(algorithm=ALGORITHM_SDP, max_outer_iters=3, rel_tol=0.0,
+                  init_phases=start)
+    rng = trial_stream(12, 1)
+    before = rng.bit_generator.state
+    trace = run_ao(config, ao, channels, rng)
+    assert trace.failure is None and trace.n_outer == 3
+    assert rng.bit_generator.state == before
+
+
 def test_iteration_objectives_view():
     config, channels = instance(seed=10)
     ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=4, rel_tol=0.0)

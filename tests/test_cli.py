@@ -295,13 +295,23 @@ def test_convergence_lc_objective_nondecreasing(tmp_path):
             assert after >= before - 1e-9 * max(1.0, abs(before))
 
 
-def test_convergence_rejects_rps(tmp_path, capsys):
+def forbid_runs(monkeypatch):
+    def run(*args, **kwargs):
+        raise AssertionError("no run may start")
+    monkeypatch.setattr(cli, "run_ao", run)
+    monkeypatch.setattr(cli, "run_rps", run)
+
+
+def test_convergence_rejects_rps(tmp_path, capsys, monkeypatch):
+    # Bad input, found before the first run.
+    forbid_runs(monkeypatch)
     spec = write_spec(tmp_path, BASE_SPEC.replace("algorithms = sdp, lc",
-                                                  "algorithms = rps"))
+                                                  "algorithms = sdp, rps"))
     code = run_cli(["convergence", "--spec", spec,
                     "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_l_row_count_and_columns(tmp_path):
@@ -419,6 +429,44 @@ def test_unwritable_out_exits_four_without_csv(tmp_path, capsys):
     assert run_cli(["sweep-l", "--spec", spec, "--out", str(out)]) == 4
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
     assert not out.exists() and not out.parent.exists()
+
+
+def test_unwritable_out_exits_four_before_any_run(tmp_path, capsys,
+                                                  monkeypatch):
+    forbid_runs(monkeypatch)
+    spec = write_spec(tmp_path)
+    for out in (tmp_path / "missing_dir" / "x.csv", tmp_path):
+        assert run_cli(["sweep-l", "--spec", spec, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def test_failed_run_leaves_existing_out_untouched(tmp_path, capsys, monkeypatch):
+    def stall(problem, **kwargs):
+        raise sdp.SdpNonConvergence("forced stall", None, 1.0)
+    monkeypatch.setattr(sdp, "solve_diag_sdp", stall)
+    spec = write_spec(tmp_path)
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"earlier result\n")
+    before = out.stat()
+    assert run_cli(["sweep-l", "--spec", spec, "--algo", "sdp",
+                    "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: sdp run failed at L=4")
+    assert out.read_bytes() == b"earlier result\n"
+    assert out.stat().st_mtime_ns == before.st_mtime_ns
+
+
+def test_internal_error_exits_five_without_csv(tmp_path, capsys, monkeypatch):
+    # A bug is not bad input: it has its own code, not 2.
+    def broken(*args, **kwargs):
+        raise KeyError("beam")
+    monkeypatch.setattr(cli, "run_ao", broken)
+    spec = write_spec(tmp_path)
+    out = tmp_path / "x.csv"
+    assert run_cli(["sweep-l", "--spec", spec, "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("\nerror: internal error: KeyError: 'beam'\n")
+    assert not out.exists()
 
 
 def test_unconverged_runs_noted_on_stderr(tmp_path, capsys):
