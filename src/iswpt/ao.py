@@ -84,6 +84,7 @@ class AoStep:
     w_error: float                # max | |w_n| - sqrt(p0/N) |
     v_error: float                # max | |v_l| - 1 |
     relaxed_objective: float | None = None  # SDP dual value: bounds J at any sdp_tol
+    sdp_iterations: int | None = None       # interior-point iterations of an sdp half-step
 
 
 @dataclass
@@ -108,7 +109,8 @@ class AoTrace:
 
 def _record(trace: AoTrace, t0: float, channels: ChannelSet,
             config: SystemConfig, phases: PhaseProfile, beam: Beamformer,
-            outer: int, stage: str, relaxed: float | None = None) -> float:
+            outer: int, stage: str, relaxed: float | None = None,
+            sdp_iterations: int | None = None) -> float:
     """Append the step at iterate (phases, beam) to `trace`; returns its J."""
     j_val, harvested, sensing = solution_metrics(channels, phases, beam, config)
     trace.steps.append(AoStep(
@@ -117,7 +119,7 @@ def _record(trace: AoTrace, t0: float, channels: ChannelSet,
         elapsed_s=time.perf_counter() - t0,
         w_error=beam.modulus_error(config),
         v_error=phases.modulus_error(),
-        relaxed_objective=relaxed))
+        relaxed_objective=relaxed, sdp_iterations=sdp_iterations))
     return j_val
 
 
@@ -153,20 +155,22 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
         try:
             big_h = build_operators(channels, phases, None, config).big_h
             if ao.algorithm == ALGORITHM_SDP:
-                beam, relaxed_w = sdp.sdp_update_w(big_h, config, tol=ao.sdp_tol,
-                                                   incumbent=beam)
+                beam, relaxed_w, iters_w = sdp.sdp_update_w(big_h, config, tol=ao.sdp_tol,
+                                                            incumbent=beam)
             else:
-                beam, relaxed_w = lc.sca_solve(big_h, beam, config), None
-            _record(trace, t0, channels, config, phases, beam, outer, "w", relaxed_w)
+                beam, relaxed_w, iters_w = lc.sca_solve(big_h, beam, config), None, None
+            _record(trace, t0, channels, config, phases, beam, outer, "w", relaxed_w,
+                    iters_w)
 
             ops = build_operators(channels, None, beam, config)
             if ao.algorithm == ALGORITHM_SDP:
-                phases, relaxed_v = sdp.sdp_update_v(ops.big_f, config, tol=ao.sdp_tol,
-                                                     incumbent=phases)
+                phases, relaxed_v, iters_v = sdp.sdp_update_v(ops.big_f, config,
+                                                              tol=ao.sdp_tol,
+                                                              incumbent=phases)
             else:
-                phases, relaxed_v = lc.mm_solve(ops, phases), None
+                phases, relaxed_v, iters_v = lc.mm_solve(ops, phases), None, None
             j_new = _record(trace, t0, channels, config, phases, beam, outer, "v",
-                            relaxed_v)
+                            relaxed_v, iters_v)
         except sdp.SdpNonConvergence as exc:
             trace.failure = str(exc)
             break

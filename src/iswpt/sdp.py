@@ -18,8 +18,13 @@ The search direction is the standard XZ (HKM) direction with a Mehrotra
 predictor-corrector.  For diagonal constraints the Schur complement has
 the closed form  M_ij = Re(X_ij * conj(Sinv_ij)), an elementwise product.
 Each iteration factors X and S once: one Cholesky of each, whose inverted
-factors give Sinv and serve all four step-length tests (two stacked
-eigenvalue calls), plus one real n x n solve per direction.
+factors give Sinv and the step lengths (one stacked eigenvalue call per
+direction), plus one real n x n solve per direction.  An iteration forms
+9 complex n x n products: Sinv, one per direction, and three per step
+test (two for dX, one for the diagonal dS).  XS is never formed: it
+cancels from both directions, (R - X Diag(dz)) Sinv with R = E - XS is
+E Sinv - X - X Diag(dz) Sinv, and the traces behind the objective and the
+gaps are O(n^2) inner products, tr(A B) = vdot(B, A) for Hermitian A, B.
 
 Inner products on the complex Hermitian cone are <A, B> = Re tr(A B); no
 real symmetric embedding is used, so there is no factor-2 bookkeeping to
@@ -52,6 +57,8 @@ class DiagSdpProblem:
     def __post_init__(self) -> None:
         cost = np.asarray(self.cost, dtype=np.complex128)
         b = np.asarray(self.diag_values, dtype=float)
+        if b.ndim != 1 or b.size == 0:
+            raise ValueError(f"diag_values must be a nonempty 1-D vector, got shape {b.shape}")
         n = b.size
         if cost.shape != (n, n):
             raise ValueError(f"cost shape {cost.shape} does not match {n} diagonal values")
@@ -89,13 +96,17 @@ class SdpNonConvergence(RuntimeError):
         self.rel_gap = rel_gap
 
 
-def _max_steps(inv_factors: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Largest t with P_k + t*D_k still PSD, for each stacked pair k.
+def _max_steps(inv_factors: np.ndarray, dx: np.ndarray,
+               dz: np.ndarray) -> np.ndarray:
+    """Largest (t_p, t_d) keeping X + t_p*dX and S + t_d*Diag(dz) PSD.
 
-    `inv_factors` holds L_k^{-1} for the Cholesky factors P_k = L_k L_k^H;
-    an entry is inf when D_k is PSD.
+    `inv_factors` holds (L_X^{-1}, L_S^{-1}) for the Cholesky factors
+    X = L_X L_X^H and S = L_S L_S^H; an entry is inf when its direction is
+    PSD.  The dual direction is diagonal, so L_S^{-1} Diag(dz) is a column
+    scaling and its test takes one product.
     """
-    w = inv_factors @ directions @ inv_factors.conj().swapaxes(-1, -2)
+    inv_x, inv_s = inv_factors
+    w = np.stack([inv_x @ dx @ inv_x.conj().T, (inv_s * dz) @ inv_s.conj().T])
     lam_min = np.linalg.eigvalsh(hermitian_part(w))[:, 0]
     steps = np.full(lam_min.shape, np.inf)
     np.divide(-1.0, lam_min, out=steps, where=lam_min < 0.0)
@@ -146,10 +157,9 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
         diag_x = np.real(np.diag(x))
         r_p = b - diag_x
         primal_res = float(np.max(np.abs(r_p))) / (1.0 + float(np.max(b)))
-        primal_obj = float(np.real(np.trace(cost @ x)))
+        primal_obj = float(np.real(np.vdot(x, cost)))
         dual_obj = float(b @ z)
-        xs = x @ s
-        gap = float(np.real(np.trace(xs)))
+        gap = float(np.real(np.vdot(x, s)))
         rel_gap = abs(gap) / (1.0 + abs(primal_obj) + abs(dual_obj))
         # The iterate this pass starts from: returned on success, and carried
         # by SdpNonConvergence if the pass is the last or breaks down.
@@ -168,26 +178,26 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
 
             mu = gap / n
 
-            def direction(r_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                """(dx, dz); dS = Diag(dz), so X dS is a column scaling."""
-                rhs = np.real(np.sum(r_mat * s_inv.T, axis=1)) - r_p
+            def direction(e_mat: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+                """(dx, dz) for the complementarity residual R = e_mat - XS;
+                dS = Diag(dz), so X dS is a column scaling.  XS cancels:
+                diag(R Sinv) + r_p = diag(e_mat Sinv) - b."""
+                rhs = np.real(np.sum(e_mat * s_inv.T, axis=1)) - b
                 dz = np.linalg.solve(m_mat, rhs)
-                return hermitian_part((r_mat - x * dz) @ s_inv), dz
+                return hermitian_part((e_mat - x * dz) @ s_inv - x), dz
 
-            def step_lengths(dx: np.ndarray, dz: np.ndarray) -> np.ndarray:
-                return _max_steps(inv_factors, np.stack([dx, np.diag(dz)]))
-
-            # Mehrotra predictor: pure Newton step toward the boundary.
-            dx_aff, dz_aff = direction(-xs)
-            ap_aff, ad_aff = np.minimum(1.0, step_lengths(dx_aff, dz_aff))
-            gap_aff = float(np.real(np.trace((x + ap_aff * dx_aff) @ (s + ad_aff * np.diag(dz_aff)))))
+            # Mehrotra predictor: pure Newton step toward the boundary
+            # (R = -XS, so the right-hand side is exactly -b).
+            dx_aff, dz_aff = direction(0.0)
+            ap_aff, ad_aff = np.minimum(1.0, _max_steps(inv_factors, dx_aff, dz_aff))
+            gap_aff = float(np.real(np.vdot(x + ap_aff * dx_aff,
+                                            s + ad_aff * np.diag(dz_aff))))
             sigma = min(0.99, max((max(gap_aff, 0.0) / gap) ** 3, 1e-8))
 
             # Corrector with second-order term.
-            r_mat = sigma * mu * eye - xs - dx_aff * dz_aff
-            dx, dz = direction(r_mat)
+            dx, dz = direction(sigma * mu * eye - dx_aff * dz_aff)
             frac = 0.98 if iteration > 2 else 0.9
-            ap, ad = np.minimum(1.0, frac * step_lengths(dx, dz))
+            ap, ad = np.minimum(1.0, frac * _max_steps(inv_factors, dx, dz))
             x = hermitian_part(x + ap * dx)
             z = z + ad * dz
             s = np.diag(z) - cost
@@ -280,31 +290,33 @@ def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
 
 
 def sdp_update_w(big_h: np.ndarray, config: SystemConfig, tol: float = 1e-7,
-                 incumbent: Beamformer | None = None) -> tuple[Beamformer, float]:
+                 incumbent: Beamformer | None = None) -> tuple[Beamformer, float, int]:
     """Beamformer half-step at fixed phases: relax max w^H big_h w, solve,
     extract.
 
-    Returns the feasible beamformer and the dual value of the relaxation,
-    an upper bound on the achievable J at these phases.  Dual feasibility
-    holds at every interior-point iterate, so the bound is rigorous (up to
-    rounding) at any `tol`; the primal value Re tr(big_h X) is not.
+    Returns the feasible beamformer, the dual value of the relaxation (an
+    upper bound on the achievable J at these phases) and the solve's
+    interior-point iteration count.  Dual feasibility holds at every
+    interior-point iterate, so the bound is rigorous (up to rounding) at
+    any `tol`; the primal value Re tr(big_h X) is not.
     """
     problem = DiagSdpProblem(cost=big_h,
                              diag_values=np.full(config.n_tx, config.per_antenna_power))
     solution = solve_diag_sdp(problem, tol=tol)
     beam = extract_beamformer(solution.x_opt, big_h, config, n_rand=0,
                               incumbent=incumbent)
-    return beam, solution.objective + solution.duality_gap
+    return beam, solution.objective + solution.duality_gap, solution.iterations
 
 
 def sdp_update_v(big_f: np.ndarray, config: SystemConfig, tol: float = 1e-7,
-                 incumbent: PhaseProfile | None = None) -> tuple[PhaseProfile, float]:
+                 incumbent: PhaseProfile | None = None) -> tuple[PhaseProfile, float, int]:
     """Phase half-step at fixed beamformer: relax max [v, 1] big_f [v, 1]^H,
     solve, extract.  The corner of big_f, the v-independent offset, is
     zeroed in a copy for the relaxation and extraction (kept, it would
     outweigh every other entry and rescale the interior-point method) and
     added back to the dual value: an upper bound on the achievable J at
-    this beamformer, rigorous at any `tol`, returned with the profile.
+    this beamformer, rigorous at any `tol`, returned with the profile and
+    the solve's interior-point iteration count.
     """
     cost = np.array(big_f, dtype=np.complex128)
     offset = float(cost[-1, -1].real)
@@ -313,4 +325,4 @@ def sdp_update_v(big_f: np.ndarray, config: SystemConfig, tol: float = 1e-7,
     solution = solve_diag_sdp(problem, tol=tol)
     phases = extract_phases(solution.x_opt, cost, n_rand=0,
                             incumbent=incumbent)
-    return phases, solution.objective + solution.duality_gap + offset
+    return phases, solution.objective + solution.duality_gap + offset, solution.iterations

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from iswpt import sdp
 from iswpt.ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, _initial_iterates,
                       run_ao, run_rps)
 from iswpt.objective import PhaseProfile, _phase_rows
@@ -102,6 +103,31 @@ def test_sdp_trace_nondecreasing_and_bounded():
     for step in trace.steps:
         if step.relaxed_objective is not None:
             assert step.objective <= step.relaxed_objective + 1e-12 * abs(step.relaxed_objective)
+
+
+def test_trace_records_sdp_iteration_counts(monkeypatch):
+    # Each sdp half-step records the iteration count of its own solve; the
+    # initialisation and every lc half-step record None.
+    reported = []
+    solve = sdp.solve_diag_sdp
+
+    def counting_solve(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        reported.append(solution.iterations)
+        return solution
+
+    monkeypatch.setattr(sdp, "solve_diag_sdp", counting_solve)
+    config, channels = instance(seed=5, n=3, l=6)
+    ao = AoConfig(algorithm=ALGORITHM_SDP, max_outer_iters=4, rel_tol=0.0)
+    trace = run_ao(config, ao, channels, trial_stream(5, 1))
+    counts = [s.sdp_iterations for s in trace.steps]
+    assert counts[0] is None
+    assert len(reported) == 2 * trace.n_outer == len(counts) - 1
+    assert counts[1:] == reported and all(c > 0 for c in reported)
+
+    ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=4)
+    trace = run_ao(config, ao, channels, trial_stream(5, 1))
+    assert all(s.sdp_iterations is None for s in trace.steps)
 
 
 def test_sdp_failure_truncates_trace():

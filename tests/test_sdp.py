@@ -127,6 +127,12 @@ def test_solver_rejects_bad_inputs():
         DiagSdpProblem(cost=np.zeros((2, 2)), diag_values=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         DiagSdpProblem(cost=np.zeros((3, 3)), diag_values=np.ones(2))
+    # A matrix of diagonal values, or none at all, once built and then
+    # failed inside the solver with a NumPy error naming no input.
+    with pytest.raises(ValueError, match="diag_values"):
+        DiagSdpProblem(cost=np.eye(4), diag_values=np.ones((2, 2)))
+    with pytest.raises(ValueError, match="diag_values"):
+        DiagSdpProblem(cost=np.zeros((0, 0)), diag_values=np.ones(0))
     problem = DiagSdpProblem(cost=np.ones((3, 3)), diag_values=np.ones(3))
     # tol=inf once returned the starting point as a solution: objective 3.0
     # on this all-ones cost, whose optimum is 9.
@@ -208,18 +214,21 @@ def bisect_max_step(pos_def, direction):
 
 
 def test_max_steps_match_cholesky_bisection():
+    # The primal direction is a full Hermitian matrix, the dual one the
+    # diagonal of Diag(dz).
     rng = trial_stream(35, 0)
     for n in (3, 12, 41):
         pos_defs = np.stack([random_psd(rng, n) + 0.1 * np.eye(n) for _ in range(2)])
-        directions = np.stack([random_hermitian(rng, n) for _ in range(2)])
+        dx = random_hermitian(rng, n)
+        dz = rng.uniform(-1.0, 1.0, n)
         inv_factors = np.linalg.inv(np.linalg.cholesky(pos_defs))
-        steps = _max_steps(inv_factors, directions)
-        for k in range(2):
+        steps = _max_steps(inv_factors, dx, dz)
+        for k, direction in enumerate((dx, np.diag(dz))):
             assert steps[k] == pytest.approx(
-                bisect_max_step(pos_defs[k], directions[k]), rel=1e-6)
+                bisect_max_step(pos_defs[k], direction), rel=1e-6)
         # A PSD direction never leaves the cone.
-        psd_dirs = np.stack([random_psd(rng, n), np.diag(rng.uniform(0.0, 1.0, n))])
-        assert np.all(_max_steps(inv_factors, psd_dirs) == np.inf)
+        steps = _max_steps(inv_factors, random_psd(rng, n), rng.uniform(0.0, 1.0, n))
+        assert np.all(steps == np.inf)
 
 
 def test_solver_nonconvergence_carries_best_iterate():
@@ -230,6 +239,102 @@ def test_solver_nonconvergence_carries_best_iterate():
     best = info.value.solution
     # The stalled iterate is still a nearly optimal feasible point.
     assert best.objective == pytest.approx(9.0, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Solver against the reference loop
+#
+# The reference is the interior-point loop written directly from its
+# formulas: it forms XS, takes Re tr(C X), Re tr(X S) and the predicted
+# gap from full products, puts -XS into both right-hand sides, and tests
+# each step length on L^{-1} D L^{-H} with two products for either side.
+# The solver must follow it up to rounding: the same iteration count and
+# the same objective to 1e-9 relative.
+
+
+def reference_max_steps(inv_factors, directions):
+    w = inv_factors @ directions @ inv_factors.conj().swapaxes(-1, -2)
+    w = 0.5 * (w + w.conj().swapaxes(-1, -2))
+    lam_min = np.linalg.eigvalsh(w)[:, 0]
+    steps = np.full(lam_min.shape, np.inf)
+    np.divide(-1.0, lam_min, out=steps, where=lam_min < 0.0)
+    return steps
+
+
+def reference_solve_diag_sdp(problem, tol, max_iters=100):
+    """(iterations, primal value, dual value) of the reference loop."""
+    herm = lambda a: 0.5 * (a + a.conj().T)
+    b = problem.diag_values
+    n = b.size
+    c_scale = float(np.max(np.abs(problem.cost)))
+    if c_scale == 0.0:
+        return 0, 0.0, 0.0
+    cost = problem.cost / c_scale
+    eye = np.eye(n)
+    x = np.diag(b).astype(np.complex128)
+    z = np.sum(np.abs(cost), axis=1) + 0.1
+    s = np.diag(z) - cost
+    for iteration in range(1, max_iters + 1):
+        r_p = b - np.real(np.diag(x))
+        primal_res = float(np.max(np.abs(r_p))) / (1.0 + float(np.max(b)))
+        primal_obj = float(np.real(np.trace(cost @ x)))
+        dual_obj = float(b @ z)
+        xs = x @ s
+        gap = float(np.real(np.trace(xs)))
+        rel_gap = abs(gap) / (1.0 + abs(primal_obj) + abs(dual_obj))
+        if rel_gap <= tol and primal_res <= tol:
+            return iteration - 1, primal_obj * c_scale, dual_obj * c_scale
+        inv_factors = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
+        s_inv = herm(inv_factors[1].conj().T @ inv_factors[1])
+        m_mat = np.real(x * s_inv.conj())
+        m_mat = 0.5 * (m_mat + m_mat.T) + (1e-14 * float(np.max(np.abs(m_mat))) + 1e-300) * eye
+
+        def direction(r_mat):
+            rhs = np.real(np.sum(r_mat * s_inv.T, axis=1)) - r_p
+            dz = np.linalg.solve(m_mat, rhs)
+            return herm((r_mat - x * dz) @ s_inv), dz
+
+        dx_aff, dz_aff = direction(-xs)
+        ap_aff, ad_aff = np.minimum(1.0, reference_max_steps(
+            inv_factors, np.stack([dx_aff, np.diag(dz_aff)])))
+        gap_aff = float(np.real(np.trace(
+            (x + ap_aff * dx_aff) @ (s + ad_aff * np.diag(dz_aff)))))
+        sigma = min(0.99, max((max(gap_aff, 0.0) / gap) ** 3, 1e-8))
+        dx, dz = direction(sigma * gap / n * eye - xs - dx_aff * dz_aff)
+        frac = 0.98 if iteration > 2 else 0.9
+        ap, ad = np.minimum(1.0, frac * reference_max_steps(
+            inv_factors, np.stack([dx, np.diag(dz)])))
+        x = herm(x + ap * dx)
+        z = z + ad * dz
+        s = np.diag(z) - cost
+    raise AssertionError("reference loop did not converge")
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 41),
+       rank=st.sampled_from([None, 1, 2, 3, 5, 8]),
+       tol=st.sampled_from([1e-4, 1e-7]))
+def test_solver_follows_reference_loop(seed, n, rank, tol):
+    # Full-rank Hermitian costs (rank None), and Gram costs of rank <= 8
+    # with the corner zeroed, as sdp_update_v passes them.
+    rng = trial_stream(40, seed)
+    if rank is None:
+        cost = random_hermitian(rng, n)
+    else:
+        rows = complex_normal(rng, (rank, n))
+        cost = rows.conj().T @ rows
+        cost = 0.5 * (cost + cost.conj().T)
+        cost[-1, -1] = 0.0
+    problem = DiagSdpProblem(cost=cost, diag_values=rng.uniform(0.5, 2.0, n))
+    solution = solve_diag_sdp(problem, tol=tol)
+    iterations, ref_primal, ref_dual = reference_solve_diag_sdp(problem, tol)
+    assert solution.iterations == iterations
+    assert solution.objective == pytest.approx(ref_primal, rel=1e-9, abs=1e-300)
+    dual = solution.objective + solution.duality_gap
+    assert dual == pytest.approx(ref_dual, rel=1e-9, abs=1e-300)
+    slack = 1e-12 * abs(dual)
+    assert dual >= solution.objective - slack
+    assert dual >= ref_primal - slack
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +510,7 @@ def test_sdp_update_w_matched_filter():
     h = complex_normal(rng, (4,))
     big_h = np.outer(h.conj(), h)
     big_h = 0.5 * (big_h + big_h.conj().T)
-    beam, relaxed = sdp_update_w(big_h, config)
+    beam, relaxed, _ = sdp_update_w(big_h, config)
     optimum = float(config.beam_amplitude ** 2 * np.sum(np.abs(h)) ** 2)
     feasible = float(np.real(np.vdot(beam.w, big_h @ beam.w)))
     assert relaxed == pytest.approx(optimum, rel=1e-6)
@@ -421,7 +526,7 @@ def test_sdp_update_w_feasible_close_to_relaxed():
     ratios = []
     for trial in range(100):
         big_h = random_psd(rng, 4)
-        beam, relaxed = sdp_update_w(big_h, config)
+        beam, relaxed, _ = sdp_update_w(big_h, config)
         feasible = float(np.real(np.vdot(beam.w, big_h @ beam.w)))
         assert feasible <= relaxed * (1.0 + 1e-6)
         ratios.append(feasible / relaxed)
@@ -440,7 +545,7 @@ def test_sdp_update_v_beats_quantized_search():
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, 6))
     ops = build_operators(channels, None, beam, config)
 
-    profile, relaxed = sdp_update_v(ops.big_f, config)
+    profile, relaxed, _ = sdp_update_v(ops.big_f, config)
     j_sdp = composite_objective(channels, profile, beam, config)
     assert j_sdp == pytest.approx(lifted_phase_score(ops.big_f, profile.v),
                                   rel=1e-10)
@@ -461,12 +566,12 @@ def test_sdp_update_v_leaves_big_f_alone():
     big_f = build_operators(channels, None, beam, config).big_f
     before = big_f.copy()
     assert big_f[-1, -1].real > 0.0
-    profile, bound = sdp_update_v(big_f, config)
+    profile, bound, _ = sdp_update_v(big_f, config)
     assert np.array_equal(big_f, before)
 
     corner_free = big_f.copy()
     corner_free[-1, -1] = 0.0
-    profile0, bound0 = sdp_update_v(corner_free, config)
+    profile0, bound0, _ = sdp_update_v(corner_free, config)
     assert np.array_equal(profile.alpha, profile0.alpha)
     assert bound == bound0 + big_f[-1, -1].real
 
@@ -509,19 +614,23 @@ def test_half_step_bounds_dominate_returned_iterates(seed, n, l, rho, tol):
     phases0 = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, l))
 
     big_h = build_operators(channels, phases0, None, config).big_h
-    beam, bound_w = sdp_update_w(big_h, config, tol=tol, incumbent=beam0)
-    again, bound_again = sdp_update_w(big_h, config, tol=tol, incumbent=beam0)
+    beam, bound_w, iters_w = sdp_update_w(big_h, config, tol=tol, incumbent=beam0)
+    again, bound_again, iters_again = sdp_update_w(big_h, config, tol=tol,
+                                                   incumbent=beam0)
     assert np.array_equal(beam.w, again.w) and bound_w == bound_again
+    assert iters_w == iters_again
     j_w = composite_objective(channels, phases0, beam, config)
     j_0 = composite_objective(channels, phases0, beam0, config)
     assert j_w >= j_0 - 1e-12 * abs(j_0)
     assert j_w <= bound_w + 1e-12 * abs(bound_w)
 
     ops = build_operators(channels, None, beam, config)
-    phases, bound_v = sdp_update_v(ops.big_f, config, tol=tol, incumbent=phases0)
-    again, bound_again = sdp_update_v(ops.big_f, config, tol=tol,
-                                      incumbent=phases0)
+    phases, bound_v, iters_v = sdp_update_v(ops.big_f, config, tol=tol,
+                                            incumbent=phases0)
+    again, bound_again, iters_again = sdp_update_v(ops.big_f, config, tol=tol,
+                                                   incumbent=phases0)
     assert np.array_equal(phases.alpha, again.alpha) and bound_v == bound_again
+    assert iters_v == iters_again
     j_v = composite_objective(channels, phases, beam, config)
     assert j_v >= j_w - 1e-12 * abs(j_w)
     assert j_v <= bound_v + 1e-12 * abs(bound_v)
