@@ -51,6 +51,32 @@ def check_loop(max_iters: int, rel_tol: float, name: str) -> None:
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
 
 
+def _check_inputs(config: SystemConfig, channels: ChannelSet,
+                  init_phases: PhaseProfile | None = None,
+                  init_beam: Beamformer | None = None) -> None:
+    """Reject channels whose shapes do not match the config's (L, N, K) or
+    that hold a non-finite entry, and a given starting point of the wrong
+    size or with a non-finite entry."""
+    l_dim, n_dim, k_dim = config.n_irs, config.n_tx, config.n_ehd
+    for name, shape in (("h_br", (l_dim, n_dim)), ("h_ru", (k_dim, l_dim)),
+                        ("h_d", (k_dim, n_dim))):
+        arr = getattr(channels, name)
+        if arr.shape != shape:
+            raise ValueError(f"channels.{name} has shape {arr.shape}, expected "
+                             f"{shape} for (L, N, K) = ({l_dim}, {n_dim}, {k_dim})")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"channels.{name} must be finite")
+    for name, start, field, size in (("init_phases", init_phases, "alpha", l_dim),
+                                     ("init_beam", init_beam, "w", n_dim)):
+        if start is None:
+            continue
+        values = getattr(start, field)
+        if values.shape != (size,):
+            raise ValueError(f"{name} has {values.size} entries, expected {size}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class AoConfig:
     """Outer-loop knobs of one alternating-optimization run; the inner
@@ -144,8 +170,10 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
 
     Deterministic given (config, ao, channels, rng state).  On SDP solver
     non-convergence the trace is truncated at the last completed half-step
-    with `failure` describing the error.
+    with `failure` describing the error.  Inputs that do not fit `config`
+    raise ValueError (see `_check_inputs`).
     """
+    _check_inputs(config, channels, ao.init_phases, ao.init_beam)
     t0 = time.perf_counter()
     trace = AoTrace()
     phases, beam = _initial_iterates(config, ao, channels, rng)
@@ -191,6 +219,7 @@ def run_rps(config: SystemConfig, channels: ChannelSet,
     """Random-phase baseline: phases drawn uniformly once and frozen,
     beamformer still optimized by iterating SCA steps to convergence."""
     check_loop(max_iters, rel_tol, "max_iters")
+    _check_inputs(config, channels)
     t0 = time.perf_counter()
     trace = AoTrace()
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, size=config.n_irs))

@@ -8,12 +8,11 @@ maximises the tangent plane of the convex objective at the current x, a
 minorant, so each step can only raise the objective.
 
 * Beamformer side: J(w) = w^H H w, so M = H, b = 0, amp = sqrt(p0/N).
-* Phase side: in u = conj(v), J = u^H F11 u + 2 Re(u^H f12) + offset with
-  F11, f12 and offset the blocks of `big_f`, so M = F11, b = f12, amp = 1.
-  MM descends on g = offset - J, which is concave in u, so its tangent
-  plane at u0 = conj(v_prev), g(v_prev) - 2 Re((u - u0)^H (F11 u0 + f12)),
-  majorises it at any L (Sun, Babu & Palomar, IEEE TSP 2017) and no
-  eigenvalue shift is needed.
+* Phase side: J = v^H F11 v + 2 Re(v^H f12) + offset with F11, f12 and
+  offset the blocks of `big_f`, so M = F11, b = f12, amp = 1.  MM descends
+  on g = offset - J, which is concave in v, so its tangent plane at v0,
+  g(v0) - 2 Re((v - v0)^H (F11 v0 + f12)), majorises it at any L (Sun,
+  Babu & Palomar, IEEE TSP 2017) and no eigenvalue shift is needed.
 
 Each step costs one matrix-vector product.  `sca_solve` iterates the beam
 step plainly.  `mm_solve` wraps the phase step in SQUAREM (SqS3; Varadhan
@@ -103,18 +102,16 @@ class MmProblem(NamedTuple):
 
 
 def mm_objective(problem: MmProblem, v: np.ndarray) -> float:
-    """g(v) = -(u^H F11 u + 2 Re(u^H f12)) with u = conj(v), which equals
-    offset - J, so MM descent on g is ascent on the composite objective."""
-    u = np.asarray(v, dtype=np.complex128).conj()
-    quad = float(np.real(np.vdot(u, problem.f11 @ u)))
-    lin = float(np.real(np.vdot(u, problem.f12)))
+    """g(v) = -(v^H F11 v + 2 Re(v^H f12)), which equals offset - J, so MM
+    descent on g is ascent on the composite objective."""
+    quad = float(np.real(np.vdot(v, problem.f11 @ v)))
+    lin = float(np.real(np.vdot(v, problem.f12)))
     return -(quad + 2.0 * lin)
 
 
 def mm_update_v(problem: MmProblem) -> PhaseProfile:
-    """One MM phase step, u = exp(j arg(F11 u_prev + f12)) in u = conj(v)."""
-    u_phase = _ascent_phases(problem.f11, problem.v_prev.conj(), problem.f12)
-    return PhaseProfile(alpha=-u_phase)
+    """One MM phase step, v = exp(j arg(F11 v_prev + f12))."""
+    return PhaseProfile(alpha=_ascent_phases(problem.f11, problem.v_prev, problem.f12))
 
 
 def mm_solve(ops: DerivedOperators, phases: PhaseProfile,

@@ -22,10 +22,10 @@ is given (None for a variable skips its side):
 * beamformer side, rows h_tilde_k, h_hat_m from v:   J = w^H big_h w;
 * phase side, lifted rows [c_k, a_k], [d_m, 0] from w, where c_k = h_ru_k * g,
   a_k = h_d_k w and d_m = a(theta_m) * g (elementwise against g), so that
-  [v, 1] . [c_k, a_k] = h_tilde_k w and [v, 1] . [d_m, 0] = h_hat_m w with
-  plain unconjugated dot products:                    J = [v, 1] big_f [v, 1]^H.
+  with x = [v; 1] the rows give x . [c_k, a_k] = h_tilde_k w and
+  x . [d_m, 0] = h_hat_m w:                           J = x^H big_f x.
   The blocks of big_f are F11 (L x L), the column f12 and the corner
-  offset = rho*eta*p0 * sum_k |a_k|^2: J = v F11 v^H + 2 Re(v . f12) + offset.
+  offset = rho*eta*p0 * sum_k |a_k|^2: J = v^H F11 v + 2 Re(v^H f12) + offset.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class PhaseProfile:
 @dataclass(frozen=True)
 class DerivedOperators:
     """The Gram matrices of J with one variable frozen, J = w^H big_h w and
-    J = [v, 1] big_f [v, 1]^H.  big_h depends on the phases only, big_f on
+    J = x^H big_f x with x = [v; 1].  big_h depends on the phases only, big_f on
     the beamformer only; a side whose frozen variable was not given to
     `build_operators` is None.  Both are exactly Hermitian (symmetrised)."""
 
@@ -218,8 +218,8 @@ def build_operators(channels: ChannelSet, phases: PhaseProfile | None,
     big_h = big_f = None
     if phases is not None:
         big_h = _gram(_beam_rows(channels, phases, config), config)
-    if beam is not None:   # sum |[v, 1] . r|^2 is the Gram form of conj(r)
-        big_f = _gram(_phase_rows(channels, beam, config).conj(), config)
+    if beam is not None:
+        big_f = _gram(_phase_rows(channels, beam, config), config)
     return DerivedOperators(big_h=big_h, big_f=big_f)
 
 

@@ -234,6 +234,11 @@ def _candidates(x_opt: np.ndarray, n_rand: int,
     return np.vstack([principal, draws])
 
 
+def _quadratic_scores(x_rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """x^H mat x for each row x of `x_rows`."""
+    return np.real(((x_rows.conj() @ np.asarray(mat)) * x_rows).sum(1))
+
+
 def extract_beamformer(x_opt: np.ndarray, big_h: np.ndarray,
                        config: SystemConfig, n_rand: int,
                        rng: np.random.Generator | None = None,
@@ -250,7 +255,7 @@ def extract_beamformer(x_opt: np.ndarray, big_h: np.ndarray,
     w_rows = config.beam_amplitude * np.exp(1j * np.angle(cands))
     if incumbent is not None:
         w_rows = np.vstack([w_rows, incumbent.w[None, :]])
-    scores = np.real(((w_rows.conj() @ np.asarray(big_h)) * w_rows).sum(1))
+    scores = _quadratic_scores(w_rows, big_h)
     return Beamformer.from_phases(np.angle(w_rows[int(np.argmax(scores))]), config)
 
 
@@ -259,37 +264,35 @@ def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
                    incumbent: PhaseProfile | None = None) -> PhaseProfile:
     """Feasible unit-modulus phase profile from a relaxed lifted solution.
 
-    The lifted variable is [conj(v), 1] up to a global phase, so each
-    candidate is rotated to make its last entry real positive, truncated,
-    conjugated and projected onto unit modulus.  When the last entry is
-    numerically zero the global phase is instead chosen to maximise the
-    linear term of the score directly.  All candidates are scored at once
-    on the lifted form [v, 1] big_f [v, 1]^H (row-vector convention), which
-    equals J minus the v-independent offset; the first best wins, and an
-    incumbent profile, when given, replaces it only if strictly better, so
-    the extraction never returns anything worse than the incumbent.
+    The lifted variable is x = [v; 1] up to a global phase, so each
+    candidate is rotated to make its last entry real positive, truncated
+    and projected onto unit modulus.  When the last entry is numerically
+    zero the global phase is instead chosen to maximise the linear term of
+    the score directly.  All candidates are scored at once on the lifted
+    form x^H big_f x, which equals J minus the v-independent offset; the
+    first best wins, and an incumbent profile, when given, replaces it only
+    if strictly better, so the extraction never returns anything worse
+    than the incumbent.
     """
-    x_opt = np.asarray(x_opt, dtype=np.complex128)
     big_f = np.asarray(big_f, dtype=np.complex128)
-    l_dim = x_opt.shape[0] - 1
     cands = _candidates(x_opt, n_rand, rng)
-    head, tail = cands[:, :l_dim], cands[:, l_dim]
-    alpha = -np.angle(head * np.exp(-1j * np.angle(tail))[:, None])
+    head, tail = cands[:, :-1], cands[:, -1]
+    alpha = np.angle(head * np.exp(-1j * np.angle(tail))[:, None])
     flat = np.abs(tail) < 1e-9
     if np.any(flat):
         # Global phase is unconstrained; pick the rotation maximising
-        # 2 Re(e^{j phi} v . f12) in closed form (phi = 0 when the term
-        # vanishes, as angle(0) = 0).
-        v0 = np.exp(-1j * np.angle(head[flat]))
-        alpha[flat] = np.angle(v0) - np.angle(v0 @ big_f[:l_dim, l_dim])[:, None]
+        # 2 Re(e^{-j phi} v^H f12), phi = angle(v^H f12) (phi = 0 when the
+        # term vanishes, as angle(0) = 0).
+        v0 = np.exp(1j * np.angle(head[flat]))
+        alpha[flat] = np.angle(v0) + np.angle(v0.conj() @ big_f[:-1, -1])[:, None]
     if incumbent is not None:
         alpha = np.vstack([alpha, incumbent.alpha[None, :]])
     aug = np.hstack([np.exp(1j * alpha), np.ones((alpha.shape[0], 1))])
-    scores = np.real(((aug @ big_f) * aug.conj()).sum(1))
+    scores = _quadratic_scores(aug, big_f)
     return PhaseProfile(alpha=alpha[int(np.argmax(scores))])
 
 
-def sdp_update_w(big_h: np.ndarray, config: SystemConfig, tol: float = 1e-7,
+def sdp_update_w(big_h: np.ndarray, config: SystemConfig, tol: float,
                  incumbent: Beamformer | None = None) -> tuple[Beamformer, float, int]:
     """Beamformer half-step at fixed phases: relax max w^H big_h w, solve,
     extract.
@@ -308,13 +311,13 @@ def sdp_update_w(big_h: np.ndarray, config: SystemConfig, tol: float = 1e-7,
     return beam, solution.objective + solution.duality_gap, solution.iterations
 
 
-def sdp_update_v(big_f: np.ndarray, config: SystemConfig, tol: float = 1e-7,
+def sdp_update_v(big_f: np.ndarray, config: SystemConfig, tol: float,
                  incumbent: PhaseProfile | None = None) -> tuple[PhaseProfile, float, int]:
-    """Phase half-step at fixed beamformer: relax max [v, 1] big_f [v, 1]^H,
-    solve, extract.  The corner of big_f, the v-independent offset, is
-    zeroed in a copy for the relaxation and extraction (kept, it would
-    outweigh every other entry and rescale the interior-point method) and
-    added back to the dual value: an upper bound on the achievable J at
+    """Phase half-step at fixed beamformer: relax max x^H big_f x over
+    x = [v; 1], solve, extract.  The corner of big_f, the v-independent
+    offset, is zeroed in a copy for the relaxation and extraction (kept, it
+    would outweigh every other entry and rescale the interior-point method)
+    and added back to the dual value: an upper bound on the achievable J at
     this beamformer, rigorous at any `tol`, returned with the profile and
     the solve's interior-point iteration count.
     """

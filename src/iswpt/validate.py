@@ -216,16 +216,16 @@ def check_surrogate_tangency_domination() -> CriterionResult:
         w_near, v_near = (x * np.exp(1j * rng.uniform(-0.01, 0.01, (1000, x.size)))
                           for x in (beam.w, phases.v))
 
-        # Phase majorizer g(v0) - 2 Re((u - u0)^H (F11 u0 + f12)), equal to g
-        # at row 0 = v0 by construction, against g(v) = -(u^H F11 u + 2 Re(u^H
-        # f12)), u = conj(v), on the random and nearby profiles; F11, f12 from big_f.
+        # Phase majorizer g(v0) - 2 Re((v - v0)^H (F11 v0 + f12)), equal to g
+        # at row 0 = v0 by construction, against g(v) = -(v^H F11 v + 2 Re(v^H
+        # f12)) on the random and nearby profiles; F11, f12 from big_f.
         l_dim = config.n_irs
         f11, f12 = ops.big_f[:l_dim, :l_dim], ops.big_f[:l_dim, l_dim]
-        u_rows = np.vstack([phases.v, v_far, v_near]).conj()
-        g_rows = -(np.real(np.sum(u_rows.conj() * (u_rows @ f11.T), axis=1))
-                   + 2.0 * np.real(u_rows.conj() @ f12))
-        grad = f11 @ u_rows[0] + f12
-        plane = g_rows[0] - 2.0 * np.real((u_rows - u_rows[0]).conj() @ grad)
+        v_rows = np.vstack([phases.v, v_far, v_near])
+        g_rows = -(np.real(np.sum(v_rows.conj() * (v_rows @ f11.T), axis=1))
+                   + 2.0 * np.real(v_rows.conj() @ f12))
+        grad = f11 @ v_rows[0] + f12
+        plane = g_rows[0] - 2.0 * np.real((v_rows - v_rows[0]).conj() @ grad)
         phase_slack = min(phase_slack, float(np.min(plane[1:] - g_rows[1:])))
 
         # Beam minorant 2 Re(w^H H w0) - q(w0) against q(w) = w^H H w, on

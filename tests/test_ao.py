@@ -1,12 +1,14 @@
 """Alternating-optimization driver: traces, stopping rules, both algorithms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from iswpt import sdp
 from iswpt.ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, _initial_iterates,
                       run_ao, run_rps)
-from iswpt.objective import PhaseProfile, _phase_rows
+from iswpt.objective import Beamformer, PhaseProfile, _phase_rows
 from iswpt.scenario import SystemConfig, sample_channels, trial_stream
 
 
@@ -47,6 +49,46 @@ def test_rps_rejects_bad_loop_parameters(loop, match):
     config, channels = instance(seed=12)
     with pytest.raises(ValueError, match=match):
         run_rps(config, channels, trial_stream(12, 1), **loop)
+
+
+def with_nan(arr):
+    out = np.array(arr)
+    out.flat[1] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("fault", ["n_irs", "h_br", "h_ru", "h_d"])
+@pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP, "rps"])
+def test_runs_reject_channels_that_do_not_fit(algorithm, fault):
+    # Unchecked, a NaN channel entry gave an rps trace of 30 NaN steps and
+    # failed lc and sdp runs only inside a half-step; a size mismatch failed
+    # with a NumPy broadcast error that named no input.
+    config, channels = instance(seed=40, n=12, l=10)
+    if fault == "n_irs":   # 12 surface elements in the config, 10 in the channels
+        config = dataclasses.replace(config, n_irs=12)
+    else:                  # one NaN entry in the named channel
+        channels = dataclasses.replace(
+            channels, **{fault: with_nan(getattr(channels, fault))})
+    with pytest.raises(ValueError, match="channels"):
+        if algorithm == "rps":
+            run_rps(config, channels, trial_stream(40, 1))
+        else:
+            run_ao(config, AoConfig(algorithm=algorithm), channels,
+                   trial_stream(40, 1))
+
+
+@pytest.mark.parametrize("start, match", [
+    (dict(init_phases=PhaseProfile(alpha=np.zeros(9))), "init_phases"),
+    (dict(init_phases=PhaseProfile(alpha=with_nan(np.zeros(10)))), "init_phases"),
+    (dict(init_beam=Beamformer(w=np.ones(11))), "init_beam"),
+    (dict(init_beam=Beamformer(w=with_nan(np.ones(12)))), "init_beam"),
+], ids=["phases-9", "phases-nan", "beam-11", "beam-nan"])
+@pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
+def test_run_ao_rejects_starting_points_that_do_not_fit(algorithm, start, match):
+    config, channels = instance(seed=41, n=12, l=10)
+    with pytest.raises(ValueError, match=match):
+        run_ao(config, AoConfig(algorithm=algorithm, **start), channels,
+               trial_stream(41, 1))
 
 
 def test_lc_trace_monotone_and_feasible():

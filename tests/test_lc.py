@@ -189,12 +189,11 @@ def test_mm_problem_rejects_non_finite_vectors_by_name(field, bad):
 
 
 def test_mm_step_with_flat_curvature():
-    # F11 = 0 leaves only the linear term, so the update aligns u = conj(v)
-    # with f12.
+    # F11 = 0 leaves only the linear term, so the update aligns v with f12.
     problem = MmProblem(f11=np.zeros((2, 2)), f12=np.array([1.0, 1.0j]),
                         v_prev=np.array([1.0 + 0.0j, 1.0 + 0.0j]))
     out = mm_update_v(problem)
-    np.testing.assert_allclose(out.v, [1.0, -1.0j], atol=1e-12)
+    np.testing.assert_allclose(out.v, [1.0, 1.0j], atol=1e-12)
 
 
 def test_mm_zero_gamma_keeps_previous_iterate():
@@ -242,21 +241,21 @@ def test_mm_objective_ties_to_composite():
 @example(seed=5, n_tx=4, n_irs=3, n_ehd=4, n_targets=3, rho=0.5)
 def test_mm_surrogate_tangent_and_dominating(seed, n_tx, n_irs, n_ehd,
                                              n_targets, rho):
-    # The tangent plane (T = 0) of g at u0 = conj(v0) majorises g at any L,
-    # also for L < K+M, where F11 can be full rank and the eigenvalue shift
-    # was tighter: the plane minus g is the PSD form of the step u - u0,
-    # which is nonnegative and vanishes to second order at v0.
+    # The tangent plane (T = 0) of g at v0 majorises g at any L, also for
+    # L < K+M, where F11 can be full rank and the eigenvalue shift was
+    # tighter: the plane minus g is the PSD form of the step v - v0, which
+    # is nonnegative and vanishes to second order at v0.
     config, channels, phases, beam = random_instance(
         seed, n=n_tx, l=n_irs, k=n_ehd, m=n_targets, rho=rho)
     ops = build_operators(channels, None, beam, config)
     problem = MmProblem.from_operators(ops, phases)
-    u0 = phases.v.conj()
-    grad = problem.f11 @ u0 + problem.f12
+    v0 = phases.v
+    grad = problem.f11 @ v0 + problem.f12
     g0 = mm_objective(problem, phases.v)
     scale = max(1.0, abs(g0), float(np.abs(problem.f11).sum()))
     rng = trial_stream(seed, 1)
     for v in np.exp(1j * rng.uniform(-np.pi, np.pi, (100, n_irs))):
-        step = v.conj() - u0
+        step = v - v0
         slack = (g0 - 2.0 * float(np.real(np.vdot(step, grad)))
                  - mm_objective(problem, v))
         assert slack >= -1e-12 * scale
@@ -270,13 +269,13 @@ def test_mm_matches_exhaustive_grid_minimum():
     levels, dim = 8, 6
     grid = -np.pi + 2.0 * np.pi * np.arange(levels) / levels
     combos = np.array(list(itertools.product(range(levels), repeat=dim)))
-    u_all = np.exp(-1j * grid[combos])   # u = conj(v)
+    v_all = np.exp(1j * grid[combos])
 
     for trial in range(3):
         f11 = random_psd(rng, dim)
         f12 = complex_normal(rng, (dim,)).conj()
-        quad = np.einsum("bl,lk,bk->b", u_all.conj(), f11, u_all).real
-        lin = (u_all.conj() @ f12).real
+        quad = np.einsum("bl,lk,bk->b", v_all.conj(), f11, v_all).real
+        lin = (v_all.conj() @ f12).real
         g_grid_min = float(np.min(-(quad + 2.0 * lin)))
 
         v = np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
@@ -312,6 +311,10 @@ def test_mm_solve_improves_composite_objective():
 # short, or one with d = 0, skips the extrapolation.  It stops when g
 # stalls after a cycle's first map or across the cycle.  The solvers must
 # reproduce the references bit for bit.
+#
+# The MM references take their steps in u = conj(v), on the conjugated
+# lifted matrix big_f.conj(): an independent route to the same phases, in
+# which J = u^H conj(F11) u + 2 Re(u^H conj(f12)) + offset.
 
 
 def reference_mm_objective(problem, v):
@@ -387,7 +390,7 @@ def test_solvers_bit_identical_to_reference_loops(seed, n_irs, rel_tol):
         seed, n=12, l=n_irs, k=5, m=3)
     ops = build_operators(channels, phases, beam, config)
     mm_out = mm_solve(ops, phases, **tol)
-    mm_ref = reference_mm_solve(ops, phases, **tol)
+    mm_ref = reference_mm_solve(SimpleNamespace(big_f=ops.big_f.conj()), phases, **tol)
     assert np.array_equal(mm_out.alpha, mm_ref.alpha)
     assert np.array_equal(mm_out.v, mm_ref.v)
     sca_out = sca_solve(ops.big_h, beam, config, **tol)
@@ -403,10 +406,11 @@ def test_solvers_bit_identical_with_zero_gradient_entries():
     f12[[0, 3]] = 0.0
     big_f = np.zeros((7, 7), dtype=np.complex128)
     big_f[:6, 6], big_f[6, :6] = f12, f12.conj()
-    ops = SimpleNamespace(big_f=big_f)
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, 6))
-    mm_out = mm_solve(ops, phases, rel_tol=0.0)
-    assert np.array_equal(mm_out.alpha, reference_mm_solve(ops, phases, rel_tol=0.0).alpha)
+    mm_out = mm_solve(SimpleNamespace(big_f=big_f), phases, rel_tol=0.0)
+    mm_ref = reference_mm_solve(SimpleNamespace(big_f=big_f.conj()), phases,
+                                rel_tol=0.0)
+    assert np.array_equal(mm_out.alpha, mm_ref.alpha)
     np.testing.assert_allclose(mm_out.alpha[[0, 3]], phases.alpha[[0, 3]],
                                rtol=0.0, atol=1e-14)
 

@@ -129,8 +129,8 @@ def test_composite_objective_quadratic_form_agreement():
 def test_composite_objective_lifted_form_agreement():
     config, channels, phases, beam = random_instance(seed=18)
     ops = build_operators(channels, None, beam, config)
-    aug = np.append(phases.v, 1.0)
-    j_lifted = float(np.real(aug @ (ops.big_f @ aug.conj())))
+    x = np.append(phases.v, 1.0)
+    j_lifted = float(np.real(np.vdot(x, ops.big_f @ x)))
     assert j_lifted == pytest.approx(
         composite_objective(channels, phases, beam, config), rel=1e-10)
 
@@ -141,16 +141,16 @@ def test_composite_objective_lifted_form_agreement():
 @example(seed=17, n=4, l=6, k=2, m=2, rho=0.9)
 @example(seed=18, n=4, l=6, k=2, m=2, rho=0.9)
 def test_composite_objective_operator_forms_agree(seed, n, l, k, m, rho):
-    # J = w^H big_h w = [v, 1] big_f [v, 1]^H = both batch scores =
+    # J = w^H big_h w = x^H big_f x (x = [v; 1]) = both batch scores =
     # solution_metrics, and the corner of big_f is rho*eta*p0 sum |h_d,k w|^2.
     config, channels, phases, beam = random_instance(seed, n=n, l=l, k=k, m=m,
                                                      rho=rho)
     ops = build_operators(channels, phases, beam, config)
     j_direct = solution_metrics(channels, phases, beam, config)[0]
-    aug = np.append(phases.v, 1.0)
+    x = np.append(phases.v, 1.0)
     forms = (
         float(np.real(np.vdot(beam.w, ops.big_h @ beam.w))),
-        float(np.real(aug @ (ops.big_f @ aug.conj()))),
+        float(np.real(np.vdot(x, ops.big_f @ x))),
         float(objective_for_phase_batch(channels, beam, config, phases.v)[0]),
         float(objective_for_beam_batch(channels, phases, config, beam.w)[0]),
     )
@@ -162,7 +162,7 @@ def test_composite_objective_operator_forms_agree(seed, n, l, k, m, rho):
 
 
 def test_build_operators_cascade_identities():
-    # [v, 1] . (lifted phase row) = (beam row) . w, row by row, with plain
+    # [v; 1] . (lifted phase row) = (beam row) . w, row by row, with plain
     # unconjugated products: h_tilde_k w for the K devices, then h_hat_m w.
     config, channels, phases, beam = random_instance(seed=3)
     lifted = _phase_rows(channels, beam, config)

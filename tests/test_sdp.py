@@ -22,10 +22,10 @@ def random_psd(rng, n):
 
 
 def lifted_phase_score(big_f, v):
-    """[v, 1] big_f [v, 1]^H in the row-vector convention: the score that
-    extract_phases maximises, and J for the big_f of `build_operators`."""
-    aug = np.append(v, 1.0)
-    return float(np.real(aug @ (big_f @ aug.conj())))
+    """x^H big_f x with x = [v; 1]: the score that extract_phases
+    maximises, and J for the big_f of `build_operators`."""
+    x = np.append(v, 1.0)
+    return float(np.real(np.vdot(x, big_f @ x)))
 
 
 def random_hermitian(rng, n):
@@ -397,11 +397,9 @@ def test_extract_phases_rank_one_recovery():
     rng = trial_stream(28, 0)
     l_dim = 6
     v_gen = np.exp(1j * rng.uniform(-np.pi, np.pi, l_dim))
-    aug = np.concatenate([v_gen, [1.0 + 0.0j]])
-    lifted = np.concatenate([v_gen.conj(), [1.0 + 0.0j]])
+    lifted = np.concatenate([v_gen, [1.0 + 0.0j]])
     x_opt = np.outer(lifted, lifted.conj())
-    big_f = np.outer(aug.conj(), aug)
-    big_f = 0.5 * (big_f + big_f.conj().T)
+    big_f = 0.5 * (x_opt + x_opt.conj().T)
     recovered = extract_phases(x_opt, big_f, n_rand=0, rng=rng)
     np.testing.assert_allclose(recovered.v, v_gen, atol=1e-8)
     assert lifted_phase_score(big_f, recovered.v) == pytest.approx(
@@ -411,12 +409,13 @@ def test_extract_phases_rank_one_recovery():
 def test_extract_phases_degenerate_tail_fallback():
     # A relaxed solution whose principal eigenvector has zero last entry
     # exercises the global-phase fallback; the rotation it picks must beat
-    # the unrotated projection.
+    # the unrotated projection and every rotation on a fine grid, so a
+    # rotation of the wrong sign fails.
     rng = trial_stream(29, 0)
     l_dim = 5
     v_gen = np.exp(1j * rng.uniform(-np.pi, np.pi, l_dim))
     x_opt = np.zeros((l_dim + 1, l_dim + 1), dtype=complex)
-    x_opt[:l_dim, :l_dim] = np.outer(v_gen.conj(), v_gen)
+    x_opt[:l_dim, :l_dim] = np.outer(v_gen, v_gen.conj())
     x_opt[l_dim, l_dim] = 1.0
     f11 = random_psd(rng, l_dim)
     f12 = complex_normal(rng, (l_dim,))
@@ -426,7 +425,11 @@ def test_extract_phases_degenerate_tail_fallback():
     big_f[l_dim, :l_dim] = f12.conj()
     out = extract_phases(x_opt, big_f, n_rand=0, rng=rng)
     assert out.modulus_error() < 1e-15
-    assert lifted_phase_score(big_f, out.v) >= lifted_phase_score(big_f, v_gen) - 1e-9
+    score = lifted_phase_score(big_f, out.v)
+    assert score >= lifted_phase_score(big_f, v_gen) - 1e-9
+    rotations = np.exp(1j * np.linspace(-np.pi, np.pi, 3601))
+    best = max(lifted_phase_score(big_f, r * v_gen) for r in rotations)
+    assert score >= best - 1e-9 * max(1.0, abs(best))
 
 
 def test_extract_phases_keeps_incumbent():
@@ -451,11 +454,11 @@ def loop_extract_phases(x_opt, big_f, n_rand, rng, incumbent=None):
     for cand in _candidates(x_opt, n_rand, rng):
         tail = cand[l_dim]
         if np.abs(tail) >= 1e-9:
-            alpha = -np.angle(cand[:l_dim] * np.exp(-1j * np.angle(tail)))
+            alpha = np.angle(cand[:l_dim] * np.exp(-1j * np.angle(tail)))
         else:
-            v0 = np.exp(-1j * np.angle(cand[:l_dim]))
-            lin = np.dot(v0, f12)
-            alpha = np.angle(v0) + (-np.angle(lin) if np.abs(lin) > 0.0 else 0.0)
+            v0 = np.exp(1j * np.angle(cand[:l_dim]))
+            lin = np.vdot(v0, f12)
+            alpha = np.angle(v0) + (np.angle(lin) if np.abs(lin) > 0.0 else 0.0)
         score = lifted_phase_score(big_f, np.exp(1j * alpha))
         if score > best_score:
             best_alpha, best_score = alpha, score
@@ -510,7 +513,7 @@ def test_sdp_update_w_matched_filter():
     h = complex_normal(rng, (4,))
     big_h = np.outer(h.conj(), h)
     big_h = 0.5 * (big_h + big_h.conj().T)
-    beam, relaxed, _ = sdp_update_w(big_h, config)
+    beam, relaxed, _ = sdp_update_w(big_h, config, tol=1e-7)
     optimum = float(config.beam_amplitude ** 2 * np.sum(np.abs(h)) ** 2)
     feasible = float(np.real(np.vdot(beam.w, big_h @ beam.w)))
     assert relaxed == pytest.approx(optimum, rel=1e-6)
@@ -526,7 +529,7 @@ def test_sdp_update_w_feasible_close_to_relaxed():
     ratios = []
     for trial in range(100):
         big_h = random_psd(rng, 4)
-        beam, relaxed, _ = sdp_update_w(big_h, config)
+        beam, relaxed, _ = sdp_update_w(big_h, config, tol=1e-7)
         feasible = float(np.real(np.vdot(beam.w, big_h @ beam.w)))
         assert feasible <= relaxed * (1.0 + 1e-6)
         ratios.append(feasible / relaxed)
@@ -545,7 +548,7 @@ def test_sdp_update_v_beats_quantized_search():
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, 6))
     ops = build_operators(channels, None, beam, config)
 
-    profile, relaxed, _ = sdp_update_v(ops.big_f, config)
+    profile, relaxed, _ = sdp_update_v(ops.big_f, config, tol=1e-7)
     j_sdp = composite_objective(channels, profile, beam, config)
     assert j_sdp == pytest.approx(lifted_phase_score(ops.big_f, profile.v),
                                   rel=1e-10)
@@ -566,12 +569,12 @@ def test_sdp_update_v_leaves_big_f_alone():
     big_f = build_operators(channels, None, beam, config).big_f
     before = big_f.copy()
     assert big_f[-1, -1].real > 0.0
-    profile, bound, _ = sdp_update_v(big_f, config)
+    profile, bound, _ = sdp_update_v(big_f, config, tol=1e-7)
     assert np.array_equal(big_f, before)
 
     corner_free = big_f.copy()
     corner_free[-1, -1] = 0.0
-    profile0, bound0, _ = sdp_update_v(corner_free, config)
+    profile0, bound0, _ = sdp_update_v(corner_free, config, tol=1e-7)
     assert np.array_equal(profile.alpha, profile0.alpha)
     assert bound == bound0 + big_f[-1, -1].real
 

@@ -1,10 +1,12 @@
-"""Command-line tools under tools/: the CSV comparison and the finder of
-statements that a traffic never runs."""
+"""Command-line tools under tools/: the CSV byte contract, the CSV
+comparison and the finder of statements that a traffic never runs."""
 
 import importlib.util
+import platform
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 
@@ -16,8 +18,21 @@ def load_tool(name):
     return module
 
 
+csv_digest = load_tool("csv_digest")
 csv_reldiff = load_tool("csv_reldiff")
 traffic_lines = load_tool("traffic_lines")
+
+
+@pytest.mark.skipif(
+    np.__version__ != csv_digest.RECORDED_NUMPY
+    or platform.machine() not in ("x86_64", "AMD64"),
+    reason=f"tools/fixed.sha256 was recorded with NumPy "
+           f"{csv_digest.RECORDED_NUMPY} on x86-64; this is NumPy "
+           f"{np.__version__} on {platform.machine()}, which may round differently")
+def test_fixed_spec_csvs_match_committed_digests(tmp_path):
+    # The byte contract of a refactor: the eight CSVs of tools/fixed.spec.
+    lines = [csv_digest.digest_line(path) for path in csv_digest.write_csvs(tmp_path)]
+    assert lines == csv_digest.DIGESTS.read_text().splitlines()
 
 HEADER = "# comment line\nname,gain_db,value\n"
 

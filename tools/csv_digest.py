@@ -14,9 +14,9 @@ the CSV bytes is checked with one line:
 
     python3 tools/csv_digest.py | diff tools/fixed.sha256 -
 
-The digests assume the NumPy/BLAS build they were recorded with (NumPy
-2.4.6 with its bundled OpenBLAS 0.3.31 on x86-64); another build may
-round differently and change them.
+The digests assume the NumPy/BLAS build they were recorded with
+(`RECORDED_NUMPY`, NumPy 2.4.6 with its bundled OpenBLAS 0.3.31, on
+x86-64); another build may round differently and change them.
 
 `iswpt` is imported from PYTHONPATH when it is set there, else from this
 repository's `src`.  Pass a directory to keep the CSVs; by default they
@@ -36,6 +36,8 @@ sys.path.append(str(ROOT / "src"))
 from iswpt import cli  # noqa: E402
 
 SPEC = ROOT / "tools" / "fixed.spec"
+DIGESTS = ROOT / "tools" / "fixed.sha256"
+RECORDED_NUMPY = "2.4.6"
 RUNS = [(command, algos)
         for command in ("convergence", "sweep-l", "sweep-rho", "beampattern")
         for algos in (("lc" if command == "convergence" else "lc,rps"), "sdp")]
@@ -53,13 +55,18 @@ def write_csvs(out_dir: Path) -> list[Path]:
     return paths
 
 
+def digest_line(path: Path) -> str:
+    """One line of `tools/fixed.sha256`: the SHA-256 digest and file name."""
+    return f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}"
+
+
 def main(argv: list[str]) -> int:
     print(f"# iswpt from {Path(cli.__file__).resolve().parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(argv[0]) if argv else Path(tmp)
         out_dir.mkdir(parents=True, exist_ok=True)
         for path in write_csvs(out_dir):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+            print(digest_line(path))
     return 0
 
 
