@@ -15,9 +15,8 @@ from .scenario import (ChannelSet, SystemConfig, complex_normal, db_to_linear,
 from .objective import (Beamformer, DerivedOperators, PhaseProfile,
                         beampattern_profile, build_operators,
                         composite_objective, solution_metrics)
-from .sdp import (DiagSdpProblem, SdpNonConvergence, SdpSolution,
-                  extract_beamformer, extract_phases, solve_diag_sdp,
-                  sdp_update_v, sdp_update_w)
+from .sdp import (SdpNonConvergence, SdpSolution, extract_beamformer,
+                  extract_phases, solve_diag_sdp, sdp_update_v, sdp_update_w)
 from .lc import MmProblem, mm_solve, mm_update_v, sca_solve, sca_update_w
 from .ao import AoConfig, AoTrace, run_ao, run_rps
 from .oracle import SearchBudget, quantized_beam_search, quantized_phase_search

@@ -28,7 +28,6 @@ experiments and the acceptance checks consume.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,38 +35,17 @@ import numpy as np
 from . import lc, sdp
 from .objective import (Beamformer, PhaseProfile, build_operators,
                         solution_metrics)
-from .scenario import ChannelSet, SystemConfig
+from .scenario import ChannelSet, SystemConfig, check_channels
 
 ALGORITHM_SDP = "sdp"
 ALGORITHM_LC = "lc"
 
 
-def check_loop(max_iters: int, rel_tol: float, name: str) -> None:
-    """Reject an outer-loop cap `name` below 1 or a stop tolerance that is
-    negative or not finite (NaN or inf would deem any change converged)."""
-    if max_iters < 1:
-        raise ValueError(f"{name} must be >= 1")
-    if not 0.0 <= rel_tol < np.inf:
-        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
-
-
-def _check_inputs(config: SystemConfig, channels: ChannelSet,
-                  init_phases: PhaseProfile | None = None,
-                  init_beam: Beamformer | None = None) -> None:
-    """Reject channels whose shapes do not match the config's (L, N, K) or
-    that hold a non-finite entry, and a given starting point of the wrong
-    size or with a non-finite entry."""
-    l_dim, n_dim, k_dim = config.n_irs, config.n_tx, config.n_ehd
-    for name, shape in (("h_br", (l_dim, n_dim)), ("h_ru", (k_dim, l_dim)),
-                        ("h_d", (k_dim, n_dim))):
-        arr = getattr(channels, name)
-        if arr.shape != shape:
-            raise ValueError(f"channels.{name} has shape {arr.shape}, expected "
-                             f"{shape} for (L, N, K) = ({l_dim}, {n_dim}, {k_dim})")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"channels.{name} must be finite")
-    for name, start, field, size in (("init_phases", init_phases, "alpha", l_dim),
-                                     ("init_beam", init_beam, "w", n_dim)):
+def _check_start(config: SystemConfig, ao: AoConfig) -> None:
+    """Reject a given starting point of the wrong size or with a non-finite
+    entry."""
+    for name, start, field, size in (("init_phases", ao.init_phases, "alpha", config.n_irs),
+                                     ("init_beam", ao.init_beam, "w", config.n_tx)):
         if start is None:
             continue
         values = getattr(start, field)
@@ -92,7 +70,7 @@ class AoConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in (ALGORITHM_SDP, ALGORITHM_LC):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        check_loop(self.max_outer_iters, self.rel_tol, "max_outer_iters")
+        lc.check_loop(self.max_outer_iters, self.rel_tol, "max_outer_iters")
         if not 0.0 < self.sdp_tol < np.inf:
             raise ValueError(f"sdp_tol must be finite and > 0, got {self.sdp_tol!r}")
 
@@ -106,7 +84,6 @@ class AoStep:
     objective: float              # composite J at this iterate
     harvested_sum: float          # eta * sum_k |h_tilde_k w|^2
     beampattern_sum: float        # sum_m gain toward target m
-    elapsed_s: float              # wall time since run start
     w_error: float                # max | |w_n| - sqrt(p0/N) |
     v_error: float                # max | |v_l| - 1 |
     relaxed_objective: float | None = None  # SDP dual value: bounds J at any sdp_tol
@@ -133,16 +110,14 @@ class AoTrace:
         return np.asarray(out)
 
 
-def _record(trace: AoTrace, t0: float, channels: ChannelSet,
-            config: SystemConfig, phases: PhaseProfile, beam: Beamformer,
-            outer: int, stage: str, relaxed: float | None = None,
-            sdp_iterations: int | None = None) -> float:
+def _record(trace: AoTrace, channels: ChannelSet, config: SystemConfig,
+            phases: PhaseProfile, beam: Beamformer, outer: int, stage: str,
+            relaxed: float | None = None, sdp_iterations: int | None = None) -> float:
     """Append the step at iterate (phases, beam) to `trace`; returns its J."""
     j_val, harvested, sensing = solution_metrics(channels, phases, beam, config)
     trace.steps.append(AoStep(
         outer_iter=outer, stage=stage, objective=j_val,
         harvested_sum=harvested, beampattern_sum=sensing,
-        elapsed_s=time.perf_counter() - t0,
         w_error=beam.modulus_error(config),
         v_error=phases.modulus_error(),
         relaxed_objective=relaxed, sdp_iterations=sdp_iterations))
@@ -171,13 +146,13 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     Deterministic given (config, ao, channels, rng state).  On SDP solver
     non-convergence the trace is truncated at the last completed half-step
     with `failure` describing the error.  Inputs that do not fit `config`
-    raise ValueError (see `_check_inputs`).
+    raise ValueError (see `scenario.check_channels` and `_check_start`).
     """
-    _check_inputs(config, channels, ao.init_phases, ao.init_beam)
-    t0 = time.perf_counter()
+    check_channels(config, channels)
+    _check_start(config, ao)
     trace = AoTrace()
     phases, beam = _initial_iterates(config, ao, channels, rng)
-    j_prev = _record(trace, t0, channels, config, phases, beam, 0, "init")
+    j_prev = _record(trace, channels, config, phases, beam, 0, "init")
 
     for outer in range(1, ao.max_outer_iters + 1):
         try:
@@ -187,8 +162,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
                                                             incumbent=beam)
             else:
                 beam, relaxed_w, iters_w = lc.sca_solve(big_h, beam, config), None, None
-            _record(trace, t0, channels, config, phases, beam, outer, "w", relaxed_w,
-                    iters_w)
+            _record(trace, channels, config, phases, beam, outer, "w", relaxed_w, iters_w)
 
             ops = build_operators(channels, None, beam, config)
             if ao.algorithm == ALGORITHM_SDP:
@@ -197,7 +171,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
                                                               incumbent=phases)
             else:
                 phases, relaxed_v, iters_v = lc.mm_solve(ops, phases), None, None
-            j_new = _record(trace, t0, channels, config, phases, beam, outer, "v",
+            j_new = _record(trace, channels, config, phases, beam, outer, "v",
                             relaxed_v, iters_v)
         except sdp.SdpNonConvergence as exc:
             trace.failure = str(exc)
@@ -218,9 +192,8 @@ def run_rps(config: SystemConfig, channels: ChannelSet,
             rel_tol: float = 1e-6) -> AoTrace:
     """Random-phase baseline: phases drawn uniformly once and frozen,
     beamformer still optimized by iterating SCA steps to convergence."""
-    check_loop(max_iters, rel_tol, "max_iters")
-    _check_inputs(config, channels)
-    t0 = time.perf_counter()
+    lc.check_loop(max_iters, rel_tol, "max_iters")
+    check_channels(config, channels)
     trace = AoTrace()
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, size=config.n_irs))
     beam = Beamformer.from_phases(np.zeros(config.n_tx), config)
@@ -229,7 +202,7 @@ def run_rps(config: SystemConfig, channels: ChannelSet,
     j_prev = None
     for it in range(max_iters):
         beam = lc.sca_update_w(big_h, beam, config)
-        j_val = _record(trace, t0, channels, config, phases, beam, it, "w")
+        j_val = _record(trace, channels, config, phases, beam, it, "w")
         trace.n_outer = it + 1
         if j_prev is not None and lc.stalled(j_val, j_prev, rel_tol):
             trace.converged = True

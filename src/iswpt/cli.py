@@ -54,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, AoTrace, check_loop,
-                 run_ao, run_rps)
+from .ao import ALGORITHM_LC, ALGORITHM_SDP, AoConfig, AoTrace, run_ao, run_rps
+from .lc import check_loop
 from .objective import PhaseProfile, beampattern_profile, objective_from_parts
 from .scenario import ChannelSet, SystemConfig, config_from_mapping, \
     parse_fields, parse_kv_file, sample_channels, slice_channels, trial_stream

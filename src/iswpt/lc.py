@@ -24,12 +24,13 @@ descent monotone; warm-started solves at L=40 reach the stop test in about
 a third of the maps of plain iteration.  `max_iters` caps the number of
 maps, extrapolated ones included.
 
-Inputs are checked once, at the entry of each solve: `sca_solve` checks
-that `big_h` is finite, Hermitian and N x N for N antennas, `mm_solve`
-that `big_f` is finite, Hermitian and (L+1) x (L+1) for L phases, and that
-the phases are finite.  `MmProblem` is a plain record, and the per-step
-kernels `mm_update_v` and `sca_update_w` check nothing.  Every solve loop,
-here and in `ao`, stops on the test `stalled`.
+Inputs are checked once, at the entry of each solve: both check their
+loop parameters with `check_loop`, `sca_solve` that `big_h` is finite,
+Hermitian and N x N for N antennas, `mm_solve` that `big_f` is finite,
+Hermitian and (L+1) x (L+1) for L phases and that the phases are finite.
+`MmProblem` is a plain record, and the per-step kernels `mm_update_v` and
+`sca_update_w` check nothing.  Every solve loop, here and in `ao`, stops
+on the test `stalled`, and `check_loop` guards each one's parameters.
 """
 
 from __future__ import annotations
@@ -41,6 +42,16 @@ import numpy as np
 from .objective import (Beamformer, DerivedOperators, PhaseProfile,
                         check_hermitian)
 from .scenario import SystemConfig
+
+
+def check_loop(max_iters: int, rel_tol: float, name: str) -> None:
+    """Reject a loop cap `name` below 1 or a stop tolerance that is negative
+    or not finite (under `stalled`, NaN or a negative value never stops a
+    loop and inf stops it at once)."""
+    if max_iters < 1:
+        raise ValueError(f"{name} must be >= 1")
+    if not 0.0 <= rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
 
 
 def stalled(new: float, prev: float, rel_tol: float) -> bool:
@@ -70,6 +81,7 @@ def sca_update_w(big_h: np.ndarray, w_prev: Beamformer,
 def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
               max_iters: int = 50, rel_tol: float = 1e-9) -> Beamformer:
     """Iterate SCA steps at fixed phases until w^H H w stalls."""
+    check_loop(max_iters, rel_tol, "max_iters")
     big_h = np.asarray(big_h)
     if big_h.shape != (beam.w.size,) * 2:
         raise ValueError(f"big_h shape {big_h.shape} does not match "
@@ -130,6 +142,7 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
     that the cap would cut short skips the extrapolation, so a cap of 1 or
     2 gives exactly 1 or 2 plain steps.
     """
+    check_loop(max_iters, rel_tol, "max_iters")
     l_dim = phases.v.size
     if np.shape(ops.big_f) != (l_dim + 1, l_dim + 1):
         raise ValueError(f"big_f shape {np.shape(ops.big_f)} does not match "

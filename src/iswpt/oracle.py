@@ -24,7 +24,7 @@ import numpy as np
 
 from .objective import (Beamformer, PhaseProfile, objective_for_beam_batch,
                         objective_for_phase_batch)
-from .scenario import ChannelSet, SystemConfig
+from .scenario import ChannelSet, SystemConfig, check_channels
 
 _CHUNK = 1 << 15
 MAX_EVALS = 1 << 20   # evaluation cap of one search
@@ -109,6 +109,7 @@ def quantized_phase_search(channels: ChannelSet, beam: Beamformer,
                            config: SystemConfig, budget: SearchBudget
                            ) -> tuple[PhaseProfile, float]:
     """Best quantized phase profile at a fixed beamformer."""
+    check_channels(config, channels)
     alpha, score = _grid_search(config.n_irs, budget, np.exp(1j * budget.grid()),
                                 lambda v_rows: objective_for_phase_batch(
                                     channels, beam, config, v_rows))
@@ -119,6 +120,7 @@ def quantized_beam_search(channels: ChannelSet, phases: PhaseProfile,
                           config: SystemConfig, budget: SearchBudget
                           ) -> tuple[Beamformer, float]:
     """Best quantized constant-modulus beamformer at fixed phases."""
+    check_channels(config, channels)
     table = config.beam_amplitude * np.exp(1j * budget.grid())
     w_phase, score = _grid_search(config.n_tx, budget, table,
                                   lambda w_rows: objective_for_beam_batch(

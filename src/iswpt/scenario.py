@@ -130,6 +130,20 @@ class ChannelSet:
             raise ValueError("h_d shape inconsistent with h_ru / h_br")
 
 
+def check_channels(config: SystemConfig, channels: ChannelSet) -> None:
+    """Reject channels whose shapes do not match the config's (L, N, K) or
+    that hold a non-finite entry."""
+    l_dim, n_dim, k_dim = config.n_irs, config.n_tx, config.n_ehd
+    for name, shape in (("h_br", (l_dim, n_dim)), ("h_ru", (k_dim, l_dim)),
+                        ("h_d", (k_dim, n_dim))):
+        arr = getattr(channels, name)
+        if arr.shape != shape:
+            raise ValueError(f"channels.{name} has shape {arr.shape}, expected "
+                             f"{shape} for (L, N, K) = ({l_dim}, {n_dim}, {k_dim})")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"channels.{name} must be finite")
+
+
 def slice_channels(channels: ChannelSet, n_irs: int) -> ChannelSet:
     """Restrict a draw to the first n_irs reflecting elements.
 

@@ -5,9 +5,10 @@ the rank constraint is dropped:
 
     maximise  Re tr(C X)   subject to  X_ii = b_i,  X >= 0 (Hermitian PSD)
 
-with C Hermitian and b > 0.  `solve_diag_sdp` is a self-contained
-primal-dual path-following interior-point method on the complex Hermitian
-cone (no external solver).  The dual is
+with C Hermitian and b > 0.  `solve_diag_sdp(cost, diag_values, tol)`
+checks C and b at entry and is a self-contained primal-dual
+path-following interior-point method on the complex Hermitian cone (no
+external solver), capped at `MAX_ITERS` iterations.  The dual is
 
     minimise  b^T z   subject to  S = Diag(z) - C >= 0,
 
@@ -47,29 +48,7 @@ from .objective import (Beamformer, PhaseProfile, check_hermitian,
 from .scenario import SystemConfig, complex_normal
 
 
-@dataclass(frozen=True)
-class DiagSdpProblem:
-    """max Re tr(cost X) s.t. diag(X) = diag_values, X Hermitian PSD."""
-
-    cost: np.ndarray         # (n, n) Hermitian
-    diag_values: np.ndarray  # (n,) positive reals
-
-    def __post_init__(self) -> None:
-        cost = np.asarray(self.cost, dtype=np.complex128)
-        b = np.asarray(self.diag_values, dtype=float)
-        if b.ndim != 1 or b.size == 0:
-            raise ValueError(f"diag_values must be a nonempty 1-D vector, got shape {b.shape}")
-        n = b.size
-        if cost.shape != (n, n):
-            raise ValueError(f"cost shape {cost.shape} does not match {n} diagonal values")
-        check_hermitian(cost, "cost matrix")
-        if not np.all(np.isfinite(b) & (b > 0.0)):
-            raise ValueError("diagonal values must be finite and strictly positive")
-        cost = hermitian_part(cost)
-        cost.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "diag_values", b)
+MAX_ITERS = 100   # interior-point iteration cap of one solve
 
 
 @dataclass(frozen=True)
@@ -125,26 +104,36 @@ def _snapshot(c_scale: float, x: np.ndarray, primal_obj: float, dual_obj: float,
                        iterations=iterations, primal_residual=primal_res)
 
 
-def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
-                   max_iters: int = 100) -> SdpSolution:
-    """Solve the diagonally constrained SDP (see module docstring).
+def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray,
+                   tol: float = 1e-7) -> SdpSolution:
+    """max Re tr(cost X) s.t. diag(X) = diag_values, X Hermitian PSD (see
+    module docstring), for an (n, n) Hermitian `cost` and n finite positive
+    `diag_values`.
 
     Success requires the relative duality gap and the relative diagonal
-    feasibility error to both drop below `tol`.  Determinism: no random
+    feasibility error to both drop below `tol` within `MAX_ITERS`
+    iterations, else SdpNonConvergence is raised.  Determinism: no random
     state is consumed, so repeated calls return identical iterates.
     """
+    cost = np.asarray(cost, dtype=np.complex128)
+    b = np.asarray(diag_values, dtype=float)
+    if b.ndim != 1 or b.size == 0:
+        raise ValueError(f"diag_values must be a nonempty 1-D vector, got shape {b.shape}")
+    n = b.size
+    if cost.shape != (n, n):
+        raise ValueError(f"cost shape {cost.shape} does not match {n} diagonal values")
+    check_hermitian(cost, "cost matrix")
+    if not np.all(np.isfinite(b) & (b > 0.0)):
+        raise ValueError("diagonal values must be finite and strictly positive")
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and > 0")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    b = problem.diag_values
-    n = b.size
-    c_scale = float(np.max(np.abs(problem.cost)))
+    cost = hermitian_part(cost)
+    c_scale = float(np.max(np.abs(cost)))
     if c_scale == 0.0:
         # every feasible point is optimal at objective 0
         return SdpSolution(x_opt=np.diag(b).astype(np.complex128), objective=0.0,
                            duality_gap=0.0, iterations=0, primal_residual=0.0)
-    cost = problem.cost / c_scale
+    cost = cost / c_scale
     eye = np.eye(n)
 
     x = np.diag(b).astype(np.complex128)
@@ -153,7 +142,7 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
     z = np.sum(np.abs(cost), axis=1) + 0.1
     s = np.diag(z) - cost
 
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, MAX_ITERS + 1):
         diag_x = np.real(np.diag(x))
         r_p = b - diag_x
         primal_res = float(np.max(np.abs(r_p))) / (1.0 + float(np.max(b)))
@@ -211,7 +200,7 @@ def solve_diag_sdp(problem: DiagSdpProblem, tol: float = 1e-7,
                 solution=_snapshot(c_scale, *start), rel_gap=rel_gap) from None
 
     raise SdpNonConvergence(
-        f"no convergence in {max_iters} iterations "
+        f"no convergence in {MAX_ITERS} iterations "
         f"(rel_gap={rel_gap:.3e}, primal_res={primal_res:.3e})",
         solution=_snapshot(c_scale, *start), rel_gap=rel_gap)
 
@@ -303,9 +292,8 @@ def sdp_update_w(big_h: np.ndarray, config: SystemConfig, tol: float,
     interior-point iterate, so the bound is rigorous (up to rounding) at
     any `tol`; the primal value Re tr(big_h X) is not.
     """
-    problem = DiagSdpProblem(cost=big_h,
-                             diag_values=np.full(config.n_tx, config.per_antenna_power))
-    solution = solve_diag_sdp(problem, tol=tol)
+    solution = solve_diag_sdp(big_h, np.full(config.n_tx, config.per_antenna_power),
+                              tol=tol)
     beam = extract_beamformer(solution.x_opt, big_h, config, n_rand=0,
                               incumbent=incumbent)
     return beam, solution.objective + solution.duality_gap, solution.iterations
@@ -324,8 +312,7 @@ def sdp_update_v(big_f: np.ndarray, config: SystemConfig, tol: float,
     cost = np.array(big_f, dtype=np.complex128)
     offset = float(cost[-1, -1].real)
     cost[-1, -1] = 0.0
-    problem = DiagSdpProblem(cost=cost, diag_values=np.ones(config.n_irs + 1))
-    solution = solve_diag_sdp(problem, tol=tol)
+    solution = solve_diag_sdp(cost, np.ones(config.n_irs + 1), tol=tol)
     phases = extract_phases(solution.x_opt, cost, n_rand=0,
                             incumbent=incumbent)
     return phases, solution.objective + solution.duality_gap + offset, solution.iterations

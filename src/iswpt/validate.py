@@ -25,7 +25,7 @@ from .oracle import SearchBudget, quantized_phase_search
 from .scenario import (ChannelSet, SystemConfig, complex_normal,
                        sample_channels, slice_channels, steering_matrix,
                        trial_stream)
-from .sdp import DiagSdpProblem, solve_diag_sdp
+from .sdp import solve_diag_sdp
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def check_sdp_unit_exactness() -> CriterionResult:
     ]
     worst = 0.0
     for cost, diag, analytic in cases:
-        solution = solve_diag_sdp(DiagSdpProblem(cost=cost, diag_values=diag))
+        solution = solve_diag_sdp(cost, diag)
         err = abs(solution.objective - analytic) / (1.0 + abs(analytic))
         worst = max(worst, err)
     return CriterionResult(

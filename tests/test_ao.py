@@ -122,13 +122,18 @@ def test_lc_converges_with_default_tolerance():
 
 
 def test_run_ao_deterministic():
+    # A trace is a pure function of its inputs: every field of every step.
     config, channels = instance(seed=4)
-    ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=5, rel_tol=0.0)
-    first = run_ao(config, ao, channels, trial_stream(4, 1))
-    second = run_ao(config, ao, channels, trial_stream(4, 1))
-    assert [s.objective for s in first.steps] == [s.objective for s in second.steps]
-    assert np.array_equal(first.phases.alpha, second.phases.alpha)
-    assert np.array_equal(first.beam.w, second.beam.w)
+    runs = [lambda: run_rps(config, channels, trial_stream(4, 1), max_iters=5)]
+    for algorithm in (ALGORITHM_LC, ALGORITHM_SDP):
+        ao = AoConfig(algorithm=algorithm, max_outer_iters=5, rel_tol=0.0)
+        runs.append(lambda ao=ao: run_ao(config, ao, channels, trial_stream(4, 1)))
+    for run in runs:
+        first, second = run(), run()
+        assert first.failure is None and len(first.steps) > 1
+        assert first.steps == second.steps
+        assert np.array_equal(first.phases.alpha, second.phases.alpha)
+        assert np.array_equal(first.beam.w, second.beam.w)
 
 
 def test_sdp_trace_nondecreasing_and_bounded():

@@ -407,9 +407,9 @@ def test_failed_run_exits_three_without_csv(tmp_path, capsys, monkeypatch,
     # trace must not be averaged into a CSV.
     solve, calls = sdp.solve_diag_sdp, []
 
-    def stall_third(problem, **kwargs):
-        solution = solve(problem, **kwargs)
-        calls.append(problem)
+    def stall_third(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        calls.append(args)
         if len(calls) == 3:
             raise sdp.SdpNonConvergence("forced stall", solution, 1.0)
         return solution
@@ -441,7 +441,7 @@ def test_unwritable_out_exits_four_before_any_run(tmp_path, capsys,
 
 
 def test_failed_run_leaves_existing_out_untouched(tmp_path, capsys, monkeypatch):
-    def stall(problem, **kwargs):
+    def stall(*args, **kwargs):
         raise sdp.SdpNonConvergence("forced stall", None, 1.0)
     monkeypatch.setattr(sdp, "solve_diag_sdp", stall)
     spec = write_spec(tmp_path)

@@ -171,6 +171,27 @@ def test_mm_solve_rejects_big_f_of_the_wrong_size():
         mm_solve(ops, PhaseProfile(alpha=phases.alpha[:6]))
 
 
+@pytest.mark.parametrize("loop, match", [
+    (dict(max_iters=0), "max_iters must be >= 1"),
+    (dict(max_iters=-3), "max_iters must be >= 1"),
+    (dict(rel_tol=float("nan")), "rel_tol must be finite"),
+    (dict(rel_tol=-1e-6), "rel_tol must be finite"),
+    (dict(rel_tol=float("inf")), "rel_tol must be finite"),
+], ids=["iters-0", "iters-neg", "tol-nan", "tol-neg", "tol-inf"])
+@pytest.mark.parametrize("solve", ["sca", "mm"])
+def test_solves_reject_bad_loop_parameters(solve, loop, match):
+    # Unchecked, a cap below 1 returned the start unsolved, a NaN or
+    # negative rel_tol never stalled, so the solve ran to its cap, and
+    # rel_tol=inf stopped after one map as if the solve had converged.
+    config, channels, phases, beam = random_instance(seed=6)
+    ops = build_operators(channels, phases, beam, config)
+    with pytest.raises(ValueError, match=match):
+        if solve == "sca":
+            sca_solve(ops.big_h, beam, config, **loop)
+        else:
+            mm_solve(ops, phases, **loop)
+
+
 @pytest.mark.parametrize("field", ["f12", "v_prev"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
 def test_mm_problem_rejects_non_finite_vectors_by_name(field, bad):

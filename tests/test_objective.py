@@ -19,7 +19,7 @@ from iswpt.objective import (Beamformer, PhaseProfile, _beam_rows,
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
                             sample_channels, steering_matrix, trial_stream)
 from iswpt.lc import mm_solve
-from iswpt.sdp import DiagSdpProblem
+from iswpt.sdp import solve_diag_sdp
 
 
 def random_instance(seed, n=4, l=6, k=2, m=2, **overrides):
@@ -235,7 +235,7 @@ def test_hermitian_checks_reject_non_finite_by_name(bad):
     with pytest.raises(ValueError, match="big_f must be finite"):
         mm_solve(SimpleNamespace(big_f=mat), PhaseProfile(alpha=np.zeros(2)))
     with pytest.raises(ValueError, match="cost matrix must be finite"):
-        DiagSdpProblem(cost=mat, diag_values=np.ones(3))
+        solve_diag_sdp(mat, np.ones(3))
 
 
 def test_objective_invariant_to_global_beam_phase():

@@ -72,6 +72,21 @@ def test_exhaustive_single_element_enumerates_grid():
     assert profile.alpha[0] == pytest.approx(budget.grid()[int(np.argmax(scores))])
 
 
+@pytest.mark.parametrize("search", ["phase", "beam"])
+def test_searches_reject_channels_that_do_not_fit(search):
+    # Unchecked, channels for L=6 under n_irs=8 failed with NumPy's
+    # concatenation error, which names no input.
+    config, channels, beam, _ = instance(seed=8, n=3, l=6)
+    config = dataclasses.replace(config, n_irs=8)
+    budget = SearchBudget(phase_levels=2)
+    with pytest.raises(ValueError, match=r"channels\.h_br has shape \(6, 3\)"):
+        if search == "phase":
+            quantized_phase_search(channels, beam, config, budget)
+        else:
+            quantized_beam_search(channels, PhaseProfile(alpha=np.zeros(8)),
+                                  config, budget)
+
+
 def test_budget_overflow_rejected():
     # 8**7 = 2**21 evaluations exceed the cap of 2**20 on either side.
     config, channels, beam, phases = instance(seed=2, n=7, l=7)

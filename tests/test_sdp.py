@@ -10,9 +10,10 @@ from iswpt.objective import (Beamformer, PhaseProfile, build_operators,
 from iswpt.oracle import SearchBudget, quantized_phase_search
 from iswpt.scenario import (SystemConfig, complex_normal, sample_channels,
                             trial_stream)
-from iswpt.sdp import (DiagSdpProblem, SdpNonConvergence, _candidates,
-                       _max_steps, extract_beamformer, extract_phases,
-                       sdp_update_v, sdp_update_w, solve_diag_sdp)
+from iswpt import sdp
+from iswpt.sdp import (SdpNonConvergence, _candidates, _max_steps,
+                       extract_beamformer, extract_phases, sdp_update_v,
+                       sdp_update_w, solve_diag_sdp)
 
 
 def random_psd(rng, n):
@@ -45,23 +46,18 @@ def small_config(n=4, l=6, p0=1.0, **overrides):
 def test_solver_diagonal_cost():
     # Off-diagonals never enter the objective, so the value is the trace of
     # the cost against the fixed diagonal.
-    problem = DiagSdpProblem(cost=np.diag([3.0, -1.0, 2.0]),
-                             diag_values=np.ones(3))
-    solution = solve_diag_sdp(problem)
+    solution = solve_diag_sdp(np.diag([3.0, -1.0, 2.0]), np.ones(3))
     assert solution.objective == pytest.approx(4.0, abs=1e-6)
 
 
 def test_solver_all_ones_cost():
-    problem = DiagSdpProblem(cost=np.ones((3, 3)), diag_values=np.ones(3))
-    solution = solve_diag_sdp(problem)
+    solution = solve_diag_sdp(np.ones((3, 3)), np.ones(3))
     assert solution.objective == pytest.approx(9.0, rel=1e-6)
     np.testing.assert_allclose(solution.x_opt, np.ones((3, 3)), atol=1e-4)
 
 
 def test_solver_exchange_cost():
-    problem = DiagSdpProblem(cost=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                             diag_values=np.ones(2))
-    solution = solve_diag_sdp(problem)
+    solution = solve_diag_sdp(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2))
     assert solution.objective == pytest.approx(2.0, rel=1e-6)
     np.testing.assert_allclose(solution.x_opt.real, np.ones((2, 2)), atol=1e-4)
 
@@ -76,7 +72,7 @@ def test_solver_rank_one_cost_analytic_optimum():
         cost = np.outer(u, u.conj())
         cost = 0.5 * (cost + cost.conj().T)
         expected = float(np.sum(np.sqrt(b) * np.abs(u)) ** 2)
-        solution = solve_diag_sdp(DiagSdpProblem(cost=cost, diag_values=b))
+        solution = solve_diag_sdp(cost, b)
         assert solution.objective == pytest.approx(expected, rel=1e-6)
 
 
@@ -85,8 +81,7 @@ def test_solver_certificates_on_random_instances():
     for _ in range(5):
         cost = random_hermitian(rng, 7)
         b = rng.uniform(0.5, 2.0, 7)
-        solution = solve_diag_sdp(DiagSdpProblem(cost=cost, diag_values=b),
-                                  tol=1e-8)
+        solution = solve_diag_sdp(cost, b, tol=1e-8)
         scale = max(1.0, abs(solution.objective))
         assert solution.primal_residual <= 1e-8
         assert solution.duality_gap <= 1e-7 * scale
@@ -105,42 +100,37 @@ def test_solver_matches_cvxpy():
     prob = cp.Problem(cp.Maximize(cp.real(cp.trace(cost @ x))),
                       [cp.diag(x) == b, x >> 0])
     prob.solve()
-    ours = solve_diag_sdp(DiagSdpProblem(cost=cost, diag_values=b))
+    ours = solve_diag_sdp(cost, b)
     assert ours.objective == pytest.approx(prob.value, rel=1e-5)
 
 
 def test_solver_deterministic():
     rng = trial_stream(23, 0)
-    problem = DiagSdpProblem(cost=random_hermitian(rng, 5),
-                             diag_values=np.ones(5))
-    first = solve_diag_sdp(problem)
-    second = solve_diag_sdp(problem)
+    cost = random_hermitian(rng, 5)
+    first = solve_diag_sdp(cost, np.ones(5))
+    second = solve_diag_sdp(cost, np.ones(5))
     assert first.objective == second.objective
     assert np.array_equal(first.x_opt, second.x_opt)
 
 
 def test_solver_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        DiagSdpProblem(cost=np.array([[0.0, 1.0], [0.0, 0.0]]),
-                       diag_values=np.ones(2))
+        solve_diag_sdp(np.array([[0.0, 1.0], [0.0, 0.0]]), np.ones(2))
     with pytest.raises(ValueError):
-        DiagSdpProblem(cost=np.zeros((2, 2)), diag_values=np.array([1.0, 0.0]))
+        solve_diag_sdp(np.zeros((2, 2)), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        DiagSdpProblem(cost=np.zeros((3, 3)), diag_values=np.ones(2))
-    # A matrix of diagonal values, or none at all, once built and then
-    # failed inside the solver with a NumPy error naming no input.
+        solve_diag_sdp(np.zeros((3, 3)), np.ones(2))
+    # A matrix of diagonal values, or none at all, once failed inside the
+    # solver with a NumPy error naming no input.
     with pytest.raises(ValueError, match="diag_values"):
-        DiagSdpProblem(cost=np.eye(4), diag_values=np.ones((2, 2)))
+        solve_diag_sdp(np.eye(4), np.ones((2, 2)))
     with pytest.raises(ValueError, match="diag_values"):
-        DiagSdpProblem(cost=np.zeros((0, 0)), diag_values=np.ones(0))
-    problem = DiagSdpProblem(cost=np.ones((3, 3)), diag_values=np.ones(3))
+        solve_diag_sdp(np.zeros((0, 0)), np.ones(0))
     # tol=inf once returned the starting point as a solution: objective 3.0
     # on this all-ones cost, whose optimum is 9.
     for tol in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
-            solve_diag_sdp(problem, tol=tol)
-    with pytest.raises(ValueError, match="max_iters"):
-        solve_diag_sdp(problem, max_iters=0)
+            solve_diag_sdp(np.ones((3, 3)), np.ones(3), tol=tol)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -148,16 +138,16 @@ def test_solver_rejects_non_finite_inputs(bad):
     cost = np.eye(3, dtype=complex)
     cost[0, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        DiagSdpProblem(cost=cost, diag_values=np.ones(3))
+        solve_diag_sdp(cost, np.ones(3))
     with pytest.raises(ValueError, match="finite"):
-        DiagSdpProblem(cost=np.eye(3), diag_values=np.array([1.0, bad, 1.0]))
+        solve_diag_sdp(np.eye(3), np.array([1.0, bad, 1.0]))
 
 
 def pinned_problem(n):
+    """(cost, diag_values) of the pinned instance of size n."""
     rng = trial_stream(34, n)
     cost = random_hermitian(rng, n)
-    b = rng.uniform(0.5, 2.0, n)
-    return DiagSdpProblem(cost=cost, diag_values=b)
+    return cost, rng.uniform(0.5, 2.0, n)
 
 
 @pytest.mark.parametrize("n, iterations, objective", [
@@ -167,7 +157,7 @@ def pinned_problem(n):
 def test_solver_pinned_instances(n, iterations, objective):
     # Pins the iterate sequence: a change to the direction, the step rule
     # or the stopping rule moves the count or the optimum found.
-    solution = solve_diag_sdp(pinned_problem(n))
+    solution = solve_diag_sdp(*pinned_problem(n))
     assert solution.iterations == iterations
     assert solution.objective == pytest.approx(objective, rel=1e-9)
 
@@ -178,16 +168,17 @@ def test_solver_pinned_instances(n, iterations, objective):
 ])
 def test_solver_pinned_instances_at_ao_tol(n, iterations, objective):
     # The same instances at the default AoConfig.sdp_tol of 1e-4.
-    solution = solve_diag_sdp(pinned_problem(n), tol=1e-4)
+    solution = solve_diag_sdp(*pinned_problem(n), tol=1e-4)
     assert solution.iterations == iterations
     assert solution.objective == pytest.approx(objective, rel=1e-9)
 
 
-def test_solver_pinned_failure_snapshot():
+def test_solver_pinned_failure_snapshot(monkeypatch):
     # The iteration cap reports the iterate its last pass started from,
     # not the one that pass stepped to.
+    monkeypatch.setattr(sdp, "MAX_ITERS", 3)
     with pytest.raises(SdpNonConvergence) as info:
-        solve_diag_sdp(pinned_problem(12), tol=1e-300, max_iters=3)
+        solve_diag_sdp(*pinned_problem(12), tol=1e-300)
     best = info.value.solution
     assert best.iterations == 2
     assert best.objective == pytest.approx(35.146742461795, rel=1e-9)
@@ -232,9 +223,8 @@ def test_max_steps_match_cholesky_bisection():
 
 
 def test_solver_nonconvergence_carries_best_iterate():
-    problem = DiagSdpProblem(cost=np.ones((3, 3)), diag_values=np.ones(3))
     with pytest.raises(SdpNonConvergence) as info:
-        solve_diag_sdp(problem, tol=1e-300)
+        solve_diag_sdp(np.ones((3, 3)), np.ones(3), tol=1e-300)
     assert info.value.rel_gap > 0.0
     best = info.value.solution
     # The stalled iterate is still a nearly optimal feasible point.
@@ -261,20 +251,20 @@ def reference_max_steps(inv_factors, directions):
     return steps
 
 
-def reference_solve_diag_sdp(problem, tol, max_iters=100):
+def reference_solve_diag_sdp(cost, b, tol):
     """(iterations, primal value, dual value) of the reference loop."""
     herm = lambda a: 0.5 * (a + a.conj().T)
-    b = problem.diag_values
     n = b.size
-    c_scale = float(np.max(np.abs(problem.cost)))
+    cost = herm(np.asarray(cost, dtype=np.complex128))
+    c_scale = float(np.max(np.abs(cost)))
     if c_scale == 0.0:
         return 0, 0.0, 0.0
-    cost = problem.cost / c_scale
+    cost = cost / c_scale
     eye = np.eye(n)
     x = np.diag(b).astype(np.complex128)
     z = np.sum(np.abs(cost), axis=1) + 0.1
     s = np.diag(z) - cost
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, sdp.MAX_ITERS + 1):
         r_p = b - np.real(np.diag(x))
         primal_res = float(np.max(np.abs(r_p))) / (1.0 + float(np.max(b)))
         primal_obj = float(np.real(np.trace(cost @ x)))
@@ -325,9 +315,9 @@ def test_solver_follows_reference_loop(seed, n, rank, tol):
         cost = rows.conj().T @ rows
         cost = 0.5 * (cost + cost.conj().T)
         cost[-1, -1] = 0.0
-    problem = DiagSdpProblem(cost=cost, diag_values=rng.uniform(0.5, 2.0, n))
-    solution = solve_diag_sdp(problem, tol=tol)
-    iterations, ref_primal, ref_dual = reference_solve_diag_sdp(problem, tol)
+    b = rng.uniform(0.5, 2.0, n)
+    solution = solve_diag_sdp(cost, b, tol=tol)
+    iterations, ref_primal, ref_dual = reference_solve_diag_sdp(cost, b, tol)
     assert solution.iterations == iterations
     assert solution.objective == pytest.approx(ref_primal, rel=1e-9, abs=1e-300)
     dual = solution.objective + solution.duality_gap
@@ -590,7 +580,7 @@ def test_dual_value_bounds_rank_one_feasible_points(seed, n, tol):
     rng = trial_stream(38, seed)
     cost = random_hermitian(rng, n)
     b = rng.uniform(0.5, 2.0, n)
-    solution = solve_diag_sdp(DiagSdpProblem(cost=cost, diag_values=b), tol=tol)
+    solution = solve_diag_sdp(cost, b, tol=tol)
     bound = solution.objective + solution.duality_gap  # c_scale * b^T z
     # Random feasible points, plus the projected principal eigenvector of
     # the relaxed solution, which sits at the optimum when the relaxation
