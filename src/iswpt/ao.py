@@ -5,9 +5,13 @@ phases at fixed beamformer.  Either half-step runs in one of two modes:
 
 * "sdp": relax the subproblem to a diagonally constrained SDP, solve it
   with the interior-point method, and keep the projected principal
-  eigenvector unless the incumbent scores higher.  The dual value of each
-  relaxation is an upper bound on the half-step's achievable objective at
-  any solver tolerance, and is recorded alongside the feasible objective.
+  eigenvector unless the incumbent scores higher.  After the first outer
+  iteration each solve starts warm, from the previous outer iteration's
+  solution of the same side (`sdp.solve_diag_sdp`'s `warm`).  The dual
+  value of each relaxation is an upper bound on the half-step's achievable
+  objective at any solver tolerance, and is recorded alongside the
+  feasible objective with the solve's iteration count, duality gap and
+  primal residual.
   By default the interior-point method stops at a relative duality gap of
   1e-4, the default outer `rel_tol`; extraction reads only the
   eigenstructure of the relaxed solution, which a tighter solve barely
@@ -88,6 +92,8 @@ class AoStep:
     v_error: float                # max | |v_l| - 1 |
     relaxed_objective: float | None = None  # SDP dual value: bounds J at any sdp_tol
     sdp_iterations: int | None = None       # interior-point iterations of an sdp half-step
+    sdp_duality_gap: float | None = None    # its final b^T z - Re tr(C X)
+    sdp_primal_residual: float | None = None  # its final max_i |X_ii - b_i| / (1 + max b)
 
 
 @dataclass
@@ -112,15 +118,20 @@ class AoTrace:
 
 def _record(trace: AoTrace, channels: ChannelSet, config: SystemConfig,
             phases: PhaseProfile, beam: Beamformer, outer: int, stage: str,
-            relaxed: float | None = None, sdp_iterations: int | None = None) -> float:
-    """Append the step at iterate (phases, beam) to `trace`; returns its J."""
+            relaxed: float | None = None,
+            solution: sdp.SdpSolution | None = None) -> float:
+    """Append the step at iterate (phases, beam) to `trace`, with the
+    diagnostics of an sdp half-step's `solution`; returns its J."""
     j_val, harvested, sensing = solution_metrics(channels, phases, beam, config)
+    ipm = {} if solution is None else dict(
+        sdp_iterations=solution.iterations, sdp_duality_gap=solution.duality_gap,
+        sdp_primal_residual=solution.primal_residual)
     trace.steps.append(AoStep(
         outer_iter=outer, stage=stage, objective=j_val,
         harvested_sum=harvested, beampattern_sum=sensing,
         w_error=beam.modulus_error(config),
         v_error=phases.modulus_error(),
-        relaxed_objective=relaxed, sdp_iterations=sdp_iterations))
+        relaxed_objective=relaxed, **ipm))
     return j_val
 
 
@@ -153,26 +164,27 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     trace = AoTrace()
     phases, beam = _initial_iterates(config, ao, channels, rng)
     j_prev = _record(trace, channels, config, phases, beam, 0, "init")
+    solution_w = solution_v = None   # each sdp side's last solve, its next warm start
 
     for outer in range(1, ao.max_outer_iters + 1):
         try:
             big_h = build_operators(channels, phases, None, config).big_h
             if ao.algorithm == ALGORITHM_SDP:
-                beam, relaxed_w, iters_w = sdp.sdp_update_w(big_h, config, tol=ao.sdp_tol,
-                                                            incumbent=beam)
+                beam, relaxed_w, solution_w = sdp.sdp_update_w(
+                    big_h, config, tol=ao.sdp_tol, incumbent=beam, warm=solution_w)
             else:
-                beam, relaxed_w, iters_w = lc.sca_solve(big_h, beam, config), None, None
-            _record(trace, channels, config, phases, beam, outer, "w", relaxed_w, iters_w)
+                beam, relaxed_w = lc.sca_solve(big_h, beam, config), None
+            _record(trace, channels, config, phases, beam, outer, "w", relaxed_w,
+                    solution_w)
 
             ops = build_operators(channels, None, beam, config)
             if ao.algorithm == ALGORITHM_SDP:
-                phases, relaxed_v, iters_v = sdp.sdp_update_v(ops.big_f, config,
-                                                              tol=ao.sdp_tol,
-                                                              incumbent=phases)
+                phases, relaxed_v, solution_v = sdp.sdp_update_v(
+                    ops.big_f, config, tol=ao.sdp_tol, incumbent=phases, warm=solution_v)
             else:
-                phases, relaxed_v, iters_v = lc.mm_solve(ops, phases), None, None
+                phases, relaxed_v = lc.mm_solve(ops, phases), None
             j_new = _record(trace, channels, config, phases, beam, outer, "v",
-                            relaxed_v, iters_v)
+                            relaxed_v, solution_v)
         except sdp.SdpNonConvergence as exc:
             trace.failure = str(exc)
             break

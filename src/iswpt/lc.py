@@ -45,9 +45,12 @@ from .scenario import SystemConfig
 
 
 def check_loop(max_iters: int, rel_tol: float, name: str) -> None:
-    """Reject a loop cap `name` below 1 or a stop tolerance that is negative
-    or not finite (under `stalled`, NaN or a negative value never stops a
-    loop and inf stops it at once)."""
+    """Reject a loop cap `name` that is not an integer (a bool included) or
+    is below 1, or a stop tolerance that is negative or not finite (under
+    `stalled`, NaN or a negative value never stops a loop and inf stops it
+    at once)."""
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {max_iters!r}")
     if max_iters < 1:
         raise ValueError(f"{name} must be >= 1")
     if not 0.0 <= rel_tol < np.inf:

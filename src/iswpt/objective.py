@@ -151,7 +151,7 @@ def _beam_rows(channels: ChannelSet, phases: PhaseProfile,
     """(K+M, N) rows h_tilde_k, then h_hat_m, at the phase profile."""
     steer = target_steering_matrix(config.target_angles, config.n_irs,
                                    config.delta)
-    rows = (np.vstack([channels.h_ru, steer]) * phases.v[None, :]) @ channels.h_br
+    rows = (np.concatenate([channels.h_ru, steer]) * phases.v) @ channels.h_br
     rows[:config.n_ehd] += channels.h_d
     return rows
 
@@ -162,7 +162,7 @@ def _phase_rows(channels: ChannelSet, beam: Beamformer,
     steer = target_steering_matrix(config.target_angles, config.n_irs,
                                    config.delta)
     rows = np.zeros((config.n_ehd + steer.shape[0], config.n_irs + 1), complex)
-    rows[:, :-1] = np.vstack([channels.h_ru, steer]) * (channels.h_br @ beam.w)
+    rows[:, :-1] = np.concatenate([channels.h_ru, steer]) * (channels.h_br @ beam.w)
     rows[:config.n_ehd, -1] = channels.h_d @ beam.w
     return rows
 
@@ -271,8 +271,8 @@ def solution_metrics(channels: ChannelSet, phases: PhaseProfile,
                      beam: Beamformer, config: SystemConfig) -> tuple[float, float, float]:
     """(J, summed harvested power, summed target beampattern) at an iterate."""
     power = np.abs(_beam_rows(channels, phases, config) @ beam.w) ** 2
-    harvested_sum = float(config.eta * np.sum(power[:config.n_ehd]))
-    beampattern_sum = float(np.sum(power[config.n_ehd:]))
+    harvested_sum = float(config.eta * power[:config.n_ehd].sum())
+    beampattern_sum = float(power[config.n_ehd:].sum())
     j_value = objective_from_parts(config.rho, config.p0, harvested_sum,
                                    beampattern_sum)
     return j_value, harvested_sum, beampattern_sum

@@ -29,6 +29,14 @@ def test_ao_config_validation():
         AoConfig(sdp_tol=0.0)
 
 
+@pytest.mark.parametrize("cap", [2.5, 3.0, True])
+def test_ao_config_rejects_a_cap_that_is_not_an_int(cap):
+    # Unchecked, AoConfig took these, and run_ao failed on 2.5 with a NumPy
+    # error naming no input.
+    with pytest.raises(ValueError, match="max_outer_iters must be an int"):
+        AoConfig(max_outer_iters=cap)
+
+
 @pytest.mark.parametrize("name", ["rel_tol", "sdp_tol"])
 @pytest.mark.parametrize("value", [float("nan"), -1e-6, float("inf")])
 def test_ao_config_rejects_bad_tolerances(name, value):
@@ -153,28 +161,33 @@ def test_sdp_trace_nondecreasing_and_bounded():
 
 
 def test_trace_records_sdp_iteration_counts(monkeypatch):
-    # Each sdp half-step records the iteration count of its own solve; the
-    # initialisation and every lc half-step record None.
+    # Each sdp half-step records the iteration count, duality gap and primal
+    # residual of its own solve; the initialisation and every lc half-step
+    # record None.
     reported = []
     solve = sdp.solve_diag_sdp
 
     def counting_solve(*args, **kwargs):
         solution = solve(*args, **kwargs)
-        reported.append(solution.iterations)
+        reported.append((solution.iterations, solution.duality_gap,
+                         solution.primal_residual))
         return solution
+
+    def diagnostics(step):
+        return step.sdp_iterations, step.sdp_duality_gap, step.sdp_primal_residual
 
     monkeypatch.setattr(sdp, "solve_diag_sdp", counting_solve)
     config, channels = instance(seed=5, n=3, l=6)
     ao = AoConfig(algorithm=ALGORITHM_SDP, max_outer_iters=4, rel_tol=0.0)
     trace = run_ao(config, ao, channels, trial_stream(5, 1))
-    counts = [s.sdp_iterations for s in trace.steps]
-    assert counts[0] is None
-    assert len(reported) == 2 * trace.n_outer == len(counts) - 1
-    assert counts[1:] == reported and all(c > 0 for c in reported)
+    recorded = [diagnostics(s) for s in trace.steps]
+    assert recorded[0] == (None, None, None)
+    assert len(reported) == 2 * trace.n_outer == len(recorded) - 1
+    assert recorded[1:] == reported and all(r[0] > 0 for r in reported)
 
     ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=4)
     trace = run_ao(config, ao, channels, trial_stream(5, 1))
-    assert all(s.sdp_iterations is None for s in trace.steps)
+    assert all(diagnostics(s) == (None, None, None) for s in trace.steps)
 
 
 def test_sdp_failure_truncates_trace():

@@ -177,12 +177,18 @@ def test_mm_solve_rejects_big_f_of_the_wrong_size():
     (dict(rel_tol=float("nan")), "rel_tol must be finite"),
     (dict(rel_tol=-1e-6), "rel_tol must be finite"),
     (dict(rel_tol=float("inf")), "rel_tol must be finite"),
-], ids=["iters-0", "iters-neg", "tol-nan", "tol-neg", "tol-inf"])
+    (dict(max_iters=2.5, rel_tol=0.0), "max_iters must be an int, got 2.5"),
+    (dict(max_iters=3.0), "max_iters must be an int, got 3.0"),
+    (dict(max_iters=True), "max_iters must be an int, got True"),
+], ids=["iters-0", "iters-neg", "tol-nan", "tol-neg", "tol-inf",
+        "iters-fraction", "iters-float", "iters-bool"])
 @pytest.mark.parametrize("solve", ["sca", "mm"])
 def test_solves_reject_bad_loop_parameters(solve, loop, match):
     # Unchecked, a cap below 1 returned the start unsolved, a NaN or
     # negative rel_tol never stalled, so the solve ran to its cap, and
-    # rel_tol=inf stopped after one map as if the solve had converged.
+    # rel_tol=inf stopped after one map as if the solve had converged.  A
+    # cap of 2.5 ran 3 MM maps, over the cap, and failed sca_solve with a
+    # NumPy error naming no input.
     config, channels, phases, beam = random_instance(seed=6)
     ops = build_operators(channels, phases, beam, config)
     with pytest.raises(ValueError, match=match):

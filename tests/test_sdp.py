@@ -1,10 +1,13 @@
 """Diagonally constrained SDP solver and rank-one extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iswpt.ao import ALGORITHM_SDP, AoConfig, run_ao
 from iswpt.objective import (Beamformer, PhaseProfile, build_operators,
                              composite_objective)
 from iswpt.oracle import SearchBudget, quantized_phase_search
@@ -328,6 +331,84 @@ def test_solver_follows_reference_loop(seed, n, rank, tol):
 
 
 # ---------------------------------------------------------------------------
+# Warm start
+
+
+def random_cost(rng, n, rank):
+    """A full-rank Hermitian cost (rank None), or a Gram cost of the given
+    rank with the corner zeroed, as sdp_update_v passes them."""
+    if rank is None:
+        return random_hermitian(rng, n)
+    rows = complex_normal(rng, (rank, n))
+    cost = rows.conj().T @ rows
+    cost = 0.5 * (cost + cost.conj().T)
+    cost[-1, -1] = 0.0
+    return cost
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 41),
+       rank=st.sampled_from([None, 1, 2, 3, 5, 8]),
+       tol=st.sampled_from([1e-4, 1e-7]), step=st.sampled_from([1e-3, 1e-2, 1e-1]))
+def test_warm_start_keeps_the_dual_bound(seed, n, rank, tol, step):
+    # Started from the solution of a perturbed cost, the solve reaches the
+    # cold solve's dual value within its stop rule's tolerance, and its dual
+    # vector stays feasible, so the value bounds every feasible point: here
+    # the projected principal eigenvector of its own X.
+    rng = trial_stream(41, seed)
+    cost = random_cost(rng, n, rank)
+    b = rng.uniform(0.5, 2.0, n)
+    c_scale = float(np.max(np.abs(cost)))
+    nearby = solve_diag_sdp(cost + step * c_scale * random_hermitian(rng, n), b, tol=tol)
+    cold = solve_diag_sdp(cost, b, tol=tol)
+    warm = solve_diag_sdp(cost, b, tol=tol, warm=nearby)
+    dual_cold = cold.objective + cold.duality_gap
+    dual_warm = warm.objective + warm.duality_gap
+    assert abs(dual_warm - dual_cold) <= tol * (c_scale + abs(cold.objective) + abs(dual_cold))
+    assert dual_warm == pytest.approx(float(b @ warm.dual), rel=1e-12)
+    rounding = 1e-12 * c_scale * float(b.sum())
+    assert np.linalg.eigvalsh(np.diag(warm.dual) - cost)[0] >= -rounding
+    principal = np.linalg.eigh(warm.x_opt)[1][:, -1]
+    x = np.sqrt(b) * np.exp(1j * np.angle(principal))
+    assert float(np.real(np.vdot(x, cost @ x))) <= dual_warm + rounding
+
+
+def test_solver_rejects_bad_warm_start():
+    cost, b = pinned_problem(12)
+    warm = solve_diag_sdp(cost, b, tol=1e-4)
+    with pytest.raises(ValueError, match=r"warm x_opt must be a finite \(11, 11\)"):
+        solve_diag_sdp(cost[:11, :11], b[:11], warm=warm)
+    with pytest.raises(ValueError, match="warm dual must be a finite vector of 12"):
+        solve_diag_sdp(cost, b, warm=dataclasses.replace(warm, dual=warm.dual[:11]))
+    for bad in (np.nan, np.inf):
+        dual = warm.dual.copy()
+        dual[3] = bad
+        with pytest.raises(ValueError, match="warm dual must be a finite vector"):
+            solve_diag_sdp(cost, b, warm=dataclasses.replace(warm, dual=dual))
+
+
+def test_run_ao_warm_starts_take_fewer_iterations(monkeypatch):
+    # The first outer iteration starts cold; from the second on, each solve
+    # starts from the previous one of its side and, on this instance, the
+    # solves take fewer iterations than the same run started cold.
+    config = SystemConfig(n_irs=20, seed=3)
+    channels = sample_channels(config, trial_stream(3, 0))
+    ao = AoConfig(algorithm=ALGORITHM_SDP, max_outer_iters=6, rel_tol=0.0)
+
+    def later_iterations():
+        trace = run_ao(config, ao, channels, trial_stream(3, 1))
+        assert trace.failure is None and trace.n_outer == ao.max_outer_iters
+        return [s.sdp_iterations for s in trace.steps if s.outer_iter >= 2]
+
+    warm = later_iterations()
+    solve = sdp.solve_diag_sdp
+    monkeypatch.setattr(sdp, "solve_diag_sdp",
+                        lambda cost, b, tol, warm: solve(cost, b, tol=tol))
+    cold = later_iterations()
+    assert sum(warm) < sum(cold)
+
+
+# ---------------------------------------------------------------------------
 # Rank-one extraction
 
 
@@ -607,23 +688,23 @@ def test_half_step_bounds_dominate_returned_iterates(seed, n, l, rho, tol):
     phases0 = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, l))
 
     big_h = build_operators(channels, phases0, None, config).big_h
-    beam, bound_w, iters_w = sdp_update_w(big_h, config, tol=tol, incumbent=beam0)
-    again, bound_again, iters_again = sdp_update_w(big_h, config, tol=tol,
-                                                   incumbent=beam0)
+    beam, bound_w, solution_w = sdp_update_w(big_h, config, tol=tol, incumbent=beam0)
+    again, bound_again, solution_again = sdp_update_w(big_h, config, tol=tol,
+                                                      incumbent=beam0)
     assert np.array_equal(beam.w, again.w) and bound_w == bound_again
-    assert iters_w == iters_again
+    assert solution_w.iterations == solution_again.iterations
     j_w = composite_objective(channels, phases0, beam, config)
     j_0 = composite_objective(channels, phases0, beam0, config)
     assert j_w >= j_0 - 1e-12 * abs(j_0)
     assert j_w <= bound_w + 1e-12 * abs(bound_w)
 
     ops = build_operators(channels, None, beam, config)
-    phases, bound_v, iters_v = sdp_update_v(ops.big_f, config, tol=tol,
-                                            incumbent=phases0)
-    again, bound_again, iters_again = sdp_update_v(ops.big_f, config, tol=tol,
-                                                   incumbent=phases0)
+    phases, bound_v, solution_v = sdp_update_v(ops.big_f, config, tol=tol,
+                                               incumbent=phases0)
+    again, bound_again, solution_again = sdp_update_v(ops.big_f, config, tol=tol,
+                                                      incumbent=phases0)
     assert np.array_equal(phases.alpha, again.alpha) and bound_v == bound_again
-    assert iters_v == iters_again
+    assert solution_v.iterations == solution_again.iterations
     j_v = composite_objective(channels, phases, beam, config)
     assert j_v >= j_w - 1e-12 * abs(j_w)
     assert j_v <= bound_v + 1e-12 * abs(bound_v)
