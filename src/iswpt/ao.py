@@ -12,10 +12,10 @@ phases at fixed beamformer.  Either half-step runs in one of two modes:
   objective at any solver tolerance, and is recorded alongside the
   feasible objective with the solve's iteration count, duality gap and
   primal residual.
-  By default the interior-point method stops at a relative duality gap of
-  1e-4, the default outer `rel_tol`; extraction reads only the
-  eigenstructure of the relaxed solution, which a tighter solve barely
-  moves.
+  The interior-point method stops at a relative duality gap of 1e-4
+  (`AoConfig.sdp_tol`, a constant), the default outer `rel_tol`;
+  extraction reads only the eigenstructure of the relaxed solution, which
+  a tighter solve barely moves.
 * "lc": an inner SCA loop for the beamformer and an inner MM loop for the
   phases, each iterating the closed-form step of `lc` to a fixed point.
   Every half-step is monotone, so the recorded objective sequence is
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import lc, sdp
 from .objective import (Beamformer, PhaseProfile, build_operators,
-                        solution_metrics)
+                        check_iterate, solution_metrics)
 from .scenario import ChannelSet, SystemConfig, check_channels
 
 ALGORITHM_SDP = "sdp"
@@ -48,26 +48,21 @@ ALGORITHM_LC = "lc"
 def _check_start(config: SystemConfig, ao: AoConfig) -> None:
     """Reject a given starting point of the wrong size or with a non-finite
     entry."""
-    for name, start, field, size in (("init_phases", ao.init_phases, "alpha", config.n_irs),
-                                     ("init_beam", ao.init_beam, "w", config.n_tx)):
-        if start is None:
-            continue
-        values = getattr(start, field)
-        if values.shape != (size,):
-            raise ValueError(f"{name} has {values.size} entries, expected {size}")
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} must be finite")
+    if ao.init_phases is not None:
+        check_iterate("init_phases", ao.init_phases.alpha, config.n_irs)
+    if ao.init_beam is not None:
+        check_iterate("init_beam", ao.init_beam.w, config.n_tx)
 
 
 @dataclass(frozen=True)
 class AoConfig:
     """Outer-loop knobs of one alternating-optimization run; the inner
-    solvers run at their defaults.  Both tolerances must be finite."""
+    solvers run at their defaults, and `sdp_tol` is a class constant."""
 
     algorithm: str = ALGORITHM_LC
     max_outer_iters: int = 30
     rel_tol: float = 1e-4            # outer stop on |dJ| < rel_tol * |J|
-    sdp_tol: float = 1e-4            # interior-point duality gap target
+    sdp_tol = 1e-4                   # interior-point duality gap target
     init_phases: PhaseProfile | None = None  # None: uniform random phases
     init_beam: Beamformer | None = None      # None: one SCA step from flat
 
@@ -75,8 +70,6 @@ class AoConfig:
         if self.algorithm not in (ALGORITHM_SDP, ALGORITHM_LC):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         lc.check_loop(self.max_outer_iters, self.rel_tol, "max_outer_iters")
-        if not 0.0 < self.sdp_tol < np.inf:
-            raise ValueError(f"sdp_tol must be finite and > 0, got {self.sdp_tol!r}")
 
 
 @dataclass(frozen=True)

@@ -45,11 +45,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 import traceback
 from collections.abc import Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -57,8 +59,8 @@ from . import __version__
 from .ao import ALGORITHM_LC, ALGORITHM_SDP, AoConfig, AoTrace, run_ao, run_rps
 from .lc import check_loop
 from .objective import PhaseProfile, beampattern_profile, objective_from_parts
-from .scenario import ChannelSet, SystemConfig, config_from_mapping, \
-    parse_fields, parse_kv_file, sample_channels, slice_channels, trial_stream
+from .scenario import (ChannelSet, SystemConfig, db_to_linear, sample_channels,
+                       slice_channels, trial_stream)
 
 ALGORITHM_RPS = "rps"
 _ALGO_STREAM_ID = {ALGORITHM_SDP: 0, ALGORITHM_LC: 1, ALGORITHM_RPS: 2}
@@ -103,17 +105,90 @@ class ExperimentSpec:
         check_loop(self.max_outer_iters, self.rel_tol, "max_outer_iters")
 
 
+# ---------------------------------------------------------------------------
+# Spec parsing.  Files are flat "key = value" text; '#' starts a comment.
+
+# Keys read in other units: key -> (field, conversion to package units).  A
+# unit key conflicts with its field's key, and angles are read in degrees
+# only, so the radian field is not a key.
+_UNIT_KEYS = {
+    "p0_dbm": ("p0", db_to_linear),
+    "pl_ref_db": ("pl_ref", db_to_linear),
+    "rician_k_db": ("rician_k", db_to_linear),
+    "target_angles_deg": ("target_angles", math.radians),
+}
+
+
+def parse_kv_file(path: str | Path) -> dict[str, str]:
+    """Read a flat key = value file into a string mapping."""
+    mapping: dict[str, str] = {}
+    text = Path(path).read_text()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().lower()
+        if key in mapping:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        mapping[key] = value.strip()
+    return mapping
+
+
+def parse_fields(cls: type, mapping: dict[str, str]) -> dict[str, object]:
+    """Convert spec text into keyword arguments for the dataclass `cls`.
+
+    Keys are read in sorted order.  A key must name a field of `cls` that
+    has a default, or be a unit key of one.  Its value is converted with the
+    type of that default; a tuple default reads a comma-separated list of its
+    first element's type, and a None default reads a str.  An unknown key,
+    an empty or malformed value or list element, and a unit key given with
+    its field's key raise ValueError naming the key.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING}
+    kwargs: dict[str, object] = {}
+    for key in sorted(mapping):
+        name, convert = _UNIT_KEYS.get(key, (key, lambda value: value))
+        if name not in defaults or key == "target_angles":
+            raise ValueError(f"unknown spec key {key!r}")
+        if name != key and name in mapping:
+            raise ValueError(f"spec key {key!r} conflicts with {name!r}")
+        default = defaults[name]
+        listed = isinstance(default, tuple)
+        kind = type(default[0]) if listed else str if default is None else type(default)
+        values = []
+        for part in mapping[key].split(",") if listed else [mapping[key]]:
+            text = part.strip()
+            try:
+                if not text:
+                    raise ValueError
+                value = kind(text)
+            except ValueError:
+                raise ValueError(f"spec key {key!r}: expected {kind.__name__}, "
+                                 f"got {text!r}") from None
+            values.append(convert(value))
+        kwargs[name] = tuple(values) if listed else values[0]
+    return kwargs
+
+
 def experiment_from_mapping(mapping: dict[str, str]) -> ExperimentSpec:
-    """Build an ExperimentSpec from key=value text (see `scenario.parse_fields`).
+    """Build an ExperimentSpec from key=value text (see `parse_fields`).
 
     Keys that name an ExperimentSpec field configure the experiment; the
-    rest go to the scenario parser, so one flat mapping configures both
-    layers.  A key that neither layer knows, or a malformed value, raises
-    ValueError naming the key.
+    rest build its SystemConfig first, in radians and linear milliwatts,
+    with `n_targets` set by the target angles unless it is given.  A key
+    that neither layer knows, or a malformed value, raises ValueError
+    naming the key.
     """
     names = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    kwargs = parse_fields(SystemConfig, {k: v for k, v in mapping.items() if k not in names})
+    if "target_angles" in kwargs:
+        kwargs.setdefault("n_targets", len(kwargs["target_angles"]))
     return ExperimentSpec(
-        config=config_from_mapping({k: v for k, v in mapping.items() if k not in names}),
+        config=SystemConfig(**kwargs),
         **parse_fields(ExperimentSpec, {k: v for k, v in mapping.items() if k in names}))
 
 

@@ -25,9 +25,10 @@ a third of the maps of plain iteration.  `max_iters` caps the number of
 maps, extrapolated ones included.
 
 Inputs are checked once, at the entry of each solve: both check their
-loop parameters with `check_loop`, `sca_solve` that `big_h` is finite,
-Hermitian and N x N for N antennas, `mm_solve` that `big_f` is finite,
-Hermitian and (L+1) x (L+1) for L phases and that the phases are finite.
+loop parameters with `check_loop`, `sca_solve` that the beam is finite
+with N entries and `big_h` finite, Hermitian and N x N for N antennas,
+`mm_solve` that `big_f` is finite, Hermitian and (L+1) x (L+1) for L
+phases and that the phases are finite.
 `MmProblem` is a plain record, and the per-step kernels `mm_update_v` and
 `sca_update_w` check nothing.  Every solve loop, here and in `ao`, stops
 on the test `stalled`, and `check_loop` guards each one's parameters.
@@ -40,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .objective import (Beamformer, DerivedOperators, PhaseProfile,
-                        check_hermitian)
+                        check_hermitian, check_iterate)
 from .scenario import SystemConfig
 
 
@@ -85,10 +86,11 @@ def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
               max_iters: int = 50, rel_tol: float = 1e-9) -> Beamformer:
     """Iterate SCA steps at fixed phases until w^H H w stalls."""
     check_loop(max_iters, rel_tol, "max_iters")
+    check_iterate("beam", beam.w, config.n_tx)
     big_h = np.asarray(big_h)
-    if big_h.shape != (beam.w.size,) * 2:
+    if big_h.shape != (config.n_tx,) * 2:
         raise ValueError(f"big_h shape {big_h.shape} does not match "
-                         f"{beam.w.size} antennas")
+                         f"{config.n_tx} antennas")
     check_hermitian(big_h, "big_h")
     out = beam
     q_prev = float(np.real(np.vdot(out.w, big_h @ out.w)))
@@ -151,8 +153,7 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
         raise ValueError(f"big_f shape {np.shape(ops.big_f)} does not match "
                          f"{l_dim} phases")
     check_hermitian(ops.big_f, "big_f")
-    if not np.isfinite(phases.v).all():
-        raise ValueError("phases must be finite")
+    check_iterate("phases", phases.v, l_dim)
     problem = MmProblem.from_operators(ops, phases)
 
     def step(v: np.ndarray) -> tuple[PhaseProfile, float]:

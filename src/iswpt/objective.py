@@ -46,14 +46,20 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
 def check_hermitian(mat: np.ndarray, name: str) -> None:
     """Reject a square matrix with a non-finite entry, or one that deviates
     from Hermitian by more than 1e-12 * max(1, max|A|)."""
-    if mat.size == 0:
-        return
     scale = float(np.max(np.abs(mat)))
     if not np.isfinite(scale):
         raise ValueError(f"{name} must be finite")
     deviation = float(np.max(np.abs(mat - mat.conj().T)))
     if deviation > 1e-12 * max(1.0, scale):
         raise ValueError(f"{name} is not Hermitian (deviation {deviation:.3e})")
+
+
+def check_iterate(name: str, values: np.ndarray, size: int) -> None:
+    """Reject a beam or phase vector `name` without `size` finite entries."""
+    if values.shape != (size,):
+        raise ValueError(f"{name} has {values.size} entries, expected {size}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

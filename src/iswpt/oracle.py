@@ -10,7 +10,7 @@ the J the algorithms optimise.
 
 Rows are assembled from a phasor table, the `levels` complex factors of
 the grid computed once per search, never from per-row exponentials or
-digit arithmetic (see `_grid_search`).
+digit arithmetic (see `_grid_search`).  Each search checks its inputs first.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .objective import (Beamformer, PhaseProfile, objective_for_beam_batch,
-                        objective_for_phase_batch)
+from .objective import (Beamformer, PhaseProfile, check_iterate,
+                        objective_for_beam_batch, objective_for_phase_batch)
 from .scenario import ChannelSet, SystemConfig, check_channels
 
 _CHUNK = 1 << 15
@@ -62,14 +62,9 @@ class SearchBudget:
 def _row_chunks(dim: int, levels: int, table: np.ndarray
                 ) -> Iterator[tuple[int, np.ndarray]]:
     """(first flat index, factor rows) of each chunk, valid until the next."""
-    total, low = levels ** dim, dim
+    low = dim
     while levels ** low > _CHUNK:
         low -= 1
-    if low == 0:  # a single digit overflows a chunk: decode flat chunks
-        for start in range(0, total, _CHUNK):
-            idx = np.arange(start, min(start + _CHUNK, total))
-            yield start, table[np.stack(np.unravel_index(idx, (levels,) * dim), axis=1)]
-        return
     rows = np.empty((levels,) * low + (dim,), dtype=table.dtype)
     for j in range(low):
         rows[..., dim - low + j] = table.reshape((levels,) + (1,) * (low - 1 - j))
@@ -88,7 +83,8 @@ def _grid_search(dim: int, budget: SearchBudget, table: np.ndarray,
     `low` least significant digits, as many as fit levels**low <= _CHUNK,
     run through a block of all their combinations that is built once; a
     chunk is one value of the high digits, so one reused (levels**low, dim)
-    buffer has only its high columns rewritten per chunk.  argmax within a
+    buffer has only its high columns rewritten per chunk.  With more levels
+    than _CHUNK (only at dim 1), low is 0 and a chunk is one row.  argmax within a
     chunk and strict > across chunks keep the smallest lexicographic index
     on ties.  The best is kept as a flat index, never as a row of the reused
     buffer, and decoded to grid phases once at the end.
@@ -110,6 +106,7 @@ def quantized_phase_search(channels: ChannelSet, beam: Beamformer,
                            ) -> tuple[PhaseProfile, float]:
     """Best quantized phase profile at a fixed beamformer."""
     check_channels(config, channels)
+    check_iterate("beam", beam.w, config.n_tx)
     alpha, score = _grid_search(config.n_irs, budget, np.exp(1j * budget.grid()),
                                 lambda v_rows: objective_for_phase_batch(
                                     channels, beam, config, v_rows))
@@ -121,6 +118,7 @@ def quantized_beam_search(channels: ChannelSet, phases: PhaseProfile,
                           ) -> tuple[Beamformer, float]:
     """Best quantized constant-modulus beamformer at fixed phases."""
     check_channels(config, channels)
+    check_iterate("phases", phases.alpha, config.n_irs)
     table = config.beam_amplitude * np.exp(1j * budget.grid())
     w_phase, score = _grid_search(config.n_tx, budget, table,
                                   lambda w_rows: objective_for_beam_batch(

@@ -7,9 +7,9 @@ All channels are Rician draws with an i.i.d. LoS part, scaled by path loss.
 
 Unit conventions
 ----------------
-* Angles are radians everywhere inside the package.  Config files use
-  degrees and are converted on load.
-* Power quantities are carried in milliwatts.  dBm fields in config files
+* Angles are radians everywhere inside the package.  Spec files use
+  degrees and are converted on load (the spec parser is in `cli`).
+* Power quantities are carried in milliwatts.  dBm fields in spec files
   convert as p = 10**(dbm / 10) mW, so the reference 30 dBm budget becomes
   1000 mW.  Gains with a ``_db`` suffix convert as 10**(db / 10).
 * Path loss is a linear power ratio: pl_ref * dist**(-ple).
@@ -17,10 +17,8 @@ Unit conventions
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -110,6 +108,7 @@ class ChannelSet:
     h_br : (L, N) transmitter -> surface matrix
     h_ru : (K, L) surface -> device rows
     h_d  : (K, N) direct transmitter -> device rows
+    Each is stored as a read-only copy; the caller's arrays stay writeable.
     """
 
     h_br: np.ndarray
@@ -118,7 +117,7 @@ class ChannelSet:
 
     def __post_init__(self) -> None:
         for name in ("h_br", "h_ru", "h_d"):
-            arr = np.asarray(getattr(self, name), dtype=np.complex128)
+            arr = np.array(getattr(self, name), dtype=np.complex128)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.h_br.ndim != 2 or self.h_ru.ndim != 2 or self.h_d.ndim != 2:
@@ -150,9 +149,8 @@ def slice_channels(channels: ChannelSet, n_irs: int) -> ChannelSet:
     Entries are iid across elements, so the slice has the same law as a
     direct draw at the smaller size while staying coupled across sizes.
     """
-    return ChannelSet(h_br=channels.h_br[:n_irs, :].copy(),
-                      h_ru=channels.h_ru[:, :n_irs].copy(),
-                      h_d=channels.h_d.copy())
+    return ChannelSet(h_br=channels.h_br[:n_irs, :], h_ru=channels.h_ru[:, :n_irs],
+                      h_d=channels.h_d)
 
 
 def steering_matrix(thetas: np.ndarray, n_elements: int, delta: float = 0.5) -> np.ndarray:
@@ -225,85 +223,3 @@ def sample_channels(config: SystemConfig, rng: np.random.Generator) -> ChannelSe
     h_d = _rician_draw(rng, (k, n), pl_d, config.rician_k)
     return ChannelSet(h_br=h_br, h_ru=h_ru, h_d=h_d)
 
-
-# --------------------------------------------------------------------------
-# Spec parsing.  Files are flat "key = value" text; '#' starts a comment.
-
-# Keys read in other units: key -> (field, conversion to package units).  A
-# unit key conflicts with its field's key, and angles are read in degrees
-# only, so the radian field is not a key.
-_UNIT_KEYS = {
-    "p0_dbm": ("p0", db_to_linear),
-    "pl_ref_db": ("pl_ref", db_to_linear),
-    "rician_k_db": ("rician_k", db_to_linear),
-    "target_angles_deg": ("target_angles", math.radians),
-}
-_NOT_KEYS = {"target_angles"}
-
-
-def parse_kv_file(path: str | Path) -> dict[str, str]:
-    """Read a flat key = value file into a string mapping."""
-    mapping: dict[str, str] = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip().lower()
-        if key in mapping:
-            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        mapping[key] = value.strip()
-    return mapping
-
-
-def parse_fields(cls: type, mapping: dict[str, str]) -> dict[str, object]:
-    """Convert spec text into keyword arguments for the dataclass `cls`.
-
-    Keys are read in sorted order.  A key must name a field of `cls` that
-    has a default, or be a unit key of one.  Its value is converted with the
-    type of that default; a tuple default reads a comma-separated list of its
-    first element's type, and a None default reads a str.  An unknown key,
-    an empty or malformed value or list element, and a unit key given with
-    its field's key raise ValueError naming the key.
-    """
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)
-                if f.default is not dataclasses.MISSING}
-    kwargs: dict[str, object] = {}
-    for key in sorted(mapping):
-        name, convert = _UNIT_KEYS.get(key, (key, lambda value: value))
-        if name not in defaults or key in _NOT_KEYS:
-            raise ValueError(f"unknown spec key {key!r}")
-        if name != key and name in mapping:
-            raise ValueError(f"spec key {key!r} conflicts with {name!r}")
-        default = defaults[name]
-        listed = isinstance(default, tuple)
-        kind = type(default[0]) if listed else str if default is None else type(default)
-        values = []
-        for part in mapping[key].split(",") if listed else [mapping[key]]:
-            text = part.strip()
-            try:
-                if not text:
-                    raise ValueError
-                value = kind(text)
-            except ValueError:
-                raise ValueError(f"spec key {key!r}: expected {kind.__name__}, "
-                                 f"got {text!r}") from None
-            values.append(convert(value))
-        kwargs[name] = tuple(values) if listed else values[0]
-    return kwargs
-
-
-def config_from_mapping(mapping: dict[str, str]) -> SystemConfig:
-    """Build a SystemConfig from spec text (see `parse_fields`).
-
-    Degree and dB/dBm keys are converted here, so everything downstream sees
-    radians and linear milliwatts.  Target angles also set `n_targets`
-    unless it is given.
-    """
-    kwargs = parse_fields(SystemConfig, mapping)
-    if "target_angles" in kwargs:
-        kwargs.setdefault("n_targets", len(kwargs["target_angles"]))
-    return SystemConfig(**kwargs)

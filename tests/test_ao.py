@@ -25,8 +25,9 @@ def test_ao_config_validation():
         AoConfig(algorithm="newton")
     with pytest.raises(ValueError):
         AoConfig(max_outer_iters=0)
-    with pytest.raises(ValueError):
-        AoConfig(sdp_tol=0.0)
+    with pytest.raises(TypeError):  # a class constant, not a setting
+        AoConfig(sdp_tol=1e-6)
+    assert AoConfig().sdp_tol == 1e-4
 
 
 @pytest.mark.parametrize("cap", [2.5, 3.0, True])
@@ -37,7 +38,7 @@ def test_ao_config_rejects_a_cap_that_is_not_an_int(cap):
         AoConfig(max_outer_iters=cap)
 
 
-@pytest.mark.parametrize("name", ["rel_tol", "sdp_tol"])
+@pytest.mark.parametrize("name", ["rel_tol"])
 @pytest.mark.parametrize("value", [float("nan"), -1e-6, float("inf")])
 def test_ao_config_rejects_bad_tolerances(name, value):
     # A NaN or infinite tolerance would deem any change converged.
@@ -190,9 +191,10 @@ def test_trace_records_sdp_iteration_counts(monkeypatch):
     assert all(diagnostics(s) == (None, None, None) for s in trace.steps)
 
 
-def test_sdp_failure_truncates_trace():
+def test_sdp_failure_truncates_trace(monkeypatch):
     config, channels = instance(seed=6, n=3, l=6)
-    ao = AoConfig(algorithm=ALGORITHM_SDP, max_outer_iters=3, sdp_tol=1e-300)
+    monkeypatch.setattr(AoConfig, "sdp_tol", 1e-300)
+    ao = AoConfig(algorithm=ALGORITHM_SDP, max_outer_iters=3)
     trace = run_ao(config, ao, channels, trial_stream(6, 1))
     assert trace.failure is not None
     assert not trace.converged

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from iswpt import cli, sdp
 from iswpt.cli import (ExperimentSpec, _format_cell, experiment_from_mapping,
-                       main)
+                       main, parse_kv_file)
 from iswpt.objective import solution_metrics
-from iswpt.scenario import (SystemConfig, db_to_linear, parse_kv_file,
-                            sample_channels, trial_stream)
+from iswpt.scenario import (SystemConfig, db_to_linear, sample_channels,
+                            trial_stream)
 
 
 BASE_SPEC = """

@@ -116,6 +116,15 @@ def test_sca_solve_rejects_non_finite_big_h(bad):
         sca_solve(big_h, beam, config)
 
 
+def test_sca_solve_rejects_a_non_finite_beam():
+    # Unchecked, one NaN entry came back as an all-NaN beamformer after the
+    # full 50 steps, with no error.
+    config, channels, phases, beam = random_instance(seed=4, n=3, l=4)
+    big_h = build_operators(channels, phases, None, config).big_h
+    with pytest.raises(ValueError, match="beam must be finite"):
+        sca_solve(big_h, Beamformer(w=[np.nan, 1.0, 1.0]), config)
+
+
 def test_sca_solve_rejects_non_hermitian_big_h():
     # Unchecked, the step no longer maximises a tangent plane of w^H H w,
     # so the ascent guarantee silently lapses.

@@ -1,4 +1,5 @@
-"""Scenario layer: array response, path loss, channel draws, config parsing."""
+"""Scenario layer: array response, path loss, channel draws, and the spec
+parser's scenario keys (`cli.experiment_from_mapping`)."""
 
 import math
 import os
@@ -10,10 +11,15 @@ import numpy as np
 import pytest
 
 import iswpt
+from iswpt.cli import experiment_from_mapping, parse_kv_file
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
-                            config_from_mapping, db_to_linear, parse_kv_file,
-                            path_loss, sample_channels, steering_matrix,
-                            trial_stream)
+                            db_to_linear, path_loss, sample_channels,
+                            slice_channels, steering_matrix, trial_stream)
+
+
+def spec_config(mapping):
+    """The SystemConfig that a spec's text builds."""
+    return experiment_from_mapping(mapping).config
 
 
 def steering_vector(theta, n_elements, delta=0.5):
@@ -137,6 +143,20 @@ def test_channel_set_validates_shapes():
                    h_d=np.zeros((3, 3)))
 
 
+def test_channel_set_copies_the_callers_arrays():
+    # ChannelSet once froze the caller's own arrays: a later write to them
+    # raised "assignment destination is read-only".
+    h_br, h_ru, h_d = np.zeros((4, 3), complex), np.zeros((2, 4)), np.zeros((2, 3))
+    channels = ChannelSet(h_br=h_br, h_ru=h_ru, h_d=h_d)
+    h_br[0, 0], h_ru[0, 0], h_d[0, 0] = 2.0, 3.0, 4.0
+    assert channels.h_br[0, 0] == channels.h_ru[0, 0] == channels.h_d[0, 0] == 0.0
+    for sliced in (channels, slice_channels(channels, 2)):
+        for arr in (sliced.h_br, sliced.h_ru, sliced.h_d):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+
+
 def test_system_config_validation():
     with pytest.raises(ValueError):
         SystemConfig(n_tx=0)
@@ -194,7 +214,7 @@ def test_parse_kv_file_rejects_missing_equals(tmp_path):
 
 
 def test_config_from_mapping_converts_units():
-    config = config_from_mapping({
+    config = spec_config({
         "n_tx": "8",
         "p0_dbm": "30",
         "rician_k_db": "6",
@@ -210,14 +230,14 @@ def test_config_from_mapping_converts_units():
 
 def test_config_from_mapping_rejects_unknown_and_conflicting_keys():
     with pytest.raises(ValueError, match="'not_a_config_key'"):
-        config_from_mapping({"n_tx": "8", "not_a_config_key": "ignored"})
+        spec_config({"n_tx": "8", "not_a_config_key": "ignored"})
     # Angles are read in degrees only.
     with pytest.raises(ValueError, match="unknown spec key 'target_angles'"):
-        config_from_mapping({"target_angles": "0.5"})
+        spec_config({"target_angles": "0.5"})
     for db_key, linear in (("p0_dbm", "p0"), ("pl_ref_db", "pl_ref"),
                            ("rician_k_db", "rician_k")):
         with pytest.raises(ValueError, match=f"'{db_key}'.*'{linear}'"):
-            config_from_mapping({db_key: "30", linear: "10"})
+            spec_config({db_key: "30", linear: "10"})
 
 
 @pytest.mark.parametrize("key, value", [
@@ -227,15 +247,15 @@ def test_config_from_mapping_rejects_unknown_and_conflicting_keys():
 ])
 def test_config_from_mapping_names_key_of_malformed_value(key, value):
     with pytest.raises(ValueError, match=f"spec key '{key}'"):
-        config_from_mapping({key: value})
+        spec_config({key: value})
 
 
 def test_config_from_mapping_error_does_not_depend_on_hash_seed():
     # Keys are read in sorted order, so with two malformed values the error
     # names the same key under every string-hash seed.
-    code = ("from iswpt.scenario import config_from_mapping\n"
+    code = ("from iswpt.cli import experiment_from_mapping\n"
             "try:\n"
-            "    config_from_mapping({'n_tx': 'four', 'n_irs': 'x'})\n"
+            "    experiment_from_mapping({'n_tx': 'four', 'n_irs': 'x'})\n"
             "except ValueError as exc:\n"
             "    print(exc)\n")
     src = str(Path(iswpt.__file__).resolve().parents[1])
@@ -247,7 +267,7 @@ def test_config_from_mapping_error_does_not_depend_on_hash_seed():
 
 
 def test_config_from_mapping_linear_overrides_take_effect():
-    config = config_from_mapping({"p0": "250.0", "rho": "0.25", "seed": "11"})
+    config = spec_config({"p0": "250.0", "rho": "0.25", "seed": "11"})
     assert config.p0 == pytest.approx(250.0)
     assert config.rho == pytest.approx(0.25)
     assert config.seed == 11
@@ -257,7 +277,7 @@ def test_parse_kv_file_config_roundtrip(tmp_path):
     path = tmp_path / "scenario.txt"
     path.write_text("n_tx = 6\nn_irs = 12\np0_dbm = 20\n"
                     "target_angles_deg = -30, 30\n")
-    config = config_from_mapping(parse_kv_file(path))
+    config = spec_config(parse_kv_file(path))
     assert config.n_tx == 6
     assert config.n_irs == 12
     assert config.p0 == pytest.approx(100.0)
