@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lc, sdp
-from .objective import (Beamformer, PhaseProfile, build_operators,
-                        check_iterate, solution_metrics)
-from .scenario import ChannelSet, SystemConfig, check_channels
+from .objective import Beamformer, PhaseProfile, build_operators, solution_metrics
+from .scenario import (ChannelSet, SystemConfig, check_channels, check_finite,
+                       check_loop)
 
 ALGORITHM_SDP = "sdp"
 ALGORITHM_LC = "lc"
@@ -49,9 +49,9 @@ def _check_start(config: SystemConfig, ao: AoConfig) -> None:
     """Reject a given starting point of the wrong size or with a non-finite
     entry."""
     if ao.init_phases is not None:
-        check_iterate("init_phases", ao.init_phases.alpha, config.n_irs)
+        check_finite("init_phases", ao.init_phases.alpha, (config.n_irs,))
     if ao.init_beam is not None:
-        check_iterate("init_beam", ao.init_beam.w, config.n_tx)
+        check_finite("init_beam", ao.init_beam.w, (config.n_tx,))
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class AoConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in (ALGORITHM_SDP, ALGORITHM_LC):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        lc.check_loop(self.max_outer_iters, self.rel_tol, "max_outer_iters")
+        check_loop(self.max_outer_iters, self.rel_tol, "max_outer_iters")
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def run_rps(config: SystemConfig, channels: ChannelSet,
             rel_tol: float = 1e-6) -> AoTrace:
     """Random-phase baseline: phases drawn uniformly once and frozen,
     beamformer still optimized by iterating SCA steps to convergence."""
-    lc.check_loop(max_iters, rel_tol, "max_iters")
+    check_loop(max_iters, rel_tol, "max_iters")
     check_channels(config, channels)
     trace = AoTrace()
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, size=config.n_irs))

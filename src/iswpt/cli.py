@@ -5,7 +5,7 @@ Subcommands
 convergence   per-outer-iteration objective traces for each algorithm/L/trial
 sweep-l       mean harvested energy versus number of reflecting elements
 sweep-rho     harvested energy and beampattern sum versus trade-off factor
-beampattern   angular gain profile of one converged solution per algorithm/L
+beampattern   angular gain profile of one run's final iterate per algorithm/L
 validate      run the built-in acceptance checks and print one line per check
 
 Exit codes: 0 success, 1 a failed acceptance check (``validate``), 2 bad
@@ -57,10 +57,9 @@ import numpy as np
 
 from . import __version__
 from .ao import ALGORITHM_LC, ALGORITHM_SDP, AoConfig, AoTrace, run_ao, run_rps
-from .lc import check_loop
 from .objective import PhaseProfile, beampattern_profile, objective_from_parts
-from .scenario import (ChannelSet, SystemConfig, db_to_linear, sample_channels,
-                       slice_channels, trial_stream)
+from .scenario import (ChannelSet, SystemConfig, check_count, check_loop,
+                       db_to_linear, sample_channels, slice_channels, trial_stream)
 
 ALGORITHM_RPS = "rps"
 _ALGO_STREAM_ID = {ALGORITHM_SDP: 0, ALGORITHM_LC: 1, ALGORITHM_RPS: 2}
@@ -93,10 +92,11 @@ class ExperimentSpec:
                 raise ValueError(f"unknown algorithm {name!r}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError("duplicate algorithm in list")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if not self.sweep_l or any(l < 1 for l in self.sweep_l):
-            raise ValueError("sweep_l must be a nonempty list of positive ints")
+        check_count("n_trials", self.n_trials)
+        if not self.sweep_l:
+            raise ValueError("sweep_l must be a nonempty list")
+        for l_dim in self.sweep_l:
+            check_count("sweep_l entry", l_dim)
         if not self.sweep_rho or any(not 0.0 <= r <= 1.0 for r in self.sweep_rho):
             raise ValueError("sweep_rho entries must lie in [0, 1]")
         if not MIN_ANGLE_STEP_DEG <= self.angle_step_deg < np.inf:
@@ -355,13 +355,14 @@ def sweep_rho_trial(exp: ExperimentSpec, algorithm: str, trial: int,
     """Harvested energy and beampattern sum at each trade-off point.
 
     Optimizing algorithms run the sweep as a continuation (each point
-    warm-starts the next) and every converged solution joins a shared
-    candidate pool; each point then reports the pool member with the best
-    objective J at that point's weights (ties broken toward higher harvested
-    energy).  Selecting from a common pool by objective value makes the
-    reported per-trial curves obey the weighted-sum exchange argument:
-    harvested energy cannot decrease, the beampattern sum cannot increase.
-    The rps baseline reports each point's own run.
+    warm-starts the next) and the final iterate of every run, converged or
+    not, joins a shared candidate pool; each point then reports the pool
+    member with the best objective J at that point's weights (ties broken
+    toward higher harvested energy).  Selecting from a common pool by
+    objective value makes the reported per-trial curves obey the
+    weighted-sum exchange argument: harvested energy cannot decrease, the
+    beampattern sum cannot increase.  The rps baseline reports each point's
+    own run.
     """
     alpha = trial_stream(exp.config.seed, 2, trial).uniform(
         -np.pi, np.pi, exp.config.n_irs)

@@ -24,14 +24,11 @@ descent monotone; warm-started solves at L=40 reach the stop test in about
 a third of the maps of plain iteration.  `max_iters` caps the number of
 maps, extrapolated ones included.
 
-Inputs are checked once, at the entry of each solve: both check their
-loop parameters with `check_loop`, `sca_solve` that the beam is finite
-with N entries and `big_h` finite, Hermitian and N x N for N antennas,
-`mm_solve` that `big_f` is finite, Hermitian and (L+1) x (L+1) for L
-phases and that the phases are finite.
-`MmProblem` is a plain record, and the per-step kernels `mm_update_v` and
-`sca_update_w` check nothing.  Every solve loop, here and in `ao`, stops
-on the test `stalled`, and `check_loop` guards each one's parameters.
+Each solve checks its inputs once, at entry, with the helpers of
+`scenario`: its loop parameters, then `sca_solve` the beam and the N x N
+`big_h`, `mm_solve` the (L+1) x (L+1) `big_f` and the L phases.  The
+plain record `MmProblem` and the per-step kernels check nothing.  Every
+solve loop, here and in `ao`, stops on the test `stalled`.
 """
 
 from __future__ import annotations
@@ -40,22 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .objective import (Beamformer, DerivedOperators, PhaseProfile,
-                        check_hermitian, check_iterate)
-from .scenario import SystemConfig
-
-
-def check_loop(max_iters: int, rel_tol: float, name: str) -> None:
-    """Reject a loop cap `name` that is not an integer (a bool included) or
-    is below 1, or a stop tolerance that is negative or not finite (under
-    `stalled`, NaN or a negative value never stops a loop and inf stops it
-    at once)."""
-    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)):
-        raise ValueError(f"{name} must be an int, got {max_iters!r}")
-    if max_iters < 1:
-        raise ValueError(f"{name} must be >= 1")
-    if not 0.0 <= rel_tol < np.inf:
-        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
+from .objective import Beamformer, DerivedOperators, PhaseProfile
+from .scenario import SystemConfig, check_finite, check_hermitian, check_loop
 
 
 def stalled(new: float, prev: float, rel_tol: float) -> bool:
@@ -86,12 +69,9 @@ def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
               max_iters: int = 50, rel_tol: float = 1e-9) -> Beamformer:
     """Iterate SCA steps at fixed phases until w^H H w stalls."""
     check_loop(max_iters, rel_tol, "max_iters")
-    check_iterate("beam", beam.w, config.n_tx)
+    check_finite("beam", beam.w, (config.n_tx,))
     big_h = np.asarray(big_h)
-    if big_h.shape != (config.n_tx,) * 2:
-        raise ValueError(f"big_h shape {big_h.shape} does not match "
-                         f"{config.n_tx} antennas")
-    check_hermitian(big_h, "big_h")
+    check_hermitian(big_h, "big_h", config.n_tx)
     out = beam
     q_prev = float(np.real(np.vdot(out.w, big_h @ out.w)))
     for _ in range(max_iters):
@@ -143,17 +123,14 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
     so g never rises and the cycle does at least as well as two plain
     steps.  An entry with a zero gradient has r = d = 0 and keeps its
     phase.  The loop stops when g stalls after the first map of a cycle
-    or across a whole cycle.  `max_iters` caps the number of maps: a cycle
-    that the cap would cut short skips the extrapolation, so a cap of 1 or
-    2 gives exactly 1 or 2 plain steps.
+    (the rest of a cycle only lowers g further).  `max_iters` caps the
+    number of maps: a cycle that the cap would cut short skips the
+    extrapolation, so a cap of 1 or 2 gives exactly 1 or 2 plain steps.
     """
     check_loop(max_iters, rel_tol, "max_iters")
     l_dim = phases.v.size
-    if np.shape(ops.big_f) != (l_dim + 1, l_dim + 1):
-        raise ValueError(f"big_f shape {np.shape(ops.big_f)} does not match "
-                         f"{l_dim} phases")
-    check_hermitian(ops.big_f, "big_f")
-    check_iterate("phases", phases.v, l_dim)
+    check_hermitian(ops.big_f, "big_f", l_dim + 1)
+    check_finite("phases", phases.v, (l_dim,))
     problem = MmProblem.from_operators(ops, phases)
 
     def step(v: np.ndarray) -> tuple[PhaseProfile, float]:
@@ -181,7 +158,5 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
             maps += 1
             if g_ext <= g:
                 out, g = ext, g_ext
-        if stalled(g, g_start, rel_tol):
-            break
         g_start = g
     return out

@@ -43,38 +43,16 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
-def check_hermitian(mat: np.ndarray, name: str) -> None:
-    """Reject a square matrix with a non-finite entry, or one that deviates
-    from Hermitian by more than 1e-12 * max(1, max|A|)."""
-    scale = float(np.max(np.abs(mat)))
-    if not np.isfinite(scale):
-        raise ValueError(f"{name} must be finite")
-    deviation = float(np.max(np.abs(mat - mat.conj().T)))
-    if deviation > 1e-12 * max(1.0, scale):
-        raise ValueError(f"{name} is not Hermitian (deviation {deviation:.3e})")
-
-
-def check_iterate(name: str, values: np.ndarray, size: int) -> None:
-    """Reject a beam or phase vector `name` without `size` finite entries."""
-    if values.shape != (size,):
-        raise ValueError(f"{name} has {values.size} entries, expected {size}")
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite")
-
-
 @dataclass(frozen=True)
 class Beamformer:
-    """Constant-modulus transmit beamformer, stored as a length-N vector.
-
-    An unchecked per-step kernel: construction runs once per optimizer step
-    and checks only the shape, not finiteness; `lc.sca_solve` checks its
-    matrix once per solve instead.
-    """
+    """Constant-modulus transmit beamformer, a read-only copy of a length-N
+    vector.  Construction runs once per optimizer step and checks only the
+    shape; the entry points check finiteness (`scenario.check_finite`)."""
 
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=np.complex128)
+        w = np.array(self.w, dtype=np.complex128)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("w must be a nonempty 1-D complex vector")
         w.flags.writeable = False

@@ -16,15 +16,15 @@ digit arithmetic (see `_grid_search`).  Each search checks its inputs first.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .objective import (Beamformer, PhaseProfile, check_iterate,
-                        objective_for_beam_batch, objective_for_phase_batch)
-from .scenario import ChannelSet, SystemConfig, check_channels
+from .objective import (Beamformer, PhaseProfile, objective_for_beam_batch,
+                        objective_for_phase_batch)
+from .scenario import (ChannelSet, SystemConfig, check_channels, check_count,
+                       check_finite)
 
 _CHUNK = 1 << 15
 MAX_EVALS = 1 << 20   # evaluation cap of one search
@@ -37,12 +37,8 @@ class SearchBudget:
     phase_levels: int = 8
 
     def __post_init__(self) -> None:
-        value = self.phase_levels
-        whole = (isinstance(value, numbers.Integral)
-                 or isinstance(value, numbers.Real) and float(value).is_integer())
-        if isinstance(value, bool) or not whole or value < 2:
-            raise ValueError(f"phase_levels must be a whole number >= 2, got {value!r}")
-        object.__setattr__(self, "phase_levels", int(value))
+        object.__setattr__(self, "phase_levels",
+                           check_count("phase_levels", self.phase_levels, minimum=2))
 
     def grid(self) -> np.ndarray:
         """The quantized phase values in [-pi, pi)."""
@@ -106,7 +102,7 @@ def quantized_phase_search(channels: ChannelSet, beam: Beamformer,
                            ) -> tuple[PhaseProfile, float]:
     """Best quantized phase profile at a fixed beamformer."""
     check_channels(config, channels)
-    check_iterate("beam", beam.w, config.n_tx)
+    check_finite("beam", beam.w, (config.n_tx,))
     alpha, score = _grid_search(config.n_irs, budget, np.exp(1j * budget.grid()),
                                 lambda v_rows: objective_for_phase_batch(
                                     channels, beam, config, v_rows))
@@ -118,7 +114,7 @@ def quantized_beam_search(channels: ChannelSet, phases: PhaseProfile,
                           ) -> tuple[Beamformer, float]:
     """Best quantized constant-modulus beamformer at fixed phases."""
     check_channels(config, channels)
-    check_iterate("phases", phases.alpha, config.n_irs)
+    check_finite("phases", phases.alpha, (config.n_irs,))
     table = config.beam_amplitude * np.exp(1j * budget.grid())
     w_phase, score = _grid_search(config.n_tx, budget, table,
                                   lambda w_rows: objective_for_beam_batch(

@@ -13,6 +13,10 @@ Unit conventions
   convert as p = 10**(dbm / 10) mW, so the reference 30 dBm budget becomes
   1000 mW.  Gains with a ``_db`` suffix convert as 10**(db / 10).
 * Path loss is a linear power ratio: pl_ref * dist**(-ple).
+
+Every entry point of the package checks its inputs with the helpers here,
+one per kind of input: `check_count`, `check_finite`, `check_hermitian`,
+and on top of them `check_loop` and `check_channels`.
 """
 
 from __future__ import annotations
@@ -23,6 +27,46 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+
+def check_count(name: str, value: int, minimum: int = 1) -> int:
+    """Return `value` as an int; reject a bool, a non-integer (a whole float
+    included) or a value below `minimum`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_finite(name: str, values: np.ndarray, shape: tuple[int, ...]) -> None:
+    """Reject an array `name` whose shape is not `shape` or that holds a
+    non-finite entry."""
+    if values.shape != shape:
+        raise ValueError(f"{name} has shape {values.shape}, expected {shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+
+
+def check_hermitian(mat: np.ndarray, name: str, size: int) -> None:
+    """Reject a matrix `name` that is not (size, size), holds a non-finite
+    entry or deviates from Hermitian by more than 1e-12 * max(1, max|A|)."""
+    if np.shape(mat) != (size, size):
+        raise ValueError(f"{name} has shape {np.shape(mat)}, expected {(size, size)}")
+    scale = float(np.max(np.abs(mat)))
+    if not np.isfinite(scale):
+        raise ValueError(f"{name} must be finite")
+    deviation = float(np.max(np.abs(mat - mat.conj().T)))
+    if deviation > 1e-12 * max(1.0, scale):
+        raise ValueError(f"{name} is not Hermitian (deviation {deviation:.3e})")
+
+
+def check_loop(max_iters: int, rel_tol: float, name: str) -> None:
+    """Reject a loop cap `name` that `check_count` rejects, or a stop
+    tolerance that is negative or not finite (under `lc.stalled`, NaN or a
+    negative value never stops a loop and inf stops it at once)."""
+    check_count(name, max_iters)
+    if not 0.0 <= rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
 
 
 def db_to_linear(x_db: float) -> float:
@@ -67,9 +111,7 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_tx", "n_irs", "n_ehd", "n_targets"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            check_count(name, getattr(self, name))
         for name in _POSITIVE_FIELDS:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, "
@@ -86,9 +128,7 @@ class SystemConfig:
         for a in angles:
             if not -math.pi / 2.0 <= a <= math.pi / 2.0:
                 raise ValueError(f"target angle {a!r} outside [-pi/2, pi/2]")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, minimum=0))
 
     @property
     def per_antenna_power(self) -> float:
@@ -135,12 +175,7 @@ def check_channels(config: SystemConfig, channels: ChannelSet) -> None:
     l_dim, n_dim, k_dim = config.n_irs, config.n_tx, config.n_ehd
     for name, shape in (("h_br", (l_dim, n_dim)), ("h_ru", (k_dim, l_dim)),
                         ("h_d", (k_dim, n_dim))):
-        arr = getattr(channels, name)
-        if arr.shape != shape:
-            raise ValueError(f"channels.{name} has shape {arr.shape}, expected "
-                             f"{shape} for (L, N, K) = ({l_dim}, {n_dim}, {k_dim})")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"channels.{name} must be finite")
+        check_finite(f"channels.{name}", getattr(channels, name), shape)
 
 
 def slice_channels(channels: ChannelSet, n_irs: int) -> ChannelSet:

@@ -55,9 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import (Beamformer, PhaseProfile, check_hermitian,
-                        hermitian_part)
-from .scenario import SystemConfig, complex_normal
+from .objective import Beamformer, PhaseProfile, hermitian_part
+from .scenario import SystemConfig, check_finite, check_hermitian, complex_normal
 
 
 MAX_ITERS = 100   # interior-point iteration cap of one solve
@@ -142,18 +141,14 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
     if b.ndim != 1 or b.size == 0:
         raise ValueError(f"diag_values must be a nonempty 1-D vector, got shape {b.shape}")
     n = b.size
-    if cost.shape != (n, n):
-        raise ValueError(f"cost shape {cost.shape} does not match {n} diagonal values")
-    check_hermitian(cost, "cost matrix")
+    check_hermitian(cost, "cost matrix", n)
     if not np.all(np.isfinite(b) & (b > 0.0)):
         raise ValueError("diagonal values must be finite and strictly positive")
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be finite and > 0")
     if warm is not None:
-        if np.shape(warm.x_opt) != (n, n) or not np.isfinite(warm.x_opt).all():
-            raise ValueError(f"warm x_opt must be a finite ({n}, {n}) matrix")
-        if np.shape(warm.dual) != (n,) or not np.isfinite(warm.dual).all():
-            raise ValueError(f"warm dual must be a finite vector of {n} entries")
+        check_finite("warm x_opt", warm.x_opt, (n, n))
+        check_finite("warm dual", warm.dual, (n,))
     cost = hermitian_part(cost)
     c_scale = float(np.max(np.abs(cost)))
     if c_scale == 0.0:

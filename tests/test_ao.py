@@ -47,7 +47,7 @@ def test_ao_config_rejects_bad_tolerances(name, value):
 
 
 @pytest.mark.parametrize("loop, match", [
-    (dict(max_iters=0), "max_iters must be >= 1"),
+    (dict(max_iters=0), "max_iters must be an int >= 1, got 0"),
     (dict(rel_tol=float("inf")), "rel_tol"),
     (dict(rel_tol=float("nan")), "rel_tol"),
     (dict(rel_tol=-1.0), "rel_tol"),

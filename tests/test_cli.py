@@ -65,6 +65,12 @@ def test_experiment_spec_validation():
         ExperimentSpec(config=config, algorithms=("gradient",))
     with pytest.raises(ValueError):
         ExperimentSpec(config=config, n_trials=0)
+    # Unchecked, 2.5 and True passed as trial counts and 10.5 as an L.
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"n_trials must be an int >= 1, got {bad}"):
+            ExperimentSpec(config=config, n_trials=bad)
+    with pytest.raises(ValueError, match="sweep_l entry must be an int >= 1, got 10.5"):
+        ExperimentSpec(config=config, sweep_l=(10.5,))
     with pytest.raises(ValueError):
         ExperimentSpec(config=config, sweep_rho=(1.5,))
     with pytest.raises(ValueError):

@@ -140,7 +140,8 @@ def test_sca_solve_rejects_big_h_of_the_wrong_size(shape):
     # Unchecked, NumPy raised its own matmul or broadcast error, naming no input.
     config, channels, phases, beam = random_instance(seed=4, n=4, l=4)
     with pytest.raises(ValueError,
-                       match=rf"big_h shape \({shape[0]}, {shape[1]}\) does not match 4"):
+                       match=rf"big_h has shape \({shape[0]}, {shape[1]}\), "
+                             r"expected \(4, 4\)"):
         sca_solve(np.eye(*shape), beam, config)
 
 
@@ -168,7 +169,7 @@ def test_mm_problem_validation():
     flat = PhaseProfile(alpha=np.zeros(2))
     with pytest.raises(ValueError, match="big_f is not Hermitian"):
         mm_solve(SimpleNamespace(big_f=np.triu(np.ones((3, 3)))), flat)
-    with pytest.raises(ValueError, match="big_f shape"):
+    with pytest.raises(ValueError, match=r"big_f has shape \(2, 2\), expected \(3, 3\)"):
         mm_solve(SimpleNamespace(big_f=np.zeros((2, 2))), flat)
 
 
@@ -176,19 +177,19 @@ def test_mm_solve_rejects_big_f_of_the_wrong_size():
     # Unchecked, a 9 x 9 big_f with 6 phases solved a truncated problem.
     config, channels, phases, beam = random_instance(seed=9, l=8)
     ops = build_operators(channels, None, beam, config)
-    with pytest.raises(ValueError, match=r"big_f shape \(9, 9\) does not match 6"):
+    with pytest.raises(ValueError, match=r"big_f has shape \(9, 9\), expected \(7, 7\)"):
         mm_solve(ops, PhaseProfile(alpha=phases.alpha[:6]))
 
 
 @pytest.mark.parametrize("loop, match", [
-    (dict(max_iters=0), "max_iters must be >= 1"),
-    (dict(max_iters=-3), "max_iters must be >= 1"),
+    (dict(max_iters=0), "max_iters must be an int >= 1, got 0"),
+    (dict(max_iters=-3), "max_iters must be an int >= 1, got -3"),
     (dict(rel_tol=float("nan")), "rel_tol must be finite"),
     (dict(rel_tol=-1e-6), "rel_tol must be finite"),
     (dict(rel_tol=float("inf")), "rel_tol must be finite"),
-    (dict(max_iters=2.5, rel_tol=0.0), "max_iters must be an int, got 2.5"),
-    (dict(max_iters=3.0), "max_iters must be an int, got 3.0"),
-    (dict(max_iters=True), "max_iters must be an int, got True"),
+    (dict(max_iters=2.5, rel_tol=0.0), "max_iters must be an int >= 1, got 2.5"),
+    (dict(max_iters=3.0), "max_iters must be an int >= 1, got 3.0"),
+    (dict(max_iters=True), "max_iters must be an int >= 1, got True"),
 ], ids=["iters-0", "iters-neg", "tol-nan", "tol-neg", "tol-inf",
         "iters-fraction", "iters-float", "iters-bool"])
 @pytest.mark.parametrize("solve", ["sca", "mm"])

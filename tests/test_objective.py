@@ -317,8 +317,13 @@ def test_beamformer_constraints():
     assert beam.modulus_error(config) < 1e-15
     with pytest.raises(ValueError):
         Beamformer.from_phases(np.zeros(3), config)
-    lopsided = Beamformer(w=np.array([1.0, 2.0, 1.0, 1.0], dtype=complex))
+    w = np.array([1.0, 2.0, 1.0, 1.0], dtype=complex)
+    lopsided = Beamformer(w=w)
     assert lopsided.modulus_error(config) == pytest.approx(2.0 - config.beam_amplitude)
+    # Beamformer once froze the caller's own array: this write raised
+    # "assignment destination is read-only".
+    w[0] = 3.0
+    assert lopsided.w[0] == 1.0 and not lopsided.w.flags.writeable
 
 
 def test_phase_profile_constraints():

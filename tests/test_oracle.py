@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -46,18 +47,13 @@ def test_budget_validation():
 
 @pytest.mark.parametrize("field", ["phase_levels"])
 @pytest.mark.parametrize("bad", [8.5, True, np.bool_(True), float("nan"),
-                                 float("inf"), "8", None])
+                                 float("inf"), "8", None, 8.0, np.float64(8.0)])
 def test_budget_rejects_non_whole_values_by_name(field, bad):
-    # Unchecked, phase_levels=8.5 failed later inside range().
-    with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+    # Unchecked, phase_levels=8.5 failed later inside range().  A whole float
+    # is refused as every other count is.
+    with pytest.raises(ValueError, match=rf"{field} must be an int >= 2, got "
+                       + re.escape(repr(bad))):
         SearchBudget(**{field: bad})
-
-
-def test_budget_accepts_whole_floats_as_ints():
-    for levels in (8.0, np.float64(8.0)):
-        budget = SearchBudget(phase_levels=levels)
-        assert budget.phase_levels == 8 and type(budget.phase_levels) is int
-        assert budget.check_dim(2) == 64
 
 
 def test_exhaustive_single_element_enumerates_grid():
@@ -87,7 +83,7 @@ def test_searches_reject_channels_that_do_not_fit(search):
 
 
 @pytest.mark.parametrize("size, bad, match", [(3, np.nan, "must be finite"),
-                                              (4, 0.0, "has 4 entries, expected 3")])
+                                              (4, 0.0, "has shape (4,), expected (3,)")])
 def test_searches_reject_a_fixed_variable_that_does_not_fit(size, bad, match):
     # Unchecked, a NaN beam or phase scored every row NaN and the search
     # died on a bare AssertionError; a wrong size hit NumPy's matmul error.
@@ -95,9 +91,9 @@ def test_searches_reject_a_fixed_variable_that_does_not_fit(size, bad, match):
     budget = SearchBudget(phase_levels=2)
     values = np.zeros(size)
     values[1] = bad
-    with pytest.raises(ValueError, match="beam " + match):
+    with pytest.raises(ValueError, match=re.escape("beam " + match)):
         quantized_phase_search(channels, Beamformer(w=values), config, budget)
-    with pytest.raises(ValueError, match="phases " + match):
+    with pytest.raises(ValueError, match=re.escape("phases " + match)):
         quantized_beam_search(channels, PhaseProfile(alpha=values), config, budget)
 
 

@@ -170,6 +170,10 @@ def test_system_config_validation():
         SystemConfig(seed=-1)
     with pytest.raises(ValueError):
         SystemConfig(target_angles=(2.0, 0.0, -2.0))  # outside +-pi/2
+    # A bool is not a count: True once passed as one antenna or seed 1.
+    for name in ("n_tx", "n_irs", "n_ehd", "n_targets", "seed"):
+        with pytest.raises(ValueError, match=f"{name} must be an int >= [01], got True"):
+            SystemConfig(**{"n_targets": 1, "target_angles": (0.0,), name: True})
 
 
 @pytest.mark.parametrize("name", [

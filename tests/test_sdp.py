@@ -376,14 +376,15 @@ def test_warm_start_keeps_the_dual_bound(seed, n, rank, tol, step):
 def test_solver_rejects_bad_warm_start():
     cost, b = pinned_problem(12)
     warm = solve_diag_sdp(cost, b, tol=1e-4)
-    with pytest.raises(ValueError, match=r"warm x_opt must be a finite \(11, 11\)"):
+    with pytest.raises(ValueError,
+                       match=r"warm x_opt has shape \(12, 12\), expected \(11, 11\)"):
         solve_diag_sdp(cost[:11, :11], b[:11], warm=warm)
-    with pytest.raises(ValueError, match="warm dual must be a finite vector of 12"):
+    with pytest.raises(ValueError, match=r"warm dual has shape \(11,\), expected \(12,\)"):
         solve_diag_sdp(cost, b, warm=dataclasses.replace(warm, dual=warm.dual[:11]))
     for bad in (np.nan, np.inf):
         dual = warm.dual.copy()
         dual[3] = bad
-        with pytest.raises(ValueError, match="warm dual must be a finite vector"):
+        with pytest.raises(ValueError, match="warm dual must be finite"):
             solve_diag_sdp(cost, b, warm=dataclasses.replace(warm, dual=dual))
 
 
