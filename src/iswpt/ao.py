@@ -18,8 +18,17 @@ phases at fixed beamformer.  Either half-step runs in one of two modes:
   a tighter solve barely moves.
 * "lc": an inner SCA loop for the beamformer and an inner MM loop for the
   phases, each iterating the closed-form step of `lc` to a fixed point.
-  Every half-step is monotone, so the recorded objective sequence is
-  nondecreasing up to floating-point noise.
+  The outer maps run in safeguarded SqS3 cycles over the stacked state
+  u = [w / sqrt(p0/N); v]: two plain maps x0 -> x1 -> x2, then one map
+  from `lc.sqs3_jump(u0, u1, u2)` (the beam rescaled to sqrt(p0/N)).  If
+  J after that map's beam half-step is below J(x2), the jump is rejected:
+  x2 stays, its "v" step is recorded again as the map's "w" and "v"
+  steps, and no stop test follows.  Every half-step is monotone, so the
+  recorded objectives are nondecreasing up to floating-point noise.
+
+One outer iteration is one map, a ("w", "v") pair of steps; an lc jump
+counts as one, kept or rejected.  `max_outer_iters` caps maps, `n_outer`
+counts them and `iteration_objectives()[k]` is J after map k.
 
 Each half-step builds only the operators of its own side, and the inner
 solvers run at their own default iteration caps and tolerances.  No
@@ -32,7 +41,7 @@ experiments and the acceptance checks consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -158,17 +167,35 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     phases, beam = _initial_iterates(config, ao, channels, rng)
     j_prev = _record(trace, channels, config, phases, beam, 0, "init")
     solution_w = solution_v = None   # each sdp side's last solve, its next warm start
+    cycle = []   # lc: the stacked states u of the current SqS3 cycle
 
     for outer in range(1, ao.max_outer_iters + 1):
+        if ao.algorithm == ALGORITHM_LC:
+            cycle.append(np.concatenate((beam.w / config.beam_amplitude, phases.v)))
+        jump = None
+        if len(cycle) == 3:   # two plain maps done: this map starts at the jump
+            jump = lc.sqs3_jump(*cycle)
+            cycle = cycle[2:] if jump is None else []
+        start_beam, start_phases = beam, phases
+        if jump is not None:
+            start_beam = Beamformer.from_phases(jump[:config.n_tx], config)
+            start_phases = PhaseProfile(alpha=jump[config.n_tx:])
         try:
-            big_h = build_operators(channels, phases, None, config).big_h
+            big_h = build_operators(channels, start_phases, None, config).big_h
             if ao.algorithm == ALGORITHM_SDP:
-                beam, relaxed_w, solution_w = sdp.sdp_update_w(
+                w_beam, relaxed_w, solution_w = sdp.sdp_update_w(
                     big_h, config, tol=ao.sdp_tol, incumbent=beam, warm=solution_w)
             else:
-                beam, relaxed_w = lc.sca_solve(big_h, beam, config), None
-            _record(trace, channels, config, phases, beam, outer, "w", relaxed_w,
-                    solution_w)
+                w_beam, relaxed_w = lc.sca_solve(big_h, start_beam, config), None
+            j_w = _record(trace, channels, config, start_phases, w_beam, outer,
+                          "w", relaxed_w, solution_w)
+            if jump is not None and not j_w >= j_prev:
+                # Rejected: x2 stays, and its v record repeats as a flat pair.
+                trace.steps[-1:] = [replace(trace.steps[-2], outer_iter=outer, stage=s)
+                                    for s in ("w", "v")]
+                trace.n_outer = outer
+                continue
+            beam, phases = w_beam, start_phases
 
             ops = build_operators(channels, None, beam, config)
             if ao.algorithm == ALGORITHM_SDP:

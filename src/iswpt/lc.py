@@ -22,7 +22,8 @@ projected back onto the unit circle and one more map from there, kept
 only if it lowers g no less than the two plain maps did.  That keeps the
 descent monotone; warm-started solves at L=40 reach the stop test in about
 a third of the maps of plain iteration.  `max_iters` caps the number of
-maps, extrapolated ones included.
+maps, extrapolated ones included.  The jump itself is `sqs3_jump`, which
+`ao.run_ao` also applies to the outer lc map.
 
 Each solve checks its inputs once, at entry, with the helpers of
 `scenario`: its loop parameters, then `sca_solve` the beam and the N x N
@@ -44,6 +45,19 @@ from .scenario import SystemConfig, check_finite, check_hermitian, check_loop
 def stalled(new: float, prev: float, rel_tol: float) -> bool:
     """The stop test of every solve loop: |new - prev| < rel_tol * |prev|."""
     return abs(new - prev) < rel_tol * max(abs(prev), 1e-300)
+
+
+def sqs3_jump(x0: np.ndarray, x1: np.ndarray,
+              x2: np.ndarray) -> np.ndarray | None:
+    """Phases of the SqS3 jump from plain maps x0 -> x1 -> x2, projecting it
+    onto the unit circle: arg(x0 - 2 a r + a^2 d) entrywise, with r = x1 - x0,
+    d = x2 - 2 x1 + x0 and a = -max(|r| / |d|, 1); None when d = 0."""
+    r, d = x1 - x0, x2 - 2.0 * x1 + x0
+    d_norm = np.linalg.norm(d)
+    if not d_norm > 0.0:
+        return None
+    a = -max(np.linalg.norm(r) / d_norm, 1.0)
+    return np.angle(x0 - 2.0 * a * r + a * a * d)
 
 
 def _ascent_phases(m_mat: np.ndarray, x: np.ndarray,
@@ -116,9 +130,8 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
     """Run SQUAREM-accelerated MM steps at fixed beamformer until g stalls.
 
     One cycle from v0 takes two plain maps, v1 = F(v0) and v2 = F(v1), with
-    F one `mm_update_v` call.  With r = v1 - v0 and d = v2 - 2 v1 + v0 it
-    extrapolates to v0 - 2 a r + a^2 d, a = -max(|r| / |d|, 1) (SqS3),
-    projects that entrywise onto the unit circle and maps it once more.
+    F one `mm_update_v` call.  It then jumps to `sqs3_jump(v0, v1, v2)`
+    and maps the jump once more.
     The safeguard keeps the result only if its g is no higher than g(v2),
     so g never rises and the cycle does at least as well as two plain
     steps.  An entry with a zero gradient has r = d = 0 and keeps its
@@ -149,12 +162,9 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
         v1 = out.v
         out, g = step(v1)
         maps += 1
-        r, d = v1 - v0, out.v - 2.0 * v1 + v0
-        d_norm = np.linalg.norm(d)
-        if maps < max_iters and d_norm > 0.0:
-            a = -max(np.linalg.norm(r) / d_norm, 1.0)
-            jump = PhaseProfile(alpha=np.angle(v0 - 2.0 * a * r + a * a * d))
-            ext, g_ext = step(jump.v)
+        jump = sqs3_jump(v0, v1, out.v) if maps < max_iters else None
+        if jump is not None:
+            ext, g_ext = step(PhaseProfile(alpha=jump).v)
             maps += 1
             if g_ext <= g:
                 out, g = ext, g_ext

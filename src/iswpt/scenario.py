@@ -111,7 +111,7 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_tx", "n_irs", "n_ehd", "n_targets"):
-            check_count(name, getattr(self, name))
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
         for name in _POSITIVE_FIELDS:
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, "
@@ -120,6 +120,8 @@ class SystemConfig:
             raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
+        for name in _POSITIVE_FIELDS + ("eta", "rho"):   # np.float64(0.9) -> 0.9
+            object.__setattr__(self, name, float(getattr(self, name)))
         angles = tuple(float(a) for a in self.target_angles)
         object.__setattr__(self, "target_angles", angles)
         if len(angles) != self.n_targets:

@@ -4,11 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from iswpt import sdp
+from iswpt import lc, sdp
 from iswpt.ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, _initial_iterates,
                       run_ao, run_rps)
-from iswpt.objective import Beamformer, PhaseProfile, _phase_rows
+from iswpt.objective import (Beamformer, PhaseProfile, _phase_rows,
+                             build_operators, solution_metrics)
 from iswpt.scenario import SystemConfig, sample_channels, trial_stream
 
 
@@ -119,6 +122,91 @@ def test_lc_trace_monotone_and_feasible():
         assert step.v_error <= 1e-12
     assert trace.beam.w.shape == (config.n_tx,)
     assert trace.beam.modulus_error(config) <= 1e-12
+
+
+# Small random instances for the outer-loop properties: N 2-6, L 4-12, any rho.
+small_instances = st.builds(instance, seed=st.integers(0, 2**16), n=st.integers(2, 6),
+                            l=st.integers(4, 12), rho=st.floats(0.0, 1.0))
+
+
+def assert_nondecreasing(trace):
+    # Criterion 02's slack: no half-step drops J by more than 1e-9 relative.
+    objectives = np.array([s.objective for s in trace.steps])
+    assert np.all(np.diff(objectives) >= -1e-9 * np.abs(objectives[:-1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=small_instances, cap=st.integers(1, 30),
+       rel_tol=st.sampled_from([0.0, 1e-4, 1e-2]))
+def test_lc_outer_loop_properties(case, cap, rel_tol):
+    # Every map, a jump included, is one (w, v) pair and counts toward the cap.
+    config, channels = case
+    ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=cap, rel_tol=rel_tol)
+    trace = run_ao(config, ao, channels, trial_stream(config.seed, 1))
+    assert_nondecreasing(trace)
+    assert [s.stage for s in trace.steps] == ["init"] + ["w", "v"] * trace.n_outer
+    assert [s.outer_iter for s in trace.steps[1:]] == [
+        k for k in range(1, trace.n_outer + 1) for _ in "wv"]
+    assert 1 <= trace.n_outer <= cap
+    if rel_tol == 0.0:
+        assert trace.n_outer == cap and not trace.converged
+    else:
+        assert trace.converged or trace.n_outer == cap
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=small_instances, cap=st.sampled_from([1, 2]))
+def test_lc_caps_of_one_and_two_run_plain_maps(case, cap):
+    # A jump needs two plain maps before it, so a cap of 1 or 2 never jumps:
+    # the trace equals that of plain sca_solve + mm_solve maps.
+    config, channels = case
+    ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=cap, rel_tol=0.0)
+    trace = run_ao(config, ao, channels, trial_stream(config.seed, 1))
+    phases, beam = _initial_iterates(config, ao, channels, trial_stream(config.seed, 1))
+    expected = [solution_metrics(channels, phases, beam, config)[0]]
+    for _ in range(cap):
+        beam = lc.sca_solve(build_operators(channels, phases, None, config).big_h,
+                            beam, config)
+        expected.append(solution_metrics(channels, phases, beam, config)[0])
+        phases = lc.mm_solve(build_operators(channels, None, beam, config), phases)
+        expected.append(solution_metrics(channels, phases, beam, config)[0])
+    assert [s.objective for s in trace.steps] == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=small_instances)
+def test_lc_rejected_jump_records_a_flat_pair(case):
+    # Map 3 starts at the jump; a zero beam from its sca_solve makes J = 0 <
+    # J2, so the jump is rejected: x2 stays, its v record repeats as map 3's
+    # w and v records, and map 3 still counts toward the cap.
+    config, channels = case
+    sca_solve, sqs3_jump = lc.sca_solve, lc.sqs3_jump
+    calls, jumps = [], []
+
+    def jump_lowers_j(big_h, beam, config_):
+        calls.append(beam)
+        if len(calls) == 3:
+            return Beamformer(w=np.zeros(config_.n_tx))
+        return sca_solve(big_h, beam, config_)
+
+    def spy(*cycle):   # mm_solve's jumps, of L entries, are not counted
+        jump = sqs3_jump(*cycle)
+        if cycle[0].size == config.n_tx + config.n_irs:
+            jumps.append(jump)
+        return jump
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lc, "sca_solve", jump_lowers_j)
+        patch.setattr(lc, "sqs3_jump", spy)
+        ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=4, rel_tol=0.0)
+        trace = run_ao(config, ao, channels, trial_stream(config.seed, 1))
+    assume(len(jumps) == 1 and jumps[0] is not None)
+    assert trace.n_outer == 4 and len(trace.steps) == 1 + 2 * 4
+    x2 = trace.steps[4]
+    assert trace.steps[5:7] == [dataclasses.replace(x2, outer_iter=3, stage=stage)
+                                for stage in ("w", "v")]
+    assert_nondecreasing(trace)
+    assert np.all(np.abs(trace.beam.w) > 0.0)
 
 
 def test_lc_converges_with_default_tolerance():

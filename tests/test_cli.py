@@ -251,6 +251,20 @@ def test_config_digest_pinned(command, digest):
     assert cli.config_digest(experiment_from_mapping(_DIGEST_SPEC), command) == digest
 
 
+def test_config_digest_ignores_numpy_scalar_types():
+    # SystemConfig stores Python ints and floats, so a NumPy scalar and the
+    # equal Python number hash alike in the CSV comment line.
+    def digest(**fields):
+        spec = ExperimentSpec(config=SystemConfig(seed=1, **fields))
+        return cli.config_digest(spec, "sweep-l")
+
+    plain = digest()
+    assert digest(n_tx=12, rho=0.9) == plain
+    assert digest(n_tx=np.int64(12)) == plain
+    assert digest(rho=np.float64(0.9)) == plain
+    assert digest(p0=np.float32(1000.0), n_irs=np.int32(40)) == plain
+
+
 def test_format_cell():
     assert _format_cell(3) == "3"
     assert _format_cell("lc") == "lc"
