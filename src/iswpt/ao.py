@@ -1,34 +1,31 @@
 """Alternating optimization driver and the random-phase baseline.
 
-One outer iteration updates the beamformer at fixed phases, then the
-phases at fixed beamformer.  Either half-step runs in one of two modes:
+One outer iteration, a map, updates the beamformer at fixed phases, then
+the phases at fixed beamformer.  Either half-step runs in one of two modes:
 
 * "sdp": relax the subproblem to a diagonally constrained SDP, solve it
   with the interior-point method, and keep the projected principal
-  eigenvector unless the incumbent scores higher.  After the first outer
-  iteration each solve starts warm, from the previous outer iteration's
-  solution of the same side (`sdp.solve_diag_sdp`'s `warm`).  The dual
-  value of each relaxation is an upper bound on the half-step's achievable
-  objective at any solver tolerance, and is recorded alongside the
-  feasible objective with the solve's iteration count, duality gap and
-  primal residual.
-  The interior-point method stops at a relative duality gap of 1e-4
-  (`AoConfig.sdp_tol`, a constant), the default outer `rel_tol`;
+  eigenvector unless the incumbent scores higher.  After the first map
+  each solve starts warm, from the previous solution of the same side
+  (`sdp.solve_diag_sdp`'s `warm`).  The dual value of each relaxation
+  bounds the half-step's achievable objective at any solver tolerance and
+  is recorded with the solve's iteration count, duality gap and primal
+  residual.  The interior-point method stops at a relative duality gap of
+  1e-4 (`AoConfig.sdp_tol`, a constant), the default outer `rel_tol`;
   extraction reads only the eigenstructure of the relaxed solution, which
   a tighter solve barely moves.
 * "lc": an inner SCA loop for the beamformer and an inner MM loop for the
   phases, each iterating the closed-form step of `lc` to a fixed point.
-  The outer maps run in safeguarded SqS3 cycles over the stacked state
-  u = [w / sqrt(p0/N); v]: two plain maps x0 -> x1 -> x2, then one map
-  from `lc.sqs3_jump(u0, u1, u2)` (the beam rescaled to sqrt(p0/N)).  If
-  J after that map's beam half-step is below J(x2), the jump is rejected:
-  x2 stays, its "v" step is recorded again as the map's "w" and "v"
-  steps, and no stop test follows.  Every half-step is monotone, so the
-  recorded objectives are nondecreasing up to floating-point noise.
 
-One outer iteration is one map, a ("w", "v") pair of steps; an lc jump
-counts as one, kept or rejected.  `max_outer_iters` caps maps, `n_outer`
-counts them and `iteration_objectives()[k]` is J after map k.
+For both, the maps run in safeguarded SqS3 cycles over the stacked state
+u = [w / sqrt(p0/N); v]: two plain maps x0 -> x1 -> x2, then one map from
+`lc.sqs3_jump(u0, u1, u2)` (the beam rescaled to sqrt(p0/N)).  If J after
+its beam half-step is below J(x2), the jump is rejected: x2 stays, its
+"v" step is recorded again as the map's "w" and "v" steps, and no stop
+test follows.  Each map, a jump kept or rejected, is one ("w", "v") pair
+of steps: `max_outer_iters` caps maps, `n_outer` counts them and
+`iteration_objectives()[k]` is J after map k.  Every half-step is
+monotone, so the recorded objectives are nondecreasing up to rounding.
 
 Each half-step builds only the operators of its own side, and the inner
 solvers run at their own default iteration caps and tolerances.  No
@@ -167,11 +164,10 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     phases, beam = _initial_iterates(config, ao, channels, rng)
     j_prev = _record(trace, channels, config, phases, beam, 0, "init")
     solution_w = solution_v = None   # each sdp side's last solve, its next warm start
-    cycle = []   # lc: the stacked states u of the current SqS3 cycle
+    cycle = []   # the stacked states u of the current SqS3 cycle
 
     for outer in range(1, ao.max_outer_iters + 1):
-        if ao.algorithm == ALGORITHM_LC:
-            cycle.append(np.concatenate((beam.w / config.beam_amplitude, phases.v)))
+        cycle.append(np.concatenate((beam.w / config.beam_amplitude, phases.v)))
         jump = None
         if len(cycle) == 3:   # two plain maps done: this map starts at the jump
             jump = lc.sqs3_jump(*cycle)

@@ -19,13 +19,16 @@ The search direction is the standard XZ (HKM) direction with a Mehrotra
 predictor-corrector.  For diagonal constraints the Schur complement has
 the closed form  M_ij = Re(X_ij * conj(Sinv_ij)), an elementwise product.
 Each iteration factors X and S once: one Cholesky of each, whose inverted
-factors give Sinv and the step lengths (one stacked eigenvalue call per
-direction), plus one real n x n solve per direction.  An iteration forms
-9 complex n x n products: Sinv, one per direction, and three per step
-test (two for dX, one for the diagonal dS).  XS is never formed: it
-cancels from both directions, (R - X Diag(dz)) Sinv with R = E - XS is
-E Sinv - X - X Diag(dz) Sinv, and the traces behind the objective and the
-gaps are O(n^2) inner products, tr(A B) = vdot(B, A) for Hermitian A, B.
+factors give Sinv and the step lengths, plus one real n x n solve per
+direction.  The predictor's step lengths only set the centring, so after
+the first iteration they are the previous corrector's; the one stacked
+eigenvalue call left is the corrector's exact test, which keeps X and S
+positive definite.  An iteration forms 6 complex n x n products: Sinv,
+one per direction, and three for the step test (two for dX, one for the
+diagonal dS).  XS is never formed: it cancels from both directions,
+(R - X Diag(dz)) Sinv with R = E - XS is E Sinv - X - X Diag(dz) Sinv,
+and the traces behind the objective and the gaps are O(n^2) inner
+products, tr(A B) = vdot(B, A) for Hermitian A, B.
 
 Inner products on the complex Hermitian cone are <A, B> = Re tr(A B); no
 real symmetric embedding is used, so there is no factor-2 bookkeeping to
@@ -172,8 +175,7 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
     s = np.diag(z) - cost
 
     for iteration in range(1, MAX_ITERS + 1):
-        diag_x = np.real(np.diag(x))
-        r_p = b - diag_x
+        r_p = b - np.real(np.diag(x))
         primal_res = float(np.max(np.abs(r_p))) / (1.0 + float(np.max(b)))
         primal_obj = float(np.real(np.vdot(x, cost)))
         dual_obj = float(b @ z)
@@ -194,8 +196,6 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
             m_mat = np.real(x * s_inv.conj())
             m_mat = 0.5 * (m_mat + m_mat.T) + (1e-14 * float(np.max(np.abs(m_mat))) + 1e-300) * eye
 
-            mu = gap / n
-
             def direction(e_mat: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
                 """(dx, dz) for the complementarity residual R = e_mat - XS;
                 dS = Diag(dz), so X dS is a column scaling.  XS cancels:
@@ -204,18 +204,22 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
                 dz = np.linalg.solve(m_mat, rhs)
                 return hermitian_part((e_mat - x * dz) @ s_inv - x), dz
 
-            # Mehrotra predictor: pure Newton step toward the boundary
-            # (R = -XS, so the right-hand side is exactly -b).
+            # Mehrotra predictor: pure Newton step toward the boundary (R = -XS,
+            # so the right-hand side is exactly -b).  Its step lengths only set
+            # sigma: after the first pass they are the last corrector's t_max.
             dx_aff, dz_aff = direction(0.0)
-            ap_aff, ad_aff = np.minimum(1.0, _max_steps(inv_factors, dx_aff, dz_aff))
+            if iteration == 1:
+                t_max = _max_steps(inv_factors, dx_aff, dz_aff)
+            ap_aff, ad_aff = np.minimum(1.0, t_max)
             gap_aff = float(np.real(np.vdot(x + ap_aff * dx_aff,
                                             s + ad_aff * np.diag(dz_aff))))
             sigma = min(0.99, max((max(gap_aff, 0.0) / gap) ** 3, 1e-8))
 
             # Corrector with second-order term.
-            dx, dz = direction(sigma * mu * eye - dx_aff * dz_aff)
+            dx, dz = direction(sigma * (gap / n) * eye - dx_aff * dz_aff)
             frac = 0.98 if iteration > 2 else 0.9
-            ap, ad = np.minimum(1.0, frac * _max_steps(inv_factors, dx, dz))
+            t_max = _max_steps(inv_factors, dx, dz)
+            ap, ad = np.minimum(1.0, frac * t_max)
             x = hermitian_part(x + ap * dx)
             z = z + ad * dz
             s = np.diag(z) - cost

@@ -156,38 +156,53 @@ def test_lc_outer_loop_properties(case, cap, rel_tol):
 
 @settings(max_examples=20, deadline=None)
 @given(case=small_instances, cap=st.sampled_from([1, 2]))
-def test_lc_caps_of_one_and_two_run_plain_maps(case, cap):
+@pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
+def test_caps_of_one_and_two_run_plain_maps(algorithm, case, cap):
     # A jump needs two plain maps before it, so a cap of 1 or 2 never jumps:
-    # the trace equals that of plain sca_solve + mm_solve maps.
+    # the trace equals that of plain maps of the algorithm's half-steps.
     config, channels = case
-    ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=cap, rel_tol=0.0)
+    ao = AoConfig(algorithm=algorithm, max_outer_iters=cap, rel_tol=0.0)
     trace = run_ao(config, ao, channels, trial_stream(config.seed, 1))
     phases, beam = _initial_iterates(config, ao, channels, trial_stream(config.seed, 1))
     expected = [solution_metrics(channels, phases, beam, config)[0]]
+    solution_w = solution_v = None
     for _ in range(cap):
-        beam = lc.sca_solve(build_operators(channels, phases, None, config).big_h,
-                            beam, config)
+        big_h = build_operators(channels, phases, None, config).big_h
+        if algorithm == ALGORITHM_LC:
+            beam = lc.sca_solve(big_h, beam, config)
+        else:
+            beam, _, solution_w = sdp.sdp_update_w(big_h, config, ao.sdp_tol,
+                                                   beam, solution_w)
         expected.append(solution_metrics(channels, phases, beam, config)[0])
-        phases = lc.mm_solve(build_operators(channels, None, beam, config), phases)
+        ops = build_operators(channels, None, beam, config)
+        if algorithm == ALGORITHM_LC:
+            phases = lc.mm_solve(ops, phases)
+        else:
+            phases, _, solution_v = sdp.sdp_update_v(ops.big_f, config, ao.sdp_tol,
+                                                     phases, solution_v)
         expected.append(solution_metrics(channels, phases, beam, config)[0])
     assert [s.objective for s in trace.steps] == expected
 
 
 @settings(max_examples=20, deadline=None)
 @given(case=small_instances)
-def test_lc_rejected_jump_records_a_flat_pair(case):
-    # Map 3 starts at the jump; a zero beam from its sca_solve makes J = 0 <
-    # J2, so the jump is rejected: x2 stays, its v record repeats as map 3's
-    # w and v records, and map 3 still counts toward the cap.
+@pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
+def test_rejected_jump_records_a_flat_pair(algorithm, case):
+    # Map 3 starts at the jump; a zero beam from its beam half-step makes
+    # J = 0 < J2, so the jump is rejected: x2 stays, its v record repeats as
+    # map 3's w and v records, and map 3 still counts toward the cap.
     config, channels = case
-    sca_solve, sqs3_jump = lc.sca_solve, lc.sqs3_jump
+    module, name = (lc, "sca_solve") if algorithm == ALGORITHM_LC else (sdp, "sdp_update_w")
+    half_step, sqs3_jump = getattr(module, name), lc.sqs3_jump
     calls, jumps = [], []
 
-    def jump_lowers_j(big_h, beam, config_):
-        calls.append(beam)
-        if len(calls) == 3:
-            return Beamformer(w=np.zeros(config_.n_tx))
-        return sca_solve(big_h, beam, config_)
+    def jump_lowers_j(*args, **kwargs):
+        calls.append(args)
+        result = half_step(*args, **kwargs)
+        if len(calls) != 3:
+            return result
+        zero = Beamformer(w=np.zeros(config.n_tx))
+        return zero if algorithm == ALGORITHM_LC else (zero, *result[1:])
 
     def spy(*cycle):   # mm_solve's jumps, of L entries, are not counted
         jump = sqs3_jump(*cycle)
@@ -196,11 +211,12 @@ def test_lc_rejected_jump_records_a_flat_pair(case):
         return jump
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lc, "sca_solve", jump_lowers_j)
+        patch.setattr(module, name, jump_lowers_j)
         patch.setattr(lc, "sqs3_jump", spy)
-        ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=4, rel_tol=0.0)
+        ao = AoConfig(algorithm=algorithm, max_outer_iters=4, rel_tol=0.0)
         trace = run_ao(config, ao, channels, trial_stream(config.seed, 1))
     assume(len(jumps) == 1 and jumps[0] is not None)
+    assert trace.failure is None
     assert trace.n_outer == 4 and len(trace.steps) == 1 + 2 * 4
     x2 = trace.steps[4]
     assert trace.steps[5:7] == [dataclasses.replace(x2, outer_iter=3, stage=stage)

@@ -154,8 +154,8 @@ def pinned_problem(n):
 
 
 @pytest.mark.parametrize("n, iterations, objective", [
-    (12, 7, 40.906293061195),
-    (41, 9, 359.19933011557),
+    (12, 8, 40.906293010846),
+    (41, 12, 359.19935525569),
 ])
 def test_solver_pinned_instances(n, iterations, objective):
     # Pins the iterate sequence: a change to the direction, the step rule
@@ -166,8 +166,8 @@ def test_solver_pinned_instances(n, iterations, objective):
 
 
 @pytest.mark.parametrize("n, iterations, objective", [
-    (12, 5, 40.905713197741),
-    (41, 6, 359.17471682008),
+    (12, 5, 40.905279440335),
+    (41, 6, 359.1551715254),
 ])
 def test_solver_pinned_instances_at_ao_tol(n, iterations, objective):
     # The same instances at the default AoConfig.sdp_tol of 1e-4.
@@ -184,10 +184,10 @@ def test_solver_pinned_failure_snapshot(monkeypatch):
         solve_diag_sdp(*pinned_problem(12), tol=1e-300)
     best = info.value.solution
     assert best.iterations == 2
-    assert best.objective == pytest.approx(35.146742461795, rel=1e-9)
-    assert best.duality_gap == pytest.approx(8.1591254365133, rel=1e-9)
-    assert best.primal_residual == pytest.approx(6.2444947692122e-15, rel=1e-6)
-    assert info.value.rel_gap == pytest.approx(0.10227559907525, rel=1e-9)
+    assert best.objective == pytest.approx(35.17618413877, rel=1e-9)
+    assert best.duality_gap == pytest.approx(7.8678112974617, rel=1e-9)
+    assert best.primal_residual == pytest.approx(6.4155768176837e-15, rel=1e-6)
+    assert info.value.rel_gap == pytest.approx(0.098912127164469, rel=1e-9)
 
 
 def bisect_max_step(pos_def, direction):
@@ -225,6 +225,29 @@ def test_max_steps_match_cholesky_bisection():
         assert np.all(steps == np.inf)
 
 
+def test_solver_tests_the_predictor_step_in_the_first_pass_only(monkeypatch):
+    # A solve of k >= 1 passes makes k + 1 exact step tests: the first pass
+    # tests its predictor and its corrector, every later pass its corrector.
+    calls = []
+    max_steps = sdp._max_steps
+
+    def counting_max_steps(*args):
+        calls.append(args)
+        return max_steps(*args)
+
+    monkeypatch.setattr(sdp, "_max_steps", counting_max_steps)
+    for n in (12, 41):
+        cost, b = pinned_problem(n)
+        cold = solve_diag_sdp(cost, b, tol=1e-4)
+        nearby = cost + 0.01 * random_hermitian(trial_stream(36, n), n)
+        for warm in (None, cold):
+            for tol in (1e-4, 1e-7):
+                calls.clear()
+                solution = solve_diag_sdp(nearby, b, tol=tol, warm=warm)
+                assert solution.iterations >= 1
+                assert len(calls) == solution.iterations + 1
+
+
 def test_solver_nonconvergence_carries_best_iterate():
     with pytest.raises(SdpNonConvergence) as info:
         solve_diag_sdp(np.ones((3, 3)), np.ones(3), tol=1e-300)
@@ -241,8 +264,10 @@ def test_solver_nonconvergence_carries_best_iterate():
 # formulas: it forms XS, takes Re tr(C X), Re tr(X S) and the predicted
 # gap from full products, puts -XS into both right-hand sides, and tests
 # each step length on L^{-1} D L^{-H} with two products for either side.
-# The solver must follow it up to rounding: the same iteration count and
-# the same objective to 1e-9 relative.
+# The predictor's lengths are tested in the first pass only; later passes
+# take them from the previous corrector's test.  The solver must follow it
+# up to rounding: the same iteration count and the same objective to 1e-9
+# relative.
 
 
 def reference_max_steps(inv_factors, directions):
@@ -267,6 +292,7 @@ def reference_solve_diag_sdp(cost, b, tol):
     x = np.diag(b).astype(np.complex128)
     z = np.sum(np.abs(cost), axis=1) + 0.1
     s = np.diag(z) - cost
+    corrector_steps = None
     for iteration in range(1, sdp.MAX_ITERS + 1):
         r_p = b - np.real(np.diag(x))
         primal_res = float(np.max(np.abs(r_p))) / (1.0 + float(np.max(b)))
@@ -288,15 +314,19 @@ def reference_solve_diag_sdp(cost, b, tol):
             return herm((r_mat - x * dz) @ s_inv), dz
 
         dx_aff, dz_aff = direction(-xs)
-        ap_aff, ad_aff = np.minimum(1.0, reference_max_steps(
-            inv_factors, np.stack([dx_aff, np.diag(dz_aff)])))
+        if iteration == 1:
+            predictor_steps = reference_max_steps(
+                inv_factors, np.stack([dx_aff, np.diag(dz_aff)]))
+        else:
+            predictor_steps = corrector_steps
+        ap_aff, ad_aff = np.minimum(1.0, predictor_steps)
         gap_aff = float(np.real(np.trace(
             (x + ap_aff * dx_aff) @ (s + ad_aff * np.diag(dz_aff)))))
         sigma = min(0.99, max((max(gap_aff, 0.0) / gap) ** 3, 1e-8))
         dx, dz = direction(sigma * gap / n * eye - xs - dx_aff * dz_aff)
         frac = 0.98 if iteration > 2 else 0.9
-        ap, ad = np.minimum(1.0, frac * reference_max_steps(
-            inv_factors, np.stack([dx, np.diag(dz)])))
+        corrector_steps = reference_max_steps(inv_factors, np.stack([dx, np.diag(dz)]))
+        ap, ad = np.minimum(1.0, frac * corrector_steps)
         x = herm(x + ap * dx)
         z = z + ad * dz
         s = np.diag(z) - cost

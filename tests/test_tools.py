@@ -81,6 +81,15 @@ def test_first_differing_non_numeric_cell_is_shown(tmp_path, capsys):
             "column 1: 'x' != 'z'" in capsys.readouterr().out)
 
 
+def test_row_count_mismatch_names_each_side_and_compares_shared_rows(tmp_path, capsys):
+    # The counts once printed as a bare "rows 3 != 4", easy to read backwards.
+    a, b = write_dirs(tmp_path, "x,1.0,2.0\n", "x,1.0,2.5\ny,3.0,4.0\n")
+    assert csv_reldiff.main([a, b]) == 1
+    assert capsys.readouterr().out == (
+        f"out.csv: rows {a}/ 3, {b}/ 4, first 3 compared, numeric cells "
+        f"differing 1 of 2, worst relative change 2.00e-01\n")
+
+
 def test_missing_file_exits_one(tmp_path, capsys):
     assert csv_reldiff.main(write_dirs(tmp_path, "x,1.0,2.0\n", None)) == 1
     assert "out.csv: missing on one side" in capsys.readouterr().out

@@ -6,7 +6,9 @@
 
 For each CSV file in either directory it prints the row count, the number
 of numeric cells that differ, and the worst relative change
-|a - b| / max(|a|, |b|) over those cells.  A cell is numeric when it parses
+|a - b| / max(|a|, |b|) over those cells.  When the row counts differ it
+prints each directory's count, as in `rows before/ 48, after/ 49`, and
+compares the rows the two files share.  A cell is numeric when it parses
 as a float in both files; every other cell, the comment line included, must
 match exactly, and so must a cell that is non-finite (nan, inf, -inf) in
 either file, since no relative change measures it; the first such cell
@@ -36,8 +38,6 @@ def compare(path_a: Path, path_b: Path) -> tuple[str, bool]:
     """(report line, whether the structure matches) for one pair of files."""
     rows_a = list(csv.reader(path_a.read_text().splitlines()))
     rows_b = list(csv.reader(path_b.read_text().splitlines()))
-    if len(rows_a) != len(rows_b):
-        return f"rows {len(rows_a)} != {len(rows_b)}", False
     numeric = differ = mismatched = 0
     worst = 0.0
     first = ""
@@ -60,12 +60,16 @@ def compare(path_a: Path, path_b: Path) -> tuple[str, bool]:
                 differ += 1
                 scale = max(abs(a), abs(b))
                 worst = max(worst, abs(a - b) / scale if scale else 0.0)
-    line = (f"rows {len(rows_a)}, numeric cells differing {differ} of "
-            f"{numeric}, worst relative change {worst:.2e}")
+    same_rows = len(rows_a) == len(rows_b)
+    line = f"rows {len(rows_a)}" if same_rows else (
+        f"rows {path_a.parent}/ {len(rows_a)}, {path_b.parent}/ {len(rows_b)}, "
+        f"first {min(len(rows_a), len(rows_b))} compared")
+    line += (f", numeric cells differing {differ} of {numeric}, "
+             f"worst relative change {worst:.2e}")
     if mismatched:
         line += (f", non-numeric or non-finite cells differing {mismatched}, "
                  f"first at {first}")
-    return line, mismatched == 0
+    return line, same_rows and mismatched == 0
 
 
 def main(argv: list[str]) -> int:
