@@ -66,7 +66,7 @@ def _ascent_phases(m_mat: np.ndarray, x: np.ndarray,
     wherever M x + b is exactly zero."""
     y = m_mat @ x if b is None else m_mat @ x + b
     phase = np.arctan2(y.imag, y.real)
-    if not y.all():
+    if np.count_nonzero(y) < y.size:
         phase = np.where(y != 0.0, phase, np.angle(x))
     return phase
 
@@ -87,10 +87,10 @@ def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
     big_h = np.asarray(big_h)
     check_hermitian(big_h, "big_h", config.n_tx)
     out = beam
-    q_prev = float(np.real(np.vdot(out.w, big_h @ out.w)))
+    q_prev = float(np.vdot(out.w, big_h @ out.w).real)
     for _ in range(max_iters):
         out = sca_update_w(big_h, out, config)
-        q = float(np.real(np.vdot(out.w, big_h @ out.w)))
+        q = float(np.vdot(out.w, big_h @ out.w).real)
         if stalled(q, q_prev, rel_tol):
             break
         q_prev = q
@@ -115,14 +115,14 @@ class MmProblem(NamedTuple):
 def mm_objective(problem: MmProblem, v: np.ndarray) -> float:
     """g(v) = -(v^H F11 v + 2 Re(v^H f12)), which equals offset - J, so MM
     descent on g is ascent on the composite objective."""
-    quad = float(np.real(np.vdot(v, problem.f11 @ v)))
-    lin = float(np.real(np.vdot(v, problem.f12)))
+    quad = float(np.vdot(v, problem.f11 @ v).real)
+    lin = float(np.vdot(v, problem.f12).real)
     return -(quad + 2.0 * lin)
 
 
 def mm_update_v(problem: MmProblem) -> PhaseProfile:
     """One MM phase step, v = exp(j arg(F11 v_prev + f12))."""
-    return PhaseProfile(alpha=_ascent_phases(problem.f11, problem.v_prev, problem.f12))
+    return PhaseProfile._trusted(_ascent_phases(problem.f11, problem.v_prev, problem.f12))
 
 
 def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
@@ -147,7 +147,7 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
     problem = MmProblem.from_operators(ops, phases)
 
     def step(v: np.ndarray) -> tuple[PhaseProfile, float]:
-        anchored = problem._replace(v_prev=v)
+        anchored = MmProblem(problem.f11, problem.f12, v)
         out = mm_update_v(anchored)
         return out, mm_objective(anchored, out.v)
 
@@ -164,7 +164,7 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
         maps += 1
         jump = sqs3_jump(v0, v1, out.v) if maps < max_iters else None
         if jump is not None:
-            ext, g_ext = step(PhaseProfile(alpha=jump).v)
+            ext, g_ext = step(PhaseProfile._trusted(jump).v)
             maps += 1
             if g_ext <= g:
                 out, g = ext, g_ext

@@ -52,10 +52,10 @@ def check_hermitian(mat: np.ndarray, name: str, size: int) -> None:
     entry or deviates from Hermitian by more than 1e-12 * max(1, max|A|)."""
     if np.shape(mat) != (size, size):
         raise ValueError(f"{name} has shape {np.shape(mat)}, expected {(size, size)}")
-    scale = float(np.max(np.abs(mat)))
+    scale = float(np.abs(mat).max())
     if not np.isfinite(scale):
         raise ValueError(f"{name} must be finite")
-    deviation = float(np.max(np.abs(mat - mat.conj().T)))
+    deviation = float(np.abs(mat - mat.conj().T).max())
     if deviation > 1e-12 * max(1.0, scale):
         raise ValueError(f"{name} is not Hermitian (deviation {deviation:.3e})")
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iswpt import lc, sdp
+from iswpt import lc, objective, sdp
 from iswpt.ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, _initial_iterates,
                       run_ao, run_rps)
 from iswpt.objective import (Beamformer, PhaseProfile, _phase_rows,
@@ -390,3 +390,15 @@ def test_rps_baseline_freezes_phases_and_ascends():
     # Same stream state reproduces the same frozen profile.
     repeat = run_rps(config, channels, trial_stream(11, 1), max_iters=20)
     assert np.array_equal(repeat.phases.alpha, trace.phases.alpha)
+
+
+def test_rps_builds_the_beam_rows_once(monkeypatch):
+    # Every rps step records J at the one frozen profile, which the operator
+    # build before the loop already needed: one row build serves them all.
+    config, channels = instance(13)
+    builds = []
+    steering = objective.target_steering_matrix
+    monkeypatch.setattr(objective, "target_steering_matrix",
+                        lambda *args: builds.append(args) or steering(*args))
+    trace = run_rps(config, channels, trial_stream(13, 1), max_iters=20)
+    assert trace.n_outer > 1 and len(builds) == 1

@@ -341,3 +341,40 @@ def test_wrap_angle_range():
                                np.exp(1j * np.array([0.0, np.pi, -np.pi,
                                                      3 * np.pi, -9.5])),
                                atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(phase=st.lists(st.sampled_from([np.pi, -np.pi, 0.0, -0.0, 3 * np.pi])
+                      | st.floats(-20.0, 20.0), min_size=1, max_size=64))
+def test_kernel_constructors_match_public_ones_bit_for_bit(phase):
+    # from_phases and PhaseProfile._trusted skip the public constructors'
+    # copy and checks; the arrays they store must be the same bits.
+    phase = np.array(phase)
+    config = SystemConfig(n_tx=phase.size, n_irs=2, n_ehd=1, n_targets=1,
+                          target_angles=(0.0,))
+    beam = Beamformer.from_phases(phase, config)
+    public_beam = Beamformer(w=config.beam_amplitude * np.exp(1j * phase))
+    assert beam.w.tobytes() == public_beam.w.tobytes()
+    profile = PhaseProfile._trusted(phase)
+    public_profile = PhaseProfile(alpha=phase)
+    assert profile.alpha.tobytes() == public_profile.alpha.tobytes()
+    assert profile.v.tobytes() == public_profile.v.tobytes()
+    assert not (beam.w.flags.writeable or profile.alpha.flags.writeable
+                or profile.v.flags.writeable)
+    assert phase.flags.writeable
+
+
+def test_beam_rows_kept_for_the_same_three_objects_only():
+    config, channels, phases, _ = random_instance(seed=90)
+    rows = _beam_rows(channels, phases, config)
+    assert _beam_rows(channels, phases, config) is rows
+    assert not rows.flags.writeable
+    # Equal but distinct inputs rebuild, to the same bits.
+    others = [(channels, PhaseProfile(alpha=phases.alpha.copy()), config),
+              (channels, phases, dataclasses.replace(config)),
+              (ChannelSet(h_br=channels.h_br, h_ru=channels.h_ru,
+                          h_d=channels.h_d), phases, config)]
+    for inputs in others:
+        rebuilt = _beam_rows(*inputs)
+        assert rebuilt is not rows and not rebuilt.flags.writeable
+        assert rebuilt.tobytes() == rows.tobytes()

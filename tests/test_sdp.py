@@ -154,8 +154,8 @@ def pinned_problem(n):
 
 
 @pytest.mark.parametrize("n, iterations, objective", [
-    (12, 8, 40.906293010846),
-    (41, 12, 359.19935525569),
+    pytest.param(12, 8, 40.906293010846, id="n12"),
+    pytest.param(41, 12, 359.19935525569, id="n41"),
 ])
 def test_solver_pinned_instances(n, iterations, objective):
     # Pins the iterate sequence: a change to the direction, the step rule
@@ -166,8 +166,8 @@ def test_solver_pinned_instances(n, iterations, objective):
 
 
 @pytest.mark.parametrize("n, iterations, objective", [
-    (12, 5, 40.905279440335),
-    (41, 6, 359.1551715254),
+    pytest.param(12, 5, 40.905279440335, id="n12"),
+    pytest.param(41, 6, 359.1551715254, id="n41"),
 ])
 def test_solver_pinned_instances_at_ao_tol(n, iterations, objective):
     # The same instances at the default AoConfig.sdp_tol of 1e-4.

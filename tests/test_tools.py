@@ -86,8 +86,25 @@ def test_row_count_mismatch_names_each_side_and_compares_shared_rows(tmp_path, c
     a, b = write_dirs(tmp_path, "x,1.0,2.0\n", "x,1.0,2.5\ny,3.0,4.0\n")
     assert csv_reldiff.main([a, b]) == 1
     assert capsys.readouterr().out == (
-        f"out.csv: rows {a}/ 3, {b}/ 4, first 3 compared, numeric cells "
-        f"differing 1 of 2, worst relative change 2.00e-01\n")
+        f"out.csv: rows {a}/ 3, {b}/ 4, numeric cells differing 1 of 2, "
+        f"worst relative change 2.00e-01, rows only in {b}/ 1, first row 4\n")
+
+
+def test_rows_pair_by_identifying_columns(tmp_path, capsys):
+    # One more map mid-file once shifted every later row against another
+    # (L, trial, iteration), reading as a relative change of 1 or more.
+    header = "# comment line\nalgorithm,L,trial,iteration,objective,elapsed_ms\n"
+    rows = [f"lc,{l},0,{it},{l + it}.5,0\n" for l in (10, 20) for it in range(3)]
+    extra = "lc,10,0,3,13.5,0\n"
+    a, b = tmp_path / "a", tmp_path / "b"
+    for path, body in ((a, rows), (b, rows[:3] + [extra] + rows[3:])):
+        path.mkdir()
+        (path / "conv.csv").write_text(header + "".join(body))
+    assert csv_reldiff.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out == (
+        f"conv.csv: rows {a}/ 8, {b}/ 9, numeric cells differing 0 of 30, "
+        f"worst relative change 0.00e+00, rows only in {b}/ 1, first row 6 "
+        f"(algorithm=lc L=10 trial=0 iteration=3)\n")
 
 
 def test_missing_file_exits_one(tmp_path, capsys):
