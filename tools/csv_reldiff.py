@@ -48,15 +48,15 @@ def _number(cell: str) -> float | None:
 def _keyed(rows: list[list[str]]) -> dict[tuple, tuple[int, list[str]]]:
     """{key: (row number, row)} for the rows of one file (see the module
     docstring for the keys)."""
-    data_from = next((i for i, row in enumerate(rows, start=2)
-                      if row and not row[0].startswith("#")), len(rows) + 1)
-    header = rows[data_from - 2] if data_from <= len(rows) else []
+    header_at = next((i for i, row in enumerate(rows)
+                      if row and not row[0].startswith("#")), len(rows))
+    header = rows[header_at] if header_at < len(rows) else []
     ids = [(j, name) for j, name in enumerate(header) if name in ID_COLUMNS]
     seen: Counter = Counter()
     keyed = {}
     for row_no, row in enumerate(rows, start=1):
         key = (None, row_no)   # the comment line and header, by position
-        if row_no >= data_from:
+        if row_no > header_at + 1:
             ident = tuple(f"{name}={row[j]}" for j, name in ids if j < len(row))
             seen[ident] += 1
             key = (ident, seen[ident])
