@@ -55,7 +55,7 @@ def hermitian_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Beamformer:
     """Constant-modulus transmit beamformer, a read-only copy of a length-N
     vector.  Construction runs once per optimizer step and checks only the
@@ -90,7 +90,7 @@ def wrap_angle(alpha: np.ndarray) -> np.ndarray:
     return np.mod(np.asarray(alpha, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseProfile:
     """Unit-modulus reflection profile of an L-element surface.
 
@@ -121,7 +121,7 @@ class PhaseProfile:
         return float(np.abs(np.abs(self.v) - 1.0).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivedOperators:
     """The Gram matrices of J with one variable frozen, J = w^H big_h w and
     J = x^H big_f x with x = [v; 1].  big_h depends on the phases only, big_f on

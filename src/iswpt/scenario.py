@@ -143,7 +143,7 @@ class SystemConfig:
         return math.sqrt(self.p0 / self.n_tx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSet:
     """One draw of every channel in the scenario.
 

@@ -71,7 +71,7 @@ START_MARGIN = 0.1  # least eigenvalue of the starting dual slack, scaled units
 WARM_BLEND = 0.1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdpSolution:
     """Solver output: primal iterate plus convergence diagnostics."""
 

@@ -18,6 +18,7 @@ from iswpt.objective import (Beamformer, PhaseProfile, _beam_rows,
                              wrap_angle)
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
                             sample_channels, steering_matrix, trial_stream)
+from iswpt.ao import AoConfig
 from iswpt.lc import mm_solve
 from iswpt.sdp import solve_diag_sdp
 
@@ -378,3 +379,21 @@ def test_beam_rows_kept_for_the_same_three_objects_only():
         rebuilt = _beam_rows(*inputs)
         assert rebuilt is not rows and not rebuilt.flags.writeable
         assert rebuilt.tobytes() == rows.tobytes()
+
+
+def test_array_value_types_compare_and_hash_by_identity():
+    # The generated __eq__ and __hash__ compared and hashed the array
+    # fields: == raised ValueError and hash() TypeError, also for an
+    # AoConfig holding a start.  They now compare by identity.
+    config, channels, phases, beam = random_instance(seed=4)
+    values = [phases, beam, channels, build_operators(channels, phases, beam, config),
+              solve_diag_sdp(np.eye(3, dtype=complex), np.ones(3))]
+    for value in values:
+        twin = dataclasses.replace(value)
+        assert value == value and value != twin
+        assert hash(value) == hash(value)
+        assert len({value, twin}) == 2
+    start = AoConfig(init_phases=phases, init_beam=beam)
+    assert start == AoConfig(init_phases=phases, init_beam=beam)
+    assert hash(start) == hash(AoConfig(init_phases=phases, init_beam=beam))
+    assert start != AoConfig(init_phases=dataclasses.replace(phases), init_beam=beam)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iswpt.objective import (Beamformer, PhaseProfile, _beam_rows,
@@ -111,14 +111,20 @@ def test_budget_overflow_rejected():
 def test_exhaustive_tie_break_smallest_index():
     # All-zero channels score every profile identically; the first grid
     # point (all phases at -pi) must win, also against the ties of the
-    # second evaluation chunk (4^8 = 65536 profiles span two).
+    # later evaluation chunks (4^8 = 65536 profiles span 16), every one of
+    # which the screen keeps and the search scores.
     config = SystemConfig(n_tx=2, n_irs=8, n_ehd=1, n_targets=1,
                           target_angles=(0.0,))
     channels = ChannelSet(h_br=np.zeros((8, 2)), h_ru=np.zeros((1, 8)),
                           h_d=np.zeros((1, 2)))
     beam = Beamformer.from_phases(np.zeros(2), config)
     budget = SearchBudget(phase_levels=4)
-    profile, score = quantized_phase_search(channels, beam, config, budget)
+    score_rows, calls = counted(lambda rows: objective_for_phase_batch(
+        channels, beam, config, rows))
+    with mock.patch.object(oracle, "objective_for_phase_batch",
+                           lambda *args: score_rows(args[-1])):
+        profile, score = quantized_phase_search(channels, beam, config, budget)
+    assert calls == [oracle._CHUNK] * 16
     assert score == 0.0
     np.testing.assert_allclose(profile.alpha, -np.pi)
 
@@ -280,37 +286,107 @@ def counted(score):
     return wrapped, calls
 
 
-@pytest.mark.parametrize("levels, dim, low", [(8, 6, 5), (2, 16, 15), (3, 10, 9),
-                                              (5, 3, 3), (181, 2, 2), (182, 2, 1)])
+def zero_form(dim):
+    """A Gram form that scores every row 0: the screen keeps every chunk."""
+    return np.zeros((1, dim), complex), np.ones(1), np.zeros(1)
+
+
+@pytest.mark.parametrize("levels, dim, low", [(8, 6, 4), (2, 16, 12), (3, 10, 7),
+                                              (5, 3, 3), (64, 2, 2), (65, 2, 1)])
 def test_chunks_are_one_low_digit_block(levels, dim, low):
     # A chunk is all levels**low combinations of the low digits, low being
-    # the largest k <= dim with levels**k <= _CHUNK (181**2 <= 2**15 < 182**2).
+    # the largest k <= dim with levels**k <= _CHUNK (64**2 <= 2**12 < 65**2).
     assert levels ** low <= oracle._CHUNK
     assert low == dim or levels ** (low + 1) > oracle._CHUNK
     score, calls = counted(lambda rows: np.zeros(len(rows)))
     budget = SearchBudget(phase_levels=levels)
-    _grid_search(dim, budget, np.exp(1j * budget.grid()), score)
+    _grid_search(budget, np.exp(1j * budget.grid()), *zero_form(dim), score)
     assert calls == [levels ** low] * levels ** (dim - low)
 
 
-@pytest.mark.parametrize("levels, dim, chunk", [(oracle._CHUNK + 5000, 1, oracle._CHUNK),
-                                                (7, 3, 5)])
+def integer_form(levels, dim):
+    """A small-integer table and Gram form: every product and sum is exact,
+    so the score's bits do not depend on the rows per call.  The table
+    repeats every 3 levels, so every row, the best too, ties exactly."""
+    k = np.arange(levels) % 3
+    table = (k - 1) + 1j * (k // 2)
+    rows = np.array([np.arange(1, dim + 1), (-1) ** np.arange(dim)], complex)
+    weights, offsets = np.array([1.0, 2.0]), np.array([1 - 1j, 0])
+
+    def score(x_rows):
+        products = x_rows @ rows.T + offsets
+        return (products.real ** 2 + products.imag ** 2) @ weights
+    return table, rows, weights, offsets, score
+
+
+@pytest.mark.parametrize("levels, dim, chunk", [((1 << 15) + 5000, 1, 1 << 15), (7, 3, 5)])
 def test_levels_above_chunk_scan_flat_chunks(levels, dim, chunk):
-    # No whole digit fits a chunk: the flat argmax still wins (the rounded
-    # score ties many rows).
+    # No whole digit fits a chunk, so each chunk is one row: the flat argmax
+    # still wins, against exact ties across many chunks.
     budget = SearchBudget(phase_levels=levels)
-    table = np.exp(1j * budget.grid())
-    weights = np.arange(1.0, dim + 1.0)
-
-    def score(rows):
-        return np.round(4.0 * (rows.real @ weights))
-
+    table, rows, weights, offsets, score = integer_form(levels, dim)
     all_rows = np.array(list(itertools.product(table, repeat=dim)))
-    best = int(np.argmax(score(all_rows)))
+    all_scores = score(all_rows)
+    best = int(np.argmax(all_scores))
+    assert np.count_nonzero(all_scores == all_scores[best]) > 1
     with mock.patch.object(oracle, "_CHUNK", chunk):
-        phases, value = _grid_search(dim, budget, table, score)
-    assert value == float(score(all_rows[best:best + 1])[0])
+        phases, value = _grid_search(budget, table, rows, weights, offsets, score)
+    assert value == float(all_scores[best])
     np.testing.assert_array_equal(phases, full_grid(levels, dim)[best])
+
+
+@st.composite
+def screen_cases(draw):
+    levels = draw(st.integers(2, 9))
+    max_dim = max(d for d in range(1, 5) if levels ** d <= 4096)
+    return (levels, draw(st.integers(1, max_dim)), draw(st.sampled_from(["phase", "beam"])),
+            draw(st.sampled_from([4, 64, 4096])), draw(st.sampled_from([0.0, 0.5, 1.0])),
+            draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(screen_cases())
+@example((9, 1, "phase", 4, 0.5, 3, False))   # dim 1, more levels than a chunk
+@example((9, 1, "beam", 4, 1.0, 4, False))
+@example((8, 4, "beam", 64, 0.5, 5, False))   # 8 rotations of the best tie
+@example((3, 4, "phase", 4, 0.0, 6, True))    # all-zero channels
+def test_screen_bounds_every_row_and_keeps_every_co_maximum(case):
+    # On every grid row the screened value is within the documented bound
+    # (half the margin) of the batch evaluator's J, and every chunk that
+    # holds a maximum of the chunk-by-chunk full scan is kept.
+    levels, dim, side, chunk, rho, seed, zero = case
+    n, l = (dim, 3) if side == "beam" else (3, dim)
+    config, channels, beam, phases = instance(seed, n=n, l=l, rho=rho)
+    if zero:
+        channels = ChannelSet(h_br=np.zeros((l, n)), h_ru=np.zeros((2, l)),
+                              h_d=np.zeros((2, n)))
+    budget = SearchBudget(phase_levels=levels)
+    if side == "phase":
+        lifted = _phase_rows(channels, beam, config)
+        table, rows, offsets = np.exp(1j * budget.grid()), lifted[:, :-1], lifted[:, -1]
+
+        def score(x_rows):
+            return objective_for_phase_batch(channels, beam, config, x_rows)
+    else:
+        rows = _beam_rows(channels, phases, config)
+        table = config.beam_amplitude * np.exp(1j * budget.grid())
+        offsets = np.zeros(len(rows))
+
+        def score(x_rows):
+            return objective_for_beam_batch(channels, phases, config, x_rows)
+    weights = oracle._weights(config, len(rows))
+    size = search_rows(levels, dim, chunk)
+    all_rows = np.array(list(itertools.product(table, repeat=dim)))
+    screened = np.concatenate(list(oracle._screened_blocks(table, rows, weights,
+                                                           offsets, size)))
+    margin = oracle._margin(table, rows, weights, offsets)
+    assert np.all(np.abs(screened - score(all_rows)) <= margin / 2)
+    scan = np.concatenate([score(all_rows[start:start + size])
+                           for start in range(0, len(all_rows), size)])
+    best_chunks = set(np.flatnonzero(scan == scan.max()) // size)
+    assert best_chunks <= set(oracle._kept_chunks(table, rows, weights, offsets, size))
+    if zero:
+        assert margin == 0.0 and len(best_chunks) == len(all_rows) // size
 
 
 def test_oracle_small_seed1_trial0_pinned():
