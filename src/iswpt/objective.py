@@ -176,7 +176,8 @@ def _phase_rows(channels: ChannelSet, beam: Beamformer,
     steer = target_steering_matrix(config.target_angles, config.n_irs,
                                    config.delta)
     rows = np.zeros((config.n_ehd + steer.shape[0], config.n_irs + 1), complex)
-    rows[:, :-1] = np.concatenate([channels.h_ru, steer]) * (channels.h_br @ beam.w)
+    np.multiply(np.concatenate([channels.h_ru, steer]), channels.h_br @ beam.w,
+                out=rows[:, :-1])
     rows[:config.n_ehd, -1] = channels.h_d @ beam.w
     return rows
 
@@ -190,8 +191,13 @@ def _gram(rows: np.ndarray, config: SystemConfig) -> np.ndarray:
     """hermitian_part(rho*eta*p0 * E^H E + (1-rho) * S^H S) for the device
     rows E (the first K) and the target rows S (the rest)."""
     energy, sensing = rows[:config.n_ehd], rows[config.n_ehd:]
-    return hermitian_part(energy_weight(config) * (energy.conj().T @ energy)
-                          + (1.0 - config.rho) * (sensing.conj().T @ sensing))
+    gram = energy_weight(config) * (energy.conj().T @ energy)
+    sense = (1.0 - config.rho) * (sensing.conj().T @ sensing)
+    gram += sense
+    np.conjugate(gram.T, out=sense)   # hermitian_part(gram), in the spent buffer
+    sense += gram
+    sense *= 0.5
+    return sense
 
 
 def _row_power(block: np.ndarray) -> np.ndarray:

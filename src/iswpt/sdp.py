@@ -20,12 +20,13 @@ predictor-corrector.  For diagonal constraints the Schur complement has
 the closed form  M_ij = Re(X_ij * conj(Sinv_ij)), an elementwise product.
 Each iteration factors X and S once: one Cholesky of each, whose inverted
 factors give Sinv and the step lengths, plus one real n x n solve per
-direction.  The predictor's step lengths only set the centring, so after
-the first iteration they are the previous corrector's; the one stacked
-eigenvalue call left is the corrector's exact test, which keeps X and S
-positive definite.  An iteration forms 6 complex n x n products: Sinv,
-one per direction, and three for the step test (two for dX, one for the
-diagonal dS).  XS is never formed: it cancels from both directions,
+direction.  The predictor's step lengths only set the centring, so they
+are never tested: each pass takes the last corrector's exact lengths (1 in
+the first pass).  The corrector's exact test, one stacked eigenvalue call,
+and its step of 0.98 of the way to the boundary keep X and S positive
+definite.  An iteration forms 6 complex n x n products: Sinv, one per
+direction, and three for the step test (two for dX, one for the diagonal
+dS).  XS is never formed: it cancels from both directions,
 (R - X Diag(dz)) Sinv with R = E - XS is E Sinv - X - X Diag(dz) Sinv,
 and the traces behind the objective and the gaps are O(n^2) inner
 products, tr(A B) = vdot(B, A) for Hermitian A, B.
@@ -64,10 +65,10 @@ from .scenario import SystemConfig, check_finite, check_hermitian, complex_norma
 
 MAX_ITERS = 100   # interior-point iteration cap of one solve
 START_MARGIN = 0.1  # least eigenvalue of the starting dual slack, scaled units
-# Weight of the cold start point Diag(b) in a warm start's X.  Re-solving
-# the 82 phase-side costs of 12 sdp runs (L=20 and 40) at tol 1e-4 took
-# 5.77 iterations per solve cold, and warm 4.04, 4.62, 4.68 and 4.76 at
-# a weight of 0.1, 0.3, 0.5 and 0.7 (6.46 with the dual warm alone).
+# Weight of the cold start point Diag(b) in a warm start's X.  With the
+# untested predictor, re-solving the 60 warm phase-side costs of 12 sdp runs
+# (L=20 and 40) at tol 1e-4 took 5.97 iterations per solve cold, and warm
+# 3.38, 3.62, 3.75 and 4.20 at 0.1, 0.3, 0.5 and 0.7 (6.27 dual warm alone).
 WARM_BLEND = 0.1
 
 
@@ -117,9 +118,8 @@ def _snapshot(c_scale: float, x: np.ndarray, z: np.ndarray, primal_obj: float,
               dual_obj: float, iterations: int, primal_res: float) -> SdpSolution:
     """Solution record of one iterate, in the unscaled units of the problem.
 
-    x is exactly Hermitian (every update goes through `hermitian_part`), so
-    a plain copy is the symmetrised iterate bit for bit.
-    """
+    x is exactly Hermitian (the start and every dX are symmetrised, and
+    x + ap*dX keeps that), so a plain copy is the symmetrised iterate."""
     return SdpSolution(x_opt=x.copy(), objective=primal_obj * c_scale,
                        duality_gap=(dual_obj - primal_obj) * c_scale,
                        iterations=iterations, primal_residual=primal_res,
@@ -160,7 +160,6 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
                            duality_gap=0.0, iterations=0, primal_residual=0.0,
                            dual=np.zeros(n))
     cost = cost / c_scale
-    eye = np.eye(n)
 
     x = np.diag(b).astype(np.complex128)
     if warm is None:
@@ -173,6 +172,7 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
         lam_min = float(np.linalg.eigvalsh(np.diag(z) - cost)[0])
         z = z + max(START_MARGIN - lam_min, 0.0)
     s = np.diag(z) - cost
+    t_max = np.ones(2)   # the predictor's step lengths: the last corrector's
 
     for iteration in range(1, MAX_ITERS + 1):
         r_p = b - np.real(np.diag(x))
@@ -192,35 +192,29 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
             # factors give Sinv = L_S^{-H} L_S^{-1} and every step length.
             inv_factors = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
             s_inv = hermitian_part(inv_factors[1].conj().T @ inv_factors[1])
-            # Schur complement of the diagonal-constraint normal equations.
+            # Schur complement (symmetric: X and Sinv are exactly Hermitian).
             m_mat = np.real(x * s_inv.conj())
-            m_mat = 0.5 * (m_mat + m_mat.T) + (1e-14 * float(np.max(np.abs(m_mat))) + 1e-300) * eye
+            m_mat.flat[::n + 1] += 1e-14 * float(np.max(np.abs(m_mat))) + 1e-300
 
-            def direction(e_mat: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-                """(dx, dz) for the complementarity residual R = e_mat - XS;
-                dS = Diag(dz), so X dS is a column scaling.  XS cancels:
-                diag(R Sinv) + r_p = diag(e_mat Sinv) - b."""
-                rhs = np.real(np.sum(e_mat * s_inv.T, axis=1)) - b
-                dz = np.linalg.solve(m_mat, rhs)
-                return hermitian_part((e_mat - x * dz) @ s_inv - x), dz
-
-            # Mehrotra predictor: pure Newton step toward the boundary (R = -XS,
-            # so the right-hand side is exactly -b).  Its step lengths only set
-            # sigma: after the first pass they are the last corrector's t_max.
-            dx_aff, dz_aff = direction(0.0)
-            if iteration == 1:
-                t_max = _max_steps(inv_factors, dx_aff, dz_aff)
+            # Mehrotra predictor, R = -XS (right-hand side exactly -b); its
+            # step lengths only set sigma and are never tested.
+            dz_aff = np.linalg.solve(m_mat, -b)
+            dx_aff = hermitian_part(-(x * dz_aff) @ s_inv - x)
             ap_aff, ad_aff = np.minimum(1.0, t_max)
             gap_aff = float(np.real(np.vdot(x + ap_aff * dx_aff,
                                             s + ad_aff * np.diag(dz_aff))))
             sigma = min(0.99, max((max(gap_aff, 0.0) / gap) ** 3, 1e-8))
 
-            # Corrector with second-order term.
-            dx, dz = direction(sigma * (gap / n) * eye - dx_aff * dz_aff)
-            frac = 0.98 if iteration > 2 else 0.9
+            # Corrector with second-order term, R = e_mat - XS; dS = Diag(dz),
+            # so X dS is a column scaling, and XS cancels:
+            # diag(R Sinv) + r_p = diag(e_mat Sinv) - b.
+            e_mat = -dx_aff * dz_aff
+            e_mat.flat[::n + 1] += sigma * (gap / n)
+            dz = np.linalg.solve(m_mat, np.real(np.sum(e_mat * s_inv.T, axis=1)) - b)
+            dx = hermitian_part((e_mat - x * dz) @ s_inv - x)
             t_max = _max_steps(inv_factors, dx, dz)
-            ap, ad = np.minimum(1.0, frac * t_max)
-            x = hermitian_part(x + ap * dx)
+            ap, ad = np.minimum(1.0, 0.98 * t_max)
+            x = x + ap * dx
             z = z + ad * dz
             s = np.diag(z) - cost
         except np.linalg.LinAlgError:
