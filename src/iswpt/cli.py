@@ -531,6 +531,3 @@ def main(argv: list[str] | None = None) -> int:
         if created:
             os.remove(out)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

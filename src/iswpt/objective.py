@@ -26,10 +26,6 @@ is given (None for a variable skips its side):
   x . [d_m, 0] = h_hat_m w:                           J = x^H big_f x.
   The blocks of big_f are F11 (L x L), the column f12 and the corner
   offset = rho*eta*p0 * sum_k |a_k|^2: J = v^H F11 v + 2 Re(v^H f12) + offset.
-
-Per map (N=12, L=40, one BLAS thread, 2-core x86-64): an MM map 21 -> 16 us,
-an SCA step 12.4 -> 11.0 us, as kernels skip the value types' copy and checks;
-`_beam_rows` keeps its last build, so an lc map builds its rows once, not thrice.
 """
 
 from __future__ import annotations
@@ -200,20 +196,6 @@ def _gram(rows: np.ndarray, config: SystemConfig) -> np.ndarray:
     return sense
 
 
-def _row_power(block: np.ndarray) -> np.ndarray:
-    """sum_j |block[:, j]|^2 for each row, adding the columns left to right.
-
-    Below 8 columns this is bit for bit NumPy's `(np.abs(block) ** 2).sum(
-    axis=1)`, whose reduction over a short contiguous axis is the same
-    left-to-right sum but runs several times slower; from 8 columns NumPy
-    sums pairwise in 8 accumulators, and the two agree to rounding."""
-    power = np.abs(block) ** 2
-    total = power[:, 0].copy()
-    for j in range(1, power.shape[1]):
-        total += power[:, j]
-    return total
-
-
 def _score(rows: np.ndarray, config: SystemConfig, x_rows: np.ndarray,
            offsets: np.ndarray | None = None) -> np.ndarray:
     """J for each of the B rows of `x_rows`: the weighted sum over `rows` of
@@ -226,8 +208,8 @@ def _score(rows: np.ndarray, config: SystemConfig, x_rows: np.ndarray,
     if offsets is not None:
         energy += offsets
     sensing = x_rows @ rows[config.n_ehd:].T
-    return (energy_weight(config) * _row_power(energy)
-            + (1.0 - config.rho) * _row_power(sensing))
+    return (energy_weight(config) * (np.abs(energy) ** 2).sum(axis=1)
+            + (1.0 - config.rho) * (np.abs(sensing) ** 2).sum(axis=1))
 
 
 def build_operators(channels: ChannelSet, phases: PhaseProfile | None,

@@ -16,23 +16,21 @@ of a row x is the Gram form sum_k w_k |x . r_k + o_k|^2 of the rows
 none).  Splitting x into its first dim//2 digits and the rest splits each
 x . r_k + o_k into A_ik + B_jk, so J = a_i + b_j + 2 Re(A_i W B_j^H) with
 a_i = sum_k w_k |A_ik|^2 and b_j alike: a meet in the middle, one real
-product per block of whole chunks.  A chunk is one value of the high
-digits over all combinations of the low ones, at most _CHUNK rows.  Only
-chunks whose screened maximum lies within `_margin` of the best are
-scored, by the unchanged batch evaluators, in lexicographic order with
-argmax within a chunk and strict > across chunks.  The margin covers the
-rounding of screen and score, so every chunk holding a row that scores
-the maximum is scored: winners and scores are bit for bit those of
-scoring every chunk, and ties go to the smallest lexicographic index.  At
-8 levels and 6 elements (64 chunks a side) the phase search scored one
-chunk in each of 300 benchmark trials, and the beam search 8: those of
-the optimum's 8 global-phase rotations, which tie.
+product for the whole grid.  Only rows whose screened J lies within
+`_margin` of the best are scored, by the batch evaluators, in
+lexicographic order.  The margin covers the rounding of screen and score,
+so every row that scores the maximum is scored, and ties go to the
+smallest lexicographic index.  A row's score may differ in its last bits
+from the one it gets among other rows, as BLAS rounds by call size.  At 8
+levels and 6 elements (262,144 rows a side) the phase search scored one
+row in each of 720 benchmark trials, and the beam search 8: the optimum's
+8 global-phase rotations, which tie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -42,8 +40,7 @@ from .objective import (Beamformer, PhaseProfile, _beam_rows, _phase_rows,
 from .scenario import (ChannelSet, SystemConfig, check_channels, check_count,
                        check_finite)
 
-_CHUNK = 1 << 12      # rows per scored chunk
-_BLOCK = 1 << 14      # screened rows per product
+_CHUNK = 1 << 12      # rows per score call
 MAX_EVALS = 1 << 20   # evaluation cap of one search
 
 
@@ -82,28 +79,20 @@ def _digit_block(table: np.ndarray, k: int) -> np.ndarray:
     return rows.reshape(levels ** k, k)
 
 
-def _screened_blocks(table: np.ndarray, rows: np.ndarray, weights: np.ndarray,
-                     offsets: np.ndarray, chunk: int) -> Iterator[np.ndarray]:
-    """Screened J of every grid row in flat order, in blocks of whole chunks
-    of `chunk` rows: whole rows of A against all of B, or a run of B against
-    one row of A, up to max(chunk, _BLOCK) values.  `rows` is (P, dim),
-    `weights` and `offsets` length P; Re(A W B^H) is one real product."""
+def _screened(table: np.ndarray, rows: np.ndarray, weights: np.ndarray,
+              offsets: np.ndarray) -> np.ndarray:
+    """Screened J of every grid row, in flat lexicographic order.  `rows` is
+    (P, dim), `weights` and `offsets` length P; Re(A W B^H) is one real
+    product of the first-half digits' terms against the second half's."""
     half = rows.shape[1] // 2
     head = _digit_block(table, half) @ rows[:, :half].T + offsets
     tail = _digit_block(table, rows.shape[1] - half) @ rows[:, half:].T
-    a = (head.real ** 2 + head.imag ** 2) @ weights
-    b = (tail.real ** 2 + tail.imag ** 2) @ weights
     left = np.concatenate([head.real * weights, head.imag * weights], axis=1)
-    right = np.concatenate([tail.real, tail.imag], axis=1)
-    size = chunk * max(1, _BLOCK // chunk)
-    step_i, step_j = max(1, size // len(right)), min(size, len(right))
-    for i in range(0, len(left), step_i):
-        for j in range(0, len(right), step_j):
-            values = left[i:i + step_i] @ right[j:j + step_j].T
-            values *= 2.0
-            values += a[i:i + step_i, None]
-            values += b[j:j + step_j]
-            yield values.ravel()
+    values = left @ np.concatenate([tail.real, tail.imag], axis=1).T
+    values *= 2.0
+    values += ((head.real ** 2 + head.imag ** 2) @ weights)[:, None]
+    values += (tail.real ** 2 + tail.imag ** 2) @ weights
+    return values.ravel()
 
 
 def _margin(table: np.ndarray, rows: np.ndarray, weights: np.ndarray,
@@ -124,23 +113,13 @@ def _margin(table: np.ndarray, rows: np.ndarray, weights: np.ndarray,
     So delta_screen, delta_score <= (2e + e^2 + g_{2P+6}*(1 + e)^2)*S <=
     c*u*S with c = 6*dim + 3*P + 10, as 2e <= 2.9*(2*dim + 1)*u and
     g_{2P+6}*(1 + e)^2 <= 1.02*(2P + 6)*u; the slack covers rounding in S.
-    A chunk holding a row that scores the maximum J* screens at least
-    J* - delta_score - delta_screen, and no row screens above J* +
-    delta_score + delta_screen, so a margin of twice their sum keeps it.
+    A row that scores the maximum J* screens at least J* - delta_score -
+    delta_screen, and no row screens above J* + delta_score + delta_screen,
+    so a margin of twice their sum keeps it.
     """
     reach = np.abs(table).max() * np.abs(rows).sum(axis=1) + np.abs(offsets)
     c = 6 * rows.shape[1] + 3 * len(rows) + 10
     return 4.0 * c * (np.finfo(float).eps / 2.0) * float(weights @ reach ** 2)
-
-
-def _kept_chunks(table: np.ndarray, rows: np.ndarray, weights: np.ndarray,
-                 offsets: np.ndarray, chunk: int) -> np.ndarray:
-    """Ascending indices of the chunks whose screened maximum lies within
-    `_margin` of the best (all of them if a value is NaN)."""
-    maxima = np.concatenate([values.reshape(-1, chunk).max(axis=1) for values
-                             in _screened_blocks(table, rows, weights, offsets, chunk)])
-    return np.flatnonzero(~(maxima < maxima.max()
-                            - _margin(table, rows, weights, offsets)))
 
 
 def _grid_search(budget: SearchBudget, table: np.ndarray, rows: np.ndarray,
@@ -150,31 +129,26 @@ def _grid_search(budget: SearchBudget, table: np.ndarray, rows: np.ndarray,
 
     `table` is the phasor table and `score` maps a (B, dim) block of factor
     rows to B values of the Gram form of `rows`, `weights` and `offsets`
-    (module docstring), up to rounding.  The `low` least significant digits,
-    as many as fit levels**low <= _CHUNK, run through a block of all their
-    combinations built once; a kept chunk rewrites only the high columns of
-    one reused buffer.  With more levels than _CHUNK (only at dim 1), low is
-    0 and a chunk is one row.  The best is kept as a flat index and decoded
-    to grid phases once at the end.
+    (module docstring), up to rounding.  The rows whose screened J lies
+    within `_margin` of the best (all of them if a value is NaN) are scored
+    in lexicographic order, at most _CHUNK per call, with argmax within a
+    call and strict > across calls.  The best is kept as a flat index and
+    decoded to grid phases once at the end.
     """
-    dim = rows.shape[1]
-    budget.check_dim(dim)
-    levels = budget.phase_levels
-    low = dim
-    while levels ** low > _CHUNK:
-        low -= 1
-    block = _digit_block(table, low)
-    buffer = np.empty((len(block), dim), dtype=table.dtype)
-    buffer[:, dim - low:] = block
+    shape = (budget.phase_levels,) * rows.shape[1]
+    budget.check_dim(len(shape))
+    screened = _screened(table, rows, weights, offsets)
+    kept = np.flatnonzero(~(screened < screened.max()
+                            - _margin(table, rows, weights, offsets)))
     best_score, best_index = -np.inf, None
-    for chunk in _kept_chunks(table, rows, weights, offsets, len(block)):
-        buffer[:, :dim - low] = table[list(np.unravel_index(chunk, (levels,) * (dim - low)))]
-        scores = score(buffer)
+    for start in range(0, len(kept), _CHUNK):
+        index = kept[start:start + _CHUNK]
+        scores = score(table[np.stack(np.unravel_index(index, shape), axis=1)])
         local = int(np.argmax(scores))
         if float(scores[local]) > best_score:
-            best_score, best_index = float(scores[local]), int(chunk) * len(block) + local
+            best_score, best_index = float(scores[local]), int(index[local])
     assert best_index is not None
-    return budget.grid()[list(np.unravel_index(best_index, (levels,) * dim))], best_score
+    return budget.grid()[list(np.unravel_index(best_index, shape))], best_score
 
 
 def _weights(config: SystemConfig, count: int) -> np.ndarray:

@@ -58,6 +58,6 @@ def test_workload_trial_passes_untraced_and_traced(name):
     assert traced.fingerprint == plain.fingerprint
     if name == "oracle-small":
         # Of the 2 * 8**6 rows of the two 8-level grids at N = L = 6, the
-        # screen leaves one 4,096-row phase chunk and the 8 beam chunks of
-        # the optimum's global-phase rotations to score.
-        assert tracer.counts["oracle.evals"] == 9 * 4096
+        # screen leaves the phase optimum and the beam optimum's 8
+        # global-phase rotations to score.
+        assert tracer.counts["oracle.evals"] == 9

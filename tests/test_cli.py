@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import iswpt
 from iswpt import cli, sdp
 from iswpt.cli import (ExperimentSpec, _format_cell, experiment_from_mapping,
                        main, parse_kv_file)
@@ -589,6 +593,18 @@ def test_default_output_name(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli(["sweep-l", "--spec", spec]) == 0
     assert (tmp_path / "sweep_l.csv").exists()
+
+
+def test_runs_as_a_module():
+    # `python -m iswpt` runs the same entry point as the `iswpt` script.
+    src = str(Path(iswpt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "iswpt", "--help"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: iswpt")
+    assert "validate" in done.stdout
 
 
 def test_missing_spec_file_fails_cleanly(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iswpt.objective import (Beamformer, PhaseProfile, _beam_rows,
-                             _phase_rows, _row_power, beampattern_profile,
+                             _phase_rows, beampattern_profile,
                              build_operators,
                              composite_objective, hermitian_part,
                              objective_for_beam_batch,
@@ -265,31 +265,6 @@ def test_batch_evaluators_match_scalar_entry_point():
                                      Beamformer.from_phases(np.angle(row), config),
                                      config)
         assert value == pytest.approx(direct, rel=1e-10)
-
-
-def random_block(rows, width, seed):
-    """Complex entries whose moduli span 16 decades, so rounding shows."""
-    rng = np.random.default_rng(seed)
-    scale = 10.0 ** rng.uniform(-8.0, 8.0, (rows, width))
-    return scale * (rng.standard_normal((rows, width))
-                    + 1j * rng.standard_normal((rows, width)))
-
-
-@pytest.mark.parametrize("rows", [1, 32768])
-@pytest.mark.parametrize("width", range(1, 8))
-def test_row_power_is_numpy_row_sum_bit_for_bit_below_8_columns(rows, width):
-    block = random_block(rows, width, seed=width)
-    want = (np.abs(block) ** 2).sum(axis=1)
-    assert _row_power(block).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("width", range(8, 13))
-def test_row_power_agrees_with_numpy_row_sum_to_rounding(width):
-    # From 8 columns NumPy sums pairwise in 8 accumulators, so the last
-    # bits may differ from the left-to-right fold.
-    block = random_block(4099, width, seed=width)
-    np.testing.assert_allclose(_row_power(block),
-                               (np.abs(block) ** 2).sum(axis=1), rtol=1e-14, atol=0)
 
 
 def test_solution_metrics_decomposition():

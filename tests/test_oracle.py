@@ -32,9 +32,9 @@ def instance(seed, n=3, l=4, k=2, m=1, **overrides):
 
 
 def full_grid(levels, dim):
+    """Every grid phase vector, in lexicographic order."""
     grid = -np.pi + 2.0 * np.pi * np.arange(levels) / levels
-    combos = np.array(list(itertools.product(range(levels), repeat=dim)))
-    return grid[combos]
+    return grid[np.indices((levels,) * dim).reshape(dim, -1).T]
 
 
 def test_budget_validation():
@@ -111,8 +111,8 @@ def test_budget_overflow_rejected():
 def test_exhaustive_tie_break_smallest_index():
     # All-zero channels score every profile identically; the first grid
     # point (all phases at -pi) must win, also against the ties of the
-    # later evaluation chunks (4^8 = 65536 profiles span 16), every one of
-    # which the screen keeps and the search scores.
+    # later score calls: the screen keeps all 4^8 = 65536 profiles, and the
+    # search scores them in 16 calls of at most _CHUNK rows.
     config = SystemConfig(n_tx=2, n_irs=8, n_ehd=1, n_targets=1,
                           target_angles=(0.0,))
     channels = ChannelSet(h_br=np.zeros((8, 2)), h_ru=np.zeros((1, 8)),
@@ -129,9 +129,9 @@ def test_exhaustive_tie_break_smallest_index():
     np.testing.assert_allclose(profile.alpha, -np.pi)
 
 
-def test_exhaustive_matches_direct_enumeration_across_chunks():
-    # 4^8 = 65536 profiles spans more than one evaluation chunk, so this
-    # also checks the chunked reduction agrees with a flat argmax.
+def test_phase_search_matches_direct_enumeration():
+    # The screened search over 4^8 = 65536 profiles agrees with a flat
+    # argmax over all of them.
     config, channels, beam, _ = instance(seed=3, n=2, l=8, k=1, m=1)
     budget = SearchBudget(phase_levels=4)
     profile, score = quantized_phase_search(channels, beam, config, budget)
@@ -190,51 +190,30 @@ def test_beam_search_feasible_output():
 
 
 # ---------------------------------------------------------------------------
-# The phasor-table search against the per-row exp search it replaced
+# The screened phasor-table search against the per-row exp search it replaced
 
 
 def reference_grid_search(dim, budget, score, block):
-    """The per-row exp search `_grid_search` replaced: flat chunks of `block`
-    rows (oracle._CHUNK there), digits decoded per row, `score` given grid
-    phases (it applies exp itself), and the best kept as a row."""
-    levels, total, grid = budget.phase_levels, budget.check_dim(dim), budget.grid()
-    best_score, best_phases = -np.inf, None
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        digits = np.empty((idx.size, dim), dtype=np.int64)
-        for j in range(dim - 1, -1, -1):
-            digits[:, j] = idx % levels
-            idx = idx // levels
-        phases = grid[digits]
-        scores = score(phases)
-        local = int(np.argmax(scores))
-        if float(scores[local]) > best_score:
-            best_score, best_phases = float(scores[local]), phases[local]
-    return best_phases, best_score
+    """The per-row exp search `_grid_search` replaced: every grid row in flat
+    calls of `block` rows, `score` given grid phases (it applies exp itself),
+    and the first best row kept."""
+    phases = full_grid(budget.phase_levels, dim)
+    scores = np.concatenate([score(phases[start:start + block])
+                             for start in range(0, len(phases), block)])
+    best = int(np.argmax(scores))
+    return phases[best], float(scores[best])
 
 
-def search_rows(levels, dim, chunk):
-    """Rows per score call of `_grid_search` (pinned by the test below)."""
-    low = max(k for k in range(dim + 1) if levels ** k <= chunk)
-    return levels ** low
-
-
-def reference_searches(channels, beam, phases, config, budget, block=None):
-    """Both reference searches, in flat chunks of `block` rows; by default
-    the rows of each call of `_grid_search`, since BLAS may round a row
-    differently with the number of rows in a call (seen with 2 vs 3 rows)."""
-    def rows(dim):
-        if block is None:
-            return search_rows(budget.phase_levels, dim, oracle._CHUNK)
-        return block
-
+def reference_searches(channels, beam, phases, config, budget, block):
+    """Both reference searches, in flat calls of `block` rows, since BLAS
+    may round a row differently with the number of rows in a call."""
     alpha, j_v = reference_grid_search(
         config.n_irs, budget, lambda a: objective_for_phase_batch(
-            channels, beam, config, np.exp(1j * a)), rows(config.n_irs))
+            channels, beam, config, np.exp(1j * a)), block)
     amp = config.beam_amplitude
     w_phase, j_w = reference_grid_search(
         config.n_tx, budget, lambda a: objective_for_beam_batch(
-            channels, phases, config, amp * np.exp(1j * a)), rows(config.n_tx))
+            channels, phases, config, amp * np.exp(1j * a)), block)
     return ((PhaseProfile(alpha=alpha), j_v),
             (Beamformer.from_phases(w_phase, config), j_w))
 
@@ -247,11 +226,37 @@ def assert_bit_equal(got, want):
     assert got_w.w.tobytes() == want_w.w.tobytes()
 
 
+def side_form(side, levels, dim, seed, zero=False, **overrides):
+    """The search over `dim` phases of one side of an instance whose other
+    side has 3: the grid's amplitude, its phasor table, the Gram form and
+    the batch scorer, as `quantized_*_search` pass them to `_grid_search`.
+    With `zero` the channels are all zero, so every row ties at J = 0."""
+    n, l = (dim, 3) if side == "beam" else (3, dim)
+    config, channels, beam, phases = instance(seed, n=n, l=l, **overrides)
+    if zero:
+        channels = ChannelSet(h_br=np.zeros((l, n)), h_ru=np.zeros((2, l)),
+                              h_d=np.zeros((2, n)))
+    if side == "phase":
+        amp, lifted = 1.0, _phase_rows(channels, beam, config)
+        rows, offsets = lifted[:, :-1], lifted[:, -1]
+
+        def score(x_rows):
+            return objective_for_phase_batch(channels, beam, config, x_rows)
+    else:
+        amp, rows = config.beam_amplitude, _beam_rows(channels, phases, config)
+        offsets = np.zeros(len(rows))
+
+        def score(x_rows):
+            return objective_for_beam_batch(channels, phases, config, x_rows)
+    table = amp * np.exp(1j * SearchBudget(phase_levels=levels).grid())
+    return amp, (table, rows, oracle._weights(config, len(rows)), offsets), score
+
+
 @st.composite
 def search_cases(draw):
     levels = draw(st.integers(2, 9))
     max_dim = max(d for d in range(1, 7) if levels ** d <= 4096)
-    return (levels, draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim)),
+    return (levels, draw(st.integers(1, max_dim)), draw(st.sampled_from(["phase", "beam"])),
             draw(st.sampled_from([4, 5, 64, 1 << 15])),
             draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
 
@@ -259,22 +264,24 @@ def search_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(search_cases())
 def test_grid_search_bit_equal_to_per_row_exp_search(case):
-    # Small chunk sizes make even these small grids span several chunks,
-    # with the low/high digit split at every depth (or none: a chunk of 4
-    # or 5 rows is smaller than one digit for levels above it).
-    levels, n, l, chunk, seed, zero = case
-    config, channels, beam, phases = instance(seed, n=n, l=l)
-    if zero:  # every row ties: the smallest index must win
-        channels = ChannelSet(h_br=np.zeros((l, n)), h_ru=np.zeros((2, l)),
-                              h_d=np.zeros((2, n)))
+    # Against every grid row scored in one call from per-row exponentials:
+    # the returned row's J is within the margin of the best, and the
+    # returned score is that J to half the margin (a kept row may round
+    # differently in a call of other rows).  On all-tie grids, bit for bit
+    # the first row, with the kept rows spread over calls of a small chunk.
+    levels, dim, side, chunk, seed, zero = case
     budget = SearchBudget(phase_levels=levels)
+    amp, form, score = side_form(side, levels, dim, seed, zero)
     with mock.patch.object(oracle, "_CHUNK", chunk):
-        got = (quantized_phase_search(channels, beam, config, budget),
-               quantized_beam_search(channels, phases, config, budget))
-        want = reference_searches(channels, beam, phases, config, budget)
-    assert_bit_equal(got, want)
+        got, value = _grid_search(budget, *form, score)
+    phases = full_grid(levels, dim)
+    scores = score(amp * np.exp(1j * phases))
+    index = int(np.flatnonzero((phases == got).all(axis=1))[0])
+    margin = oracle._margin(*form)
+    assert scores[index] >= scores.max() - margin
+    assert abs(value - scores[index]) <= margin / 2
     if zero:
-        np.testing.assert_array_equal(got[0][0].alpha, -np.pi)
+        assert index == 0 and value == 0.0
 
 
 def counted(score):
@@ -284,24 +291,6 @@ def counted(score):
         calls.append(len(rows))
         return score(rows)
     return wrapped, calls
-
-
-def zero_form(dim):
-    """A Gram form that scores every row 0: the screen keeps every chunk."""
-    return np.zeros((1, dim), complex), np.ones(1), np.zeros(1)
-
-
-@pytest.mark.parametrize("levels, dim, low", [(8, 6, 4), (2, 16, 12), (3, 10, 7),
-                                              (5, 3, 3), (64, 2, 2), (65, 2, 1)])
-def test_chunks_are_one_low_digit_block(levels, dim, low):
-    # A chunk is all levels**low combinations of the low digits, low being
-    # the largest k <= dim with levels**k <= _CHUNK (64**2 <= 2**12 < 65**2).
-    assert levels ** low <= oracle._CHUNK
-    assert low == dim or levels ** (low + 1) > oracle._CHUNK
-    score, calls = counted(lambda rows: np.zeros(len(rows)))
-    budget = SearchBudget(phase_levels=levels)
-    _grid_search(budget, np.exp(1j * budget.grid()), *zero_form(dim), score)
-    assert calls == [levels ** low] * levels ** (dim - low)
 
 
 def integer_form(levels, dim):
@@ -321,8 +310,8 @@ def integer_form(levels, dim):
 
 @pytest.mark.parametrize("levels, dim, chunk", [((1 << 15) + 5000, 1, 1 << 15), (7, 3, 5)])
 def test_levels_above_chunk_scan_flat_chunks(levels, dim, chunk):
-    # No whole digit fits a chunk, so each chunk is one row: the flat argmax
-    # still wins, against exact ties across many chunks.
+    # More levels than a chunk, or tied kept rows spread over several score
+    # calls: the flat argmax, the first of the exact ties, still wins.
     budget = SearchBudget(phase_levels=levels)
     table, rows, weights, offsets, score = integer_form(levels, dim)
     all_rows = np.array(list(itertools.product(table, repeat=dim)))
@@ -340,64 +329,49 @@ def screen_cases(draw):
     levels = draw(st.integers(2, 9))
     max_dim = max(d for d in range(1, 5) if levels ** d <= 4096)
     return (levels, draw(st.integers(1, max_dim)), draw(st.sampled_from(["phase", "beam"])),
-            draw(st.sampled_from([4, 64, 4096])), draw(st.sampled_from([0.0, 0.5, 1.0])),
-            draw(st.integers(0, 2 ** 16)), draw(st.booleans()))
+            draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.integers(0, 2 ** 16)),
+            draw(st.booleans()))
 
 
 @settings(max_examples=60, deadline=None)
 @given(screen_cases())
-@example((9, 1, "phase", 4, 0.5, 3, False))   # dim 1, more levels than a chunk
-@example((9, 1, "beam", 4, 1.0, 4, False))
-@example((8, 4, "beam", 64, 0.5, 5, False))   # 8 rotations of the best tie
-@example((3, 4, "phase", 4, 0.0, 6, True))    # all-zero channels
+@example((9, 1, "phase", 0.5, 3, False))   # dim 1: no first-half digits
+@example((9, 1, "beam", 1.0, 4, False))
+@example((8, 4, "beam", 0.5, 5, False))    # 8 rotations of the best tie
+@example((3, 4, "phase", 0.0, 6, True))    # all-zero channels
 def test_screen_bounds_every_row_and_keeps_every_co_maximum(case):
     # On every grid row the screened value is within the documented bound
-    # (half the margin) of the batch evaluator's J, and every chunk that
-    # holds a maximum of the chunk-by-chunk full scan is kept.
-    levels, dim, side, chunk, rho, seed, zero = case
-    n, l = (dim, 3) if side == "beam" else (3, dim)
-    config, channels, beam, phases = instance(seed, n=n, l=l, rho=rho)
-    if zero:
-        channels = ChannelSet(h_br=np.zeros((l, n)), h_ru=np.zeros((2, l)),
-                              h_d=np.zeros((2, n)))
+    # (half the margin) of the batch evaluator's J, and the search scores
+    # every row that scores a maximum of the one-call full scan.
+    levels, dim, side, rho, seed, zero = case
     budget = SearchBudget(phase_levels=levels)
-    if side == "phase":
-        lifted = _phase_rows(channels, beam, config)
-        table, rows, offsets = np.exp(1j * budget.grid()), lifted[:, :-1], lifted[:, -1]
-
-        def score(x_rows):
-            return objective_for_phase_batch(channels, beam, config, x_rows)
-    else:
-        rows = _beam_rows(channels, phases, config)
-        table = config.beam_amplitude * np.exp(1j * budget.grid())
-        offsets = np.zeros(len(rows))
-
-        def score(x_rows):
-            return objective_for_beam_batch(channels, phases, config, x_rows)
-    weights = oracle._weights(config, len(rows))
-    size = search_rows(levels, dim, chunk)
-    all_rows = np.array(list(itertools.product(table, repeat=dim)))
-    screened = np.concatenate(list(oracle._screened_blocks(table, rows, weights,
-                                                           offsets, size)))
-    margin = oracle._margin(table, rows, weights, offsets)
-    assert np.all(np.abs(screened - score(all_rows)) <= margin / 2)
-    scan = np.concatenate([score(all_rows[start:start + size])
-                           for start in range(0, len(all_rows), size)])
-    best_chunks = set(np.flatnonzero(scan == scan.max()) // size)
-    assert best_chunks <= set(oracle._kept_chunks(table, rows, weights, offsets, size))
+    _, form, score = side_form(side, levels, dim, seed, zero, rho=rho)
+    table = form[0]
+    all_rows = table[np.indices((levels,) * dim).reshape(dim, -1).T]
+    scan = score(all_rows)
+    margin = oracle._margin(*form)
+    assert np.all(np.abs(oracle._screened(*form) - scan) <= margin / 2)
+    scored = []
+    _grid_search(budget, *form, lambda x_rows: scored.append(x_rows.copy()) or score(x_rows))
+    scored = {row.tobytes() for row in np.concatenate(scored)}
+    assert all(row.tobytes() in scored for row in all_rows[scan == scan.max()])
     if zero:
-        assert margin == 0.0 and len(best_chunks) == len(all_rows) // size
+        assert margin == 0.0 and len(scored) == len(all_rows)
 
 
-def test_oracle_small_seed1_trial0_pinned():
-    # The first oracle-small trial of the benchmark at seed 1: exact scores
-    # and grid indices, the same as the per-row exp search gave.
+def oracle_small_trial():
+    """The first oracle-small trial of the benchmark at seed 1."""
     config = dataclasses.replace(SystemConfig(seed=1), n_tx=6, n_irs=6, rho=0.5)
     channels = sample_channels(config, trial_stream(1, 0, 0))
     rng = trial_stream(1, 1, 0)
     beam = Beamformer.from_phases(rng.uniform(-np.pi, np.pi, 6), config)
     phases = PhaseProfile(rng.uniform(-np.pi, np.pi, 6))
-    budget = SearchBudget()
+    return config, channels, beam, phases, SearchBudget()
+
+
+def test_oracle_small_seed1_trial0_pinned():
+    # Exact scores and grid indices, the same as the per-row exp search gave.
+    config, channels, beam, phases, budget = oracle_small_trial()
     grid = budget.grid()
     best_v, j_v = quantized_phase_search(channels, beam, config, budget)
     best_w, j_w = quantized_beam_search(channels, phases, config, budget)
@@ -409,3 +383,20 @@ def test_oracle_small_seed1_trial0_pinned():
     assert_bit_equal(((best_v, j_v), (best_w, j_w)),
                      reference_searches(channels, beam, phases, config, budget,
                                         block=oracle._CHUNK))
+
+
+def test_oracle_small_seed1_trial0_scores_nine_rows():
+    # Of the 2 * 8**6 grid rows the screen leaves the phase optimum and the
+    # beam optimum's 8 global-phase rotations, which tie, to score.
+    config, channels, beam, phases, budget = oracle_small_trial()
+    score_v, calls_v = counted(lambda rows: objective_for_phase_batch(
+        channels, beam, config, rows))
+    score_w, calls_w = counted(lambda rows: objective_for_beam_batch(
+        channels, phases, config, rows))
+    with mock.patch.object(oracle, "objective_for_phase_batch",
+                           lambda *args: score_v(args[-1])), \
+            mock.patch.object(oracle, "objective_for_beam_batch",
+                              lambda *args: score_w(args[-1])):
+        quantized_phase_search(channels, beam, config, budget)
+        quantized_beam_search(channels, phases, config, budget)
+    assert (calls_v, calls_w) == ([1], [8])
