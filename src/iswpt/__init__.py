@@ -13,7 +13,7 @@ from .scenario import (ChannelSet, SystemConfig, complex_normal, db_to_linear,
                        path_loss, sample_channels, steering_matrix,
                        trial_stream)
 from .objective import (Beamformer, DerivedOperators, PhaseProfile,
-                        beampattern_profile, build_operators,
+                        beam_rows, beampattern_profile, build_operators,
                         composite_objective, solution_metrics)
 from .sdp import (SdpNonConvergence, SdpSolution, extract_beamformer,
                   extract_phases, solve_diag_sdp, sdp_update_v, sdp_update_w)

@@ -28,8 +28,10 @@ of steps: `max_outer_iters` caps maps, `n_outer` counts them and
 monotone, so the recorded objectives are nondecreasing up to rounding.
 
 Each half-step builds only the operators of its own side, and the inner
-solvers run at their own default iteration caps and tolerances.  No
-half-step draws: a run's stream feeds only its initial phases, if any.
+solvers run at their own default iteration caps and tolerances.  The
+`beam_rows` of each phase profile are built once and carried with it, for
+the beam side's Gram matrix and the records (a rejected jump keeps x2's).
+No half-step draws: a run's stream feeds only its initial phases, if any.
 
 The trace records the composite objective and the physical metrics after
 initialisation and after every half-step, which is what the convergence
@@ -43,7 +45,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import lc, sdp
-from .objective import Beamformer, PhaseProfile, build_operators, solution_metrics
+from .objective import (Beamformer, PhaseProfile, beam_rows, build_operators, gram,
+                        solution_metrics)
 from .scenario import (ChannelSet, SystemConfig, check_channels, check_finite,
                        check_loop)
 
@@ -115,13 +118,13 @@ class AoTrace:
         return np.asarray(out)
 
 
-def _record(trace: AoTrace, channels: ChannelSet, config: SystemConfig,
-            phases: PhaseProfile, beam: Beamformer, outer: int, stage: str,
+def _record(trace: AoTrace, config: SystemConfig, phases: PhaseProfile,
+            rows: np.ndarray, beam: Beamformer, outer: int, stage: str,
             relaxed: float | None = None,
             solution: sdp.SdpSolution | None = None) -> float:
-    """Append the step at iterate (phases, beam) to `trace`, with the
-    diagnostics of an sdp half-step's `solution`; returns its J."""
-    j_val, harvested, sensing = solution_metrics(channels, phases, beam, config)
+    """Append to `trace` the step at iterate (phases, beam), `rows` the phases'
+    `beam_rows`, with an sdp half-step's `solution` diagnostics; returns J."""
+    j_val, harvested, sensing = solution_metrics(rows, beam, config)
     ipm = {} if solution is None else dict(
         sdp_iterations=solution.iterations, sdp_duality_gap=solution.duality_gap,
         sdp_primal_residual=solution.primal_residual)
@@ -135,18 +138,19 @@ def _record(trace: AoTrace, channels: ChannelSet, config: SystemConfig,
 
 
 def _initial_iterates(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
-                      rng: np.random.Generator) -> tuple[PhaseProfile, Beamformer]:
-    """Starting point: the given phases, else uniform random ones; the given
-    beamformer, else one SCA step from the all-equal-phase feasible point."""
+                      rng: np.random.Generator
+                      ) -> tuple[PhaseProfile, np.ndarray, Beamformer]:
+    """Starting point: the given phases, else uniform random ones, with their
+    `beam_rows`; the given beamformer, else one SCA step from the
+    all-equal-phase feasible point."""
     phases = ao.init_phases
     if phases is None:
         phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, size=config.n_irs))
+    rows = beam_rows(channels, phases, config)
     if ao.init_beam is not None:
-        return phases, ao.init_beam
+        return phases, rows, ao.init_beam
     flat = Beamformer.from_phases(np.zeros(config.n_tx), config)
-    big_h = build_operators(channels, phases, None, config).big_h
-    beam = lc.sca_update_w(big_h, flat, config)
-    return phases, beam
+    return phases, rows, lc.sca_update_w(gram(rows, config), flat, config)
 
 
 def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
@@ -161,8 +165,8 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     check_channels(config, channels)
     _check_start(config, ao)
     trace = AoTrace()
-    phases, beam = _initial_iterates(config, ao, channels, rng)
-    j_prev = _record(trace, channels, config, phases, beam, 0, "init")
+    phases, rows, beam = _initial_iterates(config, ao, channels, rng)
+    j_prev = _record(trace, config, phases, rows, beam, 0, "init")
     solution_w = solution_v = None   # each sdp side's last solve, its next warm start
     cycle = []   # the stacked states u of the current SqS3 cycle
 
@@ -172,18 +176,19 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
         if len(cycle) == 3:   # two plain maps done: this map starts at the jump
             jump = lc.sqs3_jump(*cycle)
             cycle = cycle[2:] if jump is None else []
-        start_beam, start_phases = beam, phases
+        start_beam, start_phases, start_rows = beam, phases, rows
         if jump is not None:
             start_beam = Beamformer.from_phases(jump[:config.n_tx], config)
             start_phases = PhaseProfile(alpha=jump[config.n_tx:])
+            start_rows = beam_rows(channels, start_phases, config)
         try:
-            big_h = build_operators(channels, start_phases, None, config).big_h
+            big_h = gram(start_rows, config)
             if ao.algorithm == ALGORITHM_SDP:
                 w_beam, relaxed_w, solution_w = sdp.sdp_update_w(
                     big_h, config, tol=ao.sdp_tol, incumbent=beam, warm=solution_w)
             else:
                 w_beam, relaxed_w = lc.sca_solve(big_h, start_beam, config), None
-            j_w = _record(trace, channels, config, start_phases, w_beam, outer,
+            j_w = _record(trace, config, start_phases, start_rows, w_beam, outer,
                           "w", relaxed_w, solution_w)
             if jump is not None and not j_w >= j_prev:
                 # Rejected: x2 stays, and its v record repeats as a flat pair.
@@ -191,7 +196,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
                                     for s in ("w", "v")]
                 trace.n_outer = outer
                 continue
-            beam, phases = w_beam, start_phases
+            beam, phases, rows = w_beam, start_phases, start_rows
 
             ops = build_operators(channels, None, beam, config)
             if ao.algorithm == ALGORITHM_SDP:
@@ -199,7 +204,8 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
                     ops.big_f, config, tol=ao.sdp_tol, incumbent=phases, warm=solution_v)
             else:
                 phases, relaxed_v = lc.mm_solve(ops, phases), None
-            j_new = _record(trace, channels, config, phases, beam, outer, "v",
+            rows = beam_rows(channels, phases, config)
+            j_new = _record(trace, config, phases, rows, beam, outer, "v",
                             relaxed_v, solution_v)
         except sdp.SdpNonConvergence as exc:
             trace.failure = str(exc)
@@ -225,12 +231,13 @@ def run_rps(config: SystemConfig, channels: ChannelSet,
     trace = AoTrace()
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, size=config.n_irs))
     beam = Beamformer.from_phases(np.zeros(config.n_tx), config)
-    big_h = build_operators(channels, phases, None, config).big_h
+    rows = beam_rows(channels, phases, config)
+    big_h = gram(rows, config)
 
     j_prev = None
     for it in range(max_iters):
         beam = lc.sca_update_w(big_h, beam, config)
-        j_val = _record(trace, channels, config, phases, beam, it, "w")
+        j_val = _record(trace, config, phases, rows, beam, it, "w")
         trace.n_outer = it + 1
         if j_prev is not None and lc.stalled(j_val, j_prev, rel_tol):
             trace.converged = True

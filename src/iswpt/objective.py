@@ -141,33 +141,18 @@ def target_steering_matrix(target_angles: tuple[float, ...], n_irs: int,
     return steer
 
 
-_last_beam_rows: tuple = (None,) * 4   # (channels, phases, config, rows)
-
-
-def _beam_rows(channels: ChannelSet, phases: PhaseProfile,
-               config: SystemConfig) -> np.ndarray:
-    """Read-only (K+M, N) rows h_tilde_k, then h_hat_m, at the phase profile.
-
-    The last build is returned again for the same three objects (`is`):
-    all are frozen with read-only arrays, so they give the same rows, and
-    holding them keeps their ids from reuse.  The entry is one tuple,
-    replaced whole, so threads cannot tear it.
-    """
-    global _last_beam_rows
-    last = _last_beam_rows
-    if last[0] is channels and last[1] is phases and last[2] is config:
-        return last[3]
+def beam_rows(channels: ChannelSet, phases: PhaseProfile,
+              config: SystemConfig) -> np.ndarray:
+    """(K+M, N) rows h_tilde_k, then h_hat_m, at the phase profile."""
     steer = target_steering_matrix(config.target_angles, config.n_irs,
                                    config.delta)
     rows = (np.concatenate([channels.h_ru, steer]) * phases.v) @ channels.h_br
     rows[:config.n_ehd] += channels.h_d
-    rows.flags.writeable = False
-    _last_beam_rows = (channels, phases, config, rows)
     return rows
 
 
-def _phase_rows(channels: ChannelSet, beam: Beamformer,
-                config: SystemConfig) -> np.ndarray:
+def phase_rows(channels: ChannelSet, beam: Beamformer,
+               config: SystemConfig) -> np.ndarray:
     """(K+M, L+1) lifted rows [c_k, a_k], then [d_m, 0], at the beamformer."""
     steer = target_steering_matrix(config.target_angles, config.n_irs,
                                    config.delta)
@@ -183,7 +168,7 @@ def energy_weight(config: SystemConfig) -> float:
     return config.rho * config.eta * config.p0
 
 
-def _gram(rows: np.ndarray, config: SystemConfig) -> np.ndarray:
+def gram(rows: np.ndarray, config: SystemConfig) -> np.ndarray:
     """hermitian_part(rho*eta*p0 * E^H E + (1-rho) * S^H S) for the device
     rows E (the first K) and the target rows S (the rest)."""
     energy, sensing = rows[:config.n_ehd], rows[config.n_ehd:]
@@ -219,9 +204,9 @@ def build_operators(channels: ChannelSet, phases: PhaseProfile | None,
     variable being optimised to skip the side it does not need."""
     big_h = big_f = None
     if phases is not None:
-        big_h = _gram(_beam_rows(channels, phases, config), config)
+        big_h = gram(beam_rows(channels, phases, config), config)
     if beam is not None:
-        big_f = _gram(_phase_rows(channels, beam, config), config)
+        big_f = gram(phase_rows(channels, beam, config), config)
     return DerivedOperators(big_h=big_h, big_f=big_f)
 
 
@@ -232,17 +217,17 @@ def objective_for_phase_batch(channels: ChannelSet, beam: Beamformer,
     `v_rows` is (B, L); returns a length-B real array.  J has two
     evaluation paths that agree to rounding: `_score`, behind both batch
     evaluators, `composite_objective` and the oracle searches; and
-    `solution_metrics`, which reads `_beam_rows` and gives every trace step
-    and CSV value.
+    `solution_metrics`, which reads the `beam_rows` it is given and gives
+    every trace step and CSV value.
     """
-    rows = _phase_rows(channels, beam, config)
+    rows = phase_rows(channels, beam, config)
     return _score(rows[:, :-1], config, v_rows, rows[:config.n_ehd, -1])
 
 
 def objective_for_beam_batch(channels: ChannelSet, phases: PhaseProfile,
                              config: SystemConfig, w_rows: np.ndarray) -> np.ndarray:
     """Composite objective J for a batch of beamformers at fixed phases."""
-    return _score(_beam_rows(channels, phases, config), config, w_rows)
+    return _score(beam_rows(channels, phases, config), config, w_rows)
 
 
 def composite_objective(channels: ChannelSet, phases: PhaseProfile,
@@ -254,7 +239,7 @@ def composite_objective(channels: ChannelSet, phases: PhaseProfile,
 
 def beampattern_profile(channels: ChannelSet, phases: PhaseProfile,
                         beam: Beamformer, thetas: np.ndarray,
-                        delta: float = 0.5) -> np.ndarray:
+                        delta: float) -> np.ndarray:
     """Sensing beampattern |a(theta) diag(v) H_br w|^2 over a grid of angles."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     steer = steering_matrix(thetas, phases.v.size, delta)
@@ -269,10 +254,11 @@ def objective_from_parts(rho: float | np.ndarray, p0: float, harvested: float | 
     return rho * p0 * harvested + (1.0 - rho) * sensing
 
 
-def solution_metrics(channels: ChannelSet, phases: PhaseProfile,
-                     beam: Beamformer, config: SystemConfig) -> tuple[float, float, float]:
-    """(J, summed harvested power, summed target beampattern) at an iterate."""
-    power = np.abs(_beam_rows(channels, phases, config) @ beam.w) ** 2
+def solution_metrics(rows: np.ndarray, beam: Beamformer,
+                     config: SystemConfig) -> tuple[float, float, float]:
+    """(J, summed harvested power, summed target beampattern) at the
+    beamformer and the `beam_rows` of the phase profile."""
+    power = np.abs(rows @ beam.w) ** 2
     harvested_sum = float(config.eta * power[:config.n_ehd].sum())
     beampattern_sum = float(power[config.n_ehd:].sum())
     j_value = objective_from_parts(config.rho, config.p0, harvested_sum,

@@ -12,7 +12,7 @@ Each search checks its inputs first.
 
 Every row is screened before any is scored.  With one variable frozen, J
 of a row x is the Gram form sum_k w_k |x . r_k + o_k|^2 of the rows
-`objective` builds (`_phase_rows` with its offsets o, `_beam_rows` with
+`objective` builds (`phase_rows` with its offsets o, `beam_rows` with
 none).  Splitting x into its first dim//2 digits and the rest splits each
 x . r_k + o_k into A_ik + B_jk, so J = a_i + b_j + 2 Re(A_i W B_j^H) with
 a_i = sum_k w_k |A_ik|^2 and b_j alike: a meet in the middle, one real
@@ -34,9 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .objective import (Beamformer, PhaseProfile, _beam_rows, _phase_rows,
-                        energy_weight, objective_for_beam_batch,
-                        objective_for_phase_batch)
+from .objective import (Beamformer, PhaseProfile, beam_rows, energy_weight,
+                        objective_for_beam_batch, objective_for_phase_batch,
+                        phase_rows)
 from .scenario import (ChannelSet, SystemConfig, check_channels, check_count,
                        check_finite)
 
@@ -165,7 +165,7 @@ def quantized_phase_search(channels: ChannelSet, beam: Beamformer,
     """Best quantized phase profile at a fixed beamformer."""
     check_channels(config, channels)
     check_finite("beam", beam.w, (config.n_tx,))
-    rows = _phase_rows(channels, beam, config)
+    rows = phase_rows(channels, beam, config)
     alpha, score = _grid_search(budget, np.exp(1j * budget.grid()), rows[:, :-1],
                                 _weights(config, len(rows)), rows[:, -1],
                                 lambda v_rows: objective_for_phase_batch(
@@ -179,7 +179,7 @@ def quantized_beam_search(channels: ChannelSet, phases: PhaseProfile,
     """Best quantized constant-modulus beamformer at fixed phases."""
     check_channels(config, channels)
     check_finite("phases", phases.alpha, (config.n_irs,))
-    rows = _beam_rows(channels, phases, config)
+    rows = beam_rows(channels, phases, config)
     table = config.beam_amplitude * np.exp(1j * budget.grid())
     w_phase, score = _grid_search(budget, table, rows, _weights(config, len(rows)),
                                   np.zeros(len(rows)),

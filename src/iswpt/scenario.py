@@ -190,7 +190,7 @@ def slice_channels(channels: ChannelSet, n_irs: int) -> ChannelSet:
                       h_d=channels.h_d)
 
 
-def steering_matrix(thetas: np.ndarray, n_elements: int, delta: float = 0.5) -> np.ndarray:
+def steering_matrix(thetas: np.ndarray, n_elements: int, delta: float) -> np.ndarray:
     """Uniform linear array responses, one row per angle theta, with element
     l = exp(j*2*pi*l*delta*sin(theta)); element 0 is exactly 1.  `delta` is
     the element spacing in wavelengths."""

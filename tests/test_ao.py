@@ -4,14 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iswpt import lc, objective, sdp
 from iswpt.ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, _initial_iterates,
-                      run_ao, run_rps)
-from iswpt.objective import (Beamformer, PhaseProfile, _phase_rows,
-                             build_operators, solution_metrics)
+                      _record, run_ao, run_rps)
+from iswpt.objective import (Beamformer, PhaseProfile, beam_rows, build_operators,
+                             phase_rows, solution_metrics)
 from iswpt.scenario import SystemConfig, sample_channels, trial_stream
 
 
@@ -163,8 +163,9 @@ def test_caps_of_one_and_two_run_plain_maps(algorithm, case, cap):
     config, channels = case
     ao = AoConfig(algorithm=algorithm, max_outer_iters=cap, rel_tol=0.0)
     trace = run_ao(config, ao, channels, trial_stream(config.seed, 1))
-    phases, beam = _initial_iterates(config, ao, channels, trial_stream(config.seed, 1))
-    expected = [solution_metrics(channels, phases, beam, config)[0]]
+    phases, rows, beam = _initial_iterates(config, ao, channels,
+                                           trial_stream(config.seed, 1))
+    expected = [solution_metrics(rows, beam, config)[0]]
     solution_w = solution_v = None
     for _ in range(cap):
         big_h = build_operators(channels, phases, None, config).big_h
@@ -173,14 +174,16 @@ def test_caps_of_one_and_two_run_plain_maps(algorithm, case, cap):
         else:
             beam, _, solution_w = sdp.sdp_update_w(big_h, config, ao.sdp_tol,
                                                    beam, solution_w)
-        expected.append(solution_metrics(channels, phases, beam, config)[0])
+        expected.append(solution_metrics(beam_rows(channels, phases, config), beam,
+                                         config)[0])
         ops = build_operators(channels, None, beam, config)
         if algorithm == ALGORITHM_LC:
             phases = lc.mm_solve(ops, phases)
         else:
             phases, _, solution_v = sdp.sdp_update_v(ops.big_f, config, ao.sdp_tol,
                                                      phases, solution_v)
-        expected.append(solution_metrics(channels, phases, beam, config)[0])
+        expected.append(solution_metrics(beam_rows(channels, phases, config), beam,
+                                         config)[0])
     assert [s.objective for s in trace.steps] == expected
 
 
@@ -313,7 +316,7 @@ def test_zero_rho_single_target_reaches_alignment_bound():
     config, channels = instance(seed=7, n=4, l=8, k=1, m=1, rho=0.0)
     ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=30, rel_tol=1e-10)
     trace = run_ao(config, ao, channels, trial_stream(7, 1))
-    d_row = _phase_rows(channels, trace.beam, config)[config.n_ehd, :-1]
+    d_row = phase_rows(channels, trace.beam, config)[config.n_ehd, :-1]
     bound = float(np.sum(np.abs(d_row)) ** 2)
     assert trace.final_objective() >= 0.99 * bound
     assert trace.final_objective() <= bound * (1.0 + 1e-9)
@@ -338,8 +341,8 @@ def test_default_initialization_draws_uniform_phases():
     # Without given phases the run starts from one uniform draw of the
     # stream it is handed.
     config, channels = instance(seed=8)
-    phases, _ = _initial_iterates(config, AoConfig(algorithm=ALGORITHM_LC),
-                                  channels, trial_stream(8, 1))
+    phases, _, _ = _initial_iterates(config, AoConfig(algorithm=ALGORITHM_LC),
+                                     channels, trial_stream(8, 1))
     expected = trial_stream(8, 1).uniform(-np.pi, np.pi, size=config.n_irs)
     assert np.array_equal(phases.alpha, PhaseProfile(alpha=expected).alpha)
 
@@ -348,8 +351,9 @@ def test_given_initialization_passes_through():
     config, channels = instance(seed=9)
     start = PhaseProfile(alpha=np.linspace(-1.0, 1.0, config.n_irs))
     ao = AoConfig(algorithm=ALGORITHM_LC, init_phases=start)
-    phases, _ = _initial_iterates(config, ao, channels, trial_stream(9, 1))
+    phases, rows, _ = _initial_iterates(config, ao, channels, trial_stream(9, 1))
     np.testing.assert_allclose(phases.alpha, start.alpha, atol=1e-15)
+    assert rows.tobytes() == beam_rows(channels, phases, config).tobytes()
 
 
 def test_sdp_run_with_given_phases_draws_nothing():
@@ -402,3 +406,73 @@ def test_rps_builds_the_beam_rows_once(monkeypatch):
                         lambda *args: builds.append(args) or steering(*args))
     trace = run_rps(config, channels, trial_stream(13, 1), max_iters=20)
     assert trace.n_outer > 1 and len(builds) == 1
+
+
+def flat_pairs(trace):
+    """The maps whose w and v records repeat the record before them."""
+    steps = trace.steps
+    return [k for k in range(1, trace.n_outer + 1)
+            if steps[2 * k - 1:2 * k + 1] == [
+                dataclasses.replace(steps[2 * k - 2], outer_iter=k, stage=stage)
+                for stage in ("w", "v")]]
+
+
+def test_lc_run_builds_rows_once_per_profile(monkeypatch):
+    # Rows are built at the start, at each jump start, and twice per kept
+    # map (the lifted rows of its beam, the beam rows of its new phases).
+    # A rejected jump falls back to the rows of x2, so the map after it
+    # builds no beam rows for its beam half-step.
+    config, channels = instance(13)
+    builds, solves, jumps = [], [], []
+    steering, sca_solve, sqs3_jump = (objective.target_steering_matrix,
+                                      lc.sca_solve, lc.sqs3_jump)
+
+    def third_solve_zero(*args, **kwargs):
+        solves.append(args)
+        beam = sca_solve(*args, **kwargs)
+        return Beamformer(w=np.zeros(config.n_tx)) if len(solves) == 3 else beam
+
+    def spy(*cycle):   # mm_solve's jumps, of L entries, are not counted
+        jump = sqs3_jump(*cycle)
+        if cycle[0].size == config.n_tx + config.n_irs and jump is not None:
+            jumps.append(jump)
+        return jump
+
+    monkeypatch.setattr(objective, "target_steering_matrix",
+                        lambda *args: builds.append(args) or steering(*args))
+    monkeypatch.setattr(lc, "sca_solve", third_solve_zero)
+    monkeypatch.setattr(lc, "sqs3_jump", spy)
+    ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=4, rel_tol=0.0)
+    trace = run_ao(config, ao, channels, trial_stream(13, 1))
+    rejected = flat_pairs(trace)
+    assert trace.n_outer == 4 and rejected == [3] and len(jumps) == 1
+    assert len(builds) == 1 + 2 * (trace.n_outer - len(rejected)) + len(jumps)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16), l=st.integers(2, 16),
+       rho=st.sampled_from([0.0, 0.5, 1.0]), cap=st.integers(1, 12))
+@example(seed=0, l=12, rho=0.0, cap=12)   # lc ends on a rejected jump at the cap
+@example(seed=4, l=16, rho=0.0, cap=12)   # sdp ends on a rejected jump at the cap
+@pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
+def test_last_record_reads_the_rows_of_the_final_iterate(algorithm, seed, l, rho, cap):
+    # Every record reads the rows of its own phases, the ones a rejected
+    # jump falls back to included, and the last record equals the metrics
+    # of freshly built rows at the final iterate, to the bit.
+    config, channels = instance(seed, l=l, rho=rho)
+    fresh_rows = []
+
+    def check_rows(trace, config, phases, rows, *args):
+        fresh = beam_rows(channels, phases, config)
+        fresh_rows.append(rows.tobytes() == fresh.tobytes())
+        return _record(trace, config, phases, rows, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("iswpt.ao._record", check_rows)
+        ao = AoConfig(algorithm=algorithm, max_outer_iters=cap)
+        trace = run_ao(config, ao, channels, trial_stream(seed, 1))
+    assert fresh_rows and all(fresh_rows)
+    last = trace.steps[-1]
+    fresh = solution_metrics(beam_rows(channels, trace.phases, config), trace.beam,
+                             config)
+    assert (last.objective, last.harvested_sum, last.beampattern_sum) == fresh

@@ -20,7 +20,7 @@ import iswpt
 from iswpt import cli, sdp
 from iswpt.cli import (ExperimentSpec, _format_cell, experiment_from_mapping,
                        main, parse_kv_file)
-from iswpt.objective import solution_metrics
+from iswpt.objective import beam_rows, solution_metrics
 from iswpt.scenario import (SystemConfig, db_to_linear, sample_channels,
                             trial_stream)
 
@@ -659,7 +659,8 @@ def test_sweep_rho_reports_best_pool_member_by_objective(monkeypatch):
     assert len(traces) == len(exp.sweep_rho)
     for idx, rho in enumerate(exp.sweep_rho):
         config = SystemConfig(seed=1, rho=rho)
-        pool = [solution_metrics(channels, t.phases, t.beam, config) for t in traces]
+        pool = [solution_metrics(beam_rows(channels, t.phases, config), t.beam, config)
+                for t in traces]
         _, best_e, best_s = max(pool)
         assert (harvested[idx], sensing[idx]) == pytest.approx((best_e, best_s),
                                                                rel=1e-12), rho

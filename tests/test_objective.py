@@ -9,13 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iswpt.objective import (Beamformer, PhaseProfile, _beam_rows,
-                             _phase_rows, beampattern_profile,
-                             build_operators,
+from iswpt.objective import (Beamformer, PhaseProfile, beam_rows,
+                             beampattern_profile, build_operators,
                              composite_objective, hermitian_part,
                              objective_for_beam_batch,
-                             objective_for_phase_batch, solution_metrics,
-                             wrap_angle)
+                             objective_for_phase_batch, phase_rows,
+                             solution_metrics, wrap_angle)
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
                             sample_channels, steering_matrix, trial_stream)
 from iswpt.ao import AoConfig
@@ -48,14 +47,15 @@ def two_element_surface():
 def test_beampattern_constructive_sum():
     config, channels, beam = two_element_surface()
     phases = PhaseProfile(alpha=np.zeros(2))
-    assert beampattern_profile(channels, phases, beam, 0.0)[0] == pytest.approx(4.0)
+    gain = beampattern_profile(channels, phases, beam, 0.0, config.delta)[0]
+    assert gain == pytest.approx(4.0)
 
 
 def test_beampattern_destructive_cancellation():
     config, channels, beam = two_element_surface()
     phases = PhaseProfile(alpha=np.array([0.0, np.pi]))
-    assert beampattern_profile(channels, phases, beam, 0.0)[0] == pytest.approx(
-        0.0, abs=1e-12)
+    gain = beampattern_profile(channels, phases, beam, 0.0, config.delta)[0]
+    assert gain == pytest.approx(0.0, abs=1e-12)
 
 
 def test_beampattern_matches_symbol_average():
@@ -91,22 +91,25 @@ def test_harvested_energy_direct_link_only():
     phases = PhaseProfile(alpha=np.zeros(2))
     beam = Beamformer.from_phases(np.zeros(4), config)
     expected = config.eta * config.p0 / config.n_tx
-    _, harvested, _ = solution_metrics(channels, phases, beam, config)
+    rows = beam_rows(channels, phases, config)
+    _, harvested, _ = solution_metrics(rows, beam, config)
     assert harvested == pytest.approx(expected)
 
 
 def test_harvested_energy_proportional_to_eta():
     config, channels, phases, beam = random_instance(seed=31, eta=0.4)
-    _, half, sensing = solution_metrics(channels, phases, beam, config)
+    rows = beam_rows(channels, phases, config)
+    _, half, sensing = solution_metrics(rows, beam, config)
     doubled = dataclasses.replace(config, eta=0.8)
-    _, harvested, same_sensing = solution_metrics(channels, phases, beam, doubled)
+    _, harvested, same_sensing = solution_metrics(
+        beam_rows(channels, phases, doubled), beam, doubled)
     assert harvested == pytest.approx(2.0 * half, rel=1e-12)
     assert same_sensing == sensing
 
 
 def test_composite_objective_rho_boundaries():
     config, channels, phases, beam = random_instance(seed=44, rho=1.0)
-    h_tilde = _beam_rows(channels, phases, config)[:config.n_ehd]
+    h_tilde = beam_rows(channels, phases, config)[:config.n_ehd]
     energy_only = config.eta * config.p0 * np.sum(
         np.abs(h_tilde @ beam.w) ** 2)
     assert composite_objective(channels, phases, beam, config) == pytest.approx(
@@ -147,7 +150,8 @@ def test_composite_objective_operator_forms_agree(seed, n, l, k, m, rho):
     config, channels, phases, beam = random_instance(seed, n=n, l=l, k=k, m=m,
                                                      rho=rho)
     ops = build_operators(channels, phases, beam, config)
-    j_direct = solution_metrics(channels, phases, beam, config)[0]
+    j_direct = solution_metrics(beam_rows(channels, phases, config), beam,
+                                config)[0]
     x = np.append(phases.v, 1.0)
     forms = (
         float(np.real(np.vdot(beam.w, ops.big_h @ beam.w))),
@@ -166,8 +170,8 @@ def test_build_operators_cascade_identities():
     # [v; 1] . (lifted phase row) = (beam row) . w, row by row, with plain
     # unconjugated products: h_tilde_k w for the K devices, then h_hat_m w.
     config, channels, phases, beam = random_instance(seed=3)
-    lifted = _phase_rows(channels, beam, config)
-    rows = _beam_rows(channels, phases, config)
+    lifted = phase_rows(channels, beam, config)
+    rows = beam_rows(channels, phases, config)
     assert lifted.shape == (config.n_ehd + config.n_targets, config.n_irs + 1)
     assert rows.shape == (config.n_ehd + config.n_targets, config.n_tx)
     assert np.all(lifted[config.n_ehd:, -1] == 0.0)
@@ -183,8 +187,8 @@ def test_build_operators_direct_link_only():
                             h_ru=np.zeros_like(channels.h_ru),
                             h_d=channels.h_d)
     identity_phases = PhaseProfile(alpha=np.zeros(config.n_irs))
-    lifted = _phase_rows(no_reflect, beam, config)[:config.n_ehd]
-    h_tilde = _beam_rows(no_reflect, identity_phases, config)[:config.n_ehd]
+    lifted = phase_rows(no_reflect, beam, config)[:config.n_ehd]
+    h_tilde = beam_rows(no_reflect, identity_phases, config)[:config.n_ehd]
     np.testing.assert_allclose(lifted[:, :-1], 0.0, atol=1e-15)
     np.testing.assert_allclose(h_tilde @ beam.w, lifted[:, -1], atol=1e-12)
 
@@ -269,7 +273,8 @@ def test_batch_evaluators_match_scalar_entry_point():
 
 def test_solution_metrics_decomposition():
     config, channels, phases, beam = random_instance(seed=6)
-    j_value, harvested, sensing = solution_metrics(channels, phases, beam, config)
+    j_value, harvested, sensing = solution_metrics(
+        beam_rows(channels, phases, config), beam, config)
     # eta * |h_tilde_k w|^2 per device, h_tilde_k = h_ru_k diag(v) H_br + h_d_k.
     per_device = sum(
         config.eta * abs((channels.h_ru[k] * phases.v) @ channels.h_br @ beam.w
@@ -338,22 +343,6 @@ def test_kernel_constructors_match_public_ones_bit_for_bit(phase):
     assert not (beam.w.flags.writeable or profile.alpha.flags.writeable
                 or profile.v.flags.writeable)
     assert phase.flags.writeable
-
-
-def test_beam_rows_kept_for_the_same_three_objects_only():
-    config, channels, phases, _ = random_instance(seed=90)
-    rows = _beam_rows(channels, phases, config)
-    assert _beam_rows(channels, phases, config) is rows
-    assert not rows.flags.writeable
-    # Equal but distinct inputs rebuild, to the same bits.
-    others = [(channels, PhaseProfile(alpha=phases.alpha.copy()), config),
-              (channels, phases, dataclasses.replace(config)),
-              (ChannelSet(h_br=channels.h_br, h_ru=channels.h_ru,
-                          h_d=channels.h_d), phases, config)]
-    for inputs in others:
-        rebuilt = _beam_rows(*inputs)
-        assert rebuilt is not rows and not rebuilt.flags.writeable
-        assert rebuilt.tobytes() == rows.tobytes()
 
 
 def test_array_value_types_compare_and_hash_by_identity():

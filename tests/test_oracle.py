@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iswpt.objective import (Beamformer, PhaseProfile, _beam_rows,
-                             _phase_rows, objective_for_beam_batch,
+from iswpt.objective import (Beamformer, PhaseProfile, beam_rows,
+                             phase_rows, objective_for_beam_batch,
                              objective_for_phase_batch)
 from iswpt import oracle
 from iswpt.oracle import (SearchBudget, _grid_search, quantized_beam_search,
@@ -147,7 +147,7 @@ def test_phase_search_alignment_bound_single_target():
     # With rho = 0 and one target the continuous optimum is full phase
     # alignment, (sum |d_l|)^2; an 8-level grid loses at most cos(pi/8)^2.
     config, channels, beam, phases = instance(seed=6, l=5, m=1, rho=0.0)
-    d_row = _phase_rows(channels, beam, config)[config.n_ehd, :-1]
+    d_row = phase_rows(channels, beam, config)[config.n_ehd, :-1]
     continuum = float(np.sum(np.abs(d_row)) ** 2)
     budget = SearchBudget(phase_levels=8)
     _, score = quantized_phase_search(channels, beam, config, budget)
@@ -172,7 +172,7 @@ def test_beam_search_alignment_bound_energy_only():
     # rho = 1 with a single device reduces to maximizing |h_tilde w|^2; the
     # per-antenna optimum is amp^2 (sum_n |h_n|)^2 up to quantization.
     config, channels, _, phases = instance(seed=8, n=5, k=1, rho=1.0)
-    h_tilde = _beam_rows(channels, phases, config)[:config.n_ehd]
+    h_tilde = beam_rows(channels, phases, config)[:config.n_ehd]
     weight = config.eta * config.p0  # rho = 1
     continuum = weight * (config.beam_amplitude
                           * float(np.sum(np.abs(h_tilde[0])))) ** 2
@@ -237,13 +237,13 @@ def side_form(side, levels, dim, seed, zero=False, **overrides):
         channels = ChannelSet(h_br=np.zeros((l, n)), h_ru=np.zeros((2, l)),
                               h_d=np.zeros((2, n)))
     if side == "phase":
-        amp, lifted = 1.0, _phase_rows(channels, beam, config)
+        amp, lifted = 1.0, phase_rows(channels, beam, config)
         rows, offsets = lifted[:, :-1], lifted[:, -1]
 
         def score(x_rows):
             return objective_for_phase_batch(channels, beam, config, x_rows)
     else:
-        amp, rows = config.beam_amplitude, _beam_rows(channels, phases, config)
+        amp, rows = config.beam_amplitude, beam_rows(channels, phases, config)
         offsets = np.zeros(len(rows))
 
         def score(x_rows):

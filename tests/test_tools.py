@@ -1,6 +1,8 @@
 """Command-line tools under tools/: the CSV byte contract, the CSV
-comparison and the finder of statements that a traffic never runs."""
+comparison and the finder of statements that a traffic never runs; and a
+source check of the package."""
 
+import ast
 import importlib.util
 import platform
 import textwrap
@@ -150,3 +152,13 @@ def test_statement_finder_reports_statements_with_no_line_run():
     ran = {1, 4, 5, 9, 10, 11, 17}
     assert traffic_lines.missed(SOURCE, ran) == [13, 16]
     assert traffic_lines.missed(SOURCE, ran | {14, 16}) == []
+
+
+def test_package_modules_hold_no_global_statement():
+    # A module-level value that a call rebinds is state shared by every run
+    # in the process; the package keeps a run's state in its arguments.
+    package = Path(__file__).resolve().parents[1] / "src" / "iswpt"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == []
