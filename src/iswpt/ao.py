@@ -11,9 +11,11 @@ the phases at fixed beamformer.  Either half-step runs in one of two modes:
   bounds the half-step's achievable objective at any solver tolerance and
   is recorded with the solve's iteration count, duality gap and primal
   residual.  The interior-point method stops at a relative duality gap of
-  1e-4 (`AoConfig.sdp_tol`, a constant), the default outer `rel_tol`;
-  extraction reads only the eigenstructure of the relaxed solution, which
-  a tighter solve barely moves.
+  1e-2 (`AoConfig.sdp_tol`, a constant), far looser than the outer
+  `rel_tol`: extraction reads only the principal eigenvector of the relaxed
+  solution, the incumbent keeps each half-step monotone, the dual value
+  stays a bound because S is positive definite at every iterate, and the
+  outer stop test, not the inner tolerance, decides convergence.
 * "lc": an inner SCA loop for the beamformer and an inner MM loop for the
   phases, each iterating the closed-form step of `lc` to a fixed point.
 
@@ -71,7 +73,7 @@ class AoConfig:
     algorithm: str = ALGORITHM_LC
     max_outer_iters: int = 30
     rel_tol: float = 1e-4            # outer stop on |dJ| < rel_tol * |J|
-    sdp_tol = 1e-4                   # interior-point duality gap target
+    sdp_tol = 1e-2                   # interior-point duality gap target
     init_phases: PhaseProfile | None = None  # None: uniform random phases
     init_beam: Beamformer | None = None      # None: one SCA step from flat
 
