@@ -24,10 +24,12 @@ direction.  The factors are inverted blockwise (`_tril_inv`): split at
 n/2, [[A, 0], [C, D]] has inverse [[A^-1, 0], [-D^-1 C A^-1, D^-1]], and a
 block of at most `TRI_LEAF_ROWS` rows goes to `np.linalg.inv`, transposed
 so that its LU never pivots and the inverse is exactly triangular.  A
-general inverse of the whole factor costs about twice as much at n = 41
-(its LU ignores the zero triangle), and NumPy has no triangular inverse.  The predictor's step lengths only set the centring, so they
-are never tested: each pass takes the last corrector's exact lengths (1 in
-the first pass).  The corrector's exact test, one stacked eigenvalue call,
+general inverse of the whole factor costs about 1.5 times as much at
+n = 41 (160-190 against 111-119 us for the stacked pair, one BLAS thread;
+its LU ignores the zero triangle), and NumPy has no triangular inverse.
+The predictor's step lengths only set the centring, so they are never
+tested: each pass takes the last corrector's exact lengths (1 in the first
+pass).  The corrector's exact test, one stacked eigenvalue call,
 and its step of 0.98 of the way to the boundary keep X and S positive
 definite.  An iteration forms 6 complex n x n products: Sinv, one per
 direction, and three for the step test (two for dX, one for the diagonal
@@ -112,8 +114,9 @@ def _tril_inv(lower: np.ndarray) -> np.ndarray:
     with the split at n/2; a block of at most `TRI_LEAF_ROWS` rows goes to
     `np.linalg.inv` transposed.  The transpose is upper triangular with a
     nonzero diagonal, so the LU inside never swaps rows and the inverse is
-    exactly triangular; the LU of `lower` itself pivots whenever an entry
-    outweighs the diagonal above it and leaves rounding above the diagonal.
+    exactly triangular; the LU of `lower` itself pivots whenever a
+    subdiagonal entry outweighs its column's diagonal entry, and leaves
+    rounding above the diagonal.
     """
     n = lower.shape[-1]
     if n <= TRI_LEAF_ROWS:
