@@ -10,12 +10,17 @@ the phases at fixed beamformer.  Either half-step runs in one of two modes:
   (`sdp.solve_diag_sdp`'s `warm`).  The dual value of each relaxation
   bounds the half-step's achievable objective at any solver tolerance and
   is recorded with the solve's iteration count, duality gap and primal
-  residual.  The interior-point method stops at a relative duality gap of
-  1e-2 (`AoConfig.sdp_tol`, a constant), far looser than the outer
-  `rel_tol`: extraction reads only the principal eigenvector of the relaxed
-  solution, the incumbent keeps each half-step monotone, the dual value
-  stays a bound because S is positive definite at every iterate, and the
-  outer stop test, not the inner tolerance, decides convergence.
+  residual.  The interior-point method stops at a relative duality gap
+  that follows the outer progress (`_next_sdp_tol`): 1e-2
+  (`AoConfig.sdp_start_tol`) in the first map, then a tenth of the last
+  map's relative gain in J, held within [1e-4, 1e-2] (1e-4 is
+  `AoConfig.sdp_tol`).  Far from a fixed point the solves may be loose:
+  extraction reads only the principal eigenvector of the relaxed solution,
+  the incumbent keeps each half-step monotone, and the dual value stays a
+  bound because S is positive definite at every iterate.  Near one they
+  are tight, and the run stops only on a map solved at `sdp_tol`: a loose
+  map that gains less than `rel_tol`, as when both half-steps keep the
+  incumbent, only tightens the next map's solves.
 * "lc": an inner SCA loop for the beamformer and an inner MM loop for the
   phases, each iterating the closed-form step of `lc` to a fixed point.
 
@@ -68,12 +73,14 @@ def _check_start(config: SystemConfig, ao: AoConfig) -> None:
 @dataclass(frozen=True)
 class AoConfig:
     """Outer-loop knobs of one alternating-optimization run; the inner
-    solvers run at their defaults, and `sdp_tol` is a class constant."""
+    solvers run at their defaults, and the sdp tolerances are class
+    constants."""
 
     algorithm: str = ALGORITHM_LC
     max_outer_iters: int = 30
     rel_tol: float = 1e-4            # outer stop on |dJ| < rel_tol * |J|
-    sdp_tol = 1e-2                   # interior-point duality gap target
+    sdp_tol = 1e-4                   # interior-point duality gap of a map that stops
+    sdp_start_tol = 1e-2             # ... of the first map, the loosest
     init_phases: PhaseProfile | None = None  # None: uniform random phases
     init_beam: Beamformer | None = None      # None: one SCA step from flat
 
@@ -94,7 +101,7 @@ class AoStep:
     beampattern_sum: float        # sum_m gain toward target m
     w_error: float                # max | |w_n| - sqrt(p0/N) |
     v_error: float                # max | |v_l| - 1 |
-    relaxed_objective: float | None = None  # SDP dual value: bounds J at any sdp_tol
+    relaxed_objective: float | None = None  # SDP dual value: bounds J at any solver tol
     sdp_iterations: int | None = None       # interior-point iterations of an sdp half-step
     sdp_duality_gap: float | None = None    # its final b^T z - Re tr(C X)
     sdp_primal_residual: float | None = None  # its final max_i |X_ii - b_i| / (1 + max b)
@@ -155,6 +162,14 @@ def _initial_iterates(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     return phases, rows, lc.sca_update_w(gram(rows, config), flat, config)
 
 
+def _next_sdp_tol(ao: AoConfig, j_new: float, j_prev: float) -> float:
+    """Interior-point tolerance of the map after one that took J from
+    `j_prev` to `j_new`: a tenth of its relative gain, held within
+    [sdp_tol, sdp_start_tol]."""
+    gain = abs(j_new - j_prev) / max(abs(j_prev), 1e-300)
+    return min(ao.sdp_start_tol, max(ao.sdp_tol, 0.1 * gain))
+
+
 def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
            rng: np.random.Generator) -> AoTrace:
     """Run alternating optimization and return its trace.
@@ -171,6 +186,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     j_prev = _record(trace, config, phases, rows, beam, 0, "init")
     solution_w = solution_v = None   # each sdp side's last solve, its next warm start
     cycle = []   # the stacked states u of the current SqS3 cycle
+    tol = ao.sdp_start_tol   # the sdp half-steps' interior-point tolerance
 
     for outer in range(1, ao.max_outer_iters + 1):
         cycle.append(np.concatenate((beam.w / config.beam_amplitude, phases.v)))
@@ -187,7 +203,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             big_h = gram(start_rows, config)
             if ao.algorithm == ALGORITHM_SDP:
                 w_beam, relaxed_w, solution_w = sdp.sdp_update_w(
-                    big_h, config, tol=ao.sdp_tol, incumbent=beam, warm=solution_w)
+                    big_h, config, tol=tol, incumbent=beam, warm=solution_w)
             else:
                 w_beam, relaxed_w = lc.sca_solve(big_h, start_beam, config), None
             j_w = _record(trace, config, start_phases, start_rows, w_beam, outer,
@@ -203,7 +219,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             ops = build_operators(channels, None, beam, config)
             if ao.algorithm == ALGORITHM_SDP:
                 phases, relaxed_v, solution_v = sdp.sdp_update_v(
-                    ops.big_f, config, tol=ao.sdp_tol, incumbent=phases, warm=solution_v)
+                    ops.big_f, config, tol=tol, incumbent=phases, warm=solution_v)
             else:
                 phases, relaxed_v = lc.mm_solve(ops, phases), None
             rows = beam_rows(channels, phases, config)
@@ -214,9 +230,11 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             break
 
         trace.n_outer = outer
-        if lc.stalled(j_new, j_prev, ao.rel_tol):
+        if lc.stalled(j_new, j_prev, ao.rel_tol) and (
+                ao.algorithm == ALGORITHM_LC or tol <= ao.sdp_tol):
             trace.converged = True
             break
+        tol = _next_sdp_tol(ao, j_new, j_prev)
         j_prev = j_new
 
     trace.beam, trace.phases = beam, phases

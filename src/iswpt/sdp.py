@@ -20,16 +20,9 @@ predictor-corrector.  For diagonal constraints the Schur complement has
 the closed form  M_ij = Re(X_ij * conj(Sinv_ij)), an elementwise product.
 Each iteration factors X and S once: one Cholesky of each, whose inverted
 factors give Sinv and the step lengths, plus one real n x n solve per
-direction.  The factors are inverted blockwise (`_tril_inv`): split at
-n/2, [[A, 0], [C, D]] has inverse [[A^-1, 0], [-D^-1 C A^-1, D^-1]], and a
-block of at most `TRI_LEAF_ROWS` rows goes to `np.linalg.inv`, transposed
-so that its LU never pivots and the inverse is exactly triangular.  A
-general inverse of the whole factor costs about 1.5 times as much at
-n = 41 (160-190 against 111-119 us for the stacked pair, one BLAS thread;
-its LU ignores the zero triangle), and NumPy has no triangular inverse.
-The predictor's step lengths only set the centring, so they are never
-tested: each pass takes the last corrector's exact lengths (1 in the first
-pass).  The corrector's exact test, one stacked eigenvalue call,
+direction.  The predictor's step lengths only set the centring, so they
+are never tested: each pass takes the last corrector's exact lengths (1 in
+the first pass).  The corrector's exact test, one stacked eigenvalue call,
 and its step of 0.98 of the way to the boundary keep X and S positive
 definite.  An iteration forms 6 complex n x n products: Sinv, one per
 direction, and three for the step test (two for dX, one for the diagonal
@@ -72,13 +65,14 @@ from .scenario import SystemConfig, check_finite, check_hermitian, complex_norma
 
 MAX_ITERS = 100   # interior-point iteration cap of one solve
 START_MARGIN = 0.1  # least eigenvalue of the starting dual slack, scaled units
-TRI_LEAF_ROWS = 24  # `_tril_inv` inverts blocks of at most this many rows whole
-# Weight of the cold start point Diag(b) in a warm start's X.  Re-solving
-# the 116 warm phase-side costs of 12 sdp runs (L=20 and 40) at the AO's tol
-# of 1e-2 took 4.61 iterations per solve cold, and warm 1.51, 2.02, 2.36 and
-# 3.00 at 0.1, 0.3, 0.5 and 0.7 (3.85 dual warm alone).  0.05 took 1.35 per
-# re-solve, but in the AO loop (40 runs) more maps, and more iterations per
-# run, than 0.1.
+# Weight of the cold start point Diag(b) in a warm start's X.  With the
+# untested predictor, re-solving the 60 warm phase-side costs of 12 sdp runs
+# (L=20 and 40) at tol 1e-4 took 5.97 iterations per solve cold, and warm
+# 3.38, 3.62, 3.75 and 4.20 at 0.1, 0.3, 0.5 and 0.7 (6.27 dual warm alone);
+# at tol 1e-2, 116 such costs took 4.61 cold and 1.51, 2.02, 2.36 and 3.00
+# warm.  Over 100 AO runs (L=20 and 40, rho 0.9) at the AO's tolerances,
+# 0.05, 0.1 and 0.2 took 31.0, 31.3 and 31.8 iterations and 6.58, 6.44 and
+# 6.19 maps per run.
 WARM_BLEND = 0.1
 
 
@@ -105,28 +99,6 @@ class SdpNonConvergence(RuntimeError):
         super().__init__(message)
         self.solution = solution
         self.rel_gap = rel_gap
-
-
-def _tril_inv(lower: np.ndarray) -> np.ndarray:
-    """Inverse of stacked (..., n, n) nonsingular lower-triangular matrices.
-
-    Blockwise, [[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]]
-    with the split at n/2; a block of at most `TRI_LEAF_ROWS` rows goes to
-    `np.linalg.inv` transposed.  The transpose is upper triangular with a
-    nonzero diagonal, so the LU inside never swaps rows and the inverse is
-    exactly triangular; the LU of `lower` itself pivots whenever a
-    subdiagonal entry outweighs its column's diagonal entry, and leaves
-    rounding above the diagonal.
-    """
-    n = lower.shape[-1]
-    if n <= TRI_LEAF_ROWS:
-        return np.linalg.inv(lower.swapaxes(-1, -2)).swapaxes(-1, -2)
-    h = n // 2
-    inv = np.zeros_like(lower)
-    inv[..., :h, :h] = a_inv = _tril_inv(lower[..., :h, :h])
-    inv[..., h:, h:] = d_inv = _tril_inv(lower[..., h:, h:])
-    inv[..., h:, :h] = -(d_inv @ lower[..., h:, :h] @ a_inv)
-    return inv
 
 
 def _max_steps(inv_factors: np.ndarray, dx: np.ndarray,
@@ -222,7 +194,7 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
         try:
             # One Cholesky of X and of S per iteration; their inverted
             # factors give Sinv = L_S^{-H} L_S^{-1} and every step length.
-            inv_factors = _tril_inv(np.linalg.cholesky(np.stack([x, s])))
+            inv_factors = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
             s_inv = hermitian_part(inv_factors[1].conj().T @ inv_factors[1])
             # Schur complement (symmetric: X and Sinv are exactly Hermitian).
             m_mat = np.real(x * s_inv.conj())

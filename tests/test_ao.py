@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from iswpt import lc, objective, sdp
 from iswpt.ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, _initial_iterates,
-                      _record, run_ao, run_rps)
+                      _next_sdp_tol, _record, run_ao, run_rps)
 from iswpt.objective import (Beamformer, PhaseProfile, beam_rows, build_operators,
                              phase_rows, solution_metrics)
 from iswpt.scenario import SystemConfig, sample_channels, trial_stream
@@ -28,9 +28,10 @@ def test_ao_config_validation():
         AoConfig(algorithm="newton")
     with pytest.raises(ValueError):
         AoConfig(max_outer_iters=0)
-    with pytest.raises(TypeError):  # a class constant, not a setting
-        AoConfig(sdp_tol=1e-6)
-    assert AoConfig().sdp_tol == 1e-2
+    for name in ("sdp_tol", "sdp_start_tol"):
+        with pytest.raises(TypeError):  # class constants, not settings
+            AoConfig(**{name: 1e-6})
+    assert (AoConfig().sdp_tol, AoConfig().sdp_start_tol) == (1e-4, 1e-2)
 
 
 @pytest.mark.parametrize("cap", [2.5, 3.0, True])
@@ -167,12 +168,13 @@ def test_caps_of_one_and_two_run_plain_maps(algorithm, case, cap):
                                            trial_stream(config.seed, 1))
     expected = [solution_metrics(rows, beam, config)[0]]
     solution_w = solution_v = None
+    tol = ao.sdp_start_tol
     for _ in range(cap):
         big_h = build_operators(channels, phases, None, config).big_h
         if algorithm == ALGORITHM_LC:
             beam = lc.sca_solve(big_h, beam, config)
         else:
-            beam, _, solution_w = sdp.sdp_update_w(big_h, config, ao.sdp_tol,
+            beam, _, solution_w = sdp.sdp_update_w(big_h, config, tol,
                                                    beam, solution_w)
         expected.append(solution_metrics(beam_rows(channels, phases, config), beam,
                                          config)[0])
@@ -180,10 +182,11 @@ def test_caps_of_one_and_two_run_plain_maps(algorithm, case, cap):
         if algorithm == ALGORITHM_LC:
             phases = lc.mm_solve(ops, phases)
         else:
-            phases, _, solution_v = sdp.sdp_update_v(ops.big_f, config, ao.sdp_tol,
+            phases, _, solution_v = sdp.sdp_update_v(ops.big_f, config, tol,
                                                      phases, solution_v)
         expected.append(solution_metrics(beam_rows(channels, phases, config), beam,
                                          config)[0])
+        tol = _next_sdp_tol(ao, expected[-1], expected[-3])
     assert [s.objective for s in trace.steps] == expected
 
 
@@ -271,10 +274,10 @@ def test_sdp_trace_nondecreasing_and_bounded():
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 8), l=st.integers(2, 40),
        rho=st.sampled_from([0.0, 0.5, 1.0]))
-def test_sdp_trace_bounds_hold_at_the_shipped_tol(seed, n, l, rho):
+def test_sdp_trace_bounds_hold_at_loose_tolerances(seed, n, l, rho):
     # Weak duality over random instances: S is positive definite at every
     # interior-point iterate, so each recorded dual value bounds its
-    # half-step's J however loosely AoConfig.sdp_tol lets the solve stop.
+    # half-step's J however loosely the solve stops (1e-2 in the first map).
     config, channels = instance(seed, n=n, l=l, rho=rho)
     ao = AoConfig(algorithm=ALGORITHM_SDP, max_outer_iters=10)
     trace = run_ao(config, ao, channels, trial_stream(seed, 1))
@@ -283,6 +286,63 @@ def test_sdp_trace_bounds_hold_at_the_shipped_tol(seed, n, l, rho):
     assert len(bounds) == 2 * trace.n_outer
     for bound, j_val in bounds:
         assert bound >= j_val - 1e-12 * abs(bound)
+
+
+def spy_sdp_tols(monkeypatch):
+    """Record ("w" or "v", tol) for every sdp half-step, in call order."""
+    calls = []
+    for name in ("sdp_update_w", "sdp_update_v"):
+        def spy(*args, _update=getattr(sdp, name), _side=name[-1], **kwargs):
+            calls.append((_side, kwargs["tol"]))
+            return _update(*args, **kwargs)
+        monkeypatch.setattr(sdp, name, spy)
+    return calls
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=small_instances, rel_tol=st.sampled_from([1e-4, 1e-2]))
+def test_sdp_tol_follows_the_gain_and_a_stop_is_tight(case, rel_tol):
+    # Both half-steps of a map share one tolerance: 1e-2 in the first map,
+    # then a tenth of the last map's relative gain within [1e-4, 1e-2].  A
+    # rejected jump, a map without its "v" half-step, leaves it as it was.
+    # A run reported converged stopped on a map solved at sdp_tol.
+    config, channels = case
+    ao = AoConfig(algorithm=ALGORITHM_SDP, rel_tol=rel_tol)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy_sdp_tols(patch)
+        trace = run_ao(config, ao, channels, trial_stream(config.seed, 1))
+    j_maps = trace.iteration_objectives()
+    tol, k = ao.sdp_start_tol, 0
+    for i, (side, used) in enumerate(calls):
+        if side == "w":
+            assert used == tol
+            k += 1
+        else:
+            assert used == calls[i - 1][1]
+            tol = _next_sdp_tol(ao, j_maps[k], j_maps[k - 1])
+    assert k == trace.n_outer
+    if trace.converged:
+        assert calls[-1] == ("v", ao.sdp_tol)
+
+
+def test_loose_map_without_gain_does_not_stop_the_run(monkeypatch):
+    # Both half-steps keep the incumbent, so the first map gains nothing.
+    # Solved at 1e-2 it only tightens the next map's solves; the second map,
+    # solved at sdp_tol and also without gain, stops the run.
+    def keep_beam(big_h, config, tol, incumbent, warm):
+        return incumbent, np.inf, None
+
+    def keep_phases(big_f, config, tol, incumbent, warm):
+        return incumbent, np.inf, None
+
+    monkeypatch.setattr(sdp, "sdp_update_w", keep_beam)
+    monkeypatch.setattr(sdp, "sdp_update_v", keep_phases)
+    tols = spy_sdp_tols(monkeypatch)
+    config, channels = instance(seed=5, n=3, l=6)
+    trace = run_ao(config, AoConfig(algorithm=ALGORITHM_SDP), channels,
+                   trial_stream(5, 1))
+    assert trace.converged and trace.n_outer == 2
+    assert tols == [("w", 1e-2), ("v", 1e-2), ("w", 1e-4), ("v", 1e-4)]
 
 
 def test_trace_records_sdp_iteration_counts(monkeypatch):
@@ -317,7 +377,7 @@ def test_trace_records_sdp_iteration_counts(monkeypatch):
 
 def test_sdp_failure_truncates_trace(monkeypatch):
     config, channels = instance(seed=6, n=3, l=6)
-    monkeypatch.setattr(AoConfig, "sdp_tol", 1e-300)
+    monkeypatch.setattr(AoConfig, "sdp_start_tol", 1e-300)
     ao = AoConfig(algorithm=ALGORITHM_SDP, max_outer_iters=3)
     trace = run_ao(config, ao, channels, trial_stream(6, 1))
     assert trace.failure is not None
