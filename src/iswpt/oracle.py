@@ -16,15 +16,17 @@ of a row x is the Gram form sum_k w_k |x . r_k + o_k|^2 of the rows
 none).  Splitting x into its first dim//2 digits and the rest splits each
 x . r_k + o_k into A_ik + B_jk, so J = a_i + b_j + 2 Re(A_i W B_j^H) with
 a_i = sum_k w_k |A_ik|^2 and b_j alike: a meet in the middle, one real
-product for the whole grid.  Only rows whose screened J lies within
-`_margin` of the best are scored, by the batch evaluators, in
-lexicographic order.  The margin covers the rounding of screen and score,
-so every row that scores the maximum is scored, and ties go to the
-smallest lexicographic index.  A row's score may differ in its last bits
-from the one it gets among other rows, as BLAS rounds by call size.  At 8
-levels and 6 elements (262,144 rows a side) the phase search scored one
-row in each of 720 benchmark trials, and the beam search 8: the optimum's
-8 global-phase rotations, which tie.
+product of operands that carry a and b as two more columns, one row per
+head (first dim//2 digits) and one column per tail.  Only rows whose
+screened J lies within `_margin` of the best of the per-head maxima are
+scored, by the batch evaluators, in lexicographic order.  The margin
+covers the rounding of screen and score, so every row that scores the
+maximum is scored, and ties go to the smallest lexicographic index.  A
+row's score may differ in its last bits from the one it gets among other
+rows, as BLAS rounds by call size.  At 8 levels and 6 elements (262,144
+rows a side) the phase search scored one row in each of 720 benchmark
+trials, and the beam search 8: the optimum's 8 global-phase rotations,
+which tie.
 """
 
 from __future__ import annotations
@@ -81,18 +83,19 @@ def _digit_block(table: np.ndarray, k: int) -> np.ndarray:
 
 def _screened(table: np.ndarray, rows: np.ndarray, weights: np.ndarray,
               offsets: np.ndarray) -> np.ndarray:
-    """Screened J of every grid row, in flat lexicographic order.  `rows` is
-    (P, dim), `weights` and `offsets` length P; Re(A W B^H) is one real
-    product of the first-half digits' terms against the second half's."""
+    """Screened J of every grid row, a (levels**(dim//2), T) array, so entry
+    (i, j) has flat lexicographic index i*T + j.  `rows` is (P, dim),
+    `weights` and `offsets` length P; one real product of [2w Re A, 2w Im A,
+    a, 1] against [Re B, Im B, 1, b] gives a_i + b_j + 2 Re(A_i W B_j^H)."""
     half = rows.shape[1] // 2
     head = _digit_block(table, half) @ rows[:, :half].T + offsets
     tail = _digit_block(table, rows.shape[1] - half) @ rows[:, half:].T
-    left = np.concatenate([head.real * weights, head.imag * weights], axis=1)
-    values = left @ np.concatenate([tail.real, tail.imag], axis=1).T
-    values *= 2.0
-    values += ((head.real ** 2 + head.imag ** 2) @ weights)[:, None]
-    values += (tail.real ** 2 + tail.imag ** 2) @ weights
-    return values.ravel()
+    left = np.column_stack([2.0 * weights * head.real, 2.0 * weights * head.imag,
+                            (head.real ** 2 + head.imag ** 2) @ weights,
+                            np.ones(len(head))])
+    right = np.column_stack([tail.real, tail.imag, np.ones(len(tail)),
+                             (tail.real ** 2 + tail.imag ** 2) @ weights])
+    return left @ right.T
 
 
 def _margin(table: np.ndarray, rows: np.ndarray, weights: np.ndarray,
@@ -106,19 +109,22 @@ def _margin(table: np.ndarray, rows: np.ndarray, weights: np.ndarray,
     parts that are sums of <= 2*dim + 1 rounded terms in any order, so it is
     off by <= e*m_k, e = sqrt(2)*g_{2 dim + 1}; this holds for the score's
     products and for A and B, whose bounds add up to m_k.  So each squared
-    modulus moves by <= (2e + e^2)*m_k^2.  Each term then takes <= 2P + 6
+    modulus moves by <= (2e + e^2)*m_k^2.  Each term then takes <= 3P + 3
     relative roundings: the score's hypot (2), square, weight, sums and
-    group add (P + 4); the screen's squares, weighted sum, scaling by w,
-    real product of length 2P and two adds (2P + 3), on moduli <= (1 + e)*m_k.
-    So delta_screen, delta_score <= (2e + e^2 + g_{2P+6}*(1 + e)^2)*S <=
-    c*u*S with c = 6*dim + 3*P + 10, as 2e <= 2.9*(2*dim + 1)*u and
-    g_{2P+6}*(1 + e)^2 <= 1.02*(2P + 6)*u; the slack covers rounding in S.
+    group add (P + 4); in the screen, one real dot of the 2P + 2 terms
+    2w Re A Re B, 2w Im A Im B, a*1 and 1*b, a cross term's scaling by 2w
+    and the dot (2P + 3), and a term of a or b its squares and add, the
+    weighted dot of length P and the dot's sums (3P + 3).  As |Re A Re B| +
+    |Im A Im B| <= |A| |B|, the terms' moduli sum to <= (1 + e)^2*S.  So
+    delta_screen, delta_score <= (2e + e^2 + g_{3P+3}*(1 + e)^2)*S <= c*u*S
+    with c = 6*dim + 4*P + 6, as 2e <= 2.9*(2*dim + 1)*u and
+    g_{3P+3}*(1 + e)^2 <= 1.02*(3P + 3)*u; the slack covers rounding in S.
     A row that scores the maximum J* screens at least J* - delta_score -
     delta_screen, and no row screens above J* + delta_score + delta_screen,
     so a margin of twice their sum keeps it.
     """
     reach = np.abs(table).max() * np.abs(rows).sum(axis=1) + np.abs(offsets)
-    c = 6 * rows.shape[1] + 3 * len(rows) + 10
+    c = 6 * rows.shape[1] + 4 * len(rows) + 6
     return 4.0 * c * (np.finfo(float).eps / 2.0) * float(weights @ reach ** 2)
 
 
@@ -130,16 +136,20 @@ def _grid_search(budget: SearchBudget, table: np.ndarray, rows: np.ndarray,
     `table` is the phasor table and `score` maps a (B, dim) block of factor
     rows to B values of the Gram form of `rows`, `weights` and `offsets`
     (module docstring), up to rounding.  The rows whose screened J lies
-    within `_margin` of the best (all of them if a value is NaN) are scored
-    in lexicographic order, at most _CHUNK per call, with argmax within a
+    within `_margin` of the best per-head maximum (all of them if a value is
+    NaN), sought only in the heads whose maximum does, are scored in
+    lexicographic order, at most _CHUNK per call, with argmax within a
     call and strict > across calls.  The best is kept as a flat index and
     decoded to grid phases once at the end.
     """
     shape = (budget.phase_levels,) * rows.shape[1]
     budget.check_dim(len(shape))
     screened = _screened(table, rows, weights, offsets)
-    kept = np.flatnonzero(~(screened < screened.max()
-                            - _margin(table, rows, weights, offsets)))
+    peaks = screened.max(axis=1)
+    floor = peaks.max() - _margin(table, rows, weights, offsets)
+    heads = np.flatnonzero(~(peaks < floor))
+    head, tail = np.nonzero(~(screened[heads] < floor))
+    kept = heads[head] * screened.shape[1] + tail
     best_score, best_index = -np.inf, None
     for start in range(0, len(kept), _CHUNK):
         index = kept[start:start + _CHUNK]

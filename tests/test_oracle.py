@@ -350,13 +350,38 @@ def test_screen_bounds_every_row_and_keeps_every_co_maximum(case):
     all_rows = table[np.indices((levels,) * dim).reshape(dim, -1).T]
     scan = score(all_rows)
     margin = oracle._margin(*form)
-    assert np.all(np.abs(oracle._screened(*form) - scan) <= margin / 2)
+    assert np.all(np.abs(oracle._screened(*form).ravel() - scan) <= margin / 2)
     scored = []
     _grid_search(budget, *form, lambda x_rows: scored.append(x_rows.copy()) or score(x_rows))
     scored = {row.tobytes() for row in np.concatenate(scored)}
     assert all(row.tobytes() in scored for row in all_rows[scan == scan.max()])
     if zero:
         assert margin == 0.0 and len(scored) == len(all_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(screen_cases(), st.booleans())
+@example((8, 4, "beam", 0.5, 5, False), False)   # rotations of the best in other heads
+@example((3, 4, "phase", 0.0, 6, True), False)   # all-zero channels: margin 0, all tie
+@example((5, 3, "phase", 0.5, 7, False), True)   # a NaN phasor: every row kept
+@example((4, 2, "beam", 1.0, 8, True), True)
+def test_search_scores_the_rows_within_the_margin_of_the_flat_screen(case, nan):
+    # The per-head selection passes `score` exactly the rows that a compare
+    # of the whole raveled screen keeps, in flat lexicographic order.
+    levels, dim, side, rho, seed, zero = case
+    table, *form = side_form(side, levels, dim, seed, zero, rho=rho)[1]
+    if nan:
+        table = table.copy()
+        table[1] = np.nan
+    screen = oracle._screened(table, *form).ravel()
+    want = np.flatnonzero(~(screen < screen.max() - oracle._margin(table, *form)))
+    scored = []
+    _grid_search(SearchBudget(phase_levels=levels), table, *form,
+                 lambda x_rows: scored.append(x_rows.copy()) or np.zeros(len(x_rows)))
+    all_rows = table[np.indices((levels,) * dim).reshape(dim, -1).T]
+    np.testing.assert_array_equal(np.concatenate(scored), all_rows[want])
+    if nan or zero:
+        assert len(want) == len(all_rows)
 
 
 def oracle_small_trial():
