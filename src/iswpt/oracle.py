@@ -136,10 +136,10 @@ def _grid_search(budget: SearchBudget, table: np.ndarray, rows: np.ndarray,
     `table` is the phasor table and `score` maps a (B, dim) block of factor
     rows to B values of the Gram form of `rows`, `weights` and `offsets`
     (module docstring), up to rounding.  The rows whose screened J lies
-    within `_margin` of the best per-head maximum (all of them if a value is
-    NaN), sought only in the heads whose maximum does, are scored in
-    lexicographic order, at most _CHUNK per call, with argmax within a
-    call and strict > across calls.  The best is kept as a flat index and
+    within `_margin` of the best (all of them if a value is NaN), looked for
+    only in the heads whose maximum does, are scored in lexicographic order,
+    at most _CHUNK per call, with argmax within a call and strict > across
+    calls.  The best is kept as a flat index and
     decoded to grid phases once at the end.
     """
     shape = (budget.phase_levels,) * rows.shape[1]
@@ -148,8 +148,8 @@ def _grid_search(budget: SearchBudget, table: np.ndarray, rows: np.ndarray,
     peaks = screened.max(axis=1)
     floor = peaks.max() - _margin(table, rows, weights, offsets)
     heads = np.flatnonzero(~(peaks < floor))
-    head, tail = np.nonzero(~(screened[heads] < floor))
-    kept = heads[head] * screened.shape[1] + tail
+    i, j = np.nonzero(~(screened[heads] < floor))
+    kept = heads[i] * screened.shape[1] + j
     best_score, best_index = -np.inf, None
     for start in range(0, len(kept), _CHUNK):
         index = kept[start:start + _CHUNK]
