@@ -139,8 +139,8 @@ def _grid_search(budget: SearchBudget, table: np.ndarray, rows: np.ndarray,
     within `_margin` of the best (all of them if a value is NaN), looked for
     only in the heads whose maximum does, are scored in lexicographic order,
     at most _CHUNK per call, with argmax within a call and strict > across
-    calls.  The best is kept as a flat index and
-    decoded to grid phases once at the end.
+    calls.  The best is kept as a flat index and decoded to grid phases
+    once at the end.
     """
     shape = (budget.phase_levels,) * rows.shape[1]
     budget.check_dim(len(shape))
