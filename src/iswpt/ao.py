@@ -43,6 +43,9 @@ No half-step draws: a run's stream feeds only its initial phases, if any.
 The trace records the composite objective and the physical metrics after
 initialisation and after every half-step, which is what the convergence
 experiments and the acceptance checks consume.
+
+`run_ao` and `run_rps` run with OpenBLAS on one thread
+(`scenario._one_blas_thread`): no matrix of a run exceeds (L+1) x (L+1).
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ import numpy as np
 from . import lc, sdp
 from .objective import (Beamformer, PhaseProfile, beam_rows, build_operators, gram,
                         solution_metrics)
-from .scenario import (ChannelSet, SystemConfig, check_channels, check_finite,
-                       check_loop)
+from .scenario import (ChannelSet, SystemConfig, _one_blas_thread, check_channels,
+                       check_finite, check_loop)
 
 ALGORITHM_SDP = "sdp"
 ALGORITHM_LC = "lc"
@@ -63,11 +66,16 @@ ALGORITHM_LC = "lc"
 
 def _check_start(config: SystemConfig, ao: AoConfig) -> None:
     """Reject a given starting point of the wrong size or with a non-finite
-    entry."""
+    entry, and a given beamformer whose moduli miss sqrt(p0/N) by more than
+    1e-12 of it: an infeasible start would record a J that the first map
+    drops from."""
     if ao.init_phases is not None:
         check_finite("init_phases", ao.init_phases.alpha, (config.n_irs,))
     if ao.init_beam is not None:
         check_finite("init_beam", ao.init_beam.w, (config.n_tx,))
+        error = ao.init_beam.modulus_error(config)
+        if error > 1e-12 * config.beam_amplitude:
+            raise ValueError(f"init_beam moduli miss sqrt(p0/N) by {error:.3e}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +178,7 @@ def _next_sdp_tol(ao: AoConfig, j_new: float, j_prev: float) -> float:
     return min(ao.sdp_start_tol, max(ao.sdp_tol, 0.1 * gain))
 
 
+@_one_blas_thread
 def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
            rng: np.random.Generator) -> AoTrace:
     """Run alternating optimization and return its trace.
@@ -241,6 +250,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     return trace
 
 
+@_one_blas_thread
 def run_rps(config: SystemConfig, channels: ChannelSet,
             rng: np.random.Generator, max_iters: int = 30,
             rel_tol: float = 1e-6) -> AoTrace:

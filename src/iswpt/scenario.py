@@ -16,11 +16,14 @@ Unit conventions
 
 Every entry point of the package checks its inputs with the helpers here,
 one per kind of input: `check_count`, `check_finite`, `check_hermitian`,
-and on top of them `check_loop` and `check_channels`.
+and on top of them `check_loop` and `check_channels`.  The run entry points
+also take `_one_blas_thread` from here.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +70,50 @@ def check_loop(max_iters: int, rel_tol: float, name: str) -> None:
     check_count(name, max_iters)
     if not 0.0 <= rel_tol < np.inf:
         raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol!r}")
+
+
+def _blas_thread_calls():
+    """NumPy's OpenBLAS thread-count getter and setter, or None where they
+    do not resolve.  dlsym on the extension module also searches the
+    libraries it links, the bundled OpenBLAS included."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+_BLAS_THREAD_CALLS = _blas_thread_calls()
+
+
+def _one_blas_thread(func):
+    """Run `func` with OpenBLAS on one thread and restore the previous count
+    on return or raise.  At the sizes of an optimizer run ((L+1) x (L+1),
+    41 x 41 at the reference L=40) a second thread only spins; the results
+    are the same bits.  The count is
+    process-wide, so calls from concurrent Python threads may leave it at 1.
+    Without the thread calls `func` is returned unchanged."""
+    if _BLAS_THREAD_CALLS is None:
+        return func
+    get, put = _BLAS_THREAD_CALLS
+
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        before = get()
+        put(1)
+        try:
+            return func(*args, **kwargs)
+        finally:
+            put(before)
+
+    return wrapper
 
 
 def db_to_linear(x_db: float) -> float:

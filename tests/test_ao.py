@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from iswpt import lc, objective, sdp
+from iswpt import lc, objective, scenario, sdp
 from iswpt.ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, _initial_iterates,
                       _next_sdp_tol, _record, run_ao, run_rps)
 from iswpt.objective import (Beamformer, PhaseProfile, beam_rows, build_operators,
@@ -102,6 +102,25 @@ def test_run_ao_rejects_starting_points_that_do_not_fit(algorithm, start, match)
     with pytest.raises(ValueError, match=match):
         run_ao(config, AoConfig(algorithm=algorithm, **start), channels,
                trial_stream(41, 1))
+
+
+@pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
+def test_run_ao_rejects_a_start_beam_off_the_constant_modulus(algorithm):
+    # A beam 10x over sqrt(p0/N) would record an infeasible J at init that
+    # the first map drops from; a beam off by 1e-9 of the modulus is also
+    # rejected, while an optimizer's own beam starts a run.
+    config, channels = instance(seed=42, n=12, l=10)
+    amp = config.beam_amplitude
+    for w in (10 * amp * np.ones(12), amp * (1 + 1e-9) * np.ones(12)):
+        ao = AoConfig(algorithm=algorithm, init_beam=Beamformer(w=w))
+        with pytest.raises(ValueError, match="init_beam"):
+            run_ao(config, ao, channels, trial_stream(42, 1))
+    first = run_ao(config, AoConfig(algorithm=algorithm, max_outer_iters=2),
+                   channels, trial_stream(42, 1))
+    ao = AoConfig(algorithm=algorithm, max_outer_iters=2, init_beam=first.beam)
+    trace = run_ao(config, ao, channels, trial_stream(42, 1))
+    assert trace.failure is None
+    assert_nondecreasing(trace)
 
 
 def test_lc_trace_monotone_and_feasible():
@@ -553,3 +572,87 @@ def test_last_record_reads_the_rows_of_the_final_iterate(algorithm, seed, l, rho
     fresh = solution_metrics(beam_rows(channels, trace.phases, config), trace.beam,
                              config)
     assert (last.objective, last.harvested_sum, last.beampattern_sum) == fresh
+
+
+BLAS_THREADS = scenario._BLAS_THREAD_CALLS
+needs_blas_threads = pytest.mark.skipif(
+    BLAS_THREADS is None, reason="no OpenBLAS thread-count setter resolves")
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """The OpenBLAS thread count set to 2 for the test, so one thread inside
+    a run differs from the count outside it; the prior count comes back."""
+    get, put = BLAS_THREADS
+    prior = get()
+    put(2)
+    yield get
+    put(prior)
+
+
+@needs_blas_threads
+@pytest.mark.parametrize("entry", [ALGORITHM_LC, ALGORITHM_SDP, "rps"])
+def test_runs_hold_one_blas_thread_and_restore_the_count(monkeypatch, entry,
+                                                         blas_at_two_threads):
+    get = blas_at_two_threads
+    config, channels = instance(seed=43, n=3, l=6)
+    seen = []
+    module, name = {ALGORITHM_LC: (lc, "sca_solve"), ALGORITHM_SDP: (sdp, "solve_diag_sdp"),
+                    "rps": (lc, "sca_update_w")}[entry]
+    inner = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    if entry == "rps":
+        trace = run_rps(config, channels, trial_stream(43, 1), max_iters=3)
+    else:
+        trace = run_ao(config, AoConfig(algorithm=entry, max_outer_iters=3), channels,
+                       trial_stream(43, 1))
+    assert trace.failure is None and seen and set(seen) == {1}
+    assert get() == 2
+
+
+@needs_blas_threads
+def test_blas_thread_count_returns_after_a_raise_and_a_nested_run(monkeypatch,
+                                                                  blas_at_two_threads):
+    get = blas_at_two_threads
+    config, channels = instance(seed=44, n=3, l=6)
+    bad = AoConfig(init_beam=Beamformer(w=np.ones(3)))
+    with pytest.raises(ValueError, match="init_beam"):
+        run_ao(config, bad, channels, trial_stream(44, 1))
+    assert get() == 2
+
+    after_nested = []
+    solve = lc.sca_solve
+
+    def nesting_solve(*args, **kwargs):
+        if not after_nested:
+            run_rps(config, channels, trial_stream(44, 2), max_iters=2)
+            after_nested.append(get())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lc, "sca_solve", nesting_solve)
+    run_ao(config, AoConfig(max_outer_iters=2), channels, trial_stream(44, 1))
+    assert after_nested == [1] and get() == 2
+
+
+@needs_blas_threads
+@pytest.mark.parametrize("seed", [45, 46, 47])
+def test_one_blas_thread_changes_no_bit(seed):
+    # At L=40 (41 x 41 sdp matrices) a run on one thread and the unwrapped
+    # run at the default count give equal traces, step for step.
+    config, channels = instance(seed=seed, n=12, l=40, k=5, m=3)
+    for algorithm in (ALGORITHM_LC, ALGORITHM_SDP):
+        ao = AoConfig(algorithm=algorithm)
+        runs = [run(config, ao, channels, trial_stream(seed, 1))
+                for run in (run_ao, run_ao.__wrapped__)]
+        assert runs[0].steps == runs[1].steps and runs[0].n_outer > 1
+        assert np.array_equal(runs[0].beam.w, runs[1].beam.w)
+        assert np.array_equal(runs[0].phases.alpha, runs[1].phases.alpha)
+    runs = [run(config, channels, trial_stream(seed, 1))
+            for run in (run_rps, run_rps.__wrapped__)]
+    assert runs[0].steps == runs[1].steps and runs[0].n_outer > 1
+    assert np.array_equal(runs[0].beam.w, runs[1].beam.w)

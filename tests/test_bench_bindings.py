@@ -56,6 +56,11 @@ def test_workload_trial_passes_untraced_and_traced(name):
         tracer.uninstall()
     assert traced.failures == []
     assert traced.fingerprint == plain.fingerprint
+    if name == "lc-sweep-l":
+        # The tracer's hooks find the run entry points by name through their
+        # thread-scope wrapper.
+        assert tracer.counts["ao.outer_iters"] > 0
+        assert tracer.counts["ao.rps_iters"] > 0
     if name == "oracle-small":
         # Of the 2 * 8**6 rows of the two 8-level grids at N = L = 6, the
         # screen leaves the phase optimum and the beam optimum's 8
