@@ -97,9 +97,9 @@ def _one_blas_thread(func):
     """Run `func` with OpenBLAS on one thread and restore the previous count
     on return or raise.  At the sizes of an optimizer run ((L+1) x (L+1),
     41 x 41 at the reference L=40) a second thread only spins; the results
-    are the same bits.  The count is
-    process-wide, so calls from concurrent Python threads may leave it at 1.
-    Without the thread calls `func` is returned unchanged."""
+    are the same bits.  The count is process-wide, so calls from concurrent
+    Python threads may leave it at 1.  Without the thread calls `func` is
+    returned unchanged."""
     if _BLAS_THREAD_CALLS is None:
         return func
     get, put = _BLAS_THREAD_CALLS
