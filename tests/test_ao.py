@@ -95,7 +95,11 @@ def test_runs_reject_channels_that_do_not_fit(algorithm, fault):
     (dict(init_phases=PhaseProfile(alpha=with_nan(np.zeros(10)))), "init_phases"),
     (dict(init_beam=Beamformer(w=np.ones(11))), "init_beam"),
     (dict(init_beam=Beamformer(w=with_nan(np.ones(12)))), "init_beam"),
-], ids=["phases-9", "phases-nan", "beam-11", "beam-nan"])
+    # Off sqrt(p0/N): an infeasible start would record a J the first map drops from.
+    (dict(init_beam=Beamformer(w=np.full(12, 10 * np.sqrt(1000 / 12)))), "init_beam"),
+    (dict(init_beam=Beamformer(w=np.full(12, (1 + 1e-9) * np.sqrt(1000 / 12)))),
+     "init_beam"),
+], ids=["phases-9", "phases-nan", "beam-11", "beam-nan", "beam-10x", "beam-1e-9"])
 @pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
 def test_run_ao_rejects_starting_points_that_do_not_fit(algorithm, start, match):
     config, channels = instance(seed=41, n=12, l=10)
@@ -105,16 +109,10 @@ def test_run_ao_rejects_starting_points_that_do_not_fit(algorithm, start, match)
 
 
 @pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
-def test_run_ao_rejects_a_start_beam_off_the_constant_modulus(algorithm):
-    # A beam 10x over sqrt(p0/N) would record an infeasible J at init that
-    # the first map drops from; a beam off by 1e-9 of the modulus is also
-    # rejected, while an optimizer's own beam starts a run.
+def test_run_ao_starts_from_an_optimizer_beam(algorithm):
+    # A run's final beam is within rounding of sqrt(p0/N), and the modulus
+    # check at the start lets it through, as a warm continuation needs.
     config, channels = instance(seed=42, n=12, l=10)
-    amp = config.beam_amplitude
-    for w in (10 * amp * np.ones(12), amp * (1 + 1e-9) * np.ones(12)):
-        ao = AoConfig(algorithm=algorithm, init_beam=Beamformer(w=w))
-        with pytest.raises(ValueError, match="init_beam"):
-            run_ao(config, ao, channels, trial_stream(42, 1))
     first = run_ao(config, AoConfig(algorithm=algorithm, max_outer_iters=2),
                    channels, trial_stream(42, 1))
     ao = AoConfig(algorithm=algorithm, max_outer_iters=2, init_beam=first.beam)
