@@ -141,7 +141,7 @@ def _record(trace: AoTrace, config: SystemConfig, phases: PhaseProfile,
             solution: sdp.SdpSolution | None = None) -> float:
     """Append to `trace` the step at iterate (phases, beam), `rows` the phases'
     `beam_rows`, with an sdp half-step's `solution` diagnostics; returns J."""
-    j_val, harvested, sensing = solution_metrics(rows, beam, config)
+    j_val, harvested, sensing = solution_metrics(rows, beam.w, config)
     ipm = {} if solution is None else dict(
         sdp_iterations=solution.iterations, sdp_duality_gap=solution.duality_gap,
         sdp_primal_residual=solution.primal_residual)

@@ -331,11 +331,8 @@ def cmd_convergence(exp: ExperimentSpec) -> str:
     for algorithm, config, runs in _sweep_l(exp, exp.n_trials):
         cost_ms = _nominal_iteration_cost_ms(algorithm, config.n_tx, config.n_irs)
         for trial, (_, trace) in enumerate(runs):
-            rows.append((algorithm, config.n_irs, trial, 0,
-                         trace.steps[0].objective, 0.0))
-            rows += [(algorithm, config.n_irs, trial, step.outer_iter,
-                      step.objective, step.outer_iter * cost_ms)
-                     for step in trace.steps if step.stage == "v"]
+            rows += [(algorithm, config.n_irs, trial, k, j_value, k * cost_ms)
+                     for k, j_value in enumerate(trace.iteration_objectives())]
     return render_csv(exp, "convergence", header, rows)
 
 

@@ -26,6 +26,8 @@ is given (None for a variable skips its side):
   x . [d_m, 0] = h_hat_m w:                           J = x^H big_f x.
   The blocks of big_f are F11 (L x L), the column f12 and the corner
   offset = rho*eta*p0 * sum_k |a_k|^2: J = v^H F11 v + 2 Re(v^H f12) + offset.
+
+`solution_metrics` is the one evaluation of J, from the rows of either side.
 """
 
 from __future__ import annotations
@@ -181,22 +183,6 @@ def gram(rows: np.ndarray, config: SystemConfig) -> np.ndarray:
     return sense
 
 
-def _score(rows: np.ndarray, config: SystemConfig, x_rows: np.ndarray,
-           offsets: np.ndarray | None = None) -> np.ndarray:
-    """J for each of the B rows of `x_rows`: the weighted sum over `rows` of
-    |x . row + offset|^2 (unconjugated products).  `offsets` holds the
-    constant terms of the K device rows; the target rows have none.  The
-    two groups take one product each, since BLAS may round a column of one
-    (B, K+M) product differently."""
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.complex128))
-    energy = x_rows @ rows[:config.n_ehd].T
-    if offsets is not None:
-        energy += offsets
-    sensing = x_rows @ rows[config.n_ehd:].T
-    return (energy_weight(config) * (np.abs(energy) ** 2).sum(axis=1)
-            + (1.0 - config.rho) * (np.abs(sensing) ** 2).sum(axis=1))
-
-
 def build_operators(channels: ChannelSet, phases: PhaseProfile | None,
                     beam: Beamformer | None, config: SystemConfig) -> DerivedOperators:
     """Materialise the Gram matrix of each side whose frozen variable is
@@ -212,29 +198,22 @@ def build_operators(channels: ChannelSet, phases: PhaseProfile | None,
 
 def objective_for_phase_batch(channels: ChannelSet, beam: Beamformer,
                               config: SystemConfig, v_rows: np.ndarray) -> np.ndarray:
-    """Composite objective J evaluated for a batch of phase vectors.
-
-    `v_rows` is (B, L); returns a length-B real array.  J has two
-    evaluation paths that agree to rounding: `_score`, behind both batch
-    evaluators, `composite_objective` and the oracle searches; and
-    `solution_metrics`, which reads the `beam_rows` it is given and gives
-    every trace step and CSV value.
-    """
+    """J for each of the B phase vectors of `v_rows` (B, L) at the beamformer."""
     rows = phase_rows(channels, beam, config)
-    return _score(rows[:, :-1], config, v_rows, rows[:config.n_ehd, -1])
+    return solution_metrics(rows[:, :-1], np.atleast_2d(v_rows), config, rows[:, -1])[0]
 
 
 def objective_for_beam_batch(channels: ChannelSet, phases: PhaseProfile,
                              config: SystemConfig, w_rows: np.ndarray) -> np.ndarray:
-    """Composite objective J for a batch of beamformers at fixed phases."""
-    return _score(beam_rows(channels, phases, config), config, w_rows)
+    """J for each of the B beamformers of `w_rows` (B, N) at the phases."""
+    return solution_metrics(beam_rows(channels, phases, config), np.atleast_2d(w_rows),
+                            config)[0]
 
 
 def composite_objective(channels: ChannelSet, phases: PhaseProfile,
                         beam: Beamformer, config: SystemConfig) -> float:
-    """Scalar J at one iterate (see module docstring for the formula)."""
-    return float(objective_for_phase_batch(channels, beam, config,
-                                           phases.v[None, :])[0])
+    """Scalar J at one iterate, the arithmetic of every trace step."""
+    return solution_metrics(beam_rows(channels, phases, config), beam.w, config)[0]
 
 
 def beampattern_profile(channels: ChannelSet, phases: PhaseProfile,
@@ -254,13 +233,16 @@ def objective_from_parts(rho: float | np.ndarray, p0: float, harvested: float | 
     return rho * p0 * harvested + (1.0 - rho) * sensing
 
 
-def solution_metrics(rows: np.ndarray, beam: Beamformer,
-                     config: SystemConfig) -> tuple[float, float, float]:
-    """(J, summed harvested power, summed target beampattern) at the
-    beamformer and the `beam_rows` of the phase profile."""
-    power = np.abs(rows @ beam.w) ** 2
-    harvested_sum = float(config.eta * power[:config.n_ehd].sum())
-    beampattern_sum = float(power[config.n_ehd:].sum())
-    j_value = objective_from_parts(config.rho, config.p0, harvested_sum,
-                                   beampattern_sum)
-    return j_value, harvested_sum, beampattern_sum
+def solution_metrics(rows: np.ndarray, x: np.ndarray, config: SystemConfig,
+                     offsets: np.ndarray | None = None) -> tuple:
+    """(J, summed harvested power, summed target beampattern) of x, one
+    vector or a (B, N) batch, against the K device rows, then the target
+    rows: x . row (unconjugated) plus its entry of `offsets`, if given."""
+    y = x @ rows.T
+    if offsets is not None:
+        y += offsets
+    power = np.abs(y) ** 2
+    harvested = config.eta * power[..., :config.n_ehd].sum(-1)
+    sensing = power[..., config.n_ehd:].sum(-1)
+    return (objective_from_parts(config.rho, config.p0, harvested, sensing),
+            harvested, sensing)

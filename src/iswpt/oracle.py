@@ -4,8 +4,8 @@ These are exhaustive searches used as ground truth for the iterative
 algorithms on small instances.  The phase grid has `phase_levels` points
 -pi + 2*pi*i/levels, i = 0..levels-1, and a search covers all levels**dim
 combinations in lexicographic order over the digit vector (first element
-most significant).  Objective values come from the shared batch evaluators
-in `objective`, so the oracle measures exactly the J the algorithms optimise.
+most significant).  Rows are scored by `objective`'s batch evaluators, through
+`solution_metrics`, the one evaluation of J that gives every trace step.
 Rows are assembled from a phasor table, the `levels` complex factors of the
 grid computed once per search, never from per-row exponentials or digits.
 Each search checks its inputs first.
@@ -110,8 +110,9 @@ def _margin(table: np.ndarray, rows: np.ndarray, weights: np.ndarray,
     off by <= e*m_k, e = sqrt(2)*g_{2 dim + 1}; this holds for the score's
     products and for A and B, whose bounds add up to m_k.  So each squared
     modulus moves by <= (2e + e^2)*m_k^2.  Each term then takes <= 3P + 3
-    relative roundings: the score's hypot (2), square, weight, sums and
-    group add (P + 4); in the screen, one real dot of the 2P + 2 terms
+    relative roundings: the score's hypot and square (2), group sum
+    (P - 1), weight and products (3: eta, rho*p0 or 1 - rho) and group add
+    (P + 5 <= 3P + 3); in the screen, one real dot of the 2P + 2 terms
     2w Re A Re B, 2w Im A Im B, a*1 and 1*b, a cross term's scaling by 2w
     and the dot (2P + 3), and a term of a or b its squares and add, the
     weighted dot of length P and the dot's sums (3P + 3).  As |Re A Re B| +
@@ -163,7 +164,7 @@ def _grid_search(budget: SearchBudget, table: np.ndarray, rows: np.ndarray,
 
 def _weights(config: SystemConfig, count: int) -> np.ndarray:
     """The weights of J's Gram form: rho*eta*p0 for the K device rows, then
-    1 - rho for the target rows, as `objective._score` applies them."""
+    1 - rho for the target rows."""
     weights = np.full(count, 1.0 - config.rho)
     weights[:config.n_ehd] = energy_weight(config)
     return weights

@@ -169,6 +169,7 @@ class SystemConfig:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
         for name in _POSITIVE_FIELDS + ("eta", "rho"):   # np.float64(0.9) -> 0.9
             object.__setattr__(self, name, float(getattr(self, name)))
+        self._check_scales()
         angles = tuple(float(a) for a in self.target_angles)
         object.__setattr__(self, "target_angles", angles)
         if len(angles) != self.n_targets:
@@ -178,6 +179,36 @@ class SystemConfig:
             if not -math.pi / 2.0 <= a <= math.pi / 2.0:
                 raise ValueError(f"target angle {a!r} outside [-pi/2, pi/2]")
         object.__setattr__(self, "seed", check_count("seed", self.seed, minimum=0))
+
+    def _check_scales(self) -> None:
+        """Reject finite fields whose derived scales leave the float range:
+        the steering phases 2 pi delta (L - 1), a link's path loss that
+        overflows or underflows to 0, and a bound on J.  `complex_normal`
+        draws |z|^2 <= 53 ln 2, so a drawn link entry has |h|^2 <= c pl,
+        c = 106 ln 2; the unweighted row products of `objective.gram` are at
+        most G = c^2 (K (sqrt(pl_d) + L sqrt(pl_ru pl_br))^2 + M L^2 pl_br),
+        and J <= N p0 max(eta p0, 1) G on every draw."""
+        if not TWO_PI * self.delta * max(self.n_irs - 1, 1) < math.inf:
+            raise ValueError(f"delta = {self.delta!r} overflows the steering phases")
+        losses = []
+        for dist, ple in (("dist_tx_irs", "ple_tx_irs"), ("dist_irs_ehd", "ple_irs_ehd"),
+                          ("dist_tx_ehd", "ple_tx_ehd")):
+            try:
+                loss = path_loss(self.pl_ref, getattr(self, dist), getattr(self, ple))
+            except OverflowError:
+                loss = math.inf
+            if not 0.0 < loss < math.inf:
+                raise ValueError(f"path loss pl_ref * {dist}**(-{ple}) is {loss!r}; "
+                                 "it must be finite and positive")
+            losses.append(loss)
+        pl_br, pl_ru, pl_d = losses
+        peak = 106.0 * math.log(2.0)
+        device = math.sqrt(pl_d) + self.n_irs * math.sqrt(pl_ru) * math.sqrt(pl_br)
+        rows = peak * peak * (self.n_ehd * device * device
+                              + self.n_targets * self.n_irs * self.n_irs * pl_br)
+        if not rows * self.n_tx * self.p0 * max(self.eta * self.p0, 1.0) < math.inf:
+            raise ValueError(f"J or its Gram products may overflow: their bound from "
+                             f"p0 = {self.p0!r} and the path losses is inf")
 
     @property
     def per_antenna_power(self) -> float:

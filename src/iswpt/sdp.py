@@ -268,15 +268,17 @@ def extract_beamformer(x_opt: np.ndarray, big_h: np.ndarray,
     Each candidate is projected entrywise onto the per-antenna modulus
     (zero entries get phase 0) and scored on the true quadratic objective
     w^H big_h w; the best candidate wins, first on ties.  An incumbent
-    iterate, when given, competes as an extra candidate so the extraction
-    never returns anything worse than it.
+    iterate, when given, competes as an extra candidate and wins as itself,
+    not rebuilt, so the extraction never returns anything worse than it.
     """
     cands = _candidates(x_opt, n_rand, rng)
     w_rows = config.beam_amplitude * np.exp(1j * np.angle(cands))
     if incumbent is not None:
         w_rows = np.vstack([w_rows, incumbent.w[None, :]])
-    scores = _quadratic_scores(w_rows, big_h)
-    return Beamformer.from_phases(np.angle(w_rows[int(np.argmax(scores))]), config)
+    best = int(np.argmax(_quadratic_scores(w_rows, big_h)))
+    if best == len(cands):   # the incumbent's row, the last
+        return incumbent
+    return Beamformer.from_phases(np.angle(w_rows[best]), config)
 
 
 def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,

@@ -183,7 +183,7 @@ def test_caps_of_one_and_two_run_plain_maps(algorithm, case, cap):
     trace = run_ao(config, ao, channels, trial_stream(config.seed, 1))
     phases, rows, beam = _initial_iterates(config, ao, channels,
                                            trial_stream(config.seed, 1))
-    expected = [solution_metrics(rows, beam, config)[0]]
+    expected = [solution_metrics(rows, beam.w, config)[0]]
     solution_w = solution_v = None
     tol = ao.sdp_start_tol
     for _ in range(cap):
@@ -193,7 +193,7 @@ def test_caps_of_one_and_two_run_plain_maps(algorithm, case, cap):
         else:
             beam, _, solution_w = sdp.sdp_update_w(big_h, config, tol,
                                                    beam, solution_w)
-        expected.append(solution_metrics(beam_rows(channels, phases, config), beam,
+        expected.append(solution_metrics(beam_rows(channels, phases, config), beam.w,
                                          config)[0])
         ops = build_operators(channels, None, beam, config)
         if algorithm == ALGORITHM_LC:
@@ -201,7 +201,7 @@ def test_caps_of_one_and_two_run_plain_maps(algorithm, case, cap):
         else:
             phases, _, solution_v = sdp.sdp_update_v(ops.big_f, config, tol,
                                                      phases, solution_v)
-        expected.append(solution_metrics(beam_rows(channels, phases, config), beam,
+        expected.append(solution_metrics(beam_rows(channels, phases, config), beam.w,
                                          config)[0])
         tol = _next_sdp_tol(ao, expected[-1], expected[-3])
     assert [s.objective for s in trace.steps] == expected
@@ -567,7 +567,7 @@ def test_last_record_reads_the_rows_of_the_final_iterate(algorithm, seed, l, rho
         trace = run_ao(config, ao, channels, trial_stream(seed, 1))
     assert fresh_rows and all(fresh_rows)
     last = trace.steps[-1]
-    fresh = solution_metrics(beam_rows(channels, trace.phases, config), trace.beam,
+    fresh = solution_metrics(beam_rows(channels, trace.phases, config), trace.beam.w,
                              config)
     assert (last.objective, last.harvested_sum, last.beampattern_sum) == fresh
 
@@ -575,6 +575,19 @@ def test_last_record_reads_the_rows_of_the_final_iterate(algorithm, seed, l, rho
 BLAS_THREADS = scenario._BLAS_THREAD_CALLS
 needs_blas_threads = pytest.mark.skipif(
     BLAS_THREADS is None, reason="no OpenBLAS thread-count setter resolves")
+
+
+@pytest.mark.parametrize("n_irs", [10, 40])
+@pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
+def test_composite_objective_reads_the_final_trace_value(algorithm, n_irs):
+    # One evaluation of J: at a run's final iterate composite_objective
+    # gives the bits that the trace recorded there.
+    config = SystemConfig(n_irs=n_irs, seed=5)
+    for trial in range(3):
+        channels = sample_channels(config, trial_stream(5, 0, trial))
+        trace = run_ao(config, AoConfig(algorithm), channels, trial_stream(5, 1, trial))
+        assert objective.composite_objective(
+            channels, trace.phases, trace.beam, config) == trace.final_objective()
 
 
 @pytest.fixture

@@ -21,8 +21,8 @@ from iswpt import cli, sdp
 from iswpt.cli import (ExperimentSpec, _format_cell, experiment_from_mapping,
                        main, parse_kv_file)
 from iswpt.objective import beam_rows, solution_metrics
-from iswpt.scenario import (SystemConfig, db_to_linear, sample_channels,
-                            trial_stream)
+from iswpt.scenario import (_POSITIVE_FIELDS, SystemConfig, db_to_linear,
+                            sample_channels, trial_stream)
 
 
 BASE_SPEC = """
@@ -165,6 +165,9 @@ def test_flags_go_through_the_spec_parser(tmp_path, capsys):
 
 
 _POSITIVE = st.floats(1e-3, 1e3)
+# Path-loss exponents up to 10: at 1e3 a 10 m link's path loss underflows to 0,
+# which SystemConfig rejects.
+_EXPONENT = st.floats(1e-3, 10.0)
 # One strategy per settable field; target angles and n_targets are drawn
 # together, in degrees.
 _CONFIG_VALUES = {
@@ -172,7 +175,7 @@ _CONFIG_VALUES = {
     "n_ehd": st.integers(1, 8), "p0": _POSITIVE, "eta": st.floats(1e-3, 1.0),
     "rho": st.floats(0.0, 1.0), "delta": _POSITIVE, "dist_tx_irs": _POSITIVE,
     "dist_irs_ehd": _POSITIVE, "dist_tx_ehd": _POSITIVE,
-    "ple_tx_irs": _POSITIVE, "ple_irs_ehd": _POSITIVE, "ple_tx_ehd": _POSITIVE,
+    "ple_tx_irs": _EXPONENT, "ple_irs_ehd": _EXPONENT, "ple_tx_ehd": _EXPONENT,
     "pl_ref": _POSITIVE, "rician_k": _POSITIVE, "seed": st.integers(0, 2 ** 63),
 }
 _EXPERIMENT_VALUES = {
@@ -479,6 +482,24 @@ def test_failed_run_leaves_existing_out_untouched(tmp_path, capsys, monkeypatch)
     assert out.stat().st_mtime_ns == before.st_mtime_ns
 
 
+@pytest.mark.parametrize("value", [1e-300, 1e300])
+@pytest.mark.parametrize("name", _POSITIVE_FIELDS)
+def test_extreme_finite_fields_exit_zero_or_two(tmp_path, capsys, name, value):
+    # dist_tx_irs = 1e-200 and p0 = 1e300 once exited 5 ("internal error"):
+    # a finite field is rejected at parse time or runs to finite cells.
+    spec = write_spec(tmp_path, f"n_trials = 1\nsweep_l = 4\nalgorithms = lc\n"
+                                f"{name} = {value!r}\n")
+    out = tmp_path / "x.csv"
+    code = run_cli(["sweep-l", "--spec", spec, "--out", str(out)])
+    assert code in (0, 2), capsys.readouterr().err
+    if code == 2:
+        assert not out.exists()
+        return
+    _, rows = read_csv(out)
+    assert rows and all(math.isfinite(float(cell)) for row in rows
+                        for key, cell in row.items() if key != "algorithm")
+
+
 def test_internal_error_exits_five_without_csv(tmp_path, capsys, monkeypatch):
     # A bug is not bad input: it has its own code, not 2.
     def broken(*args, **kwargs):
@@ -659,7 +680,8 @@ def test_sweep_rho_reports_best_pool_member_by_objective(monkeypatch):
     assert len(traces) == len(exp.sweep_rho)
     for idx, rho in enumerate(exp.sweep_rho):
         config = SystemConfig(seed=1, rho=rho)
-        pool = [solution_metrics(beam_rows(channels, t.phases, config), t.beam, config)
+        pool = [solution_metrics(beam_rows(channels, t.phases, config), t.beam.w,
+                                 config)
                 for t in traces]
         _, best_e, best_s = max(pool)
         assert (harvested[idx], sensing[idx]) == pytest.approx((best_e, best_s),

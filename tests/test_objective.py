@@ -92,17 +92,17 @@ def test_harvested_energy_direct_link_only():
     beam = Beamformer.from_phases(np.zeros(4), config)
     expected = config.eta * config.p0 / config.n_tx
     rows = beam_rows(channels, phases, config)
-    _, harvested, _ = solution_metrics(rows, beam, config)
+    _, harvested, _ = solution_metrics(rows, beam.w, config)
     assert harvested == pytest.approx(expected)
 
 
 def test_harvested_energy_proportional_to_eta():
     config, channels, phases, beam = random_instance(seed=31, eta=0.4)
     rows = beam_rows(channels, phases, config)
-    _, half, sensing = solution_metrics(rows, beam, config)
+    _, half, sensing = solution_metrics(rows, beam.w, config)
     doubled = dataclasses.replace(config, eta=0.8)
     _, harvested, same_sensing = solution_metrics(
-        beam_rows(channels, phases, doubled), beam, doubled)
+        beam_rows(channels, phases, doubled), beam.w, doubled)
     assert harvested == pytest.approx(2.0 * half, rel=1e-12)
     assert same_sensing == sensing
 
@@ -150,7 +150,7 @@ def test_composite_objective_operator_forms_agree(seed, n, l, k, m, rho):
     config, channels, phases, beam = random_instance(seed, n=n, l=l, k=k, m=m,
                                                      rho=rho)
     ops = build_operators(channels, phases, beam, config)
-    j_direct = solution_metrics(beam_rows(channels, phases, config), beam,
+    j_direct = solution_metrics(beam_rows(channels, phases, config), beam.w,
                                 config)[0]
     x = np.append(phases.v, 1.0)
     forms = (
@@ -271,10 +271,35 @@ def test_batch_evaluators_match_scalar_entry_point():
         assert value == pytest.approx(direct, rel=1e-10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 12), l=st.integers(1, 40),
+       k=st.integers(2, 5), m=st.integers(2, 3), rho=st.floats(0.0, 1.0),
+       batch=st.integers(1, 9))
+def test_batch_rows_match_composite_objective(seed, n, l, k, m, rho, batch):
+    # Both batch evaluators and composite_objective are one evaluation of J;
+    # a row's value may move only by the rounding of a longer call.
+    config, channels, phases, beam = random_instance(seed, n=n, l=l, k=k, m=m,
+                                                     rho=rho)
+    rng = trial_stream(seed, 9)
+    profiles = [PhaseProfile(alpha=a) for a in rng.uniform(-np.pi, np.pi, (batch, l))]
+    beams = [Beamformer.from_phases(a, config)
+             for a in rng.uniform(-np.pi, np.pi, (batch, n))]
+    batch_v = objective_for_phase_batch(channels, beam, config,
+                                        np.array([p.v for p in profiles]))
+    batch_w = objective_for_beam_batch(channels, phases, config,
+                                       np.array([b.w for b in beams]))
+    for profile, value in zip(profiles, batch_v):
+        assert value == pytest.approx(
+            composite_objective(channels, profile, beam, config), rel=1e-14)
+    for row_beam, value in zip(beams, batch_w):
+        assert value == pytest.approx(
+            composite_objective(channels, phases, row_beam, config), rel=1e-14)
+
+
 def test_solution_metrics_decomposition():
     config, channels, phases, beam = random_instance(seed=6)
     j_value, harvested, sensing = solution_metrics(
-        beam_rows(channels, phases, config), beam, config)
+        beam_rows(channels, phases, config), beam.w, config)
     # eta * |h_tilde_k w|^2 per device, h_tilde_k = h_ru_k diag(v) H_br + h_d_k.
     per_device = sum(
         config.eta * abs((channels.h_ru[k] * phases.v) @ channels.h_br @ beam.w

@@ -185,6 +185,23 @@ def test_system_config_rejects_non_finite(name, value):
         SystemConfig(**{name: value})
 
 
+@pytest.mark.parametrize("fields, match", [
+    (dict(dist_tx_irs=1e-200), r"pl_ref \* dist_tx_irs\*\*\(-ple_tx_irs\) is inf"),
+    (dict(dist_tx_ehd=1e300), r"pl_ref \* dist_tx_ehd\*\*\(-ple_tx_ehd\) is 0.0"),
+    (dict(ple_irs_ehd=1e300), r"dist_irs_ehd\*\*\(-ple_irs_ehd\) is 0.0"),
+    (dict(p0=1e300), "may overflow: their bound from p0 = 1e[+]300"),
+    (dict(p0=1e160, pl_ref=1e3), "may overflow"),
+    (dict(p0=1e-300, pl_ref=1e277, dist_irs_ehd=1e87), "may overflow"),
+    (dict(delta=1e308), "delta = 1e[+]308 overflows the steering phases"),
+])
+def test_system_config_rejects_scales_out_of_range(fields, match):
+    # Finite fields whose path loss overflowed once raised OverflowError in
+    # sample_channels; an overflowing J or steering phase failed a run with
+    # "beam must be finite", and an overflowing Gram product wrote NaN.
+    with pytest.raises(ValueError, match=match):
+        SystemConfig(**fields)
+
+
 def test_system_config_power_properties():
     config = SystemConfig(n_tx=4, p0=100.0)
     assert config.per_antenna_power == pytest.approx(25.0)

@@ -532,6 +532,21 @@ def test_extract_beamformer_keeps_incumbent():
     assert achieved >= best * (1.0 - 1e-12)
 
 
+def test_extract_beamformer_returns_a_winning_incumbent_itself():
+    # A beam rebuilt from its phases need not have the same bits, so a
+    # winning incumbent is returned as it is.
+    config = small_config(n=12)
+    rng = trial_stream(28, 0)
+    beams = (Beamformer.from_phases(rng.uniform(-np.pi, np.pi, 12), config)
+             for _ in range(50))
+    incumbent = next(b for b in beams if not np.array_equal(
+        Beamformer.from_phases(np.angle(b.w), config).w, b.w))
+    big_h = np.outer(incumbent.w, incumbent.w.conj())   # maximised at the incumbent
+    out = extract_beamformer(np.eye(12), big_h, config, n_rand=0,
+                             incumbent=incumbent)
+    assert np.array_equal(out.w, incumbent.w)
+
+
 def test_extract_phases_rank_one_recovery():
     rng = trial_stream(28, 0)
     l_dim = 6
