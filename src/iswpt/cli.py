@@ -97,6 +97,9 @@ class ExperimentSpec:
             raise ValueError("sweep_l must be a nonempty list")
         for l_dim in self.sweep_l:
             check_count("sweep_l entry", l_dim)
+        # The L sweeps rebuild the config at each entry, and its scale
+        # checks only tighten with L: check them once, at the largest.
+        dataclasses.replace(self.config, n_irs=max(self.sweep_l))
         if not self.sweep_rho or any(not 0.0 <= r <= 1.0 for r in self.sweep_rho):
             raise ValueError("sweep_rho entries must lie in [0, 1]")
         if not MIN_ANGLE_STEP_DEG <= self.angle_step_deg < np.inf:

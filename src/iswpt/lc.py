@@ -14,16 +14,12 @@ minorant, so each step can only raise the objective.
   g(v0) - 2 Re((v - v0)^H (F11 v0 + f12)), majorises it at any L (Sun,
   Babu & Palomar, IEEE TSP 2017) and no eigenvalue shift is needed.
 
-Each step costs one matrix-vector product.  `sca_solve` iterates the beam
-step plainly.  `mm_solve` wraps the phase step in SQUAREM (SqS3; Varadhan
-& Roland, Scand. J. Stat. 2008, applied to MM as in Sun, Babu & Palomar):
-a cycle of two plain maps, a jump along their squared extrapolation
-projected back onto the unit circle and one more map from there, kept
-only if it lowers g no less than the two plain maps did.  That keeps the
-descent monotone; warm-started solves at L=40 reach the stop test in about
-a third of the maps of plain iteration.  `max_iters` caps the number of
-maps, extrapolated ones included.  The jump itself is `sqs3_jump`, which
-`ao.run_ao` also applies to the outer lc map.
+Each step costs one matrix-vector product.  Both solves iterate it in one
+loop, `_sqs3_ascent`: SQUAREM (SqS3; Varadhan & Roland, Scand. J. Stat.
+2008, applied to MM as in Sun, Babu & Palomar) with a safeguard that keeps
+the ascent monotone.  Warm-started MM solves at L=40 reach the stop test
+in about a third of the maps of plain iteration.  The jump itself is
+`sqs3_jump`, which `ao.run_ao` also applies to the outer lc map.
 
 Each solve checks its inputs once, at entry, with the helpers of
 `scenario`: its loop parameters, then `sca_solve` the beam and the N x N
@@ -34,7 +30,7 @@ solve loop, here and in `ao`, stops on the test `stalled`.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,6 +56,36 @@ def sqs3_jump(x0: np.ndarray, x1: np.ndarray,
     return np.angle(x0 - 2.0 * a * r + a * a * d)
 
 
+def _sqs3_ascent(step: Callable, lift: Callable, start: tuple,
+                 max_iters: int, rel_tol: float):
+    """Iterate `step` in safeguarded SqS3 cycles; return the last iterate.
+
+    `start` and each `step(iterate)` are triples (iterate, vector, score).
+    A cycle takes two plain maps x0 -> x1 -> x2, then one map from
+    `lift(sqs3_jump(x0, x1, x2))`, kept only if it scores no lower than x2,
+    so the score never falls.  The loop stops when the score stalls after a
+    cycle's first map.  `max_iters` counts every map: a cycle the cap would
+    cut short skips the jump, so caps of 1 and 2 give plain steps."""
+    (out, x, score_start), maps = start, 0
+    while maps < max_iters:
+        x0 = x
+        out, x, score = step(out)
+        maps += 1
+        if maps == max_iters or stalled(score, score_start, rel_tol):
+            break
+        x1 = x
+        out, x, score = step(out)
+        maps += 1
+        jump = sqs3_jump(x0, x1, x) if maps < max_iters else None
+        if jump is not None:
+            ext = step(lift(jump))
+            maps += 1
+            if ext[2] >= score:
+                out, x, score = ext
+        score_start = score
+    return out
+
+
 def _ascent_phases(m_mat: np.ndarray, x: np.ndarray,
                    b: np.ndarray | None = None) -> np.ndarray:
     """Phases of the ascent step: arg(M x + b) entrywise, with arg(x)
@@ -81,20 +107,19 @@ def sca_update_w(big_h: np.ndarray, w_prev: Beamformer,
 
 def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
               max_iters: int = 50, rel_tol: float = 1e-9) -> Beamformer:
-    """Iterate SCA steps at fixed phases until w^H H w stalls."""
+    """Iterate SCA steps at fixed phases in `_sqs3_ascent` until w^H H w stalls."""
     check_loop(max_iters, rel_tol, "max_iters")
     check_finite("beam", beam.w, (config.n_tx,))
     big_h = np.asarray(big_h)
     check_hermitian(big_h, "big_h", config.n_tx)
-    out = beam
-    q_prev = float(np.vdot(out.w, big_h @ out.w).real)
-    for _ in range(max_iters):
-        out = sca_update_w(big_h, out, config)
-        q = float(np.vdot(out.w, big_h @ out.w).real)
-        if stalled(q, q_prev, rel_tol):
-            break
-        q_prev = q
-    return out
+
+    def step(w_prev: Beamformer) -> tuple[Beamformer, np.ndarray, float]:
+        out = sca_update_w(big_h, w_prev, config)
+        return out, out.w, float(np.vdot(out.w, big_h @ out.w).real)
+
+    start = (beam, beam.w, float(np.vdot(beam.w, big_h @ beam.w).real))
+    return _sqs3_ascent(step, lambda phase: Beamformer.from_phases(phase, config),
+                        start, max_iters, rel_tol)
 
 
 class MmProblem(NamedTuple):
@@ -127,46 +152,17 @@ def mm_update_v(problem: MmProblem) -> PhaseProfile:
 
 def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
              max_iters: int = 50, rel_tol: float = 1e-6) -> PhaseProfile:
-    """Run SQUAREM-accelerated MM steps at fixed beamformer until g stalls.
-
-    One cycle from v0 takes two plain maps, v1 = F(v0) and v2 = F(v1), with
-    F one `mm_update_v` call.  It then jumps to `sqs3_jump(v0, v1, v2)`
-    and maps the jump once more.
-    The safeguard keeps the result only if its g is no higher than g(v2),
-    so g never rises and the cycle does at least as well as two plain
-    steps.  An entry with a zero gradient has r = d = 0 and keeps its
-    phase.  The loop stops when g stalls after the first map of a cycle
-    (the rest of a cycle only lowers g further).  `max_iters` caps the
-    number of maps: a cycle that the cap would cut short skips the
-    extrapolation, so a cap of 1 or 2 gives exactly 1 or 2 plain steps.
-    """
+    """Iterate MM steps at fixed beamformer in `_sqs3_ascent` until g stalls."""
     check_loop(max_iters, rel_tol, "max_iters")
     l_dim = phases.v.size
     check_hermitian(ops.big_f, "big_f", l_dim + 1)
     check_finite("phases", phases.v, (l_dim,))
     problem = MmProblem.from_operators(ops, phases)
 
-    def step(v: np.ndarray) -> tuple[PhaseProfile, float]:
-        anchored = MmProblem(problem.f11, problem.f12, v)
+    def step(prev: PhaseProfile) -> tuple[PhaseProfile, np.ndarray, float]:
+        anchored = MmProblem(problem.f11, problem.f12, prev.v)
         out = mm_update_v(anchored)
-        return out, mm_objective(anchored, out.v)
+        return out, out.v, -mm_objective(anchored, out.v)
 
-    out, g_start = phases, mm_objective(problem, phases.v)
-    maps = 0
-    while maps < max_iters:
-        v0 = out.v
-        out, g = step(v0)
-        maps += 1
-        if maps == max_iters or stalled(g, g_start, rel_tol):
-            break
-        v1 = out.v
-        out, g = step(v1)
-        maps += 1
-        jump = sqs3_jump(v0, v1, out.v) if maps < max_iters else None
-        if jump is not None:
-            ext, g_ext = step(PhaseProfile._trusted(jump).v)
-            maps += 1
-            if g_ext <= g:
-                out, g = ext, g_ext
-        g_start = g
-    return out
+    start = (phases, phases.v, -mm_objective(problem, phases.v))
+    return _sqs3_ascent(step, PhaseProfile._trusted, start, max_iters, rel_tol)

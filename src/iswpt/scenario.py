@@ -182,14 +182,16 @@ class SystemConfig:
 
     def _check_scales(self) -> None:
         """Reject finite fields whose derived scales leave the float range:
-        the steering phases 2 pi delta (L - 1), a link's path loss that
-        overflows or underflows to 0, and a bound on J.  `complex_normal`
-        draws |z|^2 <= 53 ln 2, so a drawn link entry has |h|^2 <= c pl,
+        the steering phases 2 pi delta (L - 1) from 2**52 on, where adjacent
+        doubles are 1 rad apart, a link's path loss that overflows or
+        underflows to 0, and a bound on J.  `complex_normal` draws
+        |z|^2 <= 53 ln 2, so a drawn link entry has |h|^2 <= c pl,
         c = 106 ln 2; the unweighted row products of `objective.gram` are at
         most G = c^2 (K (sqrt(pl_d) + L sqrt(pl_ru pl_br))^2 + M L^2 pl_br),
         and J <= N p0 max(eta p0, 1) G on every draw."""
-        if not TWO_PI * self.delta * max(self.n_irs - 1, 1) < math.inf:
-            raise ValueError(f"delta = {self.delta!r} overflows the steering phases")
+        if not TWO_PI * self.delta * max(self.n_irs - 1, 1) < 2.0 ** 52:
+            raise ValueError(f"delta = {self.delta!r} overflows the steering phases at "
+                             f"L = {self.n_irs}: 2 pi delta (L - 1) must stay below 2**52")
         losses = []
         for dist, ple in (("dist_tx_irs", "ple_tx_irs"), ("dist_irs_ehd", "ple_irs_ehd"),
                           ("dist_tx_ehd", "ple_tx_ehd")):

@@ -482,6 +482,17 @@ def test_failed_run_leaves_existing_out_untouched(tmp_path, capsys, monkeypatch)
     assert out.stat().st_mtime_ns == before.st_mtime_ns
 
 
+def assert_rejected_or_finite(code, out, err=""):
+    """Exit 2 leaves no CSV; exit 0 writes only finite cells."""
+    assert code in (0, 2), err
+    if code == 2:
+        assert not out.exists()
+        return
+    _, rows = read_csv(out)
+    assert rows and all(math.isfinite(float(cell)) for row in rows
+                        for key, cell in row.items() if key != "algorithm")
+
+
 @pytest.mark.parametrize("value", [1e-300, 1e300])
 @pytest.mark.parametrize("name", _POSITIVE_FIELDS)
 def test_extreme_finite_fields_exit_zero_or_two(tmp_path, capsys, name, value):
@@ -491,13 +502,62 @@ def test_extreme_finite_fields_exit_zero_or_two(tmp_path, capsys, name, value):
                                 f"{name} = {value!r}\n")
     out = tmp_path / "x.csv"
     code = run_cli(["sweep-l", "--spec", spec, "--out", str(out)])
-    assert code in (0, 2), capsys.readouterr().err
+    assert_rejected_or_finite(code, out, capsys.readouterr().err)
+
+
+# The largest delta whose steering phases 2 pi delta (L - 1) stay below
+# 2**52 at L = 4.
+_DELTA_BOUND_L4 = 2.0 ** 52 / (2.0 * math.pi * 3)
+
+
+@pytest.mark.parametrize("delta, code", [(1e300, 2), (_DELTA_BOUND_L4 / 4, 0)],
+                         ids=["1e300", "bound-over-4"])
+def test_delta_is_bounded_where_phases_keep_their_precision(tmp_path, capsys,
+                                                            delta, code):
+    # delta = 1e300 ran to exit 0 with steering phases that were rounding
+    # noise; from 2**52 on, adjacent doubles are at least 1 rad apart.
+    spec = write_spec(tmp_path, f"n_irs = 4\nsweep_l = 4\nn_trials = 1\n"
+                                f"algorithms = lc\ndelta = {delta!r}\n")
+    out = tmp_path / "x.csv"
+    assert run_cli(["sweep-l", "--spec", spec, "--out", str(out)]) == code
+    err = capsys.readouterr().err
     if code == 2:
-        assert not out.exists()
-        return
-    _, rows = read_csv(out)
-    assert rows and all(math.isfinite(float(cell)) for row in rows
-                        for key, cell in row.items() if key != "algorithm")
+        assert err.startswith(f"error: delta = {delta!r} overflows")
+    assert_rejected_or_finite(code, out, err)
+
+
+@pytest.mark.parametrize("command", ["sweep-l", "convergence", "beampattern"])
+def test_sweep_l_entries_above_n_irs_are_checked_at_parse_time(tmp_path, capsys,
+                                                              command):
+    # delta = 1e14 passes the steering-phase bound at n_irs = 4 but not at
+    # L = 10.  The L sweeps rebuild the config there mid-run, which exited 5
+    # with "internal error: ValueError".
+    spec = write_spec(tmp_path, "n_irs = 4\nsweep_l = 4, 10\ndelta = 1e14\n"
+                                "n_trials = 1\nalgorithms = lc\n")
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--spec", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: delta = 100000000000000.0 overflows the steering phases at L = 10")
+    assert not out.exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponents=st.dictionaries(st.sampled_from(_POSITIVE_FIELDS),
+                                 st.floats(-300.0, 300.0), min_size=1, max_size=3),
+       n_irs=st.integers(1, 4),
+       above=st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True))
+def test_spec_values_exit_zero_or_two(exponents, n_irs, above):
+    # Any finite positive field, with sweep entries above n_irs, is rejected
+    # at parse time (exit 2) or runs to finite cells; never exit 5.
+    fields = "".join(f"{name} = {10.0 ** e!r}\n" for name, e in exponents.items())
+    sweep = ", ".join(str(n_irs + a) for a in above)
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "exp.txt"
+        spec.write_text(f"n_tx = 2\nn_irs = {n_irs}\nsweep_l = {sweep}\n"
+                        f"n_trials = 1\nalgorithms = lc\nmax_outer_iters = 3\n{fields}")
+        out = Path(tmp) / "x.csv"
+        assert_rejected_or_finite(run_cli(["sweep-l", "--spec", str(spec),
+                                           "--out", str(out)]), out)
 
 
 def test_internal_error_exits_five_without_csv(tmp_path, capsys, monkeypatch):

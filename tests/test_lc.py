@@ -340,14 +340,15 @@ def test_mm_solve_improves_composite_objective():
 # The references below are written from the algorithms' formulas, not from
 # `lc`: every MM step rebuilds and re-validates an MmProblem at the T = 0
 # majorizer, and every step takes its phases with np.angle and an np.abs
-# mask.  The MM solve is SQUAREM (SqS3, Varadhan & Roland 2008) over that
-# step: two plain maps v1 = F(v0), v2 = F(v1); r = v1 - v0,
-# d = v2 - 2 v1 + v0, a = -max(|r| / |d|, 1); one map from the unit-modulus
-# projection of v0 - 2 a r + a^2 d, kept only if its g is no higher than
-# g(v2).  Every map counts against max_iters; a cycle the cap would cut
-# short, or one with d = 0, skips the extrapolation.  It stops when g
-# stalls after a cycle's first map or across the cycle.  The solvers must
-# reproduce the references bit for bit.
+# mask.  Both solves are SQUAREM (SqS3, Varadhan & Roland 2008) over their
+# step, here a descent on g (g = -w^H H w for SCA): two plain maps
+# x1 = F(x0), x2 = F(x1); r = x1 - x0, d = x2 - 2 x1 + x0,
+# a = -max(|r| / |d|, 1); one map from the constant-modulus projection of
+# x0 - 2 a r + a^2 d, kept only if its g is no higher than g(x2).  Every
+# map counts against max_iters; a cycle the cap would cut short, or one
+# with d = 0, skips the extrapolation.  It stops when g stalls after a
+# cycle's first map or across the cycle.  The solvers must reproduce the
+# references bit for bit.
 #
 # The MM references take their steps in u = conj(v), on the conjugated
 # lifted matrix big_f.conj(): an independent route to the same phases, in
@@ -368,33 +369,31 @@ def reference_mm_step(problem):
     return PhaseProfile(alpha=phase)
 
 
-def reference_mm_solve(ops, phases, max_iters=50, rel_tol=1e-6):
-    base = MmProblem.from_operators(ops, phases)
+def reference_sqs3(plain, project, vector, start, max_iters, rel_tol):
+    """SqS3 descent from start = (x, g(x)): plain(x) is one map and its g,
+    project(phases) the iterate at those phases, vector(x) its entries."""
     budget = [max_iters]
 
-    def plain(profile):
+    def counted(x):
         budget[0] -= 1
-        problem = MmProblem(f11=base.f11, f12=base.f12, v_prev=profile.v)
-        out = reference_mm_step(problem)
-        return out, reference_mm_objective(problem, out.v)
+        return plain(x)
 
     def stalled(g_new, g_old):
         return abs(g_new - g_old) < rel_tol * max(abs(g_old), 1e-300)
 
-    current, g_current = phases, reference_mm_objective(base, phases.v)
+    current, g_current = start
     while budget[0] > 0:
-        first, g_first = plain(current)
+        first, g_first = counted(current)
         if budget[0] == 0 or stalled(g_first, g_current):
             return first
-        second, g_second = plain(first)
-        v0, v1, v2 = current.v, first.v, second.v
+        second, g_second = counted(first)
+        v0, v1, v2 = vector(current), vector(first), vector(second)
         r = v1 - v0
         d = v2 - 2.0 * v1 + v0
         best, g_best = second, g_second
         if budget[0] > 0 and np.linalg.norm(d) != 0.0:
             a = -max(np.linalg.norm(r) / np.linalg.norm(d), 1.0)
-            projected = PhaseProfile(alpha=np.angle(v0 - 2.0 * a * r + a * a * d))
-            third, g_third = plain(projected)
+            third, g_third = counted(project(np.angle(v0 - 2.0 * a * r + a * a * d)))
             if g_third <= g_second:
                 best, g_best = third, g_third
         if stalled(g_best, g_current):
@@ -403,18 +402,34 @@ def reference_mm_solve(ops, phases, max_iters=50, rel_tol=1e-6):
     return current
 
 
+def reference_mm_solve(ops, phases, max_iters=50, rel_tol=1e-6):
+    base = MmProblem.from_operators(ops, phases)
+
+    def plain(profile):
+        problem = MmProblem(f11=base.f11, f12=base.f12, v_prev=profile.v)
+        out = reference_mm_step(problem)
+        return out, reference_mm_objective(problem, out.v)
+
+    return reference_sqs3(plain, lambda phase: PhaseProfile(alpha=phase),
+                          lambda profile: profile.v,
+                          (phases, reference_mm_objective(base, phases.v)),
+                          max_iters, rel_tol)
+
+
 def reference_sca_solve(big_h, beam, config, max_iters=50, rel_tol=1e-9):
-    out = beam
-    q_prev = float(np.real(np.vdot(out.w, np.asarray(big_h) @ out.w)))
-    for _ in range(max_iters):
-        y = np.asarray(big_h) @ out.w
+    big_h = np.asarray(big_h)
+
+    def g(w):
+        return -float(np.real(np.vdot(w, big_h @ w)))
+
+    def plain(out):
+        y = big_h @ out.w
         phase = np.where(np.abs(y) > 0.0, np.angle(y), np.angle(out.w))
         out = Beamformer.from_phases(phase, config)
-        q = float(np.real(np.vdot(out.w, np.asarray(big_h) @ out.w)))
-        if abs(q - q_prev) < rel_tol * max(abs(q_prev), 1e-300):
-            break
-        q_prev = q
-    return out
+        return out, g(out.w)
+
+    return reference_sqs3(plain, lambda phase: Beamformer.from_phases(phase, config),
+                          lambda out: out.w, (beam, g(beam.w)), max_iters, rel_tol)
 
 
 @pytest.mark.parametrize("n_irs", [6, 40])
@@ -470,7 +485,8 @@ def test_solvers_bit_identical_with_zero_gradient_entries():
 @pytest.mark.parametrize("max_iters", [1, 2])
 @pytest.mark.parametrize("rel_tol", [None, 0.0])
 def test_mm_solve_small_caps_are_plain_steps(max_iters, rel_tol):
-    # A cap of 1 or 2 leaves no room for the extrapolated map.
+    # A cap of 1 or 2 leaves no room for the extrapolated map, in either
+    # solve: they share one loop.
     tol = {} if rel_tol is None else {"rel_tol": rel_tol}
     config, channels, phases, beam = random_instance(25, n=12, l=40, k=5, m=3)
     ops = build_operators(channels, None, beam, config)
@@ -481,31 +497,44 @@ def test_mm_solve_small_caps_are_plain_steps(max_iters, rel_tol):
     assert np.array_equal(solved.alpha, plain.alpha)
     assert np.array_equal(solved.v, plain.v)
 
+    big_h = build_operators(channels, phases, None, config).big_h
+    plain_w = beam
+    for _ in range(max_iters):
+        plain_w = sca_update_w(big_h, plain_w, config)
+    solved_w = sca_solve(big_h, beam, config, max_iters=max_iters, **tol)
+    assert np.array_equal(solved_w.w, plain_w.w)
+
 
 @pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 5, 6, 7, None])
 def test_mm_solve_caps_map_evaluations(monkeypatch, max_iters):
-    # Every map, plain or from the extrapolated point, is one mm_update_v
-    # call and counts against max_iters.  With rel_tol=0 no stop test
-    # fires, so small caps are used to the last map.
+    # Every map, plain or from the extrapolated point, is one kernel call
+    # (mm_update_v or sca_update_w) and counts against max_iters.  With
+    # rel_tol=0 no stop test fires, so small caps are used to the last map.
     calls = []
 
-    def counted(problem):
-        calls.append(problem)
-        return mm_update_v(problem)
+    def counted(kernel):
+        def call(*args):
+            calls.append(args)
+            return kernel(*args)
+        return call
 
-    monkeypatch.setattr(lc, "mm_update_v", counted)
+    monkeypatch.setattr(lc, "mm_update_v", counted(mm_update_v))
+    monkeypatch.setattr(lc, "sca_update_w", counted(sca_update_w))
     config, channels, phases, beam = random_instance(26, n=12, l=40, k=5, m=3)
-    ops = build_operators(channels, None, beam, config)
+    ops = build_operators(channels, phases, beam, config)
     cap = {} if max_iters is None else {"max_iters": max_iters}
     limit = 50 if max_iters is None else max_iters
-    mm_solve(ops, phases, **cap)
-    assert 0 < len(calls) <= limit
-    calls.clear()
-    mm_solve(ops, phases, rel_tol=0.0, **cap)
-    if max_iters is None:
-        assert len(calls) <= limit
-    else:
-        assert len(calls) == limit
+    for solve in (lambda **kw: mm_solve(ops, phases, **kw),
+                  lambda **kw: sca_solve(ops.big_h, beam, config, **kw)):
+        calls.clear()
+        solve(**cap)
+        assert 0 < len(calls) <= limit
+        calls.clear()
+        solve(rel_tol=0.0, **cap)
+        if max_iters is None:
+            assert len(calls) <= limit
+        else:
+            assert len(calls) == limit
 
 
 @settings(max_examples=40, deadline=None)
@@ -525,8 +554,8 @@ def test_solvers_ascend_and_stay_feasible(seed, n_tx, n_irs, n_ehd, n_targets,
     after_v = composite_objective(channels, solved_v, beam, config)
     assert after_v >= before - 1e-9 * abs(before)
     assert solved_v.modulus_error() <= 1e-12
-    # The extrapolation is kept only when it beats the plain double step,
-    # so the solve never ends below one plain step.
+    # In either solve the extrapolation is kept only when it beats the plain
+    # double step, so the solve never ends below one plain step.
     one_step = mm_update_v(MmProblem.from_operators(ops, phases))
     after_one = composite_objective(channels, one_step, beam, config)
     assert after_v >= after_one - 1e-9 * abs(after_one)
@@ -535,6 +564,9 @@ def test_solvers_ascend_and_stay_feasible(seed, n_tx, n_irs, n_ehd, n_targets,
     after_w = composite_objective(channels, phases, solved_w, config)
     assert after_w >= before - 1e-9 * abs(before)
     assert solved_w.modulus_error(config) <= 1e-12
+    one_step_w = sca_update_w(ops.big_h, beam, config)
+    after_one_w = composite_objective(channels, phases, one_step_w, config)
+    assert after_w >= after_one_w - 1e-9 * abs(after_one_w)
 
 
 # ---------------------------------------------------------------------------
