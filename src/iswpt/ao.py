@@ -44,6 +44,10 @@ The trace records the composite objective and the physical metrics after
 initialisation and after every half-step, which is what the convergence
 experiments and the acceptance checks consume.
 
+The random-phase baseline `run_rps` freezes random phases and runs only
+`lc.sca_solve`'s SqS3 loop, from the all-equal-phase beam: its trace holds
+one "w" step, at the final beam, and `n_outer` counts its SCA maps.
+
 `run_ao` and `run_rps` run with OpenBLAS on one thread
 (`scenario._one_blas_thread`): no matrix of a run exceeds (L+1) x (L+1).
 """
@@ -254,25 +258,15 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
 def run_rps(config: SystemConfig, channels: ChannelSet,
             rng: np.random.Generator, max_iters: int = 30,
             rel_tol: float = 1e-6) -> AoTrace:
-    """Random-phase baseline: phases drawn uniformly once and frozen,
-    beamformer still optimized by iterating SCA steps to convergence."""
+    """Random-phase baseline (see the module docstring); `converged` is set
+    when the stop test, not the cap of `max_iters` SCA maps, ended the loop."""
     check_loop(max_iters, rel_tol, "max_iters")
     check_channels(config, channels)
-    trace = AoTrace()
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, size=config.n_irs))
-    beam = Beamformer.from_phases(np.zeros(config.n_tx), config)
+    flat = Beamformer.from_phases(np.zeros(config.n_tx), config)
     rows = beam_rows(channels, phases, config)
-    big_h = gram(rows, config)
-
-    j_prev = None
-    for it in range(max_iters):
-        beam = lc.sca_update_w(big_h, beam, config)
-        j_val = _record(trace, config, phases, rows, beam, it, "w")
-        trace.n_outer = it + 1
-        if j_prev is not None and lc.stalled(j_val, j_prev, rel_tol):
-            trace.converged = True
-            break
-        j_prev = j_val
-
-    trace.beam, trace.phases = beam, phases
+    beam, maps, converged = lc._sca_ascent(gram(rows, config), flat, config,
+                                           max_iters, rel_tol)
+    trace = AoTrace(beam=beam, phases=phases, converged=converged, n_outer=maps)
+    _record(trace, config, phases, rows, beam, maps, "w")
     return trace

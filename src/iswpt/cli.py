@@ -97,9 +97,6 @@ class ExperimentSpec:
             raise ValueError("sweep_l must be a nonempty list")
         for l_dim in self.sweep_l:
             check_count("sweep_l entry", l_dim)
-        # The L sweeps rebuild the config at each entry, and its scale
-        # checks only tighten with L: check them once, at the largest.
-        dataclasses.replace(self.config, n_irs=max(self.sweep_l))
         if not self.sweep_rho or any(not 0.0 <= r <= 1.0 for r in self.sweep_rho):
             raise ValueError("sweep_rho entries must lie in [0, 1]")
         if not MIN_ANGLE_STEP_DEG <= self.angle_step_deg < np.inf:
@@ -253,17 +250,12 @@ class RunFailed(RuntimeError):
     """A run stopped on a solver failure; its truncated trace is no result."""
 
 
-# Per algorithm, [runs, runs that stopped at max_outer_iters without
-# converging] since `main` started its command, which reports them.
-_RUN_COUNTS: dict[str, list[int]] = {}
-
-
 def _run_point(exp: ExperimentSpec, algorithm: str, config: SystemConfig,
-               channels: ChannelSet, point_idx: int, trial: int,
+               channels: ChannelSet, point_idx: int, trial: int, runs: list,
                init_phases: PhaseProfile | None = None,
                init_beam=None) -> AoTrace:
-    """One run at one sweep point; the warm start is ignored by rps.  Raises
-    RunFailed instead of returning a failed run."""
+    """One run at one sweep point, recorded in `runs` as (algorithm, converged);
+    the warm start is ignored by rps.  Raises RunFailed on a failed run."""
     rng = trial_stream(exp.config.seed, 1, _ALGO_STREAM_ID[algorithm],
                        point_idx, trial)
     if algorithm == ALGORITHM_RPS:
@@ -277,9 +269,7 @@ def _run_point(exp: ExperimentSpec, algorithm: str, config: SystemConfig,
     if trace.failure is not None:
         raise RunFailed(f"{algorithm} run failed at L={config.n_irs}, "
                         f"rho={config.rho:g}, trial {trial}: {trace.failure}")
-    counts = _RUN_COUNTS.setdefault(algorithm, [0, 0])
-    counts[0] += 1
-    counts[1] += not trace.converged
+    runs.append((algorithm, trace.converged))
     return trace
 
 
@@ -289,7 +279,7 @@ def _draw_trials(exp: ExperimentSpec, n_irs: int, n_trials: int) -> list[Channel
             for trial in range(n_trials)]
 
 
-def _sweep_l(exp: ExperimentSpec, n_trials: int
+def _sweep_l(exp: ExperimentSpec, n_trials: int, runs: list
              ) -> Iterator[tuple[str, SystemConfig, list[tuple[ChannelSet, AoTrace]]]]:
     """Run every (algorithm, L) point of the L sweep in CSV row order.
 
@@ -301,12 +291,12 @@ def _sweep_l(exp: ExperimentSpec, n_trials: int
     for algorithm in exp.algorithms:
         for point_idx, n_irs in enumerate(exp.sweep_l):
             config = dataclasses.replace(exp.config, n_irs=n_irs)
-            runs = []
+            point = []
             for trial, full in enumerate(draws):
                 channels = slice_channels(full, n_irs)
-                runs.append((channels, _run_point(exp, algorithm, config, channels,
-                                                  point_idx, trial)))
-            yield algorithm, config, runs
+                point.append((channels, _run_point(exp, algorithm, config, channels,
+                                                   point_idx, trial, runs)))
+            yield algorithm, config, point
 
 
 def _nominal_iteration_cost_ms(algorithm: str, n_tx: int, n_irs: int) -> float:
@@ -328,22 +318,22 @@ def _nominal_iteration_cost_ms(algorithm: str, n_tx: int, n_irs: int) -> float:
 # Subcommands
 
 
-def cmd_convergence(exp: ExperimentSpec) -> str:
+def cmd_convergence(exp: ExperimentSpec, runs: list) -> str:
     header = ["algorithm", "L", "trial", "iteration", "objective", "elapsed_ms"]
     rows: list[tuple] = []
-    for algorithm, config, runs in _sweep_l(exp, exp.n_trials):
+    for algorithm, config, point in _sweep_l(exp, exp.n_trials, runs):
         cost_ms = _nominal_iteration_cost_ms(algorithm, config.n_tx, config.n_irs)
-        for trial, (_, trace) in enumerate(runs):
+        for trial, (_, trace) in enumerate(point):
             rows += [(algorithm, config.n_irs, trial, k, j_value, k * cost_ms)
                      for k, j_value in enumerate(trace.iteration_objectives())]
     return render_csv(exp, "convergence", header, rows)
 
 
-def cmd_sweep_l(exp: ExperimentSpec) -> str:
+def cmd_sweep_l(exp: ExperimentSpec, runs: list) -> str:
     header = ["algorithm", "L", "mean_harvested_energy", "std", "n_trials"]
     rows: list[tuple] = []
-    for algorithm, config, runs in _sweep_l(exp, exp.n_trials):
-        harvested = np.array([trace.steps[-1].harvested_sum for _, trace in runs])
+    for algorithm, config, point in _sweep_l(exp, exp.n_trials, runs):
+        harvested = np.array([trace.steps[-1].harvested_sum for _, trace in point])
         std = float(np.std(harvested, ddof=1)) if exp.n_trials > 1 else 0.0
         rows.append((algorithm, config.n_irs, float(np.mean(harvested)), std,
                      exp.n_trials))
@@ -351,7 +341,8 @@ def cmd_sweep_l(exp: ExperimentSpec) -> str:
 
 
 def sweep_rho_trial(exp: ExperimentSpec, algorithm: str, trial: int,
-                    channels: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
+                    channels: ChannelSet, runs: list | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Harvested energy and beampattern sum at each trade-off point.
 
     Optimizing algorithms run the sweep as a continuation (each point
@@ -362,8 +353,9 @@ def sweep_rho_trial(exp: ExperimentSpec, algorithm: str, trial: int,
     objective value makes the reported per-trial curves obey the
     weighted-sum exchange argument: harvested energy cannot decrease, the
     beampattern sum cannot increase.  The rps baseline reports each point's
-    own run.
+    own run.  Each run is recorded in `runs`, if given (see `_run_point`).
     """
+    runs = [] if runs is None else runs
     alpha = trial_stream(exp.config.seed, 2, trial).uniform(
         -np.pi, np.pi, exp.config.n_irs)
     init_phases, init_beam = PhaseProfile(alpha=alpha), None
@@ -372,7 +364,7 @@ def sweep_rho_trial(exp: ExperimentSpec, algorithm: str, trial: int,
     for point_idx, rho in enumerate(exp.sweep_rho):
         config = dataclasses.replace(exp.config, rho=float(rho))
         trace = _run_point(exp, algorithm, config, channels, point_idx, trial,
-                           init_phases, init_beam)
+                           runs, init_phases, init_beam)
         pool_e[point_idx] = trace.steps[-1].harvested_sum
         pool_s[point_idx] = trace.steps[-1].beampattern_sum
         init_phases, init_beam = trace.phases, trace.beam
@@ -386,13 +378,13 @@ def sweep_rho_trial(exp: ExperimentSpec, algorithm: str, trial: int,
     return pool_e[best], pool_s[best]
 
 
-def cmd_sweep_rho(exp: ExperimentSpec) -> str:
+def cmd_sweep_rho(exp: ExperimentSpec, runs: list) -> str:
     header = ["algorithm", "rho", "mean_harvested_energy",
               "mean_beampattern_sum", "std", "n_trials"]
     rows: list[tuple] = []
     draws = _draw_trials(exp, exp.config.n_irs, exp.n_trials)
     for algorithm in exp.algorithms:
-        curves = [sweep_rho_trial(exp, algorithm, trial, channels)
+        curves = [sweep_rho_trial(exp, algorithm, trial, channels, runs)
                   for trial, channels in enumerate(draws)]
         harvested = np.array([e for e, _ in curves]).T
         sensing = np.array([s for _, s in curves]).T
@@ -404,7 +396,7 @@ def cmd_sweep_rho(exp: ExperimentSpec) -> str:
     return render_csv(exp, "sweep-rho", header, rows)
 
 
-def cmd_beampattern(exp: ExperimentSpec) -> str:
+def cmd_beampattern(exp: ExperimentSpec, runs: list) -> str:
     header = ["algorithm", "L", "rho", "angle_deg", "gain", "gain_db"]
     rows: list[tuple] = []
     step = exp.angle_step_deg
@@ -413,7 +405,7 @@ def cmd_beampattern(exp: ExperimentSpec) -> str:
     # pin a rounding overshoot of the +90 endpoint to 90 exactly.
     angles_deg = np.minimum(angles_deg[angles_deg <= 90.0 + 1e-6], 90.0)
     angles_rad = np.radians(angles_deg)
-    for algorithm, config, [(channels, trace)] in _sweep_l(exp, 1):
+    for algorithm, config, [(channels, trace)] in _sweep_l(exp, 1, runs):
         gains = beampattern_profile(channels, trace.phases, trace.beam,
                                     angles_rad, config.delta)
         for angle, gain in zip(angles_deg, gains):
@@ -476,6 +468,9 @@ def _experiment(args: argparse.Namespace) -> ExperimentSpec:
     if args.command == "convergence" and ALGORITHM_RPS in exp.algorithms:
         raise ValueError("convergence traces outer iterations; "
                          "the rps baseline has none")
+    if args.command in ("convergence", "sweep-l", "beampattern"):
+        # These rebuild the config at each L; its scale checks tighten with L.
+        dataclasses.replace(exp.config, n_irs=max(exp.sweep_l))
     if exp.out is None:
         exp = dataclasses.replace(exp, out=args.command.replace("-", "_") + ".csv")
     return exp
@@ -490,13 +485,14 @@ def _run_command(command: str, exp: ExperimentSpec | None,
         if out is not None:
             _write_output(report, out)
         return 0 if all_passed else 1
-    _RUN_COUNTS.clear()
-    _write_output(_COMMANDS[command](exp), out)
-    for algorithm, (runs, capped) in _RUN_COUNTS.items():
-        if capped:
-            print(f"note: {capped} of {runs} {algorithm} runs stopped at "
-                  f"max_outer_iters={exp.max_outer_iters} without converging",
-                  file=sys.stderr)
+    runs: list[tuple[str, bool]] = []   # (algorithm, converged) per run
+    _write_output(_COMMANDS[command](exp, runs), out)
+    for algorithm in dict.fromkeys(name for name, _ in runs):
+        flags = [converged for name, converged in runs if name == algorithm]
+        if not all(flags):
+            print(f"note: {flags.count(False)} of {len(flags)} {algorithm} runs "
+                  f"stopped at max_outer_iters={exp.max_outer_iters} without "
+                  f"converging", file=sys.stderr)
     return 0
 
 

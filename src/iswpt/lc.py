@@ -14,12 +14,12 @@ minorant, so each step can only raise the objective.
   g(v0) - 2 Re((v - v0)^H (F11 v0 + f12)), majorises it at any L (Sun,
   Babu & Palomar, IEEE TSP 2017) and no eigenvalue shift is needed.
 
-Each step costs one matrix-vector product.  Both solves iterate it in one
-loop, `_sqs3_ascent`: SQUAREM (SqS3; Varadhan & Roland, Scand. J. Stat.
-2008, applied to MM as in Sun, Babu & Palomar) with a safeguard that keeps
-the ascent monotone.  Warm-started MM solves at L=40 reach the stop test
-in about a third of the maps of plain iteration.  The jump itself is
-`sqs3_jump`, which `ao.run_ao` also applies to the outer lc map.
+Each step costs one matrix-vector product.  `mm_solve`, `sca_solve` and
+`ao.run_rps` iterate it in one loop, `_sqs3_ascent`: SQUAREM (SqS3; Varadhan
+& Roland, Scand. J. Stat. 2008, applied to MM as in Sun, Babu & Palomar)
+with a safeguard that keeps the ascent monotone.  Warm-started MM solves at
+L=40 reach the stop test in about a third of the maps of plain iteration.
+Its jump is `sqs3_jump`, which `ao.run_ao` also applies to the outer map.
 
 Each solve checks its inputs once, at entry, with the helpers of
 `scenario`: its loop parameters, then `sca_solve` the beam and the N x N
@@ -57,8 +57,9 @@ def sqs3_jump(x0: np.ndarray, x1: np.ndarray,
 
 
 def _sqs3_ascent(step: Callable, lift: Callable, start: tuple,
-                 max_iters: int, rel_tol: float):
-    """Iterate `step` in safeguarded SqS3 cycles; return the last iterate.
+                 max_iters: int, rel_tol: float) -> tuple[object, int, bool]:
+    """Iterate `step` in safeguarded SqS3 cycles; return the last iterate,
+    the number of maps and whether the stop test, not the cap, ended them.
 
     `start` and each `step(iterate)` are triples (iterate, vector, score).
     A cycle takes two plain maps x0 -> x1 -> x2, then one map from
@@ -71,8 +72,9 @@ def _sqs3_ascent(step: Callable, lift: Callable, start: tuple,
         x0 = x
         out, x, score = step(out)
         maps += 1
-        if maps == max_iters or stalled(score, score_start, rel_tol):
-            break
+        stop = stalled(score, score_start, rel_tol)
+        if stop or maps == max_iters:
+            return out, maps, stop
         x1 = x
         out, x, score = step(out)
         maps += 1
@@ -83,7 +85,7 @@ def _sqs3_ascent(step: Callable, lift: Callable, start: tuple,
             if ext[2] >= score:
                 out, x, score = ext
         score_start = score
-    return out
+    return out, maps, False
 
 
 def _ascent_phases(m_mat: np.ndarray, x: np.ndarray,
@@ -105,14 +107,9 @@ def sca_update_w(big_h: np.ndarray, w_prev: Beamformer,
                                   config)
 
 
-def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
-              max_iters: int = 50, rel_tol: float = 1e-9) -> Beamformer:
-    """Iterate SCA steps at fixed phases in `_sqs3_ascent` until w^H H w stalls."""
-    check_loop(max_iters, rel_tol, "max_iters")
-    check_finite("beam", beam.w, (config.n_tx,))
-    big_h = np.asarray(big_h)
-    check_hermitian(big_h, "big_h", config.n_tx)
-
+def _sca_ascent(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
+                max_iters: int, rel_tol: float) -> tuple[Beamformer, int, bool]:
+    """Unchecked `sca_solve`, returning `_sqs3_ascent`'s beam, maps and flag."""
     def step(w_prev: Beamformer) -> tuple[Beamformer, np.ndarray, float]:
         out = sca_update_w(big_h, w_prev, config)
         return out, out.w, float(np.vdot(out.w, big_h @ out.w).real)
@@ -120,6 +117,16 @@ def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
     start = (beam, beam.w, float(np.vdot(beam.w, big_h @ beam.w).real))
     return _sqs3_ascent(step, lambda phase: Beamformer.from_phases(phase, config),
                         start, max_iters, rel_tol)
+
+
+def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
+              max_iters: int = 50, rel_tol: float = 1e-9) -> Beamformer:
+    """Iterate SCA steps at fixed phases (`_sca_ascent`) until w^H H w stalls."""
+    check_loop(max_iters, rel_tol, "max_iters")
+    check_finite("beam", beam.w, (config.n_tx,))
+    big_h = np.asarray(big_h)
+    check_hermitian(big_h, "big_h", config.n_tx)
+    return _sca_ascent(big_h, beam, config, max_iters, rel_tol)[0]
 
 
 class MmProblem(NamedTuple):
@@ -165,4 +172,4 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
         return out, out.v, -mm_objective(anchored, out.v)
 
     start = (phases, phases.v, -mm_objective(problem, phases.v))
-    return _sqs3_ascent(step, PhaseProfile._trusted, start, max_iters, rel_tol)
+    return _sqs3_ascent(step, PhaseProfile._trusted, start, max_iters, rel_tol)[0]

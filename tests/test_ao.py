@@ -11,7 +11,7 @@ from iswpt import lc, objective, scenario, sdp
 from iswpt.ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, _initial_iterates,
                       _next_sdp_tol, _record, run_ao, run_rps)
 from iswpt.objective import (Beamformer, PhaseProfile, beam_rows, build_operators,
-                             phase_rows, solution_metrics)
+                             gram, phase_rows, solution_metrics)
 from iswpt.scenario import SystemConfig, sample_channels, trial_stream
 
 
@@ -266,7 +266,7 @@ def test_run_ao_deterministic():
         runs.append(lambda ao=ao: run_ao(config, ao, channels, trial_stream(4, 1)))
     for run in runs:
         first, second = run(), run()
-        assert first.failure is None and len(first.steps) > 1
+        assert first.failure is None and first.n_outer > 1
         assert first.steps == second.steps
         assert np.array_equal(first.phases.alpha, second.phases.alpha)
         assert np.array_equal(first.beam.w, second.beam.w)
@@ -478,10 +478,13 @@ def test_rps_baseline_freezes_phases_and_ascends():
     config, channels = instance(seed=11)
     rng = trial_stream(11, 1)
     trace = run_rps(config, channels, rng, max_iters=20)
-    assert all(step.stage == "w" for step in trace.steps)
-    objectives = np.array([s.objective for s in trace.steps])
-    diffs = np.diff(objectives)
-    assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(objectives[:-1])))
+    assert [step.stage for step in trace.steps] == ["w"]
+    # The trace records only the final beam; it ends no lower than one SCA
+    # step from the flat beam, where the loop starts.
+    rows = beam_rows(channels, trace.phases, config)
+    flat = Beamformer.from_phases(np.zeros(config.n_tx), config)
+    one_step = lc.sca_update_w(gram(rows, config), flat, config)
+    assert trace.final_objective() >= solution_metrics(rows, one_step.w, config)[0]
     assert trace.beam.w.shape == (config.n_tx,)
     assert trace.beam.modulus_error(config) <= 1e-12
     assert trace.phases.modulus_error() < 1e-15
@@ -490,9 +493,53 @@ def test_rps_baseline_freezes_phases_and_ascends():
     assert np.array_equal(repeat.phases.alpha, trace.phases.alpha)
 
 
+@pytest.mark.parametrize("seed, max_iters, rel_tol", [
+    (14, 30, 1e-6), (15, 30, 1e-4), (16, 7, 0.0), (17, 1, 1e-6), (18, 2, 0.0)])
+def test_rps_beam_is_sca_solve_from_the_flat_beam(seed, max_iters, rel_tol):
+    # The baseline optimizes the beam with the same solver as the lc arm:
+    # sca_solve at its frozen phases, from the flat beam, bit for bit.
+    config, channels = instance(seed, n=6, l=12)
+    trace = run_rps(config, channels, trial_stream(seed, 1), max_iters, rel_tol)
+    rows = beam_rows(channels, trace.phases, config)
+    flat = Beamformer.from_phases(np.zeros(config.n_tx), config)
+    solved = lc.sca_solve(gram(rows, config), flat, config, max_iters, rel_tol)
+    assert np.array_equal(trace.beam.w, solved.w)
+    assert trace.steps[-1].objective == solution_metrics(rows, solved.w, config)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 9999), n=st.integers(1, 6), l=st.integers(1, 10),
+       max_iters=st.integers(1, 40),
+       rel_tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2]))
+def test_rps_counts_its_maps_and_flags_its_stop_test(seed, n, l, max_iters, rel_tol):
+    # n_outer is the number of SCA maps, within the cap, and converged is
+    # the result of the loop's last stop test: the loop ends on the first
+    # test that passes, else at the cap.
+    config, channels = instance(seed, n=n, l=l)
+    tests, maps = [], []
+    stalled, step = lc.stalled, lc.sca_update_w
+
+    def spy_stalled(*args):
+        tests.append(stalled(*args))
+        return tests[-1]
+
+    def spy_step(*args):
+        maps.append(args)
+        return step(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lc, "stalled", spy_stalled)
+        patch.setattr(lc, "sca_update_w", spy_step)
+        trace = run_rps(config, channels, trial_stream(seed, 1), max_iters, rel_tol)
+    assert 1 <= trace.n_outer == len(maps) <= max_iters
+    assert tests and not any(tests[:-1])
+    assert trace.converged == tests[-1]
+    assert trace.converged or trace.n_outer == max_iters
+
+
 def test_rps_builds_the_beam_rows_once(monkeypatch):
-    # Every rps step records J at the one frozen profile, which the operator
-    # build before the loop already needed: one row build serves them all.
+    # The rps record reads J at the one frozen profile, whose rows the
+    # operator build before the loop already needed: one row build serves both.
     config, channels = instance(13)
     builds = []
     steering = objective.target_steering_matrix

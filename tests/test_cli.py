@@ -541,6 +541,18 @@ def test_sweep_l_entries_above_n_irs_are_checked_at_parse_time(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_sweep_l_scales_are_checked_only_by_the_l_sweeps(tmp_path, capsys):
+    # sweep-rho runs at n_irs alone, so the default sweep_l (up to 40), at
+    # which delta = 1e14 overflows the steering phases, must not reject it.
+    spec = write_spec(tmp_path, "n_irs = 4\ndelta = 1e14\nsweep_rho = 0.5\n"
+                                "n_trials = 1\nalgorithms = lc\nmax_outer_iters = 3\n")
+    out = tmp_path / "x.csv"
+    assert run_cli(["sweep-rho", "--spec", spec, "--out", str(out)]) == 0
+    assert out.exists()
+    assert run_cli(["sweep-l", "--spec", spec, "--out", str(tmp_path / "y.csv")]) == 2
+    assert "overflows the steering phases at L = 40" in capsys.readouterr().err
+
+
 @settings(max_examples=200, deadline=None)
 @given(exponents=st.dictionaries(st.sampled_from(_POSITIVE_FIELDS),
                                  st.floats(-300.0, 300.0), min_size=1, max_size=3),
@@ -585,7 +597,7 @@ def test_unconverged_runs_noted_on_stderr(tmp_path, capsys):
         f"note: 2 of 2 {algo} runs stopped at max_outer_iters=1 without converging\n"
         for algo in ("sdp", "lc", "rps"))
     exp = experiment_from_mapping(parse_kv_file(spec))
-    assert out.read_text() == cli.cmd_sweep_l(exp)
+    assert out.read_text() == cli.cmd_sweep_l(exp, [])
 
 
 def test_no_note_when_every_run_converges(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Command-line tools under tools/: the CSV byte contract, the CSV
-comparison and the finder of statements that a traffic never runs; and a
-source check of the package."""
+comparison and the finder of statements that a traffic never runs; and
+source checks of the package for module-level state."""
 
 import ast
 import importlib.util
@@ -161,4 +161,108 @@ def test_package_modules_hold_no_global_statement():
     found = [f"{path.name}:{node.lineno}" for path in sorted(package.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Global)]
+    assert found == []
+
+
+MUTATORS = {"append", "clear", "extend", "insert", "pop", "popitem",
+            "setdefault", "update"}
+
+
+def _root_name(node):
+    """The name an attribute or item chain starts from, or None."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _outer_functions(node):
+    """The functions under `node` that no other function encloses."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+        else:
+            yield from _outer_functions(child)
+
+
+def module_state_mutations(source):
+    """Lines where a function mutates a module-level name: a mutating method
+    call (`MUTATORS`) on a value the module assigns, or an item or attribute
+    assignment or deletion through it or through an imported name.  A name
+    that a function binds itself, or that the function around it binds, is
+    local there and is not checked."""
+    tree = ast.parse(source)
+    values = {target.id for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+              for target in (node.targets if isinstance(node, ast.Assign)
+                             else [node.target])
+              if isinstance(target, ast.Name)}
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    found = []
+    for outer in _outer_functions(tree):
+        inner = list(ast.walk(outer))
+        local = {node.id for node in inner
+                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+        local |= {arg.arg for node in inner if isinstance(node, ast.arguments)
+                  for arg in (*node.posonlyargs, *node.args, *node.kwonlyargs,
+                              node.vararg, node.kwarg) if arg is not None}
+        for node in inner:
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                names = values if node.func.attr in MUTATORS else set()
+                targets = [node.func.value]
+            elif isinstance(node, (ast.Assign, ast.Delete)):
+                names, targets = values | imported, node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                names, targets = values | imported, [node.target]
+            else:
+                continue
+            for target in targets:
+                through = isinstance(node, ast.Call) or isinstance(
+                    target, (ast.Attribute, ast.Subscript))
+                name = _root_name(target)
+                if through and name in names and name not in local:
+                    found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_module_state_mutations_are_found():
+    source = textwrap.dedent("""\
+        import numpy as np
+        COUNTS = {}
+        LIMIT = 3
+
+        def count(name, seen):
+            COUNTS.setdefault(name, 0)
+            COUNTS[name] += 1
+            seen.append(name)
+            np.seterr = None
+            return np.append(seen, LIMIT)
+
+        def reset():
+            COUNTS.clear()
+
+        def local(COUNTS):
+            COUNTS.clear()
+
+        def shadow():
+            LIMIT = {}
+            LIMIT.update(a=1)
+
+            def inner():
+                LIMIT.clear()
+            return LIMIT.get("a")
+        """)
+    assert module_state_mutations(source) == [6, 7, 9, 13]
+
+
+def test_package_functions_mutate_no_module_state():
+    # A module-level value that a call mutates in place (a counter dict, a
+    # list of results) is state shared by every run in the process, as a
+    # rebound `global` is.  A `functools.lru_cache` memo is out of scope:
+    # its cache lives in the decorator, not in a module-level name, and it
+    # memoizes a pure function, so no call's result depends on it.
+    package = Path(__file__).resolve().parents[1] / "src" / "iswpt"
+    found = [f"{path.name}:{line}" for path in sorted(package.rglob("*.py"))
+             for line in module_state_mutations(path.read_text())]
     assert found == []
