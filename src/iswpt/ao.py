@@ -10,19 +10,22 @@ the phases at fixed beamformer.  Either half-step runs in one of two modes:
   (`sdp.solve_diag_sdp`'s `warm`).  The dual value of each relaxation
   bounds the half-step's achievable objective at any solver tolerance and
   is recorded with the solve's iteration count, duality gap and primal
-  residual.  The interior-point method stops at a relative duality gap
-  that follows the outer progress (`_next_sdp_tol`): 1e-2
-  (`AoConfig.sdp_start_tol`) in the first map, then a tenth of the last
-  map's relative gain in J, held within [1e-4, 1e-2] (1e-4 is
-  `AoConfig.sdp_tol`).  Far from a fixed point the solves may be loose:
-  extraction reads only the principal eigenvector of the relaxed solution,
-  the incumbent keeps each half-step monotone, and the dual value stays a
-  bound because S is positive definite at every iterate.  Near one they
-  are tight, and the run stops only on a map solved at `sdp_tol`: a loose
-  map that gains less than `rel_tol`, as when both half-steps keep the
-  incumbent, only tightens the next map's solves.
+  residual.  Loose solves stay sound: extraction reads only the principal
+  eigenvector of the relaxed solution, the incumbent keeps each half-step
+  monotone, and S is positive definite at every iterate.
 * "lc": an inner SCA loop for the beamformer and an inner MM loop for the
-  phases, each iterating the closed-form step of `lc` to a fixed point.
+  phases, each iterating the closed-form step of `lc` until its objective
+  stalls.  Each step ascends, so a loose stop keeps the half-step monotone.
+
+Both half-steps of a map solve to one tolerance `tol` that follows the
+outer progress (`_next_map_tol`): 1e-2 (`AoConfig.sdp_start_tol`) in the
+first map, then a tenth of the last map's relative gain in J, held within
+[1e-4, 1e-2] (1e-4 is `AoConfig.sdp_tol`).  An sdp solve stops at that
+duality gap, an lc solve at its default rel_tol (`lc.SCA_REL_TOL`,
+`lc.MM_REL_TOL`) times (tol / sdp_tol)^2: MM at 1e-2 and SCA at 1e-5 in
+the loosest map.  A run stops only on a map solved at `sdp_tol`: a loose
+map that gains less than `rel_tol`, as when both sdp half-steps keep the
+incumbent, only tightens the next map's solves.
 
 For both, the maps run in safeguarded SqS3 cycles over the stacked state
 u = [w / sqrt(p0/N); v]: two plain maps x0 -> x1 -> x2, then one map from
@@ -35,9 +38,9 @@ of steps: `max_outer_iters` caps maps, `n_outer` counts them and
 monotone, so the recorded objectives are nondecreasing up to rounding.
 
 Each half-step builds only the operators of its own side, and the inner
-solvers run at their own default iteration caps and tolerances.  The
-`beam_rows` of each phase profile are built once and carried with it, for
-the beam side's Gram matrix and the records (a rejected jump keeps x2's).
+solvers run at their own default iteration caps.  The `beam_rows` of each
+phase profile are built once and carried with it, for the beam side's
+Gram matrix and the records (a rejected jump keeps x2's).
 No half-step draws: a run's stream feeds only its initial phases, if any.
 
 The trace records the composite objective and the physical metrics after
@@ -85,13 +88,13 @@ def _check_start(config: SystemConfig, ao: AoConfig) -> None:
 @dataclass(frozen=True)
 class AoConfig:
     """Outer-loop knobs of one alternating-optimization run; the inner
-    solvers run at their defaults, and the sdp tolerances are class
-    constants."""
+    solvers run at their default caps, and the half-step tolerances of the
+    maps (see the module docstring) are class constants."""
 
     algorithm: str = ALGORITHM_LC
     max_outer_iters: int = 30
     rel_tol: float = 1e-4            # outer stop on |dJ| < rel_tol * |J|
-    sdp_tol = 1e-4                   # interior-point duality gap of a map that stops
+    sdp_tol = 1e-4                   # half-step tolerance of a map that stops
     sdp_start_tol = 1e-2             # ... of the first map, the loosest
     init_phases: PhaseProfile | None = None  # None: uniform random phases
     init_beam: Beamformer | None = None      # None: one SCA step from flat
@@ -174,9 +177,9 @@ def _initial_iterates(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     return phases, rows, lc.sca_update_w(gram(rows, config), flat, config)
 
 
-def _next_sdp_tol(ao: AoConfig, j_new: float, j_prev: float) -> float:
-    """Interior-point tolerance of the map after one that took J from
-    `j_prev` to `j_new`: a tenth of its relative gain, held within
+def _next_map_tol(ao: AoConfig, j_new: float, j_prev: float) -> float:
+    """Half-step tolerance of the map after one that took J from `j_prev`
+    to `j_new`: a tenth of its relative gain, held within
     [sdp_tol, sdp_start_tol]."""
     gain = abs(j_new - j_prev) / max(abs(j_prev), 1e-300)
     return min(ao.sdp_start_tol, max(ao.sdp_tol, 0.1 * gain))
@@ -199,7 +202,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     j_prev = _record(trace, config, phases, rows, beam, 0, "init")
     solution_w = solution_v = None   # each sdp side's last solve, its next warm start
     cycle = []   # the stacked states u of the current SqS3 cycle
-    tol = ao.sdp_start_tol   # the sdp half-steps' interior-point tolerance
+    tol = ao.sdp_start_tol   # the map's half-step tolerance
 
     for outer in range(1, ao.max_outer_iters + 1):
         cycle.append(np.concatenate((beam.w / config.beam_amplitude, phases.v)))
@@ -212,13 +215,15 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             start_beam = Beamformer.from_phases(jump[:config.n_tx], config)
             start_phases = PhaseProfile(alpha=jump[config.n_tx:])
             start_rows = beam_rows(channels, start_phases, config)
+        loosen = (tol / ao.sdp_tol) ** 2   # lc inner tolerances over their defaults
         try:
             big_h = gram(start_rows, config)
             if ao.algorithm == ALGORITHM_SDP:
                 w_beam, relaxed_w, solution_w = sdp.sdp_update_w(
                     big_h, config, tol=tol, incumbent=beam, warm=solution_w)
             else:
-                w_beam, relaxed_w = lc.sca_solve(big_h, start_beam, config), None
+                w_beam, relaxed_w = lc.sca_solve(
+                    big_h, start_beam, config, rel_tol=lc.SCA_REL_TOL * loosen), None
             j_w = _record(trace, config, start_phases, start_rows, w_beam, outer,
                           "w", relaxed_w, solution_w)
             if jump is not None and not j_w >= j_prev:
@@ -234,7 +239,8 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
                 phases, relaxed_v, solution_v = sdp.sdp_update_v(
                     ops.big_f, config, tol=tol, incumbent=phases, warm=solution_v)
             else:
-                phases, relaxed_v = lc.mm_solve(ops, phases), None
+                phases, relaxed_v = lc.mm_solve(
+                    ops, phases, rel_tol=lc.MM_REL_TOL * loosen), None
             rows = beam_rows(channels, phases, config)
             j_new = _record(trace, config, phases, rows, beam, outer, "v",
                             relaxed_v, solution_v)
@@ -243,11 +249,10 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             break
 
         trace.n_outer = outer
-        if lc.stalled(j_new, j_prev, ao.rel_tol) and (
-                ao.algorithm == ALGORITHM_LC or tol <= ao.sdp_tol):
+        if lc.stalled(j_new, j_prev, ao.rel_tol) and tol <= ao.sdp_tol:
             trace.converged = True
             break
-        tol = _next_sdp_tol(ao, j_new, j_prev)
+        tol = _next_map_tol(ao, j_new, j_prev)
         j_prev = j_new
 
     trace.beam, trace.phases = beam, phases

@@ -30,12 +30,16 @@ solve loop, here and in `ao`, stops on the test `stalled`.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .objective import Beamformer, DerivedOperators, PhaseProfile
 from .scenario import SystemConfig, check_finite, check_hermitian, check_loop
+
+SCA_REL_TOL = 1e-9   # `sca_solve`'s default stop tolerance
+MM_REL_TOL = 1e-6    # `mm_solve`'s default stop tolerance
 
 
 def stalled(new: float, prev: float, rel_tol: float) -> bool:
@@ -49,11 +53,13 @@ def sqs3_jump(x0: np.ndarray, x1: np.ndarray,
     onto the unit circle: arg(x0 - 2 a r + a^2 d) entrywise, with r = x1 - x0,
     d = x2 - 2 x1 + x0 and a = -max(|r| / |d|, 1); None when d = 0."""
     r, d = x1 - x0, x2 - 2.0 * x1 + x0
-    d_norm = np.linalg.norm(d)
+    # np.linalg.norm's and np.angle's arithmetic, without their call overhead.
+    d_norm = math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag))
     if not d_norm > 0.0:
         return None
-    a = -max(np.linalg.norm(r) / d_norm, 1.0)
-    return np.angle(x0 - 2.0 * a * r + a * a * d)
+    a = -max(math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) / d_norm, 1.0)
+    y = x0 - 2.0 * a * r + a * a * d
+    return np.arctan2(y.imag, y.real)
 
 
 def _sqs3_ascent(step: Callable, lift: Callable, start: tuple,
@@ -120,7 +126,7 @@ def _sca_ascent(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
 
 
 def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
-              max_iters: int = 50, rel_tol: float = 1e-9) -> Beamformer:
+              max_iters: int = 50, rel_tol: float = SCA_REL_TOL) -> Beamformer:
     """Iterate SCA steps at fixed phases (`_sca_ascent`) until w^H H w stalls."""
     check_loop(max_iters, rel_tol, "max_iters")
     check_finite("beam", beam.w, (config.n_tx,))
@@ -158,7 +164,7 @@ def mm_update_v(problem: MmProblem) -> PhaseProfile:
 
 
 def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
-             max_iters: int = 50, rel_tol: float = 1e-6) -> PhaseProfile:
+             max_iters: int = 50, rel_tol: float = MM_REL_TOL) -> PhaseProfile:
     """Iterate MM steps at fixed beamformer in `_sqs3_ascent` until g stalls."""
     check_loop(max_iters, rel_tol, "max_iters")
     l_dim = phases.v.size

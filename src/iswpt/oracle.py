@@ -8,7 +8,8 @@ most significant).  Rows are scored by `objective`'s batch evaluators, through
 `solution_metrics`, the one evaluation of J that gives every trace step.
 Rows are assembled from a phasor table, the `levels` complex factors of the
 grid computed once per search, never from per-row exponentials or digits.
-Each search checks its inputs first.
+Each search checks its inputs first and runs with OpenBLAS on one thread
+(`scenario._one_blas_thread`), which gives the same bits at half the CPU.
 
 Every row is screened before any is scored.  With one variable frozen, J
 of a row x is the Gram form sum_k w_k |x . r_k + o_k|^2 of the rows
@@ -39,8 +40,8 @@ import numpy as np
 from .objective import (Beamformer, PhaseProfile, beam_rows, energy_weight,
                         objective_for_beam_batch, objective_for_phase_batch,
                         phase_rows)
-from .scenario import (ChannelSet, SystemConfig, check_channels, check_count,
-                       check_finite)
+from .scenario import (ChannelSet, SystemConfig, _one_blas_thread, check_channels,
+                       check_count, check_finite)
 
 _CHUNK = 1 << 12      # rows per score call
 MAX_EVALS = 1 << 20   # evaluation cap of one search
@@ -170,6 +171,7 @@ def _weights(config: SystemConfig, count: int) -> np.ndarray:
     return weights
 
 
+@_one_blas_thread
 def quantized_phase_search(channels: ChannelSet, beam: Beamformer,
                            config: SystemConfig, budget: SearchBudget
                            ) -> tuple[PhaseProfile, float]:
@@ -184,6 +186,7 @@ def quantized_phase_search(channels: ChannelSet, beam: Beamformer,
     return PhaseProfile(alpha=alpha), score
 
 
+@_one_blas_thread
 def quantized_beam_search(channels: ChannelSet, phases: PhaseProfile,
                           config: SystemConfig, budget: SearchBudget
                           ) -> tuple[Beamformer, float]:

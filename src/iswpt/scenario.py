@@ -17,7 +17,7 @@ Unit conventions
 Every entry point of the package checks its inputs with the helpers here,
 one per kind of input: `check_count`, `check_finite`, `check_hermitian`,
 and on top of them `check_loop` and `check_channels`.  The run entry points
-also take `_one_blas_thread` from here.
+and the oracle searches also take `_one_blas_thread` from here.
 """
 
 from __future__ import annotations

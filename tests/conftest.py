@@ -1,0 +1,19 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from iswpt import scenario
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """The OpenBLAS thread count set to 2 for the test, so one thread inside
+    a run differs from the count outside it; the prior count comes back.
+    Skips where no OpenBLAS thread-count setter resolves."""
+    if scenario._BLAS_THREAD_CALLS is None:
+        pytest.skip("no OpenBLAS thread-count setter resolves")
+    get, put = scenario._BLAS_THREAD_CALLS
+    prior = get()
+    put(2)
+    yield get
+    put(prior)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from iswpt import lc, objective, scenario, sdp
 from iswpt.ao import (ALGORITHM_LC, ALGORITHM_SDP, AoConfig, _initial_iterates,
-                      _next_sdp_tol, _record, run_ao, run_rps)
+                      _next_map_tol, _record, run_ao, run_rps)
 from iswpt.objective import (Beamformer, PhaseProfile, beam_rows, build_operators,
                              gram, phase_rows, solution_metrics)
 from iswpt.scenario import SystemConfig, sample_channels, trial_stream
@@ -189,7 +189,8 @@ def test_caps_of_one_and_two_run_plain_maps(algorithm, case, cap):
     for _ in range(cap):
         big_h = build_operators(channels, phases, None, config).big_h
         if algorithm == ALGORITHM_LC:
-            beam = lc.sca_solve(big_h, beam, config)
+            beam = lc.sca_solve(big_h, beam, config,
+                                rel_tol=half_step_tol(algorithm, "w", ao, tol))
         else:
             beam, _, solution_w = sdp.sdp_update_w(big_h, config, tol,
                                                    beam, solution_w)
@@ -197,13 +198,14 @@ def test_caps_of_one_and_two_run_plain_maps(algorithm, case, cap):
                                          config)[0])
         ops = build_operators(channels, None, beam, config)
         if algorithm == ALGORITHM_LC:
-            phases = lc.mm_solve(ops, phases)
+            phases = lc.mm_solve(ops, phases,
+                                 rel_tol=half_step_tol(algorithm, "v", ao, tol))
         else:
             phases, _, solution_v = sdp.sdp_update_v(ops.big_f, config, tol,
                                                      phases, solution_v)
         expected.append(solution_metrics(beam_rows(channels, phases, config), beam.w,
                                          config)[0])
-        tol = _next_sdp_tol(ao, expected[-1], expected[-3])
+        tol = _next_map_tol(ao, expected[-1], expected[-3])
     assert [s.objective for s in trace.steps] == expected
 
 
@@ -305,47 +307,65 @@ def test_sdp_trace_bounds_hold_at_loose_tolerances(seed, n, l, rho):
         assert bound >= j_val - 1e-12 * abs(bound)
 
 
-def spy_sdp_tols(monkeypatch):
-    """Record ("w" or "v", tol) for every sdp half-step, in call order."""
+def half_step_tol(algorithm, side, ao, tol):
+    """The tolerance a map at `tol` hands its `side` ("w" or "v") half-step:
+    an sdp solve's duality gap, an lc solve's rel_tol."""
+    if algorithm == ALGORITHM_SDP:
+        return tol
+    default = lc.SCA_REL_TOL if side == "w" else lc.MM_REL_TOL
+    return default * (tol / ao.sdp_tol) ** 2
+
+
+def spy_half_step_tols(monkeypatch, algorithm):
+    """Record ("w" or "v", tolerance) for every half-step, in call order: the
+    `tol` of sdp_update_w/v, or the `rel_tol` of lc.sca_solve/mm_solve."""
+    module, names, key = ((sdp, ("sdp_update_w", "sdp_update_v"), "tol")
+                          if algorithm == ALGORITHM_SDP else
+                          (lc, ("sca_solve", "mm_solve"), "rel_tol"))
     calls = []
-    for name in ("sdp_update_w", "sdp_update_v"):
-        def spy(*args, _update=getattr(sdp, name), _side=name[-1], **kwargs):
-            calls.append((_side, kwargs["tol"]))
-            return _update(*args, **kwargs)
-        monkeypatch.setattr(sdp, name, spy)
+    for name, side in zip(names, "wv"):
+        def spy(*args, _solve=getattr(module, name), _side=side, **kwargs):
+            calls.append((_side, kwargs[key]))
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
 @settings(max_examples=20, deadline=None)
 @given(case=small_instances, rel_tol=st.sampled_from([1e-4, 1e-2]))
-def test_sdp_tol_follows_the_gain_and_a_stop_is_tight(case, rel_tol):
+@pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
+def test_sdp_tol_follows_the_gain_and_a_stop_is_tight(algorithm, case, rel_tol):
     # Both half-steps of a map share one tolerance: 1e-2 in the first map,
-    # then a tenth of the last map's relative gain within [1e-4, 1e-2].  A
-    # rejected jump, a map without its "v" half-step, leaves it as it was.
-    # A run reported converged stopped on a map solved at sdp_tol.
+    # then a tenth of the last map's relative gain within [1e-4, 1e-2]; lc
+    # solves take their default rel_tol times (tol / 1e-4)**2.  A rejected
+    # jump, a map without its "v" half-step, leaves it as it was.  A run
+    # reported converged stopped on a map solved at sdp_tol: for lc, both
+    # solves of its last map ran at their defaults.
     config, channels = case
-    ao = AoConfig(algorithm=ALGORITHM_SDP, rel_tol=rel_tol)
+    ao = AoConfig(algorithm=algorithm, rel_tol=rel_tol)
     with pytest.MonkeyPatch.context() as patch:
-        calls = spy_sdp_tols(patch)
+        calls = spy_half_step_tols(patch, algorithm)
         trace = run_ao(config, ao, channels, trial_stream(config.seed, 1))
     j_maps = trace.iteration_objectives()
     tol, k = ao.sdp_start_tol, 0
-    for i, (side, used) in enumerate(calls):
+    for side, used in calls:
+        assert used == half_step_tol(algorithm, side, ao, tol)
         if side == "w":
-            assert used == tol
             k += 1
         else:
-            assert used == calls[i - 1][1]
-            tol = _next_sdp_tol(ao, j_maps[k], j_maps[k - 1])
+            tol = _next_map_tol(ao, j_maps[k], j_maps[k - 1])
     assert k == trace.n_outer
     if trace.converged:
-        assert calls[-1] == ("v", ao.sdp_tol)
+        assert calls[-2:] == {ALGORITHM_SDP: [("w", ao.sdp_tol), ("v", ao.sdp_tol)],
+                              ALGORITHM_LC: [("w", lc.SCA_REL_TOL),
+                                             ("v", lc.MM_REL_TOL)]}[algorithm]
 
 
-def test_loose_map_without_gain_does_not_stop_the_run(monkeypatch):
+@pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
+def test_loose_map_without_gain_does_not_stop_the_run(monkeypatch, algorithm):
     # Both half-steps keep the incumbent, so the first map gains nothing.
-    # Solved at 1e-2 it only tightens the next map's solves; the second map,
-    # solved at sdp_tol and also without gain, stops the run.
+    # Solved loose it only tightens the next map's solves; the second map,
+    # solved tight and also without gain, stops the run.
     def keep_beam(big_h, config, tol, incumbent, warm):
         return incumbent, np.inf, None
 
@@ -354,12 +374,35 @@ def test_loose_map_without_gain_does_not_stop_the_run(monkeypatch):
 
     monkeypatch.setattr(sdp, "sdp_update_w", keep_beam)
     monkeypatch.setattr(sdp, "sdp_update_v", keep_phases)
-    tols = spy_sdp_tols(monkeypatch)
+    monkeypatch.setattr(lc, "sca_solve", lambda big_h, beam, config, rel_tol: beam)
+    monkeypatch.setattr(lc, "mm_solve", lambda ops, phases, rel_tol: phases)
+    tols = spy_half_step_tols(monkeypatch, algorithm)
     config, channels = instance(seed=5, n=3, l=6)
-    trace = run_ao(config, AoConfig(algorithm=ALGORITHM_SDP), channels,
-                   trial_stream(5, 1))
+    trace = run_ao(config, AoConfig(algorithm=algorithm), channels, trial_stream(5, 1))
     assert trace.converged and trace.n_outer == 2
-    assert tols == [("w", 1e-2), ("v", 1e-2), ("w", 1e-4), ("v", 1e-4)]
+    sides, used = zip(*tols)
+    loose, tight = {ALGORITHM_SDP: ((1e-2, 1e-2), (1e-4, 1e-4)),
+                    ALGORITHM_LC: ((1e-5, 1e-2), (1e-9, 1e-6))}[algorithm]
+    assert sides == tuple("wvwv")
+    assert used[:2] == pytest.approx(loose, rel=1e-12) and used[2:] == tight
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 12), l=st.integers(4, 40),
+       rho=st.floats(0.0, 1.0), rel_tol=st.sampled_from([1e-4, 1e-6]))
+def test_lc_half_steps_ascend_and_stay_feasible_under_the_schedule(seed, n, l, rho,
+                                                                   rel_tol):
+    # The LC monotone-ascent and feasibility invariants hold at the loose
+    # inner tolerances of the early maps as at the defaults.
+    config, channels = instance(seed, n=n, l=l, rho=rho)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = spy_half_step_tols(patch, ALGORITHM_LC)
+        trace = run_ao(config, AoConfig(algorithm=ALGORITHM_LC, rel_tol=rel_tol),
+                       channels, trial_stream(seed, 1))
+    assert calls[0][1] > lc.SCA_REL_TOL and calls[1][1] > lc.MM_REL_TOL
+    assert_nondecreasing(trace)
+    for step in trace.steps:
+        assert step.w_error <= 1e-12 and step.v_error <= 1e-12
 
 
 def test_trace_records_sdp_iteration_counts(monkeypatch):
@@ -635,17 +678,6 @@ def test_composite_objective_reads_the_final_trace_value(algorithm, n_irs):
         trace = run_ao(config, AoConfig(algorithm), channels, trial_stream(5, 1, trial))
         assert objective.composite_objective(
             channels, trace.phases, trace.beam, config) == trace.final_objective()
-
-
-@pytest.fixture
-def blas_at_two_threads():
-    """The OpenBLAS thread count set to 2 for the test, so one thread inside
-    a run differs from the count outside it; the prior count comes back."""
-    get, put = BLAS_THREADS
-    prior = get()
-    put(2)
-    yield get
-    put(prior)
 
 
 @needs_blas_threads

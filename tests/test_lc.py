@@ -482,6 +482,44 @@ def test_solvers_bit_identical_with_zero_gradient_entries():
     assert sca_out.w[0] == pytest.approx(beam.w[0], rel=1e-14)
 
 
+def reference_sqs3_jump(x0, x1, x2):
+    """`lc.sqs3_jump` through np.linalg.norm and np.angle."""
+    r, d = x1 - x0, x2 - 2.0 * x1 + x0
+    if not np.linalg.norm(d) > 0.0:
+        return None
+    a = -max(np.linalg.norm(r) / np.linalg.norm(d), 1.0)
+    return np.angle(x0 - 2.0 * a * r + a * a * d)
+
+
+@settings(max_examples=90, deadline=None)
+@given(n=st.sampled_from([12, 41, 52]), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "near-line", "few-move", "still"]),
+       scale=st.floats(1e-3, 1e3))
+def test_sqs3_jump_bit_identical_to_norm_and_angle(n, seed, kind, scale):
+    # Stacked states of 12 beam and 40 phase entries, a phase side of 40 or
+    # 41 and the beam side alone.  "near-line" iterates make the step ratio
+    # large, "few-move" ones leave most entries of d at zero, and "still"
+    # ones make d = 0, where the jump is None.
+    rng = np.random.default_rng(seed)
+    x0 = scale * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    step = scale * 1e-3 * complex_normal(rng, (n,))
+    if kind == "few-move":
+        step[rng.permutation(n)[3:]] = 0.0
+    x1 = x0 + step
+    x2 = {"random": scale * np.exp(1j * rng.uniform(-np.pi, np.pi, n)),
+          "near-line": x1 + step * (1.0 + 1e-6 * rng.standard_normal(n)),
+          "few-move": x1 + 0.5 * step,
+          "still": x0}[kind]
+    if kind == "still":
+        x1 = x0
+    got, want = lc.sqs3_jump(x0, x1, x2), reference_sqs3_jump(x0, x1, x2)
+    if want is None:
+        assert got is None
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (want is None) == (kind == "still")
+
+
 @pytest.mark.parametrize("max_iters", [1, 2])
 @pytest.mark.parametrize("rel_tol", [None, 0.0])
 def test_mm_solve_small_caps_are_plain_steps(max_iters, rel_tol):

@@ -384,11 +384,11 @@ def test_search_scores_the_rows_within_the_margin_of_the_flat_screen(case, nan):
         assert len(want) == len(all_rows)
 
 
-def oracle_small_trial():
-    """The first oracle-small trial of the benchmark at seed 1."""
-    config = dataclasses.replace(SystemConfig(seed=1), n_tx=6, n_irs=6, rho=0.5)
-    channels = sample_channels(config, trial_stream(1, 0, 0))
-    rng = trial_stream(1, 1, 0)
+def oracle_small_trial(seed=1):
+    """The first oracle-small trial of the benchmark at `seed`."""
+    config = dataclasses.replace(SystemConfig(seed=seed), n_tx=6, n_irs=6, rho=0.5)
+    channels = sample_channels(config, trial_stream(seed, 0, 0))
+    rng = trial_stream(seed, 1, 0)
     beam = Beamformer.from_phases(rng.uniform(-np.pi, np.pi, 6), config)
     phases = PhaseProfile(rng.uniform(-np.pi, np.pi, 6))
     return config, channels, beam, phases, SearchBudget()
@@ -425,3 +425,35 @@ def test_oracle_small_seed1_trial0_scores_nine_rows():
         quantized_phase_search(channels, beam, config, budget)
         quantized_beam_search(channels, phases, config, budget)
     assert (calls_v, calls_w) == ([1], [8])
+
+
+@pytest.mark.parametrize("search", ["phase", "beam"])
+def test_searches_hold_one_blas_thread_and_restore_the_count(monkeypatch, search,
+                                                             blas_at_two_threads):
+    get = blas_at_two_threads
+    config, channels, beam, phases, budget = oracle_small_trial()
+    seen = []
+
+    def spy(*args):
+        seen.append(get())
+        return _grid_search(*args)
+
+    monkeypatch.setattr(oracle, "_grid_search", spy)
+    if search == "phase":
+        quantized_phase_search(channels, beam, config, budget)
+    else:
+        quantized_beam_search(channels, phases, config, budget)
+    assert seen == [1] and get() == 2
+
+
+@pytest.mark.parametrize("seed", [45, 46, 47])
+def test_one_blas_thread_changes_no_search_bit(seed, blas_at_two_threads):
+    # At 8 levels and N = L = 6 the screen's (512, 18) @ (18, 512) product
+    # splits over two threads unwrapped; winners and scores are the same bits.
+    config, channels, beam, phases, budget = oracle_small_trial(seed)
+    assert_bit_equal(*[(phase_search(channels, beam, config, budget),
+                        beam_search(channels, phases, config, budget))
+                       for phase_search, beam_search in (
+                           (quantized_phase_search, quantized_beam_search),
+                           (quantized_phase_search.__wrapped__,
+                            quantized_beam_search.__wrapped__))])
