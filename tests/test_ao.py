@@ -662,9 +662,9 @@ def test_last_record_reads_the_rows_of_the_final_iterate(algorithm, seed, l, rho
     assert (last.objective, last.harvested_sum, last.beampattern_sum) == fresh
 
 
-BLAS_THREADS = scenario._BLAS_THREAD_CALLS
 needs_blas_threads = pytest.mark.skipif(
-    BLAS_THREADS is None, reason="no OpenBLAS thread-count setter resolves")
+    scenario._BLAS_THREAD_CALLS is None,
+    reason="no OpenBLAS thread-count setter resolves")
 
 
 @pytest.mark.parametrize("n_irs", [10, 40])
@@ -680,7 +680,6 @@ def test_composite_objective_reads_the_final_trace_value(algorithm, n_irs):
             channels, trace.phases, trace.beam, config) == trace.final_objective()
 
 
-@needs_blas_threads
 @pytest.mark.parametrize("entry", [ALGORITHM_LC, ALGORITHM_SDP, "rps"])
 def test_runs_hold_one_blas_thread_and_restore_the_count(monkeypatch, entry,
                                                          blas_at_two_threads):
@@ -705,7 +704,6 @@ def test_runs_hold_one_blas_thread_and_restore_the_count(monkeypatch, entry,
     assert get() == 2
 
 
-@needs_blas_threads
 def test_blas_thread_count_returns_after_a_raise_and_a_nested_run(monkeypatch,
                                                                   blas_at_two_threads):
     get = blas_at_two_threads
