@@ -14,8 +14,8 @@ the phases at fixed beamformer.  Either half-step runs in one of two modes:
   eigenvector of the relaxed solution, the incumbent keeps each half-step
   monotone, and S is positive definite at every iterate.
 * "lc": an inner SCA loop for the beamformer and an inner MM loop for the
-  phases, each iterating the closed-form step of `lc` until its objective
-  stalls.  Each step ascends, so a loose stop keeps the half-step monotone.
+  phases, each iterating the closed-form step of `lc`, x <- amp * y / |y|
+  with y = M x + b, until its objective stalls.  Each step ascends, so a loose stop keeps the half-step monotone.
 
 Both half-steps of a map solve to one tolerance `tol` that follows the
 outer progress (`_next_map_tol`): 1e-2 (`AoConfig.sdp_start_tol`) in the
@@ -29,7 +29,8 @@ incumbent, only tightens the next map's solves.
 
 For both, the maps run in safeguarded SqS3 cycles over the stacked state
 u = [w / sqrt(p0/N); v]: two plain maps x0 -> x1 -> x2, then one map from
-`lc.sqs3_jump(u0, u1, u2)` (the beam rescaled to sqrt(p0/N)).  If J after
+`lc.sqs3_jump(u0, u1, u2)`, the extrapolated y projected as y / |y| (the
+beam rescaled to sqrt(p0/N)).  If J after
 its beam half-step is below J(x2), the jump is rejected: x2 stays, its
 "v" step is recorded again as the map's "w" and "v" steps, and no stop
 test follows.  Each map, a jump kept or rejected, is one ("w", "v") pair
@@ -142,12 +143,13 @@ class AoTrace:
         return np.asarray(out)
 
 
-def _record(trace: AoTrace, config: SystemConfig, phases: PhaseProfile,
-            rows: np.ndarray, beam: Beamformer, outer: int, stage: str,
+def _record(trace: AoTrace, config: SystemConfig, rows: np.ndarray,
+            beam: Beamformer, errors: tuple[float, float], outer: int, stage: str,
             relaxed: float | None = None,
             solution: sdp.SdpSolution | None = None) -> float:
     """Append to `trace` the step at iterate (phases, beam), `rows` the phases'
-    `beam_rows`, with an sdp half-step's `solution` diagnostics; returns J."""
+    `beam_rows` and `errors` the iterate's (w, v) modulus errors, with an sdp
+    half-step's `solution` diagnostics; returns J."""
     j_val, harvested, sensing = solution_metrics(rows, beam.w, config)
     ipm = {} if solution is None else dict(
         sdp_iterations=solution.iterations, sdp_duality_gap=solution.duality_gap,
@@ -155,9 +157,7 @@ def _record(trace: AoTrace, config: SystemConfig, phases: PhaseProfile,
     trace.steps.append(AoStep(
         outer_iter=outer, stage=stage, objective=j_val,
         harvested_sum=harvested, beampattern_sum=sensing,
-        w_error=beam.modulus_error(config),
-        v_error=phases.modulus_error(),
-        relaxed_objective=relaxed, **ipm))
+        w_error=errors[0], v_error=errors[1], relaxed_objective=relaxed, **ipm))
     return j_val
 
 
@@ -199,7 +199,8 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     _check_start(config, ao)
     trace = AoTrace()
     phases, rows, beam = _initial_iterates(config, ao, channels, rng)
-    j_prev = _record(trace, config, phases, rows, beam, 0, "init")
+    w_err, v_err = beam.modulus_error(config), phases.modulus_error()
+    j_prev = _record(trace, config, rows, beam, (w_err, v_err), 0, "init")
     solution_w = solution_v = None   # each sdp side's last solve, its next warm start
     cycle = []   # the stacked states u of the current SqS3 cycle
     tol = ao.sdp_start_tol   # the map's half-step tolerance
@@ -210,11 +211,13 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
         if len(cycle) == 3:   # two plain maps done: this map starts at the jump
             jump = lc.sqs3_jump(*cycle)
             cycle = cycle[2:] if jump is None else []
-        start_beam, start_phases, start_rows = beam, phases, rows
+        start_beam, start_phases, start_rows, start_v_err = beam, phases, rows, v_err
         if jump is not None:
-            start_beam = Beamformer.from_phases(jump[:config.n_tx], config)
-            start_phases = PhaseProfile(alpha=jump[config.n_tx:])
+            start_beam = Beamformer.from_projection(config.beam_amplitude
+                                                    * jump[:config.n_tx])
+            start_phases = PhaseProfile.from_projection(jump[config.n_tx:])
             start_rows = beam_rows(channels, start_phases, config)
+            start_v_err = start_phases.modulus_error()
         loosen = (tol / ao.sdp_tol) ** 2   # lc inner tolerances over their defaults
         try:
             big_h = gram(start_rows, config)
@@ -224,8 +227,9 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             else:
                 w_beam, relaxed_w = lc.sca_solve(
                     big_h, start_beam, config, rel_tol=lc.SCA_REL_TOL * loosen), None
-            j_w = _record(trace, config, start_phases, start_rows, w_beam, outer,
-                          "w", relaxed_w, solution_w)
+            w_beam_err = w_beam.modulus_error(config)
+            j_w = _record(trace, config, start_rows, w_beam, (w_beam_err, start_v_err),
+                          outer, "w", relaxed_w, solution_w)
             if jump is not None and not j_w >= j_prev:
                 # Rejected: x2 stays, and its v record repeats as a flat pair.
                 trace.steps[-1:] = [replace(trace.steps[-2], outer_iter=outer, stage=s)
@@ -233,6 +237,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
                 trace.n_outer = outer
                 continue
             beam, phases, rows = w_beam, start_phases, start_rows
+            w_err, v_err = w_beam_err, start_v_err
 
             ops = build_operators(channels, None, beam, config)
             if ao.algorithm == ALGORITHM_SDP:
@@ -241,8 +246,8 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             else:
                 phases, relaxed_v = lc.mm_solve(
                     ops, phases, rel_tol=lc.MM_REL_TOL * loosen), None
-            rows = beam_rows(channels, phases, config)
-            j_new = _record(trace, config, phases, rows, beam, outer, "v",
+            rows, v_err = beam_rows(channels, phases, config), phases.modulus_error()
+            j_new = _record(trace, config, rows, beam, (w_err, v_err), outer, "v",
                             relaxed_v, solution_v)
         except sdp.SdpNonConvergence as exc:
             trace.failure = str(exc)
@@ -273,5 +278,6 @@ def run_rps(config: SystemConfig, channels: ChannelSet,
     beam, maps, converged = lc._sca_ascent(gram(rows, config), flat, config,
                                            max_iters, rel_tol)
     trace = AoTrace(beam=beam, phases=phases, converged=converged, n_outer=maps)
-    _record(trace, config, phases, rows, beam, maps, "w")
+    _record(trace, config, rows, beam,
+            (beam.modulus_error(config), phases.modulus_error()), maps, "w")
     return trace

@@ -1,11 +1,12 @@
 """Low-complexity updates: the SCA beamformer step and the MM phase step.
 
 Both half-steps maximise a PSD quadratic form plus a linear term over a
-constant-modulus vector x with one step, x <- amp * exp(j * arg(M x + b)),
-where an entry with M x + b = 0 keeps its phase (any phase is optimal
-there; keeping the old one makes the step deterministic).  The step
-maximises the tangent plane of the convex objective at the current x, a
-minorant, so each step can only raise the objective.
+constant-modulus vector x with one step, x <- amp * y / |y| entrywise with
+y = M x + b (`objective.project`), where an entry with y = 0 keeps x's
+entry (any phase is optimal there; keeping the old one makes the step
+deterministic).  The step maximises the tangent plane of the convex
+objective at the current x, a minorant, so each step can only raise the
+objective.
 
 * Beamformer side: J(w) = w^H H w, so M = H, b = 0, amp = sqrt(p0/N).
 * Phase side: J = v^H F11 v + 2 Re(v^H f12) + offset with F11, f12 and
@@ -14,12 +15,15 @@ minorant, so each step can only raise the objective.
   g(v0) - 2 Re((v - v0)^H (F11 v0 + f12)), majorises it at any L (Sun,
   Babu & Palomar, IEEE TSP 2017) and no eigenvalue shift is needed.
 
-Each step costs one matrix-vector product.  `mm_solve`, `sca_solve` and
-`ao.run_rps` iterate it in one loop, `_sqs3_ascent`: SQUAREM (SqS3; Varadhan
-& Roland, Scand. J. Stat. 2008, applied to MM as in Sun, Babu & Palomar)
-with a safeguard that keeps the ascent monotone.  Warm-started MM solves at
-L=40 reach the stop test in about a third of the maps of plain iteration.
-Its jump is `sqs3_jump`, which `ao.run_ao` also applies to the outer map.
+An MM map costs one F11 product: `MmProblem` carries y at its iterate, and
+the product that gives y at the next iterate also scores it.  An SCA map
+costs two H products, one for its step and one for its score.  `mm_solve`,
+`sca_solve` and `ao.run_rps` iterate their step in one loop,
+`_sqs3_ascent`: SQUAREM (SqS3; Varadhan & Roland, Scand. J. Stat. 2008,
+applied to MM as in Sun, Babu & Palomar) with a safeguard that keeps the
+ascent monotone.  Warm-started MM solves at L=40 reach the stop test in
+about a third of the maps of plain iteration.  Its jump is `sqs3_jump`,
+which `ao.run_ao` also applies to the outer map.
 
 Each solve checks its inputs once, at entry, with the helpers of
 `scenario`: its loop parameters, then `sca_solve` the beam and the N x N
@@ -35,7 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .objective import Beamformer, DerivedOperators, PhaseProfile
+from .objective import Beamformer, DerivedOperators, PhaseProfile, project
 from .scenario import SystemConfig, check_finite, check_hermitian, check_loop
 
 SCA_REL_TOL = 1e-9   # `sca_solve`'s default stop tolerance
@@ -47,32 +51,32 @@ def stalled(new: float, prev: float, rel_tol: float) -> bool:
     return abs(new - prev) < rel_tol * max(abs(prev), 1e-300)
 
 
-def sqs3_jump(x0: np.ndarray, x1: np.ndarray,
-              x2: np.ndarray) -> np.ndarray | None:
-    """Phases of the SqS3 jump from plain maps x0 -> x1 -> x2, projecting it
-    onto the unit circle: arg(x0 - 2 a r + a^2 d) entrywise, with r = x1 - x0,
+def sqs3_jump(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray,
+              amp: float = 1.0) -> np.ndarray | None:
+    """The SqS3 jump from plain maps x0 -> x1 -> x2, projected onto modulus
+    `amp`: `project(y, x2, amp)` with y = x0 - 2 a r + a^2 d, r = x1 - x0,
     d = x2 - 2 x1 + x0 and a = -max(|r| / |d|, 1); None when d = 0."""
     r, d = x1 - x0, x2 - 2.0 * x1 + x0
-    # np.linalg.norm's and np.angle's arithmetic, without their call overhead.
+    # np.linalg.norm's arithmetic, without its call overhead.
     d_norm = math.sqrt(d.real.dot(d.real) + d.imag.dot(d.imag))
     if not d_norm > 0.0:
         return None
     a = -max(math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) / d_norm, 1.0)
-    y = x0 - 2.0 * a * r + a * a * d
-    return np.arctan2(y.imag, y.real)
+    return project(x0 - 2.0 * a * r + a * a * d, x2, amp)
 
 
-def _sqs3_ascent(step: Callable, lift: Callable, start: tuple,
-                 max_iters: int, rel_tol: float) -> tuple[object, int, bool]:
+def _sqs3_ascent(step: Callable, lift: Callable, start: tuple, max_iters: int,
+                 rel_tol: float, amp: float = 1.0) -> tuple[object, int, bool]:
     """Iterate `step` in safeguarded SqS3 cycles; return the last iterate,
     the number of maps and whether the stop test, not the cap, ended them.
 
-    `start` and each `step(iterate)` are triples (iterate, vector, score).
-    A cycle takes two plain maps x0 -> x1 -> x2, then one map from
-    `lift(sqs3_jump(x0, x1, x2))`, kept only if it scores no lower than x2,
-    so the score never falls.  The loop stops when the score stalls after a
-    cycle's first map.  `max_iters` counts every map: a cycle the cap would
-    cut short skips the jump, so caps of 1 and 2 give plain steps."""
+    `start` and each `step(iterate)` are triples (iterate, vector, score),
+    the vectors of modulus `amp`.  A cycle takes two plain maps
+    x0 -> x1 -> x2, then one map from `lift(sqs3_jump(x0, x1, x2, amp))`,
+    kept only if it scores no lower than x2, so the score never falls.  The
+    loop stops when the score stalls after a cycle's first map.
+    `max_iters` counts every map: a cycle the cap would cut short skips the
+    jump, so caps of 1 and 2 give plain steps."""
     (out, x, score_start), maps = start, 0
     while maps < max_iters:
         x0 = x
@@ -84,7 +88,7 @@ def _sqs3_ascent(step: Callable, lift: Callable, start: tuple,
         x1 = x
         out, x, score = step(out)
         maps += 1
-        jump = sqs3_jump(x0, x1, x) if maps < max_iters else None
+        jump = sqs3_jump(x0, x1, x, amp) if maps < max_iters else None
         if jump is not None:
             ext = step(lift(jump))
             maps += 1
@@ -94,23 +98,12 @@ def _sqs3_ascent(step: Callable, lift: Callable, start: tuple,
     return out, maps, False
 
 
-def _ascent_phases(m_mat: np.ndarray, x: np.ndarray,
-                   b: np.ndarray | None = None) -> np.ndarray:
-    """Phases of the ascent step: arg(M x + b) entrywise, with arg(x)
-    wherever M x + b is exactly zero."""
-    y = m_mat @ x if b is None else m_mat @ x + b
-    phase = np.arctan2(y.imag, y.real)
-    if np.count_nonzero(y) < y.size:
-        phase = np.where(y != 0.0, phase, np.angle(x))
-    return phase
-
-
 def sca_update_w(big_h: np.ndarray, w_prev: Beamformer,
                  config: SystemConfig) -> Beamformer:
-    """One SCA beamformer step, w = sqrt(p0/N) exp(j arg(H w_prev)); the
+    """One SCA beamformer step, w = sqrt(p0/N) y / |y| with y = H w_prev; the
     unchecked per-step kernel (`sca_solve` checks `big_h` once per solve)."""
-    return Beamformer.from_phases(_ascent_phases(np.asarray(big_h), w_prev.w),
-                                  config)
+    y = np.asarray(big_h) @ w_prev.w
+    return Beamformer.from_projection(project(y, w_prev.w, config.beam_amplitude))
 
 
 def _sca_ascent(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
@@ -121,8 +114,8 @@ def _sca_ascent(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
         return out, out.w, float(np.vdot(out.w, big_h @ out.w).real)
 
     start = (beam, beam.w, float(np.vdot(beam.w, big_h @ beam.w).real))
-    return _sqs3_ascent(step, lambda phase: Beamformer.from_phases(phase, config),
-                        start, max_iters, rel_tol)
+    return _sqs3_ascent(step, Beamformer.from_projection, start, max_iters,
+                        rel_tol, config.beam_amplitude)
 
 
 def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
@@ -136,18 +129,24 @@ def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
 
 
 class MmProblem(NamedTuple):
-    """The phase objective's operators and the current iterate; unchecked
-    (`mm_solve` checks its inputs once)."""
+    """The phase objective's operators, the current iterate and the MM
+    step's y there; unchecked (`mm_solve` checks its inputs once)."""
 
-    f11: np.ndarray     # (L, L) PSD quadratic part
-    f12: np.ndarray     # (L,) linear part
-    v_prev: np.ndarray  # (L,) current unit-modulus iterate
+    f11: np.ndarray        # (L, L) PSD quadratic part
+    f12: np.ndarray        # (L,) linear part
+    v_prev: np.ndarray     # (L,) current unit-modulus iterate
+    direction: np.ndarray  # (L,) F11 v_prev + f12
+
+    @classmethod
+    def at(cls, f11: np.ndarray, f12: np.ndarray, v: np.ndarray) -> "MmProblem":
+        """The problem at iterate v, with its one F11 product."""
+        return cls(f11, f12, v, f11 @ v + f12)
 
     @classmethod
     def from_operators(cls, ops: DerivedOperators,
                        phases: PhaseProfile) -> "MmProblem":
         l_dim = phases.v.size   # F11 and f12 are blocks of big_f
-        return cls(ops.big_f[:l_dim, :l_dim], ops.big_f[:l_dim, l_dim], phases.v)
+        return cls.at(ops.big_f[:l_dim, :l_dim], ops.big_f[:l_dim, l_dim], phases.v)
 
 
 def mm_objective(problem: MmProblem, v: np.ndarray) -> float:
@@ -159,23 +158,34 @@ def mm_objective(problem: MmProblem, v: np.ndarray) -> float:
 
 
 def mm_update_v(problem: MmProblem) -> PhaseProfile:
-    """One MM phase step, v = exp(j arg(F11 v_prev + f12))."""
-    return PhaseProfile._trusted(_ascent_phases(problem.f11, problem.v_prev, problem.f12))
+    """One MM phase step, v = y / |y| with y = F11 v_prev + f12."""
+    return PhaseProfile.from_projection(project(problem.direction, problem.v_prev))
 
 
 def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
              max_iters: int = 50, rel_tol: float = MM_REL_TOL) -> PhaseProfile:
-    """Iterate MM steps at fixed beamformer in `_sqs3_ascent` until g stalls."""
+    """Iterate MM steps at fixed beamformer in `_sqs3_ascent` until g stalls.
+
+    Its iterates are (profile, problem) pairs: the product that anchors the
+    problem at a new profile gives both its score, -g = Re(v^H (y + f12)),
+    and the next step's y."""
     check_loop(max_iters, rel_tol, "max_iters")
     l_dim = phases.v.size
     check_hermitian(ops.big_f, "big_f", l_dim + 1)
     check_finite("phases", phases.v, (l_dim,))
     problem = MmProblem.from_operators(ops, phases)
+    f11, f12 = problem.f11, problem.f12
 
-    def step(prev: PhaseProfile) -> tuple[PhaseProfile, np.ndarray, float]:
-        anchored = MmProblem(problem.f11, problem.f12, prev.v)
-        out = mm_update_v(anchored)
-        return out, out.v, -mm_objective(anchored, out.v)
+    def score(at: MmProblem) -> float:
+        return float(np.vdot(at.v_prev, at.direction + f12).real)
 
-    start = (phases, phases.v, -mm_objective(problem, phases.v))
-    return _sqs3_ascent(step, PhaseProfile._trusted, start, max_iters, rel_tol)[0]
+    def step(prev: tuple) -> tuple[tuple, np.ndarray, float]:
+        out = mm_update_v(prev[1])
+        anchored = MmProblem.at(f11, f12, out.v)
+        return (out, anchored), out.v, score(anchored)
+
+    def lift(v: np.ndarray) -> tuple:   # a lifted iterate only feeds `step`
+        return None, MmProblem.at(f11, f12, v)
+
+    start = ((phases, problem), phases.v, score(problem))
+    return _sqs3_ascent(step, lift, start, max_iters, rel_tol)[0][0]

@@ -69,13 +69,18 @@ class Beamformer:
 
     @classmethod
     def from_phases(cls, phases: np.ndarray, config: SystemConfig) -> "Beamformer":
-        """Build sqrt(p0/N) * exp(j*phase) per antenna, the optimizers' only
-        constructor (the modulus holds by shape); its fresh array skips
-        `__post_init__`'s copy and checks."""
+        """Build sqrt(p0/N) * exp(j*phase) per antenna (the modulus holds by
+        shape); its fresh array skips `__post_init__`'s copy and checks."""
         phases = np.asarray(phases, dtype=float)
         if phases.shape != (config.n_tx,):
             raise ValueError(f"expected {config.n_tx} phases, got {phases.shape}")
         w = config.beam_amplitude * np.exp(1j * phases)
+        return _freeze(object.__new__(cls), w=w)
+
+    @classmethod
+    def from_projection(cls, w: np.ndarray) -> "Beamformer":
+        """The beamformer holding `w`, a fresh vector of moduli sqrt(p0/N)
+        such as `project` returns; unchecked and uncopied (for kernels)."""
         return _freeze(object.__new__(cls), w=w)
 
     def modulus_error(self, config: SystemConfig) -> float:
@@ -88,13 +93,29 @@ def wrap_angle(alpha: np.ndarray) -> np.ndarray:
     return np.mod(np.asarray(alpha, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
 
 
+def project(y: np.ndarray, fallback: np.ndarray | float,
+            amp: float = 1.0) -> np.ndarray:
+    """amp * y / |y| entrywise, the nearest point of modulus `amp` to each
+    entry of y, as y / (|y| / amp); `fallback`'s entry wherever y is
+    exactly zero, where every point of the circle is equally near."""
+    mod = np.abs(y)
+    if amp != 1.0:
+        mod /= amp
+    if np.count_nonzero(mod) == mod.size:
+        return y / mod
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mod > 0.0, y / mod, fallback)
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseProfile:
     """Unit-modulus reflection profile of an L-element surface.
 
-    The phases `alpha` (wrapped to [-pi, pi)) are the source of truth; the
-    complex factors v = exp(j*alpha) are materialised once at construction
-    so |v_l| = 1 holds to machine precision by construction.
+    The public constructor takes the phases `alpha`, wraps them to
+    [-pi, pi) and materialises v = exp(j*alpha) once.  A kernel-built
+    profile (`from_projection`) instead stores the unit vector v it is
+    given and derives alpha = arg(v), with +pi folded to -pi.  Either way
+    |v_l| = 1 holds to a few ulp, and alpha lies in [-pi, pi).
     """
 
     alpha: np.ndarray
@@ -106,10 +127,12 @@ class PhaseProfile:
         _freeze(self, alpha=alpha, _v=np.exp(1j * alpha))
 
     @classmethod
-    def _trusted(cls, phase: np.ndarray) -> "PhaseProfile":
-        """The profile at a nonempty 1-D float array, unchecked (for kernels)."""
-        alpha = wrap_angle(phase)
-        return _freeze(object.__new__(cls), alpha=alpha, _v=np.exp(1j * alpha))
+    def from_projection(cls, v: np.ndarray) -> "PhaseProfile":
+        """The profile holding `v`, a fresh nonempty 1-D unit-modulus vector
+        such as `project` returns; unchecked and uncopied (for kernels)."""
+        alpha = np.angle(v)
+        alpha[alpha == np.pi] = -np.pi
+        return _freeze(object.__new__(cls), alpha=alpha, _v=v)
 
     @property
     def v(self) -> np.ndarray:

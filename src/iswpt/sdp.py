@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import Beamformer, PhaseProfile, hermitian_part
+from .objective import Beamformer, PhaseProfile, hermitian_part, project
 from .scenario import SystemConfig, check_finite, check_hermitian, complex_normal
 
 
@@ -266,19 +266,20 @@ def extract_beamformer(x_opt: np.ndarray, big_h: np.ndarray,
     """Feasible constant-modulus beamformer from a relaxed lifted solution.
 
     Each candidate is projected entrywise onto the per-antenna modulus
-    (zero entries get phase 0) and scored on the true quadratic objective
+    (`objective.project`; zero entries get phase 0) and scored on the true quadratic objective
     w^H big_h w; the best candidate wins, first on ties.  An incumbent
     iterate, when given, competes as an extra candidate and wins as itself,
     not rebuilt, so the extraction never returns anything worse than it.
     """
     cands = _candidates(x_opt, n_rand, rng)
-    w_rows = config.beam_amplitude * np.exp(1j * np.angle(cands))
+    amp = config.beam_amplitude
+    w_rows = project(cands, amp, amp)
     if incumbent is not None:
         w_rows = np.vstack([w_rows, incumbent.w[None, :]])
     best = int(np.argmax(_quadratic_scores(w_rows, big_h)))
     if best == len(cands):   # the incumbent's row, the last
         return incumbent
-    return Beamformer.from_phases(np.angle(w_rows[best]), config)
+    return Beamformer.from_projection(w_rows[best])
 
 
 def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,

@@ -640,18 +640,27 @@ def test_lc_run_builds_rows_once_per_profile(monkeypatch):
 @example(seed=4, l=16, rho=0.0, cap=12)   # sdp ends on a rejected jump at the cap
 @pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
 def test_last_record_reads_the_rows_of_the_final_iterate(algorithm, seed, l, rho, cap):
-    # Every record reads the rows of its own phases, the ones a rejected
-    # jump falls back to included, and the last record equals the metrics
-    # of freshly built rows at the final iterate, to the bit.
+    # Every record reads the rows and the modulus errors of its own
+    # iterate, a rejected jump's fallback included: the rows are the
+    # beam_rows of some profile, and the errors those of the beam and of
+    # that profile.  The last record equals the metrics of freshly built
+    # rows at the final iterate, to the bit.
     config, channels = instance(seed, l=l, rho=rho)
-    fresh_rows = []
+    built, fresh_rows = [], []   # (phases, rows) of each beam_rows call
 
-    def check_rows(trace, config, phases, rows, *args):
+    def spy_rows(channels, phases, config):
+        built.append((phases, beam_rows(channels, phases, config)))
+        return built[-1][1]
+
+    def check_rows(trace, config, rows, beam, errors, *args):
+        (phases,) = [p for p, r in built if r is rows]
         fresh = beam_rows(channels, phases, config)
-        fresh_rows.append(rows.tobytes() == fresh.tobytes())
-        return _record(trace, config, phases, rows, *args)
+        fresh_rows.append(rows.tobytes() == fresh.tobytes() and errors
+                          == (beam.modulus_error(config), phases.modulus_error()))
+        return _record(trace, config, rows, beam, errors, *args)
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("iswpt.ao.beam_rows", spy_rows)
         patch.setattr("iswpt.ao._record", check_rows)
         ao = AoConfig(algorithm=algorithm, max_outer_iters=cap)
         trace = run_ao(config, ao, channels, trial_stream(seed, 1))

@@ -228,15 +228,22 @@ def test_mm_problem_rejects_non_finite_vectors_by_name(field, bad):
 def test_mm_step_with_flat_curvature():
     # F11 = 0 leaves only the linear term, so the update aligns v with f12.
     problem = MmProblem(f11=np.zeros((2, 2)), f12=np.array([1.0, 1.0j]),
-                        v_prev=np.array([1.0 + 0.0j, 1.0 + 0.0j]))
+                        v_prev=np.array([1.0 + 0.0j, 1.0 + 0.0j]),
+                        direction=np.array([1.0, 1.0j]))
     out = mm_update_v(problem)
     np.testing.assert_allclose(out.v, [1.0, 1.0j], atol=1e-12)
+
+
+def mm_problem(f11, f12, v):
+    """The MM problem at v, its direction F11 v + f12 passed by hand."""
+    return MmProblem(f11=f11, f12=f12, v_prev=v, direction=f11 @ v + f12)
 
 
 def test_mm_zero_gamma_keeps_previous_iterate():
     rng = trial_stream(6, 0)
     v_prev = np.exp(1j * rng.uniform(-3.0, 3.0, 5))
-    problem = MmProblem(f11=np.zeros((5, 5)), f12=np.zeros(5), v_prev=v_prev)
+    problem = MmProblem(f11=np.zeros((5, 5)), f12=np.zeros(5), v_prev=v_prev,
+                        direction=np.zeros(5, dtype=complex))
     out = mm_update_v(problem)
     np.testing.assert_allclose(out.v, v_prev, atol=1e-14)
 
@@ -247,11 +254,11 @@ def test_mm_descent_on_random_problems():
         f11 = random_psd(rng, 6)
         f12 = complex_normal(rng, (6,))
         v = np.exp(1j * rng.uniform(-np.pi, np.pi, 6))
-        problem = MmProblem(f11=f11, f12=f12, v_prev=v)
+        problem = mm_problem(f11, f12, v)
         g_prev = mm_objective(problem, v)
         for _ in range(30):
             v = mm_update_v(problem).v
-            problem = MmProblem(f11=f11, f12=f12, v_prev=v)
+            problem = mm_problem(f11, f12, v)
             g_new = mm_objective(problem, v)
             assert g_new <= g_prev + 1e-10 * max(1.0, abs(g_prev))
             g_prev = g_new
@@ -316,10 +323,10 @@ def test_mm_matches_exhaustive_grid_minimum():
         g_grid_min = float(np.min(-(quad + 2.0 * lin)))
 
         v = np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
-        problem = MmProblem(f11=f11, f12=f12, v_prev=v)
+        problem = mm_problem(f11, f12, v)
         for _ in range(500):
             v = mm_update_v(problem).v
-            problem = MmProblem(f11=f11, f12=f12, v_prev=v)
+            problem = mm_problem(f11, f12, v)
         g_mm = mm_objective(problem, v)
         assert g_mm <= g_grid_min + 0.02 * abs(g_grid_min)
 
@@ -338,40 +345,40 @@ def test_mm_solve_improves_composite_objective():
 # Solvers against the per-step reference loops
 #
 # The references below are written from the algorithms' formulas, not from
-# `lc`: every MM step rebuilds and re-validates an MmProblem at the T = 0
-# majorizer, and every step takes its phases with np.angle and an np.abs
-# mask.  Both solves are SQUAREM (SqS3, Varadhan & Roland 2008) over their
-# step, here a descent on g (g = -w^H H w for SCA): two plain maps
-# x1 = F(x0), x2 = F(x1); r = x1 - x0, d = x2 - 2 x1 + x0,
-# a = -max(|r| / |d|, 1); one map from the constant-modulus projection of
-# x0 - 2 a r + a^2 d, kept only if its g is no higher than g(x2).  Every
-# map counts against max_iters; a cycle the cap would cut short, or one
-# with d = 0, skips the extrapolation.  It stops when g stalls after a
-# cycle's first map or across the cycle.  The solvers must reproduce the
-# references bit for bit.
+# `lc`: every step projects y = M x + b onto the constant-modulus set as
+# amp * y / |y|, computed as y / (|y| / amp) with an np.abs mask, and keeps
+# x's entry where y = 0.  Both solves are SQUAREM (SqS3, Varadhan & Roland
+# 2008) over their step, here a descent on g (g = -w^H H w for SCA): two
+# plain maps x1 = F(x0), x2 = F(x1); r = x1 - x0, d = x2 - 2 x1 + x0,
+# a = -max(|r| / |d|, 1); one map from the projection of
+# x0 - 2 a r + a^2 d (x2's entry where it is zero), kept only if its g is
+# no higher than g(x2).  Every map counts against max_iters; a cycle the
+# cap would cut short, or one with d = 0, skips the extrapolation.  It
+# stops when g stalls after a cycle's first map or across the cycle.  The
+# solvers must reproduce the references bit for bit.
 #
 # The MM references take their steps in u = conj(v), on the conjugated
-# lifted matrix big_f.conj(): an independent route to the same phases, in
-# which J = u^H conj(F11) u + 2 Re(u^H conj(f12)) + offset.
+# lifted matrix big_f.conj(): an independent route to the same vectors, in
+# which y = conj(conj(F11) u + conj(f12)) and g is scored from y as
+# -Re(u^H (conj(y) + conj(f12))).
 
 
-def reference_mm_objective(problem, v):
-    u = np.asarray(v, dtype=np.complex128).conj()
-    quad = float(np.real(np.vdot(u, problem.f11 @ u)))
-    lin = float(np.real(np.vdot(u, problem.f12)))
-    return -(quad + 2.0 * lin)
+def reference_project(y, fallback, amp=1.0):
+    mod = np.abs(y) / amp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mod > 0.0, y / mod, fallback)
 
 
-def reference_mm_step(problem):
-    gamma = (problem.f11 @ problem.v_prev.conj() + problem.f12).conj()
-    phase = np.where(np.abs(gamma) > 0.0, np.angle(gamma),
-                     np.angle(problem.v_prev))
-    return PhaseProfile(alpha=phase)
+def reference_alpha(v):
+    """arg(v) in [-pi, pi): np.angle with +pi folded to -pi."""
+    alpha = np.angle(v)
+    return np.where(alpha == np.pi, -np.pi, alpha)
 
 
 def reference_sqs3(plain, project, vector, start, max_iters, rel_tol):
     """SqS3 descent from start = (x, g(x)): plain(x) is one map and its g,
-    project(phases) the iterate at those phases, vector(x) its entries."""
+    project(y, x2) the iterate at the projection of the extrapolated y,
+    vector(x) its entries."""
     budget = [max_iters]
 
     def counted(x):
@@ -393,7 +400,7 @@ def reference_sqs3(plain, project, vector, start, max_iters, rel_tol):
         best, g_best = second, g_second
         if budget[0] > 0 and np.linalg.norm(d) != 0.0:
             a = -max(np.linalg.norm(r) / np.linalg.norm(d), 1.0)
-            third, g_third = counted(project(np.angle(v0 - 2.0 * a * r + a * a * d)))
+            third, g_third = counted(project(v0 - 2.0 * a * r + a * a * d, v2))
             if g_third <= g_second:
                 best, g_best = third, g_third
         if stalled(g_best, g_current):
@@ -402,34 +409,44 @@ def reference_sqs3(plain, project, vector, start, max_iters, rel_tol):
     return current
 
 
-def reference_mm_solve(ops, phases, max_iters=50, rel_tol=1e-6):
-    base = MmProblem.from_operators(ops, phases)
+def reference_mm_solve(big_f_conj, v_start, max_iters=50, rel_tol=1e-6):
+    """MM on the conjugated lifted matrix, from and to unit vectors v."""
+    l_dim = v_start.size
+    f11, f12 = big_f_conj[:l_dim, :l_dim], big_f_conj[:l_dim, l_dim]
 
-    def plain(profile):
-        problem = MmProblem(f11=base.f11, f12=base.f12, v_prev=profile.v)
-        out = reference_mm_step(problem)
-        return out, reference_mm_objective(problem, out.v)
+    def direction_and_g(v):
+        u = v.conj()
+        y_u = f11 @ u + f12
+        return y_u.conj(), -float(np.real(np.vdot(u, y_u + f12)))
 
-    return reference_sqs3(plain, lambda phase: PhaseProfile(alpha=phase),
-                          lambda profile: profile.v,
-                          (phases, reference_mm_objective(base, phases.v)),
-                          max_iters, rel_tol)
+    def plain(state):
+        v, y = state
+        v_new = reference_project(y, v)
+        y_new, g_new = direction_and_g(v_new)
+        return (v_new, y_new), g_new
+
+    def project(y_jump, v2):
+        v = reference_project(y_jump, v2)
+        return v, direction_and_g(v)[0]
+
+    y0, g0 = direction_and_g(v_start)
+    return reference_sqs3(plain, project, lambda state: state[0],
+                          ((v_start, y0), g0), max_iters, rel_tol)[0]
 
 
 def reference_sca_solve(big_h, beam, config, max_iters=50, rel_tol=1e-9):
     big_h = np.asarray(big_h)
+    amp = config.beam_amplitude
 
     def g(w):
         return -float(np.real(np.vdot(w, big_h @ w)))
 
-    def plain(out):
-        y = big_h @ out.w
-        phase = np.where(np.abs(y) > 0.0, np.angle(y), np.angle(out.w))
-        out = Beamformer.from_phases(phase, config)
-        return out, g(out.w)
+    def plain(w):
+        w_new = reference_project(big_h @ w, w, amp)
+        return w_new, g(w_new)
 
-    return reference_sqs3(plain, lambda phase: Beamformer.from_phases(phase, config),
-                          lambda out: out.w, (beam, g(beam.w)), max_iters, rel_tol)
+    return reference_sqs3(plain, lambda y, w2: reference_project(y, w2, amp),
+                          lambda w: w, (beam.w, g(beam.w)), max_iters, rel_tol)
 
 
 @pytest.mark.parametrize("n_irs", [6, 40])
@@ -442,12 +459,12 @@ def test_solvers_bit_identical_to_reference_loops(seed, n_irs, rel_tol):
         seed, n=12, l=n_irs, k=5, m=3)
     ops = build_operators(channels, phases, beam, config)
     mm_out = mm_solve(ops, phases, **tol)
-    mm_ref = reference_mm_solve(SimpleNamespace(big_f=ops.big_f.conj()), phases, **tol)
-    assert np.array_equal(mm_out.alpha, mm_ref.alpha)
-    assert np.array_equal(mm_out.v, mm_ref.v)
+    mm_ref = reference_mm_solve(ops.big_f.conj(), phases.v, **tol)
+    assert np.array_equal(mm_out.v, mm_ref)
+    assert np.array_equal(mm_out.alpha, reference_alpha(mm_ref))
     sca_out = sca_solve(ops.big_h, beam, config, **tol)
     sca_ref = reference_sca_solve(ops.big_h, beam, config, **tol)
-    assert np.array_equal(sca_out.w, sca_ref.w)
+    assert np.array_equal(sca_out.w, sca_ref)
 
 
 def test_solvers_bit_identical_with_zero_gradient_entries():
@@ -460,9 +477,11 @@ def test_solvers_bit_identical_with_zero_gradient_entries():
     big_f[:6, 6], big_f[6, :6] = f12, f12.conj()
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, 6))
     mm_out = mm_solve(SimpleNamespace(big_f=big_f), phases, rel_tol=0.0)
-    mm_ref = reference_mm_solve(SimpleNamespace(big_f=big_f.conj()), phases,
-                                rel_tol=0.0)
-    assert np.array_equal(mm_out.alpha, mm_ref.alpha)
+    mm_ref = reference_mm_solve(big_f.conj(), phases.v, rel_tol=0.0)
+    assert np.array_equal(mm_out.v, mm_ref)
+    assert np.array_equal(mm_out.alpha, reference_alpha(mm_ref))
+    np.testing.assert_allclose(mm_out.alpha[[0, 3]], phases.alpha[[0, 3]],
+                               rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(mm_out.alpha[[0, 3]], phases.alpha[[0, 3]],
                                rtol=0.0, atol=1e-14)
 
@@ -478,17 +497,17 @@ def test_solvers_bit_identical_with_zero_gradient_entries():
     assert not (big_h @ beam.w).all()
     sca_out = sca_solve(big_h, beam, config, rel_tol=0.0)
     assert np.array_equal(sca_out.w,
-                          reference_sca_solve(big_h, beam, config, rel_tol=0.0).w)
+                          reference_sca_solve(big_h, beam, config, rel_tol=0.0))
     assert sca_out.w[0] == pytest.approx(beam.w[0], rel=1e-14)
 
 
-def reference_sqs3_jump(x0, x1, x2):
-    """`lc.sqs3_jump` through np.linalg.norm and np.angle."""
+def reference_sqs3_jump(x0, x1, x2, amp):
+    """`lc.sqs3_jump` through np.linalg.norm and the projection y / (|y| / amp)."""
     r, d = x1 - x0, x2 - 2.0 * x1 + x0
     if not np.linalg.norm(d) > 0.0:
         return None
     a = -max(np.linalg.norm(r) / np.linalg.norm(d), 1.0)
-    return np.angle(x0 - 2.0 * a * r + a * a * d)
+    return reference_project(x0 - 2.0 * a * r + a * a * d, x2, amp)
 
 
 @settings(max_examples=90, deadline=None)
@@ -512,7 +531,7 @@ def test_sqs3_jump_bit_identical_to_norm_and_angle(n, seed, kind, scale):
           "still": x0}[kind]
     if kind == "still":
         x1 = x0
-    got, want = lc.sqs3_jump(x0, x1, x2), reference_sqs3_jump(x0, x1, x2)
+    got, want = lc.sqs3_jump(x0, x1, x2, scale), reference_sqs3_jump(x0, x1, x2, scale)
     if want is None:
         assert got is None
     else:
@@ -573,6 +592,40 @@ def test_mm_solve_caps_map_evaluations(monkeypatch, max_iters):
             assert len(calls) <= limit
         else:
             assert len(calls) == limit
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 7, 50])
+@pytest.mark.parametrize("rel_tol", [None, 0.0])
+def test_mm_solve_takes_one_f11_product_per_plain_map(monkeypatch, max_iters, rel_tol):
+    # The product that anchors the problem at a new iterate also scores it:
+    # one F11 product for the start, one per plain map, and two per jump map
+    # (one at the jump, one at the map from it).
+    products, maps, jumps = [], [], []
+
+    class CountedMatrix(np.ndarray):
+        def __matmul__(self, other):
+            products.append(other.shape)
+            return np.asarray(self) @ other
+
+    def spy(kernel, calls):
+        def call(*args):
+            out = kernel(*args)
+            calls.append(out)
+            return out
+        return call
+
+    monkeypatch.setattr(lc, "mm_update_v", spy(mm_update_v, maps))
+    monkeypatch.setattr(lc, "sqs3_jump", spy(lc.sqs3_jump, jumps))
+    config, channels, phases, beam = random_instance(27, n=12, l=40, k=5, m=3)
+    big_f = build_operators(channels, None, beam, config).big_f
+    tol = {} if rel_tol is None else {"rel_tol": rel_tol}
+    solved = mm_solve(SimpleNamespace(big_f=big_f.view(CountedMatrix)), phases,
+                      max_iters=max_iters, **tol)
+    n_jumps = sum(jump is not None for jump in jumps)
+    assert len(maps) <= max_iters and (n_jumps > 0) == (len(maps) > 2)
+    assert len(products) == 1 + len(maps) + n_jumps
+    assert np.array_equal(solved.v, mm_solve(SimpleNamespace(big_f=big_f), phases,
+                                             max_iters=max_iters, **tol).v)
 
 
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,7 @@ from iswpt.objective import (Beamformer, PhaseProfile, beam_rows,
                              beampattern_profile, build_operators,
                              composite_objective, hermitian_part,
                              objective_for_beam_batch,
-                             objective_for_phase_batch, phase_rows,
+                             objective_for_phase_batch, phase_rows, project,
                              solution_metrics, wrap_angle)
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
                             sample_channels, steering_matrix, trial_stream)
@@ -353,21 +353,62 @@ def test_wrap_angle_range():
 @given(phase=st.lists(st.sampled_from([np.pi, -np.pi, 0.0, -0.0, 3 * np.pi])
                       | st.floats(-20.0, 20.0), min_size=1, max_size=64))
 def test_kernel_constructors_match_public_ones_bit_for_bit(phase):
-    # from_phases and PhaseProfile._trusted skip the public constructors'
-    # copy and checks; the arrays they store must be the same bits.
+    # from_phases skips the public constructor's copy and checks; the array
+    # it stores must be the same bits.  The from_projection constructors
+    # store the fresh vector they are given, read-only, and a profile's
+    # alpha is arg(v) in [-pi, pi).
     phase = np.array(phase)
     config = SystemConfig(n_tx=phase.size, n_irs=2, n_ehd=1, n_targets=1,
                           target_angles=(0.0,))
     beam = Beamformer.from_phases(phase, config)
     public_beam = Beamformer(w=config.beam_amplitude * np.exp(1j * phase))
     assert beam.w.tobytes() == public_beam.w.tobytes()
-    profile = PhaseProfile._trusted(phase)
+    projected_beam = Beamformer.from_projection(public_beam.w.copy())
+    assert projected_beam.w.tobytes() == public_beam.w.tobytes()
     public_profile = PhaseProfile(alpha=phase)
-    assert profile.alpha.tobytes() == public_profile.alpha.tobytes()
+    profile = PhaseProfile.from_projection(public_profile.v.copy())
     assert profile.v.tobytes() == public_profile.v.tobytes()
-    assert not (beam.w.flags.writeable or profile.alpha.flags.writeable
-                or profile.v.flags.writeable)
+    want = np.angle(profile.v)
+    assert np.array_equal(profile.alpha, np.where(want == np.pi, -np.pi, want))
+    assert np.all(profile.alpha >= -np.pi) and np.all(profile.alpha < np.pi)
+    assert not any(arr.flags.writeable for arr in
+                   (beam.w, projected_beam.w, profile.alpha, profile.v))
     assert phase.flags.writeable
+
+
+ulp_4 = 4.0 * np.finfo(float).eps
+components = (st.sampled_from([0.0, -0.0])
+              | st.builds(lambda sign, exp10: sign * 10.0 ** exp10,
+                          st.sampled_from([1.0, -1.0]), st.floats(-150.0, 150.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(components, components), min_size=1, max_size=48),
+       amp=st.sampled_from([1.0, 0.5, 0.1, 3.0]) | st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+@example(parts=[(-1.0, 0.0), (-1.0, -0.0), (0.0, 0.0)], amp=1.0, seed=0)
+def test_project_is_the_nearest_point_of_the_circle(parts, amp, seed):
+    # amp * y / |y| for y from 1e-150 to 1e150 in either part: modulus amp
+    # and the direction of exp(j arg y), each to 4 ulp; the fallback's entry,
+    # exactly, where y = 0.  The unit constructors keep those bits, and a
+    # profile's alpha stays in [-pi, pi), also where v = -1 + 0j.
+    y = np.array([complex(re, im) for re, im in parts])
+    fallback = np.exp(1j * np.random.default_rng(seed).uniform(-np.pi, np.pi, y.size))
+    out = project(y, amp * fallback, amp)
+    zero = y == 0.0
+    assert np.array_equal(out[zero], amp * fallback[zero])
+    assert np.all(np.abs(np.abs(out[~zero]) - amp) <= ulp_4 * amp)
+    assert np.all(np.abs(out[~zero] - amp * np.exp(1j * np.angle(y[~zero])))
+                  <= ulp_4 * amp)
+
+    unit = project(y, fallback)
+    profile = PhaseProfile.from_projection(unit)
+    assert profile.v.tobytes() == unit.tobytes()
+    assert np.all(profile.alpha >= -np.pi) and np.all(profile.alpha < np.pi)
+    assert np.all(np.abs(np.exp(1j * profile.alpha) - unit) <= ulp_4)
+    beam = Beamformer.from_projection(out)
+    assert beam.w.tobytes() == out.tobytes()
+    assert PhaseProfile.from_projection(np.array([-1.0 + 0.0j])).alpha[0] == -np.pi
 
 
 def test_array_value_types_compare_and_hash_by_identity():
