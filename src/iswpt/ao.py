@@ -15,7 +15,8 @@ the phases at fixed beamformer.  Either half-step runs in one of two modes:
   monotone, and S is positive definite at every iterate.
 * "lc": an inner SCA loop for the beamformer and an inner MM loop for the
   phases, each iterating the closed-form step of `lc`, x <- amp * y / |y|
-  with y = M x + b, until its objective stalls.  Each step ascends, so a loose stop keeps the half-step monotone.
+  with y = M x + b, until its objective stalls.  Each step ascends, so a
+  loose stop keeps the half-step monotone.
 
 Both half-steps of a map solve to one tolerance `tol` that follows the
 outer progress (`_next_map_tol`): 1e-2 (`AoConfig.sdp_start_tol`) in the
@@ -30,13 +31,13 @@ incumbent, only tightens the next map's solves.
 For both, the maps run in safeguarded SqS3 cycles over the stacked state
 u = [w / sqrt(p0/N); v]: two plain maps x0 -> x1 -> x2, then one map from
 `lc.sqs3_jump(u0, u1, u2)`, the extrapolated y projected as y / |y| (the
-beam rescaled to sqrt(p0/N)).  If J after
-its beam half-step is below J(x2), the jump is rejected: x2 stays, its
-"v" step is recorded again as the map's "w" and "v" steps, and no stop
-test follows.  Each map, a jump kept or rejected, is one ("w", "v") pair
-of steps: `max_outer_iters` caps maps, `n_outer` counts them and
-`iteration_objectives()[k]` is J after map k.  Every half-step is
-monotone, so the recorded objectives are nondecreasing up to rounding.
+beam rescaled to sqrt(p0/N)).  If J after its beam half-step is below
+J(x2), the jump is rejected: x2 stays, its "v" step is recorded again as
+the map's "w" and "v" steps, and no stop test follows.  Each map, a jump
+kept or rejected, is one ("w", "v") pair of steps: `max_outer_iters` caps
+maps, `n_outer` counts them and `iteration_objectives()[k]` is J after
+map k.  Every half-step is monotone, so the recorded objectives are
+nondecreasing up to rounding.
 
 Each half-step builds only the operators of its own side, and the inner
 solvers run at their own default iteration caps.  The `beam_rows` of each
