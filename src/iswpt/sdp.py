@@ -266,10 +266,11 @@ def extract_beamformer(x_opt: np.ndarray, big_h: np.ndarray,
     """Feasible constant-modulus beamformer from a relaxed lifted solution.
 
     Each candidate is projected entrywise onto the per-antenna modulus
-    (`objective.project`; zero entries get phase 0) and scored on the true quadratic objective
-    w^H big_h w; the best candidate wins, first on ties.  An incumbent
-    iterate, when given, competes as an extra candidate and wins as itself,
-    not rebuilt, so the extraction never returns anything worse than it.
+    (`objective.project`; zero entries get phase 0) and scored on the true
+    quadratic objective w^H big_h w; the best candidate wins, first on
+    ties.  An incumbent iterate, when given, competes as an extra candidate
+    and wins as itself, not rebuilt, so the extraction never returns
+    anything worse than it.
     """
     cands = _candidates(x_opt, n_rand, rng)
     amp = config.beam_amplitude
