@@ -3,16 +3,19 @@
 One outer iteration, a map, updates the beamformer at fixed phases, then
 the phases at fixed beamformer.  Either half-step runs in one of two modes:
 
-* "sdp": relax the subproblem to a diagonally constrained SDP, solve it
-  with the interior-point method, and keep the projected principal
-  eigenvector unless the incumbent scores higher.  After the first map
-  each solve starts warm, from the previous solution of the same side
-  (`sdp.solve_diag_sdp`'s `warm`).  The dual value of each relaxation
-  bounds the half-step's achievable objective at any solver tolerance and
-  is recorded with the solve's iteration count, duality gap and primal
-  residual.  Loose solves stay sound: extraction reads only the principal
-  eigenvector of the relaxed solution, the incumbent keeps each half-step
-  monotone, and S is positive definite at every iterate.
+* "sdp": the subproblem's relaxation to a diagonally constrained SDP
+  (`sdp.sdp_update_w`, `sdp.sdp_update_v`).  Each half-step ascends from
+  the incumbent with its side's lc loop at the map's lc tolerance and
+  certifies the lc point x with one eigvalsh (`sdp.certify`).  If the
+  certified relative gap is at most the map's tolerance, x is the answer:
+  with a zero shift xx^H is an optimal SDP solution and extraction from it
+  would return x.  Otherwise the interior-point method solves the
+  relaxation, warm from the last solution or certificate of the same side,
+  and the projected principal eigenvector is kept unless the lc point
+  scores higher, so each half-step is monotone.  The certificate's bound
+  or the solve's dual value bounds the half-step's J at any tolerance; it
+  is recorded with the iteration count (0 when certified), duality gap,
+  primal residual and whether the step was certified.
 * "lc": an inner SCA loop for the beamformer and an inner MM loop for the
   phases, each iterating the closed-form step of `lc`, x <- amp * y / |y|
   with y = M x + b, until its objective stalls.  Each step ascends, so a
@@ -22,9 +25,10 @@ Both half-steps of a map solve to one tolerance `tol` that follows the
 outer progress (`_next_map_tol`): 1e-2 (`AoConfig.sdp_start_tol`) in the
 first map, then a tenth of the last map's relative gain in J, held within
 [1e-4, 1e-2] (1e-4 is `AoConfig.sdp_tol`).  An sdp solve stops at that
-duality gap, an lc solve at its default rel_tol (`lc.SCA_REL_TOL`,
-`lc.MM_REL_TOL`) times (tol / sdp_tol)^2: MM at 1e-2 and SCA at 1e-5 in
-the loosest map.  A run stops only on a map solved at `sdp_tol`: a loose
+duality gap, an lc solve, alone or inside an sdp half-step, at its
+default rel_tol (`lc.SCA_REL_TOL`, `lc.MM_REL_TOL`) times
+(tol / sdp_tol)^2 (`lc.map_rel_tol`): MM at 1e-2 and SCA at 1e-5 in the
+loosest map.  A run stops only on a map solved at `sdp_tol`: a loose
 map that gains less than `rel_tol`, as when both sdp half-steps keep the
 incumbent, only tightens the next map's solves.
 
@@ -96,7 +100,7 @@ class AoConfig:
     algorithm: str = ALGORITHM_LC
     max_outer_iters: int = 30
     rel_tol: float = 1e-4            # outer stop on |dJ| < rel_tol * |J|
-    sdp_tol = 1e-4                   # half-step tolerance of a map that stops
+    sdp_tol = lc.TIGHT_MAP_TOL       # half-step tolerance of a map that stops (1e-4)
     sdp_start_tol = 1e-2             # ... of the first map, the loosest
     init_phases: PhaseProfile | None = None  # None: uniform random phases
     init_beam: Beamformer | None = None      # None: one SCA step from flat
@@ -122,6 +126,7 @@ class AoStep:
     sdp_iterations: int | None = None       # interior-point iterations of an sdp half-step
     sdp_duality_gap: float | None = None    # its final b^T z - Re tr(C X)
     sdp_primal_residual: float | None = None  # its final max_i |X_ii - b_i| / (1 + max b)
+    sdp_certified: bool | None = None       # the lc point was certified; no solve ran
 
 
 @dataclass
@@ -154,7 +159,7 @@ def _record(trace: AoTrace, config: SystemConfig, rows: np.ndarray,
     j_val, harvested, sensing = solution_metrics(rows, beam.w, config)
     ipm = {} if solution is None else dict(
         sdp_iterations=solution.iterations, sdp_duality_gap=solution.duality_gap,
-        sdp_primal_residual=solution.primal_residual)
+        sdp_primal_residual=solution.primal_residual, sdp_certified=solution.certified)
     trace.steps.append(AoStep(
         outer_iter=outer, stage=stage, objective=j_val,
         harvested_sum=harvested, beampattern_sum=sensing,
@@ -175,7 +180,7 @@ def _initial_iterates(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     if ao.init_beam is not None:
         return phases, rows, ao.init_beam
     flat = Beamformer.from_phases(np.zeros(config.n_tx), config)
-    return phases, rows, lc.sca_update_w(gram(rows, config), flat, config)
+    return phases, rows, lc._sca_ascent(gram(rows, config), flat, config, 1, 0.0)[0]
 
 
 def _next_map_tol(ao: AoConfig, j_new: float, j_prev: float) -> float:
@@ -219,7 +224,6 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             start_phases = PhaseProfile.from_projection(jump[config.n_tx:])
             start_rows = beam_rows(channels, start_phases, config)
             start_v_err = start_phases.modulus_error()
-        loosen = (tol / ao.sdp_tol) ** 2   # lc inner tolerances over their defaults
         try:
             big_h = gram(start_rows, config)
             if ao.algorithm == ALGORITHM_SDP:
@@ -227,7 +231,8 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
                     big_h, config, tol=tol, incumbent=beam, warm=solution_w)
             else:
                 w_beam, relaxed_w = lc.sca_solve(
-                    big_h, start_beam, config, rel_tol=lc.SCA_REL_TOL * loosen), None
+                    big_h, start_beam, config,
+                    rel_tol=lc.map_rel_tol(lc.SCA_REL_TOL, tol)), None
             w_beam_err = w_beam.modulus_error(config)
             j_w = _record(trace, config, start_rows, w_beam, (w_beam_err, start_v_err),
                           outer, "w", relaxed_w, solution_w)
@@ -246,7 +251,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
                     ops.big_f, config, tol=tol, incumbent=phases, warm=solution_v)
             else:
                 phases, relaxed_v = lc.mm_solve(
-                    ops, phases, rel_tol=lc.MM_REL_TOL * loosen), None
+                    ops, phases, rel_tol=lc.map_rel_tol(lc.MM_REL_TOL, tol)), None
             rows, v_err = beam_rows(channels, phases, config), phases.modulus_error()
             j_new = _record(trace, config, rows, beam, (w_err, v_err), outer, "v",
                             relaxed_v, solution_v)

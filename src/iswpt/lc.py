@@ -18,7 +18,8 @@ objective.
 An MM map costs one F11 product: `MmProblem` carries y at its iterate, and
 the product that gives y at the next iterate also scores it.  An SCA map
 costs two H products, one for its step and one for its score.  `mm_solve`,
-`sca_solve` and `ao.run_rps` iterate their step in one loop,
+`sca_solve`, `ao.run_rps` and the sdp half-steps (through the unchecked
+`_mm_ascent` and `_sca_ascent`) iterate their step in one loop,
 `_sqs3_ascent`: SQUAREM (SqS3; Varadhan & Roland, Scand. J. Stat. 2008,
 applied to MM as in Sun, Babu & Palomar) with a safeguard that keeps the
 ascent monotone.  Warm-started MM solves at L=40 reach the stop test in
@@ -29,7 +30,8 @@ Each solve checks its inputs once, at entry, with the helpers of
 `scenario`: its loop parameters, then `sca_solve` the beam and the N x N
 `big_h`, `mm_solve` the (L+1) x (L+1) `big_f` and the L phases.  The
 plain record `MmProblem` and the per-step kernels check nothing.  Every
-solve loop, here and in `ao`, stops on the test `stalled`.
+solve loop, here and in `ao`, stops on the test `stalled`; in an AO map
+solved to `tol`, at `map_rel_tol(default, tol)`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,33 @@ from .scenario import SystemConfig, check_finite, check_hermitian, check_loop
 
 SCA_REL_TOL = 1e-9   # `sca_solve`'s default stop tolerance
 MM_REL_TOL = 1e-6    # `mm_solve`'s default stop tolerance
+MAX_MAPS = 50        # both solves' default map cap
+TIGHT_MAP_TOL = 1e-4  # the half-step tolerance of an AO map that can stop
+
+
+def map_rel_tol(default: float, tol: float) -> float:
+    """The stop tolerance of an lc solve in an AO map solved to `tol`:
+    `default` times (tol / `TIGHT_MAP_TOL`)^2, the default itself in a map
+    at `TIGHT_MAP_TOL` (`ao.AoConfig.sdp_tol`)."""
+    return default * (tol / TIGHT_MAP_TOL) ** 2
+
+
+# An ascent whose start scores below this in magnitude rescales its operators
+# (`_normalised`) before it steps.
+_TINY_SCORE = 2.0 ** -600
+
+
+def _normalised(*ops: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The operators times the power of two that brings their largest entry
+    into [0.5, 1).  The steps and the stop test are scale-free and the
+    scaling is exact, but near the end of the float range `project` would
+    take the reciprocal of a subnormal |y| and overflow to inf."""
+    top = max(float(np.max(np.abs(op))) for op in ops)
+    if top == 0.0:
+        return ops
+    k = -math.frexp(top)[1]   # up to 1074: 2**k in two factors, each finite
+    low, high = math.ldexp(1.0, k // 2), math.ldexp(1.0, k - k // 2)
+    return tuple(op * low * high for op in ops)
 
 
 def stalled(new: float, prev: float, rel_tol: float) -> bool:
@@ -113,13 +142,17 @@ def _sca_ascent(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
         out = sca_update_w(big_h, w_prev, config)
         return out, out.w, float(np.vdot(out.w, big_h @ out.w).real)
 
-    start = (beam, beam.w, float(np.vdot(beam.w, big_h @ beam.w).real))
+    score = float(np.vdot(beam.w, big_h @ beam.w).real)
+    if abs(score) < _TINY_SCORE:
+        big_h, = _normalised(big_h)
+        score = float(np.vdot(beam.w, big_h @ beam.w).real)
+    start = (beam, beam.w, score)
     return _sqs3_ascent(step, Beamformer.from_projection, start, max_iters,
                         rel_tol, config.beam_amplitude)
 
 
 def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
-              max_iters: int = 50, rel_tol: float = SCA_REL_TOL) -> Beamformer:
+              max_iters: int = MAX_MAPS, rel_tol: float = SCA_REL_TOL) -> Beamformer:
     """Iterate SCA steps at fixed phases (`_sca_ascent`) until w^H H w stalls."""
     check_loop(max_iters, rel_tol, "max_iters")
     check_finite("beam", beam.w, (config.n_tx,))
@@ -162,20 +195,14 @@ def mm_update_v(problem: MmProblem) -> PhaseProfile:
     return PhaseProfile.from_projection(project(problem.direction, problem.v_prev))
 
 
-def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
-             max_iters: int = 50, rel_tol: float = MM_REL_TOL) -> PhaseProfile:
-    """Iterate MM steps at fixed beamformer in `_sqs3_ascent` until g stalls.
+def _mm_ascent(f11: np.ndarray, f12: np.ndarray, phases: PhaseProfile,
+               max_iters: int, rel_tol: float) -> tuple[PhaseProfile, int, bool]:
+    """Unchecked `mm_solve` on the blocks F11 and f12, returning
+    `_sqs3_ascent`'s profile, maps and flag.
 
     Its iterates are (profile, problem) pairs: the product that anchors the
     problem at a new profile gives both its score, -g = Re(v^H (y + f12)),
     and the next step's y."""
-    check_loop(max_iters, rel_tol, "max_iters")
-    l_dim = phases.v.size
-    check_hermitian(ops.big_f, "big_f", l_dim + 1)
-    check_finite("phases", phases.v, (l_dim,))
-    problem = MmProblem.from_operators(ops, phases)
-    f11, f12 = problem.f11, problem.f12
-
     def score(at: MmProblem) -> float:
         return float(np.vdot(at.v_prev, at.direction + f12).real)
 
@@ -187,5 +214,23 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
     def lift(v: np.ndarray) -> tuple:   # a lifted iterate only feeds `step`
         return None, MmProblem.at(f11, f12, v)
 
-    start = ((phases, problem), phases.v, score(problem))
-    return _sqs3_ascent(step, lift, start, max_iters, rel_tol)[0][0]
+    problem = MmProblem.at(f11, f12, phases.v)
+    start_score = score(problem)
+    if abs(start_score) < _TINY_SCORE:
+        f11, f12 = _normalised(f11, f12)
+        problem = MmProblem.at(f11, f12, phases.v)
+        start_score = score(problem)
+    start = ((phases, problem), phases.v, start_score)
+    (out, _), maps, stop = _sqs3_ascent(step, lift, start, max_iters, rel_tol)
+    return out, maps, stop
+
+
+def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
+             max_iters: int = MAX_MAPS, rel_tol: float = MM_REL_TOL) -> PhaseProfile:
+    """Iterate MM steps at fixed beamformer (`_mm_ascent`) until g stalls."""
+    check_loop(max_iters, rel_tol, "max_iters")
+    l_dim = phases.v.size
+    check_hermitian(ops.big_f, "big_f", l_dim + 1)
+    check_finite("phases", phases.v, (l_dim,))
+    return _mm_ascent(ops.big_f[:l_dim, :l_dim], ops.big_f[:l_dim, l_dim], phases,
+                      max_iters, rel_tol)[0]

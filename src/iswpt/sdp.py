@@ -49,8 +49,23 @@ bounds Re tr(C X) from above at every feasible X.
 
 `extract_beamformer` / `extract_phases` project the principal eigenvector
 of a relaxed PSD solution, and `n_rand` Gaussian randomisations of it, onto
-the feasible set and keep the best on the true objective, or an incumbent.
-The half-steps draw none: a randomised candidate never won (see README).
+the feasible set and keep the best on the true objective, or an incumbent,
+returned as itself.  The half-steps draw none: a randomised candidate never
+won (see README).
+
+The AO half-steps `sdp_update_w` / `sdp_update_v` are given an incumbent
+and certify before they solve.  They ascend from it with the side's lc loop
+(`lc._sca_ascent`, `lc._mm_ascent`) at the lc tolerance of the map, and
+`certify` the lc point x with one eigvalsh: z_i = Re(conj(x_i) (C x)_i) / b_i
+closes the duality gap at an lc fixed point, and shifting z by
+max(0, -lambda_min(Diag(z) - C)) makes it dual feasible (the tightness
+certificate of synchronization-type SDPs; Bandeira, Boumal & Singer, Math.
+Program. 2017).  When the certified relative gap (bound - J) / |bound| is
+at most the map's `tol`, x is the answer, with the bound and the record
+(xx^H, shifted z) as the next warm start: with a zero shift xx^H is an
+optimal SDP solution and extraction from it would return x, so the step is
+the relaxation's with a cheaper solver.  Otherwise the relaxation is solved
+and extracted, the lc point competing as the incumbent.
 """
 
 from __future__ import annotations
@@ -59,6 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lc
 from .objective import Beamformer, PhaseProfile, hermitian_part, project
 from .scenario import SystemConfig, check_finite, check_hermitian, complex_normal
 
@@ -86,6 +102,7 @@ class SdpSolution:
     iterations: int
     primal_residual: float  # max_i |X_ii - b_i| / (1 + max b)
     dual: np.ndarray       # (n,) final z, Diag(z) - C >= 0
+    certified: bool = False  # built by `certify` from a feasible x, not solved
 
 
 class SdpNonConvergence(RuntimeError):
@@ -295,8 +312,8 @@ def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
     the score directly.  All candidates are scored at once on the lifted
     form x^H big_f x, which equals J minus the v-independent offset; the
     first best wins, and an incumbent profile, when given, replaces it only
-    if strictly better, so the extraction never returns anything worse
-    than the incumbent.
+    if strictly better, and then as itself, not rebuilt, so the extraction
+    never returns anything worse than the incumbent.
     """
     big_f = np.asarray(big_f, dtype=np.complex128)
     cands = _candidates(x_opt, n_rand, rng)
@@ -309,27 +326,70 @@ def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
         # term vanishes, as angle(0) = 0).
         v0 = np.exp(1j * np.angle(head[flat]))
         alpha[flat] = np.angle(v0) + np.angle(v0.conj() @ big_f[:-1, -1])[:, None]
+    v_rows = np.exp(1j * alpha)
     if incumbent is not None:
-        alpha = np.vstack([alpha, incumbent.alpha[None, :]])
-    aug = np.hstack([np.exp(1j * alpha), np.ones((alpha.shape[0], 1))])
-    scores = _quadratic_scores(aug, big_f)
-    return PhaseProfile(alpha=alpha[int(np.argmax(scores))])
+        v_rows = np.vstack([v_rows, incumbent.v[None, :]])
+    aug = np.hstack([v_rows, np.ones((v_rows.shape[0], 1))])
+    best = int(np.argmax(_quadratic_scores(aug, big_f)))
+    if best == len(cands):   # the incumbent's row, the last
+        return incumbent
+    return PhaseProfile(alpha=alpha[best])
+
+
+def certify(cost: np.ndarray, diag_values: np.ndarray, x: np.ndarray) -> SdpSolution:
+    """Dual certificate of a feasible x, |x_i|^2 = b_i, for the relaxation
+    max Re tr(C X) s.t. X_ii = b_i, X >= 0; unchecked.
+
+    z_i = Re(conj(x_i) (C x)_i) / b_i gives b^T z = x^H C x, and at an lc
+    fixed point, where (C x)_i is a nonnegative multiple of x_i, also
+    (Diag(z) - C) x = 0.  Shifting z by shift = max(0, -lambda_min) of
+    Diag(z) - C (one eigvalsh) makes it dual feasible, so
+    x^H C x + shift * sum(b) bounds the relaxation, and xx^H is its
+    optimum when the shift is 0.  The record holds X = xx^H, the shifted
+    dual, the value x^H C x, the gap shift * sum(b), x's true diagonal
+    residual and 0 iterations: it is the warm start of the next solve.
+    """
+    cx = cost @ x
+    z = np.real(x.conj() * cx) / diag_values
+    shift = max(0.0, -float(np.linalg.eigvalsh(np.diag(z) - cost)[0]))
+    residual = np.max(np.abs(np.abs(x) ** 2 - diag_values)) / (1.0 + np.max(diag_values))
+    return SdpSolution(x_opt=np.outer(x, x.conj()), objective=float(np.vdot(x, cx).real),
+                       duality_gap=shift * float(np.sum(diag_values)), iterations=0,
+                       primal_residual=float(residual), dual=z + shift, certified=True)
+
+
+def _certified(cost: np.ndarray, diag_values: np.ndarray, x: np.ndarray, tol: float,
+               offset: float = 0.0) -> tuple[float, SdpSolution] | None:
+    """The bound and certificate of the lc point x when the certified
+    relative gap (bound - J) / |bound| is at most `tol`, with
+    J = x^H C x + offset and bound = J + shift * sum(b) (`certify`); else
+    None.  Both half-steps take this one test."""
+    certificate = certify(cost, diag_values, x)
+    bound = certificate.objective + certificate.duality_gap + offset
+    return (bound, certificate) if certificate.duality_gap <= tol * abs(bound) else None
 
 
 def sdp_update_w(big_h: np.ndarray, config: SystemConfig, tol: float,
                  incumbent: Beamformer | None = None,
                  warm: SdpSolution | None = None) -> tuple[Beamformer, float, SdpSolution]:
-    """Beamformer half-step at fixed phases: relax max w^H big_h w, solve
-    (from `warm`, if given), extract.
+    """Beamformer half-step at fixed phases for the relaxation of
+    max w^H big_h w: the feasible beamformer, an upper bound on J at these
+    phases (rigorous up to rounding at any `tol`: the certificate's shifted
+    dual and every interior-point iterate are dual feasible) and the record
+    that is the next beam half-step's `warm`.
 
-    Returns the feasible beamformer, the dual value of the relaxation (an
-    upper bound on the achievable J at these phases) and the solve's
-    solution, the `warm` of the next beam half-step.  Dual feasibility holds
-    at every interior-point iterate, so the bound is rigorous (up to
-    rounding) at any `tol`; the primal value Re tr(big_h X) is not.
+    Given an incumbent, it returns the SCA ascent's point (`lc._sca_ascent`)
+    when `_certified` passes, else solves (from `warm`) and extracts with
+    that point as the incumbent; without one, it solves and extracts.
     """
-    solution = solve_diag_sdp(big_h, np.full(config.n_tx, config.per_antenna_power),
-                              tol=tol, warm=warm)
+    b = np.full(config.n_tx, config.per_antenna_power)
+    if incumbent is not None:
+        incumbent = lc._sca_ascent(big_h, incumbent, config, lc.MAX_MAPS,
+                                   lc.map_rel_tol(lc.SCA_REL_TOL, tol))[0]
+        certified = _certified(big_h, b, incumbent.w, tol)
+        if certified is not None:
+            return incumbent, *certified
+    solution = solve_diag_sdp(big_h, b, tol=tol, warm=warm)
     beam = extract_beamformer(solution.x_opt, big_h, config, n_rand=0,
                               incumbent=incumbent)
     return beam, solution.objective + solution.duality_gap, solution
@@ -338,19 +398,25 @@ def sdp_update_w(big_h: np.ndarray, config: SystemConfig, tol: float,
 def sdp_update_v(big_f: np.ndarray, config: SystemConfig, tol: float,
                  incumbent: PhaseProfile | None = None,
                  warm: SdpSolution | None = None) -> tuple[PhaseProfile, float, SdpSolution]:
-    """Phase half-step at fixed beamformer: relax max x^H big_f x over
-    x = [v; 1], solve (from `warm`, if given), extract.  The corner of
-    big_f, the v-independent offset, is zeroed in a copy for the relaxation
-    and extraction (kept, it would outweigh every other entry and rescale
-    the interior-point method) and added back to the dual value: an upper
-    bound on the achievable J at this beamformer, rigorous at any `tol`,
-    returned with the profile and the solve's solution, the `warm` of the
-    next phase half-step.
+    """Phase half-step at fixed beamformer for the relaxation of
+    max x^H big_f x over x = [v; 1], returning as `sdp_update_w` does.  The
+    corner of big_f, the v-independent offset, is zeroed in a copy for the
+    ascent, the certificate, the relaxation and the extraction (kept, it
+    would outweigh every other entry and rescale the interior-point method)
+    and added back to the bound.  Given an incumbent, the ascent is MM
+    (`lc._mm_ascent`) and the certificate is that of x = [v; 1].
     """
     cost = np.array(big_f, dtype=np.complex128)
     offset = float(cost[-1, -1].real)
     cost[-1, -1] = 0.0
-    solution = solve_diag_sdp(cost, np.ones(config.n_irs + 1), tol=tol, warm=warm)
-    phases = extract_phases(solution.x_opt, cost, n_rand=0,
-                            incumbent=incumbent)
+    b = np.ones(config.n_irs + 1)
+    if incumbent is not None:
+        l_dim = config.n_irs
+        incumbent = lc._mm_ascent(cost[:l_dim, :l_dim], cost[:l_dim, l_dim], incumbent,
+                                  lc.MAX_MAPS, lc.map_rel_tol(lc.MM_REL_TOL, tol))[0]
+        certified = _certified(cost, b, np.append(incumbent.v, 1.0), tol, offset)
+        if certified is not None:
+            return incumbent, *certified
+    solution = solve_diag_sdp(cost, b, tol=tol, warm=warm)
+    phases = extract_phases(solution.x_opt, cost, n_rand=0, incumbent=incumbent)
     return phases, solution.objective + solution.duality_gap + offset, solution

@@ -2,7 +2,7 @@
 
 import pytest
 
-from iswpt import scenario
+from iswpt import scenario, sdp
 
 
 @pytest.fixture
@@ -17,3 +17,10 @@ def blas_at_two_threads():
     put(2)
     yield get
     put(prior)
+
+
+@pytest.fixture
+def uncertified(monkeypatch):
+    """Every sdp half-step's certificate fails, so each one runs the
+    interior-point solve and extracts, with its lc point as the incumbent."""
+    monkeypatch.setattr(sdp, "_certified", lambda *args, **kwargs: None)

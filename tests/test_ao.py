@@ -405,9 +405,10 @@ def test_lc_half_steps_ascend_and_stay_feasible_under_the_schedule(seed, n, l, r
         assert step.w_error <= 1e-12 and step.v_error <= 1e-12
 
 
-def test_trace_records_sdp_iteration_counts(monkeypatch):
-    # Each sdp half-step records the iteration count, duality gap and primal
-    # residual of its own solve; the initialisation and every lc half-step
+def test_trace_records_sdp_iteration_counts(monkeypatch, uncertified):
+    # With every certificate failing, each sdp half-step records the
+    # iteration count, duality gap and primal residual of its own solve, and
+    # is not flagged certified; the initialisation and every lc half-step
     # record None.
     reported = []
     solve = sdp.solve_diag_sdp
@@ -415,27 +416,87 @@ def test_trace_records_sdp_iteration_counts(monkeypatch):
     def counting_solve(*args, **kwargs):
         solution = solve(*args, **kwargs)
         reported.append((solution.iterations, solution.duality_gap,
-                         solution.primal_residual))
+                         solution.primal_residual, False))
         return solution
 
     def diagnostics(step):
-        return step.sdp_iterations, step.sdp_duality_gap, step.sdp_primal_residual
+        return (step.sdp_iterations, step.sdp_duality_gap, step.sdp_primal_residual,
+                step.sdp_certified)
 
     monkeypatch.setattr(sdp, "solve_diag_sdp", counting_solve)
     config, channels = instance(seed=5, n=3, l=6)
     ao = AoConfig(algorithm=ALGORITHM_SDP, max_outer_iters=4, rel_tol=0.0)
     trace = run_ao(config, ao, channels, trial_stream(5, 1))
     recorded = [diagnostics(s) for s in trace.steps]
-    assert recorded[0] == (None, None, None)
+    assert recorded[0] == (None, None, None, None)
     assert len(reported) == 2 * trace.n_outer == len(recorded) - 1
     assert recorded[1:] == reported and all(r[0] > 0 for r in reported)
 
     ao = AoConfig(algorithm=ALGORITHM_LC, max_outer_iters=4)
     trace = run_ao(config, ao, channels, trial_stream(5, 1))
-    assert all(diagnostics(s) == (None, None, None) for s in trace.steps)
+    assert all(diagnostics(s) == (None, None, None, None) for s in trace.steps)
 
 
-def test_sdp_failure_truncates_trace(monkeypatch):
+@pytest.mark.parametrize("seed, l", [(5, 6), (8, 20), (9, 40)])
+def test_certified_steps_are_the_half_steps_without_a_solve(monkeypatch, seed, l):
+    # A half-step is flagged certified exactly when it made no interior-point
+    # call; it then records 0 iterations, its certificate's gap and the lc
+    # point's true diagonal residual, and otherwise its solve's diagnostics.
+    # Both branches are reached over these runs.
+    solve, certify = sdp.solve_diag_sdp, sdp.certify
+    half_steps = []   # per half-step: its solves' and its certificate's records
+
+    def spy_half_step(name):
+        update = getattr(sdp, name)
+
+        def spy(*args, **kwargs):
+            half_steps.append(([], []))
+            return update(*args, **kwargs)
+        monkeypatch.setattr(sdp, name, spy)
+
+    def counting_solve(*args, **kwargs):
+        half_steps[-1][0].append(solve(*args, **kwargs))
+        return half_steps[-1][0][-1]
+
+    def spy_certify(*args):
+        half_steps[-1][1].append(certify(*args))
+        return half_steps[-1][1][-1]
+
+    for name in ("sdp_update_w", "sdp_update_v"):
+        spy_half_step(name)
+    monkeypatch.setattr(sdp, "solve_diag_sdp", counting_solve)
+    monkeypatch.setattr(sdp, "certify", spy_certify)
+    config, channels = instance(seed, n=4, l=l)
+    ao = AoConfig(algorithm=ALGORITHM_SDP, max_outer_iters=8, rel_tol=0.0)
+    trace = run_ao(config, ao, channels, trial_stream(seed, 1))
+    assert trace.failure is None
+    steps, calls = [], iter(half_steps)
+    for k, step in enumerate(trace.steps[1:], start=1):
+        if step.stage == "v" and steps and steps[-1] is None:
+            continue   # the second record of a rejected jump's flat pair
+        solves, certificates = next(calls)
+        if step == dataclasses.replace(trace.steps[k - 1], outer_iter=step.outer_iter,
+                                       stage="w"):
+            steps.append(None)   # a rejected jump: its beam half-step is not recorded
+            continue
+        steps.append(step)
+        assert len(certificates) == 1 and len(solves) in (0, 1)
+        assert step.sdp_certified == (not solves)
+        source = solves[0] if solves else certificates[0]
+        assert (step.sdp_iterations, step.sdp_duality_gap, step.sdp_primal_residual) \
+            == (source.iterations, source.duality_gap, source.primal_residual)
+        if step.sdp_certified:
+            assert step.sdp_iterations == 0 and step.sdp_primal_residual <= 1e-15
+    assert next(calls, None) is None
+    steps = [s for s in steps if s is not None]
+    assert 0 < sum(s.sdp_certified for s in steps) <= len(steps)
+    if seed == 9:
+        assert not all(s.sdp_certified for s in steps)
+
+
+def test_sdp_failure_truncates_trace(monkeypatch, uncertified):
+    # The certificate fails, so the first half-step runs the solve, which
+    # cannot reach a relative gap of 1e-300.
     config, channels = instance(seed=6, n=3, l=6)
     monkeypatch.setattr(AoConfig, "sdp_start_tol", 1e-300)
     ao = AoConfig(algorithm=ALGORITHM_SDP, max_outer_iters=3)
@@ -692,7 +753,10 @@ def test_composite_objective_reads_the_final_trace_value(algorithm, n_irs):
 @pytest.mark.parametrize("entry", [ALGORITHM_LC, ALGORITHM_SDP, "rps"])
 def test_runs_hold_one_blas_thread_and_restore_the_count(monkeypatch, entry,
                                                          blas_at_two_threads):
+    # The sdp runs' certificates fail, so their half-steps reach the solve.
     get = blas_at_two_threads
+    if entry == ALGORITHM_SDP:
+        monkeypatch.setattr(sdp, "_certified", lambda *args, **kwargs: None)
     config, channels = instance(seed=43, n=3, l=6)
     seen = []
     module, name = {ALGORITHM_LC: (lc, "sca_solve"), ALGORITHM_SDP: (sdp, "solve_diag_sdp"),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import iswpt
@@ -428,10 +428,10 @@ def test_beampattern_grid_stays_in_range(tmp_path, step):
 @pytest.mark.parametrize("command, where", [
     ("sweep-l", "L=4, rho=0.9, trial 1"), ("sweep-rho", "L=40, rho=0.7, trial 0")])
 def test_failed_run_exits_three_without_csv(tmp_path, capsys, monkeypatch,
-                                            command, where):
-    # The third interior-point solve stalls: one outer iteration takes two
-    # solves, so the second run fails on its first half-step.  Its truncated
-    # trace must not be averaged into a CSV.
+                                            command, where, uncertified):
+    # The third interior-point solve stalls: with every certificate failing,
+    # one outer iteration takes two solves, so the second run fails on its
+    # first half-step.  Its truncated trace must not be averaged into a CSV.
     solve, calls = sdp.solve_diag_sdp, []
 
     def stall_third(*args, **kwargs):
@@ -467,7 +467,8 @@ def test_unwritable_out_exits_four_before_any_run(tmp_path, capsys,
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
-def test_failed_run_leaves_existing_out_untouched(tmp_path, capsys, monkeypatch):
+def test_failed_run_leaves_existing_out_untouched(tmp_path, capsys, monkeypatch,
+                                                  uncertified):
     def stall(*args, **kwargs):
         raise sdp.SdpNonConvergence("forced stall", None, 1.0)
     monkeypatch.setattr(sdp, "solve_diag_sdp", stall)
@@ -558,6 +559,8 @@ def test_sweep_l_scales_are_checked_only_by_the_l_sweeps(tmp_path, capsys):
                                  st.floats(-300.0, 300.0), min_size=1, max_size=3),
        n_irs=st.integers(1, 4),
        above=st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True))
+@example(exponents={"dist_tx_irs": 125.0, "dist_irs_ehd": 123.0}, n_irs=1,
+         above=[0])   # subnormal MM directions: `objective.project` overflowed
 def test_spec_values_exit_zero_or_two(exponents, n_irs, above):
     # Any finite positive field, with sweep entries above n_irs, is rejected
     # at parse time (exit 2) or runs to finite cells; never exit 5.

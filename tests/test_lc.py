@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from iswpt import lc
 from iswpt.lc import (MmProblem, mm_objective, mm_solve, mm_update_v,
                       sca_solve, sca_update_w)
-from iswpt.objective import (Beamformer, PhaseProfile, build_operators,
-                             composite_objective, target_steering_matrix)
+from iswpt.objective import (Beamformer, DerivedOperators, PhaseProfile,
+                             build_operators, composite_objective,
+                             target_steering_matrix)
 from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
                             path_loss, sample_channels, steering_matrix,
                             trial_stream)
@@ -674,3 +675,24 @@ def test_target_steering_matrix_cached_and_read_only():
     with pytest.raises(ValueError):
         steer[0, 0] = 0.0
     assert target_steering_matrix(config.target_angles, 7, 0.4) is steer
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("exponent", [-700, -1040])
+def test_solves_step_at_scales_near_the_end_of_the_float_range(seed, exponent):
+    # Operators at 2**-1040 hold subnormal entries: a step's y / (|y| / amp)
+    # took the reciprocal of a subnormal |y|, and an lc run of `iswpt
+    # sweep-l` at distances of 1e123 m exited 5 on an infinite beam.  A
+    # solve starting below `_TINY_SCORE` rescales its operators by a power
+    # of two first; at 2**-700, where that is exact, it keeps every bit.
+    config, channels, phases, beam = random_instance(seed, l=8)
+    ops = build_operators(channels, phases, beam, config)
+    scale = math.ldexp(1.0, exponent // 2) * math.ldexp(1.0, exponent - exponent // 2)
+    tiny = DerivedOperators(big_h=ops.big_h * scale, big_f=ops.big_f * scale)
+    beams = [sca_solve(big_h, beam, config) for big_h in (ops.big_h, tiny.big_h)]
+    profiles = [mm_solve(o, phases) for o in (ops, tiny)]
+    assert beams[1].modulus_error(config) <= 1e-12 * config.beam_amplitude
+    assert profiles[1].modulus_error() <= 1e-12
+    if exponent == -700:
+        assert np.array_equal(beams[0].w, beams[1].w)
+        assert np.array_equal(profiles[0].v, profiles[1].v)

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from iswpt.ao import ALGORITHM_SDP, AoConfig, run_ao
 from iswpt.objective import (Beamformer, PhaseProfile, build_operators,
-                             composite_objective, hermitian_part)
+                             composite_objective, hermitian_part, project)
 from iswpt.oracle import SearchBudget, quantized_phase_search
 from iswpt.scenario import (SystemConfig, complex_normal, sample_channels,
                             trial_stream)
-from iswpt import sdp
+from iswpt import lc, sdp
 from iswpt.sdp import (SdpNonConvergence, _candidates, _max_steps,
                        extract_beamformer, extract_phases, sdp_update_v,
                        sdp_update_w, solve_diag_sdp)
@@ -455,10 +455,11 @@ def test_solver_rejects_bad_warm_start():
             solve_diag_sdp(cost, b, warm=dataclasses.replace(warm, dual=dual))
 
 
-def test_run_ao_warm_starts_take_fewer_iterations(monkeypatch):
-    # The first outer iteration starts cold; from the second on, each solve
-    # starts from the previous one of its side and, on this instance, the
-    # solves take fewer iterations than the same run started cold.
+def test_run_ao_warm_starts_take_fewer_iterations(monkeypatch, uncertified):
+    # With every certificate failing, each half-step solves.  The first outer
+    # iteration starts cold; from the second on, each solve starts from the
+    # previous one of its side and, on this instance, the solves take fewer
+    # iterations than the same run started cold.
     config = SystemConfig(n_irs=20, seed=3)
     channels = sample_channels(config, trial_stream(3, 0))
     ao = AoConfig(algorithm=ALGORITHM_SDP, max_outer_iters=6, rel_tol=0.0)
@@ -791,3 +792,188 @@ def test_half_step_bounds_dominate_returned_iterates(seed, n, l, rho, tol):
     j_v = composite_objective(channels, phases, beam, config)
     assert j_v >= j_w - 1e-12 * abs(j_w)
     assert j_v <= bound_v + 1e-12 * abs(bound_v)
+
+
+# ---------------------------------------------------------------------------
+# Certified half-steps
+
+
+def feasible_point(rng, b):
+    """A random x with |x_i|^2 = b_i."""
+    return np.sqrt(b) * np.exp(1j * rng.uniform(-np.pi, np.pi, b.size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 41), rank=st.integers(1, 8))
+def test_certificate_is_a_dual_bound_at_any_feasible_point(seed, n, rank):
+    # The shifted z is dual feasible, so the bound dominates x^H C x and the
+    # relaxation's optimum; the record is xx^H with x's true residual.
+    rng = trial_stream(40, seed)
+    a = complex_normal(rng, (rank, n))
+    cost = hermitian_part(a.conj().T @ a)
+    b = rng.uniform(0.5, 2.0, n)
+    x = feasible_point(rng, b)
+    cert = sdp.certify(cost, b, x)
+    norm = float(np.linalg.norm(cost, 2))
+    value = float(np.vdot(x, cost @ x).real)
+    bound = cert.objective + cert.duality_gap
+    assert bound >= value - 1e-12 * abs(value)
+    assert np.linalg.eigvalsh(np.diag(cert.dual) - cost)[0] >= -1e-12 * (1.0 + norm)
+    assert cert.certified and cert.iterations == 0
+    assert np.array_equal(cert.x_opt, np.outer(x, x.conj()))
+    assert cert.primal_residual <= 1e-15 and cert.duality_gap >= 0.0
+    relaxed = solve_diag_sdp(cost, b, tol=1e-7)
+    assert relaxed.objective <= bound + 1e-6 * abs(bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 41),
+       tol=st.sampled_from([1e-7, 1e-4, 1e-2]))
+def test_certificate_passes_at_the_rank_one_optimum(seed, n, tol):
+    # For C = a a^H, x = sqrt(b) a / |a| solves the relaxation: its
+    # certificate passes, and its bound is the solver's dual value within
+    # the solver's own stop rule.
+    rng = trial_stream(41, seed)
+    a = rng.uniform(0.1, 2.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    b = rng.uniform(0.5, 2.0, n)
+    cost = np.outer(a, a.conj())
+    certified = sdp._certified(cost, b, np.sqrt(b) * a / np.abs(a), tol)
+    assert certified is not None
+    bound, cert = certified
+    assert bound == pytest.approx(float(np.sum(np.abs(a) * np.sqrt(b))) ** 2, rel=1e-12)
+    solution = solve_diag_sdp(cost, b, tol=tol)
+    dual_value = solution.objective + solution.duality_gap
+    c_scale = float(np.max(np.abs(cost)))
+    assert abs(bound - dual_value) <= tol * (c_scale + abs(bound) + abs(dual_value))
+
+
+def half_step_draws(l, trials, seed):
+    """Per trial: config, channels, a random beam and random phases."""
+    config = SystemConfig(n_irs=l, seed=seed)
+    for trial in range(trials):
+        rng = trial_stream(seed, 0, trial)
+        channels = sample_channels(config, rng)
+        yield (config, channels,
+               Beamformer.from_phases(rng.uniform(-np.pi, np.pi, config.n_tx), config),
+               PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, l)))
+
+
+def lc_points(config, channels, beam0, phases0, tol):
+    """Each side's cost, diagonal, offset and the lc point its half-step
+    ascends to from the incumbent, computed apart from the half-steps."""
+    big_h = build_operators(channels, phases0, None, config).big_h
+    beam = lc._sca_ascent(big_h, beam0, config, lc.MAX_MAPS,
+                          lc.map_rel_tol(lc.SCA_REL_TOL, tol))[0]
+    cost = build_operators(channels, None, beam0, config).big_f.copy()
+    offset, cost[-1, -1] = cost[-1, -1].real, 0.0
+    l_dim = config.n_irs
+    phases = lc._mm_ascent(cost[:l_dim, :l_dim], cost[:l_dim, l_dim], phases0,
+                           lc.MAX_MAPS, lc.map_rel_tol(lc.MM_REL_TOL, tol))[0]
+    return ((big_h, np.full(config.n_tx, config.per_antenna_power), 0.0, beam),
+            (cost, np.ones(l_dim + 1), offset, phases))
+
+
+def lifted(point):
+    """The certificate's x of a side's iterate: w, or [v; 1]."""
+    return point.w if isinstance(point, Beamformer) else np.append(point.v, 1.0)
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-4])
+def test_certified_half_steps_call_no_solve(monkeypatch, tol):
+    # A half-step whose lc point passes the relative-gap test returns that
+    # point with its certificate's bound and record, and calls no
+    # solve_diag_sdp; one that fails calls it once.  Both branches occur.
+    solve, calls = sdp.solve_diag_sdp, []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(sdp, "solve_diag_sdp", counting_solve)
+    outcomes = []
+    for config, channels, beam0, phases0 in half_step_draws(40, 6, 42):
+        big_f = build_operators(channels, None, beam0, config).big_f
+        big_h = build_operators(channels, phases0, None, config).big_h
+        sides = lc_points(config, channels, beam0, phases0, tol)
+        for (cost, b, offset, point), update in zip(sides, (
+                lambda: sdp_update_w(big_h, config, tol, beam0),
+                lambda: sdp_update_v(big_f, config, tol, phases0))):
+            cert = sdp.certify(cost, b, lifted(point))
+            bound = cert.objective + cert.duality_gap + offset
+            passes = cert.duality_gap <= tol * abs(bound)
+            del calls[:]
+            out, out_bound, record = update()
+            assert record.certified == passes and len(calls) == (0 if passes else 1)
+            if passes:
+                assert out_bound == bound and np.array_equal(lifted(out), lifted(point))
+                assert np.array_equal(record.dual, cert.dual)
+            outcomes.append(passes)
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("l", [8, 40])
+def test_failed_certificate_falls_back_no_lower_than_the_lc_point(uncertified, l):
+    # The fallback solves and extracts with the lc point as the incumbent, so
+    # its J is no lower than the lc point's, and no higher than its bound.
+    tol = 1e-4
+    for config, channels, beam0, phases0 in half_step_draws(l, 4, 43):
+        (*_, beam_lc), (*_, phases_lc) = lc_points(
+            config, channels, beam0, phases0, tol)
+        big_h = build_operators(channels, phases0, None, config).big_h
+        beam, bound_w, record = sdp_update_w(big_h, config, tol, beam0)
+        assert not record.certified
+        j_lc = composite_objective(channels, phases0, beam_lc, config)
+        j_w = composite_objective(channels, phases0, beam, config)
+        assert bound_w + 1e-12 * abs(bound_w) >= j_w >= j_lc - 1e-12 * abs(j_lc)
+
+        big_f = build_operators(channels, None, beam0, config).big_f
+        phases, bound_v, record = sdp_update_v(big_f, config, tol, phases0)
+        assert not record.certified
+        j_lc = composite_objective(channels, phases_lc, beam0, config)
+        j_v = composite_objective(channels, phases, beam0, config)
+        assert bound_v + 1e-12 * abs(bound_v) >= j_v >= j_lc - 1e-12 * abs(j_lc)
+
+
+def reference_update(cost, config, tol, warm, side):
+    """The half-steps without an incumbent: solve from `warm`, extract."""
+    if side == "w":
+        solution = solve_diag_sdp(cost, np.full(config.n_tx, config.per_antenna_power),
+                                  tol=tol, warm=warm)
+        return (extract_beamformer(solution.x_opt, cost, config, n_rand=0).w,
+                solution.objective + solution.duality_gap, solution)
+    corner_free = cost.copy()
+    offset, corner_free[-1, -1] = corner_free[-1, -1].real, 0.0
+    solution = solve_diag_sdp(corner_free, np.ones(config.n_irs + 1), tol=tol, warm=warm)
+    return (extract_phases(solution.x_opt, corner_free, n_rand=0).alpha,
+            solution.objective + solution.duality_gap + offset, solution)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), l=st.integers(1, 40),
+       tol=st.sampled_from([1e-2, 1e-4]), warm=st.booleans())
+def test_half_steps_without_an_incumbent_solve_as_before(seed, l, tol, warm):
+    # No incumbent, no ascent and no certificate: the solve and extraction
+    # of the half-steps as they were, bit for bit.
+    (config, channels, beam0, phases0), = half_step_draws(l, 1, seed)
+    for side, cost, update in (
+            ("w", build_operators(channels, phases0, None, config).big_h, sdp_update_w),
+            ("v", build_operators(channels, None, beam0, config).big_f, sdp_update_v)):
+        start = update(cost, config, tol)[2] if warm else None
+        out, bound, record = update(cost, config, tol, warm=start)
+        ref, ref_bound, ref_record = reference_update(cost, config, tol, start, side)
+        assert np.array_equal(out.w if side == "w" else out.alpha, ref)
+        assert bound == ref_bound and not record.certified
+        assert np.array_equal(record.x_opt, ref_record.x_opt)
+        assert record.iterations == ref_record.iterations
+
+
+def test_extract_phases_returns_a_winning_incumbent_itself():
+    # A profile rebuilt from its phases need not have the same bits, so a
+    # winning incumbent is returned as it is.
+    rng = trial_stream(29, 0)
+    profiles = (PhaseProfile.from_projection(project(complex_normal(rng, (12,)), 1.0))
+                for _ in range(50))
+    incumbent = next(p for p in profiles
+                     if not np.array_equal(PhaseProfile(alpha=p.alpha).v, p.v))
+    x = np.append(incumbent.v, 1.0)
+    big_f = np.outer(x, x.conj())   # maximised at the incumbent
+    assert extract_phases(np.eye(13), big_f, n_rand=0, incumbent=incumbent) is incumbent
