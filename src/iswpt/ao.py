@@ -1,47 +1,49 @@
 """Alternating optimization driver and the random-phase baseline.
 
 One outer iteration, a map, updates the beamformer at fixed phases, then
-the phases at fixed beamformer.  Either half-step runs in one of two modes:
+the phases at fixed beamformer.  Both algorithms run one lc half-step per
+side; "sdp" then certifies its point or solves a relaxation:
 
-* "sdp": the subproblem's relaxation to a diagonally constrained SDP
-  (`sdp.sdp_update_w`, `sdp.sdp_update_v`).  Each half-step ascends from
-  the incumbent with its side's lc loop at the map's lc tolerance and
-  certifies the lc point x with one eigvalsh (`sdp.certify`).  If the
+* "lc": an inner SCA loop for the beamformer (`lc.sca_solve`) and an inner
+  MM loop for the phases (`lc.mm_solve`), each iterating the closed-form
+  step of `lc`, x <- amp * y / |y| with y = M x + b, until its objective
+  stalls.  Each step ascends, so a loose stop keeps the half-step monotone.
+* "sdp": the lc half-step, then the subproblem's relaxation to a
+  diagonally constrained SDP (`sdp.sdp_update_w`, `sdp.sdp_update_v`).
+  The lc point x is certified with one eigvalsh (`sdp.certify`).  If the
   certified relative gap is at most the map's tolerance, x is the answer:
   with a zero shift xx^H is an optimal SDP solution and extraction from it
   would return x.  Otherwise the interior-point method solves the
   relaxation, warm from the last solution or certificate of the same side,
-  and the projected principal eigenvector is kept unless the lc point
-  scores higher, so each half-step is monotone.  The certificate's bound
-  or the solve's dual value bounds the half-step's J at any tolerance; it
-  is recorded with the iteration count (0 when certified), duality gap,
-  primal residual and whether the step was certified.
-* "lc": an inner SCA loop for the beamformer and an inner MM loop for the
-  phases, each iterating the closed-form step of `lc`, x <- amp * y / |y|
-  with y = M x + b, until its objective stalls.  Each step ascends, so a
-  loose stop keeps the half-step monotone.
+  and the projected principal eigenvector is kept unless x scores higher,
+  so each half-step is monotone.  The certificate's bound or the solve's
+  dual value bounds the half-step's J at any tolerance; it is recorded
+  with the iteration count (0 when certified), duality gap, primal
+  residual and whether the step was certified.  Were every certificate to
+  pass, an sdp run would be the lc run, bit for bit.
 
 Both half-steps of a map solve to one tolerance `tol` that follows the
 outer progress (`_next_map_tol`): 1e-2 (`AoConfig.sdp_start_tol`) in the
 first map, then a tenth of the last map's relative gain in J, held within
 [1e-4, 1e-2] (1e-4 is `AoConfig.sdp_tol`).  An sdp solve stops at that
-duality gap, an lc solve, alone or inside an sdp half-step, at its
-default rel_tol (`lc.SCA_REL_TOL`, `lc.MM_REL_TOL`) times
-(tol / sdp_tol)^2 (`lc.map_rel_tol`): MM at 1e-2 and SCA at 1e-5 in the
-loosest map.  A run stops only on a map solved at `sdp_tol`: a loose
-map that gains less than `rel_tol`, as when both sdp half-steps keep the
-incumbent, only tightens the next map's solves.
+duality gap, and the lc solves of both algorithms at their default
+rel_tol (`lc.SCA_REL_TOL`, `lc.MM_REL_TOL`) times (tol / sdp_tol)^2
+(`lc.map_rel_tol`): MM at 1e-2 and SCA at 1e-5 in the loosest map.  A
+run stops only on a map solved at `sdp_tol`: a loose map that gains less
+than `rel_tol`, as when both half-steps keep their start, only tightens
+the next map's solves.
 
 For both, the maps run in safeguarded SqS3 cycles over the stacked state
 u = [w / sqrt(p0/N); v]: two plain maps x0 -> x1 -> x2, then one map from
 `lc.sqs3_jump(u0, u1, u2)`, the extrapolated y projected as y / |y| (the
-beam rescaled to sqrt(p0/N)).  If J after its beam half-step is below
-J(x2), the jump is rejected: x2 stays, its "v" step is recorded again as
-the map's "w" and "v" steps, and no stop test follows.  Each map, a jump
-kept or rejected, is one ("w", "v") pair of steps: `max_outer_iters` caps
-maps, `n_outer` counts them and `iteration_objectives()[k]` is J after
-map k.  Every half-step is monotone, so the recorded objectives are
-nondecreasing up to rounding.
+beam rescaled to sqrt(p0/N)): its lc beam solve starts at the jumped
+beam, on the jumped phases' Gram matrix.  If J after its beam half-step
+is below J(x2), the jump is rejected: x2 stays, its "v" step is recorded
+again as the map's "w" and "v" steps, and no stop test follows.  Each
+map, a jump kept or rejected, is one ("w", "v") pair of steps:
+`max_outer_iters` caps maps, `n_outer` counts them and
+`iteration_objectives()[k]` is J after map k.  Every half-step is
+monotone, so the recorded objectives are nondecreasing up to rounding.
 
 Each half-step builds only the operators of its own side, and the inner
 solvers run at their own default iteration caps.  The `beam_rows` of each
@@ -208,6 +210,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     w_err, v_err = beam.modulus_error(config), phases.modulus_error()
     j_prev = _record(trace, config, rows, beam, (w_err, v_err), 0, "init")
     solution_w = solution_v = None   # each sdp side's last solve, its next warm start
+    relaxed_w = relaxed_v = None     # each sdp side's last bound; None on the lc route
     cycle = []   # the stacked states u of the current SqS3 cycle
     tol = ao.sdp_start_tol   # the map's half-step tolerance
 
@@ -226,13 +229,11 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             start_v_err = start_phases.modulus_error()
         try:
             big_h = gram(start_rows, config)
+            w_beam = lc.sca_solve(big_h, start_beam, config,
+                                  rel_tol=lc.map_rel_tol(lc.SCA_REL_TOL, tol))
             if ao.algorithm == ALGORITHM_SDP:
                 w_beam, relaxed_w, solution_w = sdp.sdp_update_w(
-                    big_h, config, tol=tol, incumbent=beam, warm=solution_w)
-            else:
-                w_beam, relaxed_w = lc.sca_solve(
-                    big_h, start_beam, config,
-                    rel_tol=lc.map_rel_tol(lc.SCA_REL_TOL, tol)), None
+                    big_h, config, tol=tol, incumbent=w_beam, warm=solution_w)
             w_beam_err = w_beam.modulus_error(config)
             j_w = _record(trace, config, start_rows, w_beam, (w_beam_err, start_v_err),
                           outer, "w", relaxed_w, solution_w)
@@ -246,12 +247,10 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             w_err, v_err = w_beam_err, start_v_err
 
             ops = build_operators(channels, None, beam, config)
+            phases = lc.mm_solve(ops, phases, rel_tol=lc.map_rel_tol(lc.MM_REL_TOL, tol))
             if ao.algorithm == ALGORITHM_SDP:
                 phases, relaxed_v, solution_v = sdp.sdp_update_v(
                     ops.big_f, config, tol=tol, incumbent=phases, warm=solution_v)
-            else:
-                phases, relaxed_v = lc.mm_solve(
-                    ops, phases, rel_tol=lc.map_rel_tol(lc.MM_REL_TOL, tol)), None
             rows, v_err = beam_rows(channels, phases, config), phases.modulus_error()
             j_new = _record(trace, config, rows, beam, (w_err, v_err), outer, "v",
                             relaxed_v, solution_v)

@@ -18,13 +18,15 @@ objective.
 An MM map costs one F11 product: `MmProblem` carries y at its iterate, and
 the product that gives y at the next iterate also scores it.  An SCA map
 costs two H products, one for its step and one for its score.  `mm_solve`,
-`sca_solve`, `ao.run_rps` and the sdp half-steps (through the unchecked
-`_mm_ascent` and `_sca_ascent`) iterate their step in one loop,
+`sca_solve` and its unchecked core `_sca_ascent` (which `ao` calls for the
+initial beam and `run_rps`) iterate their step in one loop,
 `_sqs3_ascent`: SQUAREM (SqS3; Varadhan & Roland, Scand. J. Stat. 2008,
 applied to MM as in Sun, Babu & Palomar) with a safeguard that keeps the
 ascent monotone.  Warm-started MM solves at L=40 reach the stop test in
 about a third of the maps of plain iteration.  Its jump is `sqs3_jump`,
-which `ao.run_ao` also applies to the outer map.
+which `ao.run_ao` also applies to the outer map.  Both algorithms of
+`ao.run_ao` run `sca_solve` and `mm_solve` as their half-steps; `sdp`
+calls nothing here.
 
 Each solve checks its inputs once, at entry, with the helpers of
 `scenario`: its loop parameters, then `sca_solve` the beam and the N x N
@@ -195,14 +197,20 @@ def mm_update_v(problem: MmProblem) -> PhaseProfile:
     return PhaseProfile.from_projection(project(problem.direction, problem.v_prev))
 
 
-def _mm_ascent(f11: np.ndarray, f12: np.ndarray, phases: PhaseProfile,
-               max_iters: int, rel_tol: float) -> tuple[PhaseProfile, int, bool]:
-    """Unchecked `mm_solve` on the blocks F11 and f12, returning
-    `_sqs3_ascent`'s profile, maps and flag.
+def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
+             max_iters: int = MAX_MAPS, rel_tol: float = MM_REL_TOL) -> PhaseProfile:
+    """Iterate MM steps at fixed beamformer in `_sqs3_ascent` until g stalls.
 
     Its iterates are (profile, problem) pairs: the product that anchors the
     problem at a new profile gives both its score, -g = Re(v^H (y + f12)),
     and the next step's y."""
+    check_loop(max_iters, rel_tol, "max_iters")
+    l_dim = phases.v.size
+    check_hermitian(ops.big_f, "big_f", l_dim + 1)
+    check_finite("phases", phases.v, (l_dim,))
+    problem = MmProblem.from_operators(ops, phases)
+    f11, f12 = problem.f11, problem.f12
+
     def score(at: MmProblem) -> float:
         return float(np.vdot(at.v_prev, at.direction + f12).real)
 
@@ -214,23 +222,10 @@ def _mm_ascent(f11: np.ndarray, f12: np.ndarray, phases: PhaseProfile,
     def lift(v: np.ndarray) -> tuple:   # a lifted iterate only feeds `step`
         return None, MmProblem.at(f11, f12, v)
 
-    problem = MmProblem.at(f11, f12, phases.v)
     start_score = score(problem)
     if abs(start_score) < _TINY_SCORE:
         f11, f12 = _normalised(f11, f12)
         problem = MmProblem.at(f11, f12, phases.v)
         start_score = score(problem)
     start = ((phases, problem), phases.v, start_score)
-    (out, _), maps, stop = _sqs3_ascent(step, lift, start, max_iters, rel_tol)
-    return out, maps, stop
-
-
-def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
-             max_iters: int = MAX_MAPS, rel_tol: float = MM_REL_TOL) -> PhaseProfile:
-    """Iterate MM steps at fixed beamformer (`_mm_ascent`) until g stalls."""
-    check_loop(max_iters, rel_tol, "max_iters")
-    l_dim = phases.v.size
-    check_hermitian(ops.big_f, "big_f", l_dim + 1)
-    check_finite("phases", phases.v, (l_dim,))
-    return _mm_ascent(ops.big_f[:l_dim, :l_dim], ops.big_f[:l_dim, l_dim], phases,
-                      max_iters, rel_tol)[0]
+    return _sqs3_ascent(step, lift, start, max_iters, rel_tol)[0][0]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,8 +184,8 @@ class SystemConfig:
     def _check_scales(self) -> None:
         """Reject finite fields whose derived scales leave the float range:
         the steering phases 2 pi delta (L - 1) from 2**52 on, where adjacent
-        doubles are 1 rad apart, a link's path loss that overflows or
-        underflows to 0, and a bound on J.  `complex_normal` draws
+        doubles are 1 rad apart, a link's path loss that overflows or falls
+        below the least normal double, and a bound on J.  `complex_normal` draws
         |z|^2 <= 53 ln 2, so a drawn link entry has |h|^2 <= c pl,
         c = 106 ln 2; the unweighted row products of `objective.gram` are at
         most G = c^2 (K (sqrt(pl_d) + L sqrt(pl_ru pl_br))^2 + M L^2 pl_br),
@@ -199,9 +200,9 @@ class SystemConfig:
                 loss = path_loss(self.pl_ref, getattr(self, dist), getattr(self, ple))
             except OverflowError:
                 loss = math.inf
-            if not 0.0 < loss < math.inf:
-                raise ValueError(f"path loss pl_ref * {dist}**(-{ple}) is {loss!r}; "
-                                 "it must be finite and positive")
+            if not sys.float_info.min <= loss < math.inf:
+                raise ValueError(f"path loss pl_ref * {dist}**(-{ple}) is {loss!r}; it "
+                                 f"must be finite and at least {sys.float_info.min!r}")
             losses.append(loss)
         pl_br, pl_ru, pl_d = losses
         peak = 106.0 * math.log(2.0)

@@ -53,10 +53,9 @@ the feasible set and keep the best on the true objective, or an incumbent,
 returned as itself.  The half-steps draw none: a randomised candidate never
 won (see README).
 
-The AO half-steps `sdp_update_w` / `sdp_update_v` are given an incumbent
-and certify before they solve.  They ascend from it with the side's lc loop
-(`lc._sca_ascent`, `lc._mm_ascent`) at the lc tolerance of the map, and
-`certify` the lc point x with one eigvalsh: z_i = Re(conj(x_i) (C x)_i) / b_i
+The AO half-steps `sdp_update_w` / `sdp_update_v` are given their side's
+lc point x, the result of the lc half-step that `ao.run_ao` runs on both
+routes, and `certify` it with one eigvalsh: z_i = Re(conj(x_i) (C x)_i) / b_i
 closes the duality gap at an lc fixed point, and shifting z by
 max(0, -lambda_min(Diag(z) - C)) makes it dual feasible (the tightness
 certificate of synchronization-type SDPs; Bandeira, Boumal & Singer, Math.
@@ -65,7 +64,7 @@ at most the map's `tol`, x is the answer, with the bound and the record
 (xx^H, shifted z) as the next warm start: with a zero shift xx^H is an
 optimal SDP solution and extraction from it would return x, so the step is
 the relaxation's with a cheaper solver.  Otherwise the relaxation is solved
-and extracted, the lc point competing as the incumbent.
+and extracted, x competing as the incumbent.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lc
 from .objective import Beamformer, PhaseProfile, hermitian_part, project
 from .scenario import SystemConfig, check_finite, check_hermitian, complex_normal
 
@@ -370,25 +368,20 @@ def _certified(cost: np.ndarray, diag_values: np.ndarray, x: np.ndarray, tol: fl
 
 
 def sdp_update_w(big_h: np.ndarray, config: SystemConfig, tol: float,
-                 incumbent: Beamformer | None = None,
+                 incumbent: Beamformer,
                  warm: SdpSolution | None = None) -> tuple[Beamformer, float, SdpSolution]:
     """Beamformer half-step at fixed phases for the relaxation of
-    max w^H big_h w: the feasible beamformer, an upper bound on J at these
-    phases (rigorous up to rounding at any `tol`: the certificate's shifted
-    dual and every interior-point iterate are dual feasible) and the record
-    that is the next beam half-step's `warm`.
-
-    Given an incumbent, it returns the SCA ascent's point (`lc._sca_ascent`)
-    when `_certified` passes, else solves (from `warm`) and extracts with
-    that point as the incumbent; without one, it solves and extracts.
+    max w^H big_h w, given the lc point `incumbent`: the feasible beamformer,
+    an upper bound on J at these phases (rigorous up to rounding at any
+    `tol`: the certificate's shifted dual and every interior-point iterate
+    are dual feasible) and the record that is the next beam half-step's
+    `warm`.  It returns the incumbent when `_certified` passes, else solves
+    (from `warm`) and extracts with the incumbent competing.
     """
     b = np.full(config.n_tx, config.per_antenna_power)
-    if incumbent is not None:
-        incumbent = lc._sca_ascent(big_h, incumbent, config, lc.MAX_MAPS,
-                                   lc.map_rel_tol(lc.SCA_REL_TOL, tol))[0]
-        certified = _certified(big_h, b, incumbent.w, tol)
-        if certified is not None:
-            return incumbent, *certified
+    certified = _certified(big_h, b, incumbent.w, tol)
+    if certified is not None:
+        return incumbent, *certified
     solution = solve_diag_sdp(big_h, b, tol=tol, warm=warm)
     beam = extract_beamformer(solution.x_opt, big_h, config, n_rand=0,
                               incumbent=incumbent)
@@ -396,27 +389,23 @@ def sdp_update_w(big_h: np.ndarray, config: SystemConfig, tol: float,
 
 
 def sdp_update_v(big_f: np.ndarray, config: SystemConfig, tol: float,
-                 incumbent: PhaseProfile | None = None,
+                 incumbent: PhaseProfile,
                  warm: SdpSolution | None = None) -> tuple[PhaseProfile, float, SdpSolution]:
     """Phase half-step at fixed beamformer for the relaxation of
-    max x^H big_f x over x = [v; 1], returning as `sdp_update_w` does.  The
-    corner of big_f, the v-independent offset, is zeroed in a copy for the
-    ascent, the certificate, the relaxation and the extraction (kept, it
-    would outweigh every other entry and rescale the interior-point method)
-    and added back to the bound.  Given an incumbent, the ascent is MM
-    (`lc._mm_ascent`) and the certificate is that of x = [v; 1].
+    max x^H big_f x over x = [v; 1], returning as `sdp_update_w` does; the
+    certificate is that of x = [incumbent.v; 1].  The corner of big_f, the
+    v-independent offset, is zeroed in a copy for the certificate, the
+    relaxation and the extraction (kept, it would outweigh every other
+    entry and rescale the interior-point method) and added back to the
+    bound.
     """
     cost = np.array(big_f, dtype=np.complex128)
     offset = float(cost[-1, -1].real)
     cost[-1, -1] = 0.0
     b = np.ones(config.n_irs + 1)
-    if incumbent is not None:
-        l_dim = config.n_irs
-        incumbent = lc._mm_ascent(cost[:l_dim, :l_dim], cost[:l_dim, l_dim], incumbent,
-                                  lc.MAX_MAPS, lc.map_rel_tol(lc.MM_REL_TOL, tol))[0]
-        certified = _certified(cost, b, np.append(incumbent.v, 1.0), tol, offset)
-        if certified is not None:
-            return incumbent, *certified
+    certified = _certified(cost, b, np.append(incumbent.v, 1.0), tol, offset)
+    if certified is not None:
+        return incumbent, *certified
     solution = solve_diag_sdp(cost, b, tol=tol, warm=warm)
     phases = extract_phases(solution.x_opt, cost, n_rand=0, incumbent=incumbent)
     return phases, solution.objective + solution.duality_gap + offset, solution

@@ -177,7 +177,9 @@ def test_lc_outer_loop_properties(case, cap, rel_tol):
 @pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
 def test_caps_of_one_and_two_run_plain_maps(algorithm, case, cap):
     # A jump needs two plain maps before it, so a cap of 1 or 2 never jumps:
-    # the trace equals that of plain maps of the algorithm's half-steps.
+    # the trace equals that of plain maps of the algorithm's half-steps, an
+    # lc solve per side and, for sdp, its certificate or solve with the lc
+    # point as the incumbent.
     config, channels = case
     ao = AoConfig(algorithm=algorithm, max_outer_iters=cap, rel_tol=0.0)
     trace = run_ao(config, ao, channels, trial_stream(config.seed, 1))
@@ -188,19 +190,17 @@ def test_caps_of_one_and_two_run_plain_maps(algorithm, case, cap):
     tol = ao.sdp_start_tol
     for _ in range(cap):
         big_h = build_operators(channels, phases, None, config).big_h
-        if algorithm == ALGORITHM_LC:
-            beam = lc.sca_solve(big_h, beam, config,
-                                rel_tol=half_step_tol(algorithm, "w", ao, tol))
-        else:
+        beam = lc.sca_solve(big_h, beam, config,
+                            rel_tol=half_step_tol(ALGORITHM_LC, "w", ao, tol))
+        if algorithm == ALGORITHM_SDP:
             beam, _, solution_w = sdp.sdp_update_w(big_h, config, tol,
                                                    beam, solution_w)
         expected.append(solution_metrics(beam_rows(channels, phases, config), beam.w,
                                          config)[0])
         ops = build_operators(channels, None, beam, config)
-        if algorithm == ALGORITHM_LC:
-            phases = lc.mm_solve(ops, phases,
-                                 rel_tol=half_step_tol(algorithm, "v", ao, tol))
-        else:
+        phases = lc.mm_solve(ops, phases,
+                             rel_tol=half_step_tol(ALGORITHM_LC, "v", ao, tol))
+        if algorithm == ALGORITHM_SDP:
             phases, _, solution_v = sdp.sdp_update_v(ops.big_f, config, tol,
                                                      phases, solution_v)
         expected.append(solution_metrics(beam_rows(channels, phases, config), beam.w,
@@ -248,6 +248,67 @@ def test_rejected_jump_records_a_flat_pair(algorithm, case):
                                 for stage in ("w", "v")]
     assert_nondecreasing(trace)
     assert np.all(np.abs(trace.beam.w) > 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=small_instances)
+@pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
+def test_jump_map_starts_the_beam_solve_at_the_jump(algorithm, case):
+    # Map 3 starts at the jump on both routes: its lc.sca_solve gets the
+    # jumped beam and the Gram matrix of the jumped phases.
+    config, channels = case
+    solve, sqs3_jump = lc.sca_solve, lc.sqs3_jump
+    starts, jumps = [], []
+
+    def spy_solve(big_h, beam, *args, **kwargs):
+        starts.append((big_h, beam))
+        return solve(big_h, beam, *args, **kwargs)
+
+    def spy_jump(*cycle):   # the solves' own jumps, of N or L entries, are not counted
+        jump = sqs3_jump(*cycle)
+        if cycle[0].size == config.n_tx + config.n_irs:
+            jumps.append(jump)
+        return jump
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lc, "sca_solve", spy_solve)
+        patch.setattr(lc, "sqs3_jump", spy_jump)
+        ao = AoConfig(algorithm=algorithm, max_outer_iters=3, rel_tol=0.0)
+        run_ao(config, ao, channels, trial_stream(config.seed, 1))
+    assume(len(jumps) == 1 and jumps[0] is not None)
+    assert len(starts) == 3
+    (big_h, beam), jump = starts[2], jumps[0]
+    assert np.array_equal(beam.w, config.beam_amplitude * jump[:config.n_tx])
+    phases = PhaseProfile.from_projection(jump[config.n_tx:])
+    assert np.array_equal(big_h, gram(beam_rows(channels, phases, config), config))
+
+
+def always_certified(cost, diag_values, x, tol, offset=0.0):
+    """`sdp._certified` with its test forced to pass."""
+    certificate = sdp.certify(cost, diag_values, x)
+    return certificate.objective + certificate.duality_gap + offset, certificate
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), l=st.integers(1, 40), rho=st.floats(0.0, 1.0),
+       rel_tol=st.sampled_from([0.0, 1e-4]))
+def test_certified_sdp_run_is_the_lc_run(seed, l, rho, rel_tol):
+    # Both algorithms run one lc solve per half-step, and a certified sdp
+    # half-step returns its lc point: with every certificate passing, an
+    # sdp run is the lc run from the same stream, bit for bit.
+    config, channels = instance(seed, l=l, rho=rho)
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdp, "_certified", always_certified)
+        for algorithm in (ALGORITHM_LC, ALGORITHM_SDP):
+            ao = AoConfig(algorithm=algorithm, max_outer_iters=10, rel_tol=rel_tol)
+            runs.append(run_ao(config, ao, channels, trial_stream(seed, 1)))
+    lc_run, sdp_run = runs
+    assert sdp_run.failure is None and sdp_run.n_outer == lc_run.n_outer
+    assert [s.objective for s in sdp_run.steps] == [s.objective for s in lc_run.steps]
+    assert np.array_equal(sdp_run.beam.w, lc_run.beam.w)
+    assert np.array_equal(sdp_run.phases.v, lc_run.phases.v)
+    assert all(s.sdp_certified for s in sdp_run.steps[1:])
 
 
 def test_lc_converges_with_default_tolerance():
@@ -340,12 +401,18 @@ def test_sdp_tol_follows_the_gain_and_a_stop_is_tight(algorithm, case, rel_tol):
     # solves take their default rel_tol times (tol / 1e-4)**2.  A rejected
     # jump, a map without its "v" half-step, leaves it as it was.  A run
     # reported converged stopped on a map solved at sdp_tol: for lc, both
-    # solves of its last map ran at their defaults.
+    # solves of its last map ran at their defaults.  An sdp half-step
+    # follows the lc solve of its side, at the same map's lc rel_tol.
     config, channels = case
     ao = AoConfig(algorithm=algorithm, rel_tol=rel_tol)
     with pytest.MonkeyPatch.context() as patch:
         calls = spy_half_step_tols(patch, algorithm)
+        lc_calls = (spy_half_step_tols(patch, ALGORITHM_LC)
+                    if algorithm == ALGORITHM_SDP else calls)
         trace = run_ao(config, ao, channels, trial_stream(config.seed, 1))
+    assert lc_calls == [(side, half_step_tol(ALGORITHM_LC, side, ao, used)
+                         if algorithm == ALGORITHM_SDP else used)
+                        for side, used in calls]
     j_maps = trace.iteration_objectives()
     tol, k = ao.sdp_start_tol, 0
     for side, used in calls:

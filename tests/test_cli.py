@@ -506,6 +506,19 @@ def test_extreme_finite_fields_exit_zero_or_two(tmp_path, capsys, name, value):
     assert_rejected_or_finite(code, out, capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("command",
+                         ["sweep-l", "sweep-rho", "convergence", "beampattern"])
+def test_subnormal_path_loss_exits_two(tmp_path, capsys, command):
+    # dist_tx_irs = 1e125 gives a surface path loss of 3.2e-314, subnormal:
+    # every CSV command rejects the spec at parse time and writes nothing.
+    spec = write_spec(tmp_path, BASE_SPEC + "dist_tx_irs = 1e125\n")
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--spec", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: path loss pl_ref * dist_tx_irs**(-ple_tx_irs) is 3.16227766e-314")
+    assert not out.exists()
+
+
 # The largest delta whose steering phases 2 pi delta (L - 1) stay below
 # 2**52 at L = 4.
 _DELTA_BOUND_L4 = 2.0 ** 52 / (2.0 * math.pi * 3)

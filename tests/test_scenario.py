@@ -202,6 +202,22 @@ def test_system_config_rejects_scales_out_of_range(fields, match):
         SystemConfig(**fields)
 
 
+@pytest.mark.parametrize("dist, ple", [("dist_tx_irs", "ple_tx_irs"),
+                                       ("dist_irs_ehd", "ple_irs_ehd"),
+                                       ("dist_tx_ehd", "ple_tx_ehd")])
+def test_system_config_rejects_a_subnormal_path_loss(dist, ple):
+    # A subnormal path loss once reached the lc kernels as subnormal |y|,
+    # where `objective.project` overflowed.  The least normal double itself
+    # is accepted; the error names the link's fields.
+    ones = dict(dist_tx_irs=1.0, dist_irs_ehd=1.0, dist_tx_ehd=1.0)
+    SystemConfig(pl_ref=sys.float_info.min, **ones)
+    with pytest.raises(ValueError, match=rf"pl_ref \* {dist}\*\*\(-{ple}\) is "
+                       r"1e-311; it must be finite and at least 2\.22507\d*e-308"):
+        SystemConfig(**{dist: 10.0, ple: 310.0})
+    with pytest.raises(ValueError, match=rf"{dist}\*\*\(-{ple}\) is 3\.16227766e-314"):
+        SystemConfig(**{dist: 1e125, ple: 2.5})
+
+
 def test_system_config_power_properties():
     config = SystemConfig(n_tx=4, p0=100.0)
     assert config.per_antenna_power == pytest.approx(25.0)

@@ -660,15 +660,31 @@ def test_extract_phases_matches_candidate_loop(seed, l_dim, n_rand, tail,
 # Half-step wrappers
 
 
+def lc_beam(big_h, beam0, config, tol):
+    """The lc point of the beam side: `run_ao`'s SCA solve from beam0 in a
+    map solved to `tol`."""
+    return lc.sca_solve(big_h, beam0, config,
+                        rel_tol=lc.map_rel_tol(lc.SCA_REL_TOL, tol))
+
+
+def lc_phases(ops, phases0, tol):
+    """The lc point of the phase side: `run_ao`'s MM solve from phases0."""
+    return lc.mm_solve(ops, phases0, rel_tol=lc.map_rel_tol(lc.MM_REL_TOL, tol))
+
+
 def test_sdp_update_w_matched_filter():
-    # Rank-one cost: the relaxation is tight and extraction recovers the
-    # per-antenna matched filter, objective amp^2 (sum |h_n|)^2.
+    # Rank-one cost: the relaxation is tight and the half-step returns the
+    # per-antenna matched filter, objective amp^2 (sum |h_n|)^2, from the lc
+    # point of a random start.
     config = small_config(n=4, p0=2.0)
     rng = trial_stream(31, 0)
     h = complex_normal(rng, (4,))
     big_h = np.outer(h.conj(), h)
     big_h = 0.5 * (big_h + big_h.conj().T)
-    beam, relaxed, _ = sdp_update_w(big_h, config, tol=1e-7)
+    beam0 = Beamformer.from_phases(trial_stream(31, 1).uniform(-np.pi, np.pi, 4),
+                                   config)
+    beam, relaxed, _ = sdp_update_w(big_h, config, 1e-7,
+                                    lc_beam(big_h, beam0, config, 1e-7))
     optimum = float(config.beam_amplitude ** 2 * np.sum(np.abs(h)) ** 2)
     feasible = float(np.real(np.vdot(beam.w, big_h @ beam.w)))
     assert relaxed == pytest.approx(optimum, rel=1e-6)
@@ -677,14 +693,16 @@ def test_sdp_update_w_matched_filter():
 
 
 def test_sdp_update_w_feasible_close_to_relaxed():
-    # Principal-eigenvector extraction stays within a few percent of the
-    # SDP bound on random instances (median over 100 draws).
+    # The half-step from an lc point stays within a few percent of the SDP
+    # bound on random instances (median over 100 draws).
     config = small_config(n=4, p0=1.0)
-    rng = trial_stream(32, 0)
+    rng, starts = trial_stream(32, 0), trial_stream(32, 1)
     ratios = []
     for trial in range(100):
         big_h = random_psd(rng, 4)
-        beam, relaxed, _ = sdp_update_w(big_h, config, tol=1e-7)
+        beam0 = Beamformer.from_phases(starts.uniform(-np.pi, np.pi, 4), config)
+        beam, relaxed, _ = sdp_update_w(big_h, config, 1e-7,
+                                        lc_beam(big_h, beam0, config, 1e-7))
         feasible = float(np.real(np.vdot(beam.w, big_h @ beam.w)))
         assert feasible <= relaxed * (1.0 + 1e-6)
         ratios.append(feasible / relaxed)
@@ -703,7 +721,8 @@ def test_sdp_update_v_beats_quantized_search():
     phases = PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, 6))
     ops = build_operators(channels, None, beam, config)
 
-    profile, relaxed, _ = sdp_update_v(ops.big_f, config, tol=1e-7)
+    profile, relaxed, _ = sdp_update_v(ops.big_f, config, 1e-7,
+                                       lc_phases(ops, phases, 1e-7))
     j_sdp = composite_objective(channels, profile, beam, config)
     assert j_sdp == pytest.approx(lifted_phase_score(ops.big_f, profile.v),
                                   rel=1e-10)
@@ -721,15 +740,17 @@ def test_sdp_update_v_leaves_big_f_alone():
     rng = trial_stream(34, 0)
     channels = sample_channels(config, rng)
     beam = Beamformer.from_phases(rng.uniform(-np.pi, np.pi, 4), config)
-    big_f = build_operators(channels, None, beam, config).big_f
+    ops = build_operators(channels, None, beam, config)
+    big_f = ops.big_f
     before = big_f.copy()
     assert big_f[-1, -1].real > 0.0
-    profile, bound, _ = sdp_update_v(big_f, config, tol=1e-7)
+    point = lc_phases(ops, PhaseProfile(alpha=rng.uniform(-np.pi, np.pi, 6)), 1e-7)
+    profile, bound, _ = sdp_update_v(big_f, config, 1e-7, point)
     assert np.array_equal(big_f, before)
 
     corner_free = big_f.copy()
     corner_free[-1, -1] = 0.0
-    profile0, bound0, _ = sdp_update_v(corner_free, config, tol=1e-7)
+    profile0, bound0, _ = sdp_update_v(corner_free, config, 1e-7, point)
     assert np.array_equal(profile.alpha, profile0.alpha)
     assert bound == bound0 + big_f[-1, -1].real
 
@@ -859,18 +880,15 @@ def half_step_draws(l, trials, seed):
 
 
 def lc_points(config, channels, beam0, phases0, tol):
-    """Each side's cost, diagonal, offset and the lc point its half-step
-    ascends to from the incumbent, computed apart from the half-steps."""
+    """Each side's cost, diagonal, offset and the lc point `run_ao` hands
+    its half-step, the lc solve from beam0 or phases0."""
     big_h = build_operators(channels, phases0, None, config).big_h
-    beam = lc._sca_ascent(big_h, beam0, config, lc.MAX_MAPS,
-                          lc.map_rel_tol(lc.SCA_REL_TOL, tol))[0]
-    cost = build_operators(channels, None, beam0, config).big_f.copy()
+    ops = build_operators(channels, None, beam0, config)
+    cost = ops.big_f.copy()
     offset, cost[-1, -1] = cost[-1, -1].real, 0.0
-    l_dim = config.n_irs
-    phases = lc._mm_ascent(cost[:l_dim, :l_dim], cost[:l_dim, l_dim], phases0,
-                           lc.MAX_MAPS, lc.map_rel_tol(lc.MM_REL_TOL, tol))[0]
-    return ((big_h, np.full(config.n_tx, config.per_antenna_power), 0.0, beam),
-            (cost, np.ones(l_dim + 1), offset, phases))
+    return ((big_h, np.full(config.n_tx, config.per_antenna_power), 0.0,
+             lc_beam(big_h, beam0, config, tol)),
+            (cost, np.ones(config.n_irs + 1), offset, lc_phases(ops, phases0, tol)))
 
 
 def lifted(point):
@@ -895,19 +913,37 @@ def test_certified_half_steps_call_no_solve(monkeypatch, tol):
         big_h = build_operators(channels, phases0, None, config).big_h
         sides = lc_points(config, channels, beam0, phases0, tol)
         for (cost, b, offset, point), update in zip(sides, (
-                lambda: sdp_update_w(big_h, config, tol, beam0),
-                lambda: sdp_update_v(big_f, config, tol, phases0))):
+                lambda point: sdp_update_w(big_h, config, tol, point),
+                lambda point: sdp_update_v(big_f, config, tol, point))):
             cert = sdp.certify(cost, b, lifted(point))
             bound = cert.objective + cert.duality_gap + offset
             passes = cert.duality_gap <= tol * abs(bound)
             del calls[:]
-            out, out_bound, record = update()
+            out, out_bound, record = update(point)
             assert record.certified == passes and len(calls) == (0 if passes else 1)
             if passes:
                 assert out_bound == bound and np.array_equal(lifted(out), lifted(point))
                 assert np.array_equal(record.dual, cert.dual)
             outcomes.append(passes)
     assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-4])
+def test_half_steps_take_no_lc_step(monkeypatch, tol):
+    # The lc steps run in `run_ao`'s lc solves only: given its lc point, a
+    # half-step certifies it or solves, and takes no lc step on either
+    # branch.  Both branches occur.
+    draws = [(config, lc_points(config, channels, beam0, phases0, tol))
+             for config, channels, beam0, phases0 in half_step_draws(40, 6, 42)]
+    steps = []
+    for name in ("sca_update_w", "mm_update_v"):
+        monkeypatch.setattr(lc, name, lambda *args, _name=name: steps.append(_name))
+    certified = []
+    for config, ((big_h, *_, beam), (cost, *_, phases)) in draws:
+        certified.append(sdp_update_w(big_h, config, tol, beam)[2].certified)
+        certified.append(sdp_update_v(cost, config, tol, phases)[2].certified)
+    assert steps == [] and not hasattr(sdp, "lc")
+    assert any(certified) and not all(certified)
 
 
 @pytest.mark.parametrize("l", [8, 40])
@@ -919,51 +955,18 @@ def test_failed_certificate_falls_back_no_lower_than_the_lc_point(uncertified, l
         (*_, beam_lc), (*_, phases_lc) = lc_points(
             config, channels, beam0, phases0, tol)
         big_h = build_operators(channels, phases0, None, config).big_h
-        beam, bound_w, record = sdp_update_w(big_h, config, tol, beam0)
+        beam, bound_w, record = sdp_update_w(big_h, config, tol, beam_lc)
         assert not record.certified
         j_lc = composite_objective(channels, phases0, beam_lc, config)
         j_w = composite_objective(channels, phases0, beam, config)
         assert bound_w + 1e-12 * abs(bound_w) >= j_w >= j_lc - 1e-12 * abs(j_lc)
 
         big_f = build_operators(channels, None, beam0, config).big_f
-        phases, bound_v, record = sdp_update_v(big_f, config, tol, phases0)
+        phases, bound_v, record = sdp_update_v(big_f, config, tol, phases_lc)
         assert not record.certified
         j_lc = composite_objective(channels, phases_lc, beam0, config)
         j_v = composite_objective(channels, phases, beam0, config)
         assert bound_v + 1e-12 * abs(bound_v) >= j_v >= j_lc - 1e-12 * abs(j_lc)
-
-
-def reference_update(cost, config, tol, warm, side):
-    """The half-steps without an incumbent: solve from `warm`, extract."""
-    if side == "w":
-        solution = solve_diag_sdp(cost, np.full(config.n_tx, config.per_antenna_power),
-                                  tol=tol, warm=warm)
-        return (extract_beamformer(solution.x_opt, cost, config, n_rand=0).w,
-                solution.objective + solution.duality_gap, solution)
-    corner_free = cost.copy()
-    offset, corner_free[-1, -1] = corner_free[-1, -1].real, 0.0
-    solution = solve_diag_sdp(corner_free, np.ones(config.n_irs + 1), tol=tol, warm=warm)
-    return (extract_phases(solution.x_opt, corner_free, n_rand=0).alpha,
-            solution.objective + solution.duality_gap + offset, solution)
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2 ** 16), l=st.integers(1, 40),
-       tol=st.sampled_from([1e-2, 1e-4]), warm=st.booleans())
-def test_half_steps_without_an_incumbent_solve_as_before(seed, l, tol, warm):
-    # No incumbent, no ascent and no certificate: the solve and extraction
-    # of the half-steps as they were, bit for bit.
-    (config, channels, beam0, phases0), = half_step_draws(l, 1, seed)
-    for side, cost, update in (
-            ("w", build_operators(channels, phases0, None, config).big_h, sdp_update_w),
-            ("v", build_operators(channels, None, beam0, config).big_f, sdp_update_v)):
-        start = update(cost, config, tol)[2] if warm else None
-        out, bound, record = update(cost, config, tol, warm=start)
-        ref, ref_bound, ref_record = reference_update(cost, config, tol, start, side)
-        assert np.array_equal(out.w if side == "w" else out.alpha, ref)
-        assert bound == ref_bound and not record.certified
-        assert np.array_equal(record.x_opt, ref_record.x_opt)
-        assert record.iterations == ref_record.iterations
 
 
 def test_extract_phases_returns_a_winning_incumbent_itself():
