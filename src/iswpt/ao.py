@@ -81,11 +81,14 @@ ALGORITHM_LC = "lc"
 
 def _check_start(config: SystemConfig, ao: AoConfig) -> None:
     """Reject a given starting point of the wrong size or with a non-finite
-    entry, and a given beamformer whose moduli miss sqrt(p0/N) by more than
-    1e-12 of it: an infeasible start would record a J that the first map
-    drops from."""
+    entry, and one whose moduli miss 1 (phases) or sqrt(p0/N) (beamformer)
+    by more than 1e-12 of it: an infeasible start would record a J that the
+    first map drops from."""
     if ao.init_phases is not None:
-        check_finite("init_phases", ao.init_phases.alpha, (config.n_irs,))
+        check_finite("init_phases", ao.init_phases.v, (config.n_irs,))
+        error = ao.init_phases.modulus_error()
+        if error > 1e-12:
+            raise ValueError(f"init_phases moduli miss 1 by {error:.3e}")
     if ao.init_beam is not None:
         check_finite("init_beam", ao.init_beam.w, (config.n_tx,))
         error = ao.init_beam.modulus_error(config)

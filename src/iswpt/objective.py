@@ -107,36 +107,34 @@ def project(y: np.ndarray, fallback: np.ndarray | float,
         return np.where(mod > 0.0, y / mod, fallback)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PhaseProfile:
-    """Unit-modulus reflection profile of an L-element surface.
+    """Unit-modulus reflection profile of an L-element surface: the read-only
+    vector v of its phase factors, |v_l| = 1 to a few ulp.  The public
+    constructor takes phases and stores v = exp(j*wrap_angle(alpha)); the
+    phases `alpha` are derived from v on demand."""
 
-    The public constructor takes the phases `alpha`, wraps them to
-    [-pi, pi) and materialises v = exp(j*alpha) once.  A kernel-built
-    profile (`from_projection`) instead stores the unit vector v it is
-    given and derives alpha = arg(v), with +pi folded to -pi.  Either way
-    |v_l| = 1 holds to a few ulp, and alpha lies in [-pi, pi).
-    """
+    v: np.ndarray
 
-    alpha: np.ndarray
-
-    def __post_init__(self) -> None:
-        alpha = wrap_angle(self.alpha)
+    def __init__(self, alpha: np.ndarray) -> None:
+        alpha = wrap_angle(alpha)
         if alpha.ndim != 1 or alpha.size < 1:
             raise ValueError("alpha must be a nonempty 1-D real vector")
-        _freeze(self, alpha=alpha, _v=np.exp(1j * alpha))
+        _freeze(self, v=np.exp(1j * alpha))
 
     @classmethod
     def from_projection(cls, v: np.ndarray) -> "PhaseProfile":
         """The profile holding `v`, a fresh nonempty 1-D unit-modulus vector
         such as `project` returns; unchecked and uncopied (for kernels)."""
-        alpha = np.angle(v)
-        alpha[alpha == np.pi] = -np.pi
-        return _freeze(object.__new__(cls), alpha=alpha, _v=v)
+        return _freeze(object.__new__(cls), v=v)
 
     @property
-    def v(self) -> np.ndarray:
-        return self._v
+    def alpha(self) -> np.ndarray:
+        """The phases arg(v) in [-pi, pi), +pi folded to -pi (read-only)."""
+        alpha = np.angle(self.v)
+        alpha[alpha == np.pi] = -np.pi
+        alpha.setflags(write=False)
+        return alpha
 
     def modulus_error(self) -> float:
         return float(np.abs(np.abs(self.v) - 1.0).max())

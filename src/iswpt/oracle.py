@@ -192,7 +192,7 @@ def quantized_beam_search(channels: ChannelSet, phases: PhaseProfile,
                           ) -> tuple[Beamformer, float]:
     """Best quantized constant-modulus beamformer at fixed phases."""
     check_channels(config, channels)
-    check_finite("phases", phases.alpha, (config.n_irs,))
+    check_finite("phases", phases.v, (config.n_irs,))
     rows = beam_rows(channels, phases, config)
     table = config.beam_amplitude * np.exp(1j * budget.grid())
     w_phase, score = _grid_search(budget, table, rows, _weights(config, len(rows)),

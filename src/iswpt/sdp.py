@@ -49,9 +49,11 @@ bounds Re tr(C X) from above at every feasible X.
 
 `extract_beamformer` / `extract_phases` project the principal eigenvector
 of a relaxed PSD solution, and `n_rand` Gaussian randomisations of it, onto
-the feasible set and keep the best on the true objective, or an incumbent,
-returned as itself.  The half-steps draw none: a randomised candidate never
-won (see README).
+the feasible set with `objective.project`, the phase side after turning
+each candidate by the projected conjugate of its last entry (no angles).
+One helper scores both sides' candidates on the true objective and keeps
+the first best, or an incumbent, returned as itself.  The half-steps draw
+none: a randomised candidate never won (see README).
 
 The AO half-steps `sdp_update_w` / `sdp_update_v` are given their side's
 lc point x, the result of the lc half-step that `ao.run_ao` runs on both
@@ -269,9 +271,14 @@ def _candidates(x_opt: np.ndarray, n_rand: int,
     return np.vstack([principal, draws])
 
 
-def _quadratic_scores(x_rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x^H mat x for each row x of `x_rows`."""
-    return np.real(((x_rows.conj() @ np.asarray(mat)) * x_rows).sum(1))
+def _first_best(rows: np.ndarray, mat: np.ndarray, wrap, incumbent,
+                incumbent_row: np.ndarray | None):
+    """wrap(x) for the first row x of `rows` that maximises x^H mat x.  The
+    incumbent's row, when given, is scored last, so the incumbent wins only
+    if strictly better, and then as itself, not rebuilt."""
+    scored = rows if incumbent is None else np.vstack([rows, incumbent_row])
+    best = int(np.argmax(np.real(((scored.conj() @ mat) * scored).sum(1))))
+    return incumbent if best == len(rows) else wrap(rows[best])
 
 
 def extract_beamformer(x_opt: np.ndarray, big_h: np.ndarray,
@@ -287,15 +294,10 @@ def extract_beamformer(x_opt: np.ndarray, big_h: np.ndarray,
     and wins as itself, not rebuilt, so the extraction never returns
     anything worse than it.
     """
-    cands = _candidates(x_opt, n_rand, rng)
     amp = config.beam_amplitude
-    w_rows = project(cands, amp, amp)
-    if incumbent is not None:
-        w_rows = np.vstack([w_rows, incumbent.w[None, :]])
-    best = int(np.argmax(_quadratic_scores(w_rows, big_h)))
-    if best == len(cands):   # the incumbent's row, the last
-        return incumbent
-    return Beamformer.from_projection(w_rows[best])
+    w_rows = project(_candidates(x_opt, n_rand, rng), amp, amp)
+    return _first_best(w_rows, big_h, Beamformer.from_projection, incumbent,
+                       None if incumbent is None else incumbent.w)
 
 
 def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
@@ -304,34 +306,30 @@ def extract_phases(x_opt: np.ndarray, big_f: np.ndarray, n_rand: int,
     """Feasible unit-modulus phase profile from a relaxed lifted solution.
 
     The lifted variable is x = [v; 1] up to a global phase, so each
-    candidate is rotated to make its last entry real positive, truncated
-    and projected onto unit modulus.  When the last entry is numerically
-    zero the global phase is instead chosen to maximise the linear term of
-    the score directly.  All candidates are scored at once on the lifted
-    form x^H big_f x, which equals J minus the v-independent offset; the
-    first best wins, and an incumbent profile, when given, replaces it only
-    if strictly better, and then as itself, not rebuilt, so the extraction
-    never returns anything worse than the incumbent.
+    candidate's head is turned by a unit factor and projected onto unit
+    modulus (`objective.project`; zero entries get phase 0).  The factor
+    is the projected conjugate of the last entry, or, where that entry is
+    numerically zero and the phase is free, project(v0^H f12) for the
+    projected head v0, which maximises the linear term 2 Re(v^H f12) of
+    the score.  The candidates are scored on x^H big_f x, J less the
+    v-independent offset, and the first best or a strictly better
+    incumbent wins, as in `extract_beamformer`.
     """
     big_f = np.asarray(big_f, dtype=np.complex128)
     cands = _candidates(x_opt, n_rand, rng)
     head, tail = cands[:, :-1], cands[:, -1]
-    alpha = np.angle(head * np.exp(-1j * np.angle(tail))[:, None])
     flat = np.abs(tail) < 1e-9
+    turn = project(np.where(flat, 1.0, tail.conj()), 1.0)
     if np.any(flat):
-        # Global phase is unconstrained; pick the rotation maximising
-        # 2 Re(e^{-j phi} v^H f12), phi = angle(v^H f12) (phi = 0 when the
-        # term vanishes, as angle(0) = 0).
-        v0 = np.exp(1j * np.angle(head[flat]))
-        alpha[flat] = np.angle(v0) + np.angle(v0.conj() @ big_f[:-1, -1])[:, None]
-    v_rows = np.exp(1j * alpha)
-    if incumbent is not None:
-        v_rows = np.vstack([v_rows, incumbent.v[None, :]])
-    aug = np.hstack([v_rows, np.ones((v_rows.shape[0], 1))])
-    best = int(np.argmax(_quadratic_scores(aug, big_f)))
-    if best == len(cands):   # the incumbent's row, the last
-        return incumbent
-    return PhaseProfile(alpha=alpha[best])
+        # NumPy's complex division in project(c) forms 1/|c|, which
+        # overflows for a subnormal c; scaling |c| < 1 by 2**1000 is exact.
+        c = project(head[flat], 1.0).conj() @ big_f[:-1, -1]
+        turn[flat] = project(c * np.where(np.abs(c) < 1.0, 2.0 ** 1000, 1.0), 1.0)
+    v_rows = project(head * turn[:, None], 1.0)
+    aug = np.hstack([v_rows, np.ones((len(v_rows), 1))])
+    lifted = None if incumbent is None else np.append(incumbent.v, 1.0)
+    return _first_best(aug, big_f, lambda x: PhaseProfile.from_projection(x[:-1]),
+                       incumbent, lifted)
 
 
 def certify(cost: np.ndarray, diag_values: np.ndarray, x: np.ndarray) -> SdpSolution:

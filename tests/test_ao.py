@@ -93,13 +93,18 @@ def test_runs_reject_channels_that_do_not_fit(algorithm, fault):
 @pytest.mark.parametrize("start, match", [
     (dict(init_phases=PhaseProfile(alpha=np.zeros(9))), "init_phases"),
     (dict(init_phases=PhaseProfile(alpha=with_nan(np.zeros(10)))), "init_phases"),
+    # Off the unit circle: run_ao once recorded v_error 1.0 at init.
+    (dict(init_phases=PhaseProfile.from_projection(np.full(10, 2.0 + 0j))), "init_phases"),
+    (dict(init_phases=PhaseProfile.from_projection(np.full(10, 1 + 1e-9 + 0j))),
+     "init_phases"),
     (dict(init_beam=Beamformer(w=np.ones(11))), "init_beam"),
     (dict(init_beam=Beamformer(w=with_nan(np.ones(12)))), "init_beam"),
     # Off sqrt(p0/N): an infeasible start would record a J the first map drops from.
     (dict(init_beam=Beamformer(w=np.full(12, 10 * np.sqrt(1000 / 12)))), "init_beam"),
     (dict(init_beam=Beamformer(w=np.full(12, (1 + 1e-9) * np.sqrt(1000 / 12)))),
      "init_beam"),
-], ids=["phases-9", "phases-nan", "beam-11", "beam-nan", "beam-10x", "beam-1e-9"])
+], ids=["phases-9", "phases-nan", "phases-2x", "phases-1e-9",
+        "beam-11", "beam-nan", "beam-10x", "beam-1e-9"])
 @pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
 def test_run_ao_rejects_starting_points_that_do_not_fit(algorithm, start, match):
     config, channels = instance(seed=41, n=12, l=10)
@@ -110,12 +115,14 @@ def test_run_ao_rejects_starting_points_that_do_not_fit(algorithm, start, match)
 
 @pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
 def test_run_ao_starts_from_an_optimizer_beam(algorithm):
-    # A run's final beam is within rounding of sqrt(p0/N), and the modulus
-    # check at the start lets it through, as a warm continuation needs.
+    # A run's final beam and phases are within rounding of sqrt(p0/N) and 1,
+    # and the modulus checks at the start let them through, as a warm
+    # continuation needs.
     config, channels = instance(seed=42, n=12, l=10)
     first = run_ao(config, AoConfig(algorithm=algorithm, max_outer_iters=2),
                    channels, trial_stream(42, 1))
-    ao = AoConfig(algorithm=algorithm, max_outer_iters=2, init_beam=first.beam)
+    ao = AoConfig(algorithm=algorithm, max_outer_iters=2, init_beam=first.beam,
+                  init_phases=first.phases)
     trace = run_ao(config, ao, channels, trial_stream(42, 1))
     assert trace.failure is None
     assert_nondecreasing(trace)

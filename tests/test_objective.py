@@ -411,19 +411,42 @@ def test_project_is_the_nearest_point_of_the_circle(parts, amp, seed):
     assert PhaseProfile.from_projection(np.array([-1.0 + 0.0j])).alpha[0] == -np.pi
 
 
+@settings(max_examples=200, deadline=None)
+@given(phase=st.lists(st.sampled_from([np.pi, -np.pi, 0.0, -0.0, 3 * np.pi, -3 * np.pi])
+                      | st.floats(-1e3, 1e3), min_size=1, max_size=64))
+def test_phase_profile_holds_only_its_unit_vector(phase):
+    # The public constructor stores exp(j wrap_angle(alpha)), the bits lc
+    # runs start from; alpha, derived from v, lies in [-pi, pi), also at
+    # v = -1 + 0j, and rebuilds v to 4 ulp.
+    phase = np.array(phase)
+    public = PhaseProfile(phase)
+    assert public.v.tobytes() == np.exp(1j * wrap_angle(phase)).tobytes()
+    kernel = PhaseProfile.from_projection(np.append(public.v, -1.0 + 0.0j))
+    for profile in (public, kernel):
+        assert vars(profile).keys() == {"v"}
+        alpha = profile.alpha
+        assert np.all(alpha >= -np.pi) and np.all(alpha < np.pi)
+        assert np.all(np.abs(PhaseProfile(alpha).v - profile.v) <= ulp_4)
+    assert kernel.alpha[-1] == -np.pi
+
+
 def test_array_value_types_compare_and_hash_by_identity():
     # The generated __eq__ and __hash__ compared and hashed the array
     # fields: == raised ValueError and hash() TypeError, also for an
     # AoConfig holding a start.  They now compare by identity.
+    # A profile's constructor takes phases, not its field v, so its twin is
+    # built from a copy of v.
     config, channels, phases, beam = random_instance(seed=4)
-    values = [phases, beam, channels, build_operators(channels, phases, beam, config),
+    phases_twin = PhaseProfile.from_projection(phases.v.copy())
+    values = [beam, channels, build_operators(channels, phases, beam, config),
               solve_diag_sdp(np.eye(3, dtype=complex), np.ones(3))]
-    for value in values:
-        twin = dataclasses.replace(value)
+    pairs = [(phases, phases_twin)] + [(value, dataclasses.replace(value))
+                                       for value in values]
+    for value, twin in pairs:
         assert value == value and value != twin
         assert hash(value) == hash(value)
         assert len({value, twin}) == 2
     start = AoConfig(init_phases=phases, init_beam=beam)
     assert start == AoConfig(init_phases=phases, init_beam=beam)
     assert hash(start) == hash(AoConfig(init_phases=phases, init_beam=beam))
-    assert start != AoConfig(init_phases=dataclasses.replace(phases), init_beam=beam)
+    assert start != AoConfig(init_phases=phases_twin, init_beam=beam)

@@ -587,6 +587,23 @@ def test_extract_phases_degenerate_tail_fallback():
     assert score >= best - 1e-9 * max(1.0, abs(best))
 
 
+def test_extract_phases_turns_a_flat_tail_at_any_scale():
+    # The flat-tail turn depends on the direction of v0^H f12 only; a
+    # subnormal f12, as in a run at rho near 1e-309, once turned every
+    # entry to NaN.
+    rng = trial_stream(29, 1)
+    l_dim = 5
+    x_opt = np.zeros((l_dim + 1, l_dim + 1), dtype=complex)
+    x_opt[:l_dim, :l_dim] = random_psd(rng, l_dim)
+    big_f = np.zeros_like(x_opt)
+    big_f[:l_dim, l_dim] = complex_normal(rng, (l_dim,))
+    big_f[l_dim, :l_dim] = big_f[:l_dim, l_dim].conj()
+    ref = extract_phases(x_opt, big_f, n_rand=0)
+    for scale in (2.0 ** -1040, 2.0 ** 40):
+        out = extract_phases(x_opt, scale * big_f, n_rand=0)
+        np.testing.assert_allclose(out.v, ref.v, rtol=0.0, atol=1e-9)
+
+
 def test_extract_phases_keeps_incumbent():
     rng = trial_stream(30, 0)
     l_dim = 6
@@ -601,25 +618,26 @@ def test_extract_phases_keeps_incumbent():
 
 
 def loop_extract_phases(x_opt, big_f, n_rand, rng, incumbent=None):
-    """Reference: score each candidate in turn; first best wins and the
-    incumbent replaces it only if strictly better."""
+    """Reference: turn and project each candidate in turn, score it, and
+    keep the first best; the incumbent replaces it only if strictly better,
+    and then as itself."""
     l_dim = x_opt.shape[0] - 1
     f12 = big_f[:l_dim, l_dim]
-    best_alpha, best_score = None, -np.inf
+    best_v, best_score = None, -np.inf
     for cand in _candidates(x_opt, n_rand, rng):
-        tail = cand[l_dim]
+        head, tail = cand[:l_dim], cand[l_dim]
         if np.abs(tail) >= 1e-9:
-            alpha = np.angle(cand[:l_dim] * np.exp(-1j * np.angle(tail)))
+            turn = project(np.conj(tail), 1.0)
         else:
-            v0 = np.exp(1j * np.angle(cand[:l_dim]))
-            lin = np.vdot(v0, f12)
-            alpha = np.angle(v0) + (np.angle(lin) if np.abs(lin) > 0.0 else 0.0)
-        score = lifted_phase_score(big_f, np.exp(1j * alpha))
+            lin = np.vdot(project(head, 1.0), f12)
+            turn = lin / np.abs(lin) if np.abs(lin) > 0.0 else 1.0
+        v = project(head * turn, 1.0)
+        score = lifted_phase_score(big_f, v)
         if score > best_score:
-            best_alpha, best_score = alpha, score
+            best_v, best_score = v, score
     if incumbent is not None and lifted_phase_score(big_f, incumbent.v) > best_score:
-        best_alpha = incumbent.alpha
-    return PhaseProfile(alpha=best_alpha)
+        return incumbent
+    return PhaseProfile.from_projection(best_v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -650,9 +668,9 @@ def test_extract_phases_matches_candidate_loop(seed, l_dim, n_rand, tail,
 
     out = extract_phases(x_opt, big_f, n_rand, trial_stream(37, seed), incumbent)
     ref = loop_extract_phases(x_opt, big_f, n_rand, trial_stream(37, seed), incumbent)
-    if flat_score:
-        assert np.array_equal(out.alpha, ref.alpha)
-    else:
+    if flat_score or tail == "regular":
+        assert out.v.tobytes() == ref.v.tobytes()
+    else:   # a fallback turn's inner product rounds apart from the batched one
         np.testing.assert_allclose(out.v, ref.v, atol=1e-9)
 
 

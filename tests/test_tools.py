@@ -266,3 +266,36 @@ def test_package_functions_mutate_no_module_state():
     found = [f"{path.name}:{line}" for path in sorted(package.rglob("*.py"))
              for line in module_state_mutations(path.read_text())]
     assert found == []
+
+
+def representation_reads(module, source):
+    """Lines where `module` works on a phase profile's angles: an attribute
+    `.alpha` outside objective.py, or `np.angle` or `np.exp` in sdp.py."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and (node.attr == "alpha" and module != "objective.py"
+                        or node.attr in ("angle", "exp") and module == "sdp.py"
+                        and isinstance(node.value, ast.Name) and node.value.id == "np")})
+
+
+def test_representation_reads_are_found():
+    source = textwrap.dedent("""\
+        import numpy as np
+        def f(phases, PhaseProfile):
+            keep = PhaseProfile(alpha=np.zeros(2))
+            turn = np.angle(phases.v)
+            return phases.alpha, keep.v, np.exp(1j * turn)
+        """)
+    assert representation_reads("ao.py", source) == [5]
+    assert representation_reads("sdp.py", source) == [4, 5]
+    assert representation_reads("objective.py", source) == []
+
+
+def test_only_objective_reads_a_profile_as_angles():
+    # A phase profile is its unit vector; objective.PhaseProfile derives the
+    # angles, and every other module works on v.  The sdp extractions turn
+    # and project vectors, with no angle round trip.
+    package = Path(__file__).resolve().parents[1] / "src" / "iswpt"
+    found = [f"{path.name}:{line}" for path in sorted(package.rglob("*.py"))
+             for line in representation_reads(path.name, path.read_text())]
+    assert found == []
