@@ -10,16 +10,15 @@ side; "sdp" then certifies its point or solves a relaxation:
   stalls.  Each step ascends, so a loose stop keeps the half-step monotone.
 * "sdp": the lc half-step, then the subproblem's relaxation to a
   diagonally constrained SDP (`sdp.sdp_update_w`, `sdp.sdp_update_v`).
-  The lc point x is certified with one eigvalsh (`sdp.certify`).  If the
-  certified relative gap is at most the map's tolerance, x is the answer:
-  with a zero shift xx^H is an optimal SDP solution and extraction from it
-  would return x.  Otherwise the interior-point method solves the
-  relaxation, warm from the last solution or certificate of the same side,
-  and the projected principal eigenvector is kept unless x scores higher,
-  so each half-step is monotone.  The certificate's bound or the solve's
-  dual value bounds the half-step's J at any tolerance; it is recorded
-  with the iteration count (0 when certified), duality gap, primal
-  residual and whether the step was certified.  Were every certificate to
+  The lc point x is the answer when a dual bound certifies it within the
+  map's tolerance: one eigvalsh (`sdp.certify`), else an iterate of the
+  interior-point solve, warm from the side's last record, which stops
+  there.  The dual is feasible, so the bound dominates the relaxation's
+  optimum and any extraction.  A solve that no iterate certifies
+  converges, and its projected principal eigenvector is kept unless x
+  scores higher, so each half-step is monotone.  The bound is recorded
+  with the iteration count (0 for the eigvalsh certificate), duality gap,
+  primal residual and whether x was certified.  Were every certificate to
   pass, an sdp run would be the lc run, bit for bit.
 
 Both half-steps of a map solve to one tolerance `tol` that follows the
@@ -131,7 +130,7 @@ class AoStep:
     sdp_iterations: int | None = None       # interior-point iterations of an sdp half-step
     sdp_duality_gap: float | None = None    # its final b^T z - Re tr(C X)
     sdp_primal_residual: float | None = None  # its final max_i |X_ii - b_i| / (1 + max b)
-    sdp_certified: bool | None = None       # the lc point was certified; no solve ran
+    sdp_certified: bool | None = None       # lc point certified; no solve ran if 0 iterations
 
 
 @dataclass

@@ -53,13 +53,17 @@ def check_finite(name: str, values: np.ndarray, shape: tuple[int, ...]) -> None:
 
 def check_hermitian(mat: np.ndarray, name: str, size: int) -> None:
     """Reject a matrix `name` that is not (size, size), holds a non-finite
-    entry or deviates from Hermitian by more than 1e-12 * max(1, max|A|)."""
+    entry or deviates from Hermitian by more than 1e-12 * max(1, max|A|); an
+    exact one takes one reduction (a non-finite A - A^H is never 0)."""
     if np.shape(mat) != (size, size):
         raise ValueError(f"{name} has shape {np.shape(mat)}, expected {(size, size)}")
+    with np.errstate(invalid="ignore"):   # inf - inf: rejected as non-finite below
+        deviation = float(np.abs(mat - mat.conj().T).max())
+    if deviation == 0.0:
+        return
     scale = float(np.abs(mat).max())
     if not np.isfinite(scale):
         raise ValueError(f"{name} must be finite")
-    deviation = float(np.abs(mat - mat.conj().T).max())
     if deviation > 1e-12 * max(1.0, scale):
         raise ValueError(f"{name} is not Hermitian (deviation {deviation:.3e})")
 

@@ -56,22 +56,22 @@ the first best, or an incumbent, returned as itself.  The half-steps draw
 none: a randomised candidate never won (see README).
 
 The AO half-steps `sdp_update_w` / `sdp_update_v` are given their side's
-lc point x, the result of the lc half-step that `ao.run_ao` runs on both
-routes, and `certify` it with one eigvalsh: z_i = Re(conj(x_i) (C x)_i) / b_i
-closes the duality gap at an lc fixed point, and shifting z by
-max(0, -lambda_min(Diag(z) - C)) makes it dual feasible (the tightness
-certificate of synchronization-type SDPs; Bandeira, Boumal & Singer, Math.
-Program. 2017).  When the certified relative gap (bound - J) / |bound| is
-at most the map's `tol`, x is the answer, with the bound and the record
-(xx^H, shifted z) as the next warm start: with a zero shift xx^H is an
-optimal SDP solution and extraction from it would return x, so the step is
-the relaxation's with a cheaper solver.  Otherwise the relaxation is solved
-and extracted, x competing as the incumbent.
+lc point x, from the lc half-step `ao.run_ao` runs on both routes, and test
+its relative gap (bound - J) / |bound| against the map's `tol` at two kinds
+of dual bound b^T z (`_certified`).  First `certify`, one eigvalsh:
+z_i = Re(conj(x_i) (C x)_i) / b_i, shifted by max(0, -lambda_min(Diag(z) - C))
+(the tightness certificate of synchronization-type SDPs; Bandeira, Boumal &
+Singer, Math. Program. 2017).  If it fails, the solve tests the z of each
+iterate and stops at the first that passes.  Either z is dual feasible, so
+its bound dominates every feasible J, an extraction's too, and x within
+`tol` of it is the answer, with the bound and record as the next warm start.
+A solve that no iterate passes converges and extracts, x the incumbent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class SdpSolution:
     iterations: int
     primal_residual: float  # max_i |X_ii - b_i| / (1 + max b)
     dual: np.ndarray       # (n,) final z, Diag(z) - C >= 0
-    certified: bool = False  # built by `certify` from a feasible x, not solved
+    certified: bool = False  # x certified: by `certify`, or a solve's stop at this z
 
 
 class SdpNonConvergence(RuntimeError):
@@ -128,8 +128,10 @@ def _max_steps(inv_factors: np.ndarray, dx: np.ndarray,
     scaling and its test takes one product.
     """
     inv_x, inv_s = inv_factors
-    w = np.stack([inv_x @ dx @ inv_x.conj().T, (inv_s * dz) @ inv_s.conj().T])
-    lam_min = np.linalg.eigvalsh(hermitian_part(w))[:, 0]
+    w = np.empty(inv_factors.shape, dtype=np.complex128)
+    np.matmul(inv_x @ dx, inv_x.conj().T, out=w[0])
+    np.matmul(inv_s * dz, inv_s.conj().T, out=w[1])
+    lam_min = np.linalg.eigvalsh(w)[:, 0]   # reads one triangle of each
     steps = np.full(lam_min.shape, np.inf)
     np.divide(-1.0, lam_min, out=steps, where=lam_min < 0.0)
     return steps
@@ -148,7 +150,8 @@ def _snapshot(c_scale: float, x: np.ndarray, z: np.ndarray, primal_obj: float,
 
 
 def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
-                   warm: SdpSolution | None = None) -> SdpSolution:
+                   warm: SdpSolution | None = None,
+                   stop: Callable[[SdpSolution], object] | None = None) -> SdpSolution:
     """max Re tr(cost X) s.t. diag(X) = diag_values, X Hermitian PSD (see
     module docstring), for an (n, n) Hermitian `cost` and n finite positive
     `diag_values`.
@@ -157,8 +160,11 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
     starting point (see module docstring); without it the solve starts
     cold.  Success requires the relative duality gap and the relative
     diagonal feasibility error to both drop below `tol` within `MAX_ITERS`
-    iterations, else SdpNonConvergence is raised.  Determinism: no random
-    state is consumed, so repeated calls return identical iterates.
+    iterations, else SdpNonConvergence is raised.  `stop`, if given, sees
+    the record of each pass's starting iterate after the first, flagged
+    `certified`, before the gap test; a true return ends the solve with it.
+    Determinism: no random state is consumed, so repeated calls return
+    identical iterates.
     """
     cost = np.asarray(cost, dtype=np.complex128)
     b = np.asarray(diag_values, dtype=float)
@@ -205,6 +211,10 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
         # The iterate this pass starts from: returned on success, and carried
         # by SdpNonConvergence if the pass is the last or breaks down.
         start = (x, z, primal_obj, dual_obj, iteration - 1, primal_res)
+        if stop is not None and iteration > 1:
+            record = replace(_snapshot(c_scale, *start), certified=True)
+            if stop(record):
+                return record
         if rel_gap <= tol and primal_res <= tol:
             return _snapshot(c_scale, *start)
 
@@ -222,8 +232,8 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
             dz_aff = np.linalg.solve(m_mat, -b)
             dx_aff = hermitian_part(-(x * dz_aff) @ s_inv - x)
             ap_aff, ad_aff = np.minimum(1.0, t_max)
-            gap_aff = float(np.real(np.vdot(x + ap_aff * dx_aff,
-                                            s + ad_aff * np.diag(dz_aff))))
+            gap_aff = gap + ap_aff * float(np.real(np.vdot(dx_aff, s))) + ad_aff * float(
+                (np.real(np.diag(x)) + ap_aff * np.real(np.diag(dx_aff))) @ dz_aff)
             sigma = min(0.99, max((max(gap_aff, 0.0) / gap) ** 3, 1e-8))
 
             # Corrector with second-order term, R = e_mat - XS; dS = Diag(dz),
@@ -355,35 +365,44 @@ def certify(cost: np.ndarray, diag_values: np.ndarray, x: np.ndarray) -> SdpSolu
 
 
 def _certified(cost: np.ndarray, diag_values: np.ndarray, x: np.ndarray, tol: float,
-               offset: float = 0.0) -> tuple[float, SdpSolution] | None:
-    """The bound and certificate of the lc point x when the certified
-    relative gap (bound - J) / |bound| is at most `tol`, with
-    J = x^H C x + offset and bound = J + shift * sum(b) (`certify`); else
-    None.  Both half-steps take this one test."""
-    certificate = certify(cost, diag_values, x)
-    bound = certificate.objective + certificate.duality_gap + offset
-    return (bound, certificate) if certificate.duality_gap <= tol * abs(bound) else None
+               offset: float = 0.0, record: SdpSolution | None = None
+               ) -> tuple[float, SdpSolution] | None:
+    """(bound, record) when the relative gap (bound - J) / |bound| of the lc
+    point x is at most `tol`, else None: J = x^H C x + offset and bound =
+    b^T z + offset, z the dual of `record`, an interior-point iterate, or by
+    default of `certify`'s.  Both are dual feasible, so both bounds dominate
+    every feasible J; both certificates take this one test."""
+    record = certify(cost, diag_values, x) if record is None else record
+    bound = record.objective + record.duality_gap + offset
+    j_val = float(np.vdot(x, cost @ x).real) + offset
+    return (bound, record) if bound - j_val <= tol * abs(bound) else None
+
+
+def _half_step(cost: np.ndarray, diag_values: np.ndarray, x: np.ndarray, incumbent,
+               tol: float, warm: SdpSolution | None, extract, offset: float = 0.0):
+    """(point, bound, record) of a half-step given its lc point `incumbent`,
+    lifted to x: the incumbent if `_certified` passes at the certificate or
+    at an iterate of the solve from `warm`, which then stops, else the
+    solve's extract(X), the incumbent competing."""
+    certified = _certified(cost, diag_values, x, tol, offset)
+    if certified is not None:
+        return incumbent, *certified
+    solution = solve_diag_sdp(cost, diag_values, tol=tol, warm=warm, stop=lambda record: (
+        _certified(cost, diag_values, x, tol, offset, record)))
+    point = incumbent if solution.certified else extract(solution.x_opt)
+    return point, solution.objective + solution.duality_gap + offset, solution
 
 
 def sdp_update_w(big_h: np.ndarray, config: SystemConfig, tol: float,
                  incumbent: Beamformer,
                  warm: SdpSolution | None = None) -> tuple[Beamformer, float, SdpSolution]:
     """Beamformer half-step at fixed phases for the relaxation of
-    max w^H big_h w, given the lc point `incumbent`: the feasible beamformer,
-    an upper bound on J at these phases (rigorous up to rounding at any
-    `tol`: the certificate's shifted dual and every interior-point iterate
-    are dual feasible) and the record that is the next beam half-step's
-    `warm`.  It returns the incumbent when `_certified` passes, else solves
-    (from `warm`) and extracts with the incumbent competing.
-    """
-    b = np.full(config.n_tx, config.per_antenna_power)
-    certified = _certified(big_h, b, incumbent.w, tol)
-    if certified is not None:
-        return incumbent, *certified
-    solution = solve_diag_sdp(big_h, b, tol=tol, warm=warm)
-    beam = extract_beamformer(solution.x_opt, big_h, config, n_rand=0,
-                              incumbent=incumbent)
-    return beam, solution.objective + solution.duality_gap, solution
+    max w^H big_h w, given the lc point `incumbent` (`_half_step`): the
+    feasible beamformer, a dual bound on J at these phases (rigorous up to
+    rounding at any `tol`) and the next beam half-step's `warm` record."""
+    return _half_step(big_h, np.full(config.n_tx, config.per_antenna_power), incumbent.w,
+                      incumbent, tol, warm, lambda x_opt: extract_beamformer(
+                          x_opt, big_h, config, n_rand=0, incumbent=incumbent))
 
 
 def sdp_update_v(big_f: np.ndarray, config: SystemConfig, tol: float,
@@ -391,8 +410,8 @@ def sdp_update_v(big_f: np.ndarray, config: SystemConfig, tol: float,
                  warm: SdpSolution | None = None) -> tuple[PhaseProfile, float, SdpSolution]:
     """Phase half-step at fixed beamformer for the relaxation of
     max x^H big_f x over x = [v; 1], returning as `sdp_update_w` does; the
-    certificate is that of x = [incumbent.v; 1].  The corner of big_f, the
-    v-independent offset, is zeroed in a copy for the certificate, the
+    certificates are those of x = [incumbent.v; 1].  The corner of big_f,
+    the v-independent offset, is zeroed in a copy for the certificates, the
     relaxation and the extraction (kept, it would outweigh every other
     entry and rescale the interior-point method) and added back to the
     bound.
@@ -400,10 +419,6 @@ def sdp_update_v(big_f: np.ndarray, config: SystemConfig, tol: float,
     cost = np.array(big_f, dtype=np.complex128)
     offset = float(cost[-1, -1].real)
     cost[-1, -1] = 0.0
-    b = np.ones(config.n_irs + 1)
-    certified = _certified(cost, b, np.append(incumbent.v, 1.0), tol, offset)
-    if certified is not None:
-        return incumbent, *certified
-    solution = solve_diag_sdp(cost, b, tol=tol, warm=warm)
-    phases = extract_phases(solution.x_opt, cost, n_rand=0, incumbent=incumbent)
-    return phases, solution.objective + solution.duality_gap + offset, solution
+    return _half_step(cost, np.ones(config.n_irs + 1), np.append(incumbent.v, 1.0),
+                      incumbent, tol, warm, lambda x_opt: extract_phases(
+                          x_opt, cost, n_rand=0, incumbent=incumbent), offset)

@@ -21,6 +21,8 @@ def blas_at_two_threads():
 
 @pytest.fixture
 def uncertified(monkeypatch):
-    """Every sdp half-step's certificate fails, so each one runs the
-    interior-point solve and extracts, with its lc point as the incumbent."""
+    """Every sdp half-step's certificates fail, the one-eigvalsh one and the
+    solve's dual iterates (both take `sdp._certified`), so each half-step
+    runs the interior-point solve to its own stop and extracts, with its lc
+    point as the incumbent."""
     monkeypatch.setattr(sdp, "_certified", lambda *args, **kwargs: None)

@@ -513,23 +513,29 @@ def test_trace_records_sdp_iteration_counts(monkeypatch, uncertified):
 
 @pytest.mark.parametrize("seed, l", [(5, 6), (8, 20), (9, 40)])
 def test_certified_steps_are_the_half_steps_without_a_solve(monkeypatch, seed, l):
-    # A half-step is flagged certified exactly when it made no interior-point
-    # call; it then records 0 iterations, its certificate's gap and the lc
-    # point's true diagonal residual, and otherwise its solve's diagnostics.
-    # Both branches are reached over these runs.
+    # A half-step flagged certified returns its lc point.  With 0 iterations
+    # it made no interior-point call and records its certificate's gap and
+    # the lc point's true diagonal residual; with k > 0 it made exactly one
+    # call, which stopped at pass k + 1, the first whose starting dual
+    # iterate certifies the lc point.  An unflagged half-step made one call
+    # that no iterate certified and that ran to its own stop.  Each records
+    # its source's diagnostics.
     solve, certify = sdp.solve_diag_sdp, sdp.certify
-    half_steps = []   # per half-step: its solves' and its certificate's records
+    half_steps = []   # per half-step: solves, certificates, stop verdicts, (lc point, result)
 
     def spy_half_step(name):
         update = getattr(sdp, name)
 
         def spy(*args, **kwargs):
-            half_steps.append(([], []))
-            return update(*args, **kwargs)
+            half_steps.append(([], [], [], []))
+            half_steps[-1][3].extend((kwargs["incumbent"], update(*args, **kwargs)))
+            return half_steps[-1][3][1]
         monkeypatch.setattr(sdp, name, spy)
 
-    def counting_solve(*args, **kwargs):
-        half_steps[-1][0].append(solve(*args, **kwargs))
+    def counting_solve(*args, stop, **kwargs):
+        verdicts = half_steps[-1][2]   # stop's, at the top of each pass after the first
+        half_steps[-1][0].append(solve(*args, stop=lambda record: verdicts.append(
+            bool(stop(record))) or verdicts[-1], **kwargs))
         return half_steps[-1][0][-1]
 
     def spy_certify(*args):
@@ -548,24 +554,33 @@ def test_certified_steps_are_the_half_steps_without_a_solve(monkeypatch, seed, l
     for k, step in enumerate(trace.steps[1:], start=1):
         if step.stage == "v" and steps and steps[-1] is None:
             continue   # the second record of a rejected jump's flat pair
-        solves, certificates = next(calls)
+        solves, certificates, verdicts, (point, (out, _, record)) = next(calls)
         if step == dataclasses.replace(trace.steps[k - 1], outer_iter=step.outer_iter,
                                        stage="w"):
             steps.append(None)   # a rejected jump: its beam half-step is not recorded
             continue
         steps.append(step)
         assert len(certificates) == 1 and len(solves) in (0, 1)
-        assert step.sdp_certified == (not solves)
+        assert step.sdp_certified == record.certified
+        assert out is point or not step.sdp_certified
+        passes = step.sdp_iterations
+        assert verdicts == [False] * (passes - 1) + [step.sdp_certified] * (passes > 0)
         source = solves[0] if solves else certificates[0]
+        assert source is record
         assert (step.sdp_iterations, step.sdp_duality_gap, step.sdp_primal_residual) \
             == (source.iterations, source.duality_gap, source.primal_residual)
-        if step.sdp_certified:
-            assert step.sdp_iterations == 0 and step.sdp_primal_residual <= 1e-15
+        if not solves:
+            assert step.sdp_certified and step.sdp_iterations == 0
+            assert step.sdp_primal_residual <= 1e-15
+        elif step.sdp_certified:
+            assert step.sdp_iterations > 0
     assert next(calls, None) is None
-    steps = [s for s in steps if s is not None]
-    assert 0 < sum(s.sdp_certified for s in steps) <= len(steps)
+    kinds = {(s.sdp_certified, s.sdp_iterations > 0) for s in steps if s is not None}
+    assert (True, False) in kinds and kinds <= {(True, False), (True, True), (False, True)}
+    if l >= 20:
+        assert (True, True) in kinds
     if seed == 9:
-        assert not all(s.sdp_certified for s in steps)
+        assert (False, True) in kinds
 
 
 def test_sdp_failure_truncates_trace(monkeypatch, uncertified):

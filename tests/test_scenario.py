@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iswpt
 from iswpt.cli import experiment_from_mapping, parse_kv_file
-from iswpt.scenario import (ChannelSet, SystemConfig, complex_normal,
+from iswpt.scenario import (ChannelSet, SystemConfig, check_hermitian, complex_normal,
                             db_to_linear, path_loss, sample_channels,
                             slice_channels, steering_matrix, trial_stream)
 
@@ -319,3 +321,64 @@ def test_parse_kv_file_config_roundtrip(tmp_path):
     assert config.n_irs == 12
     assert config.p0 == pytest.approx(100.0)
     assert config.n_targets == 2
+
+
+def two_reduction_check_hermitian(mat, name, size):
+    """check_hermitian as it was written with both reductions always taken:
+    max|A| first, then max|A - A^H|."""
+    if np.shape(mat) != (size, size):
+        raise ValueError(f"{name} has shape {np.shape(mat)}, expected {(size, size)}")
+    scale = float(np.abs(mat).max())
+    if not np.isfinite(scale):
+        raise ValueError(f"{name} must be finite")
+    deviation = float(np.abs(mat - mat.conj().T).max())
+    if deviation > 1e-12 * max(1.0, scale):
+        raise ValueError(f"{name} is not Hermitian (deviation {deviation:.3e})")
+
+
+def hermitian_check_outcome(check, mat):
+    try:
+        check(mat, "m", mat.shape[0])
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 12),
+       kind=st.sampled_from(["exact", "near", "skewed", "inf", "nan"]),
+       scale=st.sampled_from([1e-300, 1e-6, 1.0, 1e6, 1e300]),
+       deviation=st.sampled_from([1e-16, 1e-13, 1e-12, 1e-11, 1e-3]))
+def test_check_hermitian_decides_as_the_two_reduction_check(seed, n, kind, scale,
+                                                            deviation):
+    # The one-reduction exit for an exactly Hermitian matrix accepts and
+    # rejects what the two-reduction check did, with the same message.
+    rng = trial_stream(45, seed)
+    a = scale * complex_normal(rng, (n, n))
+    mat = 0.5 * (a + a.conj().T)   # exactly Hermitian
+    i, j = rng.integers(0, n, 2)
+    if kind == "near":
+        mat[i, j] += deviation * max(1.0, scale)
+    elif kind == "skewed":
+        mat = mat + deviation * scale * complex_normal(rng, (n, n))
+    elif kind in ("inf", "nan"):
+        bad = np.inf if kind == "inf" else np.nan
+        mat[i, j] = [bad, -bad, complex(0.0, bad), complex(bad, bad)][rng.integers(0, 4)]
+    assert hermitian_check_outcome(check_hermitian, mat) \
+        == hermitian_check_outcome(two_reduction_check_hermitian, mat)
+    if kind == "exact":
+        assert hermitian_check_outcome(check_hermitian, mat) is None
+
+
+def test_check_hermitian_rejects_non_finite_symmetric_entries():
+    # Matching non-finite entries in both triangles leave A - A^H non-finite,
+    # never 0, so the one-reduction exit does not take them.
+    for bad in (np.inf, -np.inf, np.nan, complex(np.inf, np.inf)):
+        mat = np.eye(3, dtype=complex)
+        mat[0, 1] = mat[1, 0] = bad
+        with pytest.raises(ValueError, match="m must be finite"):
+            check_hermitian(mat, "m", 3)
+        mat = np.eye(3, dtype=complex)
+        mat[2, 2] = bad
+        with pytest.raises(ValueError, match="m must be finite"):
+            check_hermitian(mat, "m", 3)

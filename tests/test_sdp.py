@@ -472,7 +472,7 @@ def test_run_ao_warm_starts_take_fewer_iterations(monkeypatch, uncertified):
     warm = later_iterations()
     solve = sdp.solve_diag_sdp
     monkeypatch.setattr(sdp, "solve_diag_sdp",
-                        lambda cost, b, tol, warm: solve(cost, b, tol=tol))
+                        lambda cost, b, tol, warm, stop: solve(cost, b, tol=tol, stop=stop))
     cold = later_iterations()
     assert sum(warm) < sum(cold)
 
@@ -914,18 +914,115 @@ def lifted(point):
     return point.w if isinstance(point, Beamformer) else np.append(point.v, 1.0)
 
 
+def pass_bounds(cost, b, tol, warm):
+    """The dual value b^T z of the iterate each pass after the first starts
+    from, read through a `stop` that never fires, and the solve's record."""
+    bounds = []
+    solution = solve_diag_sdp(cost, b, tol=tol, warm=warm, stop=lambda record: bounds.append(
+        record.objective + record.duality_gap))
+    return bounds, solution
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 41), rank=st.integers(1, 8),
+       side=st.sampled_from(["beam", "phase"]), spread=st.sampled_from([0.0, 0.3, 3.0]),
+       ascent=st.sampled_from([0, 30]), tol=st.sampled_from([1e-2, 1e-4]),
+       warm=st.booleans())
+def test_half_step_certifies_its_point_at_the_first_dual_iterate(seed, n, rank, side,
+                                                                 spread, ascent, tol, warm):
+    # A PSD cost of rank <= 8 and a feasible x: the principal direction of
+    # the cost turned by phase noise of `spread`, projected, then moved by
+    # `ascent` steps x <- project(C x), as the lc half-steps move it; the
+    # solve starts cold or warm from a neighbour's solve.  The
+    # half-step's bound dominates J(x) and J of what it returns.  When the
+    # one-eigvalsh certificate fails, the solve stops at the first pass
+    # k >= 1 whose dual value certifies x, and then returns x itself with
+    # that bound and a record whose dual is feasible; a solve that no pass
+    # certifies runs to its own stop and extracts.
+    n = max(n, 2) if side == "phase" else n
+    rng = trial_stream(46, seed)
+    a = complex_normal(rng, (rank, n))
+    big = hermitian_part(a.conj().T @ a)   # big_h, or big_f with its corner
+    config = small_config(n=n, l=max(n - 1, 1))
+    head = np.linalg.eigh(big)[1][:, -1] * np.exp(1j * spread * rng.standard_normal(n))
+    for _ in range(ascent):
+        head = big @ project(head / project(head[-1:], 1.0) if side == "phase" else head, 1.0)
+    if side == "beam":
+        amp = config.beam_amplitude
+        point = Beamformer.from_projection(project(head, amp, amp))
+        x, b, cost, offset = point.w, np.full(n, config.per_antenna_power), big, 0.0
+        update = sdp_update_w
+    else:
+        point = PhaseProfile.from_projection(project(head[:-1] * np.conj(project(
+            head[-1:], 1.0)), 1.0))
+        x, b, cost = np.append(point.v, 1.0), np.ones(n), big.copy()
+        offset, cost[-1, -1] = float(big[-1, -1].real), 0.0
+        update = sdp_update_v
+    start = None
+    if warm:   # the solve of a neighbour with perturbed rows, as in a run
+        near = a + 0.01 * complex_normal(rng, a.shape)
+        near = hermitian_part(near.conj().T @ near)
+        if side == "phase":
+            near[-1, -1] = 0.0
+        start = solve_diag_sdp(near, b, tol=tol)
+    out, bound, record = update(big, config, tol, point, start)
+    j_x = float(np.vdot(x, big @ x).real)
+    j_out = float(np.vdot(lifted(out), big @ lifted(out)).real)
+    rounding = 1e-12 * abs(bound)
+    assert bound >= j_x - rounding and bound >= j_out - rounding
+    if record.iterations == 0:
+        assert record.certified and out is point
+        return
+    bounds, solution = pass_bounds(cost, b, tol, start)
+    certifying = [k for k, dual in enumerate(bounds, start=1)
+                  if dual + offset - j_x <= tol * abs(dual + offset)]
+    if certifying:
+        assert record.certified and out is point
+        assert record.iterations == certifying[0] >= 1
+        assert bound == bounds[certifying[0] - 1] + offset
+        assert bound - j_x <= tol * abs(bound)
+        norm = float(np.linalg.norm(cost, 2))
+        assert np.linalg.eigvalsh(np.diag(record.dual) - cost)[0] >= -1e-12 * (1.0 + norm)
+    else:
+        assert not record.certified
+        assert record.iterations == solution.iterations == len(bounds)
+
+
+@pytest.mark.parametrize("n", [12, 41])
+@pytest.mark.parametrize("tol", [1e-7, 1e-4, 1e-2])
+def test_solver_without_stop_is_unchanged(n, tol):
+    # A stop that never fires leaves every field of the record as the
+    # solve without one returns it, bit for bit.
+    cost, b = pinned_problem(n)
+    plain = solve_diag_sdp(cost, b, tol=tol)
+    passes = []
+    watched = solve_diag_sdp(cost, b, tol=tol, stop=lambda record: passes.append(record))
+    assert len(passes) == plain.iterations and not plain.certified
+    for field in dataclasses.fields(sdp.SdpSolution):
+        assert np.array_equal(getattr(plain, field.name), getattr(watched, field.name))
+
+
 @pytest.mark.parametrize("tol", [1e-2, 1e-4])
 def test_certified_half_steps_call_no_solve(monkeypatch, tol):
     # A half-step whose lc point passes the relative-gap test returns that
     # point with its certificate's bound and record, and calls no
-    # solve_diag_sdp; one that fails calls it once.  Both branches occur.
-    solve, calls = sdp.solve_diag_sdp, []
+    # solve_diag_sdp.  One that fails calls it once: when the solve stops at
+    # the top of pass k + 1 (k >= 1 step tests) on a dual iterate whose
+    # bound certifies the lc point, the half-step returns that point with
+    # the iterate's bound and record, flagged; otherwise the solve runs to
+    # its own stop and the record is not flagged.  All three kinds occur.
+    solve, max_steps, calls, passes = sdp.solve_diag_sdp, sdp._max_steps, [], []
 
     def counting_solve(*args, **kwargs):
         calls.append(args)
         return solve(*args, **kwargs)
+
+    def counting_max_steps(*args):
+        passes.append(None)
+        return max_steps(*args)
     monkeypatch.setattr(sdp, "solve_diag_sdp", counting_solve)
-    outcomes = []
+    monkeypatch.setattr(sdp, "_max_steps", counting_max_steps)
+    outcomes = set()
     for config, channels, beam0, phases0 in half_step_draws(40, 6, 42):
         big_f = build_operators(channels, None, beam0, config).big_f
         big_h = build_operators(channels, phases0, None, config).big_h
@@ -933,17 +1030,25 @@ def test_certified_half_steps_call_no_solve(monkeypatch, tol):
         for (cost, b, offset, point), update in zip(sides, (
                 lambda point: sdp_update_w(big_h, config, tol, point),
                 lambda point: sdp_update_v(big_f, config, tol, point))):
-            cert = sdp.certify(cost, b, lifted(point))
+            x = lifted(point)
+            j_val = float(np.vdot(x, cost @ x).real) + offset
+            cert = sdp.certify(cost, b, x)
             bound = cert.objective + cert.duality_gap + offset
-            passes = cert.duality_gap <= tol * abs(bound)
-            del calls[:]
+            passes_cheap = cert.duality_gap <= tol * abs(bound)
+            del calls[:], passes[:]
             out, out_bound, record = update(point)
-            assert record.certified == passes and len(calls) == (0 if passes else 1)
-            if passes:
-                assert out_bound == bound and np.array_equal(lifted(out), lifted(point))
+            assert len(calls) == (0 if passes_cheap else 1)
+            assert len(passes) == record.iterations
+            if passes_cheap:
+                assert record.certified and record.iterations == 0
+                assert out_bound == bound and np.array_equal(lifted(out), x)
                 assert np.array_equal(record.dual, cert.dual)
-            outcomes.append(passes)
-    assert any(outcomes) and not all(outcomes)
+            elif record.certified:
+                assert record.iterations >= 1 and out is point
+                assert out_bound == record.objective + record.duality_gap + offset
+                assert out_bound - j_val <= tol * abs(out_bound)
+            outcomes.add((record.certified, record.iterations > 0))
+    assert outcomes == {(True, False), (True, True), (False, True)}
 
 
 @pytest.mark.parametrize("tol", [1e-2, 1e-4])
