@@ -25,9 +25,9 @@ Both half-steps of a map solve to one tolerance `tol` that follows the
 outer progress (`_next_map_tol`): 1e-2 (`AoConfig.sdp_start_tol`) in the
 first map, then a tenth of the last map's relative gain in J, held within
 [1e-4, 1e-2] (1e-4 is `AoConfig.sdp_tol`).  An sdp solve stops at that
-duality gap, and the lc solves of both algorithms at their default
-rel_tol (`lc.SCA_REL_TOL`, `lc.MM_REL_TOL`) times (tol / sdp_tol)^2
-(`lc.map_rel_tol`): MM at 1e-2 and SCA at 1e-5 in the loosest map.  A
+duality gap, and `run_ao` sets the stops of both algorithms' lc solves
+at their default rel_tol (`lc.SCA_REL_TOL`, `lc.MM_REL_TOL`) times
+(tol / sdp_tol)^2: MM at 1e-2 and SCA at 1e-5 in the loosest map.  A
 run stops only on a map solved at `sdp_tol`: a loose map that gains less
 than `rel_tol`, as when both half-steps keep their start, only tightens
 the next map's solves.
@@ -104,7 +104,7 @@ class AoConfig:
     algorithm: str = ALGORITHM_LC
     max_outer_iters: int = 30
     rel_tol: float = 1e-4            # outer stop on |dJ| < rel_tol * |J|
-    sdp_tol = lc.TIGHT_MAP_TOL       # half-step tolerance of a map that stops (1e-4)
+    sdp_tol = 1e-4                   # a stopping map's tol; lc stops: default*(tol/sdp_tol)^2
     sdp_start_tol = 1e-2             # ... of the first map, the loosest
     init_phases: PhaseProfile | None = None  # None: uniform random phases
     init_beam: Beamformer | None = None      # None: one SCA step from flat
@@ -229,10 +229,10 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             start_phases = PhaseProfile.from_projection(jump[config.n_tx:])
             start_rows = beam_rows(channels, start_phases, config)
             start_v_err = start_phases.modulus_error()
+        lc_scale = (tol / ao.sdp_tol) ** 2   # the lc stops: defaults times this
         try:
             big_h = gram(start_rows, config)
-            w_beam = lc.sca_solve(big_h, start_beam, config,
-                                  rel_tol=lc.map_rel_tol(lc.SCA_REL_TOL, tol))
+            w_beam = lc.sca_solve(big_h, start_beam, config, rel_tol=lc.SCA_REL_TOL * lc_scale)
             if ao.algorithm == ALGORITHM_SDP:
                 w_beam, relaxed_w, solution_w = sdp.sdp_update_w(
                     big_h, config, tol=tol, incumbent=w_beam, warm=solution_w)
@@ -249,7 +249,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             w_err, v_err = w_beam_err, start_v_err
 
             ops = build_operators(channels, None, beam, config)
-            phases = lc.mm_solve(ops, phases, rel_tol=lc.map_rel_tol(lc.MM_REL_TOL, tol))
+            phases = lc.mm_solve(ops, phases, rel_tol=lc.MM_REL_TOL * lc_scale)
             if ao.algorithm == ALGORITHM_SDP:
                 phases, relaxed_v, solution_v = sdp.sdp_update_v(
                     ops.big_f, config, tol=tol, incumbent=phases, warm=solution_v)

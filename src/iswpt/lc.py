@@ -32,8 +32,7 @@ Each solve checks its inputs once, at entry, with the helpers of
 `scenario`: its loop parameters, then `sca_solve` the beam and the N x N
 `big_h`, `mm_solve` the (L+1) x (L+1) `big_f` and the L phases.  The
 plain record `MmProblem` and the per-step kernels check nothing.  Every
-solve loop, here and in `ao`, stops on the test `stalled`; in an AO map
-solved to `tol`, at `map_rel_tol(default, tol)`.
+solve loop, here and in `ao`, stops on the test `stalled`.
 """
 
 from __future__ import annotations
@@ -49,15 +48,6 @@ from .scenario import SystemConfig, check_finite, check_hermitian, check_loop
 SCA_REL_TOL = 1e-9   # `sca_solve`'s default stop tolerance
 MM_REL_TOL = 1e-6    # `mm_solve`'s default stop tolerance
 MAX_MAPS = 50        # both solves' default map cap
-TIGHT_MAP_TOL = 1e-4  # the half-step tolerance of an AO map that can stop
-
-
-def map_rel_tol(default: float, tol: float) -> float:
-    """The stop tolerance of an lc solve in an AO map solved to `tol`:
-    `default` times (tol / `TIGHT_MAP_TOL`)^2, the default itself in a map
-    at `TIGHT_MAP_TOL` (`ao.AoConfig.sdp_tol`)."""
-    return default * (tol / TIGHT_MAP_TOL) ** 2
-
 
 # An ascent whose start scores below this in magnitude rescales its operators
 # (`_normalised`) before it steps.
@@ -201,9 +191,9 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
              max_iters: int = MAX_MAPS, rel_tol: float = MM_REL_TOL) -> PhaseProfile:
     """Iterate MM steps at fixed beamformer in `_sqs3_ascent` until g stalls.
 
-    Its iterates are (profile, problem) pairs: the product that anchors the
-    problem at a new profile gives both its score, -g = Re(v^H (y + f12)),
-    and the next step's y."""
+    Its iterates are problems: the product that anchors the problem at a
+    new profile gives both its score, -g = Re(v^H (y + f12)), and the next
+    step's y."""
     check_loop(max_iters, rel_tol, "max_iters")
     l_dim = phases.v.size
     check_hermitian(ops.big_f, "big_f", l_dim + 1)
@@ -214,18 +204,18 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
     def score(at: MmProblem) -> float:
         return float(np.vdot(at.v_prev, at.direction + f12).real)
 
-    def step(prev: tuple) -> tuple[tuple, np.ndarray, float]:
-        out = mm_update_v(prev[1])
-        anchored = MmProblem.at(f11, f12, out.v)
-        return (out, anchored), out.v, score(anchored)
+    def lift(v: np.ndarray) -> MmProblem:
+        return MmProblem.at(f11, f12, v)
 
-    def lift(v: np.ndarray) -> tuple:   # a lifted iterate only feeds `step`
-        return None, MmProblem.at(f11, f12, v)
+    def step(prev: MmProblem) -> tuple[MmProblem, np.ndarray, float]:
+        anchored = MmProblem.at(f11, f12, mm_update_v(prev).v)
+        return anchored, anchored.v_prev, score(anchored)
 
     start_score = score(problem)
     if abs(start_score) < _TINY_SCORE:
         f11, f12 = _normalised(f11, f12)
-        problem = MmProblem.at(f11, f12, phases.v)
+        problem = lift(phases.v)
         start_score = score(problem)
-    start = ((phases, problem), phases.v, start_score)
-    return _sqs3_ascent(step, lift, start, max_iters, rel_tol)[0][0]
+    start = (problem, phases.v, start_score)
+    final = _sqs3_ascent(step, lift, start, max_iters, rel_tol)[0]
+    return PhaseProfile.from_projection(final.v_prev)

@@ -58,14 +58,16 @@ none: a randomised candidate never won (see README).
 The AO half-steps `sdp_update_w` / `sdp_update_v` are given their side's
 lc point x, from the lc half-step `ao.run_ao` runs on both routes, and test
 its relative gap (bound - J) / |bound| against the map's `tol` at two kinds
-of dual bound b^T z (`_certified`).  First `certify`, one eigvalsh:
+of dual bound b^T z (`_certified`, one test on bound and J).  First `certify`,
+one eigvalsh that also gives J:
 z_i = Re(conj(x_i) (C x)_i) / b_i, shifted by max(0, -lambda_min(Diag(z) - C))
 (the tightness certificate of synchronization-type SDPs; Bandeira, Boumal &
-Singer, Math. Program. 2017).  If it fails, the solve tests the z of each
-iterate and stops at the first that passes.  Either z is dual feasible, so
-its bound dominates every feasible J, an extraction's too, and x within
-`tol` of it is the answer, with the bound and record as the next warm start.
-A solve that no iterate passes converges and extracts, x the incumbent.
+Singer, Math. Program. 2017).  If it fails, the solve's `stop` tests the
+dual value of each iterate and stops at the first that passes.  Either z is
+dual feasible, so its bound dominates every feasible J, an extraction's
+too, and x within `tol` of it is the answer, with the bound and record as
+the next warm start.  A solve that no iterate passes converges and
+extracts, x the incumbent.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ class SdpSolution:
     iterations: int
     primal_residual: float  # max_i |X_ii - b_i| / (1 + max b)
     dual: np.ndarray       # (n,) final z, Diag(z) - C >= 0
-    certified: bool = False  # x certified: by `certify`, or a solve's stop at this z
+    certified: bool = False  # x certified: by `certify`, or by a solve's `stop` at this z
 
 
 class SdpNonConvergence(RuntimeError):
@@ -151,7 +153,7 @@ def _snapshot(c_scale: float, x: np.ndarray, z: np.ndarray, primal_obj: float,
 
 def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
                    warm: SdpSolution | None = None,
-                   stop: Callable[[SdpSolution], object] | None = None) -> SdpSolution:
+                   stop: Callable[[float], object] | None = None) -> SdpSolution:
     """max Re tr(cost X) s.t. diag(X) = diag_values, X Hermitian PSD (see
     module docstring), for an (n, n) Hermitian `cost` and n finite positive
     `diag_values`.
@@ -161,8 +163,9 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
     cold.  Success requires the relative duality gap and the relative
     diagonal feasibility error to both drop below `tol` within `MAX_ITERS`
     iterations, else SdpNonConvergence is raised.  `stop`, if given, sees
-    the record of each pass's starting iterate after the first, flagged
-    `certified`, before the gap test; a true return ends the solve with it.
+    the unscaled dual value b^T z of each pass's starting iterate after the
+    first, before the gap test; a true return ends the solve with that
+    iterate's record, flagged `certified`.
     Determinism: no random state is consumed, so repeated calls return
     identical iterates.
     """
@@ -211,10 +214,10 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
         # The iterate this pass starts from: returned on success, and carried
         # by SdpNonConvergence if the pass is the last or breaks down.
         start = (x, z, primal_obj, dual_obj, iteration - 1, primal_res)
-        if stop is not None and iteration > 1:
-            record = replace(_snapshot(c_scale, *start), certified=True)
-            if stop(record):
-                return record
+        # the dual value as `_snapshot` forms it: objective + duality_gap
+        if stop is not None and iteration > 1 and stop(
+                primal_obj * c_scale + (dual_obj - primal_obj) * c_scale):
+            return replace(_snapshot(c_scale, *start), certified=True)
         if rel_gap <= tol and primal_res <= tol:
             return _snapshot(c_scale, *start)
 
@@ -364,31 +367,26 @@ def certify(cost: np.ndarray, diag_values: np.ndarray, x: np.ndarray) -> SdpSolu
                        primal_residual=float(residual), dual=z + shift, certified=True)
 
 
-def _certified(cost: np.ndarray, diag_values: np.ndarray, x: np.ndarray, tol: float,
-               offset: float = 0.0, record: SdpSolution | None = None
-               ) -> tuple[float, SdpSolution] | None:
-    """(bound, record) when the relative gap (bound - J) / |bound| of the lc
-    point x is at most `tol`, else None: J = x^H C x + offset and bound =
-    b^T z + offset, z the dual of `record`, an interior-point iterate, or by
-    default of `certify`'s.  Both are dual feasible, so both bounds dominate
-    every feasible J; both certificates take this one test."""
-    record = certify(cost, diag_values, x) if record is None else record
-    bound = record.objective + record.duality_gap + offset
-    j_val = float(np.vdot(x, cost @ x).real) + offset
-    return (bound, record) if bound - j_val <= tol * abs(bound) else None
+def _certified(bound: float, j_val: float, tol: float) -> bool:
+    """Whether the relative gap (bound - J) / |bound| of a point of value J
+    under a dual bound is at most `tol`; both certificates take this test."""
+    return bound - j_val <= tol * abs(bound)
 
 
 def _half_step(cost: np.ndarray, diag_values: np.ndarray, x: np.ndarray, incumbent,
                tol: float, warm: SdpSolution | None, extract, offset: float = 0.0):
     """(point, bound, record) of a half-step given its lc point `incumbent`,
-    lifted to x: the incumbent if `_certified` passes at the certificate or
-    at an iterate of the solve from `warm`, which then stops, else the
-    solve's extract(X), the incumbent competing."""
-    certified = _certified(cost, diag_values, x, tol, offset)
-    if certified is not None:
-        return incumbent, *certified
-    solution = solve_diag_sdp(cost, diag_values, tol=tol, warm=warm, stop=lambda record: (
-        _certified(cost, diag_values, x, tol, offset, record)))
+    lifted to x, of value J from `certify`'s record: the incumbent if
+    `_certified` passes at the certificate's bound or at the dual value of
+    an iterate of the solve from `warm`, which then stops, else the solve's
+    extract(X), the incumbent competing; both bounds add `offset`."""
+    record = certify(cost, diag_values, x)
+    j_val = record.objective + offset
+    bound = record.objective + record.duality_gap + offset
+    if _certified(bound, j_val, tol):
+        return incumbent, bound, record
+    solution = solve_diag_sdp(cost, diag_values, tol=tol, warm=warm, stop=lambda dual: (
+        _certified(dual + offset, j_val, tol)))
     point = incumbent if solution.certified else extract(solution.x_opt)
     return point, solution.objective + solution.duality_gap + offset, solution
 

@@ -290,10 +290,9 @@ def test_jump_map_starts_the_beam_solve_at_the_jump(algorithm, case):
     assert np.array_equal(big_h, gram(beam_rows(channels, phases, config), config))
 
 
-def always_certified(cost, diag_values, x, tol, offset=0.0):
+def always_certified(bound, j_val, tol):
     """`sdp._certified` with its test forced to pass."""
-    certificate = sdp.certify(cost, diag_values, x)
-    return certificate.objective + certificate.duality_gap + offset, certificate
+    return True
 
 
 @settings(max_examples=30, deadline=None)

@@ -680,14 +680,14 @@ def test_extract_phases_matches_candidate_loop(seed, l_dim, n_rand, tail,
 
 def lc_beam(big_h, beam0, config, tol):
     """The lc point of the beam side: `run_ao`'s SCA solve from beam0 in a
-    map solved to `tol`."""
+    map solved to `tol`, stopped as `run_ao` stops it."""
     return lc.sca_solve(big_h, beam0, config,
-                        rel_tol=lc.map_rel_tol(lc.SCA_REL_TOL, tol))
+                        rel_tol=lc.SCA_REL_TOL * (tol / AoConfig.sdp_tol) ** 2)
 
 
 def lc_phases(ops, phases0, tol):
     """The lc point of the phase side: `run_ao`'s MM solve from phases0."""
-    return lc.mm_solve(ops, phases0, rel_tol=lc.map_rel_tol(lc.MM_REL_TOL, tol))
+    return lc.mm_solve(ops, phases0, rel_tol=lc.MM_REL_TOL * (tol / AoConfig.sdp_tol) ** 2)
 
 
 def test_sdp_update_w_matched_filter():
@@ -876,9 +876,9 @@ def test_certificate_passes_at_the_rank_one_optimum(seed, n, tol):
     a = rng.uniform(0.1, 2.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
     b = rng.uniform(0.5, 2.0, n)
     cost = np.outer(a, a.conj())
-    certified = sdp._certified(cost, b, np.sqrt(b) * a / np.abs(a), tol)
-    assert certified is not None
-    bound, cert = certified
+    cert = sdp.certify(cost, b, np.sqrt(b) * a / np.abs(a))
+    bound = cert.objective + cert.duality_gap
+    assert sdp._certified(bound, cert.objective, tol)
     assert bound == pytest.approx(float(np.sum(np.abs(a) * np.sqrt(b))) ** 2, rel=1e-12)
     solution = solve_diag_sdp(cost, b, tol=tol)
     dual_value = solution.objective + solution.duality_gap
@@ -918,9 +918,7 @@ def pass_bounds(cost, b, tol, warm):
     """The dual value b^T z of the iterate each pass after the first starts
     from, read through a `stop` that never fires, and the solve's record."""
     bounds = []
-    solution = solve_diag_sdp(cost, b, tol=tol, warm=warm, stop=lambda record: bounds.append(
-        record.objective + record.duality_gap))
-    return bounds, solution
+    return bounds, solve_diag_sdp(cost, b, tol=tol, warm=warm, stop=bounds.append)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1000,6 +998,45 @@ def test_solver_without_stop_is_unchanged(n, tol):
     assert len(passes) == plain.iterations and not plain.certified
     for field in dataclasses.fields(sdp.SdpSolution):
         assert np.array_equal(getattr(plain, field.name), getattr(watched, field.name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(1, 41), rank=st.integers(1, 8),
+       tol=st.sampled_from([1e-2, 1e-4]), warm=st.booleans(), fire=st.integers(1, 8))
+def test_stop_sees_dual_values_and_ends_the_solve_at_its_first_true(seed, n, rank, tol,
+                                                                    warm, fire):
+    # `stop` receives each pass's dual value b^T z, after the first pass, as
+    # a float: the values a stop that never fires sees, in order.  When it
+    # first returns true, at its k-th call, the solve returns a record
+    # flagged certified with k iterations, whose objective + duality_gap is
+    # the float the hook received, bit for bit.  A solve that the hook never
+    # ends is the solve without it.  `certify`'s objective is J(x) bit for
+    # bit, so a half-step reads J from its record once.
+    rng = trial_stream(48, seed)
+    a = complex_normal(rng, (rank, n))
+    cost = hermitian_part(a.conj().T @ a)
+    b = rng.uniform(0.5, 2.0, n)
+    start = None
+    if warm:   # the solve of a neighbour with perturbed rows, as in a run
+        near = a + 0.01 * complex_normal(rng, a.shape)
+        start = solve_diag_sdp(hermitian_part(near.conj().T @ near), b, tol=tol)
+    every, plain = pass_bounds(cost, b, tol, start)
+    seen = []
+
+    def stop(dual):
+        seen.append(dual)
+        return len(seen) == fire
+    record = solve_diag_sdp(cost, b, tol=tol, warm=start, stop=stop)
+    assert all(type(dual) is float for dual in every + seen)
+    assert seen == every[:fire]
+    if fire <= len(every):
+        assert record.certified and record.iterations == fire
+        assert record.objective + record.duality_gap == seen[-1]
+    else:
+        assert not record.certified and record.iterations == plain.iterations == len(seen)
+        assert record.objective == plain.objective and np.array_equal(record.dual, plain.dual)
+    x = np.sqrt(b) * project(complex_normal(rng, (n,)), 1.0)
+    assert sdp.certify(cost, b, x).objective == float(np.vdot(x, cost @ x).real)
 
 
 @pytest.mark.parametrize("tol", [1e-2, 1e-4])
