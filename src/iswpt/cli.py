@@ -21,10 +21,6 @@ config=<hash>`` followed by a header row; floats are written with 17
 significant digits and LF line endings.  Output is a pure function of the
 spec file and seed:
 
-* the ``elapsed_ms`` column of ``convergence`` is a nominal per-iteration
-  cost estimate (a fixed operation-count model charged at 1e6 operations
-  per millisecond), not measured wall time, which would differ between
-  otherwise identical runs;
 * each trial's channels are drawn once, at the largest swept element count,
   and shared by every algorithm and sweep point (sliced down for smaller
   L), so points share randomness (common random numbers) and trends are
@@ -299,32 +295,16 @@ def _sweep_l(exp: ExperimentSpec, n_trials: int, runs: list
             yield algorithm, config, point
 
 
-def _nominal_iteration_cost_ms(algorithm: str, n_tx: int, n_irs: int) -> float:
-    """Deterministic work estimate for one outer iteration, in milliseconds.
-
-    Counts nominal complex operations (inner-loop caps times quadratic or
-    cubic stage costs) and charges them at 1e6 operations per millisecond.
-    A wall clock would break byte-level reproducibility of the CSV.
-    """
-    lifted = n_irs + 1
-    if algorithm == ALGORITHM_LC:
-        ops = 50 * 16.0 * n_irs ** 2 + 50 * 16.0 * n_tx ** 2
-    else:
-        ops = 160.0 * (lifted ** 3 + n_tx ** 3)
-    return ops / 1e6
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_convergence(exp: ExperimentSpec, runs: list) -> str:
-    header = ["algorithm", "L", "trial", "iteration", "objective", "elapsed_ms"]
+    header = ["algorithm", "L", "trial", "iteration", "objective"]
     rows: list[tuple] = []
     for algorithm, config, point in _sweep_l(exp, exp.n_trials, runs):
-        cost_ms = _nominal_iteration_cost_ms(algorithm, config.n_tx, config.n_irs)
         for trial, (_, trace) in enumerate(point):
-            rows += [(algorithm, config.n_irs, trial, k, j_value, k * cost_ms)
+            rows += [(algorithm, config.n_irs, trial, k, j_value)
                      for k, j_value in enumerate(trace.iteration_objectives())]
     return render_csv(exp, "convergence", header, rows)
 

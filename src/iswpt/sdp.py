@@ -83,14 +83,9 @@ from .scenario import SystemConfig, check_finite, check_hermitian, complex_norma
 
 MAX_ITERS = 100   # interior-point iteration cap of one solve
 START_MARGIN = 0.1  # least eigenvalue of the starting dual slack, scaled units
-# Weight of the cold start point Diag(b) in a warm start's X.  With the
-# untested predictor, re-solving the 60 warm phase-side costs of 12 sdp runs
-# (L=20 and 40) at tol 1e-4 took 5.97 iterations per solve cold, and warm
-# 3.38, 3.62, 3.75 and 4.20 at 0.1, 0.3, 0.5 and 0.7 (6.27 dual warm alone);
-# at tol 1e-2, 116 such costs took 4.61 cold and 1.51, 2.02, 2.36 and 3.00
-# warm.  Over 100 AO runs (L=20 and 40, rho 0.9) at the AO's tolerances,
-# 0.05, 0.1 and 0.2 took 31.0, 31.3 and 31.8 iterations and 6.58, 6.44 and
-# 6.19 maps per run.
+# Weight of the cold start point Diag(b) in a warm start's X: of 0.1-0.7, 0.1
+# re-solved in the fewest iterations, and whole AO runs at 0.05 and 0.2 took
+# within 2% of its iterations.
 WARM_BLEND = 0.1
 
 

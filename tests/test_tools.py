@@ -1,6 +1,7 @@
 """Command-line tools under tools/: the CSV byte contract, the CSV
-comparison and the finder of statements that a traffic never runs; and
-source checks of the package for module-level state."""
+comparison, the finder of statements that a traffic never runs and the
+line counter; source checks of the package for module-level state; and
+the README's library quick start."""
 
 import ast
 import importlib.util
@@ -23,6 +24,7 @@ def load_tool(name):
 csv_digest = load_tool("csv_digest")
 csv_reldiff = load_tool("csv_reldiff")
 traffic_lines = load_tool("traffic_lines")
+line_counts = load_tool("line_counts")
 
 
 @pytest.mark.skipif(
@@ -95,16 +97,16 @@ def test_row_count_mismatch_names_each_side_and_compares_shared_rows(tmp_path, c
 def test_rows_pair_by_identifying_columns(tmp_path, capsys):
     # One more map mid-file once shifted every later row against another
     # (L, trial, iteration), reading as a relative change of 1 or more.
-    header = "# comment line\nalgorithm,L,trial,iteration,objective,elapsed_ms\n"
-    rows = [f"lc,{l},0,{it},{l + it}.5,0\n" for l in (10, 20) for it in range(3)]
-    extra = "lc,10,0,3,13.5,0\n"
+    header = "# comment line\nalgorithm,L,trial,iteration,objective\n"
+    rows = [f"lc,{l},0,{it},{l + it}.5\n" for l in (10, 20) for it in range(3)]
+    extra = "lc,10,0,3,13.5\n"
     a, b = tmp_path / "a", tmp_path / "b"
     for path, body in ((a, rows), (b, rows[:3] + [extra] + rows[3:])):
         path.mkdir()
         (path / "conv.csv").write_text(header + "".join(body))
     assert csv_reldiff.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out == (
-        f"conv.csv: rows {a}/ 8, {b}/ 9, numeric cells differing 0 of 30, "
+        f"conv.csv: rows {a}/ 8, {b}/ 9, numeric cells differing 0 of 24, "
         f"worst relative change 0.00e+00, rows only in {b}/ 1, first row 6 "
         f"(algorithm=lc L=10 trial=0 iteration=3)\n")
 
@@ -299,3 +301,42 @@ def test_only_objective_reads_a_profile_as_angles():
     found = [f"{path.name}:{line}" for path in sorted(package.rglob("*.py"))
              for line in representation_reads(path.name, path.read_text())]
     assert found == []
+
+
+COUNTED = textwrap.dedent('''\
+    """Module docstring.
+
+    # a hash inside a docstring is docstring
+    """
+
+    # A comment line.
+    X = 1  # a trailing comment leaves a code line
+
+
+    class C:
+        """Class docstring."""
+
+        def f(self):
+            """Function docstring,
+            on two lines."""
+            "a later string is code"
+            return X
+    ''')
+
+
+def test_line_counts_split_a_module():
+    assert line_counts.docstring_lines(COUNTED) == {1, 2, 3, 4, 11, 14, 15}
+    assert line_counts.count(COUNTED) == {
+        "total": 17, "code": 5, "docstring": 7, "comment": 1, "blank": 4}
+
+
+def test_readme_library_quick_start_runs():
+    # Runs the README's "Library quick start" block as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    trace = names["trace"]
+    assert names["j_value"] == trace.iteration_objectives()[-1]
+    assert names["harvested_mw"] > 0.0 and names["beampattern"] > 0.0

@@ -9,8 +9,7 @@ The traffic is
   `tests/test_bench_bindings.py` drives it (inputs, prepare, run, close,
   check), without the benchmark's tracer.
 
-Lines are recorded with the standard library's `trace` module; a pass
-took 71 s on a two-core x86-64 host.
+Lines are recorded with the standard library's `trace` module.
 
     python3 tools/traffic_lines.py
 
