@@ -60,10 +60,14 @@ one "w" step, at the final beam, and `n_outer` counts its SCA maps.
 
 `run_ao` and `run_rps` run with OpenBLAS on one thread
 (`scenario._one_blas_thread`): no matrix of a run exceeds (L+1) x (L+1).
+Both check their inputs at entry; the lc half-steps then run unchecked
+(`validated=True`).  A value that overflows inside a run raises ValueError:
+at each recorded J, and at an lc point before sdp reads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -159,8 +163,10 @@ def _record(trace: AoTrace, config: SystemConfig, rows: np.ndarray,
             solution: sdp.SdpSolution | None = None) -> float:
     """Append to `trace` the step at iterate (phases, beam), `rows` the phases'
     `beam_rows` and `errors` the iterate's (w, v) modulus errors, with an sdp
-    half-step's `solution` diagnostics; returns J."""
+    half-step's `solution` diagnostics; returns J, raising if it overflowed."""
     j_val, harvested, sensing = solution_metrics(rows, beam.w, config)
+    if not math.isfinite(j_val):
+        raise ValueError(f"J at step {outer} ({stage}) is {j_val}: the run overflowed")
     ipm = {} if solution is None else dict(
         sdp_iterations=solution.iterations, sdp_duality_gap=solution.duality_gap,
         sdp_primal_residual=solution.primal_residual, sdp_certified=solution.certified)
@@ -203,7 +209,8 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     Deterministic given (config, ao, channels, rng state).  On SDP solver
     non-convergence the trace is truncated at the last completed half-step
     with `failure` describing the error.  Inputs that do not fit `config`
-    raise ValueError (see `scenario.check_channels` and `_check_start`).
+    raise ValueError (see `scenario.check_channels` and `_check_start`), as
+    does a value that overflows the float range inside the run.
     """
     check_channels(config, channels)
     _check_start(config, ao)
@@ -232,8 +239,11 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
         lc_scale = (tol / ao.sdp_tol) ** 2   # the lc stops: defaults times this
         try:
             big_h = gram(start_rows, config)
-            w_beam = lc.sca_solve(big_h, start_beam, config, rel_tol=lc.SCA_REL_TOL * lc_scale)
+            w_beam = lc.sca_solve(big_h, start_beam, config,
+                                  rel_tol=lc.SCA_REL_TOL * lc_scale, validated=True)
             if ao.algorithm == ALGORITHM_SDP:
+                if not np.isfinite(w_beam.w).all():
+                    raise ValueError("the lc beam is not finite: the run overflowed")
                 w_beam, relaxed_w, solution_w = sdp.sdp_update_w(
                     big_h, config, tol=tol, incumbent=w_beam, warm=solution_w)
             w_beam_err = w_beam.modulus_error(config)
@@ -249,8 +259,11 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             w_err, v_err = w_beam_err, start_v_err
 
             ops = build_operators(channels, None, beam, config)
-            phases = lc.mm_solve(ops, phases, rel_tol=lc.MM_REL_TOL * lc_scale)
+            phases = lc.mm_solve(ops, phases, rel_tol=lc.MM_REL_TOL * lc_scale,
+                                 validated=True)
             if ao.algorithm == ALGORITHM_SDP:
+                if not np.isfinite(phases.v).all():
+                    raise ValueError("the lc phases are not finite: the run overflowed")
                 phases, relaxed_v, solution_v = sdp.sdp_update_v(
                     ops.big_f, config, tol=tol, incumbent=phases, warm=solution_v)
             rows, v_err = beam_rows(channels, phases, config), phases.modulus_error()

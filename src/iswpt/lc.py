@@ -30,7 +30,9 @@ calls nothing here.
 
 Each solve checks its inputs once, at entry, with the helpers of
 `scenario`: its loop parameters, then `sca_solve` the beam and the N x N
-`big_h`, `mm_solve` the (L+1) x (L+1) `big_f` and the L phases.  The
+`big_h`, `mm_solve` the (L+1) x (L+1) `big_f` and the L phases, unless
+`validated=True`: `ao.run_ao` checks a run's inputs at entry, and builds
+its operators with `objective.gram`, Hermitian by construction.  The
 plain record `MmProblem` and the per-step kernels check nothing.  Every
 solve loop, here and in `ao`, stops on the test `stalled`.
 """
@@ -144,12 +146,15 @@ def _sca_ascent(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
 
 
 def sca_solve(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
-              max_iters: int = MAX_MAPS, rel_tol: float = SCA_REL_TOL) -> Beamformer:
-    """Iterate SCA steps at fixed phases (`_sca_ascent`) until w^H H w stalls."""
-    check_loop(max_iters, rel_tol, "max_iters")
-    check_finite("beam", beam.w, (config.n_tx,))
-    big_h = np.asarray(big_h)
-    check_hermitian(big_h, "big_h", config.n_tx)
+              max_iters: int = MAX_MAPS, rel_tol: float = SCA_REL_TOL, *,
+              validated: bool = False) -> Beamformer:
+    """Iterate SCA steps at fixed phases (`_sca_ascent`) until w^H H w stalls;
+    `validated=True` skips the entry checks (see the module docstring)."""
+    if not validated:
+        check_loop(max_iters, rel_tol, "max_iters")
+        check_finite("beam", beam.w, (config.n_tx,))
+        big_h = np.asarray(big_h)
+        check_hermitian(big_h, "big_h", config.n_tx)
     return _sca_ascent(big_h, beam, config, max_iters, rel_tol)[0]
 
 
@@ -188,16 +193,19 @@ def mm_update_v(problem: MmProblem) -> PhaseProfile:
 
 
 def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
-             max_iters: int = MAX_MAPS, rel_tol: float = MM_REL_TOL) -> PhaseProfile:
-    """Iterate MM steps at fixed beamformer in `_sqs3_ascent` until g stalls.
+             max_iters: int = MAX_MAPS, rel_tol: float = MM_REL_TOL, *,
+             validated: bool = False) -> PhaseProfile:
+    """Iterate MM steps at fixed beamformer in `_sqs3_ascent` until g stalls;
+    `validated=True` skips the entry checks (see the module docstring).
 
     Its iterates are problems: the product that anchors the problem at a
     new profile gives both its score, -g = Re(v^H (y + f12)), and the next
     step's y."""
-    check_loop(max_iters, rel_tol, "max_iters")
-    l_dim = phases.v.size
-    check_hermitian(ops.big_f, "big_f", l_dim + 1)
-    check_finite("phases", phases.v, (l_dim,))
+    if not validated:
+        check_loop(max_iters, rel_tol, "max_iters")
+        l_dim = phases.v.size
+        check_hermitian(ops.big_f, "big_f", l_dim + 1)
+        check_finite("phases", phases.v, (l_dim,))
     problem = MmProblem.from_operators(ops, phases)
     f11, f12 = problem.f11, problem.f12
 

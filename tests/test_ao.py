@@ -90,6 +90,23 @@ def test_runs_reject_channels_that_do_not_fit(algorithm, fault):
                    trial_stream(40, 1))
 
 
+@pytest.mark.parametrize("scale", [1e100, 1e160])
+@pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP, "rps"])
+def test_runs_raise_on_channels_that_overflow(algorithm, scale):
+    # Finite channels whose products overflow the float range: the rps
+    # baseline once ran its 30 maps on them and returned J = nan, and the
+    # lc and sdp runs raised only through an lc solve's check of its beam.
+    config, channels = instance(seed=40, n=12, l=10)
+    channels = dataclasses.replace(channels, h_br=channels.h_br * scale,
+                                   h_ru=channels.h_ru * scale, h_d=channels.h_d * scale)
+    with pytest.raises(ValueError, match="the run overflowed"), \
+            np.errstate(all="ignore"):
+        if algorithm == "rps":
+            run_rps(config, channels, trial_stream(40, 1))
+        else:
+            run_ao(config, AoConfig(algorithm=algorithm), channels, trial_stream(40, 1))
+
+
 @pytest.mark.parametrize("start, match", [
     (dict(init_phases=PhaseProfile(alpha=np.zeros(9))), "init_phases"),
     (dict(init_phases=PhaseProfile(alpha=with_nan(np.zeros(10)))), "init_phases"),
@@ -447,8 +464,9 @@ def test_loose_map_without_gain_does_not_stop_the_run(monkeypatch, algorithm):
 
     monkeypatch.setattr(sdp, "sdp_update_w", keep_beam)
     monkeypatch.setattr(sdp, "sdp_update_v", keep_phases)
-    monkeypatch.setattr(lc, "sca_solve", lambda big_h, beam, config, rel_tol: beam)
-    monkeypatch.setattr(lc, "mm_solve", lambda ops, phases, rel_tol: phases)
+    monkeypatch.setattr(lc, "sca_solve",
+                        lambda big_h, beam, config, rel_tol, validated: beam)
+    monkeypatch.setattr(lc, "mm_solve", lambda ops, phases, rel_tol, validated: phases)
     tols = spy_half_step_tols(monkeypatch, algorithm)
     config, channels = instance(seed=5, n=3, l=6)
     trace = run_ao(config, AoConfig(algorithm=algorithm), channels, trial_stream(5, 1))
@@ -458,6 +476,58 @@ def test_loose_map_without_gain_does_not_stop_the_run(monkeypatch, algorithm):
                     ALGORITHM_LC: ((1e-5, 1e-2), (1e-9, 1e-6))}[algorithm]
     assert sides == tuple("wvwv")
     assert used[:2] == pytest.approx(loose, rel=1e-12) and used[2:] == tight
+
+
+@pytest.mark.parametrize("entry", [ALGORITHM_LC, ALGORITHM_SDP, "rps"])
+def test_runs_check_their_inputs_at_entry_only(monkeypatch, entry):
+    # A run checks its channels and start at entry; its lc half-steps take
+    # the operators it built without checking them again.  A direct call
+    # of either solve still checks.
+    calls = []
+    for name in ("check_hermitian", "check_finite", "check_loop"):
+        def spy(*args, _name=name, _check=getattr(lc, name), **kwargs):
+            calls.append(_name)
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(lc, name, spy)
+    config, channels = instance(seed=14, n=4, l=8)
+    if entry == "rps":
+        trace = run_rps(config, channels, trial_stream(14, 1))
+    else:
+        trace = run_ao(config, AoConfig(algorithm=entry), channels, trial_stream(14, 1))
+    assert trace.n_outer > 0 and calls == []
+    ops = build_operators(channels, trace.phases, trace.beam, config)
+    lc.sca_solve(ops.big_h, trace.beam, config)
+    lc.mm_solve(ops, trace.phases)
+    assert calls.count("check_hermitian") == 2
+
+
+@pytest.mark.parametrize("solve", ["sca_solve", "mm_solve"])
+@pytest.mark.parametrize("algorithm", [ALGORITHM_LC, ALGORITHM_SDP])
+def test_a_non_finite_lc_point_raises_before_an_sdp_step_reads_it(monkeypatch,
+                                                                  algorithm, solve):
+    # The half-steps' lc solves run unchecked; a non-finite point one of
+    # them returns still raises ValueError, and no sdp half-step sees it.
+    inner = getattr(lc, solve)
+
+    def nan_solve(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        if solve == "sca_solve":
+            return Beamformer.from_projection(np.full_like(out.w, np.nan))
+        return PhaseProfile.from_projection(np.full_like(out.v, np.nan))
+
+    seen = []   # whether each sdp half-step's incumbent was finite
+    for name in ("sdp_update_w", "sdp_update_v"):
+        def spy(cost, config, tol, incumbent, warm, _step=getattr(sdp, name)):
+            vec = incumbent.w if isinstance(incumbent, Beamformer) else incumbent.v
+            seen.append(bool(np.isfinite(vec).all()))
+            return _step(cost, config, tol=tol, incumbent=incumbent, warm=warm)
+        monkeypatch.setattr(sdp, name, spy)
+    monkeypatch.setattr(lc, solve, nan_solve)
+    config, channels = instance(seed=15, n=4, l=8)
+    with pytest.raises(ValueError, match="the run overflowed"):
+        run_ao(config, AoConfig(algorithm=algorithm), channels, trial_stream(15, 1))
+    expected = [] if algorithm == ALGORITHM_LC or solve == "sca_solve" else [True]
+    assert seen == expected
 
 
 @settings(max_examples=30, deadline=None)

@@ -61,6 +61,11 @@ def test_workload_trial_passes_untraced_and_traced(name):
         # thread-scope wrapper.
         assert tracer.counts["ao.outer_iters"] > 0
         assert tracer.counts["ao.rps_iters"] > 0
+        # The half-steps call the public lc solves by name, so their spans,
+        # and the per-map steps under them, open inside run_ao.
+        for solve, step in (("sca_solve", "sca_update_w"), ("mm_solve", "mm_update_v")):
+            assert tracer.calls(solve) == tracer.calls(solve, "run_ao") > 0
+            assert tracer.calls(step, solve) > 0
     if name == "oracle-small":
         # Of the 2 * 8**6 rows of the two 8-level grids at N = L = 6, the
         # screen leaves the phase optimum and the beam optimum's 8

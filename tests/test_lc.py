@@ -226,6 +226,21 @@ def test_mm_problem_rejects_non_finite_vectors_by_name(field, bad):
         mm_solve(SimpleNamespace(big_f=big_f), SimpleNamespace(v=start))
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 12), l=st.integers(4, 40),
+       rel_tol=st.sampled_from([lc.SCA_REL_TOL, lc.MM_REL_TOL]))
+def test_validated_solves_return_the_checked_bits(seed, n, l, rel_tol):
+    # validated=True skips the entry checks and changes nothing else.
+    config, channels, phases, beam = random_instance(seed, n=n, l=l)
+    ops = build_operators(channels, phases, beam, config)
+    checked = sca_solve(ops.big_h, beam, config, rel_tol=rel_tol)
+    unchecked = sca_solve(ops.big_h, beam, config, rel_tol=rel_tol, validated=True)
+    assert np.array_equal(checked.w, unchecked.w)
+    checked = mm_solve(ops, phases, rel_tol=rel_tol)
+    unchecked = mm_solve(ops, phases, rel_tol=rel_tol, validated=True)
+    assert np.array_equal(checked.v, unchecked.v)
+
+
 def test_mm_step_with_flat_curvature():
     # F11 = 0 leaves only the linear term, so the update aligns v with f12.
     problem = MmProblem(f11=np.zeros((2, 2)), f12=np.array([1.0, 1.0j]),
