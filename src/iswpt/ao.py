@@ -1,68 +1,42 @@
 """Alternating optimization driver and the random-phase baseline.
 
-One outer iteration, a map, updates the beamformer at fixed phases, then
-the phases at fixed beamformer.  Both algorithms run one lc half-step per
-side; "sdp" then certifies its point or solves a relaxation:
-
-* "lc": an inner SCA loop for the beamformer (`lc.sca_solve`) and an inner
-  MM loop for the phases (`lc.mm_solve`), each iterating the closed-form
-  step of `lc`, x <- amp * y / |y| with y = M x + b, until its objective
-  stalls.  Each step ascends, so a loose stop keeps the half-step monotone.
-* "sdp": the lc half-step, then the subproblem's relaxation to a
-  diagonally constrained SDP (`sdp.sdp_update_w`, `sdp.sdp_update_v`).
-  The lc point x is the answer when a dual bound certifies it within the
-  map's tolerance: one eigvalsh (`sdp.certify`), else an iterate of the
-  interior-point solve, warm from the side's last record, which stops
-  there.  The dual is feasible, so the bound dominates the relaxation's
-  optimum and any extraction.  A solve that no iterate certifies
-  converges, and its projected principal eigenvector is kept unless x
-  scores higher, so each half-step is monotone.  The bound is recorded
-  with the iteration count (0 for the eigvalsh certificate), duality gap,
-  primal residual and whether x was certified.  Were every certificate to
-  pass, an sdp run would be the lc run, bit for bit.
+`run_ao` alternates two half-steps per outer iteration, a map: the beam
+half-step at fixed phases, then the phase half-step at the fixed beam.
+Each half-step builds only its own side's operator (`objective.gram` for
+the beam, `objective.build_operators`' `big_f` for the phases) and solves
+it with `lc.sca_solve` or `lc.mm_solve`, on both routes; the `beam_rows` of
+each phase profile are built once and carried with it.  On the "sdp"
+route the lc point then goes to `sdp.sdp_update_w` or `sdp.sdp_update_v`,
+which return it certified or the better of it and an extraction, with a
+dual bound.  Every half-step is monotone, so the recorded objectives are
+nondecreasing up to rounding.
 
 Both half-steps of a map solve to one tolerance `tol` that follows the
-outer progress (`_next_map_tol`): 1e-2 (`AoConfig.sdp_start_tol`) in the
-first map, then a tenth of the last map's relative gain in J, held within
-[1e-4, 1e-2] (1e-4 is `AoConfig.sdp_tol`).  An sdp solve stops at that
-duality gap, and `run_ao` sets the stops of both algorithms' lc solves
-at their default rel_tol (`lc.SCA_REL_TOL`, `lc.MM_REL_TOL`) times
-(tol / sdp_tol)^2: MM at 1e-2 and SCA at 1e-5 in the loosest map.  A
-run stops only on a map solved at `sdp_tol`: a loose map that gains less
-than `rel_tol`, as when both half-steps keep their start, only tightens
-the next map's solves.
+outer progress: `AoConfig.sdp_start_tol` in the first map, then
+`_next_map_tol`.  An sdp half-step takes `tol` itself; the lc solves stop
+at their defaults (`lc.SCA_REL_TOL`, `lc.MM_REL_TOL`) times
+(tol / sdp_tol)^2, so a map at `AoConfig.sdp_tol` runs them at their
+defaults.  Far from a fixed point the next map moves J more than a tight
+solve would, so early maps stay loose.  An inexact block ascent stays
+monotone, because every inner map ascends (block successive upper-bound
+minimization: Razaviyayn, Hong & Luo, SIAM J. Optim. 2013).  A run stops
+on `lc.stalled` only after a map solved at `sdp_tol`: a loose map that
+gains less than `rel_tol` only tightens the next map.
 
-For both, the maps run in safeguarded SqS3 cycles over the stacked state
-u = [w / sqrt(p0/N); v]: two plain maps x0 -> x1 -> x2, then one map from
-`lc.sqs3_jump(u0, u1, u2)`, the extrapolated y projected as y / |y| (the
-beam rescaled to sqrt(p0/N)): its lc beam solve starts at the jumped
-beam, on the jumped phases' Gram matrix.  If J after its beam half-step
-is below J(x2), the jump is rejected: x2 stays, its "v" step is recorded
-again as the map's "w" and "v" steps, and no stop test follows.  Each
-map, a jump kept or rejected, is one ("w", "v") pair of steps:
-`max_outer_iters` caps maps, `n_outer` counts them and
-`iteration_objectives()[k]` is J after map k.  Every half-step is
-monotone, so the recorded objectives are nondecreasing up to rounding.
+The maps run in safeguarded SqS3 cycles over the stacked state
+u = [w / sqrt(p0/N); v]: two plain maps u0 -> u1 -> u2, then one map from
+`lc.sqs3_jump(u0, u1, u2)`, whose lc beam solve starts at the jumped beam.
+If J after its beam half-step is below J(u2), the jump is rejected: u2
+stays, its "v" record is repeated as the map's "w" and "v" records, and no
+stop test follows.  Each map, a jump kept or rejected, adds one ("w", "v")
+pair of `AoStep` records: `max_outer_iters` caps maps, `AoTrace.n_outer`
+counts them and `AoTrace.iteration_objectives()[k]` is J after map k.
+A run's stream draws only its initial phases, if any.
 
-Each half-step builds only the operators of its own side, and the inner
-solvers run at their own default iteration caps.  The `beam_rows` of each
-phase profile are built once and carried with it, for the beam side's
-Gram matrix and the records (a rejected jump keeps x2's).
-No half-step draws: a run's stream feeds only its initial phases, if any.
-
-The trace records the composite objective and the physical metrics after
-initialisation and after every half-step, which is what the convergence
-experiments and the acceptance checks consume.
-
-The random-phase baseline `run_rps` freezes random phases and runs only
-`lc.sca_solve`'s SqS3 loop, from the all-equal-phase beam: its trace holds
-one "w" step, at the final beam, and `n_outer` counts its SCA maps.
-
-`run_ao` and `run_rps` run with OpenBLAS on one thread
-(`scenario._one_blas_thread`): no matrix of a run exceeds (L+1) x (L+1).
-Both check their inputs at entry; the lc half-steps then run unchecked
-(`validated=True`).  A value that overflows inside a run raises ValueError:
-at each recorded J, and at an lc point before sdp reads it.
+`run_rps` freezes uniform random phases and runs `lc._sca_ascent` from the
+all-equal-phase beam: its trace holds one "w" record, at the final beam,
+and `n_outer` counts its SCA maps.  Both run under
+`scenario._one_blas_thread`.
 """
 
 from __future__ import annotations
@@ -210,7 +184,9 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
     non-convergence the trace is truncated at the last completed half-step
     with `failure` describing the error.  Inputs that do not fit `config`
     raise ValueError (see `scenario.check_channels` and `_check_start`), as
-    does a value that overflows the float range inside the run.
+    does a value that overflows the float range inside the run, at a
+    recorded J or at an lc point before an sdp half-step reads it.  The
+    inputs checked, the lc solves run with `validated=True`.
     """
     check_channels(config, channels)
     _check_start(config, ao)
@@ -250,7 +226,7 @@ def run_ao(config: SystemConfig, ao: AoConfig, channels: ChannelSet,
             j_w = _record(trace, config, start_rows, w_beam, (w_beam_err, start_v_err),
                           outer, "w", relaxed_w, solution_w)
             if jump is not None and not j_w >= j_prev:
-                # Rejected: x2 stays, and its v record repeats as a flat pair.
+                # Rejected: u2 stays, and its v record repeats as a flat pair.
                 trace.steps[-1:] = [replace(trace.steps[-2], outer_iter=outer, stage=s)
                                     for s in ("w", "v")]
                 trace.n_outer = outer

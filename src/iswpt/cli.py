@@ -1,34 +1,11 @@
-"""Command-line experiment harness producing deterministic CSV artifacts.
+"""The `iswpt` command line: the spec parser, the four CSV commands and
+``validate``.
 
-Subcommands
------------
-convergence   per-outer-iteration objective traces for each algorithm/L/trial
-sweep-l       mean harvested energy versus number of reflecting elements
-sweep-rho     harvested energy and beampattern sum versus trade-off factor
-beampattern   angular gain profile of one run's final iterate per algorithm/L
-validate      run the built-in acceptance checks and print one line per check
-
-Exit codes: 0 success, 1 a failed acceptance check (``validate``), 2 bad
-input, 3 a run stopped by a solver failure, 4 an unwritable output path
-(found before the first run), 5 an internal error.  A command that fails
-leaves its output path as it found it.  After a CSV is written, each
-algorithm with runs that stopped at ``max_outer_iters`` without converging
-gets one ``note:`` line on stderr; those runs are still averaged into the
-CSV.
-
-Every CSV starts with a comment line ``# iswpt <version> seed=<seed>
-config=<hash>`` followed by a header row; floats are written with 17
-significant digits and LF line endings.  Output is a pure function of the
-spec file and seed:
-
-* each trial's channels are drawn once, at the largest swept element count,
-  and shared by every algorithm and sweep point (sliced down for smaller
-  L), so points share randomness (common random numbers) and trends are
-  not washed out by draw-to-draw noise;
-* ``sweep-rho`` runs each trial as a continuation: the solution at one
-  trade-off point warm-starts the next, and all of a trial's solutions
-  form a candidate pool from which each point reports the member with the
-  highest objective J at its own weights (see `sweep_rho_trial`).
+README.md states the contract of the command line: its commands, flags
+and exit codes, the spec keys and their units, and the CSV formats.  A
+CSV is a pure function of the spec file and the seed.  The L sweeps draw
+each trial's channels once, at the largest swept L (`_sweep_l`), and
+``sweep-rho`` runs each trial as a continuation (`sweep_rho_trial`).
 
 Stream layout: channels from ``trial_stream(seed, 0, trial)``, algorithm
 randomness from ``trial_stream(seed, 1, algo_id, point_idx, trial)`` with

@@ -9,32 +9,23 @@ objective at the current x, a minorant, so each step can only raise the
 objective.
 
 * Beamformer side: J(w) = w^H H w, so M = H, b = 0, amp = sqrt(p0/N).
-* Phase side: J = v^H F11 v + 2 Re(v^H f12) + offset with F11, f12 and
-  offset the blocks of `big_f`, so M = F11, b = f12, amp = 1.  MM descends
+* Phase side: J = v^H F11 v + 2 Re(v^H f12) + offset in the blocks of
+  `big_f` (see `objective`), so M = F11, b = f12, amp = 1.  MM descends
   on g = offset - J, which is concave in v, so its tangent plane at v0,
   g(v0) - 2 Re((v - v0)^H (F11 v0 + f12)), majorises it at any L (Sun,
   Babu & Palomar, IEEE TSP 2017) and no eigenvalue shift is needed.
 
-An MM map costs one F11 product: `MmProblem` carries y at its iterate, and
-the product that gives y at the next iterate also scores it.  An SCA map
-costs two H products, one for its step and one for its score.  `mm_solve`,
-`sca_solve` and its unchecked core `_sca_ascent` (which `ao` calls for the
-initial beam and `run_rps`) iterate their step in one loop,
-`_sqs3_ascent`: SQUAREM (SqS3; Varadhan & Roland, Scand. J. Stat. 2008,
-applied to MM as in Sun, Babu & Palomar) with a safeguard that keeps the
-ascent monotone.  Warm-started MM solves at L=40 reach the stop test in
-about a third of the maps of plain iteration.  Its jump is `sqs3_jump`,
-which `ao.run_ao` also applies to the outer map.  Both algorithms of
-`ao.run_ao` run `sca_solve` and `mm_solve` as their half-steps; `sdp`
-calls nothing here.
+`sca_solve`, `mm_solve` and the unchecked `_sca_ascent` iterate their step
+in one loop, `_sqs3_ascent`: SQUAREM (SqS3; Varadhan & Roland, Scand. J.
+Stat. 2008, applied to MM as in Sun, Babu & Palomar) with a safeguard that
+keeps the ascent monotone; its jump is `sqs3_jump`.  An MM map costs one
+F11 product (`MmProblem` carries y), an SCA map two H products.  Every
+solve loop stops on the test `stalled`.
 
 Each solve checks its inputs once, at entry, with the helpers of
 `scenario`: its loop parameters, then `sca_solve` the beam and the N x N
-`big_h`, `mm_solve` the (L+1) x (L+1) `big_f` and the L phases, unless
-`validated=True`: `ao.run_ao` checks a run's inputs at entry, and builds
-its operators with `objective.gram`, Hermitian by construction.  The
-plain record `MmProblem` and the per-step kernels check nothing.  Every
-solve loop, here and in `ao`, stops on the test `stalled`.
+`big_h`, `mm_solve` the (L+1) x (L+1) `big_f` and the L phases.  A caller
+that has checked them, as `ao.run_ao` has, passes `validated=True`.
 """
 
 from __future__ import annotations
@@ -51,8 +42,8 @@ SCA_REL_TOL = 1e-9   # `sca_solve`'s default stop tolerance
 MM_REL_TOL = 1e-6    # `mm_solve`'s default stop tolerance
 MAX_MAPS = 50        # both solves' default map cap
 
-# An ascent whose start scores below this in magnitude rescales its operators
-# (`_normalised`) before it steps.
+# An ascent rescales its operators (`_normalised`) before it steps when its
+# start score is not finite or is below this in magnitude.
 _TINY_SCORE = 2.0 ** -600
 
 
@@ -137,7 +128,7 @@ def _sca_ascent(big_h: np.ndarray, beam: Beamformer, config: SystemConfig,
         return out, out.w, float(np.vdot(out.w, big_h @ out.w).real)
 
     score = float(np.vdot(beam.w, big_h @ beam.w).real)
-    if abs(score) < _TINY_SCORE:
+    if not _TINY_SCORE <= abs(score) < math.inf:
         big_h, = _normalised(big_h)
         score = float(np.vdot(beam.w, big_h @ beam.w).real)
     start = (beam, beam.w, score)
@@ -220,7 +211,7 @@ def mm_solve(ops: DerivedOperators, phases: PhaseProfile,
         return anchored, anchored.v_prev, score(anchored)
 
     start_score = score(problem)
-    if abs(start_score) < _TINY_SCORE:
+    if not _TINY_SCORE <= abs(start_score) < math.inf:
         f11, f12 = _normalised(f11, f12)
         problem = lift(phases.v)
         start_score = score(problem)

@@ -1,33 +1,29 @@
 """Brute-force reference optimizers over quantized phase grids.
 
-These are exhaustive searches used as ground truth for the iterative
-algorithms on small instances.  The phase grid has `phase_levels` points
+Exhaustive searches, the ground truth for the iterative algorithms on
+small instances.  The phase grid has `phase_levels` points
 -pi + 2*pi*i/levels, i = 0..levels-1, and a search covers all levels**dim
 combinations in lexicographic order over the digit vector (first element
-most significant).  Rows are scored by `objective`'s batch evaluators, through
-`solution_metrics`, the one evaluation of J that gives every trace step.
-Rows are assembled from a phasor table, the `levels` complex factors of the
-grid computed once per search, never from per-row exponentials or digits.
-Each search checks its inputs first and runs with OpenBLAS on one thread
-(`scenario._one_blas_thread`), which gives the same bits at half the CPU.
+most significant); ties go to the smallest lexicographic index.  Rows are
+assembled from a phasor table, the `levels` complex factors of the grid
+computed once per search, never from per-row exponentials or digits, and
+scored by `objective.objective_for_phase_batch` or
+`objective.objective_for_beam_batch`, through `objective.solution_metrics`,
+the one evaluation of J.
 
 Every row is screened before any is scored.  With one variable frozen, J
 of a row x is the Gram form sum_k w_k |x . r_k + o_k|^2 of the rows
-`objective` builds (`phase_rows` with its offsets o, `beam_rows` with
-none).  Splitting x into its first dim//2 digits and the rest splits each
-x . r_k + o_k into A_ik + B_jk, so J = a_i + b_j + 2 Re(A_i W B_j^H) with
-a_i = sum_k w_k |A_ik|^2 and b_j alike: a meet in the middle, one real
-product of operands that carry a and b as two more columns, one row per
-head (first dim//2 digits) and one column per tail.  Only rows whose
-screened J lies within `_margin` of the best of the per-head maxima are
-scored, by the batch evaluators, in lexicographic order.  The margin
-covers the rounding of screen and score, so every row that scores the
-maximum is scored, and ties go to the smallest lexicographic index.  A
-row's score may differ in its last bits from the one it gets among other
-rows, as BLAS rounds by call size.  At 8 levels and 6 elements (262,144
-rows a side) the phase search scored one row in each of 720 benchmark
-trials, and the beam search 8: the optimum's 8 global-phase rotations,
-which tie.
+`objective` builds (`objective.phase_rows` with its offsets o,
+`objective.beam_rows` with none).  Splitting x into its first dim//2
+digits, a head, and the rest, a tail, makes the screen of every row one
+real product (`_screened`), a meet in the middle.  Only rows whose
+screened J lies within `_margin`, a rounding bound, of the best are
+scored, so every row that scores the maximum is scored (`_grid_search`).
+A row's score may differ in its last bits from the one it gets among
+other rows, as BLAS rounds by call size.
+
+Each search checks its inputs first and runs under
+`scenario._one_blas_thread`.
 """
 
 from __future__ import annotations
@@ -86,8 +82,11 @@ def _screened(table: np.ndarray, rows: np.ndarray, weights: np.ndarray,
               offsets: np.ndarray) -> np.ndarray:
     """Screened J of every grid row, a (levels**(dim//2), T) array, so entry
     (i, j) has flat lexicographic index i*T + j.  `rows` is (P, dim),
-    `weights` and `offsets` length P; one real product of [2w Re A, 2w Im A,
-    a, 1] against [Re B, Im B, 1, b] gives a_i + b_j + 2 Re(A_i W B_j^H)."""
+    `weights` W and `offsets` length P.  The row x of head i and tail j has
+    x . r_k + o_k = A_ik + B_jk, the offsets going with the head; with
+    a_i = sum_k w_k |A_ik|^2 and b_j alike, one real product of [2w Re A,
+    2w Im A, a, 1] against [Re B, Im B, 1, b] gives
+    a_i + b_j + 2 Re(A_i W B_j^H)."""
     half = rows.shape[1] // 2
     head = _digit_block(table, half) @ rows[:, :half].T + offsets
     tail = _digit_block(table, rows.shape[1] - half) @ rows[:, half:].T

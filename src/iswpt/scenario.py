@@ -4,20 +4,14 @@ Geometry is a narrowband downlink in which an N-antenna transmitter
 illuminates an L-element reflective surface; the surface redirects energy
 toward K single-antenna harvesting devices and M radar target directions.
 All channels are Rician draws with an i.i.d. LoS part, scaled by path loss.
-
-Unit conventions
-----------------
-* Angles are radians everywhere inside the package.  Spec files use
-  degrees and are converted on load (the spec parser is in `cli`).
-* Power quantities are carried in milliwatts.  dBm fields in spec files
-  convert as p = 10**(dbm / 10) mW, so the reference 30 dBm budget becomes
-  1000 mW.  Gains with a ``_db`` suffix convert as 10**(db / 10).
-* Path loss is a linear power ratio: pl_ref * dist**(-ple).
+Inside the package angles are in radians, power in milliwatts and path
+loss a linear power ratio, pl_ref * dist**(-ple); the spec parser in `cli`
+converts the units of spec files.
 
 Every entry point of the package checks its inputs with the helpers here,
 one per kind of input: `check_count`, `check_finite`, `check_hermitian`,
-and on top of them `check_loop` and `check_channels`.  The run entry points
-and the oracle searches also take `_one_blas_thread` from here.
+and on top of them `check_loop` and `check_channels`.  The run entry
+points and the oracle searches run under `_one_blas_thread`.
 """
 
 from __future__ import annotations
@@ -100,11 +94,13 @@ _BLAS_THREAD_CALLS = _blas_thread_calls()
 
 def _one_blas_thread(func):
     """Run `func` with OpenBLAS on one thread and restore the previous count
-    on return or raise.  At the sizes of an optimizer run ((L+1) x (L+1),
-    41 x 41 at the reference L=40) a second thread only spins; the results
-    are the same bits.  The count is process-wide, so calls from concurrent
-    Python threads may leave it at 1.  Without the thread calls `func` is
-    returned unchanged."""
+    on return or raise.  The largest matrix of an optimizer run is the
+    larger of N x N (`big_h`) and (L+1) x (L+1) (`big_f`); at such sizes a
+    second thread only spins, and one thread gives the same bits.  The
+    count is process-wide, so calls from concurrent Python threads may
+    leave it at 1.  Where NumPy's OpenBLAS thread calls do not resolve
+    (another BLAS library, NumPy before 2.0), `func` is returned
+    unchanged."""
     if _BLAS_THREAD_CALLS is None:
         return func
     get, put = _BLAS_THREAD_CALLS

@@ -5,69 +5,54 @@ the rank constraint is dropped:
 
     maximise  Re tr(C X)   subject to  X_ii = b_i,  X >= 0 (Hermitian PSD)
 
-with C Hermitian and b > 0.  `solve_diag_sdp(cost, diag_values, tol, warm)`
-checks C, b and `warm` at entry and is a self-contained primal-dual
-path-following interior-point method on the complex Hermitian cone (no
-external solver), capped at `MAX_ITERS` iterations.  The dual is
+with C Hermitian and b > 0.  Its dual is
 
     minimise  b^T z   subject to  S = Diag(z) - C >= 0,
 
-and dual feasibility is maintained exactly throughout, so the duality gap
-is <X, S> = b^T z - Re tr(C X) whenever the primal diagonal is feasible.
+so b^T z bounds Re tr(C X) at every feasible X whenever S is PSD, and the
+duality gap is <X, S> = b^T z - Re tr(C X) at a feasible X.
 
-The search direction is the standard XZ (HKM) direction with a Mehrotra
+`solve_diag_sdp` is a self-contained primal-dual path-following
+interior-point method on the complex Hermitian cone (no external solver),
+with inner products <A, B> = Re tr(A B) and no real symmetric embedding.
+Its search direction is the XZ (HKM) direction with a Mehrotra
 predictor-corrector.  For diagonal constraints the Schur complement has
-the closed form  M_ij = Re(X_ij * conj(Sinv_ij)), an elementwise product.
+the closed form M_ij = Re(X_ij * conj(Sinv_ij)), an elementwise product.
 Each iteration factors X and S once: one Cholesky of each, whose inverted
-factors give Sinv and the step lengths, plus one real n x n solve per
-direction.  The predictor's step lengths only set the centring, so they
-are never tested: each pass takes the last corrector's exact lengths (1 in
-the first pass).  The corrector's exact test, one stacked eigenvalue call,
-and its step of 0.98 of the way to the boundary keep X and S positive
-definite.  An iteration forms 6 complex n x n products: Sinv, one per
-direction, and three for the step test (two for dX, one for the diagonal
-dS).  XS is never formed: it cancels from both directions,
-(R - X Diag(dz)) Sinv with R = E - XS is E Sinv - X - X Diag(dz) Sinv,
-and the traces behind the objective and the gaps are O(n^2) inner
-products, tr(A B) = vdot(B, A) for Hermitian A, B.
-
-Inner products on the complex Hermitian cone are <A, B> = Re tr(A B); no
-real symmetric embedding is used, so there is no factor-2 bookkeeping to
-track and Tr(C X) is preserved trivially.
+factors give Sinv and the step lengths (`_max_steps`), plus one real
+n x n solve per direction.  It forms 6 complex n x n products: Sinv, one
+per direction, and three for the step test.  XS is never formed: it
+cancels from both directions, (R - X Diag(dz)) Sinv with R = E - XS is
+E Sinv - X - X Diag(dz) Sinv, and the traces behind the objective and the
+gaps are O(n^2) inner products, tr(A B) = vdot(B, A) for Hermitian A, B.
+The predictor's step lengths only set the centring, so they are never
+tested: each pass takes the last corrector's exact lengths (1 in the
+first pass).  The corrector's exact test and its step of 0.98 of the way
+to the boundary keep X and S positive definite, so dual feasibility holds
+at every iterate.
 
 A cold solve starts at X = Diag(b) and z = |C| 1 + `START_MARGIN` (row
 sums of |C|), so S has least eigenvalue at least `START_MARGIN` by
-Gershgorin.  Given `warm`, the solution of a nearby problem of the same
-size (the previous outer iteration's solve of the same AO side), it starts
-at X = (1 - `WARM_BLEND`) X_prev + `WARM_BLEND` Diag(b), pulled back from
-the cone boundary where X_prev sits, and at z = z_prev shifted uniformly
-until S again has least eigenvalue at least `START_MARGIN` (one eigvalsh);
-the blend toward the cold point is the warm-start rule of Skajaa, Andersen
-& Ye (Math. Prog. Comp. 2013; see also Yildirim & Wright, SIAM J. Optim.
-2002).  Warm or cold, S is positive definite at every iterate, so b^T z
-bounds Re tr(C X) from above at every feasible X.
+Gershgorin.  A warm solve, from the solution of a nearby problem of the
+same size, starts at X = (1 - `WARM_BLEND`) X_prev + `WARM_BLEND` Diag(b),
+pulled back from the cone boundary where X_prev sits, and at z = z_prev
+shifted uniformly until S again has least eigenvalue at least
+`START_MARGIN` (one eigvalsh).  The blend toward the cold point is the
+warm-start rule of Skajaa, Andersen & Ye (Math. Prog. Comp. 2013; see
+also Yildirim & Wright, SIAM J. Optim. 2002).
 
 `extract_beamformer` / `extract_phases` project the principal eigenvector
-of a relaxed PSD solution, and `n_rand` Gaussian randomisations of it, onto
-the feasible set with `objective.project`, the phase side after turning
-each candidate by the projected conjugate of its last entry (no angles).
-One helper scores both sides' candidates on the true objective and keeps
-the first best, or an incumbent, returned as itself.  The half-steps draw
-none: a randomised candidate never won (see README).
+of a relaxed PSD solution, and `n_rand` Gaussian randomisations of it
+(Luo, Ma, So, Ye & Zhang, IEEE Signal Processing Magazine 2010), onto the
+feasible set, and keep the best on the true objective, an incumbent
+competing.  The AO half-steps pass `n_rand=0` (CHANGES.md records why).
 
-The AO half-steps `sdp_update_w` / `sdp_update_v` are given their side's
-lc point x, from the lc half-step `ao.run_ao` runs on both routes, and test
-its relative gap (bound - J) / |bound| against the map's `tol` at two kinds
-of dual bound b^T z (`_certified`, one test on bound and J).  First `certify`,
-one eigvalsh that also gives J:
-z_i = Re(conj(x_i) (C x)_i) / b_i, shifted by max(0, -lambda_min(Diag(z) - C))
-(the tightness certificate of synchronization-type SDPs; Bandeira, Boumal &
-Singer, Math. Program. 2017).  If it fails, the solve's `stop` tests the
-dual value of each iterate and stops at the first that passes.  Either z is
-dual feasible, so its bound dominates every feasible J, an extraction's
-too, and x within `tol` of it is the answer, with the bound and record as
-the next warm start.  A solve that no iterate passes converges and
-extracts, x the incumbent.
+The AO half-steps `sdp_update_w` / `sdp_update_v` take their side's lc
+point x and test it against two kinds of dual bound (`_half_step`):
+`certify`'s, from one eigvalsh, and the dual value of each iterate of a
+solve warm from the side's last record, which stops at the first iterate
+that certifies x.  A solve that no iterate certifies converges and
+extracts, x competing as the incumbent.
 """
 
 from __future__ import annotations
@@ -83,9 +68,8 @@ from .scenario import SystemConfig, check_finite, check_hermitian, complex_norma
 
 MAX_ITERS = 100   # interior-point iteration cap of one solve
 START_MARGIN = 0.1  # least eigenvalue of the starting dual slack, scaled units
-# Weight of the cold start point Diag(b) in a warm start's X: of 0.1-0.7, 0.1
-# re-solved in the fewest iterations, and whole AO runs at 0.05 and 0.2 took
-# within 2% of its iterations.
+# Weight of the cold start point Diag(b) in a warm start's X: the weight that
+# re-solved in the fewest iterations (CHANGES.md keeps the sweep).
 WARM_BLEND = 0.1
 
 
@@ -103,7 +87,8 @@ class SdpSolution:
 
 
 class SdpNonConvergence(RuntimeError):
-    """Raised when the interior-point loop exhausts its iteration cap.
+    """Raised when the interior-point loop exhausts its iteration cap or
+    breaks down numerically.
 
     Carries the iterate the last pass started from (the last one whose gap
     and residual were measured) so callers can inspect residuals.
@@ -151,7 +136,8 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
                    stop: Callable[[float], object] | None = None) -> SdpSolution:
     """max Re tr(cost X) s.t. diag(X) = diag_values, X Hermitian PSD (see
     module docstring), for an (n, n) Hermitian `cost` and n finite positive
-    `diag_values`.
+    `diag_values`; inputs that do not fit, a `tol` that is not finite and
+    positive, or a `warm` of another size or non-finite raise ValueError.
 
     `warm`, the solution of a nearby problem of the same size, sets the
     starting point (see module docstring); without it the solve starts
@@ -188,8 +174,6 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
 
     x = np.diag(b).astype(np.complex128)
     if warm is None:
-        # Gershgorin margin keeps the initial dual slack S = Diag(z) - C
-        # comfortably positive definite.
         z = np.sum(np.abs(cost), axis=1) + START_MARGIN
     else:
         x = hermitian_part((1.0 - WARM_BLEND) * warm.x_opt + WARM_BLEND * x)
@@ -217,8 +201,7 @@ def solve_diag_sdp(cost: np.ndarray, diag_values: np.ndarray, tol: float = 1e-7,
             return _snapshot(c_scale, *start)
 
         try:
-            # One Cholesky of X and of S per iteration; their inverted
-            # factors give Sinv = L_S^{-H} L_S^{-1} and every step length.
+            # Sinv = L_S^{-H} L_S^{-1} from the inverted factor of S.
             inv_factors = np.linalg.inv(np.linalg.cholesky(np.stack([x, s])))
             s_inv = hermitian_part(inv_factors[1].conj().T @ inv_factors[1])
             # Schur complement (symmetric: X and Sinv are exactly Hermitian).
@@ -349,7 +332,9 @@ def certify(cost: np.ndarray, diag_values: np.ndarray, x: np.ndarray) -> SdpSolu
     (Diag(z) - C) x = 0.  Shifting z by shift = max(0, -lambda_min) of
     Diag(z) - C (one eigvalsh) makes it dual feasible, so
     x^H C x + shift * sum(b) bounds the relaxation, and xx^H is its
-    optimum when the shift is 0.  The record holds X = xx^H, the shifted
+    optimum when the shift is 0 (the tightness certificate of
+    synchronization-type SDPs; Bandeira, Boumal & Singer, Math. Program.
+    2017).  The record holds X = xx^H, the shifted
     dual, the value x^H C x, the gap shift * sum(b), x's true diagonal
     residual and 0 iterations: it is the warm start of the next solve.
     """

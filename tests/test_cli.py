@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -298,6 +299,19 @@ def test_convergence_row_count_contract(tmp_path):
     assert all(r["iteration"] == "1" for r in step_rows)
     header = out.read_text().splitlines()[1]
     assert header == "algorithm,L,trial,iteration,objective"
+
+
+def test_csv_headers_are_the_ones_the_readme_documents(tmp_path):
+    # README's "CSV files" section lists the header row of each command.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = dict(re.findall(r"^\* `([a-z-]+)`:\s+`([^`]+)`", readme, re.M))
+    assert set(documented) == set(cli._COMMANDS)
+    spec = write_spec(tmp_path, BASE_SPEC.replace("algorithms = sdp, lc",
+                                                  "algorithms = lc"))
+    for command, header in documented.items():
+        out = tmp_path / f"{command}.csv"
+        assert run_cli([command, "--spec", spec, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == header
 
 
 def test_convergence_lc_objective_nondecreasing(tmp_path):

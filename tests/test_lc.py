@@ -711,3 +711,25 @@ def test_solves_step_at_scales_near_the_end_of_the_float_range(seed, exponent):
     if exponent == -700:
         assert np.array_equal(beams[0].w, beams[1].w)
         assert np.array_equal(profiles[0].v, profiles[1].v)
+
+
+@pytest.mark.parametrize("solve", ["sca_solve", "mm_solve"])
+def test_solves_rescale_a_start_score_that_overflows(solve):
+    # Operators of 1e307 are finite and Hermitian, but their products
+    # overflow, so the start score is not finite.  A solve with such a
+    # start rescales its operators by a power of two first, so it returns
+    # finite values, the bits of the same solve on the operators times
+    # 2**-1020.
+    config = SystemConfig(n_tx=3, n_irs=4)
+
+    def run(entry):
+        if solve == "sca_solve":
+            beam = Beamformer.from_phases(np.zeros(3), config)
+            return sca_solve(np.full((3, 3), entry) + 0j, beam, config).w
+        ops = DerivedOperators(big_h=None, big_f=np.full((5, 5), entry) + 0j)
+        return mm_solve(ops, PhaseProfile(alpha=np.zeros(4))).v
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = run(1e307)
+    assert np.isfinite(huge).all()
+    assert np.array_equal(huge, run(1e307 * 2.0 ** -1020))

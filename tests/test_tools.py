@@ -1,11 +1,16 @@
 """Command-line tools under tools/: the CSV byte contract, the CSV
 comparison, the finder of statements that a traffic never runs and the
-line counter; source checks of the package for module-level state; and
-the README's library quick start."""
+line counter; source checks of the package for module-level state; the
+README's library quick start; and the package names the docs cite."""
 
 import ast
+import dataclasses
+import importlib
 import importlib.util
+import inspect
+import pkgutil
 import platform
+import re
 import textwrap
 from pathlib import Path
 
@@ -340,3 +345,62 @@ def test_readme_library_quick_start_runs():
     trace = names["trace"]
     assert names["j_value"] == trace.iteration_objectives()[-1]
     assert names["harvested_mw"] > 0.0 and names["beampattern"] > 0.0
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def doc_texts():
+    """(place, text) of README.md and of every docstring under src/iswpt."""
+    yield "README.md", (ROOT / "README.md").read_text()
+    for path in sorted((ROOT / "src" / "iswpt").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node, clean=False)
+                if doc:
+                    yield f"{path.name}:{getattr(node, 'lineno', 1)}", doc
+
+
+def resolves(root, parts):
+    """Whether the getattr chain of `parts` from `root` resolves; a
+    dataclass field without a default, which is no class attribute, counts
+    as the last part of a chain."""
+    obj = root
+    for k, part in enumerate(parts):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif (k == len(parts) - 1 and dataclasses.is_dataclass(obj)
+              and part in {f.name for f in dataclasses.fields(obj)}):
+            return True
+        else:
+            return False
+    return True
+
+
+def test_every_package_name_the_docs_cite_resolves():
+    # A backticked dotted name rooted at the package, one of its modules or
+    # one of its classes (`sdp.certify`, `iswpt.lc.sca_solve`,
+    # `AoStep.sdp_iterations`) must name something that exists, so that
+    # deleting a function or field cannot leave the docs pointing at it.
+    iswpt = importlib.import_module("iswpt")
+    roots = {"iswpt": iswpt}
+    for info in pkgutil.iter_modules(iswpt.__path__):
+        if info.name == "__main__":   # importing it runs the command line
+            continue
+        module = importlib.import_module(f"iswpt.{info.name}")
+        roots[info.name] = module
+        roots.update((cls_name, cls) for cls_name, cls in inspect.getmembers(
+            module, inspect.isclass) if cls.__module__ == module.__name__)
+    dotted = re.compile(r"(?<![\w./])([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)")
+    cited, dangling = set(), []
+    for place, text in doc_texts():
+        for span in re.finditer(r"(`+)(.+?)\1", text, re.S):
+            for name in dotted.findall(span.group(2)):
+                root, *parts = name.split(".")
+                if root not in roots:
+                    continue
+                cited.add(name)
+                if not resolves(roots[root], parts):
+                    dangling.append(f"{place}: {name}")
+    assert not dangling
+    assert len(cited) >= 20   # the scan finds the names, not none
